@@ -34,6 +34,32 @@ def is_isosymmetric(
     return mc.is_zero(defect, tol, scale=tf.defect_scale(A, B, X, m, n))
 
 
+def _triangle_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
+    """||triangle^k(X)||_F for k = 0..k_max, from one list of sigma iterates."""
+    sig = tf.sigma_iterates(A, B, X, k_max)
+    norms = []
+    for k in range(k_max + 1):
+        acc = np.zeros_like(X)
+        for j in range(k + 1):
+            acc += ((-1) ** j * tf.binomial(k, j)) * sig[j]
+        norms.append(mc.fro_norm(acc))
+    return norms
+
+
+def _delta_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
+    """||delta^k(X)||_F for k = 0..k_max, from one list of left products (sum A)^i X
+    and one of powers (sum B)^j, associated as in ``delta``: ((sum A)^i X) (sum B)^j."""
+    left = [p @ X for p in tf.sum_powers(A, k_max)]
+    pow_b = tf.sum_powers(B, k_max)
+    norms = [mc.fro_norm(X)]
+    for k in range(1, k_max + 1):
+        acc = np.zeros_like(X)
+        for j in range(k + 1):
+            acc += ((-1) ** j * tf.binomial(k, j)) * (left[k - j] @ pow_b[j])
+        norms.append(mc.fro_norm(acc))
+    return norms
+
+
 def defect_profile(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -43,22 +69,19 @@ def defect_profile(
 ) -> tf.DefectProfile:
     """Defect norms for degrees 0..k_max plus minimal passing degrees.
 
-    Sigma iterates and component-sum powers are computed once and shared by
-    all degrees.  The pass-set of each family must be upward-closed (a pair
-    that is degree-k isometric is degree-t isometric for every t >= k);
-    degrees violating this are reported as tolerance anomalies.
+    Sigma iterates, component-sum powers and the left products (sum A)^i X
+    are computed once and shared by all degrees.  Each norm equals the one the
+    per-degree ``triangle`` / ``delta`` gives, bit for bit, because the terms
+    are formed and summed in the same order.  The pass-set of each family
+    must be upward-closed (a pair that is degree-k isometric is degree-t
+    isometric for every t >= k); degrees violating this are reported as
+    tolerance anomalies.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise InvalidArgumentError(f"k_max must be a positive integer, got {k_max!r}")
     X = mc.as_matrix(X, name="X")
-    sig = tf.sigma_iterates(A, B, X, k_max)
-    tri_norms = []
-    for k in range(k_max + 1):
-        acc = np.zeros_like(X)
-        for j in range(k + 1):
-            acc += ((-1) ** j * tf.binomial(k, j)) * sig[j]
-        tri_norms.append(mc.fro_norm(acc))
-    delta_norms = [mc.fro_norm(tf.delta(A, B, X, k)) for k in range(k_max + 1)]
+    tri_norms = _triangle_norms(A, B, X, k_max)
+    delta_norms = _delta_norms(A, B, X, k_max)
 
     def scan(norms, sym: bool):
         passes = []

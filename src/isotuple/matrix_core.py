@@ -7,8 +7,10 @@ with a caller-supplied scale: defect expressions multiply many matrix
 factors, so the meaningful comparison is relative to a product of input
 norms, never to 1.
 
-The Frobenius norm is the canonical magnitude.  ``op_norm_estimate`` (spectral
-norm) exists for diagnostics only.
+The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
+(``op_norm_estimate``) sets every tolerance scale: ``transforms.defect_scale``
+bounds each defining map by the spectral norms of its factors.  Each call is
+an SVD, so ``OperatorTuple`` computes the norms of a tuple once.
 
 vec convention: column stacking, so vec(A X B) = (B^T kron A) vec(X).
 
@@ -112,7 +114,7 @@ def fro_norm(a) -> float:
 
 
 def op_norm_estimate(a) -> float:
-    """Spectral norm; diagnostics only."""
+    """Spectral norm (largest singular value, by SVD): the factor norm of every tolerance scale."""
     return float(np.linalg.norm(as_matrix(a), 2))
 
 

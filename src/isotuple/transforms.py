@@ -46,12 +46,12 @@ def _require_pair(A: OperatorTuple, B: OperatorTuple, X: np.ndarray) -> np.ndarr
 
 def iso_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
     """1 + sum_i ||A_i|| ||B_i|| (spectral norms): bounds the sigma superoperator."""
-    return 1.0 + sum(mc.op_norm_estimate(a) * mc.op_norm_estimate(b) for a, b in zip(A, B))
+    return 1.0 + sum(a * b for a, b in zip(A.op_norms, B.op_norms))
 
 
 def sym_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
     """1 + ||sum A|| + ||sum B|| (spectral norms): bounds the left-minus-right map."""
-    return 1.0 + mc.op_norm_estimate(A.component_sum()) + mc.op_norm_estimate(B.component_sum())
+    return 1.0 + A.sum_op_norm + B.sum_op_norm
 
 
 def defect_scale(
@@ -193,7 +193,8 @@ def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.n
     return Y
 
 
-def _sum_powers(T: OperatorTuple, k_max: int) -> list[np.ndarray]:
+def sum_powers(T: OperatorTuple, k_max: int) -> list[np.ndarray]:
+    """[I, sum T, (sum T)^2, ..., (sum T)^k_max], each power one product from the last."""
     s = T.component_sum()
     out = [mc.identity(T.dim), s]
     for _ in range(k_max - 1):
@@ -208,8 +209,8 @@ def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     X = _require_pair(A, B, X)
     if n == 0:
         return X.copy()
-    pow_a = _sum_powers(A, n)
-    pow_b = _sum_powers(B, n)
+    pow_a = sum_powers(A, n)
+    pow_b = sum_powers(B, n)
     acc = np.zeros_like(X)
     for j in range(n + 1):
         acc += ((-1) ** j * binomial(n, j)) * (pow_a[n - j] @ X @ pow_b[j])

@@ -19,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,12 @@ class PowerConvention(str, Enum):
 
 @dataclass(frozen=True)
 class OperatorTuple:
-    """Ordered tuple of same-dimension square complex matrices."""
+    """Ordered tuple of same-dimension square complex matrices.
+
+    Components are stored as read-only copies, so quantities derived from them
+    alone (the spectral norms behind every tolerance scale) are computed on
+    first use and kept for the life of the tuple.
+    """
 
     components: tuple[np.ndarray, ...]
 
@@ -83,6 +89,16 @@ class OperatorTuple:
 
     def component_sum(self) -> np.ndarray:
         return sum(self.components[1:], start=self.components[0].copy())
+
+    @cached_property
+    def op_norms(self) -> tuple[float, ...]:
+        """Spectral norm of each component."""
+        return tuple(mc.op_norm_estimate(c) for c in self.components)
+
+    @cached_property
+    def sum_op_norm(self) -> float:
+        """Spectral norm of ``component_sum()``."""
+        return mc.op_norm_estimate(self.component_sum())
 
     def to_json(self) -> dict:
         return {

@@ -131,3 +131,19 @@ def test_profile_min_degree_matches_classifier_verdicts():
     assert classify.is_isometric(A, B, X, k)
     if k > 0:
         assert not classify.is_isometric(A, B, X, k - 1)
+
+
+@pytest.mark.parametrize(
+    "seed, d, n", [(0, 1, 2), (1, 2, 3), (2, 3, 5), (3, 2, 8), (4, 4, 12), (5, 3, 16)]
+)
+def test_profile_norms_equal_per_degree_defects(seed, d, n):
+    # the shared-power profile must reproduce the per-degree transforms bit for bit
+    A, B, X = random_commuting_pair(seed, d, n)
+    k_max = 12
+    profile = classify.defect_profile(A, B, X, k_max=k_max)
+    assert profile.triangle_norms == tuple(
+        mc.fro_norm(tf.triangle(A, B, X, k)) for k in range(k_max + 1)
+    )
+    assert profile.delta_norms == tuple(
+        mc.fro_norm(tf.delta(A, B, X, k)) for k in range(k_max + 1)
+    )

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +201,7 @@ def test_campaign_byte_identical_modulo_timestamp(tmp_path):
 
 def test_campaign_budget_partial_exits_3(tmp_path):
     out_file = tmp_path / "partial.json"
+    start = time.monotonic()
     code = main(
         [
             "campaign",
@@ -216,6 +218,7 @@ def test_campaign_budget_partial_exits_3(tmp_path):
             "--quiet",
         ]
     )
+    assert time.monotonic() - start < 0.2 + 1.0
     assert code == 3
     report = json.loads(out_file.read_text())
     assert report["budget_exceeded"] is True
@@ -274,3 +277,29 @@ def test_check_warns_on_noncommuting_tuple(tmp_path, jordan_files, capsys):
     assert code == 0  # lax mode: classified anyway
     err = capsys.readouterr().err
     assert "does not commute" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--m", "2", "--n", "3"]])
+def test_check_computes_each_spectral_norm_once(tmp_path, monkeypatch, extra):
+    # d component norms and one sum norm per tuple, however many degrees are scanned
+    d = 3
+    rng = np.random.default_rng(4)
+    paths = []
+    for name in ("a", "b"):
+        tup = OperatorTuple(tuple(rng.standard_normal((5, 5)) + 0j for _ in range(d)))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tup.to_json()))
+        paths.append(str(path))
+    x_path = tmp_path / "x.json"
+    x_path.write_text(json.dumps(mc.matrix_to_json(rng.standard_normal((5, 5)))))
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(mc, "op_norm_estimate", counting)
+    argv = ["check", "--tuple-a", paths[0], "--tuple-b", paths[1], "--x", str(x_path), *extra]
+    assert main(argv) == 0
+    assert len(calls) == 2 * (d + 1)

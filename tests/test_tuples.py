@@ -287,3 +287,18 @@ def test_operator_tuple_components_are_frozen():
     A, _ = paper_example_squares()
     with pytest.raises(ValueError):
         A[0][0, 0] = 5.0
+
+
+def test_cached_spectral_norms_equal_fresh_ones(monkeypatch):
+    rng = np.random.default_rng(11)
+    A = OperatorTuple(
+        tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
+    )
+    assert A.op_norms == tuple(mc.op_norm_estimate(c) for c in A)
+    assert A.sum_op_norm == mc.op_norm_estimate(A.component_sum())
+
+    def no_more_svds(a):
+        raise AssertionError("spectral norm recomputed")
+
+    monkeypatch.setattr(mc, "op_norm_estimate", no_more_svds)
+    assert len(A.op_norms) == 3 and A.sum_op_norm > 0.0

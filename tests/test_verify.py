@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -387,9 +388,11 @@ def test_run_campaign_explicit_seeds_and_csv():
 
 
 def test_run_campaign_budget_partial():
+    start = time.monotonic()
     report = run_campaign(
         CampaignConfig(theorem_id="pro01", trials=100000, seed=0, budget_s=0.2, t_max=2000)
     )
+    assert time.monotonic() - start < 0.2 + 1.0
     assert report.budget_exceeded
     assert report.trials < 100000
 
@@ -418,34 +421,45 @@ def test_campaign_counterexamples_serialized_on_forced_failure(monkeypatch):
     assert payload["counterexamples"][0]["bundle"]["profile"] == "thm05"
 
 
-def test_threads_env_is_respected(monkeypatch):
-    monkeypatch.setenv("ISOTUPLE_THREADS", "2")
-    report = run_campaign(CampaignConfig(theorem_id="cor06", trials=8, seed=1))
-    assert report.passes == 8
-    monkeypatch.setenv("ISOTUPLE_THREADS", "zebra")
-    with pytest.raises(InvalidArgumentError):
-        run_campaign(CampaignConfig(theorem_id="cor06", trials=2, seed=1))
-
-
-def test_serial_path_matches_pool_path(monkeypatch):
-    def stripped(report):
-        data = report.to_json()
+def test_threads_env_is_ignored(monkeypatch):
+    def stripped():
+        data = run_campaign(CampaignConfig(theorem_id="cor06", trials=4, seed=1)).to_json()
         data.pop("timestamp")
         return json.dumps(data, sort_keys=True)
 
-    monkeypatch.setenv("ISOTUPLE_THREADS", "1")
-    serial = stripped(run_campaign(CampaignConfig(theorem_id="thm06", trials=6, seed=9)))
-    monkeypatch.setenv("ISOTUPLE_THREADS", "4")
-    pooled = stripped(run_campaign(CampaignConfig(theorem_id="thm06", trials=6, seed=9)))
-    assert serial == pooled
+    monkeypatch.delenv("ISOTUPLE_THREADS", raising=False)
+    unset = stripped()
+    monkeypatch.setenv("ISOTUPLE_THREADS", "zebra")
+    assert stripped() == unset
 
 
 def test_serial_budget_partial(monkeypatch):
-    monkeypatch.setenv("ISOTUPLE_THREADS", "1")
-    report = run_campaign(
-        CampaignConfig(theorem_id="pro01", trials=100000, seed=0, budget_s=0.2, t_max=2000)
-    )
-    assert report.budget_exceeded and report.trials < 100000
+    # the deadline is checked before every trial, so a budgeted campaign ends
+    # within one trial of it and has run a prefix of its seeds
+    seen = []
+
+    def slow_trial(theorem_id, seed, tol, t_max):
+        seen.append(seed)
+        time.sleep(0.05)
+        return TrialResult(status="pass"), None
+
+    monkeypatch.setattr(verify, "_run_trial", slow_trial)
+    config = CampaignConfig(theorem_id="pro04", trials=1000, seed=3, budget_s=0.2)
+    start = time.monotonic()
+    report = run_campaign(config)
+    assert time.monotonic() - start < 0.2 + 0.05 + 0.5
+    assert report.budget_exceeded and 0 < report.trials < 1000
+    assert seen == list(config.trial_seeds()[: report.trials])
+
+
+def test_max_defect_ignores_skipped_trials(monkeypatch):
+    def skipped_trial(theorem_id, seed, tol, t_max):
+        return verify._skip("synthetic", base_defect=5.0), None
+
+    monkeypatch.setattr(verify, "_run_trial", skipped_trial)
+    report = run_campaign(CampaignConfig(theorem_id="thm05", trials=3, seed=0))
+    assert report.skipped == 3 and report.trials == 0
+    assert report.max_defect == 0.0
 
 
 def test_campaign_config_rejects_negative_trials():
