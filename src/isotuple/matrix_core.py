@@ -10,7 +10,8 @@ norms, never to 1.
 The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
 (``op_norm_estimate``) sets every tolerance scale: ``transforms.defect_scale``
 bounds each defining map by the spectral norms of its factors.  Each call is
-an SVD, so ``OperatorTuple`` computes the norms of a tuple once.
+an SVD, so ``OperatorTuple`` computes all the norms of a tuple, of its
+components and of their sum, once and in one batched LAPACK call.
 
 vec convention: column stacking, so vec(A X B) = (B^T kron A) vec(X).
 
@@ -55,7 +56,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(value, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return arr
 
@@ -73,28 +74,6 @@ def zero(n: int) -> np.ndarray:
     return np.zeros((n, n), dtype=np.complex128)
 
 
-def add(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _require_same_shape(a, b)
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _require_same_shape(a, b)
-    return a - b
-
-
-def mul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    _require_same_shape(a, b)
-    return a @ b
-
-
-def scale(c: complex, a) -> np.ndarray:
-    return complex(c) * as_matrix(a)
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
@@ -105,17 +84,27 @@ def conj(a) -> np.ndarray:
     return as_matrix(a).conj()
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), "fro"))
 
 
-def op_norm_estimate(a) -> float:
-    """Spectral norm (largest singular value, by SVD): the factor norm of every tolerance scale."""
-    return float(np.linalg.norm(as_matrix(a), 2))
+def op_norm_estimate(a):
+    """Spectral norm (largest singular value, by SVD): the factor norm of every tolerance scale.
+
+    A matrix gives a float.  A ``(k, n, n)`` stack gives the array of its k
+    norms from one batched LAPACK call; each equals the float its matrix
+    gives alone.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 3:
+        return float(np.linalg.norm(as_matrix(arr), 2))
+    if arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
+        raise InvalidArgumentError(
+            f"stack must hold square non-empty matrices, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError("stack contains non-finite entries")
+    return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
 def inverse(a) -> np.ndarray:

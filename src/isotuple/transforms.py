@@ -54,6 +54,22 @@ def sym_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
     return 1.0 + A.sum_op_norm + B.sum_op_norm
 
 
+def grown_scale(scale: float, factor: float, degree: int) -> float:
+    """scale * factor**degree, refused with InvalidArgumentError when it overflows.
+
+    An infinite scale would pass every defect, so no zero test may use one.
+    """
+    try:
+        grown = scale * factor**degree
+    except OverflowError:
+        grown = math.inf
+    if not math.isfinite(grown):
+        raise InvalidArgumentError(
+            f"tolerance scale overflows: {scale:.3e} * {factor:.3e}**{degree}"
+        )
+    return grown
+
+
 def defect_scale(
     A: OperatorTuple, B: OperatorTuple, X, iso_degree: int, sym_degree: int = 0
 ) -> float:
@@ -64,39 +80,30 @@ def defect_scale(
     in the spectral norm of the factors, so that product is the documented
     scale for every defect zero test: it tracks the defect's own worst-case
     growth without drowning genuinely nonzero defects at higher degrees.
+    A factor raised to the power 0 is 1.0 and is skipped, norms and all.
     """
-    return (
-        mc.fro_norm(X)
-        * iso_scale_factor(A, B) ** iso_degree
-        * sym_scale_factor(A, B) ** sym_degree
-    )
+    scale = mc.fro_norm(X)
+    if iso_degree:
+        scale = grown_scale(scale, iso_scale_factor(A, B), iso_degree)
+    if sym_degree:
+        scale = grown_scale(scale, sym_scale_factor(A, B), sym_degree)
+    return scale
 
 
-def mixed_defect_scale(
-    A1: OperatorTuple,
-    B1: OperatorTuple,
-    iso_degree: int,
-    A2: OperatorTuple,
-    B2: OperatorTuple,
-    sym_degree: int,
-    X,
-) -> float:
-    """Scale for a degree-m isometric defect of one pair applied to a degree-n
-    symmetric defect of another pair."""
-    return (
-        mc.fro_norm(X)
-        * iso_scale_factor(A1, B1) ** iso_degree
-        * sym_scale_factor(A2, B2) ** sym_degree
-    )
+def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
+    """sigma(Y) for a pair already checked against Y's shape, so that iterates are
+    not checked again; a non-finite Y is refused as ``sigma_apply`` refuses it."""
+    if not np.isfinite(Y).all():
+        raise InvalidArgumentError("X contains non-finite entries")
+    acc = np.zeros_like(Y)
+    for a, b in zip(A, B):
+        acc += a @ Y @ b
+    return acc
 
 
 def sigma_apply(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
     """sum_i A_i X B_i."""
-    X = _require_pair(A, B, X)
-    acc = np.zeros_like(X)
-    for a, b in zip(A, B):
-        acc += a @ X @ b
-    return acc
+    return _sigma(A, B, _require_pair(A, B, X))
 
 
 def sigma_iterates(A: OperatorTuple, B: OperatorTuple, X, j_max: int) -> list[np.ndarray]:
@@ -106,7 +113,7 @@ def sigma_iterates(A: OperatorTuple, B: OperatorTuple, X, j_max: int) -> list[np
     X = _require_pair(A, B, X)
     out = [X.copy()]
     for _ in range(j_max):
-        out.append(sigma_apply(A, B, out[-1]))
+        out.append(_sigma(A, B, out[-1]))
     return out
 
 
@@ -189,7 +196,7 @@ def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.n
         raise InvalidArgumentError(f"m must be a non-negative integer, got {m!r}")
     Y = _require_pair(A, B, X).copy()
     for _ in range(m):
-        Y = Y - sigma_apply(A, B, Y)
+        Y = Y - _sigma(A, B, Y)
     return Y
 
 
@@ -286,7 +293,7 @@ def cesaro_estimate(
     out: list[tuple[int, float]] = []
     Y = X.copy()
     for t in range(1, t_max + 1):
-        Y = sigma_apply(A, B, Y)
+        Y = _sigma(A, B, Y)
         if t >= m:
             e_t = mc.fro_norm(Y / binomial(t, m - 1) - reference)
             out.append((t, e_t))

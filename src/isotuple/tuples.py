@@ -43,8 +43,9 @@ class OperatorTuple:
     """Ordered tuple of same-dimension square complex matrices.
 
     Components are stored as read-only copies, so quantities derived from them
-    alone (the spectral norms behind every tolerance scale) are computed on
-    first use and kept for the life of the tuple.
+    alone are computed on first use and kept for the life of the tuple: the
+    component sum, and the spectral norms behind every tolerance scale, which
+    come from one batched LAPACK call over the components and their sum.
     """
 
     components: tuple[np.ndarray, ...]
@@ -88,17 +89,30 @@ class OperatorTuple:
         return iter(self.components)
 
     def component_sum(self) -> np.ndarray:
-        return sum(self.components[1:], start=self.components[0].copy())
+        """Sum of the components, read-only."""
+        return self._sum
 
     @cached_property
+    def _sum(self) -> np.ndarray:
+        s = sum(self.components[1:], start=self.components[0].copy())
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def _norms(self) -> tuple[float, ...]:
+        """Spectral norms of the components, then of their sum."""
+        stack = np.stack((*self.components, self._sum))
+        return tuple(float(v) for v in mc.op_norm_estimate(stack))
+
+    @property
     def op_norms(self) -> tuple[float, ...]:
         """Spectral norm of each component."""
-        return tuple(mc.op_norm_estimate(c) for c in self.components)
+        return self._norms[:-1]
 
-    @cached_property
+    @property
     def sum_op_norm(self) -> float:
         """Spectral norm of ``component_sum()``."""
-        return mc.op_norm_estimate(self.component_sum())
+        return self._norms[-1]
 
     def to_json(self) -> dict:
         return {

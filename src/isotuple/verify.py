@@ -251,9 +251,9 @@ def check_pro03(
             Bd_pow.append(Bd_pow[-1] @ B[d - 1])
         for j in range(m + 1):
             rhs += tf.binomial(m, j) * float((d - 2) ** (m - j)) * (Ad_pow[j] @ X @ Bd_pow[j])
-        rhs_scale = norm_x * (
-            1.0 + abs(d - 2) + A.op_norms[d - 1] * B.op_norms[d - 1]
-        ) ** m
+        rhs_scale = tf.grown_scale(
+            norm_x, 1.0 + abs(d - 2) + A.op_norms[d - 1] * B.op_norms[d - 1], m
+        )
     else:
         lhs = tf.delta(A, B, X, m)
         lhs_scale = tf.defect_scale(A, B, X, 0, m)
@@ -412,7 +412,11 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
                 tf.triangle(P1, Q1, tf.delta(P2, Q2, X, m2 + shift), m1 + shift)
             ),
             tol.threshold(
-                tf.mixed_defect_scale(P1, Q1, m1 + shift, P2, Q2, m2 + shift, X)
+                tf.grown_scale(
+                    tf.defect_scale(P1, Q1, X, m1 + shift),
+                    tf.sym_scale_factor(P2, Q2),
+                    m2 + shift,
+                )
             ),
         ),
     ]

@@ -281,7 +281,8 @@ def test_check_warns_on_noncommuting_tuple(tmp_path, jordan_files, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--m", "2", "--n", "3"]])
 def test_check_computes_each_spectral_norm_once(tmp_path, monkeypatch, extra):
-    # d component norms and one sum norm per tuple, however many degrees are scanned
+    # one batched call per tuple, over its d components and their sum, however
+    # many degrees are scanned
     d = 3
     rng = np.random.default_rng(4)
     paths = []
@@ -296,10 +297,40 @@ def test_check_computes_each_spectral_norm_once(tmp_path, monkeypatch, extra):
     original = mc.op_norm_estimate
 
     def counting(a):
-        calls.append(1)
+        calls.append(np.shape(a))
         return original(a)
 
     monkeypatch.setattr(mc, "op_norm_estimate", counting)
     argv = ["check", "--tuple-a", paths[0], "--tuple-b", paths[1], "--x", str(x_path), *extra]
     assert main(argv) == 0
-    assert len(calls) == 2 * (d + 1)
+    assert calls == [(d + 1, 5, 5)] * 2
+
+
+def _write_inputs(tmp_path, a, b, x):
+    paths = []
+    for name, payload in (
+        ("a", OperatorTuple.of(a).to_json()),
+        ("b", OperatorTuple.of(b).to_json()),
+        ("x", mc.matrix_to_json(x)),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    return ["--tuple-a", paths[0], "--tuple-b", paths[1], "--x", paths[2]]
+
+
+@pytest.mark.parametrize("command", ["check", "min-degree"])
+def test_overflowing_tolerance_scale_exits_2(tmp_path, capsys, command):
+    # finite input whose scale (1 + 1e200)**2 overflows: refused, never passed as inf
+    files = _write_inputs(tmp_path, np.diag([1e200, 0.0]), np.diag([0.0, 1.0]), np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, *files]) == 2
+    assert "tolerance scale overflows" in capsys.readouterr().err
+
+
+def test_check_refuses_overflowing_iterate(tmp_path, capsys):
+    # sigma^2(I) = 1e480 I overflows; applying sigma to it is refused
+    files = _write_inputs(tmp_path, 1e120 * np.eye(2), 1e120 * np.eye(2), np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["check", *files]) == 2
+    assert "X contains non-finite entries" in capsys.readouterr().err

@@ -15,7 +15,11 @@ def test_adjoint_of_mixing_unitary():
 
 
 def test_kron_identities():
-    assert mc.max_abs_diff(mc.kron(mc.identity(2), mc.identity(2)), mc.identity(4)) == 0.0
+    # the lift of X -> I X I is the identity on column-stacked vec(X)
+    X = np.arange(4.0).reshape(2, 2) + 1j
+    lift = np.kron(mc.identity(2).T, mc.identity(2))
+    assert mc.max_abs_diff(lift, mc.identity(4)) == 0.0
+    assert mc.max_abs_diff(mc.unvec(lift @ mc.vec(X), 2), X) == 0.0
 
 
 def test_inverse_of_scaled_identity():
@@ -51,7 +55,7 @@ def test_kron_norm_is_multiplicative():
     for _ in range(10):
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs = mc.fro_norm(mc.kron(A, B))
+        lhs = mc.fro_norm(np.kron(A, B))
         rhs = mc.fro_norm(A) * mc.fro_norm(B)
         assert abs(lhs - rhs) <= 1e-12 * rhs
 
@@ -62,7 +66,7 @@ def test_inverse_roundtrip_for_well_conditioned():
         M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 3.0 * np.eye(4)
         if np.linalg.cond(M) >= 1e6:
             continue
-        assert mc.is_zero(mc.mul(mc.inverse(M), M) - mc.identity(4), scale=1.0)
+        assert mc.is_zero(mc.inverse(M) @ M - mc.identity(4), scale=1.0)
 
 
 def test_singular_inverse_carries_condition():
@@ -75,7 +79,7 @@ def test_singular_inverse_carries_condition():
 
 def test_shape_validation():
     with pytest.raises(InvalidArgumentError):
-        mc.add(mc.identity(2), mc.identity(3))
+        mc.max_abs_diff(mc.identity(2), mc.identity(3))
     with pytest.raises(InvalidArgumentError):
         mc.as_matrix(np.ones((2, 3)))
     with pytest.raises(InvalidArgumentError):
@@ -92,7 +96,7 @@ def test_vec_kron_identity():
     rng = np.random.default_rng(5)
     A, B, X = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3))
     lhs = mc.vec(A @ X @ B)
-    rhs = mc.kron(B.T, A) @ mc.vec(X)
+    rhs = np.kron(B.T, A) @ mc.vec(X)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -110,3 +114,16 @@ def test_matrix_json_rejects_garbage():
 
 def test_op_norm_estimate_on_shift():
     assert abs(mc.op_norm_estimate(np.array([[0, 2], [0, 0]])) - 2.0) < 1e-12
+
+
+def test_op_norm_estimate_on_stack_is_one_norm_per_matrix():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    norms = mc.op_norm_estimate(stack)
+    assert norms.shape == (4,)
+    assert [float(v) for v in norms] == [mc.op_norm_estimate(m) for m in stack]
+    with pytest.raises(InvalidArgumentError):
+        mc.op_norm_estimate(np.ones((2, 2, 3)))
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        mc.op_norm_estimate(stack)

@@ -244,3 +244,22 @@ def test_defect_scale_formula():
     sym = 1.0 + 2.0 * mc.op_norm_estimate(A.component_sum())
     expected = mc.fro_norm(X) * iso**2 * sym**3
     assert abs(tf.defect_scale(A, B, X, 2, 3) - expected) < 1e-12
+
+
+def test_defect_scale_skips_factors_of_degree_zero(monkeypatch):
+    A, B = paper_example_squares()
+    X = 2.0 * np.eye(2)
+
+    def no_svds(a):
+        raise AssertionError("spectral norm computed for a degree-0 factor")
+
+    monkeypatch.setattr(mc, "op_norm_estimate", no_svds)
+    assert tf.defect_scale(A, B, X, 0, 0) == mc.fro_norm(X)
+
+
+def test_overflowing_scale_is_refused():
+    assert tf.grown_scale(2.0, 3.0, 2) == 18.0
+    with pytest.raises(InvalidArgumentError):
+        tf.grown_scale(1.0, 1e200, 2)  # float ** overflows
+    with pytest.raises(InvalidArgumentError):
+        tf.grown_scale(1e200, 1e200, 1)  # the product overflows to inf

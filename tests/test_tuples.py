@@ -6,7 +6,7 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple.errors import BudgetExceededError, InvalidArgumentError, SingularMatrixError
-from isotuple.generators import paper_example_squares, upper_shift
+from isotuple.generators import PROFILES, paper_example_squares, random_instance, upper_shift
 from isotuple.tuples import (
     OperatorTuple,
     PowerConvention,
@@ -289,16 +289,29 @@ def test_operator_tuple_components_are_frozen():
         A[0][0, 0] = 5.0
 
 
-def test_cached_spectral_norms_equal_fresh_ones(monkeypatch):
+def _norm_cases():
+    """Random tuples at d 1-4 and n 1-16, and one tuple from each generator profile."""
     rng = np.random.default_rng(11)
-    A = OperatorTuple(
-        tuple(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
-    )
-    assert A.op_norms == tuple(mc.op_norm_estimate(c) for c in A)
-    assert A.sum_op_norm == mc.op_norm_estimate(A.component_sum())
+    for d in range(1, 5):
+        for n in (1, 2, 3, 5, 8, 16):
+            yield OperatorTuple(
+                tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(d))
+            )
+    for profile in PROFILES:
+        bundle = random_instance(profile, 5)
+        yield bundle.tuples[sorted(bundle.tuples)[0]]
+
+
+def test_cached_spectral_norms_equal_fresh_ones(monkeypatch):
+    # the batched norms are bit for bit the norms of one matrix at a time
+    tuples = list(_norm_cases())
+    for A in tuples:
+        assert A.op_norms == tuple(float(np.linalg.norm(c, 2)) for c in A)
+        assert A.sum_op_norm == float(np.linalg.norm(A.component_sum(), 2))
 
     def no_more_svds(a):
         raise AssertionError("spectral norm recomputed")
 
     monkeypatch.setattr(mc, "op_norm_estimate", no_more_svds)
-    assert len(A.op_norms) == 3 and A.sum_op_norm > 0.0
+    for A in tuples:
+        assert len(A.op_norms) == A.d and A.sum_op_norm >= 0.0
