@@ -37,13 +37,7 @@ def is_isosymmetric(
 def _triangle_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
     """||triangle^k(X)||_F for k = 0..k_max, from one list of sigma iterates."""
     sig = tf.sigma_iterates(A, B, X, k_max)
-    norms = []
-    for k in range(k_max + 1):
-        acc = np.zeros_like(X)
-        for j in range(k + 1):
-            acc += ((-1) ** j * tf.binomial(k, j)) * sig[j]
-        norms.append(mc.fro_norm(acc))
-    return norms
+    return [mc.fro_norm(tf.triangle_of_iterates(sig, k)) for k in range(k_max + 1)]
 
 
 def _delta_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:

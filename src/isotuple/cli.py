@@ -6,6 +6,11 @@ Exit codes, stable across versions:
 * 1 golden or campaign failure
 * 2 usage / parse error
 * 3 campaign budget exhausted (partial report written)
+
+NumPy's overflow and invalid-value warnings are silenced while a command
+runs: on hostile input, the refusal that follows an overflow (a non-finite
+sigma iterate, an overflowing tolerance scale) exits 2 with its own message,
+and the warnings would only print library source lines before it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import classify, matrix_core as mc, transforms as tf, verify
 from .errors import InvalidArgumentError, IsotupleError
@@ -292,7 +299,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

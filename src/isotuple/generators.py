@@ -2,9 +2,10 @@
 
 Every random family is built from polynomials in a single seed matrix (or
 from tensor-factor embeddings), so commutativity hypotheses hold exactly by
-construction and floating-point residuals stay at machine level.  Each
-builder post-validates its own hypotheses and records the residuals in the
-bundle; a fixed seed reproduces the bundle bit for bit.
+construction and floating-point residuals stay at machine level.  Checkers
+validate every hypothesis themselves, so a builder records its hypothesis
+residuals on demand: the bundle computes them on first read.  A fixed seed
+reproduces the bundle bit for bit.
 
 Instance shapes:
 
@@ -24,7 +25,9 @@ Instance shapes:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,14 +65,26 @@ _RETRY_LIMIT = 20
 
 @dataclass(frozen=True)
 class InstanceBundle:
-    """A seeded, hypothesis-validated input for one theorem check."""
+    """A seeded input for one theorem check, built to satisfy its hypotheses.
+
+    ``residuals`` maps each hypothesis defect and commutator of the instance
+    to its norm.  It is computed on first read, by ``residual_fn`` (which a
+    builder closes over the tuples and matrices it built), and then kept; a
+    bundle built without one reads ``{}``.
+    """
 
     profile: str
     seed: int
     tuples: dict[str, OperatorTuple]
     matrices: dict[str, np.ndarray]
     params: dict
-    residuals: dict[str, float] = field(default_factory=dict)
+    residual_fn: Callable[[], dict[str, float]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:
+        return {} if self.residual_fn is None else self.residual_fn()
 
     def to_json(self) -> dict:
         return {
@@ -323,18 +338,21 @@ def _build_pro01(rng: np.random.Generator, seed: int) -> InstanceBundle:
         X = mc.identity(n)
         m = 2
         variant = "invertible"
-    residuals = {
-        "isometry_defect": mc.fro_norm(tf.triangle(A, B, X, m)),
-        "commutes_A": max_commutator_within(A),
-        "commutes_B": max_commutator_within(B),
-    }
+
+    def residuals():
+        return {
+            "isometry_defect": mc.fro_norm(tf.triangle(A, B, X, m)),
+            "commutes_A": max_commutator_within(A),
+            "commutes_B": max_commutator_within(B),
+        }
+
     return InstanceBundle(
         profile="pro01",
         seed=seed,
         tuples={"A": A, "B": B},
         matrices={"X": X},
         params={"m": m, "variant": variant},
-        residuals=residuals,
+        residual_fn=residuals,
     )
 
 
@@ -360,17 +378,20 @@ def _build_pro02(rng: np.random.Generator, seed: int) -> InstanceBundle:
     tuples["A_limit"] = OperatorTuple.of(mc.adjoint(T_lim))
     tuples["B_limit"] = OperatorTuple.of(T_lim)
     X = mc.identity(k)
-    if kind == "triangle":
-        member_defect = mc.fro_norm(tf.triangle(tuples["A0"], tuples["B0"], X, m1))
-    else:
-        member_defect = mc.fro_norm(tf.delta(tuples["A0"], tuples["B0"], X, m2))
+    A0, B0 = tuples["A0"], tuples["B0"]
+
+    def residuals():
+        if kind == "triangle":
+            return {"first_member_defect": mc.fro_norm(tf.triangle(A0, B0, X, m1))}
+        return {"first_member_defect": mc.fro_norm(tf.delta(A0, B0, X, m2))}
+
     return InstanceBundle(
         profile="pro02-family",
         seed=seed,
         tuples=tuples,
         matrices={"X": X},
         params={"kind": kind, "m1": m1, "m2": m2, "members": n_members},
-        residuals={"first_member_defect": member_defect},
+        residual_fn=residuals,
     )
 
 
@@ -411,16 +432,20 @@ def _build_pro03(rng: np.random.Generator, seed: int) -> InstanceBundle:
             A = OperatorTuple(tuple(comps + [_normalized_complex(rng, n)]))
             B = OperatorTuple(tuple(comps + [_normalized_complex(rng, n)]))
             X = _normalized_complex(rng, n)
+
+    def residuals():
+        return {
+            "commutes_A": max_commutator_within(A),
+            "commutes_B": max_commutator_within(B),
+        }
+
     return InstanceBundle(
         profile="pro03",
         seed=seed,
         tuples={"A": A, "B": B},
         matrices={"X": X},
         params={"part": part, "m": m, "zero_side": zero_side},
-        residuals={
-            "commutes_A": max_commutator_within(A),
-            "commutes_B": max_commutator_within(B),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -437,18 +462,21 @@ def _build_pro04(rng: np.random.Generator, seed: int) -> InstanceBundle:
     d = 2 + seed % 2
     S = _hermitian_poly(rng, n)
     A = _hermitian_sum_split(rng, S, d)
-    A_star = adjoint_tuple(A)
     X = mc.identity(n)
+
+    def residuals():
+        return {
+            "symmetry_defect_2": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, 2)),
+            "commutes_A": max_commutator_within(A),
+        }
+
     return InstanceBundle(
         profile="pro04",
         seed=seed,
         tuples={"A": A},
         matrices={"X": X},
         params={"d": d},
-        residuals={
-            "symmetry_defect_2": mc.fro_norm(tf.delta(A_star, A, X, 2)),
-            "commutes_A": max_commutator_within(A),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -464,18 +492,21 @@ def _build_pro5(rng: np.random.Generator, seed: int) -> InstanceBundle:
         N0 = (0.5 + rng.random()) * upper_shift(2)
         S = np.kron(H0, mc.identity(2)) + np.kron(mc.identity(2), N0)
     A = _hermitian_sum_split(rng, S, d)
-    A_star = adjoint_tuple(A)
     X = mc.identity(S.shape[0])
+
+    def residuals():
+        return {
+            f"symmetry_defect_{m_even}": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, m_even)),
+            "commutes_A": max_commutator_within(A),
+        }
+
     return InstanceBundle(
         profile="pro5",
         seed=seed,
         tuples={"A": A},
         matrices={"X": X},
         params={"m_even": m_even},
-        residuals={
-            f"symmetry_defect_{m_even}": mc.fro_norm(tf.delta(A_star, A, X, m_even)),
-            "commutes_A": max_commutator_within(A),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -499,19 +530,21 @@ def _build_thm05(rng: np.random.Generator, seed: int) -> InstanceBundle:
     A_base, B_base = _rotate_tuple(Q, A_base), _rotate_tuple(Q, B_base)
     N1, N2 = _rotate_tuple(Q, N1), _rotate_tuple(Q, N2)
     X = _rotate(Q, X)
+
+    def residuals():
+        return {
+            "base_defect": mc.fro_norm(tf.isosym_defect(A_base, B_base, X, m1, m2)),
+            "cross_A_N1": max_commutator_cross(A_base, N1),
+            "cross_B_N2": max_commutator_cross(B_base, N2),
+        }
+
     return InstanceBundle(
         profile="thm05",
         seed=seed,
         tuples={"A": A_base, "B": B_base, "N1": N1, "N2": N2},
         matrices={"X": X},
         params={"m1": m1, "m2": m2, "n1": n1, "n2": n2, "adjoint_variant": adjoint_variant},
-        residuals={
-            "base_defect": mc.fro_norm(
-                tf.isosym_defect(A_base, B_base, X, m1, m2)
-            ),
-            "cross_A_N1": max_commutator_cross(A_base, N1),
-            "cross_B_N2": max_commutator_cross(B_base, N2),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -533,16 +566,20 @@ def _build_cor05(rng: np.random.Generator, seed: int) -> InstanceBundle:
     A1, B1, A2, B2 = (_rotate_tuple(Q, t) for t in (A1, B1, A2, B2))
     N1, N2 = _rotate_tuple(Q, N1), _rotate_tuple(Q, N2)
     X = _rotate(Q, X)
+
+    def residuals():
+        return {
+            "triangle_hypothesis": mc.fro_norm(tf.triangle(A1, B1, X, m1)),
+            "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
+        }
+
     return InstanceBundle(
         profile="cor05",
         seed=seed,
         tuples={"A1": A1, "B1": B1, "A2": A2, "B2": B2, "N1": N1, "N2": N2},
         matrices={"X": X},
         params={"m1": m1, "m2": m2, "n1": n1, "n2": n2},
-        residuals={
-            "triangle_hypothesis": mc.fro_norm(tf.triangle(A1, B1, X, m1)),
-            "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -558,18 +595,22 @@ def _build_cor050(rng: np.random.Generator, seed: int) -> InstanceBundle:
     Q = random_unitary(rng, dim)
     T, N = _rotate_tuple(Q, T), _rotate_tuple(Q, N)
     X = _rotate(Q, X)
-    T_star = adjoint_tuple(T)
+
+    def residuals():
+        T_star = adjoint_tuple(T)
+        return {
+            "base_defect": mc.fro_norm(tf.isosym_defect(T_star, T, X, m1, m2)),
+            "cross_Tstar_N": max_commutator_cross(T_star, N),
+            "cross_T_N": max_commutator_cross(T, N),
+        }
+
     return InstanceBundle(
         profile="cor050",
         seed=seed,
         tuples={"T": T, "N": N},
         matrices={"X": X},
         params={"m1": m1, "m2": m2, "order": order},
-        residuals={
-            "base_defect": mc.fro_norm(tf.isosym_defect(T_star, T, X, m1, m2)),
-            "cross_Tstar_N": max_commutator_cross(T_star, N),
-            "cross_T_N": max_commutator_cross(T, N),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -646,18 +687,22 @@ def _build_thm06(rng: np.random.Generator, seed: int) -> InstanceBundle:
         Q = random_unitary(rng, n_dim)
         A, B, S, T = (_rotate_tuple(Q, t) for t in (A, B, S, T))
         X = _rotate(Q, X)
+
+    def residuals():
+        return {
+            "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, X, m, n_exp)),
+            "hyp_ST": mc.fro_norm(tf.isosym_defect(S, T, X, r, s_exp)),
+            "cross_A_S": max_commutator_cross(A, S),
+            "cross_B_T": max_commutator_cross(B, T),
+        }
+
     return InstanceBundle(
         profile="thm06",
         seed=seed,
         tuples={"A": A, "B": B, "S": S, "T": T},
         matrices={"X": X},
         params={"m": m, "n": n_exp, "r": r, "s": s_exp, "family": family_name},
-        residuals={
-            "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, X, m, n_exp)),
-            "hyp_ST": mc.fro_norm(tf.isosym_defect(S, T, X, r, s_exp)),
-            "cross_A_S": max_commutator_cross(A, S),
-            "cross_B_T": max_commutator_cross(B, T),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -674,18 +719,22 @@ def _build_cor06(rng: np.random.Generator, seed: int) -> InstanceBundle:
     S = OperatorTuple.of(np.kron(eye2, mc.adjoint(s)))
     T = OperatorTuple.of(np.kron(eye2, s))
     X = mc.identity(4)
-    defect = tf.triangle if kind == "iso" else tf.delta
+
+    def residuals():
+        defect = tf.triangle if kind == "iso" else tf.delta
+        return {
+            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
+            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
+            "cross_A_S": max_commutator_cross(A, S),
+        }
+
     return InstanceBundle(
         profile="cor06",
         seed=seed,
         tuples={"A": A, "B": B, "S": S, "T": T},
         matrices={"X": X},
         params={"m": m, "n": n, "kind": kind},
-        residuals={
-            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
-            "cross_A_S": max_commutator_cross(A, S),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -725,24 +774,26 @@ def _build_cor061(rng: np.random.Generator, seed: int) -> InstanceBundle:
     S, T = _rotate_tuple(Q, S), _rotate_tuple(Q, T)
     m = 1 + (seed // 8) % 2
     n_exp = 1 + (seed // 16) % 2
-    S_star = adjoint_tuple(S)
-    CSC = conj_tuple(S)
-    T_star = adjoint_tuple(T)
-    CTC = conj_tuple(T)
-    return InstanceBundle(
-        profile="cor061",
-        seed=seed,
-        tuples={"S": S, "T": T},
-        matrices={"X": X},
-        params={"m": m, "n": n_exp, "real_case": real_case},
-        residuals={
+
+    def residuals():
+        S_star, CSC = adjoint_tuple(S), conj_tuple(S)
+        T_star, CTC = adjoint_tuple(T), conj_tuple(T)
+        return {
             "cross_S_T": max_commutator_cross(S, T),
             "cross_Sstar_CTC": max_commutator_cross(S_star, CTC),
             "hyp_iso_S": mc.fro_norm(tf.triangle(S_star, CSC, X, m)),
             "hyp_iso_T": mc.fro_norm(tf.triangle(T_star, CTC, X, n_exp)),
             "hyp_sym_S": mc.fro_norm(tf.delta(S_star, CSC, X, m)),
             "hyp_sym_T": mc.fro_norm(tf.delta(T_star, CTC, X, n_exp)),
-        },
+        }
+
+    return InstanceBundle(
+        profile="cor061",
+        seed=seed,
+        tuples={"S": S, "T": T},
+        matrices={"X": X},
+        params={"m": m, "n": n_exp, "real_case": real_case},
+        residual_fn=residuals,
     )
 
 
@@ -764,19 +815,23 @@ def _build_cor062(rng: np.random.Generator, seed: int) -> InstanceBundle:
     T = OperatorTuple(tuple(np.kron(eye2, c) for c in Tf))
     n = 1
     X = mc.identity(4)
-    defect = tf.triangle if kind == "iso" else tf.delta
+
+    def residuals():
+        defect = tf.triangle if kind == "iso" else tf.delta
+        return {
+            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
+            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
+            "cross_A_S": max_commutator_cross(A, S),
+            "cross_B_T": max_commutator_cross(B, T),
+        }
+
     return InstanceBundle(
         profile="cor062",
         seed=seed,
         tuples={"A": A, "B": B, "S": S, "T": T},
         matrices={"X": X},
         params={"m": m, "n": n, "kind": kind},
-        residuals={
-            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
-            "cross_A_S": max_commutator_cross(A, S),
-            "cross_B_T": max_commutator_cross(B, T),
-        },
+        residual_fn=residuals,
     )
 
 
@@ -795,11 +850,13 @@ def _build_thm07(rng: np.random.Generator, seed: int) -> InstanceBundle:
         S = OperatorTuple(tuple(w2[i] * mc.adjoint(s) for i in range(d)))
         T = OperatorTuple(tuple(w2[i] * s for i in range(d)))
         params = {"variant": variant, "kind": kind, "m": m, "n": n}
-        defect = tf.triangle if kind == "iso" else tf.delta
-        residuals = {
-            "hyp_AB": mc.fro_norm(defect(A, B, mc.identity(A.dim), m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, mc.identity(S.dim), n)),
-        }
+
+        def residuals():
+            defect = tf.triangle if kind == "iso" else tf.delta
+            return {
+                "hyp_AB": mc.fro_norm(defect(A, B, mc.identity(A.dim), m)),
+                "hyp_ST": mc.fro_norm(defect(S, T, mc.identity(S.dim), n)),
+            }
     else:
         a, m = _iso_factor(rng, 1 + (seed // 2) % 2)
         n_exp = 1 + (seed // 4) % 2
@@ -811,20 +868,21 @@ def _build_thm07(rng: np.random.Generator, seed: int) -> InstanceBundle:
         S = OperatorTuple.of(mc.adjoint(g))
         T = OperatorTuple.of(g)
         params = {"variant": variant, "m": m, "n": n_exp, "r": r, "s": s_exp}
-        residuals = {
-            "hyp_AB": mc.fro_norm(
-                tf.isosym_defect(A, B, mc.identity(A.dim), m, n_exp)
-            ),
-            "hyp_S_iso": mc.fro_norm(tf.triangle(S, T, mc.identity(S.dim), r)),
-            "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s_exp)),
-        }
+
+        def residuals():
+            return {
+                "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, mc.identity(A.dim), m, n_exp)),
+                "hyp_S_iso": mc.fro_norm(tf.triangle(S, T, mc.identity(S.dim), r)),
+                "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s_exp)),
+            }
+
     return InstanceBundle(
         profile="thm07",
         seed=seed,
         tuples={"A": A, "B": B, "S": S, "T": T},
         matrices={},
         params=params,
-        residuals=residuals,
+        residual_fn=residuals,
     )
 
 
@@ -846,10 +904,17 @@ _BUILDERS = {
 
 
 def random_instance(profile: str, rng_seed: int) -> InstanceBundle:
-    """Seeded, reproducible instance satisfying the named check's hypotheses exactly."""
+    """Seeded, reproducible instance satisfying the named check's hypotheses exactly.
+
+    Its matrices are read-only, as tuple components are, so the residuals
+    computed on first read describe the instance as built.
+    """
     if profile not in _BUILDERS:
         raise InvalidArgumentError(
             f"unknown profile {profile!r}; expected one of {sorted(_BUILDERS)}"
         )
     rng = np.random.default_rng(rng_seed)
-    return _BUILDERS[profile](rng, rng_seed)
+    bundle = _BUILDERS[profile](rng, rng_seed)
+    for X in bundle.matrices.values():
+        X.setflags(write=False)
+    return bundle

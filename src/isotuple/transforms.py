@@ -183,7 +183,15 @@ def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
     if not isinstance(m, int) or m < 0:
         raise InvalidArgumentError(f"m must be a non-negative integer, got {m!r}")
-    sig = sigma_iterates(A, B, X, m)
+    return triangle_of_iterates(sigma_iterates(A, B, X, m), m)
+
+
+def triangle_of_iterates(sig: list[np.ndarray], m: int) -> np.ndarray:
+    """triangle^m(X) from the iterates [X, sigma(X), ..., sigma^j(X)], j >= m.
+
+    The terms are summed in the order ``triangle`` sums them, so callers that
+    share one list of iterates across degrees get the same bits.
+    """
     acc = np.zeros_like(sig[0])
     for j in range(m + 1):
         acc += ((-1) ** j * binomial(m, j)) * sig[j]
@@ -275,28 +283,45 @@ def cesaro_estimate(
 
     For an (X,m)-isometric pair, sigma^t(X) / C(t, m-1) converges to
     triangle^(m-1)(X); this returns e_t = ||sigma^t(X)/C(t,m-1) - triangle^(m-1)(X)||_F
-    for t = m..t_max and leaves the pass/fail judgement to the caller.
+    for t = m..t_max and leaves the pass/fail judgement to the caller.  A pair
+    that is not (X,m)-isometric is refused.  Sigma is applied t_max times.
     """
-    if not isinstance(m, int) or m < 1:
-        raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(t_max, int) or t_max < m:
-        raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
-    X = _require_pair(A, B, X)
-    defect = triangle(A, B, X, m)
+    _require_cesaro_degrees(m, t_max)
+    sig = sigma_iterates(A, B, X, m)
+    defect = triangle_of_iterates(sig, m)
     scale = defect_scale(A, B, X, m)
     if not mc.is_zero(defect, tol, scale=scale):
         raise InvalidArgumentError(
             f"pair is not (X,{m})-isometric: defect norm {mc.fro_norm(defect):.3e} "
             f"exceeds threshold {tol.threshold(scale):.3e}"
         )
-    reference = triangle(A, B, X, m - 1)
-    out: list[tuple[int, float]] = []
-    Y = X.copy()
-    for t in range(1, t_max + 1):
+    return cesaro_errors(A, B, sig, m, t_max)
+
+
+def _require_cesaro_degrees(m, t_max) -> None:
+    if not isinstance(m, int) or m < 1:
+        raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
+    if not isinstance(t_max, int) or t_max < m:
+        raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
+
+
+def cesaro_errors(
+    A: OperatorTuple, B: OperatorTuple, sig: list[np.ndarray], m: int, t_max: int
+) -> list[tuple[int, float]]:
+    """The errors of ``cesaro_estimate``, continuing the iterates ``sig`` of (A, B).
+
+    ``sig`` is [X, sigma(X), ..., sigma^j(X)] with j >= m, as ``sigma_iterates``
+    returns it; the iteration continues from sigma^m(X) without storing the
+    later iterates, so sigma is applied t_max - m more times.  The pair is not
+    checked for being (X,m)-isometric.
+    """
+    _require_cesaro_degrees(m, t_max)
+    reference = triangle_of_iterates(sig, m - 1)
+    Y = sig[m]
+    out = [(m, mc.fro_norm(Y / binomial(m, m - 1) - reference))]
+    for t in range(m + 1, t_max + 1):
         Y = _sigma(A, B, Y)
-        if t >= m:
-            e_t = mc.fro_norm(Y / binomial(t, m - 1) - reference)
-            out.append((t, e_t))
+        out.append((t, mc.fro_norm(Y / binomial(t, m - 1) - reference)))
     return out
 
 

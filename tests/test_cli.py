@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -323,14 +324,39 @@ def _write_inputs(tmp_path, a, b, x):
 def test_overflowing_tolerance_scale_exits_2(tmp_path, capsys, command):
     # finite input whose scale (1 + 1e200)**2 overflows: refused, never passed as inf
     files = _write_inputs(tmp_path, np.diag([1e200, 0.0]), np.diag([0.0, 1.0]), np.eye(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, *files]) == 2
+    assert main([command, *files]) == 2
     assert "tolerance scale overflows" in capsys.readouterr().err
 
 
 def test_check_refuses_overflowing_iterate(tmp_path, capsys):
     # sigma^2(I) = 1e480 I overflows; applying sigma to it is refused
     files = _write_inputs(tmp_path, 1e120 * np.eye(2), 1e120 * np.eye(2), np.eye(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["check", *files]) == 2
+    assert main(["check", *files]) == 2
     assert "X contains non-finite entries" in capsys.readouterr().err
+
+
+_HOSTILE = {
+    "overflowing-scale": (
+        (np.diag([1e200, 0.0]), np.diag([0.0, 1.0]), np.eye(2)),
+        "tolerance scale overflows",
+    ),
+    "overflowing-iterate": (
+        (1e120 * np.eye(2), 1e120 * np.eye(2), np.eye(2)),
+        "X contains non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "min-degree"])
+@pytest.mark.parametrize("case", sorted(_HOSTILE))
+def test_hostile_input_prints_only_the_error(tmp_path, capsys, command, case):
+    # the products overflow on the way to the refusal; NumPy must not warn about it
+    matrices, message = _HOSTILE[case]
+    files = _write_inputs(tmp_path, *matrices)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, *files]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from isotuple import classify
+from isotuple import classify, generators
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
 from isotuple.errors import InvalidArgumentError
 from isotuple.generators import (
     PROFILES,
+    InstanceBundle,
     commuting_from_seed,
     conjugation_apply,
     jordan_isometric,
@@ -161,6 +162,69 @@ def test_random_instance_hypothesis_residuals(profile):
         assert bundle.profile == profile
         for name, value in bundle.residuals.items():
             assert value <= 1e-10, f"{profile} seed {seed}: residual {name} = {value:.3e}"
+
+
+def _count_residual_kernels(monkeypatch) -> list[str]:
+    """Record every call of the kernels that residuals are made of."""
+    calls: list[str] = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("triangle", "delta", "isosym_defect"):
+        counting(tf, name)
+    for name in ("max_commutator_within", "max_commutator_cross"):
+        counting(generators, name)
+    return calls
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_residuals_are_computed_on_first_read_only(monkeypatch, profile):
+    calls = _count_residual_kernels(monkeypatch)
+    bundles = [random_instance(profile, seed) for seed in range(8)]
+    assert calls == [], f"building {profile} bundles computed residuals"
+    for bundle in bundles:
+        first = bundle.residuals
+        assert first and calls, f"{profile} seed {bundle.seed} computed no residuals"
+        computed = len(calls)
+        assert bundle.residuals is first
+        assert len(calls) == computed
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_residuals_describe_the_instance_as_built(profile):
+    # the residual function closes over the built objects, not the bundle's dicts
+    expected = random_instance(profile, 5).residuals
+    bundle = random_instance(profile, 5)
+    stranger = OperatorTuple.of(np.diag([1.0, 2.0]))
+    for key in bundle.tuples:
+        bundle.tuples[key] = stranger
+    for key in bundle.matrices:
+        bundle.matrices[key] = np.eye(2)
+    assert bundle.residuals == expected
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_random_instance_matrices_are_read_only(profile):
+    for X in random_instance(profile, 2).matrices.values():
+        with pytest.raises(ValueError):
+            X[0, 0] = 1.0
+
+
+def test_bundle_without_residual_function_reads_empty():
+    A = OperatorTuple.of(np.eye(2))
+    bundle = InstanceBundle(
+        profile="pro01", seed=0, tuples={"A": A, "B": A}, matrices={"X": np.eye(2)},
+        params={"m": 1},
+    )
+    assert bundle.residuals == {}
+    assert bundle.to_json()["residuals"] == {}
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -1,7 +1,10 @@
 """Byte-identity of the program's output against a recorded fixture.
 
 The fixture holds the JSON report of every campaign id at fixed seeds, with
-its ``timestamp`` envelope removed, and the output of ``repro-paper --json``.
+its ``timestamp`` envelope removed, the output of ``repro-paper --json``, and
+the JSON form of ``random_instance(profile, seed)`` for every generator
+profile at a few fixed seeds.  No fixture campaign records a counterexample,
+so the bundle section is what pins the bundles' residuals.
 A change that is meant to keep outputs the same (a refactor, a speed-up) must
 keep this test passing unchanged.  A change that alters outputs on purpose
 regenerates the fixture and says why:
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from isotuple.cli import main
+from isotuple.generators import PROFILES, random_instance
 from isotuple.verify import CAMPAIGN_IDS
 
 FIXTURE = Path(__file__).parent / "data" / "output_identity.json"
@@ -28,6 +32,10 @@ FIXTURE = Path(__file__).parent / "data" / "output_identity.json"
 #: Trials per campaign id; id number i uses trial seeds SEED_STRIDE*i onwards.
 TRIALS = 30
 SEED_STRIDE = 1000
+
+#: Bundle seeds; between them they set every variant bit the builders read
+#: (seed parity, seed // 2 ... seed // 16, and seed % 3 for thm06).
+BUNDLE_SEEDS = (0, 7, 29)
 
 #: The wall-clock envelope of a report, which is never the last key.
 _TIMESTAMP = re.compile(r'\n  "timestamp": \{[^{}]*\},')
@@ -50,8 +58,17 @@ def campaign_output(index: int, theorem_id: str) -> str:
     return text
 
 
+def bundle_output(profile: str, seed: int) -> str:
+    """The JSON text of one generated bundle, residuals included."""
+    return json.dumps(random_instance(profile, seed).to_json())
+
+
 def current_outputs() -> dict:
     return {
+        "bundle": {
+            profile: {str(seed): bundle_output(profile, seed) for seed in BUNDLE_SEEDS}
+            for profile in PROFILES
+        },
         "campaign": {tid: campaign_output(i, tid) for i, tid in enumerate(CAMPAIGN_IDS)},
         "repro_paper_json": _stdout(["repro-paper", "--json"]),
     }
@@ -69,6 +86,12 @@ def test_fixture_covers_every_campaign_id(recorded):
 @pytest.mark.parametrize("index,theorem_id", list(enumerate(CAMPAIGN_IDS)))
 def test_campaign_report_matches_fixture(recorded, index, theorem_id):
     assert campaign_output(index, theorem_id) == recorded["campaign"][theorem_id]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("seed", BUNDLE_SEEDS)
+def test_bundle_json_matches_fixture(recorded, profile, seed):
+    assert bundle_output(profile, seed) == recorded["bundle"][profile][str(seed)]
 
 
 def test_repro_paper_json_matches_fixture(recorded):

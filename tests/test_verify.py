@@ -1,5 +1,6 @@
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -61,6 +62,23 @@ def test_pro01_skips_non_isometric_input():
     )
     result = check_pro01(bundle, t_max=50)
     assert result.status == "skip"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("t_max", [3, 50, 200])
+def test_pro01_applies_sigma_t_max_times(monkeypatch, seed, t_max):
+    # degrees 0..m, the constant C and the Cesaro errors share one run of iterates
+    applied = []
+    original = tf._sigma
+
+    def counting(A, B, Y):
+        applied.append(1)
+        return original(A, B, Y)
+
+    bundle = random_instance("pro01", seed)
+    monkeypatch.setattr(tf, "_sigma", counting)
+    assert check_pro01(bundle, t_max=t_max).status == "pass"
+    assert len(applied) == t_max
 
 
 def test_pro02_exact_family_passes():
@@ -460,6 +478,32 @@ def test_max_defect_ignores_skipped_trials(monkeypatch):
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=3, seed=0))
     assert report.skipped == 3 and report.trials == 0
     assert report.max_defect == 0.0
+
+
+def test_golden_campaign_runs_the_golden_check_once(monkeypatch):
+    calls = []
+    original = verify.check_ex00_golden
+
+    def counting():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(verify, "check_ex00_golden", counting)
+    report = run_campaign(CampaignConfig(theorem_id="ex00-golden", trials=50, seed=4))
+    assert len(calls) == 1
+    assert report.passes == report.trials == 50
+    assert report.seeds == tuple(range(4, 54))
+
+
+def test_golden_campaign_checks_the_budget_before_every_trial(monkeypatch):
+    # the reused golden result does not bypass the deadline check
+    clock = iter(range(100))
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: float(next(clock))))
+    report = run_campaign(
+        CampaignConfig(theorem_id="ex00-golden", trials=50, seed=0, budget_s=3.5)
+    )
+    assert report.budget_exceeded
+    assert report.trials == 3
 
 
 def test_campaign_config_rejects_negative_trials():
