@@ -41,16 +41,13 @@ def _triangle_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[f
 
 
 def _delta_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
-    """||delta^k(X)||_F for k = 0..k_max, from one list of left products (sum A)^i X
-    and one of powers (sum B)^j, associated as in ``delta``: ((sum A)^i X) (sum B)^j."""
-    left = [p @ X for p in tf.sum_powers(A, k_max)]
-    pow_b = tf.sum_powers(B, k_max)
+    """||delta^k(X)||_F for k = 0..k_max, from one stack of left products (sum A)^i X
+    and the powers (sum B)^j, associated as in ``delta``: ((sum A)^i X) (sum B)^j."""
+    left = A.sum_powers(k_max) @ X
+    pow_b = B.sum_powers(k_max)
     norms = [mc.fro_norm(X)]
     for k in range(1, k_max + 1):
-        acc = np.zeros_like(X)
-        for j in range(k + 1):
-            acc += ((-1) ** j * tf.binomial(k, j)) * (left[k - j] @ pow_b[j])
-        norms.append(mc.fro_norm(acc))
+        norms.append(mc.fro_norm(tf.binomial_sum(left[k::-1] @ pow_b[: k + 1], k)))
     return norms
 
 

@@ -155,11 +155,20 @@ def _cmd_check(args) -> int:
             # lax mode: defects are still well-defined binomial sums
             print(f"warning: tuple {name} does not commute within tolerance", file=sys.stderr)
     profile = classify.defect_profile(A, B, X, k_max=args.k_max, tol=tol)
+    # a degree the profile scanned is judged there, by the same norm and threshold
     verdicts = {}
     if args.m is not None:
-        verdicts[f"isometric at m={args.m}"] = classify.is_isometric(A, B, X, args.m, tol)
+        verdicts[f"isometric at m={args.m}"] = (
+            profile.isometric_at(args.m)
+            if 0 <= args.m <= profile.k_max
+            else classify.is_isometric(A, B, X, args.m, tol)
+        )
     if args.n is not None:
-        verdicts[f"symmetric at n={args.n}"] = classify.is_symmetric(A, B, X, args.n, tol)
+        verdicts[f"symmetric at n={args.n}"] = (
+            profile.symmetric_at(args.n)
+            if 0 <= args.n <= profile.k_max
+            else classify.is_symmetric(A, B, X, args.n, tol)
+        )
     if args.json:
         print(
             json.dumps(
@@ -200,6 +209,10 @@ def _merge_config(args) -> dict:
             settings = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read config file: {exc}")
+        if not isinstance(settings, dict):
+            raise InvalidArgumentError(
+                f"config file must hold a JSON object, got {type(settings).__name__}"
+            )
     merged = {
         "theorem": args.theorem if args.theorem is not None else settings.get("theorem"),
         "trials": args.trials if args.trials is not None else settings.get("trials", 20),
@@ -214,17 +227,25 @@ def _merge_config(args) -> dict:
     return merged
 
 
+def _number(merged: dict, key: str, kind: type):
+    """``kind(merged[key])``; a value that is not a number is a usage error."""
+    try:
+        return kind(merged[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{key} must be a number, got {merged[key]!r}") from exc
+
+
 def _cmd_campaign(args) -> int:
     merged = _merge_config(args)
     tol = mc.DEFAULT_TOL
     if merged["tol"] is not None:
-        tol = mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=float(merged["tol"]))
+        tol = mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=_number(merged, "tol", float))
     config = verify.CampaignConfig(
         theorem_id=merged["theorem"],
-        trials=int(merged["trials"]),
-        seed=int(merged["seed"]),
+        trials=_number(merged, "trials", int),
+        seed=_number(merged, "seed", int),
         tol=tol,
-        budget_s=float(merged["budget"]) if merged["budget"] is not None else None,
+        budget_s=_number(merged, "budget", float) if merged["budget"] is not None else None,
     )
     report = verify.run_campaign(config)
     payload = verify.report_to_json_str(report)

@@ -41,6 +41,7 @@ from .tuples import (
     max_commutator_cross,
     max_commutator_within,
     nilpotency_order,
+    tensor_tuple,
 )
 
 #: Profiles accepted by :func:`random_instance`; one per campaign family.
@@ -104,9 +105,10 @@ class InstanceBundle:
 def poly_eval(M, coeffs) -> np.ndarray:
     """Evaluate a polynomial (ascending coefficients) at a square matrix."""
     M = mc.as_matrix(M)
+    eye = mc.identity(M.shape[0])
     acc = mc.zero(M.shape[0])
     for c in reversed(list(coeffs)):
-        acc = acc @ M + complex(c) * mc.identity(M.shape[0])
+        acc = acc @ M + complex(c) * eye
     return acc
 
 
@@ -228,7 +230,7 @@ def nilpotent_commuting(n: int, d: int, target_order: int, rng_seed: int) -> Ope
             f"order {target_order} is not achievable at dimension {n} (needs n >= order)"
         )
     if target_order == 1:
-        return OperatorTuple(tuple(mc.zero(n) for _ in range(d)))
+        return OperatorTuple(np.zeros((d, n, n), dtype=np.complex128))
     rng = np.random.default_rng(rng_seed)
     M = nilpotent_seed(n, target_order)
     for _ in range(_RETRY_LIMIT):
@@ -286,7 +288,12 @@ def _rotate(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _rotate_tuple(Q: np.ndarray, T: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(tuple(_rotate(Q, c) for c in T))
+    return OperatorTuple(_rotate(Q, T.stack))
+
+
+def _scaled(weights: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The (d, n, n) stack [w_0 M, w_1 M, ...]."""
+    return weights[:, None, None] * M
 
 
 def _scalar_isometric_pair(
@@ -295,8 +302,8 @@ def _scalar_isometric_pair(
     """Pair (A, B) of scalar tuples with sum conj(a_i) b_i = 1: degree-1 isometric for every X."""
     w = _random_weights(rng, d)
     u = _random_phase(rng)
-    B = OperatorTuple(tuple(w[i] * u * mc.identity(n) for i in range(d)))
-    A = OperatorTuple(tuple(w[i] * np.conj(u) * mc.identity(n) for i in range(d)))
+    B = OperatorTuple(_scaled(w * u, mc.identity(n)))
+    A = OperatorTuple(_scaled(w * np.conj(u), mc.identity(n)))
     return A, B
 
 
@@ -333,7 +340,7 @@ def _build_pro01(rng: np.random.Generator, seed: int) -> InstanceBundle:
         n, d = 3, 2
         U = random_unitary(rng, n)
         w = _random_weights(rng, d)
-        B = OperatorTuple(tuple(w[i] * U for i in range(d)))
+        B = OperatorTuple(_scaled(w, U))
         A = adjoint_tuple(B)
         X = mc.identity(n)
         m = 2
@@ -638,8 +645,8 @@ def _diag_unitary_pair(
     p = 1 + int(rng.integers(2))
     V = np.linalg.matrix_power(D, p)
     w = _random_weights(rng, d)
-    B = OperatorTuple(tuple(w[i] * V for i in range(d)))
-    A = OperatorTuple(tuple(w[i] * V.conj().T for i in range(d)))
+    B = OperatorTuple(_scaled(w, V))
+    A = OperatorTuple(_scaled(w, V.conj().T))
     return A, B
 
 
@@ -767,8 +774,8 @@ def _build_cor061(rng: np.random.Generator, seed: int) -> InstanceBundle:
     Vs = _bilinear_involutions(rng, n, d, real=real_case)
     w = _random_weights(rng, d)
     u = _random_weights(rng, d)
-    S = OperatorTuple(tuple(w[i] * Vs[i] for i in range(d)))
-    T = OperatorTuple(tuple(u[i] * Vs[i] for i in range(d)))
+    S = OperatorTuple(w[:, None, None] * np.array(Vs))
+    T = OperatorTuple(u[:, None, None] * np.array(Vs))
     X = mc.identity(n)
     Q = _random_orthogonal(rng, n)
     S, T = _rotate_tuple(Q, S), _rotate_tuple(Q, T)
@@ -811,8 +818,8 @@ def _build_cor062(rng: np.random.Generator, seed: int) -> InstanceBundle:
     else:
         Sf = _diag_hermitian_tuple(rng, d, 2)
         Tf = Sf
-    S = OperatorTuple(tuple(np.kron(eye2, c) for c in Sf))
-    T = OperatorTuple(tuple(np.kron(eye2, c) for c in Tf))
+    S = tensor_tuple(OperatorTuple.of(eye2), Sf)
+    T = tensor_tuple(OperatorTuple.of(eye2), Tf)
     n = 1
     X = mc.identity(4)
 
@@ -845,10 +852,10 @@ def _build_thm07(rng: np.random.Generator, seed: int) -> InstanceBundle:
         d = 1 + (seed // 16) % 2
         w1 = _random_weights(rng, d)
         w2 = _random_weights(rng, d)
-        A = OperatorTuple(tuple(w1[i] * mc.adjoint(a) for i in range(d)))
-        B = OperatorTuple(tuple(w1[i] * a for i in range(d)))
-        S = OperatorTuple(tuple(w2[i] * mc.adjoint(s) for i in range(d)))
-        T = OperatorTuple(tuple(w2[i] * s for i in range(d)))
+        A = OperatorTuple(_scaled(w1, mc.adjoint(a)))
+        B = OperatorTuple(_scaled(w1, a))
+        S = OperatorTuple(_scaled(w2, mc.adjoint(s)))
+        T = OperatorTuple(_scaled(w2, s))
         params = {"variant": variant, "kind": kind, "m": m, "n": n}
 
         def residuals():

@@ -1,26 +1,34 @@
 """Dense complex square-matrix arithmetic with an explicit tolerance policy.
 
-Matrices are plain numpy ``complex128`` arrays; ``as_matrix`` is the sole
-validation gate (square, finite entries).  Every "equals zero" judgement in
-the package funnels through :func:`is_zero`, which mixes an absolute floor
-with a caller-supplied scale: defect expressions multiply many matrix
-factors, so the meaningful comparison is relative to a product of input
-norms, never to 1.
+Matrices are plain numpy ``complex128`` arrays; ``as_matrix`` validates a
+matrix and ``as_stack`` a ``(k, n, n)`` stack of them (square, non-empty,
+finite entries).  An operator tuple stores its components as one such stack,
+so a map applied componentwise is one batched array expression; a sum over a
+stack runs in index order through ``ordered_sum``, so a stacked kernel gives
+the same bits as the loop over components it replaces.
+
+Every "equals zero" judgement in the package funnels through
+:func:`is_zero`, which mixes an absolute floor with a caller-supplied scale:
+defect expressions multiply many matrix factors, so the meaningful
+comparison is relative to a product of input norms, never to 1.
 
 The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
 (``op_norm_estimate``) sets every tolerance scale: ``transforms.defect_scale``
 bounds each defining map by the spectral norms of its factors.  Each call is
-an SVD, so ``OperatorTuple`` computes all the norms of a tuple, of its
-components and of their sum, once and in one batched LAPACK call.
+an SVD, so the norms a pair of tuples needs, of their components and of
+their component sums, come from one batched LAPACK call over both stacks, and
+each tuple keeps its own.
 
 vec convention: column stacking, so vec(A X B) = (B^T kron A) vec(X).
 
-JSON literal format: a matrix is an array of rows, each entry a [re, im]
-pair.  Used by the CLI and golden files.
+JSON literal format: a matrix is an array of rows of equal length, each
+entry exactly a [re, im] pair of numbers.  Used by the CLI and golden files;
+any other shape is refused as a malformed literal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +49,13 @@ class Tolerance:
     rel_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_eps < 0 or self.rel_eps < 0:
-            raise InvalidArgumentError("tolerance components must be non-negative")
+        # NaN fails every comparison and an infinite component passes every
+        # defect, so both are refused along with negative values
+        for value in (self.abs_eps, self.rel_eps):
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidArgumentError(
+                    f"tolerance components must be finite and non-negative, got {value!r}"
+                )
 
     def threshold(self, scale: float) -> float:
         return self.abs_eps + self.rel_eps * scale
@@ -59,6 +72,37 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_stack(value, name: str = "stack") -> np.ndarray:
+    """Coerce to a C-contiguous complex128 ``(k, n, n)`` stack of square matrices, k, n >= 1,
+    with finite entries: one shape check and one finiteness check for the whole stack."""
+    arr = np.ascontiguousarray(value, dtype=np.complex128)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
+        raise InvalidArgumentError(
+            f"{name} must hold square non-empty matrices, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} contains non-finite entries")
+    return arr
+
+
+def ordered_sum(stack: np.ndarray) -> np.ndarray:
+    """0 + stack[0] + stack[1] + ... + stack[-1] for a C-contiguous stack.
+
+    The result has the bits, the sign of zero included, of a loop that adds
+    each matrix in index order onto a zero matrix.  Over matrices with more
+    than one entry, NumPy's reduction along the first axis does exactly that.
+    Over 1 x 1 matrices it sums a contiguous vector pairwise instead, so there
+    the stack is accumulated, which is sequential by definition but starts
+    from stack[0]; adding +0.0 last turns a -0.0 into the +0.0 that a zero
+    start gives and leaves every other value alone.
+    """
+    if stack.shape[-1] > 1:
+        return np.add.reduce(stack, axis=0)
+    acc = np.add.accumulate(stack, axis=0)[-1]
+    acc += 0.0
+    return acc
 
 
 def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -85,7 +129,12 @@ def conj(a) -> np.ndarray:
 
 
 def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=np.complex128), "fro"))
+    """Frobenius norm, computed as ``np.linalg.norm(a, "fro")`` computes it for a
+    complex matrix (two BLAS dot products over the entries in memory order),
+    so it gives the same bits, without that function's dispatch."""
+    x = np.asarray(a, dtype=np.complex128).ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def op_norm_estimate(a):
@@ -95,16 +144,9 @@ def op_norm_estimate(a):
     norms from one batched LAPACK call; each equals the float its matrix
     gives alone.
     """
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 3:
-        return float(np.linalg.norm(as_matrix(arr), 2))
-    if arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
-        raise InvalidArgumentError(
-            f"stack must hold square non-empty matrices, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InvalidArgumentError("stack contains non-finite entries")
-    return np.linalg.svd(arr, compute_uv=False)[..., 0]
+    if np.ndim(a) != 3:
+        return float(np.linalg.norm(as_matrix(a), 2))
+    return np.linalg.svd(as_stack(a), compute_uv=False)[..., 0]
 
 
 def inverse(a) -> np.ndarray:
@@ -151,13 +193,19 @@ def unvec(v, n: int) -> np.ndarray:
 
 
 def matrix_to_json(a) -> list:
-    arr = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return [[[z.real, z.imag] for z in row] for row in as_matrix(a).tolist()]
 
 
 def matrix_from_json(data) -> np.ndarray:
+    """Parse an array of rows of ``[re, im]`` pairs; anything else is a malformed literal."""
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        # unpacking refuses an entry that is not exactly a pair
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed matrix literal: {exc}") from exc
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise InvalidArgumentError(
+            f"malformed matrix literal: rows have different lengths {lengths}"
+        )
     return as_matrix(rows)

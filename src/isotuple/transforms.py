@@ -12,13 +12,19 @@ The two central maps on a matrix X, for a pair (A, B) of d-tuples:
 
 ``sigma_power`` carries two evaluation modes: ``iterate`` (the production
 path, j successive applications) and ``expand`` (the multinomial expansion
-over compositions, retained as an oracle).  ``superop_matrix`` lifts the maps
+over compositions, retained as an oracle).  Both tuples are stacks, so one
+sigma application is the batched product ``A.stack @ Y @ B.stack`` summed over
+the components in index order, and the spectral norms behind a pair's
+tolerance scale come from one LAPACK call over both stacks.  Each stacked
+kernel gives the same bits as the loop over components it replaced.
+``superop_matrix`` lifts the maps
 to dim^2 x dim^2 matrices acting on column-stacked vec(X) — the second,
 independent evaluation route used for cross-checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +33,7 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import BudgetExceededError, InvalidArgumentError
 from .multiindex import binomial, compositions, multinomial
-from .tuples import OperatorTuple, commutes_within, max_commutator_within
+from .tuples import OperatorTuple, commutes_within, max_commutator_within, spectral_norms
 
 #: ``expand`` mode is refused once the implied word count d**j exceeds 2**20.
 EXPAND_BUDGET_LOG2 = 20.0
@@ -46,12 +52,14 @@ def _require_pair(A: OperatorTuple, B: OperatorTuple, X: np.ndarray) -> np.ndarr
 
 def iso_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
     """1 + sum_i ||A_i|| ||B_i|| (spectral norms): bounds the sigma superoperator."""
-    return 1.0 + sum(a * b for a, b in zip(A.op_norms, B.op_norms))
+    norms_a, norms_b = spectral_norms(A, B)
+    return 1.0 + sum(a * b for a, b in zip(norms_a[:-1], norms_b[:-1]))
 
 
 def sym_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
     """1 + ||sum A|| + ||sum B|| (spectral norms): bounds the left-minus-right map."""
-    return 1.0 + A.sum_op_norm + B.sum_op_norm
+    norms_a, norms_b = spectral_norms(A, B)
+    return 1.0 + norms_a[-1] + norms_b[-1]
 
 
 def grown_scale(scale: float, factor: float, degree: int) -> float:
@@ -95,10 +103,30 @@ def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
     not checked again; a non-finite Y is refused as ``sigma_apply`` refuses it."""
     if not np.isfinite(Y).all():
         raise InvalidArgumentError("X contains non-finite entries")
-    acc = np.zeros_like(Y)
-    for a, b in zip(A, B):
-        acc += a @ Y @ b
-    return acc
+    return mc.ordered_sum(A.stack @ Y @ B.stack)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_coefficients(k: int) -> np.ndarray:
+    """(k + 1, 1, 1) float array of the signed coefficients (-1)^j C(k, j), j = 0..k.
+
+    Each is the float nearest the int, which is what NumPy multiplies by when
+    it scales a complex matrix by the int, so the products keep their bits.
+    """
+    coeffs = np.array([(-1) ** j * binomial(k, j) for j in range(k + 1)], dtype=np.float64)
+    coeffs.setflags(write=False)
+    return coeffs[:, None, None]
+
+
+def binomial_sum(terms: np.ndarray, k: int) -> np.ndarray:
+    """sum_j (-1)^j C(k, j) terms[j] for j = 0..k, from a fresh C-contiguous (k + 1, n, n)
+    stack, which it scales in place (so no second stack of that size is needed).
+
+    The terms are scaled and added in index order onto a zero matrix, as a
+    loop over j adds them, so every defect built on it keeps its bits.
+    """
+    terms *= _binomial_coefficients(k)
+    return mc.ordered_sum(terms)
 
 
 def sigma_apply(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
@@ -186,16 +214,14 @@ def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     return triangle_of_iterates(sigma_iterates(A, B, X, m), m)
 
 
-def triangle_of_iterates(sig: list[np.ndarray], m: int) -> np.ndarray:
-    """triangle^m(X) from the iterates [X, sigma(X), ..., sigma^j(X)], j >= m.
+def triangle_of_iterates(sig, m: int) -> np.ndarray:
+    """triangle^m(X) from the iterates [X, sigma(X), ..., sigma^j(X)], j >= m, as a
+    list or a stack.
 
     The terms are summed in the order ``triangle`` sums them, so callers that
     share one list of iterates across degrees get the same bits.
     """
-    acc = np.zeros_like(sig[0])
-    for j in range(m + 1):
-        acc += ((-1) ** j * binomial(m, j)) * sig[j]
-    return acc
+    return binomial_sum(np.array(sig[: m + 1]), m)
 
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
@@ -208,15 +234,6 @@ def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.n
     return Y
 
 
-def sum_powers(T: OperatorTuple, k_max: int) -> list[np.ndarray]:
-    """[I, sum T, (sum T)^2, ..., (sum T)^k_max], each power one product from the last."""
-    s = T.component_sum()
-    out = [mc.identity(T.dim), s]
-    for _ in range(k_max - 1):
-        out.append(out[-1] @ s)
-    return out[: k_max + 1]
-
-
 def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Symmetric defect of degree n: sum_j (-1)^j C(n,j) (sum A)^(n-j) X (sum B)^j; delta^0 = X."""
     if not isinstance(n, int) or n < 0:
@@ -224,12 +241,8 @@ def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     X = _require_pair(A, B, X)
     if n == 0:
         return X.copy()
-    pow_a = sum_powers(A, n)
-    pow_b = sum_powers(B, n)
-    acc = np.zeros_like(X)
-    for j in range(n + 1):
-        acc += ((-1) ** j * binomial(n, j)) * (pow_a[n - j] @ X @ pow_b[j])
-    return acc
+    # term j is (sum A)^(n-j) X (sum B)^j; each tuple keeps its powers
+    return binomial_sum(A.sum_powers(n)[::-1] @ X @ B.sum_powers(n), n)
 
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
@@ -354,6 +367,21 @@ class DefectProfile:
     @property
     def k_max(self) -> int:
         return len(self.triangle_norms) - 1
+
+    def isometric_at(self, m: int) -> bool:
+        """Whether the degree-m isometric defect passed its zero test, 0 <= m <= k_max."""
+        return self._passed(m, self.min_isometry_degree, self.isometry_anomalies)
+
+    def symmetric_at(self, n: int) -> bool:
+        """Whether the degree-n symmetric defect passed its zero test, 0 <= n <= k_max."""
+        return self._passed(n, self.min_symmetry_degree, self.symmetry_anomalies)
+
+    def _passed(self, k: int, min_degree: int | None, anomalies: tuple[int, ...]) -> bool:
+        # the first passing degree is the minimal one, and every failing degree
+        # above it is an anomaly, so these two fields hold every verdict
+        if not 0 <= k <= self.k_max:
+            raise InvalidArgumentError(f"degree {k} is outside the profile's 0..{self.k_max}")
+        return min_degree is not None and k >= min_degree and k not in anomalies
 
     def to_json(self) -> dict:
         return {

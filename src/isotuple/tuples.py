@@ -1,10 +1,12 @@
 """Commuting d-tuples of matrices and the constructions used on them.
 
 An :class:`OperatorTuple` is an immutable ordered list of equal-dimension
-square complex matrices.  Commutativity is a checked predicate, not a
-constructor invariant: generators produce exactly-commuting tuples, while
-user-supplied tuples are validated at use sites (strict mode raises, lax mode
-lets the caller record the residual).
+square complex matrices, stored as one read-only ``(d, n, n)`` stack, so the
+constructions below are single array expressions over stacks.
+Commutativity is a checked predicate, not a constructor invariant:
+generators produce exactly-commuting tuples, while user-supplied tuples are
+validated at use sites (strict mode raises, lax mode lets the caller record
+the residual).
 
 Orderings are pinned for reproducibility:
 
@@ -17,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,49 +39,69 @@ class PowerConvention(str, Enum):
     COMPONENTWISE = "componentwise"
 
 
-@dataclass(frozen=True)
 class OperatorTuple:
     """Ordered tuple of same-dimension square complex matrices.
 
-    Components are stored as read-only copies, so quantities derived from them
-    alone are computed on first use and kept for the life of the tuple: the
-    component sum, and the spectral norms behind every tolerance scale, which
-    come from one batched LAPACK call over the components and their sum.
+    The components are stored as one read-only complex128 ``(d, n, n)`` array,
+    ``stack``, validated once when it is built: its shape, and one finiteness
+    check, since a derived stack (a product, a sum) can overflow.
+    ``components`` is the tuple of its read-only views, ``stack[i]``.  A
+    tuple built from the caller's arrays holds a copy of them.
+
+    Quantities derived from the components alone are computed on first use
+    and kept for the life of the tuple: the component sum, its powers, and
+    the spectral norms behind every tolerance scale, which come from one
+    batched LAPACK call (shared with the other tuple of a pair, see
+    :func:`spectral_norms`).
     """
 
-    components: tuple[np.ndarray, ...]
+    stack: np.ndarray
 
-    def __post_init__(self):
-        comps = tuple(mc.as_matrix(c, name=f"component {i}") for i, c in enumerate(self.components))
-        if len(comps) < 1:
-            raise InvalidArgumentError("operator tuple must have at least one component")
-        dim = comps[0].shape[0]
-        for i, c in enumerate(comps):
-            if c.shape[0] != dim:
-                raise InvalidArgumentError(
-                    f"component {i} has dimension {c.shape[0]}, expected {dim}"
-                )
-        frozen = []
-        for c in comps:
-            c = c.copy()
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "components", tuple(frozen))
+    def __init__(self, components):
+        if not isinstance(components, (np.ndarray, tuple, list)):
+            components = tuple(components)
+        try:
+            stack = mc.as_stack(np.array(components, dtype=np.complex128), name="operator tuple")
+        except (TypeError, ValueError, InvalidArgumentError):
+            _check_components(components)
+            raise
+        self.__dict__["stack"] = _frozen(stack)
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> "OperatorTuple":
+        """A tuple that takes ownership of ``stack``, a freshly computed (d, n, n) array."""
+        self = object.__new__(cls)
+        self.__dict__["stack"] = _frozen(mc.as_stack(stack, name="operator tuple"))
+        return self
 
     @classmethod
     def of(cls, *matrices) -> "OperatorTuple":
-        return cls(tuple(matrices))
+        return cls(matrices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OperatorTuple is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"OperatorTuple is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"OperatorTuple(components={self.components!r})"
+
+    @cached_property
+    def components(self) -> tuple[np.ndarray, ...]:
+        """The components, as read-only views into ``stack``."""
+        return tuple(self.stack)
 
     @property
     def d(self) -> int:
-        return len(self.components)
+        return self.stack.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.components[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.components)
+        return self.stack.shape[0]
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.components[i]
@@ -89,20 +110,46 @@ class OperatorTuple:
         return iter(self.components)
 
     def component_sum(self) -> np.ndarray:
-        """Sum of the components, read-only."""
+        """Sum of the components in index order, read-only."""
         return self._sum
 
     @cached_property
     def _sum(self) -> np.ndarray:
-        s = sum(self.components[1:], start=self.components[0].copy())
-        s.setflags(write=False)
-        return s
+        # c_0 + c_1 + ... from the first component on, not from zero: an
+        # accumulation is sequential and starts there
+        return _frozen(np.add.accumulate(self.stack, axis=0)[-1])
+
+    def sum_powers(self, k_max: int) -> np.ndarray:
+        """Read-only ``(k_max + 1, n, n)`` stack [I, s, s^2, ..., s^k_max] of s = ``component_sum()``.
+
+        Each power is one product from the last, and the powers are kept, so
+        every caller at any degree reads the same bits.
+        """
+        pows = self.__dict__.get("_sum_powers")
+        if pows is None or len(pows) <= k_max:
+            grown = np.empty((k_max + 1, self.dim, self.dim), dtype=np.complex128)
+            have = 0
+            if pows is not None:
+                have = len(pows)
+                grown[:have] = pows
+            for k in range(have, k_max + 1):
+                if k < 2:
+                    grown[k] = self._sum if k else mc.identity(self.dim)
+                else:
+                    np.matmul(grown[k - 1], self._sum, out=grown[k])
+            pows = _frozen(grown)
+            self.__dict__["_sum_powers"] = pows
+        return pows[: k_max + 1]
+
+    @cached_property
+    def _fro_norms(self) -> tuple[float, ...]:
+        """Frobenius norm of each component."""
+        return tuple(mc.fro_norm(c) for c in self.stack)
 
     @cached_property
     def _norms(self) -> tuple[float, ...]:
         """Spectral norms of the components, then of their sum."""
-        stack = np.stack((*self.components, self._sum))
-        return tuple(float(v) for v in mc.op_norm_estimate(stack))
+        return spectral_norms(self)[0]
 
     @property
     def op_norms(self) -> tuple[float, ...]:
@@ -118,7 +165,7 @@ class OperatorTuple:
         return {
             "dim": self.dim,
             "d": self.d,
-            "components": [mc.matrix_to_json(c) for c in self.components],
+            "components": [mc.matrix_to_json(c) for c in self.stack],
         }
 
     @classmethod
@@ -127,7 +174,7 @@ class OperatorTuple:
             comps = [mc.matrix_from_json(m) for m in data["components"]]
         except (KeyError, TypeError) as exc:
             raise InvalidArgumentError(f"malformed tuple literal: {exc}") from exc
-        tup = cls(tuple(comps))
+        tup = cls(comps)
         if "d" in data and data["d"] != tup.d:
             raise InvalidArgumentError(f"declared d={data['d']} but found {tup.d} components")
         if "dim" in data and data["dim"] != tup.dim:
@@ -135,46 +182,105 @@ class OperatorTuple:
         return tup
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_components(components) -> None:
+    """Raise the error that names the first component a stack cannot be built from."""
+    comps = [mc.as_matrix(c, name=f"component {i}") for i, c in enumerate(components)]
+    if not comps:
+        raise InvalidArgumentError("operator tuple must have at least one component")
+    dim = comps[0].shape[0]
+    for i, c in enumerate(comps):
+        if c.shape[0] != dim:
+            raise InvalidArgumentError(
+                f"component {i} has dimension {c.shape[0]}, expected {dim}"
+            )
+
+
+def spectral_norms(*tuples: OperatorTuple) -> list[tuple[float, ...]]:
+    """Spectral norms of each tuple's components and then of its component sum.
+
+    Tuples that do not hold their norms yet get them from one batched
+    ``op_norm_estimate`` call over all their stacks and sums (one call per
+    matrix dimension), and keep them; each norm equals the float its matrix
+    gives alone.  A tuple listed twice is computed once.
+    """
+    try:
+        return [T.__dict__["_norms"] for T in tuples]
+    except KeyError:
+        pass
+    todo: dict[int, OperatorTuple] = {}
+    for T in tuples:
+        if "_norms" not in T.__dict__:
+            todo.setdefault(id(T), T)
+    by_dim: dict[int, list[OperatorTuple]] = {}
+    for T in todo.values():
+        by_dim.setdefault(T.dim, []).append(T)
+    for group in by_dim.values():
+        parts = []
+        for T in group:
+            parts += [T.stack, T._sum[None]]
+        values = mc.op_norm_estimate(np.concatenate(parts)).tolist()
+        offset = 0
+        for T in group:
+            T.__dict__["_norms"] = tuple(values[offset : offset + T.d + 1])
+            offset += T.d + 1
+    return [T._norms for T in tuples]
+
+
+def _commutator_norms(S: np.ndarray, T: np.ndarray) -> list[float]:
+    """||S_k T_k - T_k S_k||_F for each k of two equal-shape stacks."""
+    return [mc.fro_norm(c) for c in S @ T - T @ S]
+
+
+@lru_cache(maxsize=None)
+def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of all pairs i < j < d, row-major in i then j."""
+    return tuple(_frozen(index) for index in np.triu_indices(d, 1))
+
+
+def _within_norms(T: OperatorTuple) -> list[tuple[float, int, int]]:
+    """(||[A_i, A_j]||_F, i, j) for all pairs i < j, row-major in i then j."""
+    if T.d == 1:
+        return []
+    i, j = _pair_index(T.d)
+    return list(zip(_commutator_norms(T.stack[i], T.stack[j]), i, j))
+
+
 def max_commutator_within(T: OperatorTuple) -> float:
     """Largest ||[A_i, A_j]||_F over all pairs."""
-    worst = 0.0
-    for i in range(T.d):
-        for j in range(i + 1, T.d):
-            worst = max(worst, mc.fro_norm(T[i] @ T[j] - T[j] @ T[i]))
-    return worst
+    return max((value for value, _, _ in _within_norms(T)), default=0.0)
 
 
 def commutes_within(T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
     """All pairwise commutators vanish, scaled by the factor norms."""
-    norms = [mc.fro_norm(c) for c in T]
-    for i in range(T.d):
-        for j in range(i + 1, T.d):
-            comm = T[i] @ T[j] - T[j] @ T[i]
-            if not mc.is_zero(comm, tol, scale=norms[i] * norms[j]):
-                return False
-    return True
+    return all(
+        value <= tol.threshold(T._fro_norms[i] * T._fro_norms[j])
+        for value, i, j in _within_norms(T)
+    )
+
+
+def _cross_norms(S: OperatorTuple, T: OperatorTuple) -> list[float]:
+    """||[S_a, T_b]||_F over all pairs, row-major in a then b."""
+    if S.dim != T.dim:
+        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
+    n = S.dim
+    left, right = S.stack[:, None], T.stack[None, :]
+    return [mc.fro_norm(c) for c in (left @ right - right @ left).reshape(-1, n, n)]
 
 
 def max_commutator_cross(S: OperatorTuple, T: OperatorTuple) -> float:
-    if S.dim != T.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
-    worst = 0.0
-    for a in S:
-        for b in T:
-            worst = max(worst, mc.fro_norm(a @ b - b @ a))
-    return worst
+    return max(_cross_norms(S, T))
 
 
 def commutes_cross(S: OperatorTuple, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
     """All cross commutators [S_i, T_j] vanish."""
-    if S.dim != T.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
-    for a in S:
-        na = mc.fro_norm(a)
-        for b in T:
-            if not mc.is_zero(a @ b - b @ a, tol, scale=na * mc.fro_norm(b)):
-                return False
-    return True
+    norms = _cross_norms(S, T)
+    scales = [na * nb for na in S._fro_norms for nb in T._fro_norms]
+    return all(value <= tol.threshold(scale) for value, scale in zip(norms, scales))
 
 
 def sum_tuple(A: OperatorTuple, N: OperatorTuple) -> OperatorTuple:
@@ -182,14 +288,15 @@ def sum_tuple(A: OperatorTuple, N: OperatorTuple) -> OperatorTuple:
         raise InvalidArgumentError(f"tuple length mismatch: {A.d} vs {N.d}")
     if A.dim != N.dim:
         raise InvalidArgumentError(f"dimension mismatch: {A.dim} vs {N.dim}")
-    return OperatorTuple(tuple(a + n for a, n in zip(A, N)))
+    return OperatorTuple._of_stack(A.stack + N.stack)
 
 
 def product_tuple(S: OperatorTuple, A: OperatorTuple) -> OperatorTuple:
     """All products S_j A_i, ordered (S_1 A_1, ..., S_1 A_d1, S_2 A_1, ...)."""
     if S.dim != A.dim:
         raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {A.dim}")
-    return OperatorTuple(tuple(s @ a for s in S for a in A))
+    n = S.dim
+    return OperatorTuple._of_stack((S.stack[:, None] @ A.stack[None, :]).reshape(-1, n, n))
 
 
 def power_tuple(
@@ -228,23 +335,28 @@ def inverse_tuple(A: OperatorTuple) -> OperatorTuple:
 
 
 def adjoint_tuple(A: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(tuple(mc.adjoint(c) for c in A))
+    return OperatorTuple._of_stack(np.conjugate(A.stack.transpose(0, 2, 1), order="C"))
 
 
 def conj_tuple(A: OperatorTuple) -> OperatorTuple:
     """Entrywise conjugation of every component (C A_i C for the standard conjugation)."""
-    return OperatorTuple(tuple(mc.conj(c) for c in A))
+    return OperatorTuple._of_stack(A.stack.conj())
 
 
 def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
     if d < 1 or n < 1:
         raise InvalidArgumentError("scalar_tuple needs d >= 1 and n >= 1")
-    return OperatorTuple(tuple(complex(c) * mc.identity(n) for _ in range(d)))
+    return OperatorTuple._of_stack(np.repeat((complex(c) * mc.identity(n))[None], d, axis=0))
 
 
 def tensor_tuple(A: OperatorTuple, B: OperatorTuple) -> OperatorTuple:
-    """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...)."""
-    return OperatorTuple(tuple(np.kron(a, b) for a in A for b in B))
+    """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...).
+
+    Entry ((p, r), (q, s)) of A_i (x) B_j is A_i[p, q] * B_j[r, s], as ``np.kron`` forms it.
+    """
+    n = A.dim * B.dim
+    outer = A.stack[:, None, :, None, :, None] * B.stack[None, :, None, :, None, :]
+    return OperatorTuple._of_stack(outer.reshape(A.d * B.d, n, n))
 
 
 def mix_by_unitary(U, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> OperatorTuple:
@@ -281,19 +393,19 @@ def nilpotency_order(
         raise InvalidArgumentError(
             f"tuple does not commute (max residual {max_commutator_within(N):.3e})"
         )
-    norms = [mc.fro_norm(c) for c in N]
-    # powers[i][k] = N_i**k
-    powers: list[list[np.ndarray]] = [[mc.identity(N.dim), np.asarray(c)] for c in N]
-    for i in range(N.d):
-        for _ in range(max_order - 1):
-            powers[i].append(powers[i][-1] @ powers[i][1])
+    norms = N._fro_norms
+    # powers[k - 1][i] = N_i**k, each power stack one batched product from the last
+    powers = [N.stack]
+    for _ in range(max_order - 1):
+        powers.append(powers[-1] @ N.stack)
+    eye = mc.identity(N.dim)
 
     def word_is_zero(alpha) -> bool:
-        prod = mc.identity(N.dim)
+        prod = eye
         scale = 1.0
         for i, a in enumerate(alpha):
             if a:
-                prod = prod @ powers[i][a]
+                prod = prod @ powers[a - 1][i]
                 scale *= norms[i] ** a
         return mc.is_zero(prod, tol, scale=scale)
 

@@ -33,6 +33,7 @@ from .tuples import (
     max_commutator_within,
     nilpotency_order,
     product_tuple,
+    spectral_norms,
     sum_tuple,
     tensor_tuple,
 )
@@ -174,6 +175,8 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     X = bundle.matrices["X"]
     members = [(bundle.tuples[f"A{j}"], bundle.tuples[f"B{j}"]) for j in range(count)]
     A_lim, B_lim = bundle.tuples["A_limit"], bundle.tuples["B_limit"]
+    # the scales of every member and of the limit, from one LAPACK call
+    spectral_norms(*(T for pair in members for T in pair), A_lim, B_lim)
 
     conv = []
     for A_j, B_j in members:
@@ -390,6 +393,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     shift = n1 + n2 - 2
     defects: dict[str, float] = {"n1": float(n1), "n2": float(n2)}
     worst = ("", 0.0, float("inf"))  # name, norm, threshold
+    spectral_norms(A1, B1, A2, B2)  # both hypothesis scales from one LAPACK call
 
     hyp_tri = mc.fro_norm(tf.triangle(A1, B1, X, m1))
     if hyp_tri > tol.threshold(tf.defect_scale(A1, B1, X, m1)):
@@ -400,6 +404,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
 
     P1, Q1 = sum_tuple(A1, N1), sum_tuple(B1, N2)
     P2, Q2 = sum_tuple(A2, N1), sum_tuple(B2, N2)
+    spectral_norms(P1, Q1, P2, Q2)
     checks = [
         (
             "triangle_perturbed",
@@ -476,6 +481,7 @@ def _thm06_hypotheses(A, B, S, T, X, m, n, r, s, tol):
     for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
         if not commutes_cross(U, V, tol):
             return f"[{name}] != 0", max_commutator_cross(U, V)
+    spectral_norms(A, B, S, T)  # every hypothesis scale from one LAPACK call
     hypotheses = (
         ("AB_mn", A, B, m, n),
         ("ST_rs", S, T, r, s),
@@ -534,6 +540,7 @@ def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
         if not commutes_cross(U, V, tol):
             return _skip(f"[{name}] != 0", residual=max_commutator_cross(U, V))
+    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
     if kind == "iso":
         h1 = mc.fro_norm(tf.triangle(A, B, X, m))
         s1 = tf.defect_scale(A, B, X, m)
@@ -593,6 +600,7 @@ def check_cor061(
     status = "pass"
     reason = ""
     evaluated = 0
+    spectral_norms(S_star, CSC, T_star, CTC)  # every hypothesis scale from one LAPACK call
 
     for kind in ("iso", "sym"):
         if kind == "iso":
@@ -642,6 +650,7 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
     def dscale(U, V, deg):
         return tf.defect_scale(U, V, X, deg) if kind == "iso" else tf.defect_scale(U, V, X, 0, deg)
 
+    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
     h1 = mc.fro_norm(defect(A, B, X, m))
     h2 = mc.fro_norm(defect(S, T, X, n))
     if h1 > tol.threshold(dscale(A, B, m)) or h2 > tol.threshold(dscale(S, T, n)):
@@ -673,6 +682,7 @@ def check_thm07(
     XX = mc.identity(A.dim * S.dim)
     AxS = tensor_tuple(A, S)
     BxT = tensor_tuple(B, T)
+    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call per dimension
     if variant == "i":
         defect = tf.triangle if kind == "iso" else tf.delta
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isotuple import matrix_core as mc
+from isotuple import classify, matrix_core as mc
 from isotuple.cli import main
 from isotuple.tuples import OperatorTuple
 
@@ -282,8 +282,8 @@ def test_check_warns_on_noncommuting_tuple(tmp_path, jordan_files, capsys):
 
 @pytest.mark.parametrize("extra", [[], ["--m", "2", "--n", "3"]])
 def test_check_computes_each_spectral_norm_once(tmp_path, monkeypatch, extra):
-    # one batched call per tuple, over its d components and their sum, however
-    # many degrees are scanned
+    # one batched call for the pair, over both tuples' d components and their
+    # sums, however many degrees are scanned
     d = 3
     rng = np.random.default_rng(4)
     paths = []
@@ -304,7 +304,24 @@ def test_check_computes_each_spectral_norm_once(tmp_path, monkeypatch, extra):
     monkeypatch.setattr(mc, "op_norm_estimate", counting)
     argv = ["check", "--tuple-a", paths[0], "--tuple-b", paths[1], "--x", str(x_path), *extra]
     assert main(argv) == 0
-    assert calls == [(d + 1, 5, 5)] * 2
+    assert calls == [(2 * (d + 1), 5, 5)]
+
+
+def test_profile_of_a_tuple_with_itself_computes_its_norms_once(monkeypatch):
+    # A is B: the pair's one call covers the tuple's d components and their sum once
+    d = 3
+    rng = np.random.default_rng(5)
+    A = OperatorTuple(rng.standard_normal((d, 5, 5)) + 0j)
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(mc, "op_norm_estimate", counting)
+    classify.defect_profile(A, A, np.eye(5), k_max=6)
+    assert calls == [(d + 1, 5, 5)]
 
 
 def _write_inputs(tmp_path, a, b, x):
@@ -360,3 +377,101 @@ def test_hostile_input_prints_only_the_error(tmp_path, capsys, command, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def _single_error_line(capsys, message: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+_RAGGED = [[[1, 0], [0, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize("command", ["check", "min-degree"])
+@pytest.mark.parametrize("where", ["x", "component"])
+def test_ragged_matrix_literal_exits_2(tmp_path, capsys, command, where):
+    files = _write_inputs(tmp_path, np.eye(2), np.eye(2), np.eye(2))
+    if where == "x":
+        (tmp_path / "x.json").write_text(json.dumps(_RAGGED))
+    else:
+        (tmp_path / "a.json").write_text(json.dumps({"components": [_RAGGED]}))
+    assert main([command, *files]) == 2
+    _single_error_line(capsys, "malformed matrix literal")
+
+
+@pytest.mark.parametrize("entry", [[1, 0, 5], [1], [], "ab", None, ["1", "0"]])
+def test_matrix_entry_that_is_not_a_pair_exits_2(tmp_path, capsys, entry):
+    files = _write_inputs(tmp_path, np.eye(1), np.eye(1), np.eye(1))
+    (tmp_path / "x.json").write_text(json.dumps([[entry]]))
+    assert main(["check", *files]) == 2
+    _single_error_line(capsys, "malformed matrix literal")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_check_refuses_bad_tolerance(jordan_files, capsys, value):
+    argv = ["check", "--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],
+            "--x", jordan_files["x"], "--m", "1", "--tol", value]
+    assert main(argv) == 2
+    _single_error_line(capsys, "tolerance components must be finite and non-negative")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_campaign_refuses_bad_tolerance(capsys, value):
+    assert main(["campaign", "--theorem", "pro04", "--trials", "3", "--tol", value]) == 2
+    _single_error_line(capsys, "tolerance components must be finite and non-negative")
+
+
+def test_campaign_config_holding_a_list_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(["pro04", 3]))
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    _single_error_line(capsys, "config file must hold a JSON object")
+
+
+@pytest.mark.parametrize("key", ["trials", "tol", "budget", "seed"])
+@pytest.mark.parametrize("value", ["many", None, [3]])
+def test_campaign_config_non_numeric_value_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, key: value}))
+    code = main(["campaign", "--config", str(cfg), "--quiet"])
+    if value is None and key in ("tol", "budget"):
+        # null is the documented "not set" for these two keys
+        assert code == 0
+        return
+    assert code == 2
+    _single_error_line(capsys, f"{key} must be a number")
+
+
+def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeypatch):
+    # m, n <= k_max are judged from the profile, with no further defect
+    # evaluation; above k_max the per-degree classifiers still run.  T = I + N
+    # (a 3 x 3 Jordan block) gives the pair (T*, T) exact degree 5 in both families.
+    from isotuple import transforms as tf
+
+    k_max = 5
+    T = np.eye(3) + np.diag([1.0, 1.0], k=1)
+    A, B, X = OperatorTuple.of(T.T), OperatorTuple.of(T), np.eye(3)
+    files = _write_inputs(tmp_path, T.T, T, X)
+    calls = []
+    for name in ("triangle", "delta"):
+        original = getattr(tf, name)
+        monkeypatch.setattr(tf, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    for deg in range(k_max + 3):
+        expected = {
+            f"isometric at m={deg}": classify.is_isometric(A, B, X, deg),
+            f"symmetric at n={deg}": classify.is_symmetric(A, B, X, deg),
+        }
+        assert list(expected.values()) == [deg >= 5] * 2
+        calls.clear()
+        argv = ["check", "--json", "--k-max", str(k_max), "--m", str(deg), "--n", str(deg), *files]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == expected
+        assert calls == ([] if deg <= k_max else ["triangle", "delta"])
+
+
+def test_check_refuses_negative_degree(jordan_files, capsys):
+    argv = ["check", "--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],
+            "--x", jordan_files["x"], "--m", "-1"]
+    assert main(argv) == 2
+    _single_error_line(capsys, "m must be a non-negative integer")

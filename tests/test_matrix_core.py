@@ -43,6 +43,14 @@ def test_tolerance_validation():
         mc.Tolerance(abs_eps=-1e-3)
 
 
+@pytest.mark.parametrize("field", ["abs_eps", "rel_eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tolerance_refuses_nan_and_infinite_components(field, value):
+    # NaN would fail every zero test and infinity would pass every one
+    with pytest.raises(InvalidArgumentError, match="finite and non-negative"):
+        mc.Tolerance(**{field: value})
+
+
 def test_adjoint_and_conj_are_involutions():
     rng = np.random.default_rng(7)
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -110,6 +118,75 @@ def test_matrix_json_roundtrip():
 def test_matrix_json_rejects_garbage():
     with pytest.raises(InvalidArgumentError):
         mc.matrix_from_json([[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        [[[1, 0], [0, 0]], [[0, 0]]],  # rows of different lengths
+        [[[1, 0, 5]]],  # an entry with a third number
+        [[[1]]],
+        [[[]]],
+        [[[None, 0]]],
+        [[["1", "0"]]],
+        [[[10**400, 0]]],
+        [[1, 0]],
+        5,
+    ],
+)
+def test_matrix_json_refuses_malformed_literals(literal):
+    with pytest.raises(InvalidArgumentError, match="malformed matrix literal"):
+        mc.matrix_from_json(literal)
+
+
+def test_matrix_json_parses_valid_literals_to_the_same_bits():
+    literal = [
+        [[1, 0], [-0.0, 2.5], [1e-300, -3]],
+        [[0.1, 0.2], [True, False], [-7, 1e300]],
+        [[2**60 + 1, 0], [0.0, -0.0], [math.pi, -math.e]],
+    ]
+    expected = np.array([[complex(e[0], e[1]) for e in row] for row in literal])
+    parsed = mc.matrix_from_json(literal)
+    assert parsed.dtype == np.complex128
+    assert parsed.tobytes() == expected.tobytes()
+
+
+def _layouts(rng, n):
+    """An n x n complex matrix as C-ordered, Fortran-ordered, transposed and strided arrays."""
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    big = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    return [M, np.asfortranarray(M), M.T, M.conj().T, big[::2, ::2], M.real.copy()]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fro_norm_equals_numpy_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for M in _layouts(rng, n):
+        assert mc.fro_norm(M) == float(np.linalg.norm(np.asarray(M, dtype=complex), "fro"))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24])
+def test_ordered_sum_adds_in_index_order(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    stack = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    stack *= 10.0 ** rng.integers(-8, 9, size=(d, 1, 1))  # magnitudes that expose reordering
+    stack[:, 0, 0] = complex(-0.0, -0.0)  # a loop from zero turns it into +0.0
+    expected = np.zeros((n, n), dtype=complex)
+    for term in stack:
+        expected += term
+    got = mc.ordered_sum(stack)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+
+
+def test_as_stack_validates_shape_and_finiteness():
+    assert mc.as_stack(np.eye(2)[None]).shape == (1, 2, 2)
+    for bad in (np.ones((2, 2)), np.ones((2, 2, 3)), np.ones((0, 2, 2)), np.ones((1, 0, 0))):
+        with pytest.raises(InvalidArgumentError, match="square non-empty"):
+            mc.as_stack(bad)
+    with pytest.raises(InvalidArgumentError, match="non-finite"):
+        mc.as_stack(np.full((1, 2, 2), np.inf))
 
 
 def test_op_norm_estimate_on_shift():

@@ -1,0 +1,199 @@
+"""Each stacked kernel gives the bits of the per-component loop it replaced.
+
+An operator tuple stores its components as one (d, n, n) stack, and the
+componentwise maps run as batched array expressions.  Every test here
+compares a kernel with a plain loop over components, under
+``np.array_equal``, at d = 1-6 and n = 1-8: a 1 x 1 stack is where a
+reordered sum would first show.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from isotuple import matrix_core as mc
+from isotuple import transforms as tf
+from isotuple.multiindex import binomial
+from isotuple.tuples import (
+    OperatorTuple,
+    adjoint_tuple,
+    commutes_cross,
+    commutes_within,
+    conj_tuple,
+    max_commutator_cross,
+    max_commutator_within,
+    product_tuple,
+    spectral_norms,
+    sum_tuple,
+    tensor_tuple,
+)
+
+DS = range(1, 7)
+NS = range(1, 9)
+
+
+def _stack(rng, d, n, scale=True):
+    S = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    if scale:
+        S *= 10.0 ** rng.integers(-6, 7, size=(d, 1, 1))  # uneven magnitudes expose reordering
+    return S
+
+
+def _pair(d, n, seed=0):
+    rng = np.random.default_rng(1000 * d + 10 * n + seed)
+    return OperatorTuple(_stack(rng, d, n)), OperatorTuple(_stack(rng, d, n)), _stack(rng, 1, n)[0]
+
+
+def _loop_sum(mats):
+    acc = np.zeros_like(mats[0])
+    for M in mats:
+        acc += M
+    return acc
+
+
+def _same(a, b) -> bool:
+    """Equal bits, the sign of zero included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", NS)
+def test_sigma_and_component_sum_match_the_loop(d, n):
+    A, B, X = _pair(d, n)
+    assert _same(tf.sigma_apply(A, B, X), _loop_sum([a @ X @ b for a, b in zip(A, B)]))
+    zeros = np.full((d, n, n), complex(-0.0, -0.0))
+    for T in (A, OperatorTuple(zeros)):
+        expected = T[0].copy()
+        for a in T.components[1:]:
+            expected = expected + a
+        assert _same(T.component_sum(), expected)
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", NS)
+def test_defect_sums_match_the_loop(d, n):
+    A, B, X = _pair(d, n)
+    sig = tf.sigma_iterates(A, B, X, 4)
+    for m in range(5):
+        loop = _loop_sum([((-1) ** j * binomial(m, j)) * sig[j] for j in range(m + 1)])
+        assert _same(tf.triangle_of_iterates(sig, m), loop)
+    sa, sb = A.component_sum(), B.component_sum()
+    pow_a, pow_b = [np.eye(n, dtype=complex), sa], [np.eye(n, dtype=complex), sb]
+    for _ in range(3):
+        pow_a.append(pow_a[-1] @ sa)
+        pow_b.append(pow_b[-1] @ sb)
+    for k in range(5):
+        loop = _loop_sum(
+            [((-1) ** j * binomial(k, j)) * (pow_a[k - j] @ X @ pow_b[j]) for j in range(k + 1)]
+        )
+        assert _same(tf.delta(A, B, X, k), loop if k else X)
+    # the cached powers, read at a low degree first and then grown
+    assert _same(A.sum_powers(2), np.array(pow_a[:3]))
+    assert _same(A.sum_powers(4), np.array(pow_a))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_binomial_sum_keeps_the_sign_of_zero_that_a_loop_from_zero_gives(k):
+    # a loop adds its first term onto +0.0, so a -0.0 entry comes out as +0.0
+    terms = np.full((k + 1, 2, 2), complex(-0.0, -0.0))
+    terms[:, 0, 1] = 1.0 - 0.5j
+    loop = _loop_sum([((-1) ** j * binomial(k, j)) * terms[j] for j in range(k + 1)])
+    assert _same(tf.binomial_sum(terms.copy(), k), loop)
+    assert _same(tf.triangle_of_iterates(list(terms), k), loop)
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", NS)
+def test_tuple_constructions_match_the_loop(d, n):
+    A, B, _ = _pair(d, n)
+    S = OperatorTuple(_stack(np.random.default_rng(n), 1 + d % 3, n))
+    assert _same(product_tuple(S, A).stack, np.array([s @ a for s in S for a in A]))
+    assert _same(sum_tuple(A, B).stack, np.array([a + b for a, b in zip(A, B)]))
+    assert _same(adjoint_tuple(A).stack, np.array([a.conj().T for a in A]))
+    assert _same(conj_tuple(A).stack, np.array([a.conj() for a in A]))
+    if n <= 4:
+        T = OperatorTuple(_stack(np.random.default_rng(d), 1 + n % 3, 1 + d % 3))
+        assert _same(tensor_tuple(A, T).stack, np.array([np.kron(a, t) for a in A for t in T]))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", NS)
+def test_commutators_match_the_loop(d, n):
+    A, B, _ = _pair(d, n)
+    within = [mc.fro_norm(A[i] @ A[j] - A[j] @ A[i]) for i in range(d) for j in range(i + 1, d)]
+    assert max_commutator_within(A) == max(within, default=0.0)
+    cross = [mc.fro_norm(a @ b - b @ a) for a in A for b in B]
+    assert max_commutator_cross(A, B) == max(cross)
+    # a loose tolerance passes every commutator that the default fails
+    loose = mc.Tolerance(abs_eps=1e300, rel_eps=0.0)
+    assert commutes_within(A, loose) and commutes_cross(A, B, loose)
+    assert commutes_within(A) == (d == 1 or n == 1)
+    assert commutes_cross(A, B) == (n == 1)
+
+
+def test_each_commutator_is_judged_against_its_own_scale():
+    # only [X, Y] is nonzero, and its scale ||X|| ||Y|| is far below the
+    # 1e12 scales of the pairs with S_0 = 1e12 I
+    rng = np.random.default_rng(8)
+    X, Y = rng.standard_normal((2, 3, 3)) + 0j
+    S = OperatorTuple.of(1e12 * np.eye(3), X)
+    T = OperatorTuple.of(Y, np.eye(3))
+    assert not commutes_cross(S, T)
+    assert commutes_cross(S, OperatorTuple.of(np.eye(3), np.eye(3)))
+    assert not commutes_within(OperatorTuple.of(1e12 * np.eye(3), X, Y))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_pair_norms_match_one_matrix_at_a_time(d, n, monkeypatch):
+    A, B, _ = _pair(d, n)
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(mc, "op_norm_estimate", counting)
+    norms_a, norms_b = spectral_norms(A, B)
+    assert calls == [(2 * (d + 1), n, n)]
+    for T, norms in ((A, norms_a), (B, norms_b)):
+        single = [float(np.linalg.norm(c, 2)) for c in (*T, T.component_sum())]
+        assert list(norms) == single
+        assert T.op_norms == tuple(single[:-1]) and T.sum_op_norm == single[-1]
+    assert spectral_norms(B, A) == [norms_b, norms_a] and len(calls) == 1
+
+
+def test_stack_and_views_are_read_only_copies():
+    rng = np.random.default_rng(3)
+    mats = [rng.standard_normal((3, 3)) + 0j for _ in range(2)]
+    stack = np.array(mats)
+    for source in (mats, tuple(mats), stack):
+        T = OperatorTuple(source)
+        assert T.stack.dtype == np.complex128 and T.stack.flags.c_contiguous
+        assert not T.stack.flags.writeable
+        assert all(not c.flags.writeable and np.shares_memory(c, T.stack) for c in T.components)
+        assert not any(np.shares_memory(T.stack, m) for m in (*mats, stack))
+        before = T.stack.copy()
+        mats[0][0, 0] += 1.0
+        stack[1, 1, 1] += 1.0
+        assert np.array_equal(T.stack, before)
+        with pytest.raises(ValueError):
+            T.components[0][0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            T.stack = stack
+    derived = (
+        sum_tuple(T, T), product_tuple(T, T), adjoint_tuple(T), conj_tuple(T), tensor_tuple(T, T)
+    )
+    for D in derived:
+        assert not D.stack.flags.writeable and D.stack.flags.c_contiguous
+    assert not T.component_sum().flags.writeable and not T.sum_powers(3).flags.writeable
+
+
+def test_derived_stack_that_overflows_is_refused():
+    T = OperatorTuple.of(1e200 * np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        mc.InvalidArgumentError, match="non-finite"
+    ):
+        product_tuple(T, T)
