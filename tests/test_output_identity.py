@@ -1,8 +1,8 @@
 """Byte-identity of the program's output against a recorded fixture.
 
 The fixture holds the JSON report of every campaign id at fixed seeds, with
-its ``timestamp`` envelope removed, the output of ``repro-paper --json``, the
-JSON form of ``random_instance(profile, seed)`` for every generator profile
+its ``timestamp`` envelope removed, the output of ``repro-paper`` and
+``repro-paper --json``, the JSON form of ``random_instance(profile, seed)`` for every generator profile
 at a few fixed seeds, and the output of ``check --json``, plain-text
 ``check`` and ``min-degree`` on seeded Jordan-type pairs and the sqrt(lambda)
 pair.  No fixture campaign records a counterexample, so the bundle section is
@@ -158,6 +158,7 @@ def current_outputs() -> dict:
         "campaign": {tid: campaign_output(i, tid) for i, tid in enumerate(CAMPAIGN_IDS)},
         "check": check_outputs(),
         "repro_paper_json": _stdout(["repro-paper", "--json"]),
+        "repro_paper_text": _stdout(["repro-paper"]),
     }
 
 
@@ -199,6 +200,10 @@ def test_check_output_matches_fixture(recorded, checked, name, command):
 
 def test_repro_paper_json_matches_fixture(recorded):
     assert _stdout(["repro-paper", "--json"]) == recorded["repro_paper_json"]
+
+
+def test_repro_paper_text_matches_fixture(recorded):
+    assert _stdout(["repro-paper"]) == recorded["repro_paper_text"]
 
 
 if __name__ == "__main__":
