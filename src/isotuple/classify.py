@@ -14,24 +14,24 @@ def is_isometric(
     A: OperatorTuple, B: OperatorTuple, X, m: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> bool:
     """The degree-m isometric defect of (A, B) at X passes the zero test."""
-    defect = tf.triangle(A, B, X, m)
-    return mc.is_zero(defect, tol, scale=tf.defect_scale(A, B, X, m))
+    norm, threshold = tf.defect_check(A, B, X, m, 0, tol)
+    return norm <= threshold
 
 
 def is_symmetric(
     A: OperatorTuple, B: OperatorTuple, X, n: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> bool:
     """The degree-n symmetric defect of (A, B) at X passes the zero test."""
-    defect = tf.delta(A, B, X, n)
-    return mc.is_zero(defect, tol, scale=tf.defect_scale(A, B, X, 0, n))
+    norm, threshold = tf.defect_check(A, B, X, 0, n, tol)
+    return norm <= threshold
 
 
 def is_isosymmetric(
     A: OperatorTuple, B: OperatorTuple, X, m: int, n: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> bool:
     """The combined degree-(m, n) defect passes the zero test."""
-    defect = tf.isosym_defect(A, B, X, m, n)
-    return mc.is_zero(defect, tol, scale=tf.defect_scale(A, B, X, m, n))
+    norm, threshold = tf.defect_check(A, B, X, m, n, tol)
+    return norm <= threshold
 
 
 def _triangle_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
@@ -120,18 +120,14 @@ def spherical_reduction_check(
         raise InvalidArgumentError(
             f"gram sum of squares is numerically singular (condition {gram_cond:.3e})"
         )
-    defect2 = tf.triangle(A_star, A_hilbert, X, 2)
-    scale2 = tf.defect_scale(A_star, A_hilbert, X, 2)
-    if not mc.is_zero(defect2, tol, scale=scale2):
-        raise InvalidArgumentError(
-            f"adjoint pair is not (I,2)-isometric: defect norm {mc.fro_norm(defect2):.3e}"
-        )
-    defect1 = tf.triangle(A_star, A_hilbert, X, 1)
-    scale1 = tf.defect_scale(A_star, A_hilbert, X, 1)
+    norm2, threshold2 = tf.defect_check(A_star, A_hilbert, X, 2, 0, tol)
+    if not norm2 <= threshold2:
+        raise InvalidArgumentError(f"adjoint pair is not (I,2)-isometric: defect norm {norm2:.3e}")
+    norm1, threshold1 = tf.defect_check(A_star, A_hilbert, X, 1, 0, tol)
     return {
-        "one_isometric": mc.is_zero(defect1, tol, scale=scale1),
-        "defect_norm_degree1": mc.fro_norm(defect1),
-        "defect_norm_degree2": mc.fro_norm(defect2),
+        "one_isometric": norm1 <= threshold1,
+        "defect_norm_degree1": norm1,
+        "defect_norm_degree2": norm2,
         "gram_condition": gram_cond,
-        "scale": scale1,
+        "scale": tf.defect_scale(A_star, A_hilbert, X, 1),
     }

@@ -22,16 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, matrix_core as mc, transforms as tf, verify
+from . import classify, matrix_core as mc, verify
 from .errors import InvalidArgumentError, IsotupleError
-from .generators import paper_example_mixing, paper_example_squares
-from .tuples import (
-    OperatorTuple,
-    PowerConvention,
-    commutes_within,
-    inverse_tuple,
-    power_tuple,
-)
+from .tuples import OperatorTuple, commutes_within
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -45,74 +38,19 @@ SQUARE_CONVENTION_NOTE = (
 )
 
 
-def _golden_checks(golden: dict):
-    """The golden suite: every frozen value of the built-in 2x2 examples."""
-    T, A0, U, S = paper_example_mixing()
-    pair_t = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T))
-    pair_s = (OperatorTuple.of(mc.adjoint(S)), OperatorTuple.of(S))
-    A_sq, B_sq = paper_example_squares()
-    eye = mc.identity(2)
-
-    checks = []
-
-    def add(name, diff, limit=1e-12):
-        checks.append({"name": name, "max_abs_diff": float(diff), "passed": bool(diff <= limit)})
-
-    add("mixing/triangle2_T_zero", mc.fro_norm(tf.triangle(pair_t[0], pair_t[1], A0, 2)))
-    add(
-        "mixing/S_A0_S",
-        mc.max_abs_diff(mc.adjoint(S) @ A0 @ S, mc.matrix_from_json(golden["S_A0_S"])),
-    )
-    add(
-        "mixing/S2_A0_S2",
-        mc.max_abs_diff(
-            mc.adjoint(S) @ mc.adjoint(S) @ A0 @ S @ S,
-            mc.matrix_from_json(golden["S2_A0_S2"]),
-        ),
-    )
-    tri_s = tf.triangle(pair_s[0], pair_s[1], A0, 2)
-    add("mixing/triangle2_S_value", mc.max_abs_diff(tri_s, mc.matrix_from_json(golden["triangle2_S"])))
-    add("mixing/triangle2_S_norm_gt_1", 0.0 if mc.fro_norm(tri_s) > 1.0 else 1.0)
-
-    add("squares/base_1_isometric", mc.fro_norm(tf.triangle(A_sq, B_sq, eye, 1)))
-    inv_a = inverse_tuple(A_sq)
-    inv_b = inverse_tuple(B_sq)
-    worst = 0.0
-    for m in range(1, 7):
-        defect = tf.triangle(inv_a, inv_b, eye, m)
-        expected = (-3.0) ** m * eye
-        worst = max(worst, mc.max_abs_diff(defect, expected) / abs((-3.0) ** m))
-    add("squares/inverse_growth_(-3)^m", worst, limit=1e-9)
-    word_a = power_tuple(A_sq, 2, PowerConvention.WORD)
-    word_b = power_tuple(B_sq, 2, PowerConvention.WORD)
-    add("squares/word_square_1_isometric", mc.fro_norm(tf.triangle(word_a, word_b, eye, 1)))
-    comp_a = power_tuple(A_sq, 2, PowerConvention.COMPONENTWISE)
-    comp_b = power_tuple(B_sq, 2, PowerConvention.COMPONENTWISE)
-    worst = 0.0
-    for m in range(1, 7):
-        defect = tf.triangle(comp_a, comp_b, eye, m)
-        worst = max(worst, mc.max_abs_diff(defect, 2.0 ** (-m) * eye) / 2.0 ** (-m))
-    add("squares/componentwise_square_2^-m", worst, limit=1e-9)
-    return checks
-
-
-def _golden_matrices() -> dict:
-    return {
-        "S_A0_S": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]],
-        "S2_A0_S2": [[[1, 0], [1, -1]], [[1, 1], [2, 0]]],
-        "triangle2_S": [[[-1, 0], [-1, -1]], [[-1, 1], [1, 0]]],
-    }
-
-
 def _cmd_repro_paper(args) -> int:
-    golden = _golden_matrices()
+    golden = {}
     if args.golden:
         try:
-            golden.update(json.loads(Path(args.golden).read_text()))
+            golden = json.loads(Path(args.golden).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read golden file: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    checks = _golden_checks(golden)
+        if not isinstance(golden, dict):
+            raise InvalidArgumentError(
+                f"golden file must hold a JSON object, got {type(golden).__name__}"
+            )
+    checks = verify.golden_suite(golden)
     all_passed = all(c["passed"] for c in checks)
     if args.json:
         print(json.dumps({"checks": checks, "all_passed": all_passed, "note": SQUARE_CONVENTION_NOTE}, indent=2))
@@ -122,33 +60,38 @@ def _cmd_repro_paper(args) -> int:
             mark = "PASS" if c["passed"] else "FAIL"
             print(f"{c['name']:<{width}}  {mark}  max_abs_diff={c['max_abs_diff']:.3e}")
         print(SQUARE_CONVENTION_NOTE)
-        if not all_passed:
-            for c in checks:
-                if not c["passed"]:
-                    print(f"mismatch in {c['name']}: max abs diff {c['max_abs_diff']:.6e}")
+        for c in checks:
+            if not c["passed"]:
+                print(f"mismatch in {c['name']}: max abs diff {c['max_abs_diff']:.6e}")
     return EXIT_OK if all_passed else EXIT_FAILURE
 
 
-def _load_tuple(path: str) -> OperatorTuple:
-    data = json.loads(Path(path).read_text())
-    return OperatorTuple.from_json(data)
+def _load_inputs(args) -> tuple[OperatorTuple, OperatorTuple, np.ndarray]:
+    """The tuples and the matrix named by --tuple-a, --tuple-b and --x, read in that order."""
+    def read(path):
+        return json.loads(Path(path).read_text())
+
+    return (
+        OperatorTuple.from_json(read(args.tuple_a)),
+        OperatorTuple.from_json(read(args.tuple_b)),
+        mc.matrix_from_json(read(args.x)),
+    )
 
 
-def _load_matrix(path: str):
-    return mc.matrix_from_json(json.loads(Path(path).read_text()))
-
-
-def _tolerance(args) -> mc.Tolerance:
-    if getattr(args, "tol", None) is None:
+def _tolerance(rel_eps: float | None) -> mc.Tolerance:
+    """The default tolerance, or its absolute floor with the given relative part."""
+    if rel_eps is None:
         return mc.DEFAULT_TOL
-    return mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=float(args.tol))
+    return mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=rel_eps)
+
+
+def _degree_text(degree: int | None, k_max: int) -> str:
+    return str(degree) if degree is not None else f"none <= {k_max}"
 
 
 def _cmd_check(args) -> int:
-    tol = _tolerance(args)
-    A = _load_tuple(args.tuple_a)
-    B = _load_tuple(args.tuple_b)
-    X = _load_matrix(args.x)
+    tol = _tolerance(args.tol)
+    A, B, X = _load_inputs(args)
     commuting = {"A": commutes_within(A, tol), "B": commutes_within(B, tol)}
     for name, ok in commuting.items():
         if not ok:
@@ -180,26 +123,23 @@ def _cmd_check(args) -> int:
     print(f"{'k':>3}  {'|triangle^k|':>14}  {'|delta^k|':>14}")
     for k in range(profile.k_max + 1):
         print(f"{k:>3}  {profile.triangle_norms[k]:>14.6e}  {profile.delta_norms[k]:>14.6e}")
-    iso = profile.min_isometry_degree
-    sym = profile.min_symmetry_degree
-    print(f"min isometry degree: {iso if iso is not None else f'none <= {profile.k_max}'}")
-    print(f"min symmetry degree: {sym if sym is not None else f'none <= {profile.k_max}'}")
+    print(f"min isometry degree: {_degree_text(profile.min_isometry_degree, profile.k_max)}")
+    print(f"min symmetry degree: {_degree_text(profile.min_symmetry_degree, profile.k_max)}")
     for label, value in verdicts.items():
         print(f"{label}: {str(value).lower()}")
     return EXIT_OK
 
 
 def _cmd_min_degree(args) -> int:
-    A = _load_tuple(args.tuple_a)
-    B = _load_tuple(args.tuple_b)
-    X = _load_matrix(args.x)
-    profile = classify.defect_profile(A, B, X, k_max=args.k_max)
-    iso = profile.min_isometry_degree
-    sym = profile.min_symmetry_degree
-    sym_text = str(sym) if sym is not None else f"none <= {args.k_max}"
-    iso_text = str(iso) if iso is not None else f"none <= {args.k_max}"
+    profile = classify.defect_profile(*_load_inputs(args), k_max=args.k_max)
+    iso_text = _degree_text(profile.min_isometry_degree, args.k_max)
+    sym_text = _degree_text(profile.min_symmetry_degree, args.k_max)
     print(f"symmetry: {sym_text}, isometry: {iso_text}")
     return EXIT_OK
+
+
+#: Campaign settings and their defaults; a flag overrides the config file's key.
+_CAMPAIGN_DEFAULTS = dict(theorem=None, trials=20, seed=0, budget=None, out=None, csv=None, tol=None)
 
 
 def _merge_config(args) -> dict:
@@ -214,13 +154,8 @@ def _merge_config(args) -> dict:
                 f"config file must hold a JSON object, got {type(settings).__name__}"
             )
     merged = {
-        "theorem": args.theorem if args.theorem is not None else settings.get("theorem"),
-        "trials": args.trials if args.trials is not None else settings.get("trials", 20),
-        "seed": args.seed if args.seed is not None else settings.get("seed", 0),
-        "budget": args.budget if args.budget is not None else settings.get("budget"),
-        "out": args.out if args.out is not None else settings.get("out"),
-        "csv": args.csv if args.csv is not None else settings.get("csv"),
-        "tol": args.tol if args.tol is not None else settings.get("tol"),
+        key: getattr(args, key) if getattr(args, key) is not None else settings.get(key, default)
+        for key, default in _CAMPAIGN_DEFAULTS.items()
     }
     if merged["theorem"] is None:
         raise InvalidArgumentError("campaign needs --theorem (or a config file with one)")
@@ -237,9 +172,7 @@ def _number(merged: dict, key: str, kind: type):
 
 def _cmd_campaign(args) -> int:
     merged = _merge_config(args)
-    tol = mc.DEFAULT_TOL
-    if merged["tol"] is not None:
-        tol = mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=_number(merged, "tol", float))
+    tol = _tolerance(_number(merged, "tol", float) if merged["tol"] is not None else None)
     config = verify.CampaignConfig(
         theorem_id=merged["theorem"],
         trials=_number(merged, "trials", int),

@@ -44,23 +44,6 @@ from .tuples import (
     tensor_tuple,
 )
 
-#: Profiles accepted by :func:`random_instance`; one per campaign family.
-PROFILES = (
-    "pro01",
-    "pro02-family",
-    "pro03",
-    "pro04",
-    "pro5",
-    "thm05",
-    "cor05",
-    "cor050",
-    "thm06",
-    "cor06",
-    "cor061",
-    "cor062",
-    "thm07",
-)
-
 _RETRY_LIMIT = 20
 
 
@@ -291,6 +274,13 @@ def _rotate_tuple(Q: np.ndarray, T: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(_rotate(Q, T.stack))
 
 
+def _embedded_pair(a: np.ndarray, first: bool) -> tuple[OperatorTuple, OperatorTuple]:
+    """(a* (x) I, a (x) I) for a 2x2 factor a, or (I (x) a*, I (x) a) when it is not first."""
+    pair, eye = np.array([mc.adjoint(a), a]), mc.identity(2)[None]
+    stack = mc.kron(pair, eye) if first else mc.kron(eye, pair)
+    return OperatorTuple.of(stack[0]), OperatorTuple.of(stack[1])
+
+
 def _scaled(weights: np.ndarray, M: np.ndarray) -> np.ndarray:
     """The (d, n, n) stack [w_0 M, w_1 M, ...]."""
     return weights[:, None, None] * M
@@ -497,7 +487,7 @@ def _build_pro5(rng: np.random.Generator, seed: int) -> InstanceBundle:
         H0 = (G + G.conj().T) / 2.0
         H0 = H0 / mc.fro_norm(H0)
         N0 = (0.5 + rng.random()) * upper_shift(2)
-        S = np.kron(H0, mc.identity(2)) + np.kron(mc.identity(2), N0)
+        S = mc.kron(H0, mc.identity(2)) + mc.kron(mc.identity(2), N0)
     A = _hermitian_sum_split(rng, S, d)
     X = mc.identity(S.shape[0])
 
@@ -664,11 +654,8 @@ def _build_thm06(rng: np.random.Generator, seed: int) -> InstanceBundle:
         k2 = 1 + (seed // 6) % 2
         a, m = _iso_factor(rng, k1)
         s, r = _iso_factor(rng, k2)
-        eye2 = mc.identity(2)
-        A = OperatorTuple.of(np.kron(mc.adjoint(a), eye2))
-        B = OperatorTuple.of(np.kron(a, eye2))
-        S = OperatorTuple.of(np.kron(eye2, mc.adjoint(s)))
-        T = OperatorTuple.of(np.kron(eye2, s))
+        A, B = _embedded_pair(a, first=True)
+        S, T = _embedded_pair(s, first=False)
         n_exp = 1 + (seed // 12) % 2
         s_exp = 1 + (seed // 24) % 2
         X = mc.identity(4)
@@ -720,11 +707,8 @@ def _build_cor06(rng: np.random.Generator, seed: int) -> InstanceBundle:
     factor = _iso_factor if kind == "iso" else _sym_factor
     a, m = factor(rng, k1)
     s, n = factor(rng, k2)
-    eye2 = mc.identity(2)
-    A = OperatorTuple.of(np.kron(mc.adjoint(a), eye2))
-    B = OperatorTuple.of(np.kron(a, eye2))
-    S = OperatorTuple.of(np.kron(eye2, mc.adjoint(s)))
-    T = OperatorTuple.of(np.kron(eye2, s))
+    A, B = _embedded_pair(a, first=True)
+    S, T = _embedded_pair(s, first=False)
     X = mc.identity(4)
 
     def residuals():
@@ -811,8 +795,7 @@ def _build_cor062(rng: np.random.Generator, seed: int) -> InstanceBundle:
     factor = _iso_factor if kind == "iso" else _sym_factor
     a, m = factor(rng, k1)
     eye2 = mc.identity(2)
-    A = OperatorTuple.of(np.kron(mc.adjoint(a), eye2))
-    B = OperatorTuple.of(np.kron(a, eye2))
+    A, B = _embedded_pair(a, first=True)
     if kind == "iso":
         Sf, Tf = _diag_unitary_pair(rng, d, 2)
     else:
@@ -908,6 +891,9 @@ _BUILDERS = {
     "cor062": _build_cor062,
     "thm07": _build_thm07,
 }
+
+#: Profiles accepted by :func:`random_instance`; one per campaign family.
+PROFILES = tuple(_BUILDERS)
 
 
 def random_instance(profile: str, rng_seed: int) -> InstanceBundle:

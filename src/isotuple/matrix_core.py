@@ -128,6 +128,17 @@ def conj(a) -> np.ndarray:
     return as_matrix(a).conj()
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b over the last two axes, broadcast over the leading ones.
+
+    Entry ((p, r), (q, s)) of a (x) b is a[p, q] * b[r, s], one product as
+    ``np.kron`` forms it, so each result has its bits.
+    """
+    n = a.shape[-1] * b.shape[-1]
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return outer.reshape(*outer.shape[:-4], n, n)
+
+
 def fro_norm(a) -> float:
     """Frobenius norm, computed as ``np.linalg.norm(a, "fro")`` computes it for a
     complex matrix (two BLAS dot products over the entries in memory order),

@@ -262,6 +262,24 @@ def isosym_defect(A: OperatorTuple, B: OperatorTuple, X, m: int, n: int) -> np.n
     return triangle(A, B, delta(A, B, X, n), m)
 
 
+def defect_check(
+    A: OperatorTuple, B: OperatorTuple, X, m: int, n: int, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> tuple[float, float]:
+    """(norm, threshold) of the degree-(m, n) zero test: the defect passes iff norm <= threshold.
+
+    The defect is ``triangle`` when n is 0, ``delta`` when m is 0 and
+    ``isosym_defect`` otherwise, and the threshold is
+    ``tol.threshold(defect_scale(A, B, X, m, n))``.
+    """
+    if not n:
+        defect = triangle(A, B, X, m)
+    elif not m:
+        defect = delta(A, B, X, n)
+    else:
+        defect = isosym_defect(A, B, X, m, n)
+    return mc.fro_norm(defect), tol.threshold(defect_scale(A, B, X, m, n))
+
+
 def superop_matrix(A: OperatorTuple, B: OperatorTuple, kind: str = "sigma") -> np.ndarray:
     """Kronecker lift acting on column-stacked vec(X).
 
@@ -301,14 +319,20 @@ def cesaro_estimate(
     """
     _require_cesaro_degrees(m, t_max)
     sig = sigma_iterates(A, B, X, m)
-    defect = triangle_of_iterates(sig, m)
-    scale = defect_scale(A, B, X, m)
-    if not mc.is_zero(defect, tol, scale=scale):
+    norm = mc.fro_norm(triangle_of_iterates(sig, m))
+    threshold = tol.threshold(defect_scale(A, B, X, m))
+    if not norm <= threshold:
         raise InvalidArgumentError(
-            f"pair is not (X,{m})-isometric: defect norm {mc.fro_norm(defect):.3e} "
-            f"exceeds threshold {tol.threshold(scale):.3e}"
+            f"pair is not (X,{m})-isometric: defect norm {norm:.3e} "
+            f"exceeds threshold {threshold:.3e}"
         )
-    return cesaro_errors(A, B, sig, m, t_max)
+    reference = triangle_of_iterates(sig, m - 1)
+    Y = sig[m]
+    out = [(m, mc.fro_norm(Y / binomial(m, m - 1) - reference))]
+    for t in range(m + 1, t_max + 1):
+        Y = _sigma(A, B, Y)
+        out.append((t, mc.fro_norm(Y / binomial(t, m - 1) - reference)))
+    return out
 
 
 def _require_cesaro_degrees(m, t_max) -> None:
@@ -318,24 +342,21 @@ def _require_cesaro_degrees(m, t_max) -> None:
         raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
 
 
-def cesaro_errors(
+def cesaro_error(
     A: OperatorTuple, B: OperatorTuple, sig: list[np.ndarray], m: int, t_max: int
-) -> list[tuple[int, float]]:
-    """The errors of ``cesaro_estimate``, continuing the iterates ``sig`` of (A, B).
+) -> float:
+    """The last error of ``cesaro_estimate``, e_(t_max), continuing the iterates ``sig`` of (A, B).
 
     ``sig`` is [X, sigma(X), ..., sigma^j(X)] with j >= m, as ``sigma_iterates``
-    returns it; the iteration continues from sigma^m(X) without storing the
+    returns it; the iteration continues from sigma^m(X) without keeping the
     later iterates, so sigma is applied t_max - m more times.  The pair is not
     checked for being (X,m)-isometric.
     """
     _require_cesaro_degrees(m, t_max)
-    reference = triangle_of_iterates(sig, m - 1)
     Y = sig[m]
-    out = [(m, mc.fro_norm(Y / binomial(m, m - 1) - reference))]
-    for t in range(m + 1, t_max + 1):
+    for _ in range(t_max - m):
         Y = _sigma(A, B, Y)
-        out.append((t, mc.fro_norm(Y / binomial(t, m - 1) - reference)))
-    return out
+    return mc.fro_norm(Y / binomial(t_max, m - 1) - triangle_of_iterates(sig, m - 1))
 
 
 @dataclass(frozen=True)

@@ -350,13 +350,9 @@ def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
 
 
 def tensor_tuple(A: OperatorTuple, B: OperatorTuple) -> OperatorTuple:
-    """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...).
-
-    Entry ((p, r), (q, s)) of A_i (x) B_j is A_i[p, q] * B_j[r, s], as ``np.kron`` forms it.
-    """
+    """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...)."""
     n = A.dim * B.dim
-    outer = A.stack[:, None, :, None, :, None] * B.stack[None, :, None, :, None, :]
-    return OperatorTuple._of_stack(outer.reshape(A.d * B.d, n, n))
+    return OperatorTuple._of_stack(mc.kron(A.stack[:, None], B.stack).reshape(A.d * B.d, n, n))
 
 
 def mix_by_unitary(U, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> OperatorTuple:

@@ -15,23 +15,34 @@ so two runs with the same seed are byte-identical outside that field.
 from __future__ import annotations
 
 import json
+import math
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify, matrix_core as mc, transforms as tf
 from .errors import InvalidArgumentError
-from .generators import InstanceBundle, paper_example_mixing, random_instance
+from .generators import (
+    InstanceBundle,
+    paper_example_mixing,
+    paper_example_squares,
+    random_instance,
+)
 from .tuples import (
     OperatorTuple,
+    PowerConvention,
     adjoint_tuple,
     commutes_cross,
     commutes_within,
     conj_tuple,
+    inverse_tuple,
     max_commutator_cross,
     max_commutator_within,
     nilpotency_order,
+    power_tuple,
     product_tuple,
     spectral_norms,
     sum_tuple,
@@ -46,24 +57,6 @@ ANOMALY_BAND = 1e3
 SHARPNESS_FLOOR = 1e-4
 
 REPORT_SCHEMA_VERSION = "1"
-
-THEOREM_IDS = (
-    "pro01",
-    "pro02",
-    "pro03",
-    "pro04",
-    "pro5",
-    "thm05",
-    "cor05",
-    "cor050",
-    "thm06",
-    "cor06",
-    "cor061",
-    "cor062",
-    "thm07",
-)
-
-CAMPAIGN_IDS = THEOREM_IDS + ("ex00-golden",)
 
 
 @dataclass(frozen=True)
@@ -102,13 +95,9 @@ def _conclusion_result(
     return TrialResult(status=status, reason=reason, defects=defects, **kw)
 
 
-def _hypothesis_ok(
-    A: OperatorTuple, B: OperatorTuple, X, m: int, n: int, tol: mc.Tolerance
-) -> tuple[bool, float]:
-    defect = tf.isosym_defect(A, B, X, m, n)
-    scale = tf.defect_scale(A, B, X, m, n)
-    norm = mc.fro_norm(defect)
-    return norm <= tol.threshold(scale), norm
+def _degrees(kind: str, k: int) -> tuple[int, int]:
+    """(m, n) of the degree-k defect of the given kind: isometric or symmetric."""
+    return (k, 0) if kind == "iso" else (0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +116,7 @@ def check_pro01(
     no eigenvalue inside the unit circle -- which is the regime where its
     inverse iterates stay bounded.
 
-    The defects of degrees 0..m and the Cesaro errors all come from one run
+    The defects of degrees 0..m and the Cesaro error all come from one run
     of t_max sigma iterates.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
@@ -137,11 +126,10 @@ def check_pro01(
     defect_m = mc.fro_norm(tf.triangle_of_iterates(sig, m))
     if defect_m > tol.threshold(scale_m):
         return _skip(f"not (X,{m})-isometric", isometry_defect=defect_m)
-    errors = tf.cesaro_errors(A, B, sig, m, t_max)
+    e_final = tf.cesaro_error(A, B, sig, m, t_max)
     lower = [mc.fro_norm(tf.triangle_of_iterates(sig, j)) for j in range(m)]
     c_const = 5.0 * max(lower)
     bound = c_const * (m - 1) / t_max + tol.threshold(scale_m)
-    e_final = errors[-1][1]
     extra = {"cesaro_bound": bound, "t_max": float(t_max)}
 
     sig_hat = tf.superop_matrix(A, B, "sigma")
@@ -169,8 +157,8 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     that decisively fails while the first member passed is a counterexample
     (a drifting family), not a skip.
     """
-    kind = bundle.params["kind"]
     m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
+    degrees = (m1, 0) if bundle.params["kind"] == "triangle" else (0, m2)
     count = int(bundle.params["members"])
     X = bundle.matrices["X"]
     members = [(bundle.tuples[f"A{j}"], bundle.tuples[f"B{j}"]) for j in range(count)]
@@ -178,29 +166,19 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     # the scales of every member and of the limit, from one LAPACK call
     spectral_norms(*(T for pair in members for T in pair), A_lim, B_lim)
 
-    conv = []
-    for A_j, B_j in members:
-        conv.append(
-            max(
-                mc.fro_norm(a - b)
-                for a, b in zip(list(A_j) + list(B_j), list(A_lim) + list(B_lim))
-            )
-        )
+    # each member's largest componentwise distance from the limit
+    lim = np.concatenate([A_lim.stack, B_lim.stack])
+    conv = [max(map(mc.fro_norm, np.concatenate([a.stack, b.stack]) - lim)) for a, b in members]
     if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
         raise InvalidArgumentError("family does not converge: residuals are not decreasing")
 
-    def member_defect(A_j, B_j):
-        if kind == "triangle":
-            return mc.fro_norm(tf.triangle(A_j, B_j, X, m1)), tf.defect_scale(A_j, B_j, X, m1)
-        return mc.fro_norm(tf.delta(A_j, B_j, X, m2)), tf.defect_scale(A_j, B_j, X, 0, m2)
-
-    first_norm, first_scale = member_defect(*members[0])
-    if first_norm > tol.threshold(first_scale):
+    first_norm, first_threshold = tf.defect_check(*members[0], X, *degrees, tol)
+    if first_norm > first_threshold:
         return _skip("first family member violates its identity", member_defect=first_norm)
     # later members drifting off the identity refute the closure claim
     for j, (A_j, B_j) in enumerate(members[1:], start=1):
-        norm_j, scale_j = member_defect(A_j, B_j)
-        verdict = _judge(norm_j, tol.threshold(scale_j))
+        norm_j, threshold_j = tf.defect_check(A_j, B_j, X, *degrees, tol)
+        verdict = _judge(norm_j, threshold_j)
         if verdict != "pass":
             return TrialResult(
                 status=verdict,
@@ -227,51 +205,38 @@ def check_pro03(
     Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
     is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
     Part (b): the symmetric analogue, reducing to the last pair's delta defect.
+    The scales of every one-component pair and of the full pair come from one
+    LAPACK call.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     if m is None:
         m = int(bundle.params["m"])
-    part = bundle.params.get("part", "a")
+    kind = "iso" if bundle.params.get("part", "a") == "a" else "sym"
     d = A.d
     if d < 2:
         return _skip("reduction needs d >= 2")
-    norm_x = mc.fro_norm(X)
-    for i in range(d - 1):
-        Ai = OperatorTuple.of(A[i])
-        Bi = OperatorTuple.of(B[i])
-        if part == "a":
-            res = mc.fro_norm(tf.triangle(Ai, Bi, X, 1))
-            scale = tf.defect_scale(Ai, Bi, X, 1)
-        else:
-            res = mc.fro_norm(tf.delta(Ai, Bi, X, 1))
-            scale = tf.defect_scale(Ai, Bi, X, 0, 1)
-        if res > tol.threshold(scale):
+    pairs = [(OperatorTuple.of(a), OperatorTuple.of(b)) for a, b in zip(A, B)]
+    spectral_norms(*(T for pair in pairs for T in pair), A, B)
+    for i, (Ai, Bi) in enumerate(pairs[:-1]):
+        res, threshold = tf.defect_check(Ai, Bi, X, *_degrees(kind, 1), tol)
+        if res > threshold:
             return _skip(f"pair {i} is not degree-1 annihilating", residual=res)
 
-    if part == "a":
-        lhs = tf.triangle(A, B, X, m)
-        lhs_scale = tf.defect_scale(A, B, X, m)
-        rhs = np.zeros_like(X)
-        Ad_pow = [mc.identity(A.dim)]
-        Bd_pow = [mc.identity(A.dim)]
-        for _ in range(m):
-            Ad_pow.append(Ad_pow[-1] @ A[d - 1])
-            Bd_pow.append(Bd_pow[-1] @ B[d - 1])
-        for j in range(m + 1):
-            rhs += tf.binomial(m, j) * float((d - 2) ** (m - j)) * (Ad_pow[j] @ X @ Bd_pow[j])
-        rhs_scale = tf.grown_scale(
-            norm_x, 1.0 + abs(d - 2) + A.op_norms[d - 1] * B.op_norms[d - 1], m
+    lhs_norm, lhs_thr = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
+    if kind == "iso":
+        # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
+        Ad, Bd = pairs[-1]
+        coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
+        terms = np.array(coeffs)[:, None, None] * (Ad.sum_powers(m) @ X @ Bd.sum_powers(m))
+        rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
+        rhs_thr = tol.threshold(
+            tf.grown_scale(
+                mc.fro_norm(X), 1.0 + abs(d - 2) + A.op_norms[d - 1] * B.op_norms[d - 1], m
+            )
         )
     else:
-        lhs = tf.delta(A, B, X, m)
-        lhs_scale = tf.defect_scale(A, B, X, 0, m)
-        Ad = OperatorTuple.of(A[d - 1])
-        Bd = OperatorTuple.of(B[d - 1])
-        rhs = tf.delta(Ad, Bd, X, m)
-        rhs_scale = tf.defect_scale(Ad, Bd, X, 0, m)
+        rhs_norm, rhs_thr = tf.defect_check(*pairs[-1], X, 0, m, tol)
 
-    lhs_norm, rhs_norm = mc.fro_norm(lhs), mc.fro_norm(rhs)
-    lhs_thr, rhs_thr = tol.threshold(lhs_scale), tol.threshold(rhs_scale)
     lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
     defects = {
         "lhs_defect": lhs_norm,
@@ -295,11 +260,9 @@ def check_pro03(
 
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
-    A_star = adjoint_tuple(A_hilbert)
     X = mc.identity(A_hilbert.dim)
-    hyp = mc.fro_norm(tf.delta(A_star, A_hilbert, X, 2))
-    hyp_scale = tf.defect_scale(A_star, A_hilbert, X, 0, 2)
-    if hyp > tol.threshold(hyp_scale):
+    hyp, threshold = tf.defect_check(adjoint_tuple(A_hilbert), A_hilbert, X, 0, 2, tol)
+    if hyp > threshold:
         return _skip("adjoint pair is not (I,2)-symmetric", symmetry_defect=hyp)
     s = A_hilbert.component_sum()
     residual = mc.fro_norm(s - s.conj().T)
@@ -315,11 +278,10 @@ def check_pro5(
         raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
     A_star = adjoint_tuple(A_hilbert)
     X = mc.identity(A_hilbert.dim)
-    hyp = mc.fro_norm(tf.delta(A_star, A_hilbert, X, m_even))
-    if hyp > tol.threshold(tf.defect_scale(A_star, A_hilbert, X, 0, m_even)):
+    hyp, threshold = tf.defect_check(A_star, A_hilbert, X, 0, m_even, tol)
+    if hyp > threshold:
         return _skip(f"adjoint pair is not (I,{m_even})-symmetric", symmetry_defect=hyp)
-    concl = mc.fro_norm(tf.delta(A_star, A_hilbert, X, m_even - 1))
-    threshold = tol.threshold(tf.defect_scale(A_star, A_hilbert, X, 0, m_even - 1))
+    concl, threshold = tf.defect_check(A_star, A_hilbert, X, 0, m_even - 1, tol)
     return _conclusion_result("odd_degree_defect", concl, threshold)
 
 
@@ -345,14 +307,13 @@ def check_thm05(
     n2 = nilpotency_order(N2, max_order=A.dim, tol=tol)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    ok, hyp = _hypothesis_ok(A, B, X, m1, m2, tol)
-    if not ok:
+    hyp, threshold = tf.defect_check(A, B, X, m1, m2, tol)
+    if hyp > threshold:
         return _skip("base pair violates the combined identity", base_defect=hyp)
     t1 = m1 + n1 + n2 - 2
     t2 = m2 + n1 + n2 - 2
     A_p, B_p = sum_tuple(A, N1), sum_tuple(B, N2)
-    concl = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1, t2))
-    threshold = tol.threshold(tf.defect_scale(A_p, B_p, X, t1, t2))
+    concl, threshold = tf.defect_check(A_p, B_p, X, t1, t2, tol)
     sharp = {}
     if t1 >= 1:
         sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1 - 1, t2))
@@ -376,14 +337,8 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     N1, N2 = bundle.tuples["N1"], bundle.tuples["N2"]
     X = bundle.matrices["X"]
     m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
-    for name, S, T in (
-        ("A1,N1", A1, N1),
-        ("A2,N1", A2, N1),
-        ("B1,N2", B1, N2),
-        ("B2,N2", B2, N2),
-        ("A1,A2", A1, A2),
-        ("B1,B2", B1, B2),
-    ):
+    for name in ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2"):
+        S, T = (bundle.tuples[key] for key in name.split(","))
         if not commutes_cross(S, T, tol):
             return _skip(f"[{name}] != 0", residual=max_commutator_cross(S, T))
     n1 = nilpotency_order(N1, max_order=A1.dim, tol=tol)
@@ -392,58 +347,33 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     shift = n1 + n2 - 2
     defects: dict[str, float] = {"n1": float(n1), "n2": float(n2)}
-    worst = ("", 0.0, float("inf"))  # name, norm, threshold
     spectral_norms(A1, B1, A2, B2)  # both hypothesis scales from one LAPACK call
 
-    hyp_tri = mc.fro_norm(tf.triangle(A1, B1, X, m1))
-    if hyp_tri > tol.threshold(tf.defect_scale(A1, B1, X, m1)):
+    hyp_tri, threshold = tf.defect_check(A1, B1, X, m1, 0, tol)
+    if hyp_tri > threshold:
         return _skip("first pair violates its isometric identity", defect=hyp_tri)
-    hyp_del = mc.fro_norm(tf.delta(A2, B2, X, m2))
-    if hyp_del > tol.threshold(tf.defect_scale(A2, B2, X, 0, m2)):
+    hyp_del, threshold = tf.defect_check(A2, B2, X, 0, m2, tol)
+    if hyp_del > threshold:
         return _skip("second pair violates its symmetric identity", defect=hyp_del)
 
     P1, Q1 = sum_tuple(A1, N1), sum_tuple(B1, N2)
     P2, Q2 = sum_tuple(A2, N1), sum_tuple(B2, N2)
     spectral_norms(P1, Q1, P2, Q2)
+    t1, t2 = m1 + shift, m2 + shift
+    combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
+    combined_scale = tf.grown_scale(tf.defect_scale(P1, Q1, X, t1), tf.sym_scale_factor(P2, Q2), t2)
     checks = [
-        (
-            "triangle_perturbed",
-            mc.fro_norm(tf.triangle(P1, Q1, X, m1 + shift)),
-            tol.threshold(tf.defect_scale(P1, Q1, X, m1 + shift)),
-        ),
-        (
-            "delta_perturbed",
-            mc.fro_norm(tf.delta(P2, Q2, X, m2 + shift)),
-            tol.threshold(tf.defect_scale(P2, Q2, X, 0, m2 + shift)),
-        ),
-        (
-            "combined_perturbed",
-            mc.fro_norm(
-                tf.triangle(P1, Q1, tf.delta(P2, Q2, X, m2 + shift), m1 + shift)
-            ),
-            tol.threshold(
-                tf.grown_scale(
-                    tf.defect_scale(P1, Q1, X, m1 + shift),
-                    tf.sym_scale_factor(P2, Q2),
-                    m2 + shift,
-                )
-            ),
-        ),
+        ("triangle_perturbed", *tf.defect_check(P1, Q1, X, t1, 0, tol)),
+        ("delta_perturbed", *tf.defect_check(P2, Q2, X, 0, t2, tol)),
+        ("combined_perturbed", combined, tol.threshold(combined_scale)),
     ]
-    status = "pass"
+    status, reason = "pass", ""
     for name, norm, thr in checks:
         defects[name] = norm
         verdict = _judge(norm, thr)
         if verdict != "pass" and status != "counterexample":
-            status = verdict
-            worst = (name, norm, thr)
-    if status == "pass":
-        return TrialResult(status="pass", defects=defects)
-    return TrialResult(
-        status=status,
-        reason=f"{worst[0]} = {worst[1]:.3e} vs threshold {worst[2]:.3e}",
-        defects=defects,
-    )
+            status, reason = verdict, f"{name} = {norm:.3e} vs threshold {thr:.3e}"
+    return TrialResult(status=status, reason=reason, defects=defects)
 
 
 def check_cor050(
@@ -463,36 +393,16 @@ def check_cor050(
     order = nilpotency_order(N, max_order=T_hilbert.dim, tol=tol)
     if order is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    ok, hyp = _hypothesis_ok(T_star, T_hilbert, X, m1, m2, tol)
-    if not ok:
+    hyp, threshold = tf.defect_check(T_star, T_hilbert, X, m1, m2, tol)
+    if hyp > threshold:
         return _skip("base adjoint pair violates the combined identity", base_defect=hyp)
     t1 = m1 + 2 * order - 2
     t2 = m2 + 2 * order - 2
     P, Q = sum_tuple(T_star, N), sum_tuple(T_hilbert, N)
-    concl = mc.fro_norm(tf.isosym_defect(P, Q, X, t1, t2))
-    threshold = tol.threshold(tf.defect_scale(P, Q, X, t1, t2))
+    concl, threshold = tf.defect_check(P, Q, X, t1, t2, tol)
     return _conclusion_result(
         "perturbed_defect", concl, threshold, extra={"order": float(order)}
     )
-
-
-def _thm06_hypotheses(A, B, S, T, X, m, n, r, s, tol):
-    """The four cross-assigned combined defects plus the commutation residuals."""
-    for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
-        if not commutes_cross(U, V, tol):
-            return f"[{name}] != 0", max_commutator_cross(U, V)
-    spectral_norms(A, B, S, T)  # every hypothesis scale from one LAPACK call
-    hypotheses = (
-        ("AB_mn", A, B, m, n),
-        ("ST_rs", S, T, r, s),
-        ("ST_rn", S, T, r, n),
-        ("AB_ms", A, B, m, s),
-    )
-    for name, U, V, mm, nn in hypotheses:
-        ok, norm = _hypothesis_ok(U, V, X, mm, nn, tol)
-        if not ok:
-            return f"hypothesis {name} fails", norm
-    return None, 0.0
 
 
 def check_thm06(
@@ -507,15 +417,28 @@ def check_thm06(
     s: int,
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
-    """Products of cross-commuting defect-annihilated pairs vanish at (m+r-1, n+s-1)."""
-    fail, res = _thm06_hypotheses(A, B, S, T, X, m, n, r, s, tol)
-    if fail:
-        return _skip(fail, residual=res)
+    """Products of cross-commuting defect-annihilated pairs vanish at (m+r-1, n+s-1).
+
+    The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
+    cross-assigned combined defects.
+    """
+    for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
+        if not commutes_cross(U, V, tol):
+            return _skip(f"[{name}] != 0", residual=max_commutator_cross(U, V))
+    spectral_norms(A, B, S, T)  # every hypothesis scale from one LAPACK call
+    for name, U, V, mm, nn in (
+        ("AB_mn", A, B, m, n),
+        ("ST_rs", S, T, r, s),
+        ("ST_rn", S, T, r, n),
+        ("AB_ms", A, B, m, s),
+    ):
+        norm, threshold = tf.defect_check(U, V, X, mm, nn, tol)
+        if norm > threshold:
+            return _skip(f"hypothesis {name} fails", residual=norm)
     SA = product_tuple(S, A)
     TB = product_tuple(T, B)
     t1, t2 = m + r - 1, n + s - 1
-    concl = mc.fro_norm(tf.isosym_defect(SA, TB, X, t1, t2))
-    threshold = tol.threshold(tf.defect_scale(SA, TB, X, t1, t2))
+    concl, threshold = tf.defect_check(SA, TB, X, t1, t2, tol)
     sharp = {}
     if t1 >= 1:
         sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(SA, TB, X, t1 - 1, t2))
@@ -541,33 +464,18 @@ def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
         if not commutes_cross(U, V, tol):
             return _skip(f"[{name}] != 0", residual=max_commutator_cross(U, V))
     spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
-    if kind == "iso":
-        h1 = mc.fro_norm(tf.triangle(A, B, X, m))
-        s1 = tf.defect_scale(A, B, X, m)
-        h2 = mc.fro_norm(tf.triangle(S, T, X, n))
-        s2 = tf.defect_scale(S, T, X, n)
-    else:
-        h1 = mc.fro_norm(tf.delta(A, B, X, m))
-        s1 = tf.defect_scale(A, B, X, 0, m)
-        h2 = mc.fro_norm(tf.delta(S, T, X, n))
-        s2 = tf.defect_scale(S, T, X, 0, n)
-    if h1 > tol.threshold(s1) or h2 > tol.threshold(s2):
+    h1, t1 = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
+    h2, t2 = tf.defect_check(S, T, X, *_degrees(kind, n), tol)
+    if h1 > t1 or h2 > t2:
         return _skip("a factor pair violates its identity", h1=h1, h2=h2)
     AS = product_tuple(A, S)
     BT = product_tuple(B, T)
     deg = m + n - 1
-    if kind == "iso":
-        concl = mc.fro_norm(tf.triangle(AS, BT, X, deg))
-        threshold = tol.threshold(tf.defect_scale(AS, BT, X, deg))
-    else:
-        concl = mc.fro_norm(tf.delta(AS, BT, X, deg))
-        threshold = tol.threshold(tf.defect_scale(AS, BT, X, 0, deg))
+    concl, threshold = tf.defect_check(AS, BT, X, *_degrees(kind, deg), tol)
     sharp = {}
     if deg >= 1:
-        if kind == "iso":
-            sharp["below"] = mc.fro_norm(tf.triangle(AS, BT, X, deg - 1))
-        else:
-            sharp["below"] = mc.fro_norm(tf.delta(AS, BT, X, deg - 1))
+        defect = tf.triangle if kind == "iso" else tf.delta
+        sharp["below"] = mc.fro_norm(defect(AS, BT, X, deg - 1))
     return _conclusion_result(
         "product_defect",
         concl,
@@ -597,38 +505,23 @@ def check_cor061(
     prod_conj = conj_tuple(product_tuple(S, T))
     deg = m + n - 1
     defects: dict[str, float] = {}
-    status = "pass"
-    reason = ""
+    status, reason = "pass", ""
     evaluated = 0
     spectral_norms(S_star, CSC, T_star, CTC)  # every hypothesis scale from one LAPACK call
 
     for kind in ("iso", "sym"):
-        if kind == "iso":
-            h1 = mc.fro_norm(tf.triangle(S_star, CSC, X, m))
-            t1 = tol.threshold(tf.defect_scale(S_star, CSC, X, m))
-            h2 = mc.fro_norm(tf.triangle(T_star, CTC, X, n))
-            t2 = tol.threshold(tf.defect_scale(T_star, CTC, X, n))
-        else:
-            h1 = mc.fro_norm(tf.delta(S_star, CSC, X, m))
-            t1 = tol.threshold(tf.defect_scale(S_star, CSC, X, 0, m))
-            h2 = mc.fro_norm(tf.delta(T_star, CTC, X, n))
-            t2 = tol.threshold(tf.defect_scale(T_star, CTC, X, 0, n))
+        h1, t1 = tf.defect_check(S_star, CSC, X, *_degrees(kind, m), tol)
+        h2, t2 = tf.defect_check(T_star, CTC, X, *_degrees(kind, n), tol)
         defects[f"hyp_{kind}_S"] = h1
         defects[f"hyp_{kind}_T"] = h2
         if h1 > t1 or h2 > t2:
             continue
         evaluated += 1
-        if kind == "iso":
-            concl = mc.fro_norm(tf.triangle(prod_star, prod_conj, X, deg))
-            thr = tol.threshold(tf.defect_scale(prod_star, prod_conj, X, deg))
-        else:
-            concl = mc.fro_norm(tf.delta(prod_star, prod_conj, X, deg))
-            thr = tol.threshold(tf.defect_scale(prod_star, prod_conj, X, 0, deg))
+        concl, thr = tf.defect_check(prod_star, prod_conj, X, *_degrees(kind, deg), tol)
         defects[f"product_defect_{kind}"] = concl
         verdict = _judge(concl, thr)
         if verdict != "pass" and status != "counterexample":
-            status = verdict
-            reason = f"{kind} product defect {concl:.3e} vs threshold {thr:.3e}"
+            status, reason = verdict, f"{kind} product defect {concl:.3e} vs threshold {thr:.3e}"
     if evaluated == 0:
         return _skip("neither implication has valid hypotheses", **defects)
     return TrialResult(status=status, reason=reason, defects=defects)
@@ -645,21 +538,15 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
         return _skip("A and B must be single operators")
     if not commutes_cross(A, S, tol) or not commutes_cross(B, T, tol):
         return _skip("[A, S] != 0 or [B, T] != 0")
-    defect = tf.triangle if kind == "iso" else tf.delta
-
-    def dscale(U, V, deg):
-        return tf.defect_scale(U, V, X, deg) if kind == "iso" else tf.defect_scale(U, V, X, 0, deg)
-
     spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
-    h1 = mc.fro_norm(defect(A, B, X, m))
-    h2 = mc.fro_norm(defect(S, T, X, n))
-    if h1 > tol.threshold(dscale(A, B, m)) or h2 > tol.threshold(dscale(S, T, n)):
+    h1, t1 = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
+    h2, t2 = tf.defect_check(S, T, X, *_degrees(kind, n), tol)
+    if h1 > t1 or h2 > t2:
         return _skip("a factor violates its identity", h1=h1, h2=h2)
-    AS = product_tuple(A, S)
-    BT = product_tuple(B, T)
     deg = m + n - 1
-    concl = mc.fro_norm(defect(AS, BT, X, deg))
-    threshold = tol.threshold(dscale(AS, BT, deg))
+    concl, threshold = tf.defect_check(
+        product_tuple(A, S), product_tuple(B, T), X, *_degrees(kind, deg), tol
+    )
     return _conclusion_result("product_defect", concl, threshold, extra={"degree": float(deg)})
 
 
@@ -684,72 +571,181 @@ def check_thm07(
     BxT = tensor_tuple(B, T)
     spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call per dimension
     if variant == "i":
-        defect = tf.triangle if kind == "iso" else tf.delta
-
-        def dscale(U, V, Y, deg):
-            return (
-                tf.defect_scale(U, V, Y, deg)
-                if kind == "iso"
-                else tf.defect_scale(U, V, Y, 0, deg)
-            )
-
-        h1 = mc.fro_norm(defect(A, B, X_a, m))
-        h2 = mc.fro_norm(defect(S, T, X_s, n))
-        if h1 > tol.threshold(dscale(A, B, X_a, m)) or h2 > tol.threshold(
-            dscale(S, T, X_s, n)
-        ):
+        h1, t1 = tf.defect_check(A, B, X_a, *_degrees(kind, m), tol)
+        h2, t2 = tf.defect_check(S, T, X_s, *_degrees(kind, n), tol)
+        if h1 > t1 or h2 > t2:
             return _skip("a factor pair violates its identity", h1=h1, h2=h2)
         deg = m + n - 1
-        concl = mc.fro_norm(defect(AxS, BxT, XX, deg))
-        threshold = tol.threshold(dscale(AxS, BxT, XX, deg))
+        concl, threshold = tf.defect_check(AxS, BxT, XX, *_degrees(kind, deg), tol)
         return _conclusion_result("tensor_defect", concl, threshold, extra={"degree": float(deg)})
 
     if variant != "ii":
         raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
     if r is None or s is None:
         raise InvalidArgumentError("variant ii needs r and s")
-    ok, h1 = _hypothesis_ok(A, B, X_a, m, n, tol)
-    if not ok:
+    h1, threshold = tf.defect_check(A, B, X_a, m, n, tol)
+    if h1 > threshold:
         return _skip("first pair violates the combined identity", defect=h1)
-    h2 = mc.fro_norm(tf.triangle(S, T, X_s, r))
-    h3 = mc.fro_norm(tf.delta(S, T, X_s, s))
-    if h2 > tol.threshold(tf.defect_scale(S, T, X_s, r)) or h3 > tol.threshold(
-        tf.defect_scale(S, T, X_s, 0, s)
-    ):
+    h2, t2 = tf.defect_check(S, T, X_s, r, 0, tol)
+    h3, t3 = tf.defect_check(S, T, X_s, 0, s, tol)
+    if h2 > t2 or h3 > t3:
         return _skip("second pair violates its identities", iso_defect=h2, sym_defect=h3)
     t1, t2 = m + r - 1, n + s - 1
-    concl = mc.fro_norm(tf.isosym_defect(AxS, BxT, XX, t1, t2))
-    threshold = tol.threshold(tf.defect_scale(AxS, BxT, XX, t1, t2))
+    concl, threshold = tf.defect_check(AxS, BxT, XX, t1, t2, tol)
     return _conclusion_result(
         "tensor_defect", concl, threshold, extra={"t1": float(t1), "t2": float(t2)}
     )
 
 
-def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
-    """Reproduce the 2x2 unitary-mixing counterexample matrices exactly."""
+#: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,
+#: S*^2 A0 S^2 and the degree-2 defect of (S*, S) at A0.
+GOLDEN_MATRICES = {
+    "S_A0_S": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]],
+    "S2_A0_S2": [[[1, 0], [1, -1]], [[1, 1], [2, 0]]],
+    "triangle2_S": [[[-1, 0], [-1, -1]], [[-1, 1], [1, 0]]],
+}
+
+
+def golden_suite(golden: dict | None = None, tol_abs: float = 1e-12) -> list[dict]:
+    """Every frozen value of the built-in 2x2 examples, as named checks.
+
+    Each check is ``{"name", "max_abs_diff", "passed"}``; it passes when the
+    difference is at most ``tol_abs``, or 1e-9 for the two relative checks
+    over degrees 1..6.  ``golden`` overrides entries of ``GOLDEN_MATRICES``.
+    """
+    golden = {**GOLDEN_MATRICES, **(golden or {})}
     T, A0, U, S = paper_example_mixing()
     pair_t = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T))
     pair_s = (OperatorTuple.of(mc.adjoint(S)), OperatorTuple.of(S))
-    sas = mc.adjoint(S) @ A0 @ S
-    s2as2 = mc.adjoint(S) @ mc.adjoint(S) @ A0 @ S @ S
-    expected_sas = np.array([[1, 1], [1, 1]], dtype=np.complex128)
-    expected_s2as2 = np.array([[1, 1 - 1j], [1 + 1j, 2]], dtype=np.complex128)
-    expected_tri_s = np.array([[-1, -1 - 1j], [-1 + 1j, 1]], dtype=np.complex128)
-    checks = {
-        "triangle2_T": mc.fro_norm(tf.triangle(pair_t[0], pair_t[1], A0, 2)),
-        "SAS_diff": mc.max_abs_diff(sas, expected_sas),
-        "S2AS2_diff": mc.max_abs_diff(s2as2, expected_s2as2),
-        "triangle2_S_diff": mc.max_abs_diff(
-            tf.triangle(pair_s[0], pair_s[1], A0, 2), expected_tri_s
-        ),
-    }
-    worst = max(checks.values())
-    status = "pass" if worst <= tol_abs else "counterexample"
-    return TrialResult(
-        status=status,
-        reason="" if status == "pass" else f"golden mismatch {worst:.3e}",
-        defects=checks,
+    A_sq, B_sq = paper_example_squares()
+    eye = mc.identity(2)
+    checks = []
+
+    def add(name, diff, limit=tol_abs):
+        checks.append({"name": name, "max_abs_diff": float(diff), "passed": bool(diff <= limit)})
+
+    def expected(key):
+        return mc.matrix_from_json(golden[key])
+
+    add("mixing/triangle2_T_zero", mc.fro_norm(tf.triangle(*pair_t, A0, 2)))
+    add("mixing/S_A0_S", mc.max_abs_diff(mc.adjoint(S) @ A0 @ S, expected("S_A0_S")))
+    add(
+        "mixing/S2_A0_S2",
+        mc.max_abs_diff(mc.adjoint(S) @ mc.adjoint(S) @ A0 @ S @ S, expected("S2_A0_S2")),
     )
+    tri_s = tf.triangle(*pair_s, A0, 2)
+    add("mixing/triangle2_S_value", mc.max_abs_diff(tri_s, expected("triangle2_S")))
+    add("mixing/triangle2_S_norm_gt_1", 0.0 if mc.fro_norm(tri_s) > 1.0 else 1.0)
+
+    def worst_relative(A, B, factor):
+        # max over degrees 1..6 of the defect's distance from factor^m I, relative to factor^m
+        return max(
+            mc.max_abs_diff(tf.triangle(A, B, eye, m), factor**m * eye) / abs(factor**m)
+            for m in range(1, 7)
+        )
+
+    add("squares/base_1_isometric", mc.fro_norm(tf.triangle(A_sq, B_sq, eye, 1)))
+    inverse = (inverse_tuple(A_sq), inverse_tuple(B_sq))
+    add("squares/inverse_growth_(-3)^m", worst_relative(*inverse, -3.0), limit=1e-9)
+    word = [power_tuple(P, 2, PowerConvention.WORD) for P in (A_sq, B_sq)]
+    add("squares/word_square_1_isometric", mc.fro_norm(tf.triangle(*word, eye, 1)))
+    comp = [power_tuple(P, 2, PowerConvention.COMPONENTWISE) for P in (A_sq, B_sq)]
+    add("squares/componentwise_square_2^-m", worst_relative(*comp, 2.0**-1), limit=1e-9)
+    return checks
+
+
+def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
+    """Reproduce every frozen value of the built-in 2x2 examples (``golden_suite``).
+
+    Passes only if every check passes; ``defects`` maps each check to its difference.
+    """
+    checks = golden_suite(tol_abs=tol_abs)
+    failed = [c for c in checks if not c["passed"]]
+    return TrialResult(
+        status="counterexample" if failed else "pass",
+        reason=", ".join(f"{c['name']} mismatch {c['max_abs_diff']:.3e}" for c in failed),
+        defects={c["name"]: c["max_abs_diff"] for c in checks},
+    )
+
+
+# ---------------------------------------------------------------------------
+# the theorem registry
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One campaign id: the generator profile of its instances, ``check(bundle, tol,
+    t_max)`` that tests one instance, and ``pair(bundle)``, the (A, B, X) whose
+    defect profile a counterexample record carries."""
+
+    profile: str
+    check: Callable[[InstanceBundle, mc.Tolerance, int], TrialResult]
+    pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
+
+
+def _args(bundle: InstanceBundle, names: str) -> list:
+    """The bundle's tuples, matrices and integer parameters of the given names, in order."""
+    found = {**bundle.tuples, **bundle.matrices}
+    return [found[k] if k in found else int(bundle.params[k]) for k in names.split()]
+
+
+def _pair(names: str = "A B X"):
+    return lambda bundle: tuple(_args(bundle, names))
+
+
+def _adjoint_pair(key: str):
+    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), *_args(bundle, f"{key} X"))
+
+
+def _check_thm07(bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
+    p = bundle.params
+    return check_thm07(
+        *_args(bundle, "A B S T m n"),
+        r=int(p["r"]) if "r" in p else None,
+        s=int(p["s"]) if "s" in p else None,
+        variant=str(p["variant"]),
+        kind=str(p.get("kind", "iso")),
+        tol=tol,
+    )
+
+
+#: The registry, one entry per theorem id, in campaign order.  The lambdas
+#: look each ``check_*`` up when a trial runs, so a wrapped checker is the one called.
+THEOREMS = {
+    "pro01": Theorem("pro01", lambda b, tol, t_max: check_pro01(b, t_max, tol), _pair()),
+    "pro02": Theorem("pro02-family", lambda b, tol, _: check_pro02(b, tol), _pair("A0 B0 X")),
+    "pro03": Theorem("pro03", lambda b, tol, _: check_pro03(b, tol=tol), _pair()),
+    "pro04": Theorem(
+        "pro04", lambda b, tol, _: check_pro04(*_args(b, "A"), tol), _adjoint_pair("A")
+    ),
+    "pro5": Theorem(
+        "pro5", lambda b, tol, _: check_pro5(*_args(b, "A m_even"), tol), _adjoint_pair("A")
+    ),
+    "thm05": Theorem(
+        "thm05", lambda b, tol, _: check_thm05(*_args(b, "A B N1 N2 X m1 m2"), tol), _pair()
+    ),
+    "cor05": Theorem("cor05", lambda b, tol, _: check_cor05(b, tol), _pair("A1 B1 X")),
+    "cor050": Theorem(
+        "cor050", lambda b, tol, _: check_cor050(*_args(b, "T N X m1 m2"), tol), _adjoint_pair("T")
+    ),
+    "thm06": Theorem(
+        "thm06", lambda b, tol, _: check_thm06(*_args(b, "A B S T X m n r s"), tol), _pair()
+    ),
+    "cor06": Theorem("cor06", lambda b, tol, _: check_cor06(b, tol), _pair()),
+    "cor061": Theorem(
+        "cor061",
+        lambda b, tol, _: check_cor061(*_args(b, "S T X m n"), tol),
+        lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
+    ),
+    "cor062": Theorem("cor062", lambda b, tol, _: check_cor062(b, tol), _pair()),
+    "thm07": Theorem(
+        "thm07", _check_thm07, lambda b: (*_args(b, "A B"), mc.identity(b.tuples["A"].dim))
+    ),
+}
+
+THEOREM_IDS = tuple(THEOREMS)
+CAMPAIGN_IDS = THEOREM_IDS + ("ex00-golden",)
+_THEOREM_OF_PROFILE = {entry.profile: entry for entry in THEOREMS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +769,9 @@ class CampaignConfig:
             )
         if self.trials < 0:
             raise InvalidArgumentError("trials must be non-negative")
+        # a NaN deadline never passes, so it would silently mean "no budget"
+        if self.budget_s is not None and math.isnan(self.budget_s):
+            raise InvalidArgumentError("budget must be a number of seconds, got nan")
 
     def trial_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:
@@ -839,105 +838,12 @@ class CampaignReport:
         )
 
 
-def _profile_for(theorem_id: str) -> str:
-    return "pro02-family" if theorem_id == "pro02" else theorem_id
-
-
 def _run_trial(theorem_id: str, seed: int, tol: mc.Tolerance, t_max: int) -> tuple[TrialResult, InstanceBundle]:
-    bundle = random_instance(_profile_for(theorem_id), seed)
-    if theorem_id == "pro01":
-        return check_pro01(bundle, t_max=t_max, tol=tol), bundle
-    if theorem_id == "pro02":
-        return check_pro02(bundle, tol=tol), bundle
-    if theorem_id == "pro03":
-        return check_pro03(bundle, tol=tol), bundle
-    if theorem_id == "pro04":
-        return check_pro04(bundle.tuples["A"], tol=tol), bundle
-    if theorem_id == "pro5":
-        return check_pro5(bundle.tuples["A"], int(bundle.params["m_even"]), tol=tol), bundle
-    if theorem_id == "thm05":
-        p = bundle.params
-        return (
-            check_thm05(
-                bundle.tuples["A"],
-                bundle.tuples["B"],
-                bundle.tuples["N1"],
-                bundle.tuples["N2"],
-                bundle.matrices["X"],
-                int(p["m1"]),
-                int(p["m2"]),
-                tol=tol,
-            ),
-            bundle,
-        )
-    if theorem_id == "cor05":
-        return check_cor05(bundle, tol=tol), bundle
-    if theorem_id == "cor050":
-        p = bundle.params
-        return (
-            check_cor050(
-                bundle.tuples["T"],
-                bundle.tuples["N"],
-                bundle.matrices["X"],
-                int(p["m1"]),
-                int(p["m2"]),
-                tol=tol,
-            ),
-            bundle,
-        )
-    if theorem_id == "thm06":
-        p = bundle.params
-        return (
-            check_thm06(
-                bundle.tuples["A"],
-                bundle.tuples["B"],
-                bundle.tuples["S"],
-                bundle.tuples["T"],
-                bundle.matrices["X"],
-                int(p["m"]),
-                int(p["n"]),
-                int(p["r"]),
-                int(p["s"]),
-                tol=tol,
-            ),
-            bundle,
-        )
-    if theorem_id == "cor06":
-        return check_cor06(bundle, tol=tol), bundle
-    if theorem_id == "cor061":
-        p = bundle.params
-        return (
-            check_cor061(
-                bundle.tuples["S"],
-                bundle.tuples["T"],
-                bundle.matrices["X"],
-                int(p["m"]),
-                int(p["n"]),
-                tol=tol,
-            ),
-            bundle,
-        )
-    if theorem_id == "cor062":
-        return check_cor062(bundle, tol=tol), bundle
-    if theorem_id == "thm07":
-        p = bundle.params
-        return (
-            check_thm07(
-                bundle.tuples["A"],
-                bundle.tuples["B"],
-                bundle.tuples["S"],
-                bundle.tuples["T"],
-                int(p["m"]),
-                int(p["n"]),
-                r=int(p["r"]) if "r" in p else None,
-                s=int(p["s"]) if "s" in p else None,
-                variant=str(p["variant"]),
-                kind=str(p.get("kind", "iso")),
-                tol=tol,
-            ),
-            bundle,
-        )
-    raise InvalidArgumentError(f"unknown theorem id {theorem_id!r}")
+    entry = THEOREMS.get(theorem_id)
+    if entry is None:
+        raise InvalidArgumentError(f"unknown theorem id {theorem_id!r}")
+    bundle = random_instance(entry.profile, seed)
+    return entry.check(bundle, tol, t_max), bundle
 
 
 def _counterexample_record(
@@ -951,15 +857,11 @@ def _counterexample_record(
     }
     if bundle is not None:
         record["bundle"] = bundle.to_json()
-        # defect norms at all degrees for post-mortem, on the primary pair
-        pair_keys = [("A", "B"), ("S", "T"), ("T", "T")]
-        for ka, kb in pair_keys:
-            if ka in bundle.tuples and kb in bundle.tuples and "X" in bundle.matrices:
-                profile = classify.defect_profile(
-                    bundle.tuples[ka], bundle.tuples[kb], bundle.matrices["X"], k_max=12
-                )
-                record["defect_profile"] = profile.to_json()
-                break
+        entry = _THEOREM_OF_PROFILE.get(bundle.profile)
+        if entry is not None:
+            # defect norms at all degrees for post-mortem, on the pair the theorem tests
+            profile = classify.defect_profile(*entry.pair(bundle), k_max=12)
+            record["defect_profile"] = profile.to_json()
     return record
 
 
@@ -988,39 +890,35 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         else:
             results.append(_run_trial(config.theorem_id, seed, config.tol, config.t_max))
 
-    passes = anomalies = skipped = 0
-    counterexamples: list[dict] = []
-    witnesses: list[dict] = []
-    max_defect = 0.0
-    for i, (result, bundle) in enumerate(results):
-        if result.status != "skip":
-            # a skipped trial's defects measure its failed hypothesis, not the identity
-            for key, value in result.defects.items():
-                if key.endswith("_defect") or key in ("cesaro_error", "limit_defect"):
-                    max_defect = max(max_defect, float(value))
-        if result.status == "pass":
-            passes += 1
-        elif result.status == "anomaly":
-            anomalies += 1
-        elif result.status == "skip":
-            skipped += 1
-        else:
-            counterexamples.append(_counterexample_record(i, seeds[i], result, bundle))
-        if result.is_sharp:
-            witnesses.append(
-                {"trial": i, "seed": seeds[i], "sharpness": dict(result.sharpness)}
-            )
-    evaluated = passes + anomalies + len(counterexamples)
+    counts = Counter(result.status for result, _ in results)
+    counterexamples = tuple(
+        _counterexample_record(i, seeds[i], result, bundle)
+        for i, (result, bundle) in enumerate(results)
+        if result.status == "counterexample"
+    )
+    witnesses = tuple(
+        {"trial": i, "seed": seeds[i], "sharpness": dict(result.sharpness)}
+        for i, (result, _) in enumerate(results)
+        if result.is_sharp
+    )
+    # a skipped trial's defects measure its failed hypothesis, not the identity
+    concluded = [
+        float(value)
+        for result, _ in results
+        if result.status != "skip"
+        for key, value in result.defects.items()
+        if key.endswith("_defect") or key in ("cesaro_error", "limit_defect")
+    ]
     return CampaignReport(
         theorem_id=config.theorem_id,
         requested_trials=config.trials,
-        trials=evaluated,
-        passes=passes,
-        tolerance_anomalies=anomalies,
-        skipped=skipped,
-        counterexamples=tuple(counterexamples),
-        sharpness_witnesses=tuple(witnesses),
-        max_defect=max_defect,
+        trials=len(results) - counts["skip"],
+        passes=counts["pass"],
+        tolerance_anomalies=counts["anomaly"],
+        skipped=counts["skip"],
+        counterexamples=counterexamples,
+        sharpness_witnesses=witnesses,
+        max_defect=max([0.0, *concluded]),
         seeds=seeds,
         budget_exceeded=budget_exceeded,
         wall_time=time.monotonic() - start,

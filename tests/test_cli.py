@@ -475,3 +475,38 @@ def test_check_refuses_negative_degree(jordan_files, capsys):
             "--x", jordan_files["x"], "--m", "-1"]
     assert main(argv) == 2
     _single_error_line(capsys, "m must be a non-negative integer")
+
+
+def test_campaign_refuses_a_nan_budget_flag(capsys):
+    # a NaN deadline never passes, so it must not silently mean "no budget"
+    assert main(["campaign", "--theorem", "pro04", "--trials", "3", "--budget", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no trial ran, so no report
+    assert captured.err == "error: budget must be a number of seconds, got nan\n"
+
+
+def test_campaign_refuses_a_nan_budget_in_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, "budget": float("nan")}))
+    assert "NaN" in cfg.read_text()
+    assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
+    _single_error_line(capsys, "budget must be a number of seconds")
+
+
+@pytest.mark.parametrize("budget,code,trials", [("-1", 3, 0), ("inf", 0, 3)])
+def test_campaign_negative_and_infinite_budgets(tmp_path, budget, code, trials):
+    # a negative budget has already run out; an infinite one never does
+    out_file = tmp_path / "rep.json"
+    argv = ["campaign", "--theorem", "pro04", "--trials", "3", "--budget", budget,
+            "--out", str(out_file), "--quiet"]
+    assert main(argv) == code
+    report = json.loads(out_file.read_text())
+    assert report["trials"] == trials
+    assert report["budget_exceeded"] is (code == 3)
+
+
+def test_repro_paper_golden_file_holding_a_list_exits_2(tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps([[[1, 0], [1, 0]], [[1, 0], [1, 0]]]))
+    assert main(["repro-paper", "--golden", str(golden)]) == 2
+    _single_error_line(capsys, "golden file must hold a JSON object")

@@ -117,6 +117,20 @@ def test_tuple_constructions_match_the_loop(d, n):
         assert _same(tensor_tuple(A, T).stack, np.array([np.kron(a, t) for a in A for t in T]))
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("p", range(1, 5))
+def test_kron_matches_np_kron(n, p):
+    # the generators' Kronecker embeddings: matrices, a real factor, and broadcast stacks
+    rng = np.random.default_rng(10 * n + p)
+    a, b = _stack(rng, 3, n), _stack(rng, 2, p)
+    eye = np.eye(p, dtype=np.complex128)
+    assert _same(mc.kron(a[0], b[1]), np.kron(a[0], b[1]))
+    assert _same(mc.kron(a[0], eye), np.kron(a[0], eye))
+    assert _same(mc.kron(eye, a[1]), np.kron(eye, a[1]))
+    assert _same(mc.kron(a[0].real, b[0]), np.kron(a[0].real, b[0]))
+    assert _same(mc.kron(a, b[None, 0]), np.array([np.kron(x, b[0]) for x in a]))
+
+
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", NS)
 def test_commutators_match_the_loop(d, n):

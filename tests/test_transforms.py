@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_commuting_pair
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
+from isotuple import verify
 from isotuple.errors import BudgetExceededError, InvalidArgumentError
-from isotuple.generators import jordan_isometric, paper_example_mixing, paper_example_squares
+from isotuple.generators import (
+    jordan_isometric,
+    paper_example_mixing,
+    paper_example_squares,
+    random_instance,
+)
 from isotuple.tuples import OperatorTuple, adjoint_tuple, mix_by_unitary
 
 T_MAT = np.array([[1, 1], [0, 1]], dtype=complex)
@@ -263,3 +269,24 @@ def test_overflowing_scale_is_refused():
         tf.grown_scale(1.0, 1e200, 2)  # float ** overflows
     with pytest.raises(InvalidArgumentError):
         tf.grown_scale(1e200, 1e200, 1)  # the product overflows to inf
+
+
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+@pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0.0, rel_eps=1e-13)])
+def test_defect_check_equals_the_expression_it_replaces(theorem_id, tol):
+    # the norm and the threshold keep every bit at (m, 0), (0, n) and (m, n)
+    expressions = {
+        (2, 0): lambda A, B, X: (tf.triangle(A, B, X, 2), tf.defect_scale(A, B, X, 2)),
+        (0, 3): lambda A, B, X: (tf.delta(A, B, X, 3), tf.defect_scale(A, B, X, 0, 3)),
+        (2, 3): lambda A, B, X: (tf.isosym_defect(A, B, X, 2, 3), tf.defect_scale(A, B, X, 2, 3)),
+        (1, 0): lambda A, B, X: (tf.triangle(A, B, X, 1), tf.defect_scale(A, B, X, 1)),
+        (0, 1): lambda A, B, X: (tf.delta(A, B, X, 1), tf.defect_scale(A, B, X, 0, 1)),
+    }
+    entry = verify.THEOREMS[theorem_id]
+    for seed in range(3):
+        A, B, X = entry.pair(random_instance(entry.profile, seed))
+        for (m, n), expression in expressions.items():
+            defect, scale = expression(A, B, X)
+            norm, threshold = tf.defect_check(A, B, X, m, n, tol)
+            assert norm.hex() == mc.fro_norm(defect).hex()
+            assert threshold.hex() == tol.threshold(scale).hex()

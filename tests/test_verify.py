@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from types import SimpleNamespace
 
@@ -15,7 +16,7 @@ from isotuple.generators import (
     random_instance,
     upper_shift,
 )
-from isotuple.tuples import OperatorTuple, scalar_tuple
+from isotuple.tuples import OperatorTuple, adjoint_tuple, conj_tuple, scalar_tuple
 from isotuple.verify import (
     CampaignConfig,
     CampaignReport,
@@ -534,3 +535,112 @@ def test_thm06_skips_on_invalid_hypothesis():
     result = check_thm06(two, one, two, one, np.eye(2), 1, 1, 1, 1)
     assert result.status == "skip"
     assert "hypothesis" in result.reason
+
+
+def test_registry_has_one_entry_per_theorem_in_campaign_order():
+    from isotuple.generators import PROFILES
+
+    order = ("pro01", "pro02", "pro03", "pro04", "pro5", "thm05", "cor05", "cor050",
+             "thm06", "cor06", "cor061", "cor062", "thm07")
+    assert tuple(verify.THEOREMS) == verify.THEOREM_IDS == order
+    assert verify.CAMPAIGN_IDS == order + ("ex00-golden",)
+    profiles = [entry.profile for entry in verify.THEOREMS.values()]
+    assert all(profile in PROFILES for profile in profiles)
+    assert len(set(profiles)) == len(profiles)
+
+
+def _declared_pair(theorem_id, bundle):
+    """The pair each theorem tests, spelled out independently of the registry."""
+    t, X = bundle.tuples, bundle.matrices.get("X")
+    if theorem_id in ("pro04", "pro5"):
+        return adjoint_tuple(t["A"]), t["A"], X
+    if theorem_id == "cor050":
+        return adjoint_tuple(t["T"]), t["T"], X
+    if theorem_id == "cor061":
+        return adjoint_tuple(t["S"]), conj_tuple(t["S"]), X
+    if theorem_id == "pro02":
+        return t["A0"], t["B0"], X
+    if theorem_id == "cor05":
+        return t["A1"], t["B1"], X
+    if theorem_id == "thm07":
+        return t["A"], t["B"], np.eye(t["A"].dim)
+    return t["A"], t["B"], X
+
+
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_planted_counterexample_profiles_the_declared_pair(theorem_id):
+    from isotuple import classify
+
+    profile = "pro02-family" if theorem_id == "pro02" else theorem_id
+    for seed in range(4):
+        bundle = random_instance(profile, seed)
+        planted = TrialResult(status="counterexample", reason="planted", defects={"d": 1.0})
+        record = verify._counterexample_record(0, seed, planted, bundle)
+        A, B, X = _declared_pair(theorem_id, random_instance(profile, seed))
+        assert record["defect_profile"] == classify.defect_profile(A, B, X, k_max=12).to_json()
+
+
+def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
+    # every one-component pair and the full pair are 3 x 3, so one SVD batch serves them
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for seed in range(40):
+        bundle = random_instance("pro03", seed)
+        monkeypatch.setattr(mc, "op_norm_estimate", counting)
+        calls.clear()
+        check_pro03(bundle)
+        monkeypatch.undo()
+        # d one-component pairs (two norms per tuple) and the full pair (d + 1 per tuple)
+        d = bundle.tuples["A"].d
+        assert calls == [(4 * d + 2 * (d + 1), 3, 3)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pro01_cesaro_error_is_the_last_of_the_estimate(seed):
+    bundle = random_instance("pro01", seed)
+    A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
+    m = int(bundle.params["m"])
+    last = tf.cesaro_estimate(A, B, X, m, 60)[-1]
+    assert last[0] == 60
+    assert tf.cesaro_error(A, B, tf.sigma_iterates(A, B, X, m), m, 60).hex() == last[1].hex()
+    with pytest.raises(InvalidArgumentError):
+        tf.cesaro_error(A, B, tf.sigma_iterates(A, B, X, m), m, m - 1)
+
+
+def test_golden_check_runs_the_whole_suite():
+    result = check_ex00_golden()
+    names = [c["name"] for c in verify.golden_suite()]
+    assert list(result.defects) == names and len(names) == 9
+    assert any(name.startswith("squares/") for name in names)
+
+
+def test_golden_campaign_fails_when_a_squares_check_fails(monkeypatch):
+    # the squared-tuple checks are part of the golden campaign, not only of repro-paper
+    def doubled():
+        A = OperatorTuple.of(np.eye(2), np.eye(2))
+        return A, A
+
+    monkeypatch.setattr(verify, "paper_example_squares", doubled)
+    result = check_ex00_golden()
+    assert result.status == "counterexample"
+    assert "squares/base_1_isometric" in result.reason
+    report = run_campaign(CampaignConfig(theorem_id="ex00-golden", trials=2, seed=0))
+    assert report.passes == 0 and len(report.counterexamples) == 2
+
+
+def test_golden_campaign_fails_on_a_wrong_frozen_matrix(monkeypatch):
+    monkeypatch.setitem(verify.GOLDEN_MATRICES, "S2_A0_S2", [[[1, 0], [1, -1]], [[1, 1], [2, 1]]])
+    result = check_ex00_golden()
+    assert result.status == "counterexample"
+    assert result.reason.startswith("mixing/S2_A0_S2 mismatch")
+
+
+def test_campaign_config_refuses_a_nan_budget():
+    with pytest.raises(InvalidArgumentError, match="budget"):
+        CampaignConfig(theorem_id="pro04", trials=3, budget_s=float("nan"))
+    assert CampaignConfig(theorem_id="pro04", trials=3, budget_s=float("inf")).budget_s == math.inf
