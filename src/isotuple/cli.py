@@ -163,11 +163,16 @@ def _merge_config(args) -> dict:
 
 
 def _number(merged: dict, key: str, kind: type):
-    """``kind(merged[key])``; a value that is not a number is a usage error."""
+    """``kind(merged[key])``; a value that is not a number, or for ``int`` not an
+    integer (2.7 or true in a config file), is a usage error."""
+    value = merged[key]
     try:
-        return kind(merged[key])
+        number = kind(value)
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"{key} must be a number, got {merged[key]!r}") from exc
+        raise InvalidArgumentError(f"{key} must be a number, got {value!r}") from exc
+    if kind is int and type(value) is not int:
+        raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+    return number
 
 
 def _cmd_campaign(args) -> int:

@@ -157,21 +157,15 @@ def jordan_isometric(lam: complex, k: int) -> np.ndarray:
 
 
 def _validate_jordan(T: np.ndarray, k: int, kind: str) -> None:
-    pair = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T))
-    X = mc.identity(k)
-    deg = 2 * k - 1
-    fn = tf.triangle if kind == "isometric" else tf.delta
-    vanishing = fn(pair[0], pair[1], X, deg)
-    scale = tf.defect_scale(pair[0], pair[1], X, deg)
-    if not mc.is_zero(vanishing, mc.DEFAULT_TOL, scale=scale):
-        raise GenerationFailureError(
-            f"jordan {kind} factory: degree-{deg} defect norm {mc.fro_norm(vanishing):.3e}"
-        )
-    if k > 1:
-        below = fn(pair[0], pair[1], X, deg - 1)
-        if mc.fro_norm(below) <= 1e3 * mc.DEFAULT_TOL.threshold(scale):
+    """The adjoint pair (T*, T) at I must pass the zero test of the given kind at
+    degree 2k-1 and, for k > 1, fail it at degree 2k-2."""
+    pair = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T), mc.identity(k))
+    for deg in range(2 * k - 1, max(2 * k - 3, 0), -1):
+        norm, threshold = tf.defect_check(*pair, *((deg, 0) if kind == "isometric" else (0, deg)))
+        if (norm <= threshold) != (deg == 2 * k - 1):
             raise GenerationFailureError(
-                f"jordan {kind} factory: degree-{deg - 1} defect unexpectedly vanished"
+                f"jordan {kind} factory: degree-{deg} defect norm {norm:.3e}, "
+                f"threshold {threshold:.3e}"
             )
 
 

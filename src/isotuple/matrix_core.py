@@ -7,10 +7,12 @@ so a map applied componentwise is one batched array expression; a sum over a
 stack runs in index order through ``ordered_sum``, so a stacked kernel gives
 the same bits as the loop over components it replaces.
 
-Every "equals zero" judgement in the package funnels through
-:func:`is_zero`, which mixes an absolute floor with a caller-supplied scale:
+Every "equals zero" judgement in the package compares a Frobenius norm with
+:meth:`Tolerance.threshold`, an absolute floor plus a caller-supplied scale:
 defect expressions multiply many matrix factors, so the meaningful
 comparison is relative to a product of input norms, never to 1.
+``transforms.defect_check`` pairs a defect with the threshold of its own
+scale; :func:`is_zero` tests any matrix against a given scale.
 
 The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
 (``op_norm_estimate``) sets every tolerance scale: ``transforms.defect_scale``

@@ -66,6 +66,7 @@ class TrialResult:
     defects: dict = field(default_factory=dict)
     sharpness: dict = field(default_factory=dict)
     is_sharp: bool = False
+    conclusion: float = 0.0  # the largest conclusion norm judged; max_defect reads it
 
     def __post_init__(self):
         if self.status not in ("pass", "anomaly", "counterexample", "skip"):
@@ -84,15 +85,36 @@ def _skip(reason: str, **defects) -> TrialResult:
     return TrialResult(status="skip", reason=reason, defects=dict(defects))
 
 
-def _conclusion_result(
-    name: str, norm: float, threshold: float, extra: dict | None = None, **kw
+_SEVERITY = ("pass", "anomaly", "counterexample")
+
+
+def _verdict(
+    checks: list[tuple[str, float, float]],
+    extra: dict | None = None,
+    sharpness: dict | None = None,
+    is_sharp: bool = False,
 ) -> TrialResult:
-    status = _judge(norm, threshold)
-    defects = {name: norm, f"{name}_threshold": threshold}
-    if extra:
-        defects.update(extra)
-    reason = "" if status == "pass" else f"{name} = {norm:.3e} vs threshold {threshold:.3e}"
-    return TrialResult(status=status, reason=reason, defects=defects, **kw)
+    """The result of a trial's conclusion tests, each ``(name, norm, threshold)``.
+
+    Each test is stored as ``name`` and ``name_threshold``.  The status is the
+    worst ``_judge`` verdict, with the reason of the first test that has it,
+    and ``conclusion`` is the largest judged norm.
+    """
+    defects: dict[str, float] = {}
+    for name, norm, threshold in checks:
+        defects[name], defects[f"{name}_threshold"] = norm, threshold
+    defects.update(extra or {})
+    verdicts = [_judge(norm, threshold) for _, norm, threshold in checks]
+    status = max(verdicts, key=_SEVERITY.index)
+    name, norm, threshold = checks[verdicts.index(status)]
+    return TrialResult(
+        status=status,
+        reason="" if status == "pass" else f"{name} = {norm:.3e} vs threshold {threshold:.3e}",
+        defects=defects,
+        sharpness=sharpness or {},
+        is_sharp=is_sharp,
+        conclusion=max(norm for _, norm, _ in checks),
+    )
 
 
 def _degrees(kind: str, k: int) -> tuple[int, int]:
@@ -140,13 +162,12 @@ def check_pro01(
         mc.fro_norm(sig_hat) ** 2, 1.0
     ) and bool(np.min(np.abs(eigs)) >= 1.0 - 1e-8)
     extra["sigma_invertible"] = float(invertible)
+    checks = []
     if unitary_like:
-        dm1 = lower[m - 1]
         thr1 = tol.threshold(tf.defect_scale(A, B, X, m - 1))
-        extra["collapse_defect"] = dm1
-        if _judge(dm1, thr1) != "pass":
-            return _conclusion_result("collapse_defect", dm1, thr1, extra=extra)
-    return _conclusion_result("cesaro_error", e_final, bound, extra=extra)
+        checks.append(("collapse_defect", lower[m - 1], thr1))
+    checks.append(("cesaro_error", e_final, bound))
+    return _verdict(checks, extra)
 
 
 def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
@@ -184,6 +205,7 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
                 status=verdict,
                 reason=f"member {j} defect drifted to {norm_j:.3e}",
                 defects={"member_index": float(j), "member_defect": norm_j},
+                conclusion=norm_j,
             )
 
     norm_lim = mc.fro_norm(tf.isosym_defect(A_lim, B_lim, X, m1, m2))
@@ -192,9 +214,7 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     # of the degree times the scale, applied to the last residual
     slack = 10.0 * (m1 + m2) * conv[-1] * scale_lim
     threshold = tol.threshold(scale_lim) + slack
-    return _conclusion_result(
-        "limit_defect", norm_lim, threshold, extra={"last_residual": conv[-1]}
-    )
+    return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
 
 
 def check_pro03(
@@ -244,8 +264,11 @@ def check_pro03(
         "lhs_threshold": lhs_thr,
         "rhs_threshold": rhs_thr,
     }
+    # the equivalence claims neither side is zero, so only a side that passed is a conclusion
+    sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
+    conclusion = max([norm for norm, passed in sides if passed], default=0.0)
     if lhs_pass == rhs_pass:
-        return TrialResult(status="pass", defects=defects)
+        return TrialResult(status="pass", defects=defects, conclusion=conclusion)
     # disagreement within the gray band of either side is an anomaly
     gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (
         rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr
@@ -255,6 +278,7 @@ def check_pro03(
         status=status,
         reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
         defects=defects,
+        conclusion=conclusion,
     )
 
 
@@ -267,7 +291,7 @@ def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) ->
     s = A_hilbert.component_sum()
     residual = mc.fro_norm(s - s.conj().T)
     threshold = tol.threshold(mc.fro_norm(s))
-    return _conclusion_result("selfadjoint_residual", residual, threshold)
+    return _verdict([("selfadjoint_residual", residual, threshold)])
 
 
 def check_pro5(
@@ -282,7 +306,7 @@ def check_pro5(
     if hyp > threshold:
         return _skip(f"adjoint pair is not (I,{m_even})-symmetric", symmetry_defect=hyp)
     concl, threshold = tf.defect_check(A_star, A_hilbert, X, 0, m_even - 1, tol)
-    return _conclusion_result("odd_degree_defect", concl, threshold)
+    return _verdict([("odd_degree_defect", concl, threshold)])
 
 
 def check_thm05(
@@ -320,11 +344,9 @@ def check_thm05(
     if t2 >= 1:
         sharp["below_t2"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1, t2 - 1))
     is_sharp = sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR
-    return _conclusion_result(
-        "perturbed_defect",
-        concl,
-        threshold,
-        extra={"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
+    return _verdict(
+        [("perturbed_defect", concl, threshold)],
+        {"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
         sharpness=sharp,
         is_sharp=is_sharp,
     )
@@ -346,7 +368,6 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     shift = n1 + n2 - 2
-    defects: dict[str, float] = {"n1": float(n1), "n2": float(n2)}
     spectral_norms(A1, B1, A2, B2)  # both hypothesis scales from one LAPACK call
 
     hyp_tri, threshold = tf.defect_check(A1, B1, X, m1, 0, tol)
@@ -367,13 +388,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
         ("delta_perturbed", *tf.defect_check(P2, Q2, X, 0, t2, tol)),
         ("combined_perturbed", combined, tol.threshold(combined_scale)),
     ]
-    status, reason = "pass", ""
-    for name, norm, thr in checks:
-        defects[name] = norm
-        verdict = _judge(norm, thr)
-        if verdict != "pass" and status != "counterexample":
-            status, reason = verdict, f"{name} = {norm:.3e} vs threshold {thr:.3e}"
-    return TrialResult(status=status, reason=reason, defects=defects)
+    return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
 
 
 def check_cor050(
@@ -400,9 +415,7 @@ def check_cor050(
     t2 = m2 + 2 * order - 2
     P, Q = sum_tuple(T_star, N), sum_tuple(T_hilbert, N)
     concl, threshold = tf.defect_check(P, Q, X, t1, t2, tol)
-    return _conclusion_result(
-        "perturbed_defect", concl, threshold, extra={"order": float(order)}
-    )
+    return _verdict([("perturbed_defect", concl, threshold)], {"order": float(order)})
 
 
 def check_thm06(
@@ -443,11 +456,9 @@ def check_thm06(
     if t1 >= 1:
         sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(SA, TB, X, t1 - 1, t2))
     is_sharp = sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR
-    return _conclusion_result(
-        "product_defect",
-        concl,
-        threshold,
-        extra={"t1": float(t1), "t2": float(t2)},
+    return _verdict(
+        [("product_defect", concl, threshold)],
+        {"t1": float(t1), "t2": float(t2)},
         sharpness=sharp,
         is_sharp=is_sharp,
     )
@@ -476,11 +487,9 @@ def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     if deg >= 1:
         defect = tf.triangle if kind == "iso" else tf.delta
         sharp["below"] = mc.fro_norm(defect(AS, BT, X, deg - 1))
-    return _conclusion_result(
-        "product_defect",
-        concl,
-        threshold,
-        extra={"degree": float(deg)},
+    return _verdict(
+        [("product_defect", concl, threshold)],
+        {"degree": float(deg)},
         sharpness=sharp,
         is_sharp=sharp.get("below", 0.0) > SHARPNESS_FLOOR,
     )
@@ -505,8 +514,7 @@ def check_cor061(
     prod_conj = conj_tuple(product_tuple(S, T))
     deg = m + n - 1
     defects: dict[str, float] = {}
-    status, reason = "pass", ""
-    evaluated = 0
+    checks = []
     spectral_norms(S_star, CSC, T_star, CTC)  # every hypothesis scale from one LAPACK call
 
     for kind in ("iso", "sym"):
@@ -514,17 +522,12 @@ def check_cor061(
         h2, t2 = tf.defect_check(T_star, CTC, X, *_degrees(kind, n), tol)
         defects[f"hyp_{kind}_S"] = h1
         defects[f"hyp_{kind}_T"] = h2
-        if h1 > t1 or h2 > t2:
-            continue
-        evaluated += 1
-        concl, thr = tf.defect_check(prod_star, prod_conj, X, *_degrees(kind, deg), tol)
-        defects[f"product_defect_{kind}"] = concl
-        verdict = _judge(concl, thr)
-        if verdict != "pass" and status != "counterexample":
-            status, reason = verdict, f"{kind} product defect {concl:.3e} vs threshold {thr:.3e}"
-    if evaluated == 0:
+        if h1 <= t1 and h2 <= t2:
+            concl, thr = tf.defect_check(prod_star, prod_conj, X, *_degrees(kind, deg), tol)
+            checks.append((f"product_defect_{kind}", concl, thr))
+    if not checks:
         return _skip("neither implication has valid hypotheses", **defects)
-    return TrialResult(status=status, reason=reason, defects=defects)
+    return _verdict(checks, defects)
 
 
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
@@ -547,7 +550,7 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
     concl, threshold = tf.defect_check(
         product_tuple(A, S), product_tuple(B, T), X, *_degrees(kind, deg), tol
     )
-    return _conclusion_result("product_defect", concl, threshold, extra={"degree": float(deg)})
+    return _verdict([("product_defect", concl, threshold)], {"degree": float(deg)})
 
 
 def check_thm07(
@@ -577,7 +580,7 @@ def check_thm07(
             return _skip("a factor pair violates its identity", h1=h1, h2=h2)
         deg = m + n - 1
         concl, threshold = tf.defect_check(AxS, BxT, XX, *_degrees(kind, deg), tol)
-        return _conclusion_result("tensor_defect", concl, threshold, extra={"degree": float(deg)})
+        return _verdict([("tensor_defect", concl, threshold)], {"degree": float(deg)})
 
     if variant != "ii":
         raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
@@ -592,9 +595,7 @@ def check_thm07(
         return _skip("second pair violates its identities", iso_defect=h2, sym_defect=h3)
     t1, t2 = m + r - 1, n + s - 1
     concl, threshold = tf.defect_check(AxS, BxT, XX, t1, t2, tol)
-    return _conclusion_result(
-        "tensor_defect", concl, threshold, extra={"t1": float(t1), "t2": float(t2)}
-    )
+    return _verdict([("tensor_defect", concl, threshold)], {"t1": float(t1), "t2": float(t2)})
 
 
 #: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,
@@ -745,7 +746,6 @@ THEOREMS = {
 
 THEOREM_IDS = tuple(THEOREMS)
 CAMPAIGN_IDS = THEOREM_IDS + ("ex00-golden",)
-_THEOREM_OF_PROFILE = {entry.profile: entry for entry in THEOREMS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -839,16 +839,17 @@ class CampaignReport:
 
 
 def _run_trial(theorem_id: str, seed: int, tol: mc.Tolerance, t_max: int) -> tuple[TrialResult, InstanceBundle]:
-    entry = THEOREMS.get(theorem_id)
-    if entry is None:
-        raise InvalidArgumentError(f"unknown theorem id {theorem_id!r}")
+    entry = THEOREMS[theorem_id]
     bundle = random_instance(entry.profile, seed)
     return entry.check(bundle, tol, t_max), bundle
 
 
 def _counterexample_record(
-    trial: int, seed: int, result: TrialResult, bundle: InstanceBundle | None
+    trial: int, seed: int, result: TrialResult, bundle: InstanceBundle | None,
+    entry: Theorem | None, tol: mc.Tolerance,
 ) -> dict:
+    """A counterexample's inputs and defects; a generated one also carries the
+    defect profile, judged at the campaign's tolerance, of the pair ``entry`` tests."""
     record = {
         "trial": trial,
         "seed": seed,
@@ -857,11 +858,8 @@ def _counterexample_record(
     }
     if bundle is not None:
         record["bundle"] = bundle.to_json()
-        entry = _THEOREM_OF_PROFILE.get(bundle.profile)
-        if entry is not None:
-            # defect norms at all degrees for post-mortem, on the pair the theorem tests
-            profile = classify.defect_profile(*entry.pair(bundle), k_max=12)
-            record["defect_profile"] = profile.to_json()
+        profile = classify.defect_profile(*entry.pair(bundle), k_max=12, tol=tol)
+        record["defect_profile"] = profile.to_json()
     return record
 
 
@@ -891,8 +889,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             results.append(_run_trial(config.theorem_id, seed, config.tol, config.t_max))
 
     counts = Counter(result.status for result, _ in results)
+    entry = THEOREMS.get(config.theorem_id)
     counterexamples = tuple(
-        _counterexample_record(i, seeds[i], result, bundle)
+        _counterexample_record(i, seeds[i], result, bundle, entry, config.tol)
         for i, (result, bundle) in enumerate(results)
         if result.status == "counterexample"
     )
@@ -901,14 +900,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         for i, (result, _) in enumerate(results)
         if result.is_sharp
     )
-    # a skipped trial's defects measure its failed hypothesis, not the identity
-    concluded = [
-        float(value)
-        for result, _ in results
-        if result.status != "skip"
-        for key, value in result.defects.items()
-        if key.endswith("_defect") or key in ("cesaro_error", "limit_defect")
-    ]
+    # a skipped trial judged no conclusion
+    concluded = [result.conclusion for result, _ in results if result.status != "skip"]
     return CampaignReport(
         theorem_id=config.theorem_id,
         requested_trials=config.trials,

@@ -443,6 +443,16 @@ def test_campaign_config_non_numeric_value_exits_2(tmp_path, capsys, key, value)
     _single_error_line(capsys, f"{key} must be a number")
 
 
+@pytest.mark.parametrize("key", ["trials", "seed"])
+@pytest.mark.parametrize("value", [2.7, True, 3.0, "3"])
+def test_campaign_config_count_that_is_not_a_json_integer_exits_2(tmp_path, capsys, key, value):
+    # int() would run 2.7 as 2 trials and true as 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, key: value}))
+    assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
+    _single_error_line(capsys, f"{key} must be an integer")
+
+
 def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeypatch):
     # m, n <= k_max are judged from the profile, with no further defect
     # evaluation; above k_max the per-degree classifiers still run.  T = I + N

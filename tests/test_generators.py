@@ -6,7 +6,7 @@ import pytest
 from isotuple import classify, generators
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
-from isotuple.errors import InvalidArgumentError
+from isotuple.errors import GenerationFailureError, InvalidArgumentError
 from isotuple.generators import (
     PROFILES,
     InstanceBundle,
@@ -104,6 +104,26 @@ def test_jordan_symmetric_matrix_and_degrees():
     A, B = OperatorTuple.of(T.conj().T), OperatorTuple.of(T)
     profile = classify.defect_profile(A, B, np.eye(2), k_max=6)
     assert profile.min_symmetry_degree == 3
+
+
+@pytest.mark.parametrize("lam,k", [(3.0, 3), (2.0, 4), (3.0, 4)])
+def test_jordan_symmetric_is_judged_on_the_symmetric_scale(lam, k):
+    # the isometric scale of these blocks is loose enough to pass the degree-(2k-2) defect
+    T = jordan_symmetric(lam, k)
+    A, B = OperatorTuple.of(T.conj().T), OperatorTuple.of(T)
+    assert classify.defect_profile(A, B, np.eye(k)).min_symmetry_degree == 2 * k - 1
+
+
+@pytest.mark.parametrize(
+    "T,kind,degree",
+    [
+        (np.eye(2), "symmetric", 2),  # (I, I) is already degree-1 symmetric
+        (generators.jordan_block(2.0, 2), "isometric", 3),  # |lambda| != 1 never vanishes
+    ],
+)
+def test_jordan_validation_refuses_a_wrong_minimal_degree(T, kind, degree):
+    with pytest.raises(GenerationFailureError, match=f"degree-{degree} defect"):
+        generators._validate_jordan(np.asarray(T, dtype=np.complex128), 2, kind)
 
 
 def test_jordan_isometric_degrees_via_superoperator_oracle():

@@ -12,6 +12,9 @@ keep this test passing unchanged.  A change that alters outputs on purpose
 regenerates the fixture and says why:
 
     PYTHONPATH=src python tests/test_output_identity.py --write
+
+which prints the key of every entry whose text changed, such as
+``campaign/pro03``.
 """
 
 from __future__ import annotations
@@ -162,6 +165,16 @@ def current_outputs() -> dict:
     }
 
 
+def changed_keys(old, new, prefix: str = ""):
+    """Slash-joined keys of the entries that differ between two fixtures,
+    added and removed ones included."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_keys(old.get(key), new.get(key), f"{prefix}{key}/")
+    elif old != new:
+        yield prefix.rstrip("/")
+
+
 @pytest.fixture(scope="module")
 def recorded() -> dict:
     return json.loads(FIXTURE.read_text())
@@ -206,9 +219,22 @@ def test_repro_paper_text_matches_fixture(recorded):
     assert _stdout(["repro-paper"]) == recorded["repro_paper_text"]
 
 
+def test_changed_keys_names_each_differing_entry():
+    old = {"campaign": {"pro03": "a", "pro04": "b"}, "repro_paper_text": "t", "gone": {"x": "1"}}
+    new = {"campaign": {"pro03": "a", "pro04": "c"}, "repro_paper_text": "u", "added": "v"}
+    assert list(changed_keys(old, new)) == [
+        "added", "campaign/pro04", "gone", "repro_paper_text"
+    ]
+    assert list(changed_keys(old, old)) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_output_identity.py --write")
+    previous = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    outputs = current_outputs()
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(current_outputs(), indent=1, sort_keys=True) + "\n")
+    FIXTURE.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
+    for key in changed_keys(previous, outputs):
+        print(f"changed: {key}")

@@ -419,7 +419,8 @@ def test_run_campaign_budget_partial():
 def test_counterexample_record_carries_bundle_and_profile():
     bundle = random_instance("thm05", 7)
     result = TrialResult(status="counterexample", reason="synthetic", defects={"x": 1.0})
-    record = verify._counterexample_record(0, 7, result, bundle)
+    entry = verify.THEOREMS["thm05"]
+    record = verify._counterexample_record(0, 7, result, bundle, entry, mc.DEFAULT_TOL)
     assert record["reason"] == "synthetic"
     assert record["bundle"]["profile"] == "thm05"
     norms = record["defect_profile"]["triangle_norms"]
@@ -493,6 +494,7 @@ def test_golden_campaign_runs_the_golden_check_once(monkeypatch):
     report = run_campaign(CampaignConfig(theorem_id="ex00-golden", trials=50, seed=4))
     assert len(calls) == 1
     assert report.passes == report.trials == 50
+    assert report.max_defect == 0.0  # the golden check judges no conclusion defect
     assert report.seeds == tuple(range(4, 54))
 
 
@@ -575,7 +577,9 @@ def test_planted_counterexample_profiles_the_declared_pair(theorem_id):
     for seed in range(4):
         bundle = random_instance(profile, seed)
         planted = TrialResult(status="counterexample", reason="planted", defects={"d": 1.0})
-        record = verify._counterexample_record(0, seed, planted, bundle)
+        record = verify._counterexample_record(
+            0, seed, planted, bundle, verify.THEOREMS[theorem_id], mc.DEFAULT_TOL
+        )
         A, B, X = _declared_pair(theorem_id, random_instance(profile, seed))
         assert record["defect_profile"] == classify.defect_profile(A, B, X, k_max=12).to_json()
 
@@ -644,3 +648,74 @@ def test_campaign_config_refuses_a_nan_budget():
     with pytest.raises(InvalidArgumentError, match="budget"):
         CampaignConfig(theorem_id="pro04", trials=3, budget_s=float("nan"))
     assert CampaignConfig(theorem_id="pro04", trials=3, budget_s=float("inf")).budget_s == math.inf
+
+
+def test_verdict_is_the_worst_status_with_the_reason_of_its_first_test():
+    checks = [("a", 0.5, 1.0), ("b", 2.0, 1.0), ("c", 5e3, 1.0), ("d", 3.0, 1.0), ("e", 1e4, 1.0)]
+    result = verify._verdict(checks, {"n": 7.0})
+    assert result.status == "counterexample"
+    assert result.reason == "c = 5.000e+03 vs threshold 1.000e+00"
+    assert result.conclusion == 1e4
+    assert result.defects == {
+        **{name: norm for name, norm, _ in checks},
+        **{f"{name}_threshold": thr for name, _, thr in checks},
+        "n": 7.0,
+    }
+    anomaly = verify._verdict([checks[0], checks[3], checks[1]])
+    assert anomaly.status == "anomaly" and anomaly.reason.startswith("d = 3.000e+00")
+    passed = verify._verdict([checks[0], ("f", 0.25, 0.5)], sharpness={"below": 1.0}, is_sharp=True)
+    assert (passed.status, passed.reason, passed.conclusion) == ("pass", "", 0.5)
+    assert passed.sharpness == {"below": 1.0} and passed.is_sharp
+
+
+def _recorded_campaign(monkeypatch, theorem_id, trials=50):
+    """The report of a campaign from seed 0 and the result of each of its trials."""
+    results = []
+    original = verify._run_trial
+
+    def recording(*args):
+        result, bundle = original(*args)
+        results.append(result)
+        return result, bundle
+
+    monkeypatch.setattr(verify, "_run_trial", recording)
+    report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=trials, seed=0))
+    return report, results
+
+
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_max_defect_is_the_largest_judged_conclusion(monkeypatch, theorem_id):
+    report, results = _recorded_campaign(monkeypatch, theorem_id)
+    assert len(results) == 50
+    judged = [result.conclusion for result in results if result.status != "skip"]
+    assert report.max_defect == max(judged, default=0.0)
+    if theorem_id in ("pro04", "cor05", "cor061"):
+        assert report.max_defect > 0.0
+    if theorem_id == "pro03":
+        # the two sides of the equivalence are nonzero by design; only a passing side counts
+        passing = [
+            result.defects[f"{side}_threshold"]
+            for result in results
+            for side in ("lhs", "rhs")
+            if result.defects[f"{side}_defect"] <= result.defects[f"{side}_threshold"]
+        ]
+        assert report.max_defect <= max(passing)
+
+
+def test_counterexample_profile_is_judged_at_the_campaign_tolerance(monkeypatch):
+    from isotuple import classify
+
+    tol = mc.Tolerance(abs_eps=0.0, rel_eps=1e-16)
+
+    def planted(theorem_id, seed, tol, t_max):
+        bundle = random_instance("thm05", seed)
+        return TrialResult(status="counterexample", reason="planted"), bundle
+
+    monkeypatch.setattr(verify, "_run_trial", planted)
+    report = run_campaign(CampaignConfig(theorem_id="thm05", trials=20, seed=0, tol=tol))
+    differs = 0
+    for record in report.counterexamples:
+        A, B, X = _declared_pair("thm05", random_instance("thm05", record["seed"]))
+        assert record["defect_profile"] == classify.defect_profile(A, B, X, tol=tol).to_json()
+        differs += record["defect_profile"] != classify.defect_profile(A, B, X).to_json()
+    assert len(report.counterexamples) == 20 and differs > 0
