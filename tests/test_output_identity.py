@@ -5,8 +5,11 @@ its ``timestamp`` envelope removed, the output of ``repro-paper`` and
 ``repro-paper --json``, the JSON form of ``random_instance(profile, seed)`` for every generator profile
 at a few fixed seeds, and the output of ``check --json``, plain-text
 ``check`` and ``min-degree`` on seeded Jordan-type pairs and the sqrt(lambda)
-pair.  No fixture campaign records a counterexample, so the bundle section is
-what pins the bundles' residuals.
+pair, and the result of every theorem's check on generated instances at two
+tolerances.  No fixture campaign records a counterexample, so the bundle
+section is what pins the bundles' residuals; no trial skips at the default
+tolerance, so the tight one of the trials section is what reaches the
+checkers' skip branches.
 A change that is meant to keep outputs the same (a refactor, a speed-up) must
 keep this test passing unchanged.  A change that alters outputs on purpose
 regenerates the fixture and says why:
@@ -31,9 +34,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isotuple import matrix_core as mc
 from isotuple.cli import main
 from isotuple.generators import PROFILES, random_instance
-from isotuple.verify import CAMPAIGN_IDS
+from isotuple.verify import CAMPAIGN_IDS, THEOREMS
 
 FIXTURE = Path(__file__).parent / "data" / "output_identity.json"
 
@@ -60,6 +64,15 @@ CHECK_CASES = (
 
 #: A = B = sqrt(lambda/d) I at X = I, whose isometric defect never vanishes.
 SQRT_LAMBDA_CASE = (0.8, 8, 3)
+
+#: Seeds of the per-trial section, and its tolerances by name.  Each trial
+#: records every result field at the default tolerance and every field but
+#: ``defects`` at the tight one, where the checkers skip and flag anomalies.
+TRIAL_SEEDS = range(32)
+TRIAL_TOLERANCES = {
+    "default": (mc.DEFAULT_TOL, True),
+    "tight": (mc.Tolerance(abs_eps=0, rel_eps=1e-16), False),
+}
 
 #: The three commands run on every ``check`` input; {deg} is the degree argument.
 CHECK_COMMANDS = {
@@ -92,6 +105,27 @@ def campaign_output(index: int, theorem_id: str) -> str:
 def bundle_output(profile: str, seed: int) -> str:
     """The JSON text of one generated bundle, residuals included."""
     return json.dumps(random_instance(profile, seed).to_json())
+
+
+def trial_output(theorem_id: str, tolerance: str) -> str:
+    """The JSON text of one theorem's check on every trial seed at the named tolerance."""
+    tol, with_defects = TRIAL_TOLERANCES[tolerance]
+    entry = THEOREMS[theorem_id]
+    records = []
+    for seed in TRIAL_SEEDS:
+        result = entry.check(random_instance(entry.profile, seed), tol, 200)
+        record = {
+            "seed": seed,
+            "status": result.status,
+            "reason": result.reason,
+            "conclusion": float(result.conclusion),
+            "sharpness": {k: float(v) for k, v in result.sharpness.items()},
+            "is_sharp": bool(result.is_sharp),
+        }
+        if with_defects:
+            record["defects"] = {k: float(v) for k, v in result.defects.items()}
+        records.append(record)
+    return json.dumps(records)
 
 
 def _matrix_json(M) -> list:
@@ -162,6 +196,10 @@ def current_outputs() -> dict:
         "check": check_outputs(),
         "repro_paper_json": _stdout(["repro-paper", "--json"]),
         "repro_paper_text": _stdout(["repro-paper"]),
+        "trials": {
+            tolerance: {tid: trial_output(tid, tolerance) for tid in THEOREMS}
+            for tolerance in TRIAL_TOLERANCES
+        },
     }
 
 
@@ -217,6 +255,18 @@ def test_repro_paper_json_matches_fixture(recorded):
 
 def test_repro_paper_text_matches_fixture(recorded):
     assert _stdout(["repro-paper"]) == recorded["repro_paper_text"]
+
+
+def test_fixture_covers_every_theorem_at_every_trial_tolerance(recorded):
+    assert {tolerance: sorted(ids) for tolerance, ids in recorded["trials"].items()} == {
+        tolerance: sorted(THEOREMS) for tolerance in TRIAL_TOLERANCES
+    }
+
+
+@pytest.mark.parametrize("tolerance", sorted(TRIAL_TOLERANCES))
+@pytest.mark.parametrize("theorem_id", list(THEOREMS))
+def test_trial_results_match_fixture(recorded, theorem_id, tolerance):
+    assert trial_output(theorem_id, tolerance) == recorded["trials"][tolerance][theorem_id]
 
 
 def test_changed_keys_names_each_differing_entry():
