@@ -2,10 +2,11 @@
 
 Every random family is built from polynomials in a single seed matrix (or
 from tensor-factor embeddings), so commutativity hypotheses hold exactly by
-construction and floating-point residuals stay at machine level.  Checkers
-validate every hypothesis themselves, so a builder records its hypothesis
-residuals on demand: the bundle computes them on first read.  A fixed seed
-reproduces the bundle bit for bit.
+construction and floating-point residuals stay at machine level.  A builder
+returns only what it built: tuples, matrices, parameters and the function
+that computes its hypothesis residuals, which the bundle calls on first read
+(checkers validate every hypothesis themselves).  ``random_instance`` sets
+the bundle's profile and seed.  A fixed seed reproduces the bundle bit for bit.
 
 Instance shapes:
 
@@ -310,8 +311,14 @@ def _hermitian_sum_split(rng: np.random.Generator, S: np.ndarray, d: int) -> Ope
 # ---------------------------------------------------------------------------
 # per-profile builders
 
+#: What a builder returns: the bundle's tuples, matrices and params, and the
+#: function that computes its residuals; ``random_instance`` adds profile and seed.
+_Built = tuple[
+    dict[str, OperatorTuple], dict[str, np.ndarray], dict, Callable[[], dict[str, float]]
+]
 
-def _build_pro01(rng: np.random.Generator, seed: int) -> InstanceBundle:
+
+def _build_pro01(rng: np.random.Generator, seed: int) -> _Built:
     if seed % 2 == 0:
         T = jordan_block(_random_phase(rng), 2)
         Q = random_unitary(rng, 2)
@@ -337,17 +344,10 @@ def _build_pro01(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "commutes_B": max_commutator_within(B),
         }
 
-    return InstanceBundle(
-        profile="pro01",
-        seed=seed,
-        tuples={"A": A, "B": B},
-        matrices={"X": X},
-        params={"m": m, "variant": variant},
-        residual_fn=residuals,
-    )
+    return {"A": A, "B": B}, {"X": X}, {"m": m, "variant": variant}, residuals
 
 
-def _build_pro02(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_pro02(rng: np.random.Generator, seed: int) -> _Built:
     kind = "triangle" if seed % 2 == 0 else "delta"
     k = 2
     if kind == "triangle":
@@ -376,17 +376,10 @@ def _build_pro02(rng: np.random.Generator, seed: int) -> InstanceBundle:
             return {"first_member_defect": mc.fro_norm(tf.triangle(A0, B0, X, m1))}
         return {"first_member_defect": mc.fro_norm(tf.delta(A0, B0, X, m2))}
 
-    return InstanceBundle(
-        profile="pro02-family",
-        seed=seed,
-        tuples=tuples,
-        matrices={"X": X},
-        params={"kind": kind, "m1": m1, "m2": m2, "members": n_members},
-        residual_fn=residuals,
-    )
+    return tuples, {"X": X}, {"kind": kind, "m1": m1, "m2": m2, "members": n_members}, residuals
 
 
-def _build_pro03(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_pro03(rng: np.random.Generator, seed: int) -> _Built:
     part = "a" if seed % 2 == 0 else "b"
     zero_side = (seed // 2) % 2 == 0
     m = 2 + (seed // 4) % 2
@@ -430,14 +423,7 @@ def _build_pro03(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "commutes_B": max_commutator_within(B),
         }
 
-    return InstanceBundle(
-        profile="pro03",
-        seed=seed,
-        tuples={"A": A, "B": B},
-        matrices={"X": X},
-        params={"part": part, "m": m, "zero_side": zero_side},
-        residual_fn=residuals,
-    )
+    return {"A": A, "B": B}, {"X": X}, {"part": part, "m": m, "zero_side": zero_side}, residuals
 
 
 def _hermitian_poly(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -448,7 +434,7 @@ def _hermitian_poly(rng: np.random.Generator, n: int) -> np.ndarray:
     return S / max(mc.fro_norm(S), 1e-3)
 
 
-def _build_pro04(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_pro04(rng: np.random.Generator, seed: int) -> _Built:
     n = 3 + seed % 2
     d = 2 + seed % 2
     S = _hermitian_poly(rng, n)
@@ -461,17 +447,10 @@ def _build_pro04(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "commutes_A": max_commutator_within(A),
         }
 
-    return InstanceBundle(
-        profile="pro04",
-        seed=seed,
-        tuples={"A": A},
-        matrices={"X": X},
-        params={"d": d},
-        residual_fn=residuals,
-    )
+    return {"A": A}, {"X": X}, {"d": d}, residuals
 
 
-def _build_pro5(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_pro5(rng: np.random.Generator, seed: int) -> _Built:
     m_even = 2 if seed % 2 == 0 else 4
     d = 2
     if m_even == 2:
@@ -491,17 +470,10 @@ def _build_pro5(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "commutes_A": max_commutator_within(A),
         }
 
-    return InstanceBundle(
-        profile="pro5",
-        seed=seed,
-        tuples={"A": A},
-        matrices={"X": X},
-        params={"m_even": m_even},
-        residual_fn=residuals,
-    )
+    return {"A": A}, {"X": X}, {"m_even": m_even}, residuals
 
 
-def _build_thm05(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_thm05(rng: np.random.Generator, seed: int) -> _Built:
     adjoint_variant = seed % 2 == 0
     d = 1 + (seed // 2) % 2
     dim = 4
@@ -529,17 +501,11 @@ def _build_thm05(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "cross_B_N2": max_commutator_cross(B_base, N2),
         }
 
-    return InstanceBundle(
-        profile="thm05",
-        seed=seed,
-        tuples={"A": A_base, "B": B_base, "N1": N1, "N2": N2},
-        matrices={"X": X},
-        params={"m1": m1, "m2": m2, "n1": n1, "n2": n2, "adjoint_variant": adjoint_variant},
-        residual_fn=residuals,
-    )
+    params = {"m1": m1, "m2": m2, "n1": n1, "n2": n2, "adjoint_variant": adjoint_variant}
+    return {"A": A_base, "B": B_base, "N1": N1, "N2": N2}, {"X": X}, params, residuals
 
 
-def _build_cor05(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_cor05(rng: np.random.Generator, seed: int) -> _Built:
     d = 1 + seed % 2
     dim = 4
     m1 = 1 + (seed // 2) % 2
@@ -564,17 +530,11 @@ def _build_cor05(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
         }
 
-    return InstanceBundle(
-        profile="cor05",
-        seed=seed,
-        tuples={"A1": A1, "B1": B1, "A2": A2, "B2": B2, "N1": N1, "N2": N2},
-        matrices={"X": X},
-        params={"m1": m1, "m2": m2, "n1": n1, "n2": n2},
-        residual_fn=residuals,
-    )
+    tuples = {"A1": A1, "B1": B1, "A2": A2, "B2": B2, "N1": N1, "N2": N2}
+    return tuples, {"X": X}, {"m1": m1, "m2": m2, "n1": n1, "n2": n2}, residuals
 
 
-def _build_cor050(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_cor050(rng: np.random.Generator, seed: int) -> _Built:
     d = 1 + seed % 2
     dim = 4
     m1 = 1 + (seed // 2) % 2
@@ -595,14 +555,7 @@ def _build_cor050(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "cross_T_N": max_commutator_cross(T, N),
         }
 
-    return InstanceBundle(
-        profile="cor050",
-        seed=seed,
-        tuples={"T": T, "N": N},
-        matrices={"X": X},
-        params={"m1": m1, "m2": m2, "order": order},
-        residual_fn=residuals,
-    )
+    return {"T": T, "N": N}, {"X": X}, {"m1": m1, "m2": m2, "order": order}, residuals
 
 
 def _iso_factor(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
@@ -641,7 +594,7 @@ def _diag_hermitian_tuple(rng: np.random.Generator, d: int, n: int) -> OperatorT
     )
 
 
-def _build_thm06(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_thm06(rng: np.random.Generator, seed: int) -> _Built:
     family = seed % 3
     if family == 0:
         k1 = 1 + (seed // 3) % 2
@@ -684,17 +637,11 @@ def _build_thm06(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "cross_B_T": max_commutator_cross(B, T),
         }
 
-    return InstanceBundle(
-        profile="thm06",
-        seed=seed,
-        tuples={"A": A, "B": B, "S": S, "T": T},
-        matrices={"X": X},
-        params={"m": m, "n": n_exp, "r": r, "s": s_exp, "family": family_name},
-        residual_fn=residuals,
-    )
+    params = {"m": m, "n": n_exp, "r": r, "s": s_exp, "family": family_name}
+    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, params, residuals
 
 
-def _build_cor06(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_cor06(rng: np.random.Generator, seed: int) -> _Built:
     kind = "iso" if seed % 2 == 0 else "sym"
     k1 = 1 + (seed // 2) % 2
     k2 = 1 + (seed // 4) % 2
@@ -713,14 +660,7 @@ def _build_cor06(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "cross_A_S": max_commutator_cross(A, S),
         }
 
-    return InstanceBundle(
-        profile="cor06",
-        seed=seed,
-        tuples={"A": A, "B": B, "S": S, "T": T},
-        matrices={"X": X},
-        params={"m": m, "n": n, "kind": kind},
-        residual_fn=residuals,
-    )
+    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, {"m": m, "n": n, "kind": kind}, residuals
 
 
 def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bool):
@@ -745,7 +685,7 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
     return [mc.identity(n) - 2.0 * np.outer(v, v) / (v @ v) for v in vs]
 
 
-def _build_cor061(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_cor061(rng: np.random.Generator, seed: int) -> _Built:
     d = 1 + seed % 2
     n = 3 + (seed // 2) % 2
     real_case = (seed // 4) % 2 == 0
@@ -772,17 +712,10 @@ def _build_cor061(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "hyp_sym_T": mc.fro_norm(tf.delta(T_star, CTC, X, n_exp)),
         }
 
-    return InstanceBundle(
-        profile="cor061",
-        seed=seed,
-        tuples={"S": S, "T": T},
-        matrices={"X": X},
-        params={"m": m, "n": n_exp, "real_case": real_case},
-        residual_fn=residuals,
-    )
+    return {"S": S, "T": T}, {"X": X}, {"m": m, "n": n_exp, "real_case": real_case}, residuals
 
 
-def _build_cor062(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_cor062(rng: np.random.Generator, seed: int) -> _Built:
     kind = "iso" if seed % 2 == 0 else "sym"
     k1 = 1 + (seed // 2) % 2
     d = 2
@@ -809,17 +742,10 @@ def _build_cor062(rng: np.random.Generator, seed: int) -> InstanceBundle:
             "cross_B_T": max_commutator_cross(B, T),
         }
 
-    return InstanceBundle(
-        profile="cor062",
-        seed=seed,
-        tuples={"A": A, "B": B, "S": S, "T": T},
-        matrices={"X": X},
-        params={"m": m, "n": n, "kind": kind},
-        residual_fn=residuals,
-    )
+    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, {"m": m, "n": n, "kind": kind}, residuals
 
 
-def _build_thm07(rng: np.random.Generator, seed: int) -> InstanceBundle:
+def _build_thm07(rng: np.random.Generator, seed: int) -> _Built:
     variant = "i" if seed % 2 == 0 else "ii"
     if variant == "i":
         kind = "iso" if (seed // 2) % 2 == 0 else "sym"
@@ -860,14 +786,7 @@ def _build_thm07(rng: np.random.Generator, seed: int) -> InstanceBundle:
                 "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s_exp)),
             }
 
-    return InstanceBundle(
-        profile="thm07",
-        seed=seed,
-        tuples={"A": A, "B": B, "S": S, "T": T},
-        matrices={},
-        params=params,
-        residual_fn=residuals,
-    )
+    return {"A": A, "B": B, "S": S, "T": T}, {}, params, residuals
 
 
 _BUILDERS = {
@@ -901,7 +820,7 @@ def random_instance(profile: str, rng_seed: int) -> InstanceBundle:
             f"unknown profile {profile!r}; expected one of {sorted(_BUILDERS)}"
         )
     rng = np.random.default_rng(rng_seed)
-    bundle = _BUILDERS[profile](rng, rng_seed)
-    for X in bundle.matrices.values():
+    tuples, matrices, params, residual_fn = _BUILDERS[profile](rng, rng_seed)
+    for X in matrices.values():
         X.setflags(write=False)
-    return bundle
+    return InstanceBundle(profile, rng_seed, tuples, matrices, params, residual_fn)

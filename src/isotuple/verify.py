@@ -1,11 +1,16 @@
 """Identity-level checkers and randomized campaigns.
 
-Each built-in check validates its hypotheses on a supplied or generated
-instance, then tests the conclusion with the scaled zero test.  Hypothesis
-violations skip the trial (an invalid instance never refutes an identity);
-conclusion failures inside a small gray band above the threshold count as
-tolerance anomalies; decisive failures are serialized as counterexamples
-with full inputs and a defect profile for post-mortem.
+Each built-in check runs in one order on a supplied or generated instance:
+the commutators its hypotheses need (``_noncommuting``), then its hypothesis
+defects, each a scaled zero test (``_failed_hypothesis``), then its
+conclusions at the derived degrees, judged through ``_verdict``.  A failed
+commutator or hypothesis skips the trial (an invalid instance never refutes
+an identity).  The zero tests of a hypothesis list, or of a conclusion list,
+run through ``_zero_tests``, which takes the spectral norms of all their
+tuples from one batched call.  Conclusion failures inside a small gray band
+above the threshold count as tolerance anomalies; decisive failures are
+serialized as counterexamples with full inputs and a defect profile for
+post-mortem.  pro01, pro02 and pro03 judge bespoke bounds in their own bodies.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -120,6 +125,69 @@ def _verdict(
 def _degrees(kind: str, k: int) -> tuple[int, int]:
     """(m, n) of the degree-k defect of the given kind: isometric or symmetric."""
     return (k, 0) if kind == "iso" else (0, k)
+
+
+def _args(bundle: InstanceBundle, names: str) -> list:
+    """The bundle's tuples, matrices and integer parameters of the given names, in order."""
+    found = {**bundle.tuples, **bundle.matrices}
+    return [found[k] if k in found else int(bundle.params[k]) for k in names.split()]
+
+
+def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
+    """The skip for the first ``(label, S, T)`` whose commutators do not vanish, or
+    None: those within S when T is S, else every [S_i, T_j].  ``label`` is the reason."""
+    for label, S, T in pairs:
+        if T is S:
+            if not commutes_within(S, tol):
+                return _skip(label, residual=max_commutator_within(S))
+        elif not commutes_cross(S, T, tol):
+            return _skip(label, residual=max_commutator_cross(S, T))
+    return None
+
+
+def _zero_tests(tol: mc.Tolerance, *tests: tuple) -> list[tuple[str, float, float]]:
+    """``(name, norm, threshold)`` of each degree-(m, n) zero test ``(name, A, B, X, m, n)``.
+
+    The spectral norms of every tuple come from one batched call, so the tests
+    of a trial's hypotheses, and those of its conclusions, share one LAPACK call.
+    """
+    spectral_norms(*(T for _, A, B, *_ in tests for T in (A, B)))
+    return [(name, *tf.defect_check(A, B, X, m, n, tol)) for name, A, B, X, m, n in tests]
+
+
+def _failed_hypothesis(tol: mc.Tolerance, *hypotheses: tuple) -> TrialResult | None:
+    """The skip for the first hypothesis ``(reason, A, B, X, m, n)`` whose
+    degree-(m, n) zero test fails, or None when every one passes."""
+    for reason, norm, threshold in _zero_tests(tol, *hypotheses):
+        if norm > threshold:
+            return _skip(reason, residual=norm)
+    return None
+
+
+def _product_of_one_kind(
+    tol: mc.Tolerance, kind: str, reason: str, factors: tuple, product: tuple,
+    name: str = "product_defect", sharp: bool = False,
+) -> TrialResult:
+    """Two factor pairs (A, B, X, k) whose defects of one kind vanish at degrees
+    m and n imply that the ``product`` pair (P, Q, Z) vanishes at degree m+n-1.
+
+    A failing factor skips with ``reason``; ``sharp`` also records the defect
+    one degree below, a sharpness witness when it is not small.
+    """
+    hypotheses = ((reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors)
+    if skip := _failed_hypothesis(tol, *hypotheses):
+        return skip
+    P, Q, Z = product
+    deg = sum(k for *_, k in factors) - 1
+    below = {}
+    if sharp and deg >= 1:
+        below["below"] = mc.fro_norm((tf.triangle if kind == "iso" else tf.delta)(P, Q, Z, deg - 1))
+    return _verdict(
+        _zero_tests(tol, (name, P, Q, Z, *_degrees(kind, deg))),
+        {"degree": float(deg)},
+        sharpness=below,
+        is_sharp=below.get("below", 0.0) > SHARPNESS_FLOOR,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +352,12 @@ def check_pro03(
 
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
-    X = mc.identity(A_hilbert.dim)
-    hyp, threshold = tf.defect_check(adjoint_tuple(A_hilbert), A_hilbert, X, 0, 2, tol)
-    if hyp > threshold:
-        return _skip("adjoint pair is not (I,2)-symmetric", symmetry_defect=hyp)
+    pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
+    if skip := _failed_hypothesis(tol, ("adjoint pair is not (I,2)-symmetric", *pair, 0, 2)):
+        return skip
     s = A_hilbert.component_sum()
-    residual = mc.fro_norm(s - s.conj().T)
-    threshold = tol.threshold(mc.fro_norm(s))
-    return _verdict([("selfadjoint_residual", residual, threshold)])
+    residual = ("selfadjoint_residual", mc.fro_norm(s - s.conj().T), tol.threshold(mc.fro_norm(s)))
+    return _verdict([residual])
 
 
 def check_pro5(
@@ -300,13 +366,11 @@ def check_pro5(
     """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
     if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
         raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
-    A_star = adjoint_tuple(A_hilbert)
-    X = mc.identity(A_hilbert.dim)
-    hyp, threshold = tf.defect_check(A_star, A_hilbert, X, 0, m_even, tol)
-    if hyp > threshold:
-        return _skip(f"adjoint pair is not (I,{m_even})-symmetric", symmetry_defect=hyp)
-    concl, threshold = tf.defect_check(A_star, A_hilbert, X, 0, m_even - 1, tol)
-    return _verdict([("odd_degree_defect", concl, threshold)])
+    pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
+    hypothesis = (f"adjoint pair is not (I,{m_even})-symmetric", *pair, 0, m_even)
+    if skip := _failed_hypothesis(tol, hypothesis):
+        return skip
+    return _verdict(_zero_tests(tol, ("odd_degree_defect", *pair, 0, m_even - 1)))
 
 
 def check_thm05(
@@ -320,74 +384,58 @@ def check_thm05(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
-    for name, T in (("A", A), ("B", B), ("N1", N1), ("N2", N2)):
-        if not commutes_within(T, tol):
-            return _skip(f"tuple {name} does not commute", residual=max_commutator_within(T))
-    if not commutes_cross(A, N1, tol):
-        return _skip("[A, N1] != 0", residual=max_commutator_cross(A, N1))
-    if not commutes_cross(B, N2, tol):
-        return _skip("[B, N2] != 0", residual=max_commutator_cross(B, N2))
+    names = ("A", "B", "N1", "N2")
+    within = [(f"tuple {name} does not commute", T, T) for name, T in zip(names, (A, B, N1, N2))]
+    if skip := _noncommuting(tol, *within, ("[A, N1] != 0", A, N1), ("[B, N2] != 0", B, N2)):
+        return skip
     n1 = nilpotency_order(N1, max_order=A.dim, tol=tol)
     n2 = nilpotency_order(N2, max_order=A.dim, tol=tol)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    hyp, threshold = tf.defect_check(A, B, X, m1, m2, tol)
-    if hyp > threshold:
-        return _skip("base pair violates the combined identity", base_defect=hyp)
-    t1 = m1 + n1 + n2 - 2
-    t2 = m2 + n1 + n2 - 2
+    base = ("base pair violates the combined identity", A, B, X, m1, m2)
+    if skip := _failed_hypothesis(tol, base):
+        return skip
+    t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
     A_p, B_p = sum_tuple(A, N1), sum_tuple(B, N2)
-    concl, threshold = tf.defect_check(A_p, B_p, X, t1, t2, tol)
     sharp = {}
     if t1 >= 1:
         sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1 - 1, t2))
     if t2 >= 1:
         sharp["below_t2"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1, t2 - 1))
-    is_sharp = sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR
     return _verdict(
-        [("perturbed_defect", concl, threshold)],
+        _zero_tests(tol, ("perturbed_defect", A_p, B_p, X, t1, t2)),
         {"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
         sharpness=sharp,
-        is_sharp=is_sharp,
+        is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
     )
 
 
 def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """The three perturbation implications for two base pairs sharing the nilpotents."""
-    A1, B1 = bundle.tuples["A1"], bundle.tuples["B1"]
-    A2, B2 = bundle.tuples["A2"], bundle.tuples["B2"]
-    N1, N2 = bundle.tuples["N1"], bundle.tuples["N2"]
-    X = bundle.matrices["X"]
-    m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
-    for name in ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2"):
-        S, T = (bundle.tuples[key] for key in name.split(","))
-        if not commutes_cross(S, T, tol):
-            return _skip(f"[{name}] != 0", residual=max_commutator_cross(S, T))
+    A1, B1, A2, B2, N1, N2, X, m1, m2 = _args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2")
+    names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
+    pairs = ((f"[{name}] != 0", *_args(bundle, name.replace(",", " "))) for name in names)
+    if skip := _noncommuting(tol, *pairs):
+        return skip
     n1 = nilpotency_order(N1, max_order=A1.dim, tol=tol)
     n2 = nilpotency_order(N2, max_order=A1.dim, tol=tol)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    shift = n1 + n2 - 2
-    spectral_norms(A1, B1, A2, B2)  # both hypothesis scales from one LAPACK call
-
-    hyp_tri, threshold = tf.defect_check(A1, B1, X, m1, 0, tol)
-    if hyp_tri > threshold:
-        return _skip("first pair violates its isometric identity", defect=hyp_tri)
-    hyp_del, threshold = tf.defect_check(A2, B2, X, 0, m2, tol)
-    if hyp_del > threshold:
-        return _skip("second pair violates its symmetric identity", defect=hyp_del)
-
+    if skip := _failed_hypothesis(
+        tol,
+        ("first pair violates its isometric identity", A1, B1, X, m1, 0),
+        ("second pair violates its symmetric identity", A2, B2, X, 0, m2),
+    ):
+        return skip
     P1, Q1 = sum_tuple(A1, N1), sum_tuple(B1, N2)
     P2, Q2 = sum_tuple(A2, N1), sum_tuple(B2, N2)
-    spectral_norms(P1, Q1, P2, Q2)
-    t1, t2 = m1 + shift, m2 + shift
+    t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
+    checks = _zero_tests(
+        tol, ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
+    )
     combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
     combined_scale = tf.grown_scale(tf.defect_scale(P1, Q1, X, t1), tf.sym_scale_factor(P2, Q2), t2)
-    checks = [
-        ("triangle_perturbed", *tf.defect_check(P1, Q1, X, t1, 0, tol)),
-        ("delta_perturbed", *tf.defect_check(P2, Q2, X, 0, t2, tol)),
-        ("combined_perturbed", combined, tol.threshold(combined_scale)),
-    ]
+    checks.append(("combined_perturbed", combined, tol.threshold(combined_scale)))
     return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
 
 
@@ -401,21 +449,20 @@ def check_cor050(
 ) -> TrialResult:
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
     T_star = adjoint_tuple(T_hilbert)
-    if not commutes_within(T_hilbert, tol):
-        return _skip("T does not commute", residual=max_commutator_within(T_hilbert))
-    if not commutes_cross(T_hilbert, N, tol) or not commutes_cross(T_star, N, tol):
-        return _skip("[T, N] != 0 or [T*, N] != 0")
+    cross = "[T, N] != 0 or [T*, N] != 0"
+    if skip := _noncommuting(
+        tol, ("T does not commute", T_hilbert, T_hilbert), (cross, T_hilbert, N), (cross, T_star, N)
+    ):
+        return skip
     order = nilpotency_order(N, max_order=T_hilbert.dim, tol=tol)
     if order is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    hyp, threshold = tf.defect_check(T_star, T_hilbert, X, m1, m2, tol)
-    if hyp > threshold:
-        return _skip("base adjoint pair violates the combined identity", base_defect=hyp)
-    t1 = m1 + 2 * order - 2
-    t2 = m2 + 2 * order - 2
+    base = ("base adjoint pair violates the combined identity", T_star, T_hilbert, X, m1, m2)
+    if skip := _failed_hypothesis(tol, base):
+        return skip
     P, Q = sum_tuple(T_star, N), sum_tuple(T_hilbert, N)
-    concl, threshold = tf.defect_check(P, Q, X, t1, t2, tol)
-    return _verdict([("perturbed_defect", concl, threshold)], {"order": float(order)})
+    conclusion = ("perturbed_defect", P, Q, X, m1 + 2 * order - 2, m2 + 2 * order - 2)
+    return _verdict(_zero_tests(tol, conclusion), {"order": float(order)})
 
 
 def check_thm06(
@@ -435,63 +482,37 @@ def check_thm06(
     The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     cross-assigned combined defects.
     """
-    for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
-        if not commutes_cross(U, V, tol):
-            return _skip(f"[{name}] != 0", residual=max_commutator_cross(U, V))
-    spectral_norms(A, B, S, T)  # every hypothesis scale from one LAPACK call
-    for name, U, V, mm, nn in (
-        ("AB_mn", A, B, m, n),
-        ("ST_rs", S, T, r, s),
-        ("ST_rn", S, T, r, n),
-        ("AB_ms", A, B, m, s),
-    ):
-        norm, threshold = tf.defect_check(U, V, X, mm, nn, tol)
-        if norm > threshold:
-            return _skip(f"hypothesis {name} fails", residual=norm)
-    SA = product_tuple(S, A)
-    TB = product_tuple(T, B)
+    hypotheses = (
+        ("hypothesis AB_mn fails", A, B, X, m, n),
+        ("hypothesis ST_rs fails", S, T, X, r, s),
+        ("hypothesis ST_rn fails", S, T, X, r, n),
+        ("hypothesis AB_ms fails", A, B, X, m, s),
+    )
+    if skip := _noncommuting(
+        tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
+    ) or _failed_hypothesis(tol, *hypotheses):
+        return skip
+    SA, TB = product_tuple(S, A), product_tuple(T, B)
     t1, t2 = m + r - 1, n + s - 1
-    concl, threshold = tf.defect_check(SA, TB, X, t1, t2, tol)
     sharp = {}
     if t1 >= 1:
         sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(SA, TB, X, t1 - 1, t2))
-    is_sharp = sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR
     return _verdict(
-        [("product_defect", concl, threshold)],
+        _zero_tests(tol, ("product_defect", SA, TB, X, t1, t2)),
         {"t1": float(t1), "t2": float(t2)},
         sharpness=sharp,
-        is_sharp=is_sharp,
+        is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
     )
 
 
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
-    A, B = bundle.tuples["A"], bundle.tuples["B"]
-    S, T = bundle.tuples["S"], bundle.tuples["T"]
-    X = bundle.matrices["X"]
-    m, n = int(bundle.params["m"]), int(bundle.params["n"])
-    kind = bundle.params["kind"]
-    for name, U, V in (("A,S", A, S), ("B,S", B, S), ("B,T", B, T)):
-        if not commutes_cross(U, V, tol):
-            return _skip(f"[{name}] != 0", residual=max_commutator_cross(U, V))
-    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
-    h1, t1 = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
-    h2, t2 = tf.defect_check(S, T, X, *_degrees(kind, n), tol)
-    if h1 > t1 or h2 > t2:
-        return _skip("a factor pair violates its identity", h1=h1, h2=h2)
-    AS = product_tuple(A, S)
-    BT = product_tuple(B, T)
-    deg = m + n - 1
-    concl, threshold = tf.defect_check(AS, BT, X, *_degrees(kind, deg), tol)
-    sharp = {}
-    if deg >= 1:
-        defect = tf.triangle if kind == "iso" else tf.delta
-        sharp["below"] = mc.fro_norm(defect(AS, BT, X, deg - 1))
-    return _verdict(
-        [("product_defect", concl, threshold)],
-        {"degree": float(deg)},
-        sharpness=sharp,
-        is_sharp=sharp.get("below", 0.0) > SHARPNESS_FLOOR,
+    A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
+    if skip := _noncommuting(tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)):
+        return skip
+    return _product_of_one_kind(
+        tol, bundle.params["kind"], "a factor pair violates its identity",
+        ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X), sharp=True,
     )
 
 
@@ -506,51 +527,41 @@ def check_cor061(
     """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
     S_star, T_star = adjoint_tuple(S), adjoint_tuple(T)
     CSC, CTC = conj_tuple(S), conj_tuple(T)
-    if not commutes_cross(S, T, tol):
-        return _skip("[S, T] != 0", residual=max_commutator_cross(S, T))
-    if not commutes_cross(S_star, CTC, tol):
-        return _skip("[S*, CTC] != 0", residual=max_commutator_cross(S_star, CTC))
-    prod_star = product_tuple(S_star, T_star)
-    prod_conj = conj_tuple(product_tuple(S, T))
-    deg = m + n - 1
+    if skip := _noncommuting(tol, ("[S, T] != 0", S, T), ("[S*, CTC] != 0", S_star, CTC)):
+        return skip
     defects: dict[str, float] = {}
-    checks = []
-    spectral_norms(S_star, CSC, T_star, CTC)  # every hypothesis scale from one LAPACK call
-
+    valid = []
     for kind in ("iso", "sym"):
-        h1, t1 = tf.defect_check(S_star, CSC, X, *_degrees(kind, m), tol)
-        h2, t2 = tf.defect_check(T_star, CTC, X, *_degrees(kind, n), tol)
-        defects[f"hyp_{kind}_S"] = h1
-        defects[f"hyp_{kind}_T"] = h2
-        if h1 <= t1 and h2 <= t2:
-            concl, thr = tf.defect_check(prod_star, prod_conj, X, *_degrees(kind, deg), tol)
-            checks.append((f"product_defect_{kind}", concl, thr))
-    if not checks:
+        hypotheses = _zero_tests(
+            tol,
+            (f"hyp_{kind}_S", S_star, CSC, X, *_degrees(kind, m)),
+            (f"hyp_{kind}_T", T_star, CTC, X, *_degrees(kind, n)),
+        )
+        defects.update((name, norm) for name, norm, _ in hypotheses)
+        if all(norm <= threshold for _, norm, threshold in hypotheses):
+            valid.append(kind)
+    if not valid:
         return _skip("neither implication has valid hypotheses", **defects)
-    return _verdict(checks, defects)
+    prod_star, prod_conj = product_tuple(S_star, T_star), conj_tuple(product_tuple(S, T))
+    conclusions = [
+        (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, m + n - 1))
+        for kind in valid
+    ]
+    return _verdict(_zero_tests(tol, *conclusions), defects)
 
 
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single operator times tuple: the product inherits degree m+n-1."""
-    A, B = bundle.tuples["A"], bundle.tuples["B"]
-    S, T = bundle.tuples["S"], bundle.tuples["T"]
-    X = bundle.matrices["X"]
-    m, n = int(bundle.params["m"]), int(bundle.params["n"])
-    kind = bundle.params["kind"]
+    A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
     if A.d != 1 or B.d != 1:
         return _skip("A and B must be single operators")
-    if not commutes_cross(A, S, tol) or not commutes_cross(B, T, tol):
-        return _skip("[A, S] != 0 or [B, T] != 0")
-    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call
-    h1, t1 = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
-    h2, t2 = tf.defect_check(S, T, X, *_degrees(kind, n), tol)
-    if h1 > t1 or h2 > t2:
-        return _skip("a factor violates its identity", h1=h1, h2=h2)
-    deg = m + n - 1
-    concl, threshold = tf.defect_check(
-        product_tuple(A, S), product_tuple(B, T), X, *_degrees(kind, deg), tol
+    cross = "[A, S] != 0 or [B, T] != 0"
+    if skip := _noncommuting(tol, (cross, A, S), (cross, B, T)):
+        return skip
+    return _product_of_one_kind(
+        tol, bundle.params["kind"], "a factor violates its identity",
+        ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X),
     )
-    return _verdict([("product_defect", concl, threshold)], {"degree": float(deg)})
 
 
 def check_thm07(
@@ -567,35 +578,29 @@ def check_thm07(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
-    X_a = mc.identity(A.dim)
-    X_s = mc.identity(S.dim)
-    XX = mc.identity(A.dim * S.dim)
-    AxS = tensor_tuple(A, S)
-    BxT = tensor_tuple(B, T)
-    spectral_norms(A, B, S, T)  # both hypothesis scales from one LAPACK call per dimension
+    X_a, X_s = mc.identity(A.dim), mc.identity(S.dim)
+    tensor = (tensor_tuple(A, S), tensor_tuple(B, T), mc.identity(A.dim * S.dim))
     if variant == "i":
-        h1, t1 = tf.defect_check(A, B, X_a, *_degrees(kind, m), tol)
-        h2, t2 = tf.defect_check(S, T, X_s, *_degrees(kind, n), tol)
-        if h1 > t1 or h2 > t2:
-            return _skip("a factor pair violates its identity", h1=h1, h2=h2)
-        deg = m + n - 1
-        concl, threshold = tf.defect_check(AxS, BxT, XX, *_degrees(kind, deg), tol)
-        return _verdict([("tensor_defect", concl, threshold)], {"degree": float(deg)})
+        return _product_of_one_kind(
+            tol, kind, "a factor pair violates its identity",
+            ((A, B, X_a, m), (S, T, X_s, n)), tensor, name="tensor_defect",
+        )
 
     if variant != "ii":
         raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
     if r is None or s is None:
         raise InvalidArgumentError("variant ii needs r and s")
-    h1, threshold = tf.defect_check(A, B, X_a, m, n, tol)
-    if h1 > threshold:
-        return _skip("first pair violates the combined identity", defect=h1)
-    h2, t2 = tf.defect_check(S, T, X_s, r, 0, tol)
-    h3, t3 = tf.defect_check(S, T, X_s, 0, s, tol)
-    if h2 > t2 or h3 > t3:
-        return _skip("second pair violates its identities", iso_defect=h2, sym_defect=h3)
+    if skip := _failed_hypothesis(
+        tol,
+        ("first pair violates the combined identity", A, B, X_a, m, n),
+        ("second pair violates its identities", S, T, X_s, r, 0),
+        ("second pair violates its identities", S, T, X_s, 0, s),
+    ):
+        return skip
     t1, t2 = m + r - 1, n + s - 1
-    concl, threshold = tf.defect_check(AxS, BxT, XX, t1, t2, tol)
-    return _verdict([("tensor_defect", concl, threshold)], {"t1": float(t1), "t2": float(t2)})
+    return _verdict(
+        _zero_tests(tol, ("tensor_defect", *tensor, t1, t2)), {"t1": float(t1), "t2": float(t2)}
+    )
 
 
 #: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,
@@ -682,12 +687,6 @@ class Theorem:
     profile: str
     check: Callable[[InstanceBundle, mc.Tolerance, int], TrialResult]
     pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
-
-
-def _args(bundle: InstanceBundle, names: str) -> list:
-    """The bundle's tuples, matrices and integer parameters of the given names, in order."""
-    found = {**bundle.tuples, **bundle.matrices}
-    return [found[k] if k in found else int(bundle.params[k]) for k in names.split()]
 
 
 def _pair(names: str = "A B X"):

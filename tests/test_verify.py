@@ -16,7 +16,14 @@ from isotuple.generators import (
     random_instance,
     upper_shift,
 )
-from isotuple.tuples import OperatorTuple, adjoint_tuple, conj_tuple, scalar_tuple
+from isotuple.tuples import (
+    OperatorTuple,
+    adjoint_tuple,
+    conj_tuple,
+    max_commutator_cross,
+    max_commutator_within,
+    scalar_tuple,
+)
 from isotuple.verify import (
     CampaignConfig,
     CampaignReport,
@@ -719,3 +726,55 @@ def test_counterexample_profile_is_judged_at_the_campaign_tolerance(monkeypatch)
         assert record["defect_profile"] == classify.defect_profile(A, B, X, tol=tol).to_json()
         differs += record["defect_profile"] != classify.defect_profile(A, B, X).to_json()
     assert len(report.counterexamples) == 20 and differs > 0
+
+
+def test_noncommuting_skips_on_the_first_failing_pair():
+    up, down = upper_shift(2), upper_shift(2).T.copy()
+    S, T = OperatorTuple.of(up), OperatorTuple.of(down)
+    mixed = OperatorTuple.of(up, down)
+    tol = mc.DEFAULT_TOL
+    # a tuple paired with itself is checked within; one of length 1 always commutes
+    assert verify._noncommuting(tol, ("S", S, S), ("T", T, T)) is None
+    within = verify._noncommuting(tol, ("S", S, S), ("mixed", mixed, mixed), ("S, T", S, T))
+    assert within.status == "skip" and within.reason == "mixed"
+    assert within.defects == {"residual": max_commutator_within(mixed)}
+    cross = verify._noncommuting(
+        tol, ("S, T*", S, adjoint_tuple(T)), ("S, T", S, T), ("T, S", T, S)
+    )
+    assert cross.reason == "S, T" and cross.defects == {"residual": max_commutator_cross(S, T)}
+
+
+def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
+    one, two = scalar_tuple(1.0, 1, 2), scalar_tuple(2.0, 1, 2)
+    wide = scalar_tuple(math.sqrt(0.5), 2, 3)
+    X, Y = np.eye(2), np.eye(3)
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(mc, "op_norm_estimate", counting)
+    tol = mc.DEFAULT_TOL
+    skip = verify._failed_hypothesis(
+        tol, ("one", one, one, X, 1, 1), ("two", two, two, X, 1, 0), ("wide", wide, wide, Y, 0, 1)
+    )
+    # the norms of every tuple come first, from one call per dimension
+    assert calls == [(4, 2, 2), (3, 3, 3)]
+    assert skip.status == "skip" and skip.reason == "two"
+    assert skip.defects == {"residual": mc.fro_norm(tf.triangle(two, two, X, 1))}
+    passing = (("one", one, one, X, 1, 1), ("wide", wide, wide, Y, 2, 0))
+    assert verify._failed_hypothesis(tol, *passing) is None
+    assert len(calls) == 2
+
+
+def test_zero_tests_are_the_defect_checks_in_order():
+    bundle = random_instance("thm06", 0)
+    A, B, S, T = (bundle.tuples[k] for k in "ABST")
+    X = bundle.matrices["X"]
+    tests = verify._zero_tests(mc.DEFAULT_TOL, ("ab", A, B, X, 1, 2), ("st", S, T, X, 0, 1))
+    assert tests == [
+        ("ab", *tf.defect_check(A, B, X, 1, 2)),
+        ("st", *tf.defect_check(S, T, X, 0, 1)),
+    ]
