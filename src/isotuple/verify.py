@@ -220,7 +220,7 @@ def check_pro01(
     lower = [mc.fro_norm(tf.triangle_of_iterates(sig, j)) for j in range(m)]
     c_const = 5.0 * max(lower)
     bound = c_const * (m - 1) / t_max + tol.threshold(scale_m)
-    extra = {"cesaro_bound": bound, "t_max": float(t_max)}
+    extra = {"t_max": float(t_max)}
 
     sig_hat = tf.superop_matrix(A, B, "sigma")
     eigs = np.linalg.eigvals(sig_hat)

@@ -48,7 +48,7 @@ def test_pro01_jordan_instance_passes_decay_band():
     bundle = random_instance("pro01", 0)  # jordan variant
     result = check_pro01(bundle, t_max=500)
     assert result.status == "pass"
-    assert result.defects["cesaro_error"] <= result.defects["cesaro_bound"]
+    assert result.defects["cesaro_error"] <= result.defects["cesaro_error_threshold"]
 
 
 def test_pro01_invertible_instance_confirms_collapse():
