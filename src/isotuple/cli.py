@@ -163,8 +163,9 @@ def _merge_config(args) -> dict:
 
 
 def _number(merged: dict, key: str, kind: type):
-    """``kind(merged[key])``; a value that is not a number, or for ``int`` not an
-    integer (2.7 or true in a config file), is a usage error."""
+    """``kind(merged[key])``; a value that is not a number (true in a config file,
+    which ``float`` reads as 1.0), or for ``int`` not an integer (2.7 or true),
+    is a usage error."""
     value = merged[key]
     try:
         number = kind(value)
@@ -172,6 +173,8 @@ def _number(merged: dict, key: str, kind: type):
         raise InvalidArgumentError(f"{key} must be a number, got {value!r}") from exc
     if kind is int and type(value) is not int:
         raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, bool):
+        raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
     return number
 
 

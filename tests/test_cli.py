@@ -430,7 +430,7 @@ def test_campaign_config_holding_a_list_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["trials", "tol", "budget", "seed"])
-@pytest.mark.parametrize("value", ["many", None, [3]])
+@pytest.mark.parametrize("value", ["many", None, [3], True, False])
 def test_campaign_config_non_numeric_value_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, key: value}))
@@ -440,11 +440,13 @@ def test_campaign_config_non_numeric_value_exits_2(tmp_path, capsys, key, value)
         assert code == 0
         return
     assert code == 2
-    _single_error_line(capsys, f"{key} must be a number")
+    # a boolean count is refused as not an integer, as the next test pins
+    count = isinstance(value, bool) and key in ("trials", "seed")
+    _single_error_line(capsys, f"{key} must be {'an integer' if count else 'a number'}")
 
 
 @pytest.mark.parametrize("key", ["trials", "seed"])
-@pytest.mark.parametrize("value", [2.7, True, 3.0, "3"])
+@pytest.mark.parametrize("value", [2.7, True, 3.0, "3", False])
 def test_campaign_config_count_that_is_not_a_json_integer_exits_2(tmp_path, capsys, key, value):
     # int() would run 2.7 as 2 trials and true as 1
     cfg = tmp_path / "cfg.json"
