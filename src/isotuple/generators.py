@@ -311,14 +311,8 @@ def _hermitian_sum_split(rng: np.random.Generator, S: np.ndarray, d: int) -> Ope
 # ---------------------------------------------------------------------------
 # per-profile builders
 
-#: What a builder returns: the bundle's tuples, matrices and params, and the
-#: function that computes its residuals; ``random_instance`` adds profile and seed.
-_Built = tuple[
-    dict[str, OperatorTuple], dict[str, np.ndarray], dict, Callable[[], dict[str, float]]
-]
 
-
-def _build_pro01(rng: np.random.Generator, seed: int) -> _Built:
+def _build_pro01(rng: np.random.Generator, seed: int) -> tuple:
     if seed % 2 == 0:
         T = jordan_block(_random_phase(rng), 2)
         Q = random_unitary(rng, 2)
@@ -347,7 +341,7 @@ def _build_pro01(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A, "B": B}, {"X": X}, {"m": m, "variant": variant}, residuals
 
 
-def _build_pro02(rng: np.random.Generator, seed: int) -> _Built:
+def _build_pro02(rng: np.random.Generator, seed: int) -> tuple:
     kind = "triangle" if seed % 2 == 0 else "delta"
     k = 2
     if kind == "triangle":
@@ -379,7 +373,7 @@ def _build_pro02(rng: np.random.Generator, seed: int) -> _Built:
     return tuples, {"X": X}, {"kind": kind, "m1": m1, "m2": m2, "members": n_members}, residuals
 
 
-def _build_pro03(rng: np.random.Generator, seed: int) -> _Built:
+def _build_pro03(rng: np.random.Generator, seed: int) -> tuple:
     part = "a" if seed % 2 == 0 else "b"
     zero_side = (seed // 2) % 2 == 0
     m = 2 + (seed // 4) % 2
@@ -434,7 +428,7 @@ def _hermitian_poly(rng: np.random.Generator, n: int) -> np.ndarray:
     return S / max(mc.fro_norm(S), 1e-3)
 
 
-def _build_pro04(rng: np.random.Generator, seed: int) -> _Built:
+def _build_pro04(rng: np.random.Generator, seed: int) -> tuple:
     n = 3 + seed % 2
     d = 2 + seed % 2
     S = _hermitian_poly(rng, n)
@@ -450,7 +444,7 @@ def _build_pro04(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A}, {"X": X}, {"d": d}, residuals
 
 
-def _build_pro5(rng: np.random.Generator, seed: int) -> _Built:
+def _build_pro5(rng: np.random.Generator, seed: int) -> tuple:
     m_even = 2 if seed % 2 == 0 else 4
     d = 2
     if m_even == 2:
@@ -473,7 +467,7 @@ def _build_pro5(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A}, {"X": X}, {"m_even": m_even}, residuals
 
 
-def _build_thm05(rng: np.random.Generator, seed: int) -> _Built:
+def _build_thm05(rng: np.random.Generator, seed: int) -> tuple:
     adjoint_variant = seed % 2 == 0
     d = 1 + (seed // 2) % 2
     dim = 4
@@ -505,7 +499,7 @@ def _build_thm05(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A_base, "B": B_base, "N1": N1, "N2": N2}, {"X": X}, params, residuals
 
 
-def _build_cor05(rng: np.random.Generator, seed: int) -> _Built:
+def _build_cor05(rng: np.random.Generator, seed: int) -> tuple:
     d = 1 + seed % 2
     dim = 4
     m1 = 1 + (seed // 2) % 2
@@ -534,7 +528,7 @@ def _build_cor05(rng: np.random.Generator, seed: int) -> _Built:
     return tuples, {"X": X}, {"m1": m1, "m2": m2, "n1": n1, "n2": n2}, residuals
 
 
-def _build_cor050(rng: np.random.Generator, seed: int) -> _Built:
+def _build_cor050(rng: np.random.Generator, seed: int) -> tuple:
     d = 1 + seed % 2
     dim = 4
     m1 = 1 + (seed // 2) % 2
@@ -594,7 +588,7 @@ def _diag_hermitian_tuple(rng: np.random.Generator, d: int, n: int) -> OperatorT
     )
 
 
-def _build_thm06(rng: np.random.Generator, seed: int) -> _Built:
+def _build_thm06(rng: np.random.Generator, seed: int) -> tuple:
     family = seed % 3
     if family == 0:
         k1 = 1 + (seed // 3) % 2
@@ -641,7 +635,7 @@ def _build_thm06(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, params, residuals
 
 
-def _build_cor06(rng: np.random.Generator, seed: int) -> _Built:
+def _build_cor06(rng: np.random.Generator, seed: int) -> tuple:
     kind = "iso" if seed % 2 == 0 else "sym"
     k1 = 1 + (seed // 2) % 2
     k2 = 1 + (seed // 4) % 2
@@ -685,7 +679,7 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
     return [mc.identity(n) - 2.0 * np.outer(v, v) / (v @ v) for v in vs]
 
 
-def _build_cor061(rng: np.random.Generator, seed: int) -> _Built:
+def _build_cor061(rng: np.random.Generator, seed: int) -> tuple:
     d = 1 + seed % 2
     n = 3 + (seed // 2) % 2
     real_case = (seed // 4) % 2 == 0
@@ -715,7 +709,7 @@ def _build_cor061(rng: np.random.Generator, seed: int) -> _Built:
     return {"S": S, "T": T}, {"X": X}, {"m": m, "n": n_exp, "real_case": real_case}, residuals
 
 
-def _build_cor062(rng: np.random.Generator, seed: int) -> _Built:
+def _build_cor062(rng: np.random.Generator, seed: int) -> tuple:
     kind = "iso" if seed % 2 == 0 else "sym"
     k1 = 1 + (seed // 2) % 2
     d = 2
@@ -745,7 +739,7 @@ def _build_cor062(rng: np.random.Generator, seed: int) -> _Built:
     return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, {"m": m, "n": n, "kind": kind}, residuals
 
 
-def _build_thm07(rng: np.random.Generator, seed: int) -> _Built:
+def _build_thm07(rng: np.random.Generator, seed: int) -> tuple:
     variant = "i" if seed % 2 == 0 else "ii"
     if variant == "i":
         kind = "iso" if (seed // 2) % 2 == 0 else "sym"

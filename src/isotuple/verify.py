@@ -1,16 +1,14 @@
 """Identity-level checkers and randomized campaigns.
 
-Each built-in check runs in one order on a supplied or generated instance:
-the commutators its hypotheses need (``_noncommuting``), then its hypothesis
-defects, each a scaled zero test (``_failed_hypothesis``), then its
-conclusions at the derived degrees, judged through ``_verdict``.  A failed
-commutator or hypothesis skips the trial (an invalid instance never refutes
-an identity).  The zero tests of a hypothesis list, or of a conclusion list,
-run through ``_zero_tests``, which takes the spectral norms of all their
-tuples from one batched call.  Conclusion failures inside a small gray band
-above the threshold count as tolerance anomalies; decisive failures are
-serialized as counterexamples with full inputs and a defect profile for
-post-mortem.  pro01, pro02 and pro03 judge bespoke bounds in their own bodies.
+Each built-in check tests, in order, the commutators of its instance
+(``_noncommuting``), its hypothesis defects (``_failed_hypothesis``) and its
+conclusions at the derived degrees (``_verdict``); pro01-pro03 judge bespoke
+bounds in their own bodies.  A failed commutator or hypothesis skips the
+trial (an invalid instance never refutes an identity).  Each list of zero
+tests (``_zero_tests``) takes the spectral norms of its tuples from one call.
+Conclusion failures inside a small gray band above the threshold count as
+tolerance anomalies; decisive failures are serialized as counterexamples
+with full inputs and a defect profile for post-mortem.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -146,11 +144,8 @@ def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
 
 
 def _zero_tests(tol: mc.Tolerance, *tests: tuple) -> list[tuple[str, float, float]]:
-    """``(name, norm, threshold)`` of each degree-(m, n) zero test ``(name, A, B, X, m, n)``.
-
-    The spectral norms of every tuple come from one batched call, so the tests
-    of a trial's hypotheses, and those of its conclusions, share one LAPACK call.
-    """
+    """``(name, norm, threshold)`` of each degree-(m, n) zero test ``(name, A, B, X, m, n)``;
+    the spectral norms of all their tuples come from one batched call."""
     spectral_norms(*(T for _, A, B, *_ in tests for T in (A, B)))
     return [(name, *tf.defect_check(A, B, X, m, n, tol)) for name, A, B, X, m, n in tests]
 
@@ -170,10 +165,7 @@ def _product_of_one_kind(
 ) -> TrialResult:
     """Two factor pairs (A, B, X, k) whose defects of one kind vanish at degrees
     m and n imply that the ``product`` pair (P, Q, Z) vanishes at degree m+n-1.
-
-    A failing factor skips with ``reason``; ``sharp`` also records the defect
-    one degree below, a sharpness witness when it is not small.
-    """
+    A failing factor skips with ``reason``; ``sharp`` records the degree below."""
     hypotheses = ((reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors)
     if skip := _failed_hypothesis(tol, *hypotheses):
         return skip
@@ -356,8 +348,9 @@ def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) ->
     if skip := _failed_hypothesis(tol, ("adjoint pair is not (I,2)-symmetric", *pair, 0, 2)):
         return skip
     s = A_hilbert.component_sum()
-    residual = ("selfadjoint_residual", mc.fro_norm(s - s.conj().T), tol.threshold(mc.fro_norm(s)))
-    return _verdict([residual])
+    residual = mc.fro_norm(s - s.conj().T)
+    threshold = tol.threshold(mc.fro_norm(s))
+    return _verdict([("selfadjoint_residual", residual, threshold)])
 
 
 def check_pro5(
@@ -492,7 +485,8 @@ def check_thm06(
         tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
     ) or _failed_hypothesis(tol, *hypotheses):
         return skip
-    SA, TB = product_tuple(S, A), product_tuple(T, B)
+    SA = product_tuple(S, A)
+    TB = product_tuple(T, B)
     t1, t2 = m + r - 1, n + s - 1
     sharp = {}
     if t1 >= 1:
@@ -529,8 +523,11 @@ def check_cor061(
     CSC, CTC = conj_tuple(S), conj_tuple(T)
     if skip := _noncommuting(tol, ("[S, T] != 0", S, T), ("[S*, CTC] != 0", S_star, CTC)):
         return skip
+    prod_star = product_tuple(S_star, T_star)
+    prod_conj = conj_tuple(product_tuple(S, T))
+    deg = m + n - 1
     defects: dict[str, float] = {}
-    valid = []
+    checks = []
     for kind in ("iso", "sym"):
         hypotheses = _zero_tests(
             tol,
@@ -539,15 +536,11 @@ def check_cor061(
         )
         defects.update((name, norm) for name, norm, _ in hypotheses)
         if all(norm <= threshold for _, norm, threshold in hypotheses):
-            valid.append(kind)
-    if not valid:
+            conclusion = (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, deg))
+            checks += _zero_tests(tol, conclusion)
+    if not checks:
         return _skip("neither implication has valid hypotheses", **defects)
-    prod_star, prod_conj = product_tuple(S_star, T_star), conj_tuple(product_tuple(S, T))
-    conclusions = [
-        (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, m + n - 1))
-        for kind in valid
-    ]
-    return _verdict(_zero_tests(tol, *conclusions), defects)
+    return _verdict(checks, defects)
 
 
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
@@ -578,7 +571,8 @@ def check_thm07(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
-    X_a, X_s = mc.identity(A.dim), mc.identity(S.dim)
+    X_a = mc.identity(A.dim)
+    X_s = mc.identity(S.dim)
     tensor = (tensor_tuple(A, S), tensor_tuple(B, T), mc.identity(A.dim * S.dim))
     if variant == "i":
         return _product_of_one_kind(

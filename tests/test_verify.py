@@ -758,7 +758,11 @@ def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
     monkeypatch.setattr(mc, "op_norm_estimate", counting)
     tol = mc.DEFAULT_TOL
     skip = verify._failed_hypothesis(
-        tol, ("one", one, one, X, 1, 1), ("two", two, two, X, 1, 0), ("wide", wide, wide, Y, 0, 1)
+        tol,
+        ("one", one, one, X, 1, 1),
+        ("two", two, two, X, 1, 0),
+        ("wide", wide, wide, Y, 0, 1),
+        ("two, degree 2", two, two, X, 2, 0),
     )
     # the norms of every tuple come first, from one call per dimension
     assert calls == [(4, 2, 2), (3, 3, 3)]
