@@ -16,6 +16,7 @@ and the warnings would only print library source lines before it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,12 +39,23 @@ SQUARE_CONVENTION_NOTE = (
 )
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``.  Text that ``json.loads`` cannot decode,
+    including text nested deeper than the recursion limit and an integer literal
+    too long to convert, is refused with the decoder's message."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise InvalidArgumentError(str(exc)) from None
+
+
 def _cmd_repro_paper(args) -> int:
     golden = {}
     if args.golden:
         try:
-            golden = json.loads(Path(args.golden).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            golden = _read_json(args.golden)
+        except (OSError, InvalidArgumentError) as exc:
             print(f"error: cannot read golden file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not isinstance(golden, dict):
@@ -68,13 +80,10 @@ def _cmd_repro_paper(args) -> int:
 
 def _load_inputs(args) -> tuple[OperatorTuple, OperatorTuple, np.ndarray]:
     """The tuples and the matrix named by --tuple-a, --tuple-b and --x, read in that order."""
-    def read(path):
-        return json.loads(Path(path).read_text())
-
     return (
-        OperatorTuple.from_json(read(args.tuple_a)),
-        OperatorTuple.from_json(read(args.tuple_b)),
-        mc.matrix_from_json(read(args.x)),
+        OperatorTuple.from_json(_read_json(args.tuple_a)),
+        OperatorTuple.from_json(_read_json(args.tuple_b)),
+        mc.matrix_from_json(_read_json(args.x)),
     )
 
 
@@ -146,8 +155,8 @@ def _merge_config(args) -> dict:
     settings = {}
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            settings = _read_json(args.config)
+        except (OSError, InvalidArgumentError) as exc:
             raise InvalidArgumentError(f"cannot read config file: {exc}")
         if not isinstance(settings, dict):
             raise InvalidArgumentError(
@@ -209,7 +218,10 @@ def _cmd_campaign(args) -> int:
     return EXIT_OK if not report.counterexamples else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args`` call returns
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="isotuple",
         description="Verify isometric/symmetric defect identities of commuting matrix tuples",
@@ -263,10 +275,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidArgumentError as exc:
+    except (OSError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IsotupleError as exc:

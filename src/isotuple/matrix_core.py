@@ -150,6 +150,26 @@ def fro_norm(a) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def matrix_powers(S: np.ndarray, k_max: int) -> np.ndarray:
+    """The (k_max + 1, ..., n, n) stack [I, S, S^2, ..., S^k_max] of a matrix, or of each
+    matrix of a stack: each power is one product from the last."""
+    powers = np.empty((k_max + 1, *S.shape), dtype=np.complex128)
+    powers[0] = identity(S.shape[-1])
+    if k_max:
+        powers[1] = S
+    for k in range(2, k_max + 1):
+        np.matmul(powers[k - 1], S, out=powers[k])
+    return powers
+
+
+def fro_norms(stack: np.ndarray) -> list[float]:
+    """``fro_norm`` of each matrix of a C-contiguous ``(k, n, n)`` stack, with its bits:
+    the same two dot products per matrix, from two batched calls."""
+    flat = stack.reshape(len(stack), -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+
+
 def op_norm_estimate(a):
     """Spectral norm (largest singular value, by SVD): the factor norm of every tolerance scale.
 

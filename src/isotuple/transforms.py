@@ -17,6 +17,9 @@ sigma application is the batched product ``A.stack @ Y @ B.stack`` summed over
 the components in index order, and the spectral norms behind a pair's
 tolerance scale come from one LAPACK call over both stacks.  Each stacked
 kernel gives the same bits as the loop over components it replaced.
+``defect_checks`` evaluates many zero tests at once, each campaign trial's
+among them, on ``(batch, ...)`` stacks of the same products and in-order
+sums, so every norm and threshold has the bits ``defect_check`` gives it.
 ``superop_matrix`` lifts the maps
 to dim^2 x dim^2 matrices acting on column-stacked vec(X) — the second,
 independent evaluation route used for cross-checks.
@@ -90,7 +93,13 @@ def defect_scale(
     growth without drowning genuinely nonzero defects at higher degrees.
     A factor raised to the power 0 is 1.0 and is skipped, norms and all.
     """
-    scale = mc.fro_norm(X)
+    return _grown_defect_scale(mc.fro_norm(X), A, B, iso_degree, sym_degree)
+
+
+def _grown_defect_scale(
+    scale: float, A: OperatorTuple, B: OperatorTuple, iso_degree: int, sym_degree: int
+) -> float:
+    """``defect_scale`` from the Frobenius norm of X."""
     if iso_degree:
         scale = grown_scale(scale, iso_scale_factor(A, B), iso_degree)
     if sym_degree:
@@ -103,29 +112,42 @@ def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
     not checked again; a non-finite Y is refused as ``sigma_apply`` refuses it."""
     if not np.isfinite(Y).all():
         raise InvalidArgumentError("X contains non-finite entries")
-    return mc.ordered_sum(A.stack @ Y @ B.stack)
+    return _sigma_of_stacks(A.stack, Y, B.stack)
+
+
+def _sigma_of_stacks(a: np.ndarray, Y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] Y b[i], summed over the first axis in index order: sigma of one pair,
+    or with (d, batch, n, n) stacks a and b and a (batch, n, n) Y, of each item."""
+    return mc.ordered_sum(a @ Y @ b)
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_coefficients(k: int) -> np.ndarray:
-    """(k + 1, 1, 1) float array of the signed coefficients (-1)^j C(k, j), j = 0..k.
+def _signed_binomials(k_max: int) -> np.ndarray:
+    """Read-only (k_max + 1, k_max + 1) float table whose row k holds the signed
+    coefficients (-1)^j C(k, j) for j = 0..k, then zeros.
 
     Each is the float nearest the int, which is what NumPy multiplies by when
     it scales a complex matrix by the int, so the products keep their bits.
     """
-    coeffs = np.array([(-1) ** j * binomial(k, j) for j in range(k + 1)], dtype=np.float64)
-    coeffs.setflags(write=False)
-    return coeffs[:, None, None]
+    table = np.zeros((k_max + 1, k_max + 1))
+    for k in range(k_max + 1):
+        table[k, : k + 1] = [(-1) ** j * binomial(k, j) for j in range(k + 1)]
+    table.setflags(write=False)
+    return table
 
 
-def binomial_sum(terms: np.ndarray, k: int) -> np.ndarray:
+def binomial_sum(terms: np.ndarray, k) -> np.ndarray:
     """sum_j (-1)^j C(k, j) terms[j] for j = 0..k, from a fresh C-contiguous (k + 1, n, n)
     stack, which it scales in place (so no second stack of that size is needed).
 
     The terms are scaled and added in index order onto a zero matrix, as a
-    loop over j adds them, so every defect built on it keeps its bits.
+    loop over j adds them, so every defect built on it keeps its bits.  A
+    (K + 1, batch, n, n) stack of one item's terms per column takes ``k`` as an
+    int array of the items' degrees, each at most K: an item's terms above its
+    degree are scaled by zero, and adding a zero changes no value of its sum.
     """
-    terms *= _binomial_coefficients(k)
+    row = _signed_binomials(len(terms) - 1)[k]
+    terms *= row[:, None, None] if np.ndim(k) == 0 else row.T[:, :, None, None]
     return mc.ordered_sum(terms)
 
 
@@ -278,6 +300,72 @@ def defect_check(
     else:
         defect = isosym_defect(A, B, X, m, n)
     return mc.fro_norm(defect), tol.threshold(defect_scale(A, B, X, m, n))
+
+
+def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float, float]]:
+    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``, with its bits.
+
+    Tests of one kind (``triangle``, ``delta`` or both) on tuples of one length
+    and dimension form a group, whose defects come from ``(batch, ...)``
+    stacks: one stack of delta terms up to the group's largest n, one run of
+    sigma iterates up to its largest m, and one ``binomial_sum`` each, in
+    which an item's coefficients above its own degree are zero.  Every
+    product and in-order sum is the one the single test makes, so the norms
+    keep their bits, and the spectral norms behind all thresholds come from
+    one ``spectral_norms`` call.  Tests the stacks cannot take (a malformed
+    pair), or a non-finite norm anywhere, send every test through
+    ``defect_check`` one at a time, which returns or raises what it does alone.
+    """
+    if not all(_stackable(*test) for test in tests):
+        return [defect_check(*test, tol) for test in tests]
+    spectral_norms(*(T for A, B, _, m, n in tests if m or n for T in (A, B)))
+    groups: dict[tuple, list[int]] = {}
+    for i, (A, _, _, m, n) in enumerate(tests):
+        groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
+    norms, x_norms = [0.0] * len(tests), [0.0] * len(tests)
+    with np.errstate(all="ignore"):  # an overflow is caught below, where the test is redone
+        for members in groups.values():
+            Xs, defects = _group_defects([tests[i] for i in members])
+            for i, norm, x_norm in zip(members, mc.fro_norms(defects), mc.fro_norms(Xs)):
+                norms[i], x_norms[i] = norm, x_norm
+    if not all(map(math.isfinite, norms + x_norms)):
+        return [defect_check(*test, tol) for test in tests]
+    return [
+        (norm, tol.threshold(_grown_defect_scale(x_norm, A, B, m, n)))
+        for norm, x_norm, (A, B, _, m, n) in zip(norms, x_norms, tests)
+    ]
+
+
+def _stackable(A, B, X, m, n) -> bool:
+    """Whether ``defect_checks`` can stack the test as it is; ``defect_check`` refuses the rest."""
+    return (
+        isinstance(A, OperatorTuple) and isinstance(B, OperatorTuple)
+        and A.d == B.d and A.dim == B.dim
+        and isinstance(X, np.ndarray) and X.dtype.kind in "fc" and X.shape == (A.dim, A.dim)
+        and isinstance(m, int) and isinstance(n, int) and m >= 0 and n >= 0
+    )
+
+
+def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (batch, n, n) stacks of X and of the defect of each test of one group."""
+    As, Bs, Xs, ms, ns = zip(*tests)
+    Y = Xs = np.array(Xs, dtype=np.complex128)
+    if ns[0]:
+        # term j of item b is (sum A)^(n_b - j) X (sum B)^j, as in ``delta``
+        N, degrees = max(ns), np.array(ns)
+        left = mc.matrix_powers(np.array([A.component_sum() for A in As]), N)
+        right = mc.matrix_powers(np.array([B.component_sum() for B in Bs]), N)
+        left = left[np.maximum(degrees - np.arange(N + 1)[:, None], 0), np.arange(len(tests))]
+        Y = binomial_sum(left @ Y @ right, degrees)
+    if ms[0] or not ns[0]:
+        a = np.stack([A.stack for A in As], axis=1)
+        b = np.stack([B.stack for B in Bs], axis=1)
+        sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
+        sig[0] = Y
+        for k in range(len(sig) - 1):
+            sig[k + 1] = _sigma_of_stacks(a, sig[k], b)
+        Y = binomial_sum(sig, np.array(ms))
+    return Xs, Y
 
 
 def superop_matrix(A: OperatorTuple, B: OperatorTuple, kind: str = "sigma") -> np.ndarray:

@@ -127,24 +127,14 @@ class OperatorTuple:
         """
         pows = self.__dict__.get("_sum_powers")
         if pows is None or len(pows) <= k_max:
-            grown = np.empty((k_max + 1, self.dim, self.dim), dtype=np.complex128)
-            have = 0
-            if pows is not None:
-                have = len(pows)
-                grown[:have] = pows
-            for k in range(have, k_max + 1):
-                if k < 2:
-                    grown[k] = self._sum if k else mc.identity(self.dim)
-                else:
-                    np.matmul(grown[k - 1], self._sum, out=grown[k])
-            pows = _frozen(grown)
+            pows = _frozen(mc.matrix_powers(self._sum, k_max))
             self.__dict__["_sum_powers"] = pows
         return pows[: k_max + 1]
 
     @cached_property
     def _fro_norms(self) -> tuple[float, ...]:
         """Frobenius norm of each component."""
-        return tuple(mc.fro_norm(c) for c in self.stack)
+        return tuple(mc.fro_norms(self.stack))
 
     @cached_property
     def _norms(self) -> tuple[float, ...]:
@@ -233,7 +223,7 @@ def spectral_norms(*tuples: OperatorTuple) -> list[tuple[float, ...]]:
 
 def _commutator_norms(S: np.ndarray, T: np.ndarray) -> list[float]:
     """||S_k T_k - T_k S_k||_F for each k of two equal-shape stacks."""
-    return [mc.fro_norm(c) for c in S @ T - T @ S]
+    return mc.fro_norms(S @ T - T @ S)
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +259,7 @@ def _cross_norms(S: OperatorTuple, T: OperatorTuple) -> list[float]:
         raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
     n = S.dim
     left, right = S.stack[:, None], T.stack[None, :]
-    return [mc.fro_norm(c) for c in (left @ right - right @ left).reshape(-1, n, n)]
+    return mc.fro_norms((left @ right - right @ left).reshape(-1, n, n))
 
 
 def max_commutator_cross(S: OperatorTuple, T: OperatorTuple) -> float:

@@ -4,11 +4,19 @@ Each built-in check tests, in order, the commutators of its instance
 (``_noncommuting``), its hypothesis defects (``_failed_hypothesis``) and its
 conclusions at the derived degrees (``_verdict``); pro01-pro03 judge bespoke
 bounds in their own bodies.  A failed commutator or hypothesis skips the
-trial (an invalid instance never refutes an identity).  Each list of zero
-tests (``_zero_tests``) takes the spectral norms of its tuples from one call.
+trial (an invalid instance never refutes an identity).
 Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
+
+Each checker has one body, a generator: it yields each list of zero tests
+it would run (``_zero_tests``, ``_failed_hypothesis``), its sharpness norms
+included, and is sent back their ``(name, norm, threshold)``.  ``check_*``
+drives its body alone; a campaign drives the bodies of up to
+``LOCKSTEP_TRIALS`` trials in lock-step (``_lockstep``) and evaluates each
+round's zero tests across trials through ``transforms.defect_checks``, whose
+norms and thresholds have the bits of one ``defect_check`` each, so a trial's
+result does not depend on the trials run beside it.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -17,11 +25,13 @@ so two runs with the same seed are byte-identical outside that field.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,42 +153,82 @@ def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
     return None
 
 
-def _zero_tests(tol: mc.Tolerance, *tests: tuple) -> list[tuple[str, float, float]]:
-    """``(name, norm, threshold)`` of each degree-(m, n) zero test ``(name, A, B, X, m, n)``;
-    the spectral norms of all their tuples come from one batched call."""
-    spectral_norms(*(T for _, A, B, *_ in tests for T in (A, B)))
-    return [(name, *tf.defect_check(A, B, X, m, n, tol)) for name, A, B, X, m, n in tests]
+def _zero_tests(*tests: tuple):
+    """Yield the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to the driver of the
+    body, and return the ``(name, norm, threshold)`` of each that it sends back."""
+    return (yield tests)
 
 
-def _failed_hypothesis(tol: mc.Tolerance, *hypotheses: tuple) -> TrialResult | None:
+def _failed_hypothesis(*hypotheses: tuple):
     """The skip for the first hypothesis ``(reason, A, B, X, m, n)`` whose
     degree-(m, n) zero test fails, or None when every one passes."""
-    for reason, norm, threshold in _zero_tests(tol, *hypotheses):
+    for reason, norm, threshold in (yield from _zero_tests(*hypotheses)):
         if norm > threshold:
             return _skip(reason, residual=norm)
     return None
 
 
+def _lockstep(bodies: list, tol: mc.Tolerance) -> list:
+    """The value each checker body returns.  The bodies advance together: every
+    round evaluates the zero tests that all pending bodies yielded through one
+    ``tf.defect_checks`` call, and sends each body its ``(name, norm, threshold)``."""
+    results = [None] * len(bodies)
+    pending: dict[int, tuple] = {}
+
+    def advance(i: int, answer) -> None:
+        try:
+            pending[i] = bodies[i].send(answer)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(bodies)):
+        advance(i, None)
+    while pending:
+        waiting = list(pending.items())
+        pending.clear()
+        values = iter(tf.defect_checks([test[1:] for _, tests in waiting for test in tests], tol))
+        for i, tests in waiting:
+            advance(i, [(test[0], *next(values)) for test in tests])
+    return results
+
+
+def _checker(body):
+    """The check whose one body is the generator function ``body``: the check drives
+    it alone, and ``check.body`` is what a campaign drives in lock-step with others."""
+    signature = inspect.signature(body)
+
+    @functools.wraps(body)
+    def check(*args, **kwargs) -> TrialResult:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return _lockstep([body(*bound.args, **bound.kwargs)], bound.arguments["tol"])[0]
+
+    check.body = body
+    return check
+
+
 def _product_of_one_kind(
-    tol: mc.Tolerance, kind: str, reason: str, factors: tuple, product: tuple,
+    kind: str, reason: str, factors: tuple, product: tuple,
     name: str = "product_defect", sharp: bool = False,
-) -> TrialResult:
+):
     """Two factor pairs (A, B, X, k) whose defects of one kind vanish at degrees
     m and n imply that the ``product`` pair (P, Q, Z) vanishes at degree m+n-1.
     A failing factor skips with ``reason``; ``sharp`` records the degree below."""
-    hypotheses = ((reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors)
-    if skip := _failed_hypothesis(tol, *hypotheses):
+    hypotheses = [(reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors]
+    if skip := (yield from _failed_hypothesis(*hypotheses)):
         return skip
     P, Q, Z = product
     deg = sum(k for *_, k in factors) - 1
-    below = {}
+    tests = [(name, P, Q, Z, *_degrees(kind, deg))]
     if sharp and deg >= 1:
-        below["below"] = mc.fro_norm((tf.triangle if kind == "iso" else tf.delta)(P, Q, Z, deg - 1))
+        tests.append(("below", P, Q, Z, *_degrees(kind, deg - 1)))
+    conclusion, *below = yield from _zero_tests(*tests)
+    sharpness = {key: norm for key, norm, _ in below}
     return _verdict(
-        _zero_tests(tol, (name, P, Q, Z, *_degrees(kind, deg))),
+        [conclusion],
         {"degree": float(deg)},
-        sharpness=below,
-        is_sharp=below.get("below", 0.0) > SHARPNESS_FLOOR,
+        sharpness=sharpness,
+        is_sharp=sharpness.get("below", 0.0) > SHARPNESS_FLOOR,
     )
 
 
@@ -186,6 +236,7 @@ def _product_of_one_kind(
 # individual checkers
 
 
+@_checker
 def check_pro01(
     bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> TrialResult:
@@ -198,20 +249,19 @@ def check_pro01(
     no eigenvalue inside the unit circle -- which is the regime where its
     inverse iterates stay bounded.
 
-    The defects of degrees 0..m and the Cesaro error all come from one run
+    The defects of degrees 0..m-1 and the Cesaro error all come from one run
     of t_max sigma iterates.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     m = int(bundle.params["m"])
-    scale_m = tf.defect_scale(A, B, X, m)
-    sig = tf.sigma_iterates(A, B, X, m)
-    defect_m = mc.fro_norm(tf.triangle_of_iterates(sig, m))
-    if defect_m > tol.threshold(scale_m):
+    (_, defect_m, threshold_m), = yield from _zero_tests(("isometry_defect", A, B, X, m, 0))
+    if defect_m > threshold_m:
         return _skip(f"not (X,{m})-isometric", isometry_defect=defect_m)
+    sig = tf.sigma_iterates(A, B, X, m)
     e_final = tf.cesaro_error(A, B, sig, m, t_max)
     lower = [mc.fro_norm(tf.triangle_of_iterates(sig, j)) for j in range(m)]
     c_const = 5.0 * max(lower)
-    bound = c_const * (m - 1) / t_max + tol.threshold(scale_m)
+    bound = c_const * (m - 1) / t_max + threshold_m
     extra = {"t_max": float(t_max)}
 
     sig_hat = tf.superop_matrix(A, B, "sigma")
@@ -230,6 +280,7 @@ def check_pro01(
     return _verdict(checks, extra)
 
 
+@_checker
 def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Norm-limits of defect-annihilated families keep the combined identity.
 
@@ -249,16 +300,18 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
 
     # each member's largest componentwise distance from the limit
     lim = np.concatenate([A_lim.stack, B_lim.stack])
-    conv = [max(map(mc.fro_norm, np.concatenate([a.stack, b.stack]) - lim)) for a, b in members]
+    conv = [max(mc.fro_norms(np.concatenate([a.stack, b.stack]) - lim)) for a, b in members]
     if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
         raise InvalidArgumentError("family does not converge: residuals are not decreasing")
 
-    first_norm, first_threshold = tf.defect_check(*members[0], X, *degrees, tol)
+    first = ("first family member violates its identity", *members[0], X, *degrees)
+    (_, first_norm, first_threshold), = yield from _zero_tests(first)
     if first_norm > first_threshold:
         return _skip("first family member violates its identity", member_defect=first_norm)
-    # later members drifting off the identity refute the closure claim
+    # later members drifting off the identity refute the closure claim; each is
+    # tested only once the one before it passed
     for j, (A_j, B_j) in enumerate(members[1:], start=1):
-        norm_j, threshold_j = tf.defect_check(A_j, B_j, X, *degrees, tol)
+        (_, norm_j, threshold_j), = yield from _zero_tests((f"member {j}", A_j, B_j, X, *degrees))
         verdict = _judge(norm_j, threshold_j)
         if verdict != "pass":
             return TrialResult(
@@ -268,7 +321,7 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
                 conclusion=norm_j,
             )
 
-    norm_lim = mc.fro_norm(tf.isosym_defect(A_lim, B_lim, X, m1, m2))
+    (_, norm_lim, _), = yield from _zero_tests(("limit_defect", A_lim, B_lim, X, m1, m2))
     scale_lim = tf.defect_scale(A_lim, B_lim, X, m1, m2)
     # convergence slack: the defect is Lipschitz in the tuple within a factor
     # of the degree times the scale, applied to the last residual
@@ -277,6 +330,7 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
 
 
+@_checker
 def check_pro03(
     bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> TrialResult:
@@ -297,13 +351,15 @@ def check_pro03(
         return _skip("reduction needs d >= 2")
     pairs = [(OperatorTuple.of(a), OperatorTuple.of(b)) for a, b in zip(A, B)]
     spectral_norms(*(T for pair in pairs for T in pair), A, B)
+    # each pair is tested only once the one before it passed
     for i, (Ai, Bi) in enumerate(pairs[:-1]):
-        res, threshold = tf.defect_check(Ai, Bi, X, *_degrees(kind, 1), tol)
-        if res > threshold:
-            return _skip(f"pair {i} is not degree-1 annihilating", residual=res)
+        reason = f"pair {i} is not degree-1 annihilating"
+        if skip := (yield from _failed_hypothesis((reason, Ai, Bi, X, *_degrees(kind, 1)))):
+            return skip
 
-    lhs_norm, lhs_thr = tf.defect_check(A, B, X, *_degrees(kind, m), tol)
+    lhs = ("lhs", A, B, X, *_degrees(kind, m))
     if kind == "iso":
+        (_, lhs_norm, lhs_thr), = yield from _zero_tests(lhs)
         # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
         Ad, Bd = pairs[-1]
         coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
@@ -315,7 +371,9 @@ def check_pro03(
             )
         )
     else:
-        rhs_norm, rhs_thr = tf.defect_check(*pairs[-1], X, 0, m, tol)
+        (_, lhs_norm, lhs_thr), (_, rhs_norm, rhs_thr) = yield from _zero_tests(
+            lhs, ("rhs", *pairs[-1], X, 0, m)
+        )
 
     lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
     defects = {
@@ -342,10 +400,11 @@ def check_pro03(
     )
 
 
+@_checker
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
     pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
-    if skip := _failed_hypothesis(tol, ("adjoint pair is not (I,2)-symmetric", *pair, 0, 2)):
+    if skip := (yield from _failed_hypothesis(("adjoint pair is not (I,2)-symmetric", *pair, 0, 2))):
         return skip
     s = A_hilbert.component_sum()
     residual = mc.fro_norm(s - s.conj().T)
@@ -353,6 +412,7 @@ def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) ->
     return _verdict([("selfadjoint_residual", residual, threshold)])
 
 
+@_checker
 def check_pro5(
     A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> TrialResult:
@@ -361,11 +421,12 @@ def check_pro5(
         raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
     pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
     hypothesis = (f"adjoint pair is not (I,{m_even})-symmetric", *pair, 0, m_even)
-    if skip := _failed_hypothesis(tol, hypothesis):
+    if skip := (yield from _failed_hypothesis(hypothesis)):
         return skip
-    return _verdict(_zero_tests(tol, ("odd_degree_defect", *pair, 0, m_even - 1)))
+    return _verdict((yield from _zero_tests(("odd_degree_defect", *pair, 0, m_even - 1))))
 
 
+@_checker
 def check_thm05(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -386,23 +447,26 @@ def check_thm05(
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     base = ("base pair violates the combined identity", A, B, X, m1, m2)
-    if skip := _failed_hypothesis(tol, base):
+    if skip := (yield from _failed_hypothesis(base)):
         return skip
     t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
     A_p, B_p = sum_tuple(A, N1), sum_tuple(B, N2)
-    sharp = {}
+    tests = [("perturbed_defect", A_p, B_p, X, t1, t2)]
     if t1 >= 1:
-        sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1 - 1, t2))
+        tests.append(("below_t1", A_p, B_p, X, t1 - 1, t2))
     if t2 >= 1:
-        sharp["below_t2"] = mc.fro_norm(tf.isosym_defect(A_p, B_p, X, t1, t2 - 1))
+        tests.append(("below_t2", A_p, B_p, X, t1, t2 - 1))
+    conclusion, *below = yield from _zero_tests(*tests)
+    sharp = {name: norm for name, norm, _ in below}
     return _verdict(
-        _zero_tests(tol, ("perturbed_defect", A_p, B_p, X, t1, t2)),
+        [conclusion],
         {"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
         sharpness=sharp,
         is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
     )
 
 
+@_checker
 def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """The three perturbation implications for two base pairs sharing the nilpotents."""
     A1, B1, A2, B2, N1, N2, X, m1, m2 = _args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2")
@@ -414,17 +478,16 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     n2 = nilpotency_order(N2, max_order=A1.dim, tol=tol)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
-    if skip := _failed_hypothesis(
-        tol,
+    if skip := (yield from _failed_hypothesis(
         ("first pair violates its isometric identity", A1, B1, X, m1, 0),
         ("second pair violates its symmetric identity", A2, B2, X, 0, m2),
-    ):
+    )):
         return skip
     P1, Q1 = sum_tuple(A1, N1), sum_tuple(B1, N2)
     P2, Q2 = sum_tuple(A2, N1), sum_tuple(B2, N2)
     t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
-    checks = _zero_tests(
-        tol, ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
+    checks = yield from _zero_tests(
+        ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
     )
     combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
     combined_scale = tf.grown_scale(tf.defect_scale(P1, Q1, X, t1), tf.sym_scale_factor(P2, Q2), t2)
@@ -432,6 +495,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
 
 
+@_checker
 def check_cor050(
     T_hilbert: OperatorTuple,
     N: OperatorTuple,
@@ -451,13 +515,14 @@ def check_cor050(
     if order is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     base = ("base adjoint pair violates the combined identity", T_star, T_hilbert, X, m1, m2)
-    if skip := _failed_hypothesis(tol, base):
+    if skip := (yield from _failed_hypothesis(base)):
         return skip
     P, Q = sum_tuple(T_star, N), sum_tuple(T_hilbert, N)
     conclusion = ("perturbed_defect", P, Q, X, m1 + 2 * order - 2, m2 + 2 * order - 2)
-    return _verdict(_zero_tests(tol, conclusion), {"order": float(order)})
+    return _verdict((yield from _zero_tests(conclusion)), {"order": float(order)})
 
 
+@_checker
 def check_thm06(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -483,33 +548,37 @@ def check_thm06(
     )
     if skip := _noncommuting(
         tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
-    ) or _failed_hypothesis(tol, *hypotheses):
+    ) or (yield from _failed_hypothesis(*hypotheses)):
         return skip
     SA = product_tuple(S, A)
     TB = product_tuple(T, B)
     t1, t2 = m + r - 1, n + s - 1
-    sharp = {}
+    tests = [("product_defect", SA, TB, X, t1, t2)]
     if t1 >= 1:
-        sharp["below_t1"] = mc.fro_norm(tf.isosym_defect(SA, TB, X, t1 - 1, t2))
+        tests.append(("below_t1", SA, TB, X, t1 - 1, t2))
+    conclusion, *below = yield from _zero_tests(*tests)
+    sharp = {name: norm for name, norm, _ in below}
     return _verdict(
-        _zero_tests(tol, ("product_defect", SA, TB, X, t1, t2)),
+        [conclusion],
         {"t1": float(t1), "t2": float(t2)},
         sharpness=sharp,
         is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
     )
 
 
+@_checker
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
     A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
     if skip := _noncommuting(tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)):
         return skip
-    return _product_of_one_kind(
-        tol, bundle.params["kind"], "a factor pair violates its identity",
+    return (yield from _product_of_one_kind(
+        bundle.params["kind"], "a factor pair violates its identity",
         ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X), sharp=True,
-    )
+    ))
 
 
+@_checker
 def check_cor061(
     S: OperatorTuple,
     T: OperatorTuple,
@@ -526,23 +595,28 @@ def check_cor061(
     prod_star = product_tuple(S_star, T_star)
     prod_conj = conj_tuple(product_tuple(S, T))
     deg = m + n - 1
-    defects: dict[str, float] = {}
-    checks = []
-    for kind in ("iso", "sym"):
-        hypotheses = _zero_tests(
-            tol,
+    kinds = ("iso", "sym")
+    # both kinds' hypotheses, then the conclusion of each kind whose hypotheses hold
+    hypotheses = yield from _zero_tests(*(
+        test
+        for kind in kinds
+        for test in (
             (f"hyp_{kind}_S", S_star, CSC, X, *_degrees(kind, m)),
             (f"hyp_{kind}_T", T_star, CTC, X, *_degrees(kind, n)),
         )
-        defects.update((name, norm) for name, norm, _ in hypotheses)
-        if all(norm <= threshold for _, norm, threshold in hypotheses):
-            conclusion = (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, deg))
-            checks += _zero_tests(tol, conclusion)
-    if not checks:
+    ))
+    defects = {name: norm for name, norm, _ in hypotheses}
+    conclusions = [
+        (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, deg))
+        for kind, pair in zip(kinds, (hypotheses[:2], hypotheses[2:]))
+        if all(norm <= threshold for _, norm, threshold in pair)
+    ]
+    if not conclusions:
         return _skip("neither implication has valid hypotheses", **defects)
-    return _verdict(checks, defects)
+    return _verdict((yield from _zero_tests(*conclusions)), defects)
 
 
+@_checker
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single operator times tuple: the product inherits degree m+n-1."""
     A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
@@ -551,12 +625,13 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
     cross = "[A, S] != 0 or [B, T] != 0"
     if skip := _noncommuting(tol, (cross, A, S), (cross, B, T)):
         return skip
-    return _product_of_one_kind(
-        tol, bundle.params["kind"], "a factor violates its identity",
+    return (yield from _product_of_one_kind(
+        bundle.params["kind"], "a factor violates its identity",
         ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X),
-    )
+    ))
 
 
+@_checker
 def check_thm07(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -575,25 +650,25 @@ def check_thm07(
     X_s = mc.identity(S.dim)
     tensor = (tensor_tuple(A, S), tensor_tuple(B, T), mc.identity(A.dim * S.dim))
     if variant == "i":
-        return _product_of_one_kind(
-            tol, kind, "a factor pair violates its identity",
+        return (yield from _product_of_one_kind(
+            kind, "a factor pair violates its identity",
             ((A, B, X_a, m), (S, T, X_s, n)), tensor, name="tensor_defect",
-        )
+        ))
 
     if variant != "ii":
         raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
     if r is None or s is None:
         raise InvalidArgumentError("variant ii needs r and s")
-    if skip := _failed_hypothesis(
-        tol,
+    if skip := (yield from _failed_hypothesis(
         ("first pair violates the combined identity", A, B, X_a, m, n),
         ("second pair violates its identities", S, T, X_s, r, 0),
         ("second pair violates its identities", S, T, X_s, 0, s),
-    ):
+    )):
         return skip
     t1, t2 = m + r - 1, n + s - 1
     return _verdict(
-        _zero_tests(tol, ("tensor_defect", *tensor, t1, t2)), {"t1": float(t1), "t2": float(t2)}
+        (yield from _zero_tests(("tensor_defect", *tensor, t1, t2))),
+        {"t1": float(t1), "t2": float(t2)},
     )
 
 
@@ -674,13 +749,17 @@ def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One campaign id: the generator profile of its instances, ``check(bundle, tol,
-    t_max)`` that tests one instance, and ``pair(bundle)``, the (A, B, X) whose
-    defect profile a counterexample record carries."""
+    """One campaign id: the generator profile of its instances, ``body(bundle, tol,
+    t_max)``, the checker body that tests one instance, and ``pair(bundle)``, the
+    (A, B, X) whose defect profile a counterexample record carries."""
 
     profile: str
-    check: Callable[[InstanceBundle, mc.Tolerance, int], TrialResult]
+    body: Callable[[InstanceBundle, mc.Tolerance, int], Generator]
     pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
+
+    def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
+        """The result of one instance, its body driven alone."""
+        return _lockstep([self.body(bundle, tol, t_max)], tol)[0]
 
 
 def _pair(names: str = "A B X"):
@@ -691,9 +770,9 @@ def _adjoint_pair(key: str):
     return lambda bundle: (adjoint_tuple(bundle.tuples[key]), *_args(bundle, f"{key} X"))
 
 
-def _check_thm07(bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
+def _thm07_body(bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> Generator:
     p = bundle.params
-    return check_thm07(
+    return check_thm07.body(
         *_args(bundle, "A B S T m n"),
         r=int(p["r"]) if "r" in p else None,
         s=int(p["s"]) if "s" in p else None,
@@ -703,37 +782,39 @@ def _check_thm07(bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> Trial
     )
 
 
-#: The registry, one entry per theorem id, in campaign order.  The lambdas
-#: look each ``check_*`` up when a trial runs, so a wrapped checker is the one called.
+#: The registry, one entry per theorem id, in campaign order, with the body of
+#: each ``check_*`` on a generated bundle.
 THEOREMS = {
-    "pro01": Theorem("pro01", lambda b, tol, t_max: check_pro01(b, t_max, tol), _pair()),
-    "pro02": Theorem("pro02-family", lambda b, tol, _: check_pro02(b, tol), _pair("A0 B0 X")),
-    "pro03": Theorem("pro03", lambda b, tol, _: check_pro03(b, tol=tol), _pair()),
+    "pro01": Theorem("pro01", lambda b, tol, t_max: check_pro01.body(b, t_max, tol), _pair()),
+    "pro02": Theorem("pro02-family", lambda b, tol, _: check_pro02.body(b, tol), _pair("A0 B0 X")),
+    "pro03": Theorem("pro03", lambda b, tol, _: check_pro03.body(b, tol=tol), _pair()),
     "pro04": Theorem(
-        "pro04", lambda b, tol, _: check_pro04(*_args(b, "A"), tol), _adjoint_pair("A")
+        "pro04", lambda b, tol, _: check_pro04.body(*_args(b, "A"), tol), _adjoint_pair("A")
     ),
     "pro5": Theorem(
-        "pro5", lambda b, tol, _: check_pro5(*_args(b, "A m_even"), tol), _adjoint_pair("A")
+        "pro5", lambda b, tol, _: check_pro5.body(*_args(b, "A m_even"), tol), _adjoint_pair("A")
     ),
     "thm05": Theorem(
-        "thm05", lambda b, tol, _: check_thm05(*_args(b, "A B N1 N2 X m1 m2"), tol), _pair()
+        "thm05", lambda b, tol, _: check_thm05.body(*_args(b, "A B N1 N2 X m1 m2"), tol), _pair()
     ),
-    "cor05": Theorem("cor05", lambda b, tol, _: check_cor05(b, tol), _pair("A1 B1 X")),
+    "cor05": Theorem("cor05", lambda b, tol, _: check_cor05.body(b, tol), _pair("A1 B1 X")),
     "cor050": Theorem(
-        "cor050", lambda b, tol, _: check_cor050(*_args(b, "T N X m1 m2"), tol), _adjoint_pair("T")
+        "cor050",
+        lambda b, tol, _: check_cor050.body(*_args(b, "T N X m1 m2"), tol),
+        _adjoint_pair("T"),
     ),
     "thm06": Theorem(
-        "thm06", lambda b, tol, _: check_thm06(*_args(b, "A B S T X m n r s"), tol), _pair()
+        "thm06", lambda b, tol, _: check_thm06.body(*_args(b, "A B S T X m n r s"), tol), _pair()
     ),
-    "cor06": Theorem("cor06", lambda b, tol, _: check_cor06(b, tol), _pair()),
+    "cor06": Theorem("cor06", lambda b, tol, _: check_cor06.body(b, tol), _pair()),
     "cor061": Theorem(
         "cor061",
-        lambda b, tol, _: check_cor061(*_args(b, "S T X m n"), tol),
+        lambda b, tol, _: check_cor061.body(*_args(b, "S T X m n"), tol),
         lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
     ),
-    "cor062": Theorem("cor062", lambda b, tol, _: check_cor062(b, tol), _pair()),
+    "cor062": Theorem("cor062", lambda b, tol, _: check_cor062.body(b, tol), _pair()),
     "thm07": Theorem(
-        "thm07", _check_thm07, lambda b: (*_args(b, "A B"), mc.identity(b.tuples["A"].dim))
+        "thm07", _thm07_body, lambda b: (*_args(b, "A B"), mc.identity(b.tuples["A"].dim))
     ),
 }
 
@@ -762,6 +843,10 @@ class CampaignConfig:
             )
         if self.trials < 0:
             raise InvalidArgumentError("trials must be non-negative")
+        # each trial seed seeds NumPy's generator, which refuses a negative one
+        negative = [seed for seed in (self.seed, *(self.seeds or ())) if seed < 0]
+        if negative:
+            raise InvalidArgumentError(f"seed must be non-negative, got {negative[0]}")
         # a NaN deadline never passes, so it would silently mean "no budget"
         if self.budget_s is not None and math.isnan(self.budget_s):
             raise InvalidArgumentError("budget must be a number of seconds, got nan")
@@ -831,10 +916,19 @@ class CampaignReport:
         )
 
 
-def _run_trial(theorem_id: str, seed: int, tol: mc.Tolerance, t_max: int) -> tuple[TrialResult, InstanceBundle]:
+#: Trials a campaign without a budget runs in lock-step at a time; the cap keeps
+#: the memory of a chunk flat however many trials the campaign has.
+LOCKSTEP_TRIALS = 64
+
+
+def _run_chunk(
+    theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int
+) -> list[tuple[TrialResult, InstanceBundle]]:
+    """The result and the instance of each seed: every instance is generated on its
+    own, and all their checker bodies run in lock-step."""
     entry = THEOREMS[theorem_id]
-    bundle = random_instance(entry.profile, seed)
-    return entry.check(bundle, tol, t_max), bundle
+    bundles = [random_instance(entry.profile, seed) for seed in seeds]
+    return list(zip(_lockstep([entry.body(b, tol, t_max) for b in bundles], tol), bundles))
 
 
 def _counterexample_record(
@@ -859,27 +953,31 @@ def _counterexample_record(
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured checks; deterministic given the seeds (modulo wall time).
 
-    Trials run one after another, and the budget is checked before each, so a
-    budgeted campaign stops within one trial of its deadline and its report
-    covers a prefix of the seeds.  The golden check takes no seed, so it runs
-    once, on the first trial, and its result stands for every later one.
+    Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds whose checks advance
+    in lock-step (``_lockstep``), with the bits each trial gives alone.  A
+    budgeted campaign runs chunks of one trial and checks the budget before
+    each, so it stops within one trial of its deadline and its report covers
+    a prefix of the seeds.  The golden check takes no seed, so it runs once,
+    on the first trial, and its result stands for every later one.
     """
     start = time.monotonic()
     deadline = None if config.budget_s is None else start + config.budget_s
     seeds = config.trial_seeds()
+    size = LOCKSTEP_TRIALS if deadline is None else 1
     results: list[tuple[TrialResult, InstanceBundle | None]] = []
     budget_exceeded = False
     golden: TrialResult | None = None
-    for seed in seeds:
+    for first in range(0, len(seeds), size):
         if deadline is not None and time.monotonic() > deadline:
             budget_exceeded = True
             break
+        chunk = seeds[first : first + size]
         if config.theorem_id == "ex00-golden":
             if golden is None:
                 golden = check_ex00_golden()
-            results.append((golden, None))
+            results += [(golden, None)] * len(chunk)
         else:
-            results.append(_run_trial(config.theorem_id, seed, config.tol, config.t_max))
+            results += _run_chunk(config.theorem_id, chunk, config.tol, config.t_max)
 
     counts = Counter(result.status for result, _ in results)
     entry = THEOREMS.get(config.theorem_id)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isotuple import classify, matrix_core as mc
-from isotuple.cli import main
+from isotuple.cli import build_parser, main
 from isotuple.tuples import OperatorTuple
 
 
@@ -453,6 +453,59 @@ def test_campaign_config_count_that_is_not_a_json_integer_exits_2(tmp_path, caps
     cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, key: value}))
     assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
     _single_error_line(capsys, f"{key} must be an integer")
+
+
+def test_campaign_refuses_a_negative_seed_flag(capsys):
+    assert main(["campaign", "--theorem", "pro04", "--trials", "2", "--seed", "-5"]) == 2
+    _single_error_line(capsys, "seed must be non-negative, got -5")
+
+
+def test_campaign_refuses_a_negative_seed_in_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 2, "seed": -3}))
+    assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
+    _single_error_line(capsys, "seed must be non-negative, got -3")
+
+
+#: JSON text that ``json.loads`` refuses with an error other than a decode error.
+_UNDECODABLE = {
+    "too-deep": ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    "long-integer": ("[" + "7" * 5000 + "]", "integer string conversion"),
+}
+
+
+@pytest.mark.parametrize("site", ["check --x", "min-degree --x", "campaign --config",
+                                  "repro-paper --golden"])
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+def test_json_that_cannot_be_decoded_exits_2(tmp_path, capsys, site, case):
+    text, message = _UNDECODABLE[case]
+    files = _write_inputs(tmp_path, np.eye(2), np.eye(2), np.eye(2))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    command, flag = site.split()
+    if command in ("check", "min-degree"):
+        argv = [command, *files[:-2], "--x", str(bad)]
+    else:
+        argv = [command, flag, str(bad)]
+    assert main(argv) == 2
+    _single_error_line(capsys, message)
+
+
+def test_parser_built_once_keeps_no_state_between_calls(jordan_files, capsys):
+    inputs = ["--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],
+              "--x", jordan_files["x"]]
+    first, second = ["check", "--json", *inputs], ["check", "--m", "3", *inputs]
+    alone = []
+    for argv in (first, second):
+        build_parser.cache_clear()  # each on a parser of its own
+        assert main(argv) == 0
+        alone.append(capsys.readouterr().out)
+    assert alone[0].startswith("{") and not alone[1].startswith("{")
+    build_parser.cache_clear()
+    for argv, expected in zip((first, second), alone):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert build_parser() is build_parser()
 
 
 def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,8 @@ reordered sum would first show.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,55 @@ def test_derived_stack_that_overflows_is_refused():
         mc.InvalidArgumentError, match="non-finite"
     ):
         product_tuple(T, T)
+
+
+#: (m, n) of the zero tests of one batch: each kind (triangle, delta, both) with
+#: mixed degrees, and the degree-0 test.
+MIXED_DEGREES = ((1, 0), (4, 0), (2, 0), (0, 2), (0, 5), (0, 1), (2, 3), (1, 1), (3, 1), (0, 0))
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", NS)
+def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
+    tol = mc.Tolerance(abs_eps=0.0, rel_eps=1e-13)
+
+    def tests():
+        # fresh tuples for each side, so neither reads norms or powers the other computed
+        return [(*_pair(d, n, seed), m, k) for seed, (m, k) in enumerate(MIXED_DEGREES)]
+
+    batched = tf.defect_checks(tests(), tol)
+    alone = [tf.defect_check(*test, tol) for test in tests()]
+    assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
+
+
+def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():
+    A, B, X = _pair(2, 3)
+    short = OperatorTuple(A.stack[:1])
+    for bad in ((short, B, X, 1, 0), (A, B, np.eye(2), 0, 1), (A, B, X, -1, 0)):
+        with pytest.raises(mc.InvalidArgumentError) as alone:
+            tf.defect_check(*bad)
+        with pytest.raises(mc.InvalidArgumentError, match=re.escape(str(alone.value))):
+            tf.defect_checks([(A, B, X, 1, 0), bad])
+
+
+_BIG = OperatorTuple(np.repeat(1e120 * np.eye(3, dtype=complex)[None], 2, axis=0))
+
+#: A zero test on 2-tuples of 3 x 3 matrices that its own evaluation refuses.
+_PLANTED = {
+    "overflowing-iterate": (_BIG, _BIG, np.eye(3, dtype=complex), 3, 0),
+    "non-finite-x": (*_pair(2, 3)[:2], np.full((3, 3), complex(np.nan, 0.0)), 2, 1),
+    "overflowing-scale": (_BIG, _BIG, np.eye(3, dtype=complex), 2, 2),
+}
+
+
+@pytest.mark.parametrize("planted", sorted(_PLANTED))
+def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
+    A, B, X = _pair(2, 3, seed=1)
+    bad = _PLANTED[planted]
+    m, n = bad[3:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mc.InvalidArgumentError) as alone:
+            tf.defect_check(*bad)
+        with pytest.raises(type(alone.value)) as batched:
+            tf.defect_checks([(A, B, X, m, n), bad, (A, B, 2.0 * X, m, n)])
+    assert str(batched.value) == str(alone.value)

@@ -436,11 +436,11 @@ def test_counterexample_record_carries_bundle_and_profile():
 
 def test_campaign_counterexamples_serialized_on_forced_failure(monkeypatch):
     # force the checker to fail so the serialization path is exercised end to end
-    def failing_trial(theorem_id, seed, tol, t_max):
-        bundle = random_instance("thm05", seed)
-        return TrialResult(status="counterexample", reason="forced", defects={"d": 1.0}), bundle
+    def failing_chunk(theorem_id, seeds, tol, t_max):
+        forced = TrialResult(status="counterexample", reason="forced", defects={"d": 1.0})
+        return [(forced, random_instance("thm05", seed)) for seed in seeds]
 
-    monkeypatch.setattr(verify, "_run_trial", failing_trial)
+    monkeypatch.setattr(verify, "_run_chunk", failing_chunk)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=2, seed=0))
     assert len(report.counterexamples) == 2
     assert report.passes == 0
@@ -465,12 +465,12 @@ def test_serial_budget_partial(monkeypatch):
     # within one trial of it and has run a prefix of its seeds
     seen = []
 
-    def slow_trial(theorem_id, seed, tol, t_max):
-        seen.append(seed)
-        time.sleep(0.05)
-        return TrialResult(status="pass"), None
+    def slow_chunk(theorem_id, seeds, tol, t_max):
+        seen.extend(seeds)
+        time.sleep(0.05 * len(seeds))
+        return [(TrialResult(status="pass"), None) for _ in seeds]
 
-    monkeypatch.setattr(verify, "_run_trial", slow_trial)
+    monkeypatch.setattr(verify, "_run_chunk", slow_chunk)
     config = CampaignConfig(theorem_id="pro04", trials=1000, seed=3, budget_s=0.2)
     start = time.monotonic()
     report = run_campaign(config)
@@ -480,10 +480,10 @@ def test_serial_budget_partial(monkeypatch):
 
 
 def test_max_defect_ignores_skipped_trials(monkeypatch):
-    def skipped_trial(theorem_id, seed, tol, t_max):
-        return verify._skip("synthetic", base_defect=5.0), None
+    def skipped_chunk(theorem_id, seeds, tol, t_max):
+        return [(verify._skip("synthetic", base_defect=5.0), None) for _ in seeds]
 
-    monkeypatch.setattr(verify, "_run_trial", skipped_trial)
+    monkeypatch.setattr(verify, "_run_chunk", skipped_chunk)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=3, seed=0))
     assert report.skipped == 3 and report.trials == 0
     assert report.max_defect == 0.0
@@ -678,14 +678,14 @@ def test_verdict_is_the_worst_status_with_the_reason_of_its_first_test():
 def _recorded_campaign(monkeypatch, theorem_id, trials=50):
     """The report of a campaign from seed 0 and the result of each of its trials."""
     results = []
-    original = verify._run_trial
+    original = verify._run_chunk
 
     def recording(*args):
-        result, bundle = original(*args)
-        results.append(result)
-        return result, bundle
+        chunk = original(*args)
+        results.extend(result for result, _ in chunk)
+        return chunk
 
-    monkeypatch.setattr(verify, "_run_trial", recording)
+    monkeypatch.setattr(verify, "_run_chunk", recording)
     report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=trials, seed=0))
     return report, results
 
@@ -714,11 +714,11 @@ def test_counterexample_profile_is_judged_at_the_campaign_tolerance(monkeypatch)
 
     tol = mc.Tolerance(abs_eps=0.0, rel_eps=1e-16)
 
-    def planted(theorem_id, seed, tol, t_max):
-        bundle = random_instance("thm05", seed)
-        return TrialResult(status="counterexample", reason="planted"), bundle
+    def planted(theorem_id, seeds, tol, t_max):
+        result = TrialResult(status="counterexample", reason="planted")
+        return [(result, random_instance("thm05", seed)) for seed in seeds]
 
-    monkeypatch.setattr(verify, "_run_trial", planted)
+    monkeypatch.setattr(verify, "_run_chunk", planted)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=20, seed=0, tol=tol))
     differs = 0
     for record in report.counterexamples:
@@ -757,8 +757,11 @@ def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
 
     monkeypatch.setattr(mc, "op_norm_estimate", counting)
     tol = mc.DEFAULT_TOL
-    skip = verify._failed_hypothesis(
-        tol,
+
+    def failed(*hypotheses):
+        return verify._lockstep([verify._failed_hypothesis(*hypotheses)], tol)[0]
+
+    skip = failed(
         ("one", one, one, X, 1, 1),
         ("two", two, two, X, 1, 0),
         ("wide", wide, wide, Y, 0, 1),
@@ -769,7 +772,7 @@ def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
     assert skip.status == "skip" and skip.reason == "two"
     assert skip.defects == {"residual": mc.fro_norm(tf.triangle(two, two, X, 1))}
     passing = (("one", one, one, X, 1, 1), ("wide", wide, wide, Y, 2, 0))
-    assert verify._failed_hypothesis(tol, *passing) is None
+    assert failed(*passing) is None
     assert len(calls) == 2
 
 
@@ -777,7 +780,8 @@ def test_zero_tests_are_the_defect_checks_in_order():
     bundle = random_instance("thm06", 0)
     A, B, S, T = (bundle.tuples[k] for k in "ABST")
     X = bundle.matrices["X"]
-    tests = verify._zero_tests(mc.DEFAULT_TOL, ("ab", A, B, X, 1, 2), ("st", S, T, X, 0, 1))
+    body = verify._zero_tests(("ab", A, B, X, 1, 2), ("st", S, T, X, 0, 1))
+    tests = verify._lockstep([body], mc.DEFAULT_TOL)[0]
     assert tests == [
         ("ab", *tf.defect_check(A, B, X, 1, 2)),
         ("st", *tf.defect_check(S, T, X, 0, 1)),
