@@ -404,7 +404,8 @@ def check_pro03(
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
     pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
-    if skip := (yield from _failed_hypothesis(("adjoint pair is not (I,2)-symmetric", *pair, 0, 2))):
+    hypothesis = ("adjoint pair is not (I,2)-symmetric", *pair, 0, 2)
+    if skip := (yield from _failed_hypothesis(hypothesis)):
         return skip
     s = A_hilbert.component_sum()
     residual = mc.fro_norm(s - s.conj().T)

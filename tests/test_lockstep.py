@@ -36,8 +36,8 @@ def test_lockstep_chunks_equal_one_trial_at_a_time(theorem_id):
         alone = [entry.check(bundle, tol, T_MAX) for bundle in alone_bundles]
         chunked = []
         for first in range(0, len(SEEDS), size):
-            bodies = [entry.body(bundle, tol, T_MAX) for bundle in chunk_bundles[first : first + size]]
-            chunked += verify._lockstep(bodies, tol)
+            chunk = chunk_bundles[first : first + size]
+            chunked += verify._lockstep([entry.body(bundle, tol, T_MAX) for bundle in chunk], tol)
         assert chunked == alone
 
 
