@@ -122,18 +122,15 @@ def _sigma_of_stacks(a: np.ndarray, Y: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _signed_binomials(k_max: int) -> np.ndarray:
-    """Read-only (k_max + 1, k_max + 1) float table whose row k holds the signed
-    coefficients (-1)^j C(k, j) for j = 0..k, then zeros.
+def _binomial_coefficients(k: int) -> np.ndarray:
+    """Read-only (k + 1,) float array of the signed coefficients (-1)^j C(k, j), j = 0..k.
 
     Each is the float nearest the int, which is what NumPy multiplies by when
     it scales a complex matrix by the int, so the products keep their bits.
     """
-    table = np.zeros((k_max + 1, k_max + 1))
-    for k in range(k_max + 1):
-        table[k, : k + 1] = [(-1) ** j * binomial(k, j) for j in range(k + 1)]
-    table.setflags(write=False)
-    return table
+    coeffs = np.array([(-1) ** j * binomial(k, j) for j in range(k + 1)], dtype=np.float64)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def binomial_sum(terms: np.ndarray, k) -> np.ndarray:
@@ -146,8 +143,13 @@ def binomial_sum(terms: np.ndarray, k) -> np.ndarray:
     int array of the items' degrees, each at most K: an item's terms above its
     degree are scaled by zero, and adding a zero changes no value of its sum.
     """
-    row = _signed_binomials(len(terms) - 1)[k]
-    terms *= row[:, None, None] if np.ndim(k) == 0 else row.T[:, :, None, None]
+    if np.ndim(k) == 0:
+        terms *= _binomial_coefficients(k)[:, None, None]
+    else:
+        coeffs = np.zeros(terms.shape[:2])
+        for degree in set(k.tolist()):
+            coeffs[: degree + 1, k == degree] = _binomial_coefficients(degree)[:, None]
+        terms *= coeffs[:, :, None, None]
     return mc.ordered_sum(terms)
 
 

@@ -192,16 +192,22 @@ def _lockstep(bodies: list, tol: mc.Tolerance) -> list:
     return results
 
 
+def _alone(body: Generator, tol: mc.Tolerance) -> TrialResult:
+    """The result of one checker body, driven alone."""
+    return _lockstep([body], tol)[0]
+
+
 def _checker(body):
     """The check whose one body is the generator function ``body``: the check drives
     it alone, and ``check.body`` is what a campaign drives in lock-step with others."""
-    signature = inspect.signature(body)
+    parameters = inspect.signature(body).parameters
+    tol_index, tol_default = list(parameters).index("tol"), parameters["tol"].default
 
     @functools.wraps(body)
     def check(*args, **kwargs) -> TrialResult:
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return _lockstep([body(*bound.args, **bound.kwargs)], bound.arguments["tol"])[0]
+        gen = body(*args, **kwargs)  # a bad argument raises here, as the check would
+        tol = args[tol_index] if len(args) > tol_index else kwargs.get("tol", tol_default)
+        return _alone(gen, tol)
 
     check.body = body
     return check
@@ -760,7 +766,7 @@ class Theorem:
 
     def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
         """The result of one instance, its body driven alone."""
-        return _lockstep([self.body(bundle, tol, t_max)], tol)[0]
+        return _alone(self.body(bundle, tol, t_max), tol)
 
 
 def _pair(names: str = "A B X"):
