@@ -154,8 +154,8 @@ def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
 
 
 def _zero_tests(*tests: tuple):
-    """Yield the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to the driver of the
-    body, and return the ``(name, norm, threshold)`` of each that it sends back."""
+    """Yield the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to whatever runs the
+    body (``_lockstep``), and return the ``(name, norm, threshold)`` of each it sends back."""
     return (yield tests)
 
 

@@ -105,6 +105,16 @@ def test_binomial_sum_keeps_the_sign_of_zero_that_a_loop_from_zero_gives(k):
     assert _same(tf.triangle_of_iterates(list(terms), k), loop)
 
 
+@pytest.mark.parametrize("n", NS)
+def test_batched_binomial_sum_gives_each_item_the_sum_of_its_own_degree(n):
+    rng = np.random.default_rng(n)
+    degrees = np.array([0, 5, 2, 5, 0, 3])
+    terms = _stack(rng, 6 * len(degrees), n).reshape(6, len(degrees), n, n)
+    batched = tf.binomial_sum(terms.copy(), degrees)
+    for b, k in enumerate(degrees.tolist()):
+        assert _same(batched[b], tf.binomial_sum(terms[: k + 1, b].copy(), k))
+
+
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", NS)
 def test_tuple_constructions_match_the_loop(d, n):
