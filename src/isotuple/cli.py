@@ -168,6 +168,10 @@ def _merge_config(args) -> dict:
     }
     if merged["theorem"] is None:
         raise InvalidArgumentError("campaign needs --theorem (or a config file with one)")
+    # the report is written after every trial has run, so a bad path is refused first
+    for key in ("out", "csv"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            raise InvalidArgumentError(f"{key} must be a file path, got {merged[key]!r}")
     return merged
 
 

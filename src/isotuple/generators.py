@@ -2,11 +2,20 @@
 
 Every random family is built from polynomials in a single seed matrix (or
 from tensor-factor embeddings), so commutativity hypotheses hold exactly by
-construction and floating-point residuals stay at machine level.  A builder
+construction and floating-point residuals stay at machine level.
+
+Each profile's builder is written once, over a batch: the seeds of one
+variant class (the seed bits that change what it stacks or how it draws).
+Every seed draws its random numbers from its own ``default_rng(seed)``, in a
+fixed order; every later step (QR factorizations, rotations, Horner
+polynomial evaluation, Kronecker embeddings, the nilpotency validation of
+``tuples.nilpotency_orders``) is one stacked expression over the batch, made
+of the products and in-order sums of one seed's, so a bundle has the same
+bits in any batch.  ``random_instances`` groups a chunk's seeds by class and
+makes the bundles; ``random_instance`` is its batch of one.  A builder
 returns only what it built: tuples, matrices, parameters and the function
 that computes its hypothesis residuals, which the bundle calls on first read
-(checkers validate every hypothesis themselves).  ``random_instance`` sets
-the bundle's profile and seed.  A fixed seed reproduces the bundle bit for bit.
+(checkers validate every hypothesis themselves).
 
 Instance shapes:
 
@@ -25,6 +34,7 @@ Instance shapes:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -41,8 +51,7 @@ from .tuples import (
     conj_tuple,
     max_commutator_cross,
     max_commutator_within,
-    nilpotency_order,
-    tensor_tuple,
+    nilpotency_orders,
 )
 
 _RETRY_LIMIT = 20
@@ -53,9 +62,9 @@ class InstanceBundle:
     """A seeded input for one theorem check, built to satisfy its hypotheses.
 
     ``residuals`` maps each hypothesis defect and commutator of the instance
-    to its norm.  It is computed on first read, by ``residual_fn`` (which a
-    builder closes over the tuples and matrices it built), and then kept; a
-    bundle built without one reads ``{}``.
+    to its norm.  It is computed on first read, by ``residual_fn`` (to which a
+    builder binds the tuples and matrices it built), and then kept; a bundle
+    built without one reads ``{}``.
     """
 
     profile: str
@@ -88,11 +97,17 @@ class InstanceBundle:
 
 def poly_eval(M, coeffs) -> np.ndarray:
     """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    M = mc.as_matrix(M)
-    eye = mc.identity(M.shape[0])
-    acc = mc.zero(M.shape[0])
-    for c in reversed(list(coeffs)):
-        acc = acc @ M + complex(c) * eye
+    return _poly_evals(mc.as_matrix(M), np.array([list(coeffs)], dtype=np.complex128))[0]
+
+
+def _poly_evals(M: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The (b, n, n) stack of polynomials with ascending coefficient rows ``coeffs``
+    (b, k), at one matrix M or at each matrix of a (b, n, n) stack, by Horner's rule."""
+    n = M.shape[-1]
+    eye = mc.identity(n)
+    acc = np.zeros((len(coeffs), n, n), dtype=np.complex128)
+    for c in coeffs.T[::-1]:
+        acc = acc @ M + c[:, None, None] * eye
     return acc
 
 
@@ -134,7 +149,12 @@ def nilpotent_seed(n: int, index: int) -> np.ndarray:
 def jordan_block(lam: complex, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidArgumentError("block size must be positive")
-    return complex(lam) * mc.identity(k) + upper_shift(k)
+    return _jordan_blocks(np.array([complex(lam)]), k)[0]
+
+
+def _jordan_blocks(lams: np.ndarray, k: int) -> np.ndarray:
+    """The (b, k, k) stack of lambda*I + N, one block per entry of ``lams``."""
+    return lams[:, None, None] * mc.identity(k) + upper_shift(k)
 
 
 def jordan_symmetric(lam: float, k: int) -> np.ndarray:
@@ -207,454 +227,238 @@ def nilpotent_commuting(n: int, d: int, target_order: int, rng_seed: int) -> Ope
         raise InvalidArgumentError(
             f"order {target_order} is not achievable at dimension {n} (needs n >= order)"
         )
-    if target_order == 1:
-        return OperatorTuple(np.zeros((d, n, n), dtype=np.complex128))
-    rng = np.random.default_rng(rng_seed)
-    M = nilpotent_seed(n, target_order)
-    for _ in range(_RETRY_LIMIT):
-        comps = []
-        for _ in range(d):
-            coeffs = [0.0] + [
-                complex(rng.standard_normal(), rng.standard_normal())
-                for _ in range(target_order - 1)
-            ]
-            if abs(coeffs[1]) < 0.3:
-                coeffs[1] = coeffs[1] + 0.5 * (1.0 if coeffs[1].real >= 0 else -1.0)
-            comp = poly_eval(M, coeffs)
-            comps.append(comp / mc.fro_norm(comp))
-        N = OperatorTuple(tuple(comps))
-        if nilpotency_order(N, max_order=target_order + 1) == target_order:
-            return N
-    raise GenerationFailureError(
-        f"could not draw a {d}-tuple of order {target_order} at dimension {n}"
-    )
+    return OperatorTuple._of_stack(_nilpotent_tuples(n, d, [target_order], [rng_seed])[0])
+
+
+def _nilpotent_tuples(n: int, d: int, orders: list[int], rng_seeds: list[int]) -> np.ndarray:
+    """The (b, d, n, n) stack of ``nilpotent_commuting(n, d, order, rng_seed)`` per item.
+
+    Items of one order are drawn together, each from its own ``rng_seed``
+    stream, and validated through one ``nilpotency_orders`` call; the ones
+    that fail draw again from their streams, as they would alone.
+    """
+
+    def build(order: int, index: list[int]) -> np.ndarray:
+        if order == 1:
+            return np.zeros((len(index), d, n, n), dtype=np.complex128)
+        rngs = [np.random.default_rng(rng_seeds[i]) for i in index]
+        M = nilpotent_seed(n, order)
+        out = np.empty((len(index), d, n, n), dtype=np.complex128)
+        todo = list(range(len(index)))
+        for _ in range(_RETRY_LIMIT):
+            stacks = _nilpotent_draws([rngs[i] for i in todo], M, d, order)
+            found = nilpotency_orders(
+                [(N, order + 1) for N in OperatorTuple._of_stacks(stacks)]
+            )
+            for i, stack, got in zip(todo, stacks, found):
+                if got == order:
+                    out[i] = stack
+            todo = [i for i, got in zip(todo, found) if got != order]
+            if not todo:
+                return out
+        raise GenerationFailureError(
+            f"could not draw a {d}-tuple of order {order} at dimension {n}"
+        )
+
+    return _grouped(orders, build)
+
+
+def _nilpotent_draws(rngs: list, M: np.ndarray, d: int, order: int) -> np.ndarray:
+    """One attempt per item: the (b, d, n, n) stack of normalized polynomials in M
+    with zero constant term and order - 1 random complex coefficients each."""
+    # each coefficient is complex(normal, normal), drawn component by component
+    draws = _draw(rngs, lambda rng: rng.standard_normal((d, order - 1, 2)))
+    coeffs = np.zeros((len(rngs), d, order), dtype=np.complex128)
+    coeffs[..., 1:] = draws.view(np.complex128)[..., 0]
+    linear = coeffs[..., 1]
+    # Python's complex abs, whose bits at the 0.3 boundary NumPy's need not share
+    small = np.array([abs(c) < 0.3 for c in linear.ravel().tolist()]).reshape(linear.shape)
+    coeffs[..., 1] = np.where(small, linear + np.where(linear.real >= 0, 0.5, -0.5), linear)
+    comps = _poly_evals(M, coeffs.reshape(-1, order))
+    return _normalized(comps).reshape(len(rngs), d, *M.shape)
 
 
 # ---------------------------------------------------------------------------
-# random building blocks
+# random building blocks, each over a batch of seeds' generators
+
+
+def _draw(rngs: list, draw) -> np.ndarray:
+    """The stack of ``draw(rng)`` over the generators, each seed drawing from its own stream."""
+    return np.array([draw(rng) for rng in rngs])
+
+
+def _grouped(keys: list, build) -> np.ndarray:
+    """The (b, ...) stack whose items of one key come from one ``build(key, index)``
+    call, ``index`` listing their positions."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out = None
+    for key, index in groups.items():
+        part = build(key, index)
+        if out is None:
+            out = np.empty((len(keys), *part.shape[1:]), dtype=part.dtype)
+        out[index] = part
+    return out
+
+
+def _diagonal(values: np.ndarray) -> np.ndarray:
+    """The (b, n, n) stack of diagonal matrices with the rows of ``values`` (b, n), as ``np.diag``."""
+    n = values.shape[-1]
+    out = np.zeros((*values.shape, n), dtype=values.dtype)
+    out[..., range(n), range(n)] = values
+    return out
+
+
+def _adjoints(M: np.ndarray) -> np.ndarray:
+    """The C-contiguous conjugate transposes of a stack's matrices."""
+    return np.conjugate(M.swapaxes(-1, -2), order="C")
+
+
+def _complex_normals(rngs: list, n: int) -> np.ndarray:
+    """Per seed, normal((n, n)) + 1j * normal((n, n))."""
+    g = _draw(rngs, lambda rng: rng.standard_normal((2, n, n)))
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def _normalized(G: np.ndarray) -> np.ndarray:
+    """Each matrix of the stack divided by its Frobenius norm."""
+    return G / np.array(mc.fro_norms(G), dtype=np.complex128)[:, None, None]
+
+
+def _unitaries(G: np.ndarray) -> np.ndarray:
+    """Haar-ish unitaries from the QR factors of a complex stack, with phase-normalized diagonal."""
+    Q, R = np.linalg.qr(G)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q @ _diagonal(diag / np.abs(diag))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary from QR with phase-normalized diagonal."""
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    return Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
+    return _unitaries(_complex_normals([rng], n))[0]
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    return (Q @ np.diag(np.sign(np.diag(R)))).astype(np.complex128)
+def _orthogonals(rngs: list, n: int) -> np.ndarray:
+    Q, R = np.linalg.qr(_draw(rngs, lambda rng: rng.standard_normal((n, n))))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return (Q @ _diagonal(np.sign(diag))).astype(np.complex128)
 
 
-def _normalized_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return G / mc.fro_norm(G)
+def _normalized_complexes(rngs: list, n: int) -> np.ndarray:
+    return _normalized(_complex_normals(rngs, n))
 
 
-def _random_weights(rng: np.random.Generator, d: int) -> np.ndarray:
-    w = 0.3 + rng.random(d)
-    return w / np.linalg.norm(w)
+def _unit(w: np.ndarray) -> np.ndarray:
+    """w / ||w||_2, the norm computed as ``np.linalg.norm`` computes it."""
+    return w / math.sqrt(w.dot(w))
 
 
-def _random_phase(rng: np.random.Generator) -> complex:
-    return complex(np.exp(2j * np.pi * rng.random()))
+def _weights(rngs: list, d: int) -> np.ndarray:
+    """(b, d) positive unit weight vectors; each norm is one seed's own dot product."""
+    return _draw(rngs, lambda rng: _unit(0.3 + rng.random(d)))
+
+
+def _phases(rngs: list) -> np.ndarray:
+    return np.exp(2j * np.pi * _draw(rngs, lambda rng: rng.random()))
 
 
 def _rotate(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return Q @ M @ Q.conj().T
+    """Q M Q* for each unitary of the (b, n, n) stack Q and its item of M: a
+    (b, n, n) stack, or a (b, d, n, n) stack of tuples."""
+    if M.ndim == 4:
+        Q = Q[:, None]
+    return Q @ M @ Q.conj().swapaxes(-1, -2)
 
 
-def _rotate_tuple(Q: np.ndarray, T: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple(_rotate(Q, T.stack))
-
-
-def _embedded_pair(a: np.ndarray, first: bool) -> tuple[OperatorTuple, OperatorTuple]:
-    """(a* (x) I, a (x) I) for a 2x2 factor a, or (I (x) a*, I (x) a) when it is not first."""
-    pair, eye = np.array([mc.adjoint(a), a]), mc.identity(2)[None]
+def _embedded_pairs(a: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(a* (x) I, a (x) I) for a (b, 2, 2) stack of factors, or (I (x) a*, I (x) a) when
+    it is not first: two (b, 1, 4, 4) stacks of one-component tuples."""
+    pair, eye = np.stack([_adjoints(a), a], axis=1), mc.identity(2)[None]
     stack = mc.kron(pair, eye) if first else mc.kron(eye, pair)
-    return OperatorTuple.of(stack[0]), OperatorTuple.of(stack[1])
+    return stack[:, :1], stack[:, 1:]
 
 
 def _scaled(weights: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The (d, n, n) stack [w_0 M, w_1 M, ...]."""
-    return weights[:, None, None] * M
+    """The (b, d, n, n) stack of tuples [w_0 M, w_1 M, ...], one per row of weights (b, d)."""
+    return weights[:, :, None, None] * M[:, None]
 
 
-def _scalar_isometric_pair(
-    rng: np.random.Generator, d: int, n: int
-) -> tuple[OperatorTuple, OperatorTuple]:
-    """Pair (A, B) of scalar tuples with sum conj(a_i) b_i = 1: degree-1 isometric for every X."""
-    w = _random_weights(rng, d)
-    u = _random_phase(rng)
-    B = OperatorTuple(_scaled(w * u, mc.identity(n)))
-    A = OperatorTuple(_scaled(w * np.conj(u), mc.identity(n)))
-    return A, B
+def _identities(b: int, n: int) -> np.ndarray:
+    return np.repeat(mc.identity(n)[None], b, axis=0)
 
 
-def _hermitian_sum_split(rng: np.random.Generator, S: np.ndarray, d: int) -> OperatorTuple:
-    """Commuting d-tuple of polynomials in S whose components sum exactly to S."""
-    n = S.shape[0]
+def _scalar_isometric_pairs(rngs: list, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (A, B) of scalar tuples with sum conj(a_i) b_i = 1: degree-1 isometric for every X."""
+    w = _weights(rngs, d)
+    u = _phases(rngs)[:, None]
+    eye = mc.identity(n)
+    return (w * np.conj(u))[:, :, None, None] * eye, (w * u)[:, :, None, None] * eye
+
+
+def _complex_coefficients(rngs: list, shape: tuple) -> np.ndarray:
+    """Per seed, complex(normal, normal) coefficients of the given shape, in row-major order."""
+    return _draw(rngs, lambda rng: rng.standard_normal((*shape, 2))).view(np.complex128)[..., 0]
+
+
+def _hermitian_sum_splits(rngs: list, S: np.ndarray, d: int) -> np.ndarray:
+    """Commuting d-tuples of polynomials in each S whose components sum exactly to S."""
+    coeffs = _complex_coefficients(rngs, (d - 1, 3)) * 0.3
     comps = []
-    total = mc.zero(n)
-    for _ in range(d - 1):
-        coeffs = [
-            complex(rng.standard_normal(), rng.standard_normal()) * 0.3 for _ in range(3)
-        ]
-        q = poly_eval(S, coeffs)
+    total = mc.zero(S.shape[-1])
+    for k in range(d - 1):
+        q = _poly_evals(S, coeffs[:, k])
         comps.append(q)
         total = total + q
     comps.append(S - total)
-    return OperatorTuple(tuple(comps))
+    return np.stack(comps, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# per-profile builders
+def _hermitian_polys(rngs: list, n: int) -> np.ndarray:
+    G = _normalized_complexes(rngs, n)
+    H = (G + G.conj().swapaxes(-1, -2)) / 2.0
+    S = _poly_evals(H, _draw(rngs, lambda rng: rng.standard_normal(4)).astype(np.complex128))
+    scales = [max(norm, 1e-3) for norm in mc.fro_norms(S)]
+    return S / np.array(scales, dtype=np.complex128)[:, None, None]
 
 
-def _build_pro01(rng: np.random.Generator, seed: int) -> tuple:
-    if seed % 2 == 0:
-        T = jordan_block(_random_phase(rng), 2)
-        Q = random_unitary(rng, 2)
-        T = _rotate(Q, T)
-        A, B = OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T)
-        X = mc.identity(2)
-        m = 3
-        variant = "jordan"
-    else:
-        n, d = 3, 2
-        U = random_unitary(rng, n)
-        w = _random_weights(rng, d)
-        B = OperatorTuple(_scaled(w, U))
-        A = adjoint_tuple(B)
-        X = mc.identity(n)
-        m = 2
-        variant = "invertible"
+def _iso_factors(rngs: list, ks: list[int]) -> np.ndarray:
+    """Per item a 2x2 operator whose adjoint pair is strictly (I, 2k-1)-isometric."""
 
-    def residuals():
-        return {
-            "isometry_defect": mc.fro_norm(tf.triangle(A, B, X, m)),
-            "commutes_A": max_commutator_within(A),
-            "commutes_B": max_commutator_within(B),
-        }
+    def build(k: int, index: list[int]) -> np.ndarray:
+        sub = [rngs[i] for i in index]
+        if k == 1:
+            return _unitaries(_complex_normals(sub, 2))
+        return _jordan_blocks(_phases(sub), 2)
 
-    return {"A": A, "B": B}, {"X": X}, {"m": m, "variant": variant}, residuals
+    return _grouped(ks, build)
 
 
-def _build_pro02(rng: np.random.Generator, seed: int) -> tuple:
-    kind = "triangle" if seed % 2 == 0 else "delta"
-    k = 2
-    if kind == "triangle":
-        lam = _random_phase(rng)
-        m1, m2 = 2 * k - 1, 1 + seed % 2
-    else:
-        lam = complex(0.5 + rng.random())
-        m1, m2 = 1 + seed % 2, 2 * k - 1
-    c = 0.5 + rng.random()
-    N = upper_shift(k)
-    Q = random_unitary(rng, k)
-    n_members = 6
-    tuples: dict[str, OperatorTuple] = {}
-    for j in range(n_members):
-        T_j = _rotate(Q, lam * mc.identity(k) + (1.0 + 1.0 / (j + 1)) * c * N)
-        tuples[f"A{j}"] = OperatorTuple.of(mc.adjoint(T_j))
-        tuples[f"B{j}"] = OperatorTuple.of(T_j)
-    T_lim = _rotate(Q, lam * mc.identity(k) + c * N)
-    tuples["A_limit"] = OperatorTuple.of(mc.adjoint(T_lim))
-    tuples["B_limit"] = OperatorTuple.of(T_lim)
-    X = mc.identity(k)
-    A0, B0 = tuples["A0"], tuples["B0"]
+def _sym_factors(rngs: list, ks: list[int]) -> np.ndarray:
+    """Per item a 2x2 operator whose adjoint pair is strictly (I, 2k-1)-symmetric."""
 
-    def residuals():
-        if kind == "triangle":
-            return {"first_member_defect": mc.fro_norm(tf.triangle(A0, B0, X, m1))}
-        return {"first_member_defect": mc.fro_norm(tf.delta(A0, B0, X, m2))}
+    def build(k: int, index: list[int]) -> np.ndarray:
+        sub = [rngs[i] for i in index]
+        if k == 1:
+            G = _complex_normals(sub, 2)
+            return _normalized((G + G.conj().swapaxes(-1, -2)) / 2.0)
+        lams = np.array([complex(0.5 + rng.random()) for rng in sub])
+        return _jordan_blocks(lams, 2)
 
-    return tuples, {"X": X}, {"kind": kind, "m1": m1, "m2": m2, "members": n_members}, residuals
+    return _grouped(ks, build)
 
 
-def _build_pro03(rng: np.random.Generator, seed: int) -> tuple:
-    part = "a" if seed % 2 == 0 else "b"
-    zero_side = (seed // 2) % 2 == 0
-    m = 2 + (seed // 4) % 2
-    n = 3
-    if part == "a":
-        d = 2 if zero_side else 3
-        comps_a, comps_b = [], []
-        for _ in range(d - 1):
-            c = 0.5 + rng.random()
-            phase = _random_phase(rng)
-            comps_a.append(c * phase * mc.identity(n))
-            comps_b.append((1.0 / c) * np.conj(phase) * mc.identity(n))
-        if zero_side:
-            shift = upper_shift(n)
-            comps_a.append((0.5 + rng.random()) * (shift @ shift))  # squares to zero
-            comps_b.append(_normalized_complex(rng, n))
-        else:
-            comps_a.append(_normalized_complex(rng, n))
-            comps_b.append(_normalized_complex(rng, n))
-        A, B = OperatorTuple(tuple(comps_a)), OperatorTuple(tuple(comps_b))
-        X = _normalized_complex(rng, n)
-    else:
-        d = 3
-        gammas = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(d - 1)]
-        comps = [g * mc.identity(n) for g in gammas]
-        if zero_side:
-            M = _normalized_complex(rng, n)
-            A = OperatorTuple(tuple(comps + [M]))
-            B = OperatorTuple(tuple(comps + [M]))
-            X = poly_eval(M, [0.5, 1.0, 0.25])
-        else:
-            # scalar parts cancel in the left-minus-right map, so the last
-            # components may differ between the two tuples
-            A = OperatorTuple(tuple(comps + [_normalized_complex(rng, n)]))
-            B = OperatorTuple(tuple(comps + [_normalized_complex(rng, n)]))
-            X = _normalized_complex(rng, n)
-
-    def residuals():
-        return {
-            "commutes_A": max_commutator_within(A),
-            "commutes_B": max_commutator_within(B),
-        }
-
-    return {"A": A, "B": B}, {"X": X}, {"part": part, "m": m, "zero_side": zero_side}, residuals
+def _diag_unitary_pairs(rngs: list, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal-unitary pairs: degree-1 isometric against every diagonal X."""
+    D = _diagonal(np.exp(2j * np.pi * _draw(rngs, lambda rng: rng.random(n))))
+    square = np.array([int(rng.integers(2)) == 1 for rng in rngs])
+    V = np.where(square[:, None, None], D @ D, D)
+    w = _weights(rngs, d)
+    return _scaled(w, V.conj().swapaxes(-1, -2)), _scaled(w, V)
 
 
-def _hermitian_poly(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = _normalized_complex(rng, n)
-    H = (G + G.conj().T) / 2.0
-    coeffs = [float(rng.standard_normal()) for _ in range(4)]
-    S = poly_eval(H, coeffs)
-    return S / max(mc.fro_norm(S), 1e-3)
-
-
-def _build_pro04(rng: np.random.Generator, seed: int) -> tuple:
-    n = 3 + seed % 2
-    d = 2 + seed % 2
-    S = _hermitian_poly(rng, n)
-    A = _hermitian_sum_split(rng, S, d)
-    X = mc.identity(n)
-
-    def residuals():
-        return {
-            "symmetry_defect_2": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, 2)),
-            "commutes_A": max_commutator_within(A),
-        }
-
-    return {"A": A}, {"X": X}, {"d": d}, residuals
-
-
-def _build_pro5(rng: np.random.Generator, seed: int) -> tuple:
-    m_even = 2 if seed % 2 == 0 else 4
-    d = 2
-    if m_even == 2:
-        S = _hermitian_poly(rng, 3)
-    else:
-        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        H0 = (G + G.conj().T) / 2.0
-        H0 = H0 / mc.fro_norm(H0)
-        N0 = (0.5 + rng.random()) * upper_shift(2)
-        S = mc.kron(H0, mc.identity(2)) + mc.kron(mc.identity(2), N0)
-    A = _hermitian_sum_split(rng, S, d)
-    X = mc.identity(S.shape[0])
-
-    def residuals():
-        return {
-            f"symmetry_defect_{m_even}": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, m_even)),
-            "commutes_A": max_commutator_within(A),
-        }
-
-    return {"A": A}, {"X": X}, {"m_even": m_even}, residuals
-
-
-def _build_thm05(rng: np.random.Generator, seed: int) -> tuple:
-    adjoint_variant = seed % 2 == 0
-    d = 1 + (seed // 2) % 2
-    dim = 4
-    m1 = 1 + (seed // 4) % 2
-    m2 = 1 + (seed // 8) % 2
-    n2 = 2 + (seed // 16) % 2
-    n1 = n2 if adjoint_variant else 2 + (seed // 32) % 2
-    A_base, B_base = _scalar_isometric_pair(rng, d, dim)
-    N2 = nilpotent_commuting(dim, d, n2, rng_seed=int(rng.integers(2**32)))
-    if adjoint_variant:
-        N1 = adjoint_tuple(N2)
-        X = mc.identity(dim)
-    else:
-        N1 = nilpotent_commuting(dim, d, n1, rng_seed=int(rng.integers(2**32)))
-        X = _normalized_complex(rng, dim)
-    Q = random_unitary(rng, dim)
-    A_base, B_base = _rotate_tuple(Q, A_base), _rotate_tuple(Q, B_base)
-    N1, N2 = _rotate_tuple(Q, N1), _rotate_tuple(Q, N2)
-    X = _rotate(Q, X)
-
-    def residuals():
-        return {
-            "base_defect": mc.fro_norm(tf.isosym_defect(A_base, B_base, X, m1, m2)),
-            "cross_A_N1": max_commutator_cross(A_base, N1),
-            "cross_B_N2": max_commutator_cross(B_base, N2),
-        }
-
-    params = {"m1": m1, "m2": m2, "n1": n1, "n2": n2, "adjoint_variant": adjoint_variant}
-    return {"A": A_base, "B": B_base, "N1": N1, "N2": N2}, {"X": X}, params, residuals
-
-
-def _build_cor05(rng: np.random.Generator, seed: int) -> tuple:
-    d = 1 + seed % 2
-    dim = 4
-    m1 = 1 + (seed // 2) % 2
-    m2 = 1 + (seed // 4) % 2
-    n1 = 2 + (seed // 8) % 2
-    n2 = 2 + (seed // 16) % 2
-    A1, B1 = _scalar_isometric_pair(rng, d, dim)
-    gammas = [complex(rng.standard_normal(), rng.standard_normal()) for _ in range(d)]
-    A2 = OperatorTuple(tuple(g * mc.identity(dim) for g in gammas))
-    B2 = A2
-    N1 = nilpotent_commuting(dim, d, n1, rng_seed=int(rng.integers(2**32)))
-    N2 = nilpotent_commuting(dim, d, n2, rng_seed=int(rng.integers(2**32)))
-    X = _normalized_complex(rng, dim)
-    Q = random_unitary(rng, dim)
-    A1, B1, A2, B2 = (_rotate_tuple(Q, t) for t in (A1, B1, A2, B2))
-    N1, N2 = _rotate_tuple(Q, N1), _rotate_tuple(Q, N2)
-    X = _rotate(Q, X)
-
-    def residuals():
-        return {
-            "triangle_hypothesis": mc.fro_norm(tf.triangle(A1, B1, X, m1)),
-            "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
-        }
-
-    tuples = {"A1": A1, "B1": B1, "A2": A2, "B2": B2, "N1": N1, "N2": N2}
-    return tuples, {"X": X}, {"m1": m1, "m2": m2, "n1": n1, "n2": n2}, residuals
-
-
-def _build_cor050(rng: np.random.Generator, seed: int) -> tuple:
-    d = 1 + seed % 2
-    dim = 4
-    m1 = 1 + (seed // 2) % 2
-    m2 = 1 + (seed // 4) % 2
-    order = 2 + (seed // 8) % 2
-    A_star, T = _scalar_isometric_pair(rng, d, dim)
-    N = nilpotent_commuting(dim, d, order, rng_seed=int(rng.integers(2**32)))
-    X = _normalized_complex(rng, dim)
-    Q = random_unitary(rng, dim)
-    T, N = _rotate_tuple(Q, T), _rotate_tuple(Q, N)
-    X = _rotate(Q, X)
-
-    def residuals():
-        T_star = adjoint_tuple(T)
-        return {
-            "base_defect": mc.fro_norm(tf.isosym_defect(T_star, T, X, m1, m2)),
-            "cross_Tstar_N": max_commutator_cross(T_star, N),
-            "cross_T_N": max_commutator_cross(T, N),
-        }
-
-    return {"T": T, "N": N}, {"X": X}, {"m1": m1, "m2": m2, "order": order}, residuals
-
-
-def _iso_factor(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
-    """A 2x2 operator whose adjoint pair is strictly (I, 2k-1)-isometric."""
-    if k == 1:
-        return random_unitary(rng, 2), 1
-    return jordan_block(_random_phase(rng), 2), 3
-
-
-def _sym_factor(rng: np.random.Generator, k: int) -> tuple[np.ndarray, int]:
-    """A 2x2 operator whose adjoint pair is strictly (I, 2k-1)-symmetric."""
-    if k == 1:
-        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        H = (G + G.conj().T) / 2.0
-        return H / mc.fro_norm(H), 1
-    return jordan_block(complex(0.5 + rng.random()), 2), 3
-
-
-def _diag_unitary_pair(
-    rng: np.random.Generator, d: int, n: int
-) -> tuple[OperatorTuple, OperatorTuple]:
-    """Diagonal-unitary pair: degree-1 isometric against every diagonal X."""
-    D = np.diag(np.exp(2j * np.pi * rng.random(n)))
-    p = 1 + int(rng.integers(2))
-    V = np.linalg.matrix_power(D, p)
-    w = _random_weights(rng, d)
-    B = OperatorTuple(_scaled(w, V))
-    A = OperatorTuple(_scaled(w, V.conj().T))
-    return A, B
-
-
-def _diag_hermitian_tuple(rng: np.random.Generator, d: int, n: int) -> OperatorTuple:
-    """Real-diagonal tuple: paired with itself it is degree-1 symmetric against diagonal X."""
-    return OperatorTuple(
-        tuple(np.diag(rng.standard_normal(n)).astype(np.complex128) for _ in range(d))
-    )
-
-
-def _build_thm06(rng: np.random.Generator, seed: int) -> tuple:
-    family = seed % 3
-    if family == 0:
-        k1 = 1 + (seed // 3) % 2
-        k2 = 1 + (seed // 6) % 2
-        a, m = _iso_factor(rng, k1)
-        s, r = _iso_factor(rng, k2)
-        A, B = _embedded_pair(a, first=True)
-        S, T = _embedded_pair(s, first=False)
-        n_exp = 1 + (seed // 12) % 2
-        s_exp = 1 + (seed // 24) % 2
-        X = mc.identity(4)
-        family_name = "jordan-tensor"
-    else:
-        n_dim, d = 3, 2
-        if family == 1:
-            A, B = _diag_unitary_pair(rng, d, n_dim)
-            S, T = _diag_unitary_pair(rng, d, n_dim)
-            family_name = "diag-unitary"
-        else:
-            A = _diag_hermitian_tuple(rng, d, n_dim)
-            B = A
-            S = _diag_hermitian_tuple(rng, d, n_dim)
-            T = S
-            family_name = "diag-hermitian"
-        m = 1 + (seed // 3) % 2
-        r = 1 + (seed // 6) % 2
-        n_exp = 1 + (seed // 12) % 2
-        s_exp = 1 + (seed // 24) % 2
-        X = np.diag(rng.standard_normal(n_dim) + 1j * rng.standard_normal(n_dim))
-        X = X / mc.fro_norm(X)
-        Q = random_unitary(rng, n_dim)
-        A, B, S, T = (_rotate_tuple(Q, t) for t in (A, B, S, T))
-        X = _rotate(Q, X)
-
-    def residuals():
-        return {
-            "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, X, m, n_exp)),
-            "hyp_ST": mc.fro_norm(tf.isosym_defect(S, T, X, r, s_exp)),
-            "cross_A_S": max_commutator_cross(A, S),
-            "cross_B_T": max_commutator_cross(B, T),
-        }
-
-    params = {"m": m, "n": n_exp, "r": r, "s": s_exp, "family": family_name}
-    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, params, residuals
-
-
-def _build_cor06(rng: np.random.Generator, seed: int) -> tuple:
-    kind = "iso" if seed % 2 == 0 else "sym"
-    k1 = 1 + (seed // 2) % 2
-    k2 = 1 + (seed // 4) % 2
-    factor = _iso_factor if kind == "iso" else _sym_factor
-    a, m = factor(rng, k1)
-    s, n = factor(rng, k2)
-    A, B = _embedded_pair(a, first=True)
-    S, T = _embedded_pair(s, first=False)
-    X = mc.identity(4)
-
-    def residuals():
-        defect = tf.triangle if kind == "iso" else tf.delta
-        return {
-            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
-            "cross_A_S": max_commutator_cross(A, S),
-        }
-
-    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, {"m": m, "n": n, "kind": kind}, residuals
+def _diag_hermitian_tuples(rngs: list, d: int, n: int) -> np.ndarray:
+    """Real-diagonal tuples: paired with itself each is degree-1 symmetric against diagonal X."""
+    return _diagonal(_draw(rngs, lambda rng: rng.standard_normal((d, n)))).astype(np.complex128)
 
 
 def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bool):
@@ -679,124 +483,454 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
     return [mc.identity(n) - 2.0 * np.outer(v, v) / (v @ v) for v in vs]
 
 
-def _build_cor061(rng: np.random.Generator, seed: int) -> tuple:
-    d = 1 + seed % 2
-    n = 3 + (seed // 2) % 2
-    real_case = (seed // 4) % 2 == 0
-    Vs = _bilinear_involutions(rng, n, d, real=real_case)
-    w = _random_weights(rng, d)
-    u = _random_weights(rng, d)
-    S = OperatorTuple(w[:, None, None] * np.array(Vs))
-    T = OperatorTuple(u[:, None, None] * np.array(Vs))
-    X = mc.identity(n)
-    Q = _random_orthogonal(rng, n)
-    S, T = _rotate_tuple(Q, S), _rotate_tuple(Q, T)
-    m = 1 + (seed // 8) % 2
-    n_exp = 1 + (seed // 16) % 2
-
-    def residuals():
-        S_star, CSC = adjoint_tuple(S), conj_tuple(S)
-        T_star, CTC = adjoint_tuple(T), conj_tuple(T)
-        return {
-            "cross_S_T": max_commutator_cross(S, T),
-            "cross_Sstar_CTC": max_commutator_cross(S_star, CTC),
-            "hyp_iso_S": mc.fro_norm(tf.triangle(S_star, CSC, X, m)),
-            "hyp_iso_T": mc.fro_norm(tf.triangle(T_star, CTC, X, n_exp)),
-            "hyp_sym_S": mc.fro_norm(tf.delta(S_star, CSC, X, m)),
-            "hyp_sym_T": mc.fro_norm(tf.delta(T_star, CTC, X, n_exp)),
-        }
-
-    return {"S": S, "T": T}, {"X": X}, {"m": m, "n": n_exp, "real_case": real_case}, residuals
+# ---------------------------------------------------------------------------
+# per-profile builders: each takes the generators and seeds of one variant
+# class and returns the per-seed (tuples, matrices, params, residual_fn)
 
 
-def _build_cor062(rng: np.random.Generator, seed: int) -> tuple:
-    kind = "iso" if seed % 2 == 0 else "sym"
-    k1 = 1 + (seed // 2) % 2
+def _bundles(tuples: dict, matrices: dict, params: list[dict], residuals) -> list[tuple]:
+    """Each seed's parts: its tuples and matrices are its items of the builder's
+    (b, d, n, n) and (b, n, n) stacks, and its residual function is ``residuals``
+    called with its tuples, matrices and parameters by name."""
+    built = {key: OperatorTuple._of_stacks(stack) for key, stack in tuples.items()}
+    out = []
+    for i, p in enumerate(params):
+        ts = {key: items[i] for key, items in built.items()}
+        ms = {key: stack[i] for key, stack in matrices.items()}
+        out.append((ts, ms, p, functools.partial(residuals, **ts, **ms, **p)))
+    return out
+
+
+def _pro01_residuals(A, B, X, m, **_) -> dict:
+    return {
+        "isometry_defect": mc.fro_norm(tf.triangle(A, B, X, m)),
+        "commutes_A": max_commutator_within(A),
+        "commutes_B": max_commutator_within(B),
+    }
+
+
+def _build_pro01(rngs: list, seeds: list) -> list:
+    b = len(seeds)
+    if seeds[0] % 2 == 0:
+        lams = _phases(rngs)
+        T = _rotate(_unitaries(_complex_normals(rngs, 2)), _jordan_blocks(lams, 2))[:, None]
+        X, m, variant = _identities(b, 2), 3, "jordan"
+    else:
+        U = _unitaries(_complex_normals(rngs, 3))
+        T = _scaled(_weights(rngs, 2), U)
+        X, m, variant = _identities(b, 3), 2, "invertible"
+    params = [{"m": m, "variant": variant} for _ in seeds]
+    return _bundles({"A": _adjoints(T), "B": T}, {"X": X}, params, _pro01_residuals)
+
+
+def _pro02_residuals(A0, B0, X, kind, m1, m2, **_) -> dict:
+    if kind == "triangle":
+        return {"first_member_defect": mc.fro_norm(tf.triangle(A0, B0, X, m1))}
+    return {"first_member_defect": mc.fro_norm(tf.delta(A0, B0, X, m2))}
+
+
+def _build_pro02(rngs: list, seeds: list) -> list:
+    kind = "triangle" if seeds[0] % 2 == 0 else "delta"
+    k = 2
+    if kind == "triangle":
+        lams = _phases(rngs)
+        m1, m2 = 2 * k - 1, 1 + seeds[0] % 2
+    else:
+        lams = np.array([complex(0.5 + rng.random()) for rng in rngs])
+        m1, m2 = 1 + seeds[0] % 2, 2 * k - 1
+    cs = _draw(rngs, lambda rng: 0.5 + rng.random())
+    Q = _unitaries(_complex_normals(rngs, k))
+    n_members = 6
+    # member j has nilpotent part (1 + 1/(j+1)) c N, and the limit (the last) c N
+    factors = [(1.0 + 1.0 / (j + 1)) * c for c in cs.tolist() for j in range(n_members)]
+    factors = np.array(factors, dtype=np.complex128).reshape(len(rngs), n_members)
+    factors = np.concatenate([factors, cs.astype(np.complex128)[:, None]], axis=1)
+    lam_eye = lams[:, None, None] * mc.identity(k)
+    T = _rotate(Q, lam_eye[:, None] + factors[:, :, None, None] * upper_shift(k))
+    T_star = _adjoints(T)
+    tuples = {}
+    for j in range(n_members):
+        tuples[f"A{j}"], tuples[f"B{j}"] = T_star[:, j : j + 1], T[:, j : j + 1]
+    tuples["A_limit"], tuples["B_limit"] = T_star[:, n_members:], T[:, n_members:]
+    params = [{"kind": kind, "m1": m1, "m2": m2, "members": n_members} for _ in seeds]
+    return _bundles(tuples, {"X": _identities(len(rngs), k)}, params, _pro02_residuals)
+
+
+def _within_residuals(A, B, **_) -> dict:
+    return {
+        "commutes_A": max_commutator_within(A),
+        "commutes_B": max_commutator_within(B),
+    }
+
+
+def _build_pro03(rngs: list, seeds: list) -> list:
+    part = "a" if seeds[0] % 2 == 0 else "b"
+    zero_side = (seeds[0] // 2) % 2 == 0
+    n = 3
+    eye = mc.identity(n)
+    if part == "a":
+        d = 2 if zero_side else 3
+        # per pair, c * phase and (1/c) * conj(phase) in scalar arithmetic, one seed at a
+        # time, whose bits a batched complex product need not share
+        pairs = []
+        for rng in rngs:
+            row = []
+            for _ in range(d - 1):
+                c = 0.5 + rng.random()
+                phase = complex(np.exp(2j * np.pi * rng.random()))
+                row.append((c * phase, (1.0 / c) * np.conj(phase)))
+            pairs.append(row)
+        scalars = np.array(pairs, dtype=np.complex128)
+        if zero_side:
+            shift = upper_shift(n)
+            heights = _draw(rngs, lambda rng: 0.5 + rng.random()).astype(np.complex128)
+            last_a = heights[:, None, None] * (shift @ shift)  # squares to zero
+            last_b = _normalized_complexes(rngs, n)
+        else:
+            last_a = _normalized_complexes(rngs, n)
+            last_b = _normalized_complexes(rngs, n)
+        A = np.concatenate([scalars[:, :, 0, None, None] * eye, last_a[:, None]], axis=1)
+        B = np.concatenate([scalars[:, :, 1, None, None] * eye, last_b[:, None]], axis=1)
+        X = _normalized_complexes(rngs, n)
+    else:
+        d = 3
+        gammas = _complex_coefficients(rngs, (d - 1,))
+        comps = gammas[:, :, None, None] * eye
+        if zero_side:
+            M = _normalized_complexes(rngs, n)
+            A = np.concatenate([comps, M[:, None]], axis=1)
+            B = np.concatenate([comps, M[:, None]], axis=1)
+            X = _poly_evals(M, np.repeat([[0.5, 1.0, 0.25]], len(rngs), axis=0).astype(complex))
+        else:
+            # scalar parts cancel in the left-minus-right map, so the last
+            # components may differ between the two tuples
+            A = np.concatenate([comps, _normalized_complexes(rngs, n)[:, None]], axis=1)
+            B = np.concatenate([comps, _normalized_complexes(rngs, n)[:, None]], axis=1)
+            X = _normalized_complexes(rngs, n)
+    params = [{"part": part, "m": 2 + (seed // 4) % 2, "zero_side": zero_side} for seed in seeds]
+    return _bundles({"A": A, "B": B}, {"X": X}, params, _within_residuals)
+
+
+def _symmetric_residuals(A, X, m_even=2, **_) -> dict:
+    """pro5's at its even degree, and pro04's at degree 2."""
+    return {
+        f"symmetry_defect_{m_even}": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, m_even)),
+        "commutes_A": max_commutator_within(A),
+    }
+
+
+def _build_pro04(rngs: list, seeds: list) -> list:
+    n = 3 + seeds[0] % 2
+    d = 2 + seeds[0] % 2
+    A = _hermitian_sum_splits(rngs, _hermitian_polys(rngs, n), d)
+    params = [{"d": d} for _ in seeds]
+    return _bundles({"A": A}, {"X": _identities(len(rngs), n)}, params, _symmetric_residuals)
+
+
+def _build_pro5(rngs: list, seeds: list) -> list:
+    m_even = 2 if seeds[0] % 2 == 0 else 4
     d = 2
-    factor = _iso_factor if kind == "iso" else _sym_factor
-    a, m = factor(rng, k1)
-    eye2 = mc.identity(2)
-    A, B = _embedded_pair(a, first=True)
+    if m_even == 2:
+        S = _hermitian_polys(rngs, 3)
+    else:
+        G = _complex_normals(rngs, 2)
+        H0 = _normalized((G + G.conj().swapaxes(-1, -2)) / 2.0)
+        heights = _draw(rngs, lambda rng: 0.5 + rng.random()).astype(np.complex128)
+        N0 = heights[:, None, None] * upper_shift(2)
+        S = mc.kron(H0, mc.identity(2)) + mc.kron(mc.identity(2), N0)
+    A = _hermitian_sum_splits(rngs, S, d)
+    X = _identities(len(rngs), S.shape[-1])
+    params = [{"m_even": m_even} for _ in seeds]
+    return _bundles({"A": A}, {"X": X}, params, _symmetric_residuals)
+
+
+def _stream_seeds(rngs: list) -> list[int]:
+    """One nilpotent tuple's rng_seed per generator."""
+    return [int(rng.integers(2**32)) for rng in rngs]
+
+
+def _thm05_residuals(A, B, N1, N2, X, m1, m2, **_) -> dict:
+    return {
+        "base_defect": mc.fro_norm(tf.isosym_defect(A, B, X, m1, m2)),
+        "cross_A_N1": max_commutator_cross(A, N1),
+        "cross_B_N2": max_commutator_cross(B, N2),
+    }
+
+
+def _build_thm05(rngs: list, seeds: list) -> list:
+    adjoint_variant = seeds[0] % 2 == 0
+    d = 1 + (seeds[0] // 2) % 2
+    dim = 4
+    n2s = [2 + (seed // 16) % 2 for seed in seeds]
+    n1s = n2s if adjoint_variant else [2 + (seed // 32) % 2 for seed in seeds]
+    A_base, B_base = _scalar_isometric_pairs(rngs, d, dim)
+    N2 = _nilpotent_tuples(dim, d, n2s, _stream_seeds(rngs))
+    if adjoint_variant:
+        N1 = _adjoints(N2)
+        X = _identities(len(rngs), dim)
+    else:
+        N1 = _nilpotent_tuples(dim, d, n1s, _stream_seeds(rngs))
+        X = _normalized_complexes(rngs, dim)
+    Q = _unitaries(_complex_normals(rngs, dim))
+    tuples = {key: _rotate(Q, T) for key, T in zip(("A", "B", "N1", "N2"), (A_base, B_base, N1, N2))}
+    params = [
+        {"m1": 1 + (seed // 4) % 2, "m2": 1 + (seed // 8) % 2, "n1": n1, "n2": n2,
+         "adjoint_variant": adjoint_variant}
+        for seed, n1, n2 in zip(seeds, n1s, n2s)
+    ]
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _thm05_residuals)
+
+
+def _cor05_residuals(A1, B1, A2, B2, X, m1, m2, **_) -> dict:
+    return {
+        "triangle_hypothesis": mc.fro_norm(tf.triangle(A1, B1, X, m1)),
+        "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
+    }
+
+
+def _build_cor05(rngs: list, seeds: list) -> list:
+    d = 1 + seeds[0] % 2
+    dim = 4
+    n1s = [2 + (seed // 8) % 2 for seed in seeds]
+    n2s = [2 + (seed // 16) % 2 for seed in seeds]
+    A1, B1 = _scalar_isometric_pairs(rngs, d, dim)
+    gammas = _complex_coefficients(rngs, (d,))
+    A2 = gammas[:, :, None, None] * mc.identity(dim)
+    N1 = _nilpotent_tuples(dim, d, n1s, _stream_seeds(rngs))
+    N2 = _nilpotent_tuples(dim, d, n2s, _stream_seeds(rngs))
+    X = _normalized_complexes(rngs, dim)
+    Q = _unitaries(_complex_normals(rngs, dim))
+    A2 = _rotate(Q, A2)
+    tuples = {
+        "A1": _rotate(Q, A1), "B1": _rotate(Q, B1), "A2": A2, "B2": A2,
+        "N1": _rotate(Q, N1), "N2": _rotate(Q, N2),
+    }
+    params = [
+        {"m1": 1 + (seed // 2) % 2, "m2": 1 + (seed // 4) % 2, "n1": n1, "n2": n2}
+        for seed, n1, n2 in zip(seeds, n1s, n2s)
+    ]
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _cor05_residuals)
+
+
+def _cor050_residuals(T, N, X, m1, m2, **_) -> dict:
+    T_star = adjoint_tuple(T)
+    return {
+        "base_defect": mc.fro_norm(tf.isosym_defect(T_star, T, X, m1, m2)),
+        "cross_Tstar_N": max_commutator_cross(T_star, N),
+        "cross_T_N": max_commutator_cross(T, N),
+    }
+
+
+def _build_cor050(rngs: list, seeds: list) -> list:
+    d = 1 + seeds[0] % 2
+    dim = 4
+    orders = [2 + (seed // 8) % 2 for seed in seeds]
+    _, T = _scalar_isometric_pairs(rngs, d, dim)
+    N = _nilpotent_tuples(dim, d, orders, _stream_seeds(rngs))
+    X = _normalized_complexes(rngs, dim)
+    Q = _unitaries(_complex_normals(rngs, dim))
+    params = [
+        {"m1": 1 + (seed // 2) % 2, "m2": 1 + (seed // 4) % 2, "order": order}
+        for seed, order in zip(seeds, orders)
+    ]
+    tuples = {"T": _rotate(Q, T), "N": _rotate(Q, N)}
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _cor050_residuals)
+
+
+def _thm06_residuals(A, B, S, T, X, m, n, r, s, **_) -> dict:
+    return {
+        "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, X, m, n)),
+        "hyp_ST": mc.fro_norm(tf.isosym_defect(S, T, X, r, s)),
+        "cross_A_S": max_commutator_cross(A, S),
+        "cross_B_T": max_commutator_cross(B, T),
+    }
+
+
+def _build_thm06(rngs: list, seeds: list) -> list:
+    family = seeds[0] % 3
+    b = len(rngs)
+    if family == 0:
+        k1s = [1 + (seed // 3) % 2 for seed in seeds]
+        k2s = [1 + (seed // 6) % 2 for seed in seeds]
+        A, B = _embedded_pairs(_iso_factors(rngs, k1s), first=True)
+        S, T = _embedded_pairs(_iso_factors(rngs, k2s), first=False)
+        X = _identities(b, 4)
+        family_name = "jordan-tensor"
+        degrees = [(2 * k1 - 1, 2 * k2 - 1) for k1, k2 in zip(k1s, k2s)]
+    else:
+        n_dim, d = 3, 2
+        if family == 1:
+            A, B = _diag_unitary_pairs(rngs, d, n_dim)
+            S, T = _diag_unitary_pairs(rngs, d, n_dim)
+            family_name = "diag-unitary"
+        else:
+            A = B = _diag_hermitian_tuples(rngs, d, n_dim)
+            S = T = _diag_hermitian_tuples(rngs, d, n_dim)
+            family_name = "diag-hermitian"
+        degrees = [(1 + (seed // 3) % 2, 1 + (seed // 6) % 2) for seed in seeds]
+        x = _draw(rngs, lambda rng: rng.standard_normal((2, n_dim)))
+        X = _normalized(_diagonal(x[:, 0] + 1j * x[:, 1]))
+        Q = _unitaries(_complex_normals(rngs, n_dim))
+        A, B, S, T = (_rotate(Q, t) for t in (A, B, S, T))
+        X = _rotate(Q, X)
+    params = [
+        {"m": m, "n": 1 + (seed // 12) % 2, "r": r, "s": 1 + (seed // 24) % 2,
+         "family": family_name}
+        for seed, (m, r) in zip(seeds, degrees)
+    ]
+    return _bundles({"A": A, "B": B, "S": S, "T": T}, {"X": X}, params, _thm06_residuals)
+
+
+def _cor06_residuals(A, B, S, T, X, m, n, kind, **_) -> dict:
+    defect = tf.triangle if kind == "iso" else tf.delta
+    return {
+        "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
+        "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
+        "cross_A_S": max_commutator_cross(A, S),
+    }
+
+
+def _cor062_residuals(B, T, **parts) -> dict:
+    return {**_cor06_residuals(B=B, T=T, **parts), "cross_B_T": max_commutator_cross(B, T)}
+
+
+def _build_cor06(rngs: list, seeds: list) -> list:
+    kind = "iso" if seeds[0] % 2 == 0 else "sym"
+    factors = _iso_factors if kind == "iso" else _sym_factors
+    k1s = [1 + (seed // 2) % 2 for seed in seeds]
+    k2s = [1 + (seed // 4) % 2 for seed in seeds]
+    A, B = _embedded_pairs(factors(rngs, k1s), first=True)
+    S, T = _embedded_pairs(factors(rngs, k2s), first=False)
+    params = [
+        {"m": 2 * k1 - 1, "n": 2 * k2 - 1, "kind": kind} for k1, k2 in zip(k1s, k2s)
+    ]
+    tuples = {"A": A, "B": B, "S": S, "T": T}
+    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params, _cor06_residuals)
+
+
+def _cor061_residuals(S, T, X, m, n, **_) -> dict:
+    S_star, CSC = adjoint_tuple(S), conj_tuple(S)
+    T_star, CTC = adjoint_tuple(T), conj_tuple(T)
+    return {
+        "cross_S_T": max_commutator_cross(S, T),
+        "cross_Sstar_CTC": max_commutator_cross(S_star, CTC),
+        "hyp_iso_S": mc.fro_norm(tf.triangle(S_star, CSC, X, m)),
+        "hyp_iso_T": mc.fro_norm(tf.triangle(T_star, CTC, X, n)),
+        "hyp_sym_S": mc.fro_norm(tf.delta(S_star, CSC, X, m)),
+        "hyp_sym_T": mc.fro_norm(tf.delta(T_star, CTC, X, n)),
+    }
+
+
+def _build_cor061(rngs: list, seeds: list) -> list:
+    d = 1 + seeds[0] % 2
+    n = 3 + (seeds[0] // 2) % 2
+    real_cases = [(seed // 4) % 2 == 0 for seed in seeds]
+    V = np.array([
+        _bilinear_involutions(rng, n, d, real=real) for rng, real in zip(rngs, real_cases)
+    ])
+    w = _weights(rngs, d)
+    u = _weights(rngs, d)
+    Q = _orthogonals(rngs, n)
+    S = _rotate(Q, w[:, :, None, None] * V)
+    T = _rotate(Q, u[:, :, None, None] * V)
+    params = [
+        {"m": 1 + (seed // 8) % 2, "n": 1 + (seed // 16) % 2, "real_case": real}
+        for seed, real in zip(seeds, real_cases)
+    ]
+    return _bundles({"S": S, "T": T}, {"X": _identities(len(rngs), n)}, params, _cor061_residuals)
+
+
+def _build_cor062(rngs: list, seeds: list) -> list:
+    kind = "iso" if seeds[0] % 2 == 0 else "sym"
+    k1s = [1 + (seed // 2) % 2 for seed in seeds]
+    d = 2
+    factors = _iso_factors if kind == "iso" else _sym_factors
+    A, B = _embedded_pairs(factors(rngs, k1s), first=True)
     if kind == "iso":
-        Sf, Tf = _diag_unitary_pair(rng, d, 2)
+        Sf, Tf = _diag_unitary_pairs(rngs, d, 2)
     else:
-        Sf = _diag_hermitian_tuple(rng, d, 2)
-        Tf = Sf
-    S = tensor_tuple(OperatorTuple.of(eye2), Sf)
-    T = tensor_tuple(OperatorTuple.of(eye2), Tf)
-    n = 1
-    X = mc.identity(4)
-
-    def residuals():
-        defect = tf.triangle if kind == "iso" else tf.delta
-        return {
-            "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
-            "cross_A_S": max_commutator_cross(A, S),
-            "cross_B_T": max_commutator_cross(B, T),
-        }
-
-    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, {"m": m, "n": n, "kind": kind}, residuals
+        Sf = Tf = _diag_hermitian_tuples(rngs, d, 2)
+    eye2 = mc.identity(2)
+    S = mc.kron(eye2, Sf)
+    T = mc.kron(eye2, Tf)
+    params = [{"m": 2 * k1 - 1, "n": 1, "kind": kind} for k1 in k1s]
+    tuples = {"A": A, "B": B, "S": S, "T": T}
+    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params, _cor062_residuals)
 
 
-def _build_thm07(rng: np.random.Generator, seed: int) -> tuple:
-    variant = "i" if seed % 2 == 0 else "ii"
+def _thm07_residuals(A, B, S, T, variant, m, n, **params) -> dict:
     if variant == "i":
-        kind = "iso" if (seed // 2) % 2 == 0 else "sym"
-        factor = _iso_factor if kind == "iso" else _sym_factor
-        a, m = factor(rng, 1 + (seed // 4) % 2)
-        s, n = factor(rng, 1 + (seed // 8) % 2)
-        d = 1 + (seed // 16) % 2
-        w1 = _random_weights(rng, d)
-        w2 = _random_weights(rng, d)
-        A = OperatorTuple(_scaled(w1, mc.adjoint(a)))
-        B = OperatorTuple(_scaled(w1, a))
-        S = OperatorTuple(_scaled(w2, mc.adjoint(s)))
-        T = OperatorTuple(_scaled(w2, s))
-        params = {"variant": variant, "kind": kind, "m": m, "n": n}
+        defect = tf.triangle if params["kind"] == "iso" else tf.delta
+        return {
+            "hyp_AB": mc.fro_norm(defect(A, B, mc.identity(A.dim), m)),
+            "hyp_ST": mc.fro_norm(defect(S, T, mc.identity(S.dim), n)),
+        }
+    r, s = params["r"], params["s"]
+    return {
+        "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, mc.identity(A.dim), m, n)),
+        "hyp_S_iso": mc.fro_norm(tf.triangle(S, T, mc.identity(S.dim), r)),
+        "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s)),
+    }
 
-        def residuals():
-            defect = tf.triangle if kind == "iso" else tf.delta
-            return {
-                "hyp_AB": mc.fro_norm(defect(A, B, mc.identity(A.dim), m)),
-                "hyp_ST": mc.fro_norm(defect(S, T, mc.identity(S.dim), n)),
-            }
+
+def _build_thm07(rngs: list, seeds: list) -> list:
+    variant = "i" if seeds[0] % 2 == 0 else "ii"
+    if variant == "i":
+        kind = "iso" if (seeds[0] // 2) % 2 == 0 else "sym"
+        factors = _iso_factors if kind == "iso" else _sym_factors
+        k1s = [1 + (seed // 4) % 2 for seed in seeds]
+        k2s = [1 + (seed // 8) % 2 for seed in seeds]
+        a = factors(rngs, k1s)
+        s = factors(rngs, k2s)
+        d = 1 + (seeds[0] // 16) % 2
+        w1 = _weights(rngs, d)
+        w2 = _weights(rngs, d)
+        A = _scaled(w1, a.conj().swapaxes(-1, -2))
+        B = _scaled(w1, a)
+        S = _scaled(w2, s.conj().swapaxes(-1, -2))
+        T = _scaled(w2, s)
+        params = [
+            {"variant": variant, "kind": kind, "m": 2 * k1 - 1, "n": 2 * k2 - 1}
+            for k1, k2 in zip(k1s, k2s)
+        ]
     else:
-        a, m = _iso_factor(rng, 1 + (seed // 2) % 2)
-        n_exp = 1 + (seed // 4) % 2
-        k2 = 1 + (seed // 8) % 2
-        g = jordan_block(1.0, 2) if k2 == 2 else mc.identity(2)
-        r = s_exp = 2 * k2 - 1
-        A = OperatorTuple.of(mc.adjoint(a))
-        B = OperatorTuple.of(a)
-        S = OperatorTuple.of(mc.adjoint(g))
-        T = OperatorTuple.of(g)
-        params = {"variant": variant, "m": m, "n": n_exp, "r": r, "s": s_exp}
-
-        def residuals():
-            return {
-                "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, mc.identity(A.dim), m, n_exp)),
-                "hyp_S_iso": mc.fro_norm(tf.triangle(S, T, mc.identity(S.dim), r)),
-                "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s_exp)),
-            }
-
-    return {"A": A, "B": B, "S": S, "T": T}, {}, params, residuals
+        k1s = [1 + (seed // 2) % 2 for seed in seeds]
+        a = _iso_factors(rngs, k1s)
+        k2s = [1 + (seed // 8) % 2 for seed in seeds]
+        g = np.array([jordan_block(1.0, 2) if k2 == 2 else mc.identity(2) for k2 in k2s])
+        A, B = _adjoints(a)[:, None], a[:, None]
+        S, T = _adjoints(g)[:, None], g[:, None]
+        params = [
+            {"variant": variant, "m": 2 * k1 - 1, "n": 1 + (seed // 4) % 2,
+             "r": 2 * k2 - 1, "s": 2 * k2 - 1}
+            for seed, k1, k2 in zip(seeds, k1s, k2s)
+        ]
+    return _bundles({"A": A, "B": B, "S": S, "T": T}, {}, params, _thm07_residuals)
 
 
+def _thm07_variant(seed: int) -> tuple:
+    """Variant ii, or variant i with its kind and tuple length."""
+    if seed % 2:
+        return ("ii",)
+    return ("i", (seed // 2) % 2, (seed // 16) % 2)
+
+
+#: Each profile's builder, and the variant class of a seed: the seed bits that
+#: change the shapes a builder stacks or the kinds of draws it makes.
 _BUILDERS = {
-    "pro01": _build_pro01,
-    "pro02-family": _build_pro02,
-    "pro03": _build_pro03,
-    "pro04": _build_pro04,
-    "pro5": _build_pro5,
-    "thm05": _build_thm05,
-    "cor05": _build_cor05,
-    "cor050": _build_cor050,
-    "thm06": _build_thm06,
-    "cor06": _build_cor06,
-    "cor061": _build_cor061,
-    "cor062": _build_cor062,
-    "thm07": _build_thm07,
+    "pro01": (_build_pro01, lambda seed: seed % 2),
+    "pro02-family": (_build_pro02, lambda seed: seed % 2),
+    "pro03": (_build_pro03, lambda seed: seed % 4),
+    "pro04": (_build_pro04, lambda seed: seed % 2),
+    "pro5": (_build_pro5, lambda seed: seed % 2),
+    "thm05": (_build_thm05, lambda seed: seed % 4),
+    "cor05": (_build_cor05, lambda seed: seed % 2),
+    "cor050": (_build_cor050, lambda seed: seed % 2),
+    "thm06": (_build_thm06, lambda seed: seed % 3),
+    "cor06": (_build_cor06, lambda seed: seed % 2),
+    "cor061": (_build_cor061, lambda seed: seed % 4),
+    "cor062": (_build_cor062, lambda seed: seed % 2),
+    "thm07": (_build_thm07, _thm07_variant),
 }
 
 #: Profiles accepted by :func:`random_instance`; one per campaign family.
@@ -809,12 +943,33 @@ def random_instance(profile: str, rng_seed: int) -> InstanceBundle:
     Its matrices are read-only, as tuple components are, so the residuals
     computed on first read describe the instance as built.
     """
+    return random_instances(profile, (rng_seed,))[0]
+
+
+def random_instances(profile: str, seeds) -> list[InstanceBundle]:
+    """``random_instance(profile, seed)`` for each seed, built together.
+
+    Each seed draws from its own ``default_rng(seed)`` in a fixed order; the
+    seeds of one variant class are then built by one call of the profile's
+    builder, whose steps are stacked expressions over the class with the
+    products and in-order sums of one seed's, so every bundle has the bits
+    it gets alone.
+    """
     if profile not in _BUILDERS:
         raise InvalidArgumentError(
             f"unknown profile {profile!r}; expected one of {sorted(_BUILDERS)}"
         )
-    rng = np.random.default_rng(rng_seed)
-    tuples, matrices, params, residual_fn = _BUILDERS[profile](rng, rng_seed)
-    for X in matrices.values():
-        X.setflags(write=False)
-    return InstanceBundle(profile, rng_seed, tuples, matrices, params, residual_fn)
+    build, variant = _BUILDERS[profile]
+    seeds = tuple(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    classes: dict = {}
+    for i, seed in enumerate(seeds):
+        classes.setdefault(variant(seed), []).append(i)
+    bundles: list[InstanceBundle] = [None] * len(seeds)
+    for index in classes.values():
+        parts = build([rngs[i] for i in index], [seeds[i] for i in index])
+        for i, (tuples, matrices, params, residual_fn) in zip(index, parts):
+            for X in matrices.values():
+                X.setflags(write=False)
+            bundles[i] = InstanceBundle(profile, seeds[i], tuples, matrices, params, residual_fn)
+    return bundles

@@ -19,7 +19,8 @@ tolerance scale come from one LAPACK call over both stacks.  Each stacked
 kernel gives the same bits as the loop over components it replaced.
 ``defect_checks`` evaluates many zero tests at once, each campaign trial's
 among them, on ``(batch, ...)`` stacks of the same products and in-order
-sums, so every norm and threshold has the bits ``defect_check`` gives it.
+sums, so every norm and threshold has the bits ``defect_check`` gives it;
+``cesaro_errors`` runs many Cesaro sequences the same way.
 ``superop_matrix`` lifts the maps
 to dim^2 x dim^2 matrices acting on column-stacked vec(X) — the second,
 independent evaluation route used for cross-checks.
@@ -442,11 +443,41 @@ def cesaro_error(
     later iterates, so sigma is applied t_max - m more times.  The pair is not
     checked for being (X,m)-isometric.
     """
-    _require_cesaro_degrees(m, t_max)
-    Y = sig[m]
-    for _ in range(t_max - m):
-        Y = _sigma(A, B, Y)
-    return mc.fro_norm(Y / binomial(t_max, m - 1) - triangle_of_iterates(sig, m - 1))
+    return cesaro_errors([(A, B, sig, m, t_max)])[0]
+
+
+def cesaro_errors(runs) -> list[float]:
+    """``cesaro_error(A, B, sig, m, t_max)`` of each run ``(A, B, sig, m, t_max)``, with its bits.
+
+    Runs on tuples of one length and dimension that take one number of steps,
+    t_max - m, are stacked: their steps run once, on ``(d, batch, n, n)``
+    stacks through ``_sigma_of_stacks``, the products and in-order sums of
+    one run's.  An iterate with a non-finite entry anywhere in a batch sends
+    every run through alone, which raises what ``sigma_apply`` raises.
+    """
+    runs = list(runs)
+    for *_, m, t_max in runs:
+        _require_cesaro_degrees(m, t_max)
+    groups: dict[tuple, list[int]] = {}
+    for i, (A, _, _, m, t_max) in enumerate(runs):
+        groups.setdefault((A.d, A.dim, t_max - m), []).append(i)
+    last: list[np.ndarray] = [None] * len(runs)
+    for (_, _, steps), members in groups.items():
+        a = np.stack([runs[i][0].stack for i in members], axis=1)
+        b = np.stack([runs[i][1].stack for i in members], axis=1)
+        Y = np.array([runs[i][2][runs[i][3]] for i in members], dtype=np.complex128)
+        for _ in range(steps):
+            if not np.isfinite(Y).all():
+                if len(runs) > 1:
+                    return [cesaro_errors([run])[0] for run in runs]
+                raise InvalidArgumentError("X contains non-finite entries")
+            Y = _sigma_of_stacks(a, Y, b)
+        for i, Y_i in zip(members, Y):
+            last[i] = Y_i
+    return [
+        mc.fro_norm(Y / binomial(t_max, m - 1) - triangle_of_iterates(sig, m - 1))
+        for Y, (_, _, sig, m, t_max) in zip(last, runs)
+    ]
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,18 @@ class OperatorTuple:
         return self
 
     @classmethod
+    def _of_stacks(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
+        """A tuple over each item of ``stacks``, a freshly computed (b, d, n, n) array,
+        validated once for all of them; each holds a read-only view of its item."""
+        flat = mc.as_stack(stacks.reshape(-1, *stacks.shape[-2:]), name="operator tuple")
+        tuples = []
+        for stack in _frozen(flat).reshape(stacks.shape):
+            self = object.__new__(cls)
+            self.__dict__["stack"] = stack
+            tuples.append(self)
+        return tuples
+
+    @classmethod
     def of(cls, *matrices) -> "OperatorTuple":
         return cls(matrices)
 
@@ -373,29 +385,81 @@ def nilpotency_order(
     Commuting components mean words collapse to compositions, which is what
     gets enumerated.  Returns None when no such n exists up to max_order.
     """
-    if not isinstance(max_order, int) or max_order < 1:
-        raise InvalidArgumentError(f"max_order must be a positive integer, got {max_order!r}")
-    if strict and not commutes_within(N, tol):
-        raise InvalidArgumentError(
-            f"tuple does not commute (max residual {max_commutator_within(N):.3e})"
-        )
-    norms = N._fro_norms
-    # powers[k - 1][i] = N_i**k, each power stack one batched product from the last
-    powers = [N.stack]
+    return nilpotency_orders([(N, max_order)], tol, strict)[0]
+
+
+def nilpotency_orders(
+    queries, tol: mc.Tolerance = mc.DEFAULT_TOL, strict: bool = True
+) -> list[int | None]:
+    """``nilpotency_order(N, max_order, tol, strict)`` of each query ``(N, max_order)``.
+
+    Queries of one tuple length, dimension and max_order are stacked: each
+    power of the components is one batched product from the last, and each
+    composition's word is one chain of products from the identity across the
+    tuples still undecided at its order, so every word norm has the bits of
+    one tuple's.  A tuple leaves the chain at its first nonzero word, as it
+    does alone.  A query that is refused (a bad max_order, or in strict mode a
+    tuple that does not commute) raises before any word is formed.
+    """
+    queries = list(queries)
+    for N, max_order in queries:
+        if not isinstance(max_order, int) or max_order < 1:
+            raise InvalidArgumentError(
+                f"max_order must be a positive integer, got {max_order!r}"
+            )
+        if strict and not commutes_within(N, tol):
+            raise InvalidArgumentError(
+                f"tuple does not commute (max residual {max_commutator_within(N):.3e})"
+            )
+    groups: dict[tuple, list[int]] = {}
+    for i, (N, max_order) in enumerate(queries):
+        groups.setdefault((N.d, N.dim, max_order), []).append(i)
+    orders: list[int | None] = [None] * len(queries)
+    for (d, dim, max_order), members in groups.items():
+        tuples = [queries[i][0] for i in members]
+        for k, order in zip(members, _group_orders(tuples, d, dim, max_order, tol)):
+            orders[k] = order
+    return orders
+
+
+def _group_orders(
+    tuples: list[OperatorTuple], d: int, dim: int, max_order: int, tol: mc.Tolerance
+) -> list[int | None]:
+    """The nilpotency order of each tuple of one length and dimension."""
+    norms = [T._fro_norms for T in tuples]
+    # powers[k - 1][b, i] = N_i**k of tuple b, each power stack one batched product from the last
+    stack = np.stack([T.stack for T in tuples])
+    powers = [stack]
     for _ in range(max_order - 1):
-        powers.append(powers[-1] @ N.stack)
-    eye = mc.identity(N.dim)
-
-    def word_is_zero(alpha) -> bool:
-        prod = eye
-        scale = 1.0
-        for i, a in enumerate(alpha):
-            if a:
-                prod = prod @ powers[a - 1][i]
-                scale *= norms[i] ** a
-        return mc.is_zero(prod, tol, scale=scale)
-
+        powers.append(powers[-1] @ stack)
+    eye = mc.identity(dim)
+    orders: list[int | None] = [None] * len(tuples)
+    pending = list(range(len(tuples)))
     for n in range(1, max_order + 1):
-        if all(word_is_zero(alpha) for alpha in compositions(N.d, n)):
-            return n
-    return None
+        zero = pending  # the tuples whose order-n words are all zero so far
+        for alpha in compositions(d, n):
+            if not zero:
+                break
+            prod = eye
+            for i, a in enumerate(alpha):
+                if a:
+                    prod = prod @ powers[a - 1][zero, i]
+            zero = [
+                b for b, value in zip(zero, mc.fro_norms(prod))
+                if value <= tol.threshold(_word_scale(norms[b], alpha))
+            ]
+        for b in zero:
+            orders[b] = n
+        pending = [b for b in pending if orders[b] is None]
+        if not pending:
+            break
+    return orders
+
+
+def _word_scale(norms: tuple[float, ...], alpha) -> float:
+    """prod_i ||N_i||_F ** alpha_i over the nonzero alpha_i, multiplied in index order."""
+    scale = 1.0
+    for i, a in enumerate(alpha):
+        if a:
+            scale *= norms[i] ** a
+    return scale

@@ -9,14 +9,18 @@ Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
-Each checker has one body, a generator: it yields each list of zero tests
-it would run (``_zero_tests``, ``_failed_hypothesis``), its sharpness norms
-included, and is sent back their ``(name, norm, threshold)``.  ``check_*``
-drives its body alone; a campaign drives the bodies of up to
-``LOCKSTEP_TRIALS`` trials in lock-step (``_lockstep``) and evaluates each
-round's zero tests across trials through ``transforms.defect_checks``, whose
-norms and thresholds have the bits of one ``defect_check`` each, so a trial's
-result does not depend on the trials run beside it.
+Each checker has one body, a generator: it yields ``(kernel, items)`` for
+each batch of work it would do, and is sent back ``kernel(items, tol)``.  The
+kernels are ``transforms.defect_checks`` for its zero tests
+(``_zero_tests``, ``_failed_hypothesis``, sharpness norms included),
+``tuples.nilpotency_orders`` for the orders of thm05, cor05 and cor050,
+``transforms.cesaro_errors`` for pro01's Cesaro run, and ``spectral_norms``
+for pro03's scales.  ``check_*`` drives its body alone; a campaign generates
+a chunk of up to ``LOCKSTEP_TRIALS`` instances together
+(``generators.random_instances``) and drives their bodies in lock-step
+(``_lockstep``): each round calls each kernel once, on the items of every
+pending body.  Every kernel gives each item the bits it gets alone, so a
+trial's result does not depend on the trials run beside it.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -42,7 +46,7 @@ from .generators import (
     InstanceBundle,
     paper_example_mixing,
     paper_example_squares,
-    random_instance,
+    random_instances,
 )
 from .tuples import (
     OperatorTuple,
@@ -54,7 +58,7 @@ from .tuples import (
     inverse_tuple,
     max_commutator_cross,
     max_commutator_within,
-    nilpotency_order,
+    nilpotency_orders,
     power_tuple,
     product_tuple,
     spectral_norms,
@@ -154,9 +158,21 @@ def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
 
 
 def _zero_tests(*tests: tuple):
-    """Yield the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to whatever runs the
-    body (``_lockstep``), and return the ``(name, norm, threshold)`` of each it sends back."""
-    return (yield tests)
+    """Send the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to ``tf.defect_checks``
+    through the body's driver (``_lockstep``), and return each ``(name, norm, threshold)``."""
+    values = yield tf.defect_checks, [test[1:] for test in tests]
+    return [(test[0], *value) for test, value in zip(tests, values)]
+
+
+def _nilpotency_orders(max_order: int, *tuples: OperatorTuple):
+    """The nilpotency order of each tuple up to ``max_order``, or None, from
+    ``tuples.nilpotency_orders`` through the body's driver."""
+    return (yield nilpotency_orders, [(N, max_order) for N in tuples])
+
+
+def _cesaro_errors(runs: list, tol: mc.Tolerance) -> list[float]:
+    """The lock-step kernel of pro01's Cesaro runs, which take no tolerance."""
+    return tf.cesaro_errors(runs)
 
 
 def _failed_hypothesis(*hypotheses: tuple):
@@ -169,9 +185,9 @@ def _failed_hypothesis(*hypotheses: tuple):
 
 
 def _lockstep(bodies: list, tol: mc.Tolerance) -> list:
-    """The value each checker body returns.  The bodies advance together: every
-    round evaluates the zero tests that all pending bodies yielded through one
-    ``tf.defect_checks`` call, and sends each body its ``(name, norm, threshold)``."""
+    """The value each checker body returns.  A body yields ``(kernel, items)`` and is
+    sent back ``kernel(items, tol)``.  The bodies advance together: every round
+    calls each kernel once, on the items that all pending bodies yielded for it."""
     results = [None] * len(bodies)
     pending: dict[int, tuple] = {}
 
@@ -186,9 +202,16 @@ def _lockstep(bodies: list, tol: mc.Tolerance) -> list:
     while pending:
         waiting = list(pending.items())
         pending.clear()
-        values = iter(tf.defect_checks([test[1:] for _, tests in waiting for test in tests], tol))
-        for i, tests in waiting:
-            advance(i, [(test[0], *next(values)) for test in tests])
+        by_kernel: dict[Callable, list] = {}
+        for i, (kernel, items) in waiting:
+            by_kernel.setdefault(kernel, []).append((i, items))
+        answers = {}
+        for kernel, requests in by_kernel.items():
+            values = iter(kernel([item for _, items in requests for item in items], tol))
+            for i, items in requests:
+                answers[i] = [next(values) for _ in items]
+        for i, _ in waiting:
+            advance(i, answers[i])
     return results
 
 
@@ -256,7 +279,8 @@ def check_pro01(
     inverse iterates stay bounded.
 
     The defects of degrees 0..m-1 and the Cesaro error all come from one run
-    of t_max sigma iterates.
+    of t_max sigma iterates, whose steps past m a campaign runs across trials
+    (``tf.cesaro_errors``).
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     m = int(bundle.params["m"])
@@ -264,7 +288,7 @@ def check_pro01(
     if defect_m > threshold_m:
         return _skip(f"not (X,{m})-isometric", isometry_defect=defect_m)
     sig = tf.sigma_iterates(A, B, X, m)
-    e_final = tf.cesaro_error(A, B, sig, m, t_max)
+    (e_final,) = yield _cesaro_errors, [(A, B, sig, m, t_max)]
     lower = [mc.fro_norm(tf.triangle_of_iterates(sig, j)) for j in range(m)]
     c_const = 5.0 * max(lower)
     bound = c_const * (m - 1) / t_max + threshold_m
@@ -293,7 +317,8 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     The first family member must satisfy its declared identity (hypothesis);
     the member sequence must converge in norm to the declared limit.  A limit
     that decisively fails while the first member passed is a counterexample
-    (a drifting family), not a skip.
+    (a drifting family), not a skip.  Every member's test and the limit's
+    are evaluated together, so their scales come from one LAPACK call.
     """
     m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
     degrees = (m1, 0) if bundle.params["kind"] == "triangle" else (0, m2)
@@ -301,8 +326,6 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     X = bundle.matrices["X"]
     members = [(bundle.tuples[f"A{j}"], bundle.tuples[f"B{j}"]) for j in range(count)]
     A_lim, B_lim = bundle.tuples["A_limit"], bundle.tuples["B_limit"]
-    # the scales of every member and of the limit, from one LAPACK call
-    spectral_norms(*(T for pair in members for T in pair), A_lim, B_lim)
 
     # each member's largest componentwise distance from the limit
     lim = np.concatenate([A_lim.stack, B_lim.stack])
@@ -310,14 +333,16 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
         raise InvalidArgumentError("family does not converge: residuals are not decreasing")
 
-    first = ("first family member violates its identity", *members[0], X, *degrees)
-    (_, first_norm, first_threshold), = yield from _zero_tests(first)
+    *judged, (_, norm_lim, _) = yield from _zero_tests(
+        *((f"member {j}", A_j, B_j, X, *degrees) for j, (A_j, B_j) in enumerate(members)),
+        ("limit_defect", A_lim, B_lim, X, m1, m2),
+    )
+    (_, first_norm, first_threshold), *later = judged
     if first_norm > first_threshold:
         return _skip("first family member violates its identity", member_defect=first_norm)
-    # later members drifting off the identity refute the closure claim; each is
-    # tested only once the one before it passed
-    for j, (A_j, B_j) in enumerate(members[1:], start=1):
-        (_, norm_j, threshold_j), = yield from _zero_tests((f"member {j}", A_j, B_j, X, *degrees))
+    # later members drifting off the identity refute the closure claim; each
+    # counts only once the one before it passed
+    for j, (_, norm_j, threshold_j) in enumerate(later, start=1):
         verdict = _judge(norm_j, threshold_j)
         if verdict != "pass":
             return TrialResult(
@@ -327,13 +352,17 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
                 conclusion=norm_j,
             )
 
-    (_, norm_lim, _), = yield from _zero_tests(("limit_defect", A_lim, B_lim, X, m1, m2))
     scale_lim = tf.defect_scale(A_lim, B_lim, X, m1, m2)
     # convergence slack: the defect is Lipschitz in the tuple within a factor
     # of the degree times the scale, applied to the last residual
     slack = 10.0 * (m1 + m2) * conv[-1] * scale_lim
     threshold = tol.threshold(scale_lim) + slack
     return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
+
+
+def _spectral_norms(tuples: list, tol: mc.Tolerance) -> list:
+    """The lock-step kernel that gives every tuple its spectral norms from one call."""
+    return spectral_norms(*tuples)
 
 
 @_checker
@@ -346,7 +375,9 @@ def check_pro03(
     is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
     Part (b): the symmetric analogue, reducing to the last pair's delta defect.
     The scales of every one-component pair and of the full pair come from one
-    LAPACK call.
+    LAPACK call: part (a) reads the last pair's norms in its right-hand
+    threshold, and no zero test carries that pair, so the body asks for them
+    all first.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     if m is None:
@@ -356,30 +387,31 @@ def check_pro03(
     if d < 2:
         return _skip("reduction needs d >= 2")
     pairs = [(OperatorTuple.of(a), OperatorTuple.of(b)) for a, b in zip(A, B)]
-    spectral_norms(*(T for pair in pairs for T in pair), A, B)
-    # each pair is tested only once the one before it passed
-    for i, (Ai, Bi) in enumerate(pairs[:-1]):
-        reason = f"pair {i} is not degree-1 annihilating"
-        if skip := (yield from _failed_hypothesis((reason, Ai, Bi, X, *_degrees(kind, 1)))):
-            return skip
-
+    yield _spectral_norms, [T for pair in pairs for T in pair] + [A, B]
+    hypotheses = [
+        (f"pair {i} is not degree-1 annihilating", Ai, Bi, X, *_degrees(kind, 1))
+        for i, (Ai, Bi) in enumerate(pairs[:-1])
+    ]
     lhs = ("lhs", A, B, X, *_degrees(kind, m))
+    sides = [lhs] if kind == "iso" else [lhs, ("rhs", *pairs[-1], X, 0, m)]
+    judged = yield from _zero_tests(*hypotheses, *sides)
+    # each pair counts only once the one before it passed
+    for reason, norm, threshold in judged[: d - 1]:
+        if norm > threshold:
+            return _skip(reason, residual=norm)
+
     if kind == "iso":
-        (_, lhs_norm, lhs_thr), = yield from _zero_tests(lhs)
+        (_, lhs_norm, lhs_thr), = judged[d - 1 :]
         # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
         Ad, Bd = pairs[-1]
         coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
         terms = np.array(coeffs)[:, None, None] * (Ad.sum_powers(m) @ X @ Bd.sum_powers(m))
         rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
         rhs_thr = tol.threshold(
-            tf.grown_scale(
-                mc.fro_norm(X), 1.0 + abs(d - 2) + A.op_norms[d - 1] * B.op_norms[d - 1], m
-            )
+            tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + Ad.op_norms[0] * Bd.op_norms[0], m)
         )
     else:
-        (_, lhs_norm, lhs_thr), (_, rhs_norm, rhs_thr) = yield from _zero_tests(
-            lhs, ("rhs", *pairs[-1], X, 0, m)
-        )
+        (_, lhs_norm, lhs_thr), (_, rhs_norm, rhs_thr) = judged[d - 1 :]
 
     lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
     defects = {
@@ -449,8 +481,7 @@ def check_thm05(
     within = [(f"tuple {name} does not commute", T, T) for name, T in zip(names, (A, B, N1, N2))]
     if skip := _noncommuting(tol, *within, ("[A, N1] != 0", A, N1), ("[B, N2] != 0", B, N2)):
         return skip
-    n1 = nilpotency_order(N1, max_order=A.dim, tol=tol)
-    n2 = nilpotency_order(N2, max_order=A.dim, tol=tol)
+    n1, n2 = yield from _nilpotency_orders(A.dim, N1, N2)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     base = ("base pair violates the combined identity", A, B, X, m1, m2)
@@ -481,8 +512,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     pairs = ((f"[{name}] != 0", *_args(bundle, name.replace(",", " "))) for name in names)
     if skip := _noncommuting(tol, *pairs):
         return skip
-    n1 = nilpotency_order(N1, max_order=A1.dim, tol=tol)
-    n2 = nilpotency_order(N2, max_order=A1.dim, tol=tol)
+    n1, n2 = yield from _nilpotency_orders(A1.dim, N1, N2)
     if n1 is None or n2 is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     if skip := (yield from _failed_hypothesis(
@@ -518,7 +548,7 @@ def check_cor050(
         tol, ("T does not commute", T_hilbert, T_hilbert), (cross, T_hilbert, N), (cross, T_star, N)
     ):
         return skip
-    order = nilpotency_order(N, max_order=T_hilbert.dim, tol=tol)
+    (order,) = yield from _nilpotency_orders(T_hilbert.dim, N)
     if order is None:
         return _skip("perturbation tuple is not nilpotent up to the dimension")
     base = ("base adjoint pair violates the combined identity", T_star, T_hilbert, X, m1, m2)
@@ -931,10 +961,10 @@ LOCKSTEP_TRIALS = 64
 def _run_chunk(
     theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int
 ) -> list[tuple[TrialResult, InstanceBundle]]:
-    """The result and the instance of each seed: every instance is generated on its
-    own, and all their checker bodies run in lock-step."""
+    """The result and the instance of each seed: the instances are generated together
+    (``random_instances``), and all their checker bodies run in lock-step."""
     entry = THEOREMS[theorem_id]
-    bundles = [random_instance(entry.profile, seed) for seed in seeds]
+    bundles = random_instances(entry.profile, seeds)
     return list(zip(_lockstep([entry.body(b, tol, t_max) for b in bundles], tol), bundles))
 
 
@@ -960,8 +990,9 @@ def _counterexample_record(
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured checks; deterministic given the seeds (modulo wall time).
 
-    Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds whose checks advance
-    in lock-step (``_lockstep``), with the bits each trial gives alone.  A
+    Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds, whose instances are
+    generated together and whose checks advance in lock-step (``_lockstep``),
+    with the bits each trial gives alone.  A
     budgeted campaign runs chunks of one trial and checks the budget before
     each, so it stops within one trial of its deadline and its report covers
     a prefix of the seeds.  The golden check takes no seed, so it runs once,

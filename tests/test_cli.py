@@ -455,6 +455,18 @@ def test_campaign_config_count_that_is_not_a_json_integer_exits_2(tmp_path, caps
     _single_error_line(capsys, f"{key} must be an integer")
 
 
+@pytest.mark.parametrize("key", ["out", "csv"])
+@pytest.mark.parametrize("value", [5, True, ["a"]])
+def test_campaign_config_path_that_is_not_a_string_exits_2(tmp_path, capsys, key, value):
+    # refused before any trial runs, not after the whole campaign
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 2, key: value}))
+    assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be a file path, got {value!r}\n"
+
+
 def test_campaign_refuses_a_negative_seed_flag(capsys):
     assert main(["campaign", "--theorem", "pro04", "--trials", "2", "--seed", "-5"]) == 2
     _single_error_line(capsys, "seed must be non-negative, got -5")

@@ -20,6 +20,7 @@ from isotuple.generators import (
     paper_example_squares,
     poly_eval,
     random_instance,
+    random_instances,
     upper_shift,
 )
 from isotuple.tuples import (
@@ -271,3 +272,31 @@ def test_bundle_json_is_serializable():
     back = json.loads(payload)
     assert back["profile"] == "thm05"
     assert set(back["tuples"]) == {"A", "B", "N1", "N2"}
+
+
+def _assert_same_bundle(got: InstanceBundle, expected: InstanceBundle) -> None:
+    assert (got.profile, got.seed, got.params) == (expected.profile, expected.seed, expected.params)
+    assert list(got.tuples) == list(expected.tuples)
+    for key, T in got.tuples.items():
+        assert T.stack.shape == expected.tuples[key].stack.shape
+        assert T.stack.tobytes() == expected.tuples[key].stack.tobytes(), key
+    assert list(got.matrices) == list(expected.matrices)
+    for key, X in got.matrices.items():
+        assert not X.flags.writeable
+        assert X.tobytes() == expected.matrices[key].tobytes(), key
+    assert got.residuals == expected.residuals
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_random_instances_equal_one_seed_at_a_time(profile):
+    # every variant class shares a batch, in seed order and shuffled
+    seeds = list(range(200))
+    shuffled = list(np.random.default_rng(3).permutation(seeds).tolist())
+    alone = {seed: random_instance(profile, seed) for seed in seeds}
+    for order in (seeds, shuffled):
+        for seed, bundle in zip(order, random_instances(profile, order)):
+            _assert_same_bundle(bundle, alone[seed])
+
+
+def test_random_instances_of_no_seeds_is_empty():
+    assert random_instances("pro04", []) == []

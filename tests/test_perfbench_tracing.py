@@ -53,8 +53,11 @@ def test_traced_campaigns_wrap_every_target_and_uninstall_cleanly(capsys):
     for (module, fn), wrapper in wrapped.items():
         assert wrapper is not bindings[(module, fn)], f"{module.__name__}.{fn} is not wrapped"
         assert wrapper.__wrapped__ is bindings[(module, fn)]
-    # two trials of each theorem id, each from its own instance; the trials run
-    # their checker bodies in lock-step, so only the golden check calls a check_*
-    assert tracer.stats["generators.random_instance"][0] == 2 * (len(CAMPAIGN_IDS) - 1) == 26
+    # a campaign generates its instances together (``random_instances``), its trials
+    # run their checker bodies in lock-step and take their nilpotency orders from
+    # ``nilpotency_orders``, so no traced generator or order call is made, and only
+    # the golden check calls a check_*
+    assert tracer.stats["generators.random_instance"][0] == 0
+    assert tracer.stats["tuples.nilpotency_order"][0] == 0
     assert tracer.stats["verify.check"][0] == 1
     assert all(getattr(module, attr) is value for (module, attr), value in bindings.items())

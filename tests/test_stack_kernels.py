@@ -16,6 +16,7 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
+from isotuple.generators import random_instances
 from isotuple.multiindex import binomial
 from isotuple.tuples import (
     OperatorTuple,
@@ -275,3 +276,37 @@ def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
         with pytest.raises(type(alone.value)) as batched:
             tf.defect_checks([(A, B, X, m, n), bad, (A, B, 2.0 * X, m, n)])
     assert str(batched.value) == str(alone.value)
+
+
+def _pro01_runs(seeds, t_max=200):
+    """The Cesaro run ``(A, B, sig, m, t_max)`` of each pro01 instance, as ``check_pro01`` makes it."""
+    runs = []
+    for bundle in random_instances("pro01", seeds):
+        A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
+        m = int(bundle.params["m"])
+        runs.append((A, B, tf.sigma_iterates(A, B, X, m), m, t_max))
+    return runs
+
+
+def test_batched_cesaro_errors_equal_one_run_at_a_time():
+    # both instance shapes of pro01 and two step counts share one call
+    runs = _pro01_runs(range(64)) + _pro01_runs(range(8), t_max=37)
+    batched = tf.cesaro_errors(runs)
+    alone = [tf.cesaro_error(*run) for run in runs]
+    assert [value.hex() for value in batched] == [value.hex() for value in alone]
+    # the loop the kernel replaced: one sigma application per step
+    for (A, B, sig, m, t_max), value in zip(runs, batched):
+        Y = sig[m]
+        for _ in range(t_max - m):
+            Y = tf.sigma_apply(A, B, Y)
+        assert mc.fro_norm(Y / binomial(t_max, m - 1) - tf.triangle_of_iterates(sig, m - 1)) == value
+
+
+def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
+    good, (A, B, sig, m, t_max) = _pro01_runs([0, 1])
+    bad = (A, B, [*sig[:m], np.full_like(sig[m], np.inf)], m, t_max)
+    with pytest.raises(mc.InvalidArgumentError) as alone:
+        tf.cesaro_error(*bad)
+    with pytest.raises(mc.InvalidArgumentError) as batched:
+        tf.cesaro_errors([good, bad])
+    assert str(batched.value) == str(alone.value) == "X contains non-finite entries"

@@ -6,7 +6,13 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple.errors import BudgetExceededError, InvalidArgumentError, SingularMatrixError
-from isotuple.generators import PROFILES, paper_example_squares, random_instance, upper_shift
+from isotuple.generators import (
+    PROFILES,
+    paper_example_squares,
+    random_instance,
+    random_instances,
+    upper_shift,
+)
 from isotuple.tuples import (
     OperatorTuple,
     PowerConvention,
@@ -17,6 +23,7 @@ from isotuple.tuples import (
     inverse_tuple,
     mix_by_unitary,
     nilpotency_order,
+    nilpotency_orders,
     power_tuple,
     product_tuple,
     scalar_tuple,
@@ -315,3 +322,37 @@ def test_cached_spectral_norms_equal_fresh_ones(monkeypatch):
     monkeypatch.setattr(mc, "op_norm_estimate", no_more_svds)
     for A in tuples:
         assert len(A.op_norms) == A.d and A.sum_op_norm >= 0.0
+
+
+@pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)])
+def test_batched_nilpotency_orders_equal_one_tuple_at_a_time(tol):
+    # the perturbation tuples of every seed of the three nilpotent ids, in one batch
+    keys = {"thm05": ("N1", "N2"), "cor05": ("N1", "N2"), "cor050": ("N",)}
+    queries = [
+        (bundle.tuples[key], bundle.tuples[key].dim)
+        for profile, names in keys.items()
+        for bundle in random_instances(profile, range(200))
+        for key in names
+    ]
+    # at the tight tolerance some commutators of these tuples fail the strict check
+    strict = tol == mc.DEFAULT_TOL
+    alone = [nilpotency_order(N, max_order, tol, strict) for N, max_order in queries]
+    assert set(alone) == {2, 3} if strict else len(set(alone)) > 2
+    assert nilpotency_orders(queries, tol, strict) == alone
+
+
+def test_batched_nilpotency_orders_of_a_non_nilpotent_tuple_are_none():
+    pair = OperatorTuple.of(upper_shift(3), upper_shift(3) @ upper_shift(3))
+    invertible = OperatorTuple.of(np.eye(3), upper_shift(3))
+    assert nilpotency_orders([(pair, 5), (invertible, 5), (pair, 2)]) == [3, None, None]
+
+
+def test_batched_nilpotency_orders_refuse_a_non_commuting_tuple_as_alone():
+    good = OperatorTuple.of(SHIFT_UP)
+    bad = OperatorTuple.of(SHIFT_UP, SHIFT_DOWN)
+    with pytest.raises(InvalidArgumentError) as alone:
+        nilpotency_order(bad, 4)
+    with pytest.raises(InvalidArgumentError) as batched:
+        nilpotency_orders([(good, 4), (bad, 4)])
+    assert str(batched.value) == str(alone.value)
+    assert "tuple does not commute" in str(alone.value)

@@ -75,18 +75,19 @@ def test_pro01_skips_non_isometric_input():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("t_max", [3, 50, 200])
 def test_pro01_applies_sigma_t_max_times(monkeypatch, seed, t_max):
-    # degrees 0..m, the constant C and the Cesaro errors share one run of iterates
+    # degrees 0..m, the constant C and the Cesaro errors share one run of iterates;
+    # the isometry zero test runs m steps of its own
     applied = []
-    original = tf._sigma
+    original = tf._sigma_of_stacks
 
-    def counting(A, B, Y):
+    def counting(a, Y, b):
         applied.append(1)
-        return original(A, B, Y)
+        return original(a, Y, b)
 
     bundle = random_instance("pro01", seed)
-    monkeypatch.setattr(tf, "_sigma", counting)
+    monkeypatch.setattr(tf, "_sigma_of_stacks", counting)
     assert check_pro01(bundle, t_max=t_max).status == "pass"
-    assert len(applied) == t_max
+    assert len(applied) == t_max + int(bundle.params["m"])
 
 
 def test_pro02_exact_family_passes():
@@ -589,6 +590,26 @@ def test_planted_counterexample_profiles_the_declared_pair(theorem_id):
         )
         A, B, X = _declared_pair(theorem_id, random_instance(profile, seed))
         assert record["defect_profile"] == classify.defect_profile(A, B, X, k_max=12).to_json()
+
+
+def test_pro02_takes_all_its_spectral_norms_in_one_call(monkeypatch):
+    # every member pair and the limit pair are 2 x 2, so one SVD batch serves them
+    calls = []
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for seed in range(40):
+        bundle = random_instance("pro02-family", seed)
+        monkeypatch.setattr(mc, "op_norm_estimate", counting)
+        calls.clear()
+        check_pro02(bundle)
+        monkeypatch.undo()
+        # the members and the limit: two one-component tuples each, two norms per tuple
+        pairs = int(bundle.params["members"]) + 1
+        assert calls == [(4 * pairs, 2, 2)]
 
 
 def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
