@@ -248,7 +248,7 @@ def _nilpotent_tuples(n: int, d: int, orders: list[int], rng_seeds: list[int]) -
         for _ in range(_RETRY_LIMIT):
             stacks = _nilpotent_draws([rngs[i] for i in todo], M, d, order)
             found = nilpotency_orders(
-                [(N, order + 1) for N in OperatorTuple._of_stacks(stacks)]
+                [(OperatorTuple._of_stack(stack), order + 1) for stack in stacks]
             )
             for i, stack, got in zip(todo, stacks, found):
                 if got == order:
@@ -492,10 +492,9 @@ def _bundles(tuples: dict, matrices: dict, params: list[dict], residuals) -> lis
     """Each seed's parts: its tuples and matrices are its items of the builder's
     (b, d, n, n) and (b, n, n) stacks, and its residual function is ``residuals``
     called with its tuples, matrices and parameters by name."""
-    built = {key: OperatorTuple._of_stacks(stack) for key, stack in tuples.items()}
     out = []
     for i, p in enumerate(params):
-        ts = {key: items[i] for key, items in built.items()}
+        ts = {key: OperatorTuple._of_stack(stack[i]) for key, stack in tuples.items()}
         ms = {key: stack[i] for key, stack in matrices.items()}
         out.append((ts, ms, p, functools.partial(residuals, **ts, **ms, **p)))
     return out

@@ -75,18 +75,6 @@ class OperatorTuple:
         return self
 
     @classmethod
-    def _of_stacks(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
-        """A tuple over each item of ``stacks``, a freshly computed (b, d, n, n) array,
-        validated once for all of them; each holds a read-only view of its item."""
-        flat = mc.as_stack(stacks.reshape(-1, *stacks.shape[-2:]), name="operator tuple")
-        tuples = []
-        for stack in _frozen(flat).reshape(stacks.shape):
-            self = object.__new__(cls)
-            self.__dict__["stack"] = stack
-            tuples.append(self)
-        return tuples
-
-    @classmethod
     def of(cls, *matrices) -> "OperatorTuple":
         return cls(matrices)
 
