@@ -7,7 +7,7 @@ import numpy as np
 from . import matrix_core as mc
 from . import transforms as tf
 from .errors import InvalidArgumentError
-from .tuples import OperatorTuple, adjoint_tuple
+from .tuples import OperatorTuple, adjoint_tuple, spectral_norms
 
 
 def is_isometric(
@@ -73,11 +73,12 @@ def defect_profile(
     X = mc.as_matrix(X, name="X")
     tri_norms = _triangle_norms(A, B, X, k_max)
     delta_norms = _delta_norms(A, B, X, k_max)
+    x_norm, (norms_a, norms_b) = mc.fro_norm(X), spectral_norms(A, B)
 
     def scan(norms, sym: bool):
         passes = []
         for k, norm in enumerate(norms):
-            scale = tf.defect_scale(A, B, X, 0, k) if sym else tf.defect_scale(A, B, X, k)
+            scale = tf._scale(x_norm, norms_a, norms_b, *((0, k) if sym else (k, 0)))
             passes.append(norm <= tol.threshold(scale))
         min_degree = next((k for k, p in enumerate(passes) if p), None)
         anomalies = ()
@@ -94,7 +95,7 @@ def defect_profile(
         delta_norms=tuple(delta_norms),
         min_isometry_degree=min_iso,
         min_symmetry_degree=min_sym,
-        scale=tf.defect_scale(A, B, X, k_max),
+        scale=tf._scale(x_norm, norms_a, norms_b, k_max, 0),
         isometry_anomalies=iso_anoms,
         symmetry_anomalies=sym_anoms,
     )
@@ -120,10 +121,10 @@ def spherical_reduction_check(
         raise InvalidArgumentError(
             f"gram sum of squares is numerically singular (condition {gram_cond:.3e})"
         )
-    norm2, threshold2 = tf.defect_check(A_star, A_hilbert, X, 2, 0, tol)
+    tests = [(A_star, A_hilbert, X, k, 0) for k in (2, 1)]
+    (norm2, threshold2), (norm1, threshold1) = tf.defect_checks(tests, tol)
     if not norm2 <= threshold2:
         raise InvalidArgumentError(f"adjoint pair is not (I,2)-isometric: defect norm {norm2:.3e}")
-    norm1, threshold1 = tf.defect_check(A_star, A_hilbert, X, 1, 0, tol)
     return {
         "one_isometric": norm1 <= threshold1,
         "defect_norm_degree1": norm1,

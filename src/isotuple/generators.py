@@ -181,8 +181,9 @@ def _validate_jordan(T: np.ndarray, k: int, kind: str) -> None:
     """The adjoint pair (T*, T) at I must pass the zero test of the given kind at
     degree 2k-1 and, for k > 1, fail it at degree 2k-2."""
     pair = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T), mc.identity(k))
-    for deg in range(2 * k - 1, max(2 * k - 3, 0), -1):
-        norm, threshold = tf.defect_check(*pair, *((deg, 0) if kind == "isometric" else (0, deg)))
+    degrees = range(2 * k - 1, max(2 * k - 3, 0), -1)
+    tests = [(*pair, *((deg, 0) if kind == "isometric" else (0, deg))) for deg in degrees]
+    for deg, (norm, threshold) in zip(degrees, tf.defect_checks(tests)):
         if (norm <= threshold) != (deg == 2 * k - 1):
             raise GenerationFailureError(
                 f"jordan {kind} factory: degree-{deg} defect norm {norm:.3e}, "

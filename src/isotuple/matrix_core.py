@@ -11,15 +11,15 @@ Every "equals zero" judgement in the package compares a Frobenius norm with
 :meth:`Tolerance.threshold`, an absolute floor plus a caller-supplied scale:
 defect expressions multiply many matrix factors, so the meaningful
 comparison is relative to a product of input norms, never to 1.
-``transforms.defect_check`` pairs a defect with the threshold of its own
+``transforms.defect_checks`` pairs each defect with the threshold of its own
 scale; :func:`is_zero` tests any matrix against a given scale.
 
 The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
-(``op_norm_estimate``) sets every tolerance scale: ``transforms.defect_scale``
-bounds each defining map by the spectral norms of its factors.  Each call is
-an SVD, so the norms a pair of tuples needs, of their components and of
-their component sums, come from one batched LAPACK call over both stacks, and
-each tuple keeps its own.
+(``op_norm_estimate``) sets every tolerance scale: one helper in
+``transforms`` bounds each defining map by the spectral norms of its
+factors.  Each call is an SVD, so the norms a pair of tuples needs, of their
+components and of their component sums, come from one batched LAPACK call
+over both stacks, and each tuple keeps its own.
 
 vec convention: column stacking, so vec(A X B) = (B^T kron A) vec(X).
 

@@ -17,13 +17,12 @@ sigma application is the batched product ``A.stack @ Y @ B.stack`` summed over
 the components in index order, and the spectral norms behind a pair's
 tolerance scale come from one LAPACK call over both stacks.  Each stacked
 kernel gives the same bits as the loop over components it replaced.
-``defect_checks`` evaluates many zero tests at once, each campaign trial's
-among them, on ``(batch, ...)`` stacks of the same products and in-order
-sums, so every norm and threshold has the bits ``defect_check`` gives it;
-``cesaro_errors`` runs many Cesaro sequences the same way.
-``superop_matrix`` lifts the maps
-to dim^2 x dim^2 matrices acting on column-stacked vec(X) — the second,
-independent evaluation route used for cross-checks.
+``defect_checks`` evaluates every zero test, many at once (``defect_check``
+is its batch of one), with each test's bits; ``cesaro_errors`` runs many
+Cesaro sequences the same way.  Every tolerance scale comes from one helper,
+``_scale``.  ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices
+acting on column-stacked vec(X) — the second, independent evaluation route
+used for cross-checks.
 """
 
 from __future__ import annotations
@@ -43,8 +42,15 @@ from .tuples import OperatorTuple, commutes_within, max_commutator_within, spect
 EXPAND_BUDGET_LOG2 = 20.0
 
 
-def _require_pair(A: OperatorTuple, B: OperatorTuple, X: np.ndarray) -> np.ndarray:
-    X = mc.as_matrix(X, name="X")
+def _require_pair(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
+    return _require_finite(_require_shapes(A, B, X))
+
+
+def _require_shapes(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
+    """X as a complex array, its shape and the pair's checked as ``_require_pair`` checks them."""
+    X = np.asarray(X, dtype=np.complex128)
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] == 0:
+        raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape}")
     if A.d != B.d:
         raise InvalidArgumentError(f"tuple length mismatch: {A.d} vs {B.d}")
     if A.dim != B.dim or A.dim != X.shape[0]:
@@ -54,16 +60,17 @@ def _require_pair(A: OperatorTuple, B: OperatorTuple, X: np.ndarray) -> np.ndarr
     return X
 
 
-def iso_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
-    """1 + sum_i ||A_i|| ||B_i|| (spectral norms): bounds the sigma superoperator."""
-    norms_a, norms_b = spectral_norms(A, B)
-    return 1.0 + sum(a * b for a, b in zip(norms_a[:-1], norms_b[:-1]))
+def _require_finite(Y: np.ndarray) -> np.ndarray:
+    """Y, refused when an entry is non-finite: a sigma input, named X as in ``sigma_apply``."""
+    if not np.isfinite(Y).all():
+        raise InvalidArgumentError("X contains non-finite entries")
+    return Y
 
 
-def sym_scale_factor(A: OperatorTuple, B: OperatorTuple) -> float:
-    """1 + ||sum A|| + ||sum B|| (spectral norms): bounds the left-minus-right map."""
-    norms_a, norms_b = spectral_norms(A, B)
-    return 1.0 + norms_a[-1] + norms_b[-1]
+def _require_degree(name: str, k) -> int:
+    if not isinstance(k, int) or k < 0:
+        raise InvalidArgumentError(f"{name} must be a non-negative integer, got {k!r}")
+    return k
 
 
 def grown_scale(scale: float, factor: float, degree: int) -> float:
@@ -94,26 +101,25 @@ def defect_scale(
     growth without drowning genuinely nonzero defects at higher degrees.
     A factor raised to the power 0 is 1.0 and is skipped, norms and all.
     """
-    return _grown_defect_scale(mc.fro_norm(X), A, B, iso_degree, sym_degree)
+    norms = spectral_norms(A, B) if iso_degree or sym_degree else ((), ())
+    return _scale(mc.fro_norm(X), *norms, iso_degree, sym_degree)
 
 
-def _grown_defect_scale(
-    scale: float, A: OperatorTuple, B: OperatorTuple, iso_degree: int, sym_degree: int
-) -> float:
-    """``defect_scale`` from the Frobenius norm of X."""
+def _scale(scale: float, norms_a, norms_b, iso_degree: int, sym_degree: int) -> float:
+    """``defect_scale`` from ||X||_F and the pair's norms as ``spectral_norms`` lists them:
+    scale * (1 + sum_i ||A_i|| ||B_i||)^m * (1 + ||sum A|| + ||sum B||)^n."""
     if iso_degree:
-        scale = grown_scale(scale, iso_scale_factor(A, B), iso_degree)
+        factor = 1.0 + sum(a * b for a, b in zip(norms_a[:-1], norms_b[:-1]))
+        scale = grown_scale(scale, factor, iso_degree)
     if sym_degree:
-        scale = grown_scale(scale, sym_scale_factor(A, B), sym_degree)
+        scale = grown_scale(scale, 1.0 + norms_a[-1] + norms_b[-1], sym_degree)
     return scale
 
 
 def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
     """sigma(Y) for a pair already checked against Y's shape, so that iterates are
     not checked again; a non-finite Y is refused as ``sigma_apply`` refuses it."""
-    if not np.isfinite(Y).all():
-        raise InvalidArgumentError("X contains non-finite entries")
-    return _sigma_of_stacks(A.stack, Y, B.stack)
+    return _sigma_of_stacks(A.stack, _require_finite(Y), B.stack)
 
 
 def _sigma_of_stacks(a: np.ndarray, Y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,8 +192,7 @@ def sigma_power(
     default it therefore validates commutativity (strict defaults to True for
     expand, False for iterate).
     """
-    if not isinstance(j, int) or j < 0:
-        raise InvalidArgumentError(f"j must be a non-negative integer, got {j!r}")
+    _require_degree("j", j)
     X = _require_pair(A, B, X)
     if mode not in ("iterate", "expand"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -234,8 +239,7 @@ def _component_powers(T: OperatorTuple, k_max: int) -> list[list[np.ndarray]]:
 
 def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidArgumentError(f"m must be a non-negative integer, got {m!r}")
+    _require_degree("m", m)
     return triangle_of_iterates(sigma_iterates(A, B, X, m), m)
 
 
@@ -251,8 +255,7 @@ def triangle_of_iterates(sig, m: int) -> np.ndarray:
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Same defect by m applications of X -> X - sigma(X); cross-check path."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidArgumentError(f"m must be a non-negative integer, got {m!r}")
+    _require_degree("m", m)
     Y = _require_pair(A, B, X).copy()
     for _ in range(m):
         Y = Y - _sigma(A, B, Y)
@@ -261,8 +264,7 @@ def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.n
 
 def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Symmetric defect of degree n: sum_j (-1)^j C(n,j) (sum A)^(n-j) X (sum B)^j; delta^0 = X."""
-    if not isinstance(n, int) or n < 0:
-        raise InvalidArgumentError(f"n must be a non-negative integer, got {n!r}")
+    _require_degree("n", n)
     X = _require_pair(A, B, X)
     if n == 0:
         return X.copy()
@@ -272,8 +274,7 @@ def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Same defect by n applications of X -> (sum A) X - X (sum B); cross-check path."""
-    if not isinstance(n, int) or n < 0:
-        raise InvalidArgumentError(f"n must be a non-negative integer, got {n!r}")
+    _require_degree("n", n)
     Y = _require_pair(A, B, X).copy()
     sa = A.component_sum()
     sb = B.component_sum()
@@ -290,69 +291,61 @@ def isosym_defect(A: OperatorTuple, B: OperatorTuple, X, m: int, n: int) -> np.n
 def defect_check(
     A: OperatorTuple, B: OperatorTuple, X, m: int, n: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> tuple[float, float]:
-    """(norm, threshold) of the degree-(m, n) zero test: the defect passes iff norm <= threshold.
-
-    The defect is ``triangle`` when n is 0, ``delta`` when m is 0 and
-    ``isosym_defect`` otherwise, and the threshold is
-    ``tol.threshold(defect_scale(A, B, X, m, n))``.
+    """(norm, threshold) of the degree-(m, n) zero test, ``defect_checks`` of the one test:
+    the norm of ``triangle`` (n = 0), ``delta`` (m = 0) or ``isosym_defect``, and
+    ``tol.threshold(defect_scale(A, B, X, m, n))``.  The defect passes iff norm <= threshold.
     """
-    if not n:
-        defect = triangle(A, B, X, m)
-    elif not m:
-        defect = delta(A, B, X, n)
-    else:
-        defect = isosym_defect(A, B, X, m, n)
-    return mc.fro_norm(defect), tol.threshold(defect_scale(A, B, X, m, n))
+    return defect_checks([(A, B, X, m, n)], tol)[0]
 
 
 def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``, with its bits.
+    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``.
 
-    Tests of one kind (``triangle``, ``delta`` or both) on tuples of one length
-    and dimension form a group, whose defects come from ``(batch, ...)``
-    stacks: one stack of delta terms up to the group's largest n, one run of
-    sigma iterates up to its largest m, and one ``binomial_sum`` each, in
-    which an item's coefficients above its own degree are zero.  Every
-    product and in-order sum is the one the single test makes, so the norms
-    keep their bits, and the spectral norms behind all thresholds come from
-    one ``spectral_norms`` call.  Tests the stacks cannot take (a malformed
-    pair), or a non-finite norm anywhere, send every test through
-    ``defect_check`` one at a time, which returns or raises what it does alone.
+    Each test is refused as it is read, as ``triangle`` or ``delta`` refuses
+    it; X's entries are judged once per group stack.  Tests of one kind
+    (``triangle``, ``delta`` or both) on tuples of one length and dimension
+    form a group for ``_group_defects``, which makes the products and
+    in-order sums of each test alone, so each norm has the bits it has
+    alone.  Every threshold comes from the table of one ``spectral_norms``
+    call.  A batch of several tests that meets a non-finite value runs each
+    test as a batch of one.
     """
-    if not all(_stackable(*test) for test in tests):
-        return [defect_check(*test, tol) for test in tests]
-    spectral_norms(*(T for A, B, _, m, n in tests if m or n for T in (A, B)))
+    tests = [
+        (A, B, _require_shapes(A, B, X), _require_degree("m", m), _require_degree("n", n))
+        for A, B, X, m, n in tests
+    ]
+    table = iter(spectral_norms(*(T for A, B, _, m, n in tests if m or n for T in (A, B))))
     groups: dict[tuple, list[int]] = {}
     for i, (A, _, _, m, n) in enumerate(tests):
         groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
     norms, x_norms = [0.0] * len(tests), [0.0] * len(tests)
-    with np.errstate(all="ignore"):  # an overflow is caught below, where the test is redone
+    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
         for members in groups.values():
             Xs, defects = _group_defects([tests[i] for i in members])
             for i, norm, x_norm in zip(members, mc.fro_norms(defects), mc.fro_norms(Xs)):
                 norms[i], x_norms[i] = norm, x_norm
-    if not all(map(math.isfinite, norms + x_norms)):
-        return [defect_check(*test, tol) for test in tests]
-    return [
-        (norm, tol.threshold(_grown_defect_scale(x_norm, A, B, m, n)))
-        for norm, x_norm, (A, B, _, m, n) in zip(norms, x_norms, tests)
-    ]
-
-
-def _stackable(A, B, X, m, n) -> bool:
-    """Whether ``defect_checks`` can stack the test as it is; ``defect_check`` refuses the rest."""
-    return (
-        isinstance(A, OperatorTuple) and isinstance(B, OperatorTuple)
-        and A.d == B.d and A.dim == B.dim
-        and isinstance(X, np.ndarray) and X.dtype.kind in "fc" and X.shape == (A.dim, A.dim)
-        and isinstance(m, int) and isinstance(n, int) and m >= 0 and n >= 0
-    )
+    if len(tests) > 1 and not all(map(math.isfinite, norms + x_norms)):
+        return [defect_checks([test], tol)[0] for test in tests]
+    checks = []
+    for norm, x_norm, (_, _, _, m, n) in zip(norms, x_norms, tests):
+        pair = (next(table), next(table)) if m or n else ((), ())
+        checks.append((norm, tol.threshold(_scale(x_norm, *pair, m, n))))
+    return checks
 
 
 def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (batch, n, n) stacks of X and of the defect of each test of one group."""
+    """The (batch, n, n) stacks of X and of the defect of each test of one group.
+
+    The group shares one stack of delta terms up to its largest n, one run of
+    sigma iterates up to its largest m, and one ``binomial_sum`` each, in
+    which an item's coefficients above its own degree are zero.  A group of
+    one refuses a non-finite X or sigma input (iterates 0..m-1, delta^n(X)
+    among them); in a larger group it shows as a non-finite norm.
+    """
     As, Bs, Xs, ms, ns = zip(*tests)
     Y = Xs = np.array(Xs, dtype=np.complex128)
+    if len(tests) == 1:
+        _require_finite(Xs)
     if ns[0]:
         # term j of item b is (sum A)^(n_b - j) X (sum B)^j, as in ``delta``
         N, degrees = max(ns), np.array(ns)
@@ -366,6 +359,8 @@ def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
         sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
         sig[0] = Y
         for k in range(len(sig) - 1):
+            if len(tests) == 1:
+                _require_finite(sig[k])
             sig[k + 1] = _sigma_of_stacks(a, sig[k], b)
         Y = binomial_sum(sig, np.array(ms))
     return Xs, Y
@@ -409,14 +404,13 @@ def cesaro_estimate(
     that is not (X,m)-isometric is refused.  Sigma is applied t_max times.
     """
     _require_cesaro_degrees(m, t_max)
-    sig = sigma_iterates(A, B, X, m)
-    norm = mc.fro_norm(triangle_of_iterates(sig, m))
-    threshold = tol.threshold(defect_scale(A, B, X, m))
+    norm, threshold = defect_check(A, B, X, m, 0, tol)
     if not norm <= threshold:
         raise InvalidArgumentError(
             f"pair is not (X,{m})-isometric: defect norm {norm:.3e} "
             f"exceeds threshold {threshold:.3e}"
         )
+    sig = sigma_iterates(A, B, X, m)
     reference = triangle_of_iterates(sig, m - 1)
     Y = sig[m]
     out = [(m, mc.fro_norm(Y / binomial(m, m - 1) - reference))]

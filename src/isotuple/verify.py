@@ -527,7 +527,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
         ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
     )
     combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
-    combined_scale = tf.grown_scale(tf.defect_scale(P1, Q1, X, t1), tf.sym_scale_factor(P2, Q2), t2)
+    combined_scale = tf._scale(tf.defect_scale(P1, Q1, X, t1), *spectral_norms(P2, Q2), 0, t2)
     checks.append(("combined_perturbed", combined, tol.threshold(combined_scale)))
     return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
 
@@ -884,9 +884,11 @@ class CampaignConfig:
         negative = [seed for seed in (self.seed, *(self.seeds or ())) if seed < 0]
         if negative:
             raise InvalidArgumentError(f"seed must be non-negative, got {negative[0]}")
-        # a NaN deadline never passes, so it would silently mean "no budget"
-        if self.budget_s is not None and math.isnan(self.budget_s):
-            raise InvalidArgumentError("budget must be a number of seconds, got nan")
+        # a NaN deadline never passes, so it would silently mean "no budget", and
+        # a negative one has passed before the first trial
+        if self.budget_s is not None and not self.budget_s >= 0:
+            what = "a number of seconds" if math.isnan(self.budget_s) else "non-negative"
+            raise InvalidArgumentError(f"budget must be {what}, got {self.budget_s:g}")
 
     def trial_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:

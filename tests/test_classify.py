@@ -15,7 +15,7 @@ from isotuple.generators import (
     random_instance,
     random_unitary,
 )
-from isotuple.tuples import OperatorTuple, inverse_tuple
+from isotuple.tuples import OperatorTuple, adjoint_tuple, inverse_tuple
 
 T_MAT = np.array([[1, 1], [0, 1]], dtype=complex)
 
@@ -118,8 +118,38 @@ def test_spherical_reduction_for_balanced_unitary_pair():
 
 def test_spherical_reduction_rejects_inverse_tuple():
     A, _ = paper_example_squares()
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"not \(I,2\)-isometric"):
         classify.spherical_reduction_check(inverse_tuple(A))
+
+
+def test_spherical_reduction_judges_both_degrees_in_one_kernel_call(monkeypatch):
+    calls = []
+    original = tf.defect_checks
+    monkeypatch.setattr(
+        tf, "defect_checks",
+        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+    )
+    U = OperatorTuple.of(random_unitary(np.random.default_rng(5), 3))
+    report = classify.spherical_reduction_check(U)
+    assert calls == [[(2, 0), (1, 0)]]
+    X = np.eye(3)
+    assert report["defect_norm_degree2"] == mc.fro_norm(tf.triangle(adjoint_tuple(U), U, X, 2))
+    assert report["defect_norm_degree1"] == mc.fro_norm(tf.triangle(adjoint_tuple(U), U, X, 1))
+
+
+@pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0.0, rel_eps=1e-15)])
+def test_profile_judges_every_degree_on_the_classifiers_scale(tol):
+    T = jordan_symmetric(1.5, 3)
+    pairs = [(OperatorTuple.of(T.conj().T), OperatorTuple.of(T), np.eye(3))]
+    for seed in range(4):
+        bundle = random_instance("pro01", seed)
+        pairs.append((bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]))
+    for A, B, X in pairs:
+        profile = classify.defect_profile(A, B, X, k_max=7, tol=tol)
+        assert profile.scale == tf.defect_scale(A, B, X, 7)
+        for k in range(8):
+            assert profile.isometric_at(k) == classify.is_isometric(A, B, X, k, tol)
+            assert profile.symmetric_at(k) == classify.is_symmetric(A, B, X, k, tol)
 
 
 def test_profile_min_degree_matches_classifier_verdicts():

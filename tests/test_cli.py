@@ -531,9 +531,11 @@ def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeyp
     A, B, X = OperatorTuple.of(T.T), OperatorTuple.of(T), np.eye(3)
     files = _write_inputs(tmp_path, T.T, T, X)
     calls = []
-    for name in ("triangle", "delta"):
-        original = getattr(tf, name)
-        monkeypatch.setattr(tf, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    original = tf.defect_checks
+    monkeypatch.setattr(
+        tf, "defect_checks",
+        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+    )
     for deg in range(k_max + 3):
         expected = {
             f"isometric at m={deg}": classify.is_isometric(A, B, X, deg),
@@ -544,7 +546,7 @@ def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeyp
         argv = ["check", "--json", "--k-max", str(k_max), "--m", str(deg), "--n", str(deg), *files]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"] == expected
-        assert calls == ([] if deg <= k_max else ["triangle", "delta"])
+        assert calls == ([] if deg <= k_max else [[(deg, 0)], [(0, deg)]])
 
 
 def test_check_refuses_negative_degree(jordan_files, capsys):
@@ -570,16 +572,29 @@ def test_campaign_refuses_a_nan_budget_in_the_config_file(tmp_path, capsys):
     _single_error_line(capsys, "budget must be a number of seconds")
 
 
-@pytest.mark.parametrize("budget,code,trials", [("-1", 3, 0), ("inf", 0, 3)])
-def test_campaign_negative_and_infinite_budgets(tmp_path, budget, code, trials):
-    # a negative budget has already run out; an infinite one never does
+def test_campaign_refuses_a_negative_budget_flag(capsys):
+    # a negative deadline has passed before the first trial, so it is an input error
+    assert main(["campaign", "--theorem", "pro04", "--trials", "3", "--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no trial ran, so no report
+    assert captured.err == "error: budget must be non-negative, got -1\n"
+
+
+def test_campaign_refuses_a_negative_budget_in_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, "budget": -0.5}))
+    assert main(["campaign", "--config", str(cfg), "--quiet"]) == 2
+    _single_error_line(capsys, "budget must be non-negative, got -0.5")
+
+
+def test_campaign_with_an_infinite_budget_runs_every_trial(tmp_path):
     out_file = tmp_path / "rep.json"
-    argv = ["campaign", "--theorem", "pro04", "--trials", "3", "--budget", budget,
+    argv = ["campaign", "--theorem", "pro04", "--trials", "3", "--budget", "inf",
             "--out", str(out_file), "--quiet"]
-    assert main(argv) == code
+    assert main(argv) == 0
     report = json.loads(out_file.read_text())
-    assert report["trials"] == trials
-    assert report["budget_exceeded"] is (code == 3)
+    assert report["trials"] == 3
+    assert report["budget_exceeded"] is False
 
 
 def test_repro_paper_golden_file_holding_a_list_exits_2(tmp_path, capsys):

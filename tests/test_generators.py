@@ -127,6 +127,18 @@ def test_jordan_validation_refuses_a_wrong_minimal_degree(T, kind, degree):
         generators._validate_jordan(np.asarray(T, dtype=np.complex128), 2, kind)
 
 
+@pytest.mark.parametrize("kind", ["isometric", "symmetric"])
+def test_jordan_validation_judges_both_degrees_in_one_kernel_call(monkeypatch, kind):
+    calls = []
+    original = tf.defect_checks
+    monkeypatch.setattr(
+        tf, "defect_checks",
+        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+    )
+    (jordan_isometric if kind == "isometric" else jordan_symmetric)(1.0, 3)
+    assert calls == [[(5, 0), (4, 0)] if kind == "isometric" else [(0, 5), (0, 4)]]
+
+
 def test_jordan_isometric_degrees_via_superoperator_oracle():
     T = jordan_isometric(1.0, 2)
     A, B = OperatorTuple.of(T.conj().T), OperatorTuple.of(T)

@@ -21,8 +21,8 @@ from isotuple.generators import InstanceBundle, random_instance
 SEEDS = tuple(range(200))
 TOLERANCES = (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16))
 
-#: pro01's Cesaro steps run one trial at a time on both paths; fewer of them
-#: keep the test fast.
+#: pro01's Cesaro steps run one trial at a time alone and across the chunk in
+#: lock-step (``transforms.cesaro_errors``); fewer of them keep the test fast.
 T_MAX = 20
 
 

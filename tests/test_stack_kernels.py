@@ -231,6 +231,18 @@ def test_derived_stack_that_overflows_is_refused():
 MIXED_DEGREES = ((1, 0), (4, 0), (2, 0), (0, 2), (0, 5), (0, 1), (2, 3), (1, 1), (3, 1), (0, 0))
 
 
+def _composed_check(A, B, X, m, n, tol=mc.DEFAULT_TOL):
+    """The zero test composed of ``triangle``, ``delta`` and ``isosym_defect``, which share
+    no evaluation code with the kernel, and the threshold of ``defect_scale``."""
+    if not n:
+        defect = tf.triangle(A, B, X, m)
+    elif not m:
+        defect = tf.delta(A, B, X, n)
+    else:
+        defect = tf.isosym_defect(A, B, X, m, n)
+    return mc.fro_norm(defect), tol.threshold(tf.defect_scale(A, B, X, m, n))
+
+
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", NS)
 def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
@@ -241,18 +253,33 @@ def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
         return [(*_pair(d, n, seed), m, k) for seed, (m, k) in enumerate(MIXED_DEGREES)]
 
     batched = tf.defect_checks(tests(), tol)
-    alone = [tf.defect_check(*test, tol) for test in tests()]
-    assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
+    for check in (tf.defect_check, _composed_check):
+        alone = [check(*test, tol) for test in tests()]
+        assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
+
+
+def test_defect_checks_take_every_threshold_from_one_spectral_norms_call(monkeypatch):
+    calls = []
+    original = tf.spectral_norms
+    monkeypatch.setattr(tf, "spectral_norms", lambda *T: calls.append(len(T)) or original(*T))
+    tests = [(*_pair(d, 3, seed), m, k) for d in (1, 2) for seed, (m, k) in enumerate(MIXED_DEGREES)]
+    tf.defect_checks(tests)
+    # one table of both tuples of every test but the two of degree (0, 0)
+    assert calls == [2 * (len(tests) - 2)]
 
 
 def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():
     A, B, X = _pair(2, 3)
     short = OperatorTuple(A.stack[:1])
-    for bad in ((short, B, X, 1, 0), (A, B, np.eye(2), 0, 1), (A, B, X, -1, 0)):
-        with pytest.raises(mc.InvalidArgumentError) as alone:
-            tf.defect_check(*bad)
-        with pytest.raises(mc.InvalidArgumentError, match=re.escape(str(alone.value))):
-            tf.defect_checks([(A, B, X, 1, 0), bad])
+    for bad in (
+        (short, B, X, 1, 0), (A, B, np.eye(2), 0, 1), (A, B, np.ones(3), 1, 1),
+        (A, B, X, -1, 0), (A, B, X, 0, -2), (A, B, X, 1.5, 1),
+    ):
+        with pytest.raises(mc.InvalidArgumentError) as composed:
+            _composed_check(*bad)
+        for check in (tf.defect_check, lambda *t: tf.defect_checks([(A, B, X, 1, 0), t])):
+            with pytest.raises(mc.InvalidArgumentError, match=re.escape(str(composed.value))):
+                check(*bad)
 
 
 _BIG = OperatorTuple(np.repeat(1e120 * np.eye(3, dtype=complex)[None], 2, axis=0))
@@ -260,7 +287,9 @@ _BIG = OperatorTuple(np.repeat(1e120 * np.eye(3, dtype=complex)[None], 2, axis=0
 #: A zero test on 2-tuples of 3 x 3 matrices that its own evaluation refuses.
 _PLANTED = {
     "overflowing-iterate": (_BIG, _BIG, np.eye(3, dtype=complex), 3, 0),
+    "overflowing-delta": (_BIG, _BIG, np.diag([1.0, 2.0, 3.0]).astype(complex), 1, 3),
     "non-finite-x": (*_pair(2, 3)[:2], np.full((3, 3), complex(np.nan, 0.0)), 2, 1),
+    "non-finite-x-of-a-delta": (*_pair(2, 3)[:2], np.full((3, 3), complex(np.inf, 0.0)), 0, 2),
     "overflowing-scale": (_BIG, _BIG, np.eye(3, dtype=complex), 2, 2),
 }
 
@@ -271,11 +300,16 @@ def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
     bad = _PLANTED[planted]
     m, n = bad[3:]
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(mc.InvalidArgumentError) as alone:
-            tf.defect_check(*bad)
-        with pytest.raises(type(alone.value)) as batched:
-            tf.defect_checks([(A, B, X, m, n), bad, (A, B, 2.0 * X, m, n)])
-    assert str(batched.value) == str(alone.value)
+        with pytest.raises(mc.InvalidArgumentError) as composed:
+            _composed_check(*bad)
+        for check in (
+            tf.defect_check,
+            lambda *t: tf.defect_checks([(A, B, X, m, n), t, (A, B, 2.0 * X, m, n)]),
+            lambda *t: tf.defect_checks([(*_pair(1, 2), 1, 0), t]),  # the item alone in its group
+        ):
+            with pytest.raises(type(composed.value)) as raised:
+                check(*bad)
+            assert str(raised.value) == str(composed.value)
 
 
 def _pro01_runs(seeds, t_max=200):

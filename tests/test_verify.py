@@ -678,6 +678,13 @@ def test_campaign_config_refuses_a_nan_budget():
     assert CampaignConfig(theorem_id="pro04", trials=3, budget_s=float("inf")).budget_s == math.inf
 
 
+@pytest.mark.parametrize("budget", [-1.0, -1e-9, -math.inf])
+def test_campaign_config_refuses_a_negative_budget(budget):
+    with pytest.raises(InvalidArgumentError, match="budget must be non-negative"):
+        CampaignConfig(theorem_id="pro04", trials=3, budget_s=budget)
+    assert CampaignConfig(theorem_id="pro04", trials=3, budget_s=0.0).budget_s == 0.0
+
+
 def test_verdict_is_the_worst_status_with_the_reason_of_its_first_test():
     checks = [("a", 0.5, 1.0), ("b", 2.0, 1.0), ("c", 5e3, 1.0), ("d", 3.0, 1.0), ("e", 1e4, 1.0)]
     result = verify._verdict(checks, {"n": 7.0})
