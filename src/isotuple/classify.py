@@ -7,7 +7,7 @@ import numpy as np
 from . import matrix_core as mc
 from . import transforms as tf
 from .errors import InvalidArgumentError
-from .tuples import OperatorTuple, adjoint_tuple, spectral_norms
+from .tuples import OperatorTuple, adjoint_tuple, fill_spectral_norms
 
 
 def is_isometric(
@@ -73,12 +73,13 @@ def defect_profile(
     X = mc.as_matrix(X, name="X")
     tri_norms = _triangle_norms(A, B, X, k_max)
     delta_norms = _delta_norms(A, B, X, k_max)
-    x_norm, (norms_a, norms_b) = mc.fro_norm(X), spectral_norms(A, B)
+    x_norm = mc.fro_norm(X)
+    fill_spectral_norms((T, True, True) for T in (A, B))
 
     def scan(norms, sym: bool):
         passes = []
         for k, norm in enumerate(norms):
-            scale = tf._scale(x_norm, norms_a, norms_b, *((0, k) if sym else (k, 0)))
+            scale = tf._scale(x_norm, A, B, *((0, k) if sym else (k, 0)))
             passes.append(norm <= tol.threshold(scale))
         min_degree = next((k for k, p in enumerate(passes) if p), None)
         anomalies = ()
@@ -95,7 +96,7 @@ def defect_profile(
         delta_norms=tuple(delta_norms),
         min_isometry_degree=min_iso,
         min_symmetry_degree=min_sym,
-        scale=tf._scale(x_norm, norms_a, norms_b, k_max, 0),
+        scale=tf._scale(x_norm, A, B, k_max, 0),
         isometry_anomalies=iso_anoms,
         symmetry_anomalies=sym_anoms,
     )

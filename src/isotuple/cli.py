@@ -25,6 +25,7 @@ import numpy as np
 
 from . import classify, matrix_core as mc, verify
 from .errors import InvalidArgumentError, IsotupleError
+from .multiindex import MAX_EXACT_DEGREE
 from .tuples import OperatorTuple, commutes_within
 
 EXIT_OK = 0
@@ -94,11 +95,24 @@ def _tolerance(rel_eps: float | None) -> mc.Tolerance:
     return mc.Tolerance(abs_eps=mc.DEFAULT_TOL.abs_eps, rel_eps=rel_eps)
 
 
+def _require_exact_degrees(args, *flags: str) -> None:
+    """Refuse a degree flag above ``MAX_EXACT_DEGREE`` before any defect is computed:
+    every defect of that degree needs a binomial coefficient past the exact bound."""
+    for flag in flags:
+        degree = getattr(args, flag[2:].replace("-", "_"))
+        if degree is not None and degree > MAX_EXACT_DEGREE:
+            raise InvalidArgumentError(
+                f"{flag} {degree} exceeds {MAX_EXACT_DEGREE}, the largest degree whose "
+                "binomial coefficients stay within the exact-coefficient bound"
+            )
+
+
 def _degree_text(degree: int | None, k_max: int) -> str:
     return str(degree) if degree is not None else f"none <= {k_max}"
 
 
 def _cmd_check(args) -> int:
+    _require_exact_degrees(args, "--k-max", "--m", "--n")
     tol = _tolerance(args.tol)
     A, B, X = _load_inputs(args)
     commuting = {"A": commutes_within(A, tol), "B": commutes_within(B, tol)}
@@ -140,6 +154,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_min_degree(args) -> int:
+    _require_exact_degrees(args, "--k-max")
     profile = classify.defect_profile(*_load_inputs(args), k_max=args.k_max)
     iso_text = _degree_text(profile.min_isometry_degree, args.k_max)
     sym_text = _degree_text(profile.min_symmetry_degree, args.k_max)

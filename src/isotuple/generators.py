@@ -249,7 +249,7 @@ def _nilpotent_tuples(n: int, d: int, orders: list[int], rng_seeds: list[int]) -
         for _ in range(_RETRY_LIMIT):
             stacks = _nilpotent_draws([rngs[i] for i in todo], M, d, order)
             found = nilpotency_orders(
-                [(OperatorTuple._of_stack(stack), order + 1) for stack in stacks]
+                [(N, order + 1) for N in OperatorTuple._of_stacks(stacks)]
             )
             for i, stack, got in zip(todo, stacks, found):
                 if got == order:
@@ -492,10 +492,12 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
 def _bundles(tuples: dict, matrices: dict, params: list[dict], residuals) -> list[tuple]:
     """Each seed's parts: its tuples and matrices are its items of the builder's
     (b, d, n, n) and (b, n, n) stacks, and its residual function is ``residuals``
-    called with its tuples, matrices and parameters by name."""
+    called with its tuples, matrices and parameters by name.  Each tuple stack
+    is validated once for the whole class."""
+    tuples = {key: OperatorTuple._of_stacks(stacks) for key, stacks in tuples.items()}
     out = []
     for i, p in enumerate(params):
-        ts = {key: OperatorTuple._of_stack(stack[i]) for key, stack in tuples.items()}
+        ts = {key: items[i] for key, items in tuples.items()}
         ms = {key: stack[i] for key, stack in matrices.items()}
         out.append((ts, ms, p, functools.partial(residuals, **ts, **ms, **p)))
     return out

@@ -14,12 +14,15 @@ comparison is relative to a product of input norms, never to 1.
 ``transforms.defect_checks`` pairs each defect with the threshold of its own
 scale; :func:`is_zero` tests any matrix against a given scale.
 
-The Frobenius norm is the canonical magnitude of a defect.  The spectral norm
-(``op_norm_estimate``) sets every tolerance scale: one helper in
-``transforms`` bounds each defining map by the spectral norms of its
-factors.  Each call is an SVD, so the norms a pair of tuples needs, of their
-components and of their component sums, come from one batched LAPACK call
-over both stacks, and each tuple keeps its own.
+The Frobenius norm is the canonical magnitude of a defect; ``fro_norm_array``
+gives those of a whole stack of matrices, with the bits of each alone.  The
+spectral norm (``op_norm_estimate``) sets every tolerance scale: one helper
+in ``transforms`` bounds each defining map by the spectral norms of its
+factors.  Each norm is an SVD, so a tuple's norms come in two parts that are
+computed only when a scale reads them: its components' (isometric scales)
+and its component sum's (symmetric ones).  The parts that a batch of zero
+tests reads come from one batched LAPACK call per matrix dimension, and each
+tuple keeps its own.
 
 vec convention: column stacking, so vec(A X B) = (B^T kron A) vec(X).
 
@@ -163,11 +166,16 @@ def matrix_powers(S: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def fro_norms(stack: np.ndarray) -> list[float]:
-    """``fro_norm`` of each matrix of a C-contiguous ``(k, n, n)`` stack, with its bits:
-    the same two dot products per matrix, from two batched calls."""
-    flat = stack.reshape(len(stack), -1)
+    """``fro_norm`` of each matrix of a ``(k, n, n)`` stack, with its bits."""
+    return fro_norm_array(stack).tolist()
+
+
+def fro_norm_array(stack: np.ndarray) -> np.ndarray:
+    """``fro_norm`` of each matrix of a ``(..., n, n)`` array, as an array of its leading
+    shape, with its bits: the same two dot products per matrix, from two batched calls."""
+    flat = stack.reshape(*stack.shape[:-2], stack.shape[-2] * stack.shape[-1])
     re, im = flat.real, flat.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
 def op_norm_estimate(a):

@@ -20,6 +20,10 @@ MultiIndex = tuple[int, ...]
 #: integer exactness on every platform; comfortably covers m, j <= 30, d <= 6.
 COEFFICIENT_BOUND = 2**63 - 1
 
+#: Largest k whose binomial coefficients C(k, j) all stay within the bound (66):
+#: every defect of a higher degree needs one that does not.
+MAX_EXACT_DEGREE = max(k for k in range(128) if math.comb(k, k // 2) <= COEFFICIENT_BOUND)
+
 
 def _validate_entries(alpha) -> MultiIndex:
     entries = tuple(alpha)

@@ -36,7 +36,13 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import BudgetExceededError, InvalidArgumentError
 from .multiindex import binomial, compositions, multinomial
-from .tuples import OperatorTuple, commutes_within, max_commutator_within, spectral_norms
+from .tuples import (
+    OperatorTuple,
+    commutes_within,
+    component_sums,
+    fill_spectral_norms,
+    max_commutator_within,
+)
 
 #: ``expand`` mode is refused once the implied word count d**j exceeds 2**20.
 EXPAND_BUDGET_LOG2 = 20.0
@@ -99,20 +105,23 @@ def defect_scale(
     in the spectral norm of the factors, so that product is the documented
     scale for every defect zero test: it tracks the defect's own worst-case
     growth without drowning genuinely nonzero defects at higher degrees.
-    A factor raised to the power 0 is 1.0 and is skipped, norms and all.
+    A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
+    pair's norms come from one ``fill_spectral_norms`` call for the parts read.
     """
-    norms = spectral_norms(A, B) if iso_degree or sym_degree else ((), ())
-    return _scale(mc.fro_norm(X), *norms, iso_degree, sym_degree)
+    fill_spectral_norms((T, bool(iso_degree), bool(sym_degree)) for T in (A, B))
+    return _scale(mc.fro_norm(X), A, B, iso_degree, sym_degree)
 
 
-def _scale(scale: float, norms_a, norms_b, iso_degree: int, sym_degree: int) -> float:
-    """``defect_scale`` from ||X||_F and the pair's norms as ``spectral_norms`` lists them:
+def _scale(
+    scale: float, A: OperatorTuple, B: OperatorTuple, iso_degree: int, sym_degree: int
+) -> float:
+    """``defect_scale`` from ||X||_F and the spectral norms the pair holds:
     scale * (1 + sum_i ||A_i|| ||B_i||)^m * (1 + ||sum A|| + ||sum B||)^n."""
     if iso_degree:
-        factor = 1.0 + sum(a * b for a, b in zip(norms_a[:-1], norms_b[:-1]))
+        factor = 1.0 + sum(a * b for a, b in zip(A.op_norms, B.op_norms))
         scale = grown_scale(scale, factor, iso_degree)
     if sym_degree:
-        scale = grown_scale(scale, 1.0 + norms_a[-1] + norms_b[-1], sym_degree)
+        scale = grown_scale(scale, 1.0 + A.sum_op_norm + B.sum_op_norm, sym_degree)
     return scale
 
 
@@ -306,15 +315,16 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
     (``triangle``, ``delta`` or both) on tuples of one length and dimension
     form a group for ``_group_defects``, which makes the products and
     in-order sums of each test alone, so each norm has the bits it has
-    alone.  Every threshold comes from the table of one ``spectral_norms``
-    call.  A batch of several tests that meets a non-finite value runs each
-    test as a batch of one.
+    alone.  Every threshold reads the norms of one ``fill_spectral_norms``
+    call, which computes only the parts the tests read: the components' norms
+    for m > 0 and the sums' for n > 0.  A batch of several tests that meets
+    a non-finite value runs each test as a batch of one.
     """
     tests = [
         (A, B, _require_shapes(A, B, X), _require_degree("m", m), _require_degree("n", n))
         for A, B, X, m, n in tests
     ]
-    table = iter(spectral_norms(*(T for A, B, _, m, n in tests if m or n for T in (A, B))))
+    fill_spectral_norms(_norm_requests(tests))
     groups: dict[tuple, list[int]] = {}
     for i, (A, _, _, m, n) in enumerate(tests):
         groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
@@ -326,11 +336,16 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
                 norms[i], x_norms[i] = norm, x_norm
     if len(tests) > 1 and not all(map(math.isfinite, norms + x_norms)):
         return [defect_checks([test], tol)[0] for test in tests]
-    checks = []
-    for norm, x_norm, (_, _, _, m, n) in zip(norms, x_norms, tests):
-        pair = (next(table), next(table)) if m or n else ((), ())
-        checks.append((norm, tol.threshold(_scale(x_norm, *pair, m, n))))
-    return checks
+    return [
+        (norm, tol.threshold(_scale(x_norm, A, B, m, n)))
+        for norm, x_norm, (A, B, _, m, n) in zip(norms, x_norms, tests)
+    ]
+
+
+def _norm_requests(tests) -> list[tuple]:
+    """The ``fill_spectral_norms`` requests of the zero tests ``(A, B, X, m, n)``: both
+    tuples' component norms when m > 0 and their sums' norms when n > 0."""
+    return [(T, m > 0, n > 0) for A, B, _, m, n in tests for T in (A, B)]
 
 
 def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
@@ -349,8 +364,8 @@ def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
     if ns[0]:
         # term j of item b is (sum A)^(n_b - j) X (sum B)^j, as in ``delta``
         N, degrees = max(ns), np.array(ns)
-        left = mc.matrix_powers(np.array([A.component_sum() for A in As]), N)
-        right = mc.matrix_powers(np.array([B.component_sum() for B in Bs]), N)
+        left = mc.matrix_powers(component_sums(As), N)
+        right = mc.matrix_powers(component_sums(Bs), N)
         left = left[np.maximum(degrees - np.arange(N + 1)[:, None], 0), np.arange(len(tests))]
         Y = binomial_sum(left @ Y @ right, degrees)
     if ms[0] or not ns[0]:

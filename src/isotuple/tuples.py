@@ -6,7 +6,9 @@ constructions below are single array expressions over stacks.
 Commutativity is a checked predicate, not a constructor invariant:
 generators produce exactly-commuting tuples, while user-supplied tuples are
 validated at use sites (strict mode raises, lax mode lets the caller record
-the residual).
+the residual).  ``commutator_checks`` judges many tuples' commutators at
+once; ``commutes_within``, ``commutes_cross`` and the ``max_commutator_*``
+residuals are its batch of one.
 
 Orderings are pinned for reproducibility:
 
@@ -50,9 +52,12 @@ class OperatorTuple:
 
     Quantities derived from the components alone are computed on first use
     and kept for the life of the tuple: the component sum, its powers, and
-    the spectral norms behind every tolerance scale, which come from one
-    batched LAPACK call (shared with the other tuple of a pair, see
-    :func:`spectral_norms`).
+    the spectral norms behind every tolerance scale, kept as two parts, the
+    components' norms and the sum's.  A caller that holds many tuples fills
+    them together: ``component_sums`` computes the missing sums per (d, n)
+    group in one batched accumulation, and ``fill_spectral_norms`` computes
+    only the parts each tuple is asked for, in one batched LAPACK call per
+    matrix dimension.
     """
 
     stack: np.ndarray
@@ -73,6 +78,18 @@ class OperatorTuple:
         self = object.__new__(cls)
         self.__dict__["stack"] = _frozen(mc.as_stack(stack, name="operator tuple"))
         return self
+
+    @classmethod
+    def _of_stacks(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
+        """Tuples that take ownership of the items of ``stacks``, a freshly computed
+        (b, d, n, n) array, validated once for all of them."""
+        flat = mc.as_stack(stacks.reshape(-1, *stacks.shape[-2:]), name="operator tuple")
+        tuples = []
+        for stack in _frozen(flat.reshape(stacks.shape)):
+            self = object.__new__(cls)
+            self.__dict__["stack"] = stack
+            tuples.append(self)
+        return tuples
 
     @classmethod
     def of(cls, *matrices) -> "OperatorTuple":
@@ -131,25 +148,19 @@ class OperatorTuple:
             self.__dict__["_sum_powers"] = pows
         return pows[: k_max + 1]
 
-    @cached_property
-    def _fro_norms(self) -> tuple[float, ...]:
-        """Frobenius norm of each component."""
-        return tuple(mc.fro_norms(self.stack))
-
-    @cached_property
-    def _norms(self) -> tuple[float, ...]:
-        """Spectral norms of the components, then of their sum."""
-        return spectral_norms(self)[0]
-
     @property
     def op_norms(self) -> tuple[float, ...]:
         """Spectral norm of each component."""
-        return self._norms[:-1]
+        if "_op_norms" not in self.__dict__:
+            fill_spectral_norms([(self, True, False)])
+        return self.__dict__["_op_norms"]
 
     @property
     def sum_op_norm(self) -> float:
         """Spectral norm of ``component_sum()``."""
-        return self._norms[-1]
+        if "_sum_op_norm" not in self.__dict__:
+            fill_spectral_norms([(self, False, True)])
+        return self.__dict__["_sum_op_norm"]
 
     def to_json(self) -> dict:
         return {
@@ -190,40 +201,53 @@ def _check_components(components) -> None:
             )
 
 
-def spectral_norms(*tuples: OperatorTuple) -> list[tuple[float, ...]]:
-    """Spectral norms of each tuple's components and then of its component sum.
+def component_sums(tuples) -> np.ndarray:
+    """The (b, n, n) stack of each tuple's ``component_sum()``, for tuples of one dimension.
 
-    Tuples that do not hold their norms yet get them from one batched
-    ``op_norm_estimate`` call over all their stacks and sums (one call per
-    matrix dimension), and keep them; each norm equals the float its matrix
-    gives alone.  A tuple listed twice is computed once.
+    The tuples that do not hold their sum yet get it from one batched
+    accumulation per tuple length, with the bits it has alone, and keep it.
     """
-    try:
-        return [T.__dict__["_norms"] for T in tuples]
-    except KeyError:
-        pass
-    todo: dict[int, OperatorTuple] = {}
+    tuples = list(tuples)
+    todo: dict[int, dict[int, OperatorTuple]] = {}
     for T in tuples:
-        if "_norms" not in T.__dict__:
-            todo.setdefault(id(T), T)
-    by_dim: dict[int, list[OperatorTuple]] = {}
-    for T in todo.values():
-        by_dim.setdefault(T.dim, []).append(T)
-    for group in by_dim.values():
-        parts = []
-        for T in group:
-            parts += [T.stack, T._sum[None]]
+        if "_sum" not in T.__dict__:
+            todo.setdefault(T.d, {})[id(T)] = T
+    for group in todo.values():
+        group = list(group.values())
+        # c_0 + c_1 + ... per tuple, accumulated along its components as ``_sum`` does
+        sums = np.add.accumulate(np.stack([T.stack for T in group]), axis=1)[:, -1]
+        for T, total in zip(group, _frozen(np.ascontiguousarray(sums))):
+            T.__dict__["_sum"] = total
+    return np.array([T._sum for T in tuples])
+
+
+def fill_spectral_norms(requests) -> None:
+    """Give each tuple the spectral norms a request ``(T, components, sum)`` asks for:
+    of its components, of its component sum, or both.
+
+    The parts a tuple does not hold yet come from one batched
+    ``op_norm_estimate`` call per matrix dimension over all the requested
+    stacks and sums, and the tuple keeps them; each norm equals the float its
+    matrix gives alone.  A part requested twice is computed once.
+    """
+    by_dim: dict[int, tuple[dict, dict]] = {}
+    for T, components, total in requests:
+        if components and "_op_norms" not in T.__dict__:
+            by_dim.setdefault(T.dim, ({}, {}))[0][id(T)] = T
+        if total and "_sum_op_norm" not in T.__dict__:
+            by_dim.setdefault(T.dim, ({}, {}))[1][id(T)] = T
+    for stacks, sums in by_dim.values():
+        stacks, sums = list(stacks.values()), list(sums.values())
+        parts = [T.stack for T in stacks]
+        if sums:
+            parts.append(component_sums(sums))
         values = mc.op_norm_estimate(np.concatenate(parts)).tolist()
         offset = 0
-        for T in group:
-            T.__dict__["_norms"] = tuple(values[offset : offset + T.d + 1])
-            offset += T.d + 1
-    return [T._norms for T in tuples]
-
-
-def _commutator_norms(S: np.ndarray, T: np.ndarray) -> list[float]:
-    """||S_k T_k - T_k S_k||_F for each k of two equal-shape stacks."""
-    return mc.fro_norms(S @ T - T @ S)
+        for T in stacks:
+            T.__dict__["_op_norms"] = tuple(values[offset : offset + T.d])
+            offset += T.d
+        for T, value in zip(sums, values[offset:]):
+            T.__dict__["_sum_op_norm"] = value
 
 
 @lru_cache(maxsize=None)
@@ -232,45 +256,64 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(index) for index in np.triu_indices(d, 1))
 
 
-def _within_norms(T: OperatorTuple) -> list[tuple[float, int, int]]:
-    """(||[A_i, A_j]||_F, i, j) for all pairs i < j, row-major in i then j."""
-    if T.d == 1:
-        return []
-    i, j = _pair_index(T.d)
-    return list(zip(_commutator_norms(T.stack[i], T.stack[j]), i, j))
-
-
 def max_commutator_within(T: OperatorTuple) -> float:
-    """Largest ||[A_i, A_j]||_F over all pairs."""
-    return max((value for value, _, _ in _within_norms(T)), default=0.0)
+    """Largest ||[A_i, A_j]||_F over all pairs i < j, 0.0 for one component."""
+    return commutator_checks([(T, T)])[0][1]
 
 
 def commutes_within(T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
-    """All pairwise commutators vanish, scaled by the factor norms."""
-    return all(
-        value <= tol.threshold(T._fro_norms[i] * T._fro_norms[j])
-        for value, i, j in _within_norms(T)
-    )
-
-
-def _cross_norms(S: OperatorTuple, T: OperatorTuple) -> list[float]:
-    """||[S_a, T_b]||_F over all pairs, row-major in a then b."""
-    if S.dim != T.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
-    n = S.dim
-    left, right = S.stack[:, None], T.stack[None, :]
-    return mc.fro_norms((left @ right - right @ left).reshape(-1, n, n))
+    """All pairwise commutators vanish, scaled by the factor norms:
+    ``commutator_checks`` of the one query (T, T)."""
+    return commutator_checks([(T, T)], tol)[0][0]
 
 
 def max_commutator_cross(S: OperatorTuple, T: OperatorTuple) -> float:
-    return max(_cross_norms(S, T))
+    """Largest ||[S_a, T_b]||_F over all pairs."""
+    return commutator_checks([(S, T)])[0][1]
 
 
 def commutes_cross(S: OperatorTuple, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
-    """All cross commutators [S_i, T_j] vanish."""
-    norms = _cross_norms(S, T)
-    scales = [na * nb for na in S._fro_norms for nb in T._fro_norms]
-    return all(value <= tol.threshold(scale) for value, scale in zip(norms, scales))
+    """All cross commutators [S_i, T_j] vanish: ``commutator_checks`` of the one query."""
+    return commutator_checks([(S, T)], tol)[0][0]
+
+
+def commutator_checks(queries, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[bool, float]]:
+    """``(commutes, max residual)`` of each query ``(S, T)``: of the commutators
+    [S_i, S_j], i < j, when T is S, else of every [S_a, T_b].
+
+    A commutator vanishes when its Frobenius norm is within the threshold of
+    the product of its factors' Frobenius norms; the residual is the largest
+    norm, in row-major order of the pairs (0.0 for S of one component, which
+    has none within).  Queries of one kind, tuple lengths and dimension are
+    stacked, and each commutator is the products and difference of one
+    query's, so every norm and threshold has the bits it has alone.  A cross
+    query of two dimensions is refused as it is read.
+    """
+    queries = list(queries)
+    groups: dict[tuple, list[int]] = {}
+    for k, (S, T) in enumerate(queries):
+        if T is not S and S.dim != T.dim:
+            raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
+        groups.setdefault((T is S, S.d, T.d, S.dim), []).append(k)
+    checks: list[tuple[bool, float]] = [None] * len(queries)
+    for (within, *_), members in groups.items():
+        left = np.stack([queries[k][0].stack for k in members])
+        norms = mc.fro_norm_array(left)
+        if within:
+            i, j = _pair_index(left.shape[1])
+            left, right, scales = left[:, i], left[:, j], norms[:, i] * norms[:, j]
+        else:
+            right = np.stack([queries[k][1].stack for k in members])
+            scales = norms[:, :, None] * mc.fro_norm_array(right)[:, None]
+            left, right = left[:, :, None], right[:, None]
+        values = mc.fro_norm_array(left @ right - right @ left).reshape(len(members), -1)
+        passed = (values <= tol.threshold(scales.reshape(len(members), -1))).all(axis=1)
+        residuals = values.max(axis=1, initial=0.0).tolist()
+        for k, ok, residual, row in zip(members, passed.tolist(), residuals, values):
+            if residual != residual:  # a NaN norm: the first-wins maximum of the loop
+                residual = max(row.tolist())
+            checks[k] = (ok, residual)
+    return checks
 
 
 def sum_tuple(A: OperatorTuple, N: OperatorTuple) -> OperatorTuple:
@@ -387,17 +430,19 @@ def nilpotency_orders(
     tuples still undecided at its order, so every word norm has the bits of
     one tuple's.  A tuple leaves the chain at its first nonzero word, as it
     does alone.  A query that is refused (a bad max_order, or in strict mode a
-    tuple that does not commute) raises before any word is formed.
+    tuple that does not commute) raises before any word is formed; in strict
+    mode every tuple's commutators come from one ``commutator_checks`` call.
     """
     queries = list(queries)
-    for N, max_order in queries:
+    commuting = commutator_checks([(N, N) for N, _ in queries], tol) if strict else ()
+    for k, (N, max_order) in enumerate(queries):
         if not isinstance(max_order, int) or max_order < 1:
             raise InvalidArgumentError(
                 f"max_order must be a positive integer, got {max_order!r}"
             )
-        if strict and not commutes_within(N, tol):
+        if strict and not commuting[k][0]:
             raise InvalidArgumentError(
-                f"tuple does not commute (max residual {max_commutator_within(N):.3e})"
+                f"tuple does not commute (max residual {commuting[k][1]:.3e})"
             )
     groups: dict[tuple, list[int]] = {}
     for i, (N, max_order) in enumerate(queries):
@@ -414,9 +459,9 @@ def _group_orders(
     tuples: list[OperatorTuple], d: int, dim: int, max_order: int, tol: mc.Tolerance
 ) -> list[int | None]:
     """The nilpotency order of each tuple of one length and dimension."""
-    norms = [T._fro_norms for T in tuples]
     # powers[k - 1][b, i] = N_i**k of tuple b, each power stack one batched product from the last
     stack = np.stack([T.stack for T in tuples])
+    norms = mc.fro_norm_array(stack).tolist()
     powers = [stack]
     for _ in range(max_order - 1):
         powers.append(powers[-1] @ stack)

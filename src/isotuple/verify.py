@@ -11,16 +11,20 @@ with full inputs and a defect profile for post-mortem.
 
 Each checker has one body, a generator: it yields ``(kernel, items)`` for
 each batch of work it would do, and is sent back ``kernel(items, tol)``.  The
-kernels are ``transforms.defect_checks`` for its zero tests
+kernels are ``tuples.commutator_checks`` for its commutators
+(``_noncommuting``), ``transforms.defect_checks`` for its zero tests
 (``_zero_tests``, ``_failed_hypothesis``, sharpness norms included),
 ``tuples.nilpotency_orders`` for the orders of thm05, cor05 and cor050,
-``transforms.cesaro_errors`` for pro01's Cesaro run, and ``spectral_norms``
-for pro03's scales.  ``check_*`` drives its body alone; a campaign generates
-a chunk of up to ``LOCKSTEP_TRIALS`` instances together
-(``generators.random_instances``) and drives their bodies in lock-step
-(``_lockstep``): each round calls each kernel once, on the items of every
-pending body.  Every kernel gives each item the bits it gets alone, so a
-trial's result does not depend on the trials run beside it.
+``transforms.cesaro_errors`` for pro01's Cesaro run, and
+``tuples.fill_spectral_norms`` for the norms pro03's own threshold reads.
+The other bespoke thresholds (pro01's collapse test, pro02's limit and
+cor05's combined scale) read the spectral norms that the round's zero tests
+asked for, so no trial computes norms of its own.  ``check_*`` drives its
+body alone; a campaign generates a chunk of up to ``LOCKSTEP_TRIALS``
+instances together (``generators.random_instances``) and drives their
+bodies in lock-step (``_lockstep``): each round calls each kernel once, on
+the items of every pending body.  Every kernel gives each item the bits it
+gets alone, so a trial's result does not depend on the trials run beside it.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -52,16 +56,13 @@ from .tuples import (
     OperatorTuple,
     PowerConvention,
     adjoint_tuple,
-    commutes_cross,
-    commutes_within,
+    commutator_checks,
     conj_tuple,
+    fill_spectral_norms,
     inverse_tuple,
-    max_commutator_cross,
-    max_commutator_within,
     nilpotency_orders,
     power_tuple,
     product_tuple,
-    spectral_norms,
     sum_tuple,
     tensor_tuple,
 )
@@ -145,15 +146,22 @@ def _args(bundle: InstanceBundle, names: str) -> list:
     return [found[k] if k in found else int(bundle.params[k]) for k in names.split()]
 
 
-def _noncommuting(tol: mc.Tolerance, *pairs: tuple) -> TrialResult | None:
+def _noncommuting(*pairs: tuple):
     """The skip for the first ``(label, S, T)`` whose commutators do not vanish, or
-    None: those within S when T is S, else every [S_i, T_j].  ``label`` is the reason."""
-    for label, S, T in pairs:
-        if T is S:
-            if not commutes_within(S, tol):
-                return _skip(label, residual=max_commutator_within(S))
-        elif not commutes_cross(S, T, tol):
-            return _skip(label, residual=max_commutator_cross(S, T))
+    None: those within S when T is S, else every [S_i, T_j].  ``label`` is the reason.
+
+    The pairs go to ``commutator_checks`` through the body's driver.  A pair of
+    two dimensions, which the kernel refuses, goes in a later batch than the
+    pairs before it, so it raises only once they all commute, as in a loop.
+    """
+    cut = next((k for k, (_, S, T) in enumerate(pairs) if S.dim != T.dim), len(pairs))
+    for batch in (pairs[:cut], pairs[cut:]):
+        if not batch:
+            continue
+        checks = yield commutator_checks, [(S, T) for _, S, T in batch]
+        for (label, _, _), (commutes, residual) in zip(batch, checks):
+            if not commutes:
+                return _skip(label, residual=residual)
     return None
 
 
@@ -360,9 +368,11 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
 
 
-def _spectral_norms(tuples: list, tol: mc.Tolerance) -> list:
-    """The lock-step kernel that gives every tuple its spectral norms from one call."""
-    return spectral_norms(*tuples)
+def _spectral_norms(requests: list, tol: mc.Tolerance) -> list:
+    """The lock-step kernel that gives every tuple the spectral norms each request
+    ``(T, components, sum)`` asks for, from one ``fill_spectral_norms`` call."""
+    fill_spectral_norms(requests)
+    return [None] * len(requests)
 
 
 @_checker
@@ -375,9 +385,9 @@ def check_pro03(
     is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
     Part (b): the symmetric analogue, reducing to the last pair's delta defect.
     The scales of every one-component pair and of the full pair come from one
-    LAPACK call: part (a) reads the last pair's norms in its right-hand
-    threshold, and no zero test carries that pair, so the body asks for them
-    all first.
+    LAPACK call: part (a) reads the last pair's component norms in its
+    right-hand threshold, and no zero test carries that pair, so the body
+    asks first for those and for the parts its zero tests read.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     if m is None:
@@ -387,14 +397,16 @@ def check_pro03(
     if d < 2:
         return _skip("reduction needs d >= 2")
     pairs = [(OperatorTuple.of(a), OperatorTuple.of(b)) for a, b in zip(A, B)]
-    yield _spectral_norms, [T for pair in pairs for T in pair] + [A, B]
     hypotheses = [
         (f"pair {i} is not degree-1 annihilating", Ai, Bi, X, *_degrees(kind, 1))
         for i, (Ai, Bi) in enumerate(pairs[:-1])
     ]
     lhs = ("lhs", A, B, X, *_degrees(kind, m))
     sides = [lhs] if kind == "iso" else [lhs, ("rhs", *pairs[-1], X, 0, m)]
-    judged = yield from _zero_tests(*hypotheses, *sides)
+    tests = [*hypotheses, *sides]
+    last = [(T, kind == "iso", False) for T in pairs[-1]]
+    yield _spectral_norms, tf._norm_requests(test[1:] for test in tests) + last
+    judged = yield from _zero_tests(*tests)
     # each pair counts only once the one before it passed
     for reason, norm, threshold in judged[: d - 1]:
         if norm > threshold:
@@ -479,7 +491,9 @@ def check_thm05(
     """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
     names = ("A", "B", "N1", "N2")
     within = [(f"tuple {name} does not commute", T, T) for name, T in zip(names, (A, B, N1, N2))]
-    if skip := _noncommuting(tol, *within, ("[A, N1] != 0", A, N1), ("[B, N2] != 0", B, N2)):
+    if skip := (yield from _noncommuting(
+        *within, ("[A, N1] != 0", A, N1), ("[B, N2] != 0", B, N2)
+    )):
         return skip
     n1, n2 = yield from _nilpotency_orders(A.dim, N1, N2)
     if n1 is None or n2 is None:
@@ -510,7 +524,7 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     A1, B1, A2, B2, N1, N2, X, m1, m2 = _args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2")
     names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
     pairs = ((f"[{name}] != 0", *_args(bundle, name.replace(",", " "))) for name in names)
-    if skip := _noncommuting(tol, *pairs):
+    if skip := (yield from _noncommuting(*pairs)):
         return skip
     n1, n2 = yield from _nilpotency_orders(A1.dim, N1, N2)
     if n1 is None or n2 is None:
@@ -527,7 +541,8 @@ def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
         ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
     )
     combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
-    combined_scale = tf._scale(tf.defect_scale(P1, Q1, X, t1), *spectral_norms(P2, Q2), 0, t2)
+    # the norms both scales read are the ones the two zero tests above asked for
+    combined_scale = tf._scale(tf.defect_scale(P1, Q1, X, t1), P2, Q2, 0, t2)
     checks.append(("combined_perturbed", combined, tol.threshold(combined_scale)))
     return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
 
@@ -544,9 +559,9 @@ def check_cor050(
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
     T_star = adjoint_tuple(T_hilbert)
     cross = "[T, N] != 0 or [T*, N] != 0"
-    if skip := _noncommuting(
-        tol, ("T does not commute", T_hilbert, T_hilbert), (cross, T_hilbert, N), (cross, T_star, N)
-    ):
+    if skip := (yield from _noncommuting(
+        ("T does not commute", T_hilbert, T_hilbert), (cross, T_hilbert, N), (cross, T_star, N)
+    )):
         return skip
     (order,) = yield from _nilpotency_orders(T_hilbert.dim, N)
     if order is None:
@@ -583,9 +598,9 @@ def check_thm06(
         ("hypothesis ST_rn fails", S, T, X, r, n),
         ("hypothesis AB_ms fails", A, B, X, m, s),
     )
-    if skip := _noncommuting(
-        tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
-    ) or (yield from _failed_hypothesis(*hypotheses)):
+    if skip := (yield from _noncommuting(
+        ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
+    )) or (yield from _failed_hypothesis(*hypotheses)):
         return skip
     SA = product_tuple(S, A)
     TB = product_tuple(T, B)
@@ -607,7 +622,8 @@ def check_thm06(
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
     A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
-    if skip := _noncommuting(tol, ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)):
+    commutators = (("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T))
+    if skip := (yield from _noncommuting(*commutators)):
         return skip
     return (yield from _product_of_one_kind(
         bundle.params["kind"], "a factor pair violates its identity",
@@ -627,7 +643,7 @@ def check_cor061(
     """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
     S_star, T_star = adjoint_tuple(S), adjoint_tuple(T)
     CSC, CTC = conj_tuple(S), conj_tuple(T)
-    if skip := _noncommuting(tol, ("[S, T] != 0", S, T), ("[S*, CTC] != 0", S_star, CTC)):
+    if skip := (yield from _noncommuting(("[S, T] != 0", S, T), ("[S*, CTC] != 0", S_star, CTC))):
         return skip
     prod_star = product_tuple(S_star, T_star)
     prod_conj = conj_tuple(product_tuple(S, T))
@@ -660,7 +676,7 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
     if A.d != 1 or B.d != 1:
         return _skip("A and B must be single operators")
     cross = "[A, S] != 0 or [B, T] != 0"
-    if skip := _noncommuting(tol, (cross, A, S), (cross, B, T)):
+    if skip := (yield from _noncommuting((cross, A, S), (cross, B, T))):
         return skip
     return (yield from _product_of_one_kind(
         bundle.params["kind"], "a factor violates its identity",

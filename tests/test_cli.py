@@ -556,6 +556,34 @@ def test_check_refuses_negative_degree(jordan_files, capsys):
     _single_error_line(capsys, "m must be a non-negative integer")
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("check", "--k-max"), ("check", "--m"), ("check", "--n"), ("min-degree", "--k-max")],
+)
+@pytest.mark.parametrize("degree", [67, 1100])
+def test_degree_past_the_exact_coefficient_bound_is_a_usage_error(
+    jordan_files, capsys, monkeypatch, command, flag, degree
+):
+    # C(67, 33) is the first binomial coefficient past 2**63 - 1; the degree is
+    # refused before any defect is computed
+    def no_profile(*args, **kwargs):
+        raise AssertionError("defect profile computed")
+
+    monkeypatch.setattr(classify, "defect_profile", no_profile)
+    argv = [command, "--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],
+            "--x", jordan_files["x"], flag, str(degree)]
+    assert main(argv) == 2
+    _single_error_line(capsys, f"{flag} {degree} exceeds 66, the largest degree")
+
+
+@pytest.mark.parametrize("flag", ["--k-max", "--m", "--n"])
+def test_check_at_the_largest_exact_degree_runs(jordan_files, capsys, flag):
+    argv = ["check", "--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],
+            "--x", jordan_files["x"], flag, "66"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_campaign_refuses_a_nan_budget_flag(capsys):
     # a NaN deadline never passes, so it must not silently mean "no budget"
     assert main(["campaign", "--theorem", "pro04", "--trials", "3", "--budget", "nan"]) == 2

@@ -16,18 +16,21 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
-from isotuple.generators import random_instances
+from isotuple.generators import PROFILES, random_instances
 from isotuple.multiindex import binomial
 from isotuple.tuples import (
     OperatorTuple,
     adjoint_tuple,
+    commutator_checks,
     commutes_cross,
     commutes_within,
+    component_sums,
     conj_tuple,
+    fill_spectral_norms,
     max_commutator_cross,
     max_commutator_within,
     product_tuple,
-    spectral_norms,
+    scalar_tuple,
     sum_tuple,
     tensor_tuple,
 )
@@ -171,6 +174,92 @@ def test_each_commutator_is_judged_against_its_own_scale():
     assert not commutes_within(OperatorTuple.of(1e12 * np.eye(3), X, Y))
 
 
+def _composed_commutators(S, T, tol=mc.DEFAULT_TOL):
+    """(commutes, max residual) composed one commutator at a time, as ``commutes_within``
+    and ``commutes_cross`` composed them before the kernel: within S when T is S."""
+    if T is S:
+        pairs = [(S[i], S[j]) for i in range(S.d) for j in range(i + 1, S.d)]
+    else:
+        pairs = [(a, b) for a in S for b in T]
+    norms = [mc.fro_norm(a @ b - b @ a) for a, b in pairs]
+    scales = [mc.fro_norm(a) * mc.fro_norm(b) for a, b in pairs]
+    return all(v <= tol.threshold(s) for v, s in zip(norms, scales)), max(norms, default=0.0)
+
+
+def _alone_commutators(S, T, tol=mc.DEFAULT_TOL):
+    """(commutes, max residual) from the scalar API."""
+    if T is S:
+        return commutes_within(S, tol), max_commutator_within(S)
+    return commutes_cross(S, T, tol), max_commutator_cross(S, T)
+
+
+def _bits(checks):
+    return [(ok, residual.hex()) for ok, residual in checks]
+
+
+def test_commutator_checks_equal_one_query_at_a_time_on_every_profile():
+    # every tuple of every profile within, and each pair of its first tuples of one
+    # dimension across, over 200 seeds, in one call of mixed lengths and dimensions
+    queries = []
+    for profile in PROFILES:
+        for bundle in random_instances(profile, range(200)):
+            tuples = list(bundle.tuples.values())
+            queries += [(T, T) for T in tuples]
+            queries += [
+                (S, T) for k, S in enumerate(tuples[:4]) for T in tuples[k + 1 : 4] if S.dim == T.dim
+            ]
+    within = [S is T for S, T in queries]
+    for tol in (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)):
+        batched = commutator_checks(queries, tol)
+        assert _bits(batched) == _bits(_alone_commutators(S, T, tol) for S, T in queries)
+        # generated tuples commute within at the default tolerance, and the tight
+        # one fails some of them
+        failed = [not ok for ok, _ in batched]
+        assert any(failed) and any(f and w for f, w in zip(failed, within)) == (tol.abs_eps == 0)
+
+
+@pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)])
+def test_commutator_checks_equal_the_composed_loop_with_planted_noncommuting_pairs(tol):
+    # random tuples do not commute unless they have one component or are 1 x 1;
+    # scalar tuples commute with everything; lengths and dimensions are mixed
+    queries, planted = [], []
+    for d in DS:
+        for n in NS:
+            A, B, _ = _pair(d, n)
+            scalar = scalar_tuple(2.0 - 1.0j, d, n)
+            queries += [(A, A), (A, B), (B, A), (scalar, scalar), (scalar, A), (B, scalar)]
+            planted += [d > 1 and n > 1, n > 1, n > 1, False, False, False]
+    batched = commutator_checks(queries, tol)
+    assert _bits(batched) == _bits(_composed_commutators(S, T, tol) for S, T in queries)
+    assert _bits(batched) == _bits(_alone_commutators(S, T, tol) for S, T in queries)
+    assert [not ok for ok, _ in batched] == planted
+
+
+def test_commutator_checks_of_one_component_tuples():
+    rng = np.random.default_rng(9)
+    M = rng.standard_normal((3, 3)) + 0j
+    S, T, U = OperatorTuple.of(M), OperatorTuple.of(M @ M + 2.0 * M), OperatorTuple.of(M.T)
+    queries = [(S, S), (S, T), (T, S), (S, U), (U, U)]
+    checks = commutator_checks(queries)
+    assert [ok for ok, _ in checks] == [True, True, True, False, True]
+    assert checks[0] == checks[4] == (True, 0.0)
+    assert _bits(checks) == _bits(_composed_commutators(*query) for query in queries)
+
+
+def test_commutator_checks_refuse_a_cross_query_of_two_dimensions_as_it_is_read():
+    A, B, _ = _pair(2, 3)
+    C, _, _ = _pair(2, 4)
+    for alone, queries in (
+        (lambda: commutes_cross(A, C), [(A, C)]),
+        (lambda: commutes_cross(A, C), [(A, B), (A, A), (A, C), (C, A)]),
+        (lambda: commutes_cross(C, A), [(C, C), (C, A), (A, C)]),
+    ):
+        with pytest.raises(mc.InvalidArgumentError) as expected:
+            alone()
+        with pytest.raises(mc.InvalidArgumentError, match=f"^{expected.value}$"):
+            commutator_checks(queries)
+
+
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_pair_norms_match_one_matrix_at_a_time(d, n, monkeypatch):
@@ -183,13 +272,13 @@ def test_pair_norms_match_one_matrix_at_a_time(d, n, monkeypatch):
         return original(a)
 
     monkeypatch.setattr(mc, "op_norm_estimate", counting)
-    norms_a, norms_b = spectral_norms(A, B)
+    fill_spectral_norms([(A, True, True), (B, True, True)])
     assert calls == [(2 * (d + 1), n, n)]
-    for T, norms in ((A, norms_a), (B, norms_b)):
+    for T in (A, B):
         single = [float(np.linalg.norm(c, 2)) for c in (*T, T.component_sum())]
-        assert list(norms) == single
         assert T.op_norms == tuple(single[:-1]) and T.sum_op_norm == single[-1]
-    assert spectral_norms(B, A) == [norms_b, norms_a] and len(calls) == 1
+    fill_spectral_norms([(B, True, True), (A, True, True)])
+    assert len(calls) == 1
 
 
 def test_stack_and_views_are_read_only_copies():
@@ -258,14 +347,83 @@ def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
         assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
 
 
-def test_defect_checks_take_every_threshold_from_one_spectral_norms_call(monkeypatch):
+def _counting_svds(monkeypatch) -> list:
+    """The shape of each ``op_norm_estimate`` argument from now on."""
     calls = []
-    original = tf.spectral_norms
-    monkeypatch.setattr(tf, "spectral_norms", lambda *T: calls.append(len(T)) or original(*T))
+    original = mc.op_norm_estimate
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(mc, "op_norm_estimate", counting)
+    return calls
+
+
+def test_defect_checks_take_every_threshold_from_one_spectral_norms_call(monkeypatch):
+    calls = _counting_svds(monkeypatch)
     tests = [(*_pair(d, 3, seed), m, k) for d in (1, 2) for seed, (m, k) in enumerate(MIXED_DEGREES)]
     tf.defect_checks(tests)
-    # one table of both tuples of every test but the two of degree (0, 0)
-    assert calls == [2 * (len(tests) - 2)]
+    # one table for every test: both tuples' d component norms when m > 0 and
+    # their sums' norms when n > 0, and nothing for the two of degree (0, 0)
+    parts = sum(2 * (A.d * (m > 0) + (n > 0)) for A, _, _, m, n in tests)
+    assert calls == [(parts, 3, 3)] and parts == 60
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_defect_checks_compute_only_the_norm_parts_their_tests_read(d, monkeypatch):
+    calls = _counting_svds(monkeypatch)
+    A, B, X = _pair(d, 4)
+    # a delta-only test reads the two sums' norms, and no component norm
+    (_, delta_threshold), = tf.defect_checks([(A, B, X, 0, 2)])
+    assert calls == [(2, 4, 4)]
+    assert "_op_norms" not in A.__dict__ and "_op_norms" not in B.__dict__
+    # an isometric test now adds only the components' norms, and both parts are kept
+    tf.defect_checks([(A, B, X, 3, 0), (A, B, X, 1, 1), (A, B, X, 0, 2)])
+    assert calls == [(2, 4, 4), (2 * d, 4, 4)]
+    tf.defect_checks([(A, B, X, 2, 2), (A, B, X, 0, 2)])
+    assert len(calls) == 2
+    # an isometric-only test on fresh tuples reads only the components' norms
+    C, D, Y = _pair(d, 4, seed=1)
+    tf.defect_checks([(C, D, Y, 2, 0)])
+    assert calls[2:] == [(2 * d, 4, 4)] and "_sum_op_norm" not in C.__dict__
+    # every threshold equals the one from norms computed for both parts at once
+    fresh = _pair(d, 4)
+    fill_spectral_norms((T, True, True) for T in fresh[:2])
+    assert tf.defect_checks([(*fresh, 0, 2)])[0][1] == delta_threshold
+    for T, U in ((A, fresh[0]), (B, fresh[1])):
+        assert (T.op_norms, T.sum_op_norm) == (U.op_norms, U.sum_op_norm)
+
+
+def test_norm_parts_are_computed_once_per_dimension_per_call(monkeypatch):
+    calls = _counting_svds(monkeypatch)
+    tuples = [_pair(d, n, seed)[0] for d in (1, 2, 3) for n in (2, 3) for seed in range(2)]
+    requests = [(T, k % 2 == 0, k % 3 == 0) for k, T in enumerate(tuples)]
+    fill_spectral_norms(requests + requests[:5])
+    expected = {}
+    for T, components, total in requests:
+        expected[T.dim] = expected.get(T.dim, 0) + T.d * components + total
+    assert sorted(calls) == sorted((count, n, n) for n, count in expected.items() if count)
+    for T, components, total in requests:
+        single = [float(np.linalg.norm(c, 2)) for c in T]
+        assert ("_op_norms" in T.__dict__) == components
+        assert ("_sum_op_norm" in T.__dict__) == total
+        if components:
+            assert list(T.op_norms) == single
+        if total:
+            assert T.sum_op_norm == float(np.linalg.norm(T.component_sum(), 2))
+    fill_spectral_norms(requests)
+    assert len(calls) == len(expected)
+
+
+def test_component_sums_of_a_group_equal_each_tuple_alone():
+    tuples = [_pair(d, 3, seed)[0] for d in DS for seed in range(3)]
+    alone = [OperatorTuple(T.stack).component_sum() for T in tuples]
+    # one call over mixed lengths, with one tuple listed twice and one sum already held
+    tuples[4].component_sum()
+    sums = component_sums(tuples + tuples[:1])
+    assert all(_same(a, b) for a, b in zip(sums, alone + alone[:1]))
+    assert all(not T.component_sum().flags.writeable for T in tuples)
 
 
 def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():

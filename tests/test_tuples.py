@@ -347,6 +347,23 @@ def test_batched_nilpotency_orders_of_a_non_nilpotent_tuple_are_none():
     assert nilpotency_orders([(pair, 5), (invertible, 5), (pair, 2)]) == [3, None, None]
 
 
+def test_batched_nilpotency_orders_raise_the_first_error_a_loop_raises():
+    good = OperatorTuple.of(SHIFT_UP)
+    bad = OperatorTuple.of(SHIFT_UP, SHIFT_DOWN)
+    for queries in (
+        [(good, 4), (bad, 4), (good, 0)],
+        [(bad, 4), (good, 1.5)],
+        [(good, 0), (bad, 4)],
+        [(good, 4), (bad, -1), (bad, 4)],
+    ):
+        with pytest.raises(InvalidArgumentError) as alone:
+            for N, max_order in queries:
+                nilpotency_order(N, max_order)
+        with pytest.raises(InvalidArgumentError) as batched:
+            nilpotency_orders(queries)
+        assert str(batched.value) == str(alone.value)
+
+
 def test_batched_nilpotency_orders_refuse_a_non_commuting_tuple_as_alone():
     good = OperatorTuple.of(SHIFT_UP)
     bad = OperatorTuple.of(SHIFT_UP, SHIFT_DOWN)

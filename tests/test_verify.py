@@ -607,9 +607,12 @@ def test_pro02_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         calls.clear()
         check_pro02(bundle)
         monkeypatch.undo()
-        # the members and the limit: two one-component tuples each, two norms per tuple
-        pairs = int(bundle.params["members"]) + 1
-        assert calls == [(4 * pairs, 2, 2)]
+        # the members and the limit: two one-component tuples each, whose component
+        # norm a test of degree m > 0 reads and whose sum norm one of n > 0 reads
+        m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
+        member = (m1, 0) if bundle.params["kind"] == "triangle" else (0, m2)
+        tests = [member] * int(bundle.params["members"]) + [(m1, m2)]
+        assert calls == [(sum(2 * ((m > 0) + (n > 0)) for m, n in tests), 2, 2)]
 
 
 def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
@@ -627,9 +630,13 @@ def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         calls.clear()
         check_pro03(bundle)
         monkeypatch.undo()
-        # d one-component pairs (two norms per tuple) and the full pair (d + 1 per tuple)
+        # part (a) reads component norms: of the d one-component pairs (the last one
+        # for its right-hand side) and the d of each tuple of the full pair; part (b)
+        # reads sum norms: of the d pairs (the last one in its right-hand test) and
+        # of the full pair
         d = bundle.tuples["A"].d
-        assert calls == [(4 * d + 2 * (d + 1), 3, 3)]
+        iso = bundle.params["part"] == "a"
+        assert calls == [(4 * d if iso else 2 * d + 2, 3, 3)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -761,15 +768,55 @@ def test_noncommuting_skips_on_the_first_failing_pair():
     S, T = OperatorTuple.of(up), OperatorTuple.of(down)
     mixed = OperatorTuple.of(up, down)
     tol = mc.DEFAULT_TOL
+
+    def noncommuting(*pairs):
+        return verify._alone(verify._noncommuting(*pairs), tol)
+
     # a tuple paired with itself is checked within; one of length 1 always commutes
-    assert verify._noncommuting(tol, ("S", S, S), ("T", T, T)) is None
-    within = verify._noncommuting(tol, ("S", S, S), ("mixed", mixed, mixed), ("S, T", S, T))
+    assert noncommuting(("S", S, S), ("T", T, T)) is None
+    within = noncommuting(("S", S, S), ("mixed", mixed, mixed), ("S, T", S, T))
     assert within.status == "skip" and within.reason == "mixed"
     assert within.defects == {"residual": max_commutator_within(mixed)}
-    cross = verify._noncommuting(
-        tol, ("S, T*", S, adjoint_tuple(T)), ("S, T", S, T), ("T, S", T, S)
-    )
+    cross = noncommuting(("S, T*", S, adjoint_tuple(T)), ("S, T", S, T), ("T, S", T, S))
     assert cross.reason == "S, T" and cross.defects == {"residual": max_commutator_cross(S, T)}
+
+
+def test_noncommuting_refuses_a_pair_of_two_dimensions_only_where_a_loop_reaches_it():
+    up, down = upper_shift(2), upper_shift(2).T.copy()
+    S, T, wide = OperatorTuple.of(up), OperatorTuple.of(down), OperatorTuple.of(np.eye(3))
+    tol = mc.DEFAULT_TOL
+
+    def noncommuting(*pairs):
+        return verify._alone(verify._noncommuting(*pairs), tol)
+
+    # a failing pair before it skips, as a loop over the pairs stops there
+    skip = noncommuting(("S", S, S), ("S, T", S, T), ("S, wide", S, wide))
+    assert skip.reason == "S, T"
+    # once every pair before it commutes, the kernel refuses it as commutes_cross does
+    for pairs in ((("S, wide", S, wide),), (("S", S, S), ("T", T, T), ("S, wide", S, wide))):
+        with pytest.raises(InvalidArgumentError, match="^dimension mismatch: 2 vs 3$"):
+            noncommuting(*pairs)
+
+
+def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypatch):
+    from isotuple import tuples
+
+    def per_pair(*args, **kwargs):
+        raise AssertionError("per-pair commutator check")
+
+    calls = []
+    original = tuples.commutator_checks
+    monkeypatch.setattr(tuples, "commutes_within", per_pair)
+    monkeypatch.setattr(tuples, "commutes_cross", per_pair)
+    monkeypatch.setattr(
+        verify, "commutator_checks", lambda q, tol: calls.append(len(q)) or original(q, tol)
+    )
+    for theorem_id in ("thm05", "cor05", "cor050", "thm06", "cor06", "cor061", "cor062"):
+        calls.clear()
+        report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=40, seed=3))
+        assert report.trials + report.skipped == 40
+        # one chunk: every trial's commutators in the first round's one call
+        assert len(calls) == 1 and calls[0] >= 40
 
 
 def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
@@ -795,13 +842,16 @@ def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
         ("wide", wide, wide, Y, 0, 1),
         ("two, degree 2", two, two, X, 2, 0),
     )
-    # the norms of every tuple come first, from one call per dimension
-    assert calls == [(4, 2, 2), (3, 3, 3)]
+    # the norms every test reads come first, from one call per dimension: the
+    # component and sum norms of one, the component norm of two and the sum
+    # norm of wide
+    assert calls == [(3, 2, 2), (1, 3, 3)]
     assert skip.status == "skip" and skip.reason == "two"
     assert skip.defects == {"residual": mc.fro_norm(tf.triangle(two, two, X, 1))}
     passing = (("one", one, one, X, 1, 1), ("wide", wide, wide, Y, 2, 0))
     assert failed(*passing) is None
-    assert len(calls) == 2
+    # one's norms are kept; wide's component norms are new, from one more call
+    assert calls == [(3, 2, 2), (1, 3, 3), (2, 3, 3)]
 
 
 def test_zero_tests_are_the_defect_checks_in_order():
