@@ -345,7 +345,7 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
 def _norm_requests(tests) -> list[tuple]:
     """The ``fill_spectral_norms`` requests of the zero tests ``(A, B, X, m, n)``: both
     tuples' component norms when m > 0 and their sums' norms when n > 0."""
-    return [(T, m > 0, n > 0) for A, B, _, m, n in tests for T in (A, B)]
+    return [(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)]
 
 
 def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:

@@ -75,19 +75,18 @@ class OperatorTuple:
     @classmethod
     def _of_stack(cls, stack: np.ndarray) -> "OperatorTuple":
         """A tuple that takes ownership of ``stack``, a freshly computed (d, n, n) array."""
-        self = object.__new__(cls)
-        self.__dict__["stack"] = _frozen(mc.as_stack(stack, name="operator tuple"))
-        return self
+        return cls._of_stacks(stack[None])[0]
 
     @classmethod
     def _of_stacks(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
         """Tuples that take ownership of the items of ``stacks``, a freshly computed
         (b, d, n, n) array, validated once for all of them."""
-        flat = mc.as_stack(stacks.reshape(-1, *stacks.shape[-2:]), name="operator tuple")
+        d, n = stacks.shape[-3:-1]
+        flat = _frozen(mc.as_stack(stacks.reshape(-1, n, n), name="operator tuple"))
         tuples = []
-        for stack in _frozen(flat.reshape(stacks.shape)):
+        for start in range(0, len(flat), d):
             self = object.__new__(cls)
-            self.__dict__["stack"] = stack
+            self.__dict__["stack"] = flat[start : start + d]
             tuples.append(self)
         return tuples
 
@@ -130,11 +129,11 @@ class OperatorTuple:
         """Sum of the components in index order, read-only."""
         return self._sum
 
-    @cached_property
+    @property
     def _sum(self) -> np.ndarray:
-        # c_0 + c_1 + ... from the first component on, not from zero: an
-        # accumulation is sequential and starts there
-        return _frozen(np.add.accumulate(self.stack, axis=0)[-1])
+        if "_sum" not in self.__dict__:
+            _fill_component_sums([self])
+        return self.__dict__["_sum"]
 
     def sum_powers(self, k_max: int) -> np.ndarray:
         """Read-only ``(k_max + 1, n, n)`` stack [I, s, s^2, ..., s^k_max] of s = ``component_sum()``.
@@ -205,20 +204,26 @@ def component_sums(tuples) -> np.ndarray:
     """The (b, n, n) stack of each tuple's ``component_sum()``, for tuples of one dimension.
 
     The tuples that do not hold their sum yet get it from one batched
-    accumulation per tuple length, with the bits it has alone, and keep it.
+    accumulation per tuple length, and keep it.
     """
     tuples = list(tuples)
+    _fill_component_sums(tuples)
+    return np.array([T.__dict__["_sum"] for T in tuples])
+
+
+def _fill_component_sums(tuples: list) -> None:
+    """Give each tuple that lacks it its component sum, one accumulation per tuple length."""
     todo: dict[int, dict[int, OperatorTuple]] = {}
     for T in tuples:
         if "_sum" not in T.__dict__:
             todo.setdefault(T.d, {})[id(T)] = T
     for group in todo.values():
         group = list(group.values())
-        # c_0 + c_1 + ... per tuple, accumulated along its components as ``_sum`` does
+        # c_0 + c_1 + ... per tuple, from the first component on, not from
+        # zero: an accumulation is sequential and starts there
         sums = np.add.accumulate(np.stack([T.stack for T in group]), axis=1)[:, -1]
         for T, total in zip(group, _frozen(np.ascontiguousarray(sums))):
             T.__dict__["_sum"] = total
-    return np.array([T._sum for T in tuples])
 
 
 def fill_spectral_norms(requests) -> None:

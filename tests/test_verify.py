@@ -169,6 +169,13 @@ def test_pro03_both_parts_pass():
         assert check_pro03(bundle).status == "pass"
 
 
+@pytest.mark.parametrize("m", ["3", -1, 1.5])
+def test_pro03_refuses_a_degree_that_is_not_a_non_negative_integer(m):
+    bundle = random_instance("pro03", 0)
+    with pytest.raises(InvalidArgumentError, match="m must be a non-negative integer"):
+        check_pro03(bundle, m=m)
+
+
 def test_pro03_needs_two_components():
     bundle = InstanceBundle(
         profile="pro03",
