@@ -1,4 +1,10 @@
-"""Degree classifiers and minimal-degree searches built on the defect transforms."""
+"""Degree classifiers and minimal-degree searches built on the defect transforms.
+
+Every verdict here is a zero test of ``transforms.defect_checks``, the one
+engine that forms defects: the classifiers judge one degree each, and
+``defect_profile`` judges every degree up to k_max in one call.  No defect is
+formed in this module.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import numpy as np
 from . import matrix_core as mc
 from . import transforms as tf
 from .errors import InvalidArgumentError
-from .tuples import OperatorTuple, adjoint_tuple, fill_spectral_norms
+from .tuples import OperatorTuple, adjoint_tuple
 
 
 def is_isometric(
@@ -34,23 +40,6 @@ def is_isosymmetric(
     return norm <= threshold
 
 
-def _triangle_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
-    """||triangle^k(X)||_F for k = 0..k_max, from one list of sigma iterates."""
-    sig = tf.sigma_iterates(A, B, X, k_max)
-    return [mc.fro_norm(tf.triangle_of_iterates(sig, k)) for k in range(k_max + 1)]
-
-
-def _delta_norms(A: OperatorTuple, B: OperatorTuple, X, k_max: int) -> list[float]:
-    """||delta^k(X)||_F for k = 0..k_max, from one stack of left products (sum A)^i X
-    and the powers (sum B)^j, associated as in ``delta``: ((sum A)^i X) (sum B)^j."""
-    left = A.sum_powers(k_max) @ X
-    pow_b = B.sum_powers(k_max)
-    norms = [mc.fro_norm(X)]
-    for k in range(1, k_max + 1):
-        norms.append(mc.fro_norm(tf.binomial_sum(left[k::-1] @ pow_b[: k + 1], k)))
-    return norms
-
-
 def defect_profile(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -60,43 +49,38 @@ def defect_profile(
 ) -> tf.DefectProfile:
     """Defect norms for degrees 0..k_max plus minimal passing degrees.
 
-    Sigma iterates, component-sum powers and the left products (sum A)^i X
-    are computed once and shared by all degrees.  Each norm equals the one the
-    per-degree ``triangle`` / ``delta`` gives, bit for bit, because the terms
-    are formed and summed in the same order.  The pass-set of each family
-    must be upward-closed (a pair that is degree-k isometric is degree-t
-    isometric for every t >= k); degrees violating this are reported as
-    tolerance anomalies.
+    Every degree of both kinds is one zero test of a single ``tf.defect_checks``
+    call, whose tests on one (A, B, X) share one run of sigma iterates and one
+    stack of left products (sum A)^i X, so each norm, threshold and verdict is
+    the per-degree ``defect_check``'s, bit for bit; degree 0 of both kinds is
+    the one test of X itself.  The pass-set of each family must be
+    upward-closed (a pair that is degree-k isometric is degree-t isometric
+    for every t >= k); degrees violating this are reported as tolerance
+    anomalies.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise InvalidArgumentError(f"k_max must be a positive integer, got {k_max!r}")
     X = mc.as_matrix(X, name="X")
-    tri_norms = _triangle_norms(A, B, X, k_max)
-    delta_norms = _delta_norms(A, B, X, k_max)
-    x_norm = mc.fro_norm(X)
-    fill_spectral_norms((T, True, True) for T in (A, B))
+    degrees = range(k_max + 1)
+    # degree 0 of either kind is X itself: one test serves both
+    checks = tf.defect_checks(
+        [(A, B, X, k, 0) for k in degrees] + [(A, B, X, 0, k) for k in degrees[1:]], tol
+    )
 
-    def scan(norms, sym: bool):
-        passes = []
-        for k, norm in enumerate(norms):
-            scale = tf._scale(x_norm, A, B, *((0, k) if sym else (k, 0)))
-            passes.append(norm <= tol.threshold(scale))
-        min_degree = next((k for k, p in enumerate(passes) if p), None)
-        anomalies = ()
-        if min_degree is not None:
-            anomalies = tuple(
-                k for k in range(min_degree + 1, k_max + 1) if not passes[k]
-            )
-        return min_degree, anomalies
+    def scan(checks):
+        passes = [norm <= threshold for norm, threshold in checks]
+        first = next((k for k, p in enumerate(passes) if p), None)
+        return first, tuple(k for k in degrees if first is not None and k > first and not passes[k])
 
-    min_iso, iso_anoms = scan(tri_norms, sym=False)
-    min_sym, sym_anoms = scan(delta_norms, sym=True)
+    iso, sym = checks[: k_max + 1], checks[:1] + checks[k_max + 1 :]
+    min_iso, iso_anoms = scan(iso)
+    min_sym, sym_anoms = scan(sym)
     return tf.DefectProfile(
-        triangle_norms=tuple(tri_norms),
-        delta_norms=tuple(delta_norms),
+        triangle_norms=tuple(norm for norm, _ in iso),
+        delta_norms=tuple(norm for norm, _ in sym),
         min_isometry_degree=min_iso,
         min_symmetry_degree=min_sym,
-        scale=tf._scale(x_norm, A, B, k_max, 0),
+        scale=tf.defect_scale(A, B, X, k_max),
         isometry_anomalies=iso_anoms,
         symmetry_anomalies=sym_anoms,
     )

@@ -963,6 +963,10 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
         )
     build, variant = _BUILDERS[profile]
     seeds = tuple(seeds)
+    # each seed seeds NumPy's generator, which takes only a non-negative integer
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     classes: dict = {}
     for i, seed in enumerate(seeds):

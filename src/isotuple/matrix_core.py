@@ -208,8 +208,10 @@ def inverse(a) -> np.ndarray:
 
 def is_zero(m, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> bool:
     """True iff ||m||_F <= abs_eps + rel_eps*scale."""
-    if scale < 0:
-        raise InvalidArgumentError("scale must be non-negative")
+    # an infinite scale passes every matrix and a NaN one fails every matrix,
+    # so both are refused, as Tolerance refuses such components
+    if not (math.isfinite(scale) and scale >= 0):
+        raise InvalidArgumentError(f"scale must be finite and non-negative, got {scale!r}")
     return fro_norm(m) <= tol.threshold(scale)
 
 

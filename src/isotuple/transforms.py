@@ -17,12 +17,17 @@ sigma application is the batched product ``A.stack @ Y @ B.stack`` summed over
 the components in index order, and the spectral norms behind a pair's
 tolerance scale come from one LAPACK call over both stacks.  Each stacked
 kernel gives the same bits as the loop over components it replaced.
-``defect_checks`` evaluates every zero test, many at once (``defect_check``
-is its batch of one), with each test's bits; ``cesaro_errors`` runs many
-Cesaro sequences the same way.  Every tolerance scale comes from one helper,
-``_scale``.  ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices
-acting on column-stacked vec(X) — the second, independent evaluation route
-used for cross-checks.
+
+One engine, ``_group_defects`` with its sigma loop ``_sigma_run``, forms
+every sigma iterate, delta term and binomial sum, with the bits of each test
+alone; zero tests on one (A, B, X) share one run up to their largest degree.
+``defect_checks`` evaluates many zero tests through it, ``defect_check``,
+``triangle``, ``delta`` and ``sigma_iterates`` are its batch of one, and the
+Cesaro kernels step from X through its loop.  Only the cross-check paths
+``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
+Every tolerance scale comes from one helper, ``_scale``.  ``superop_matrix``
+lifts the maps to dim^2 x dim^2 matrices acting on column-stacked vec(X) —
+the second, independent evaluation route used for cross-checks.
 """
 
 from __future__ import annotations
@@ -108,6 +113,8 @@ def defect_scale(
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
     pair's norms come from one ``fill_spectral_norms`` call for the parts read.
     """
+    _require_degree("iso_degree", iso_degree)
+    _require_degree("sym_degree", sym_degree)
     fill_spectral_norms((T, bool(iso_degree), bool(sym_degree)) for T in (A, B))
     return _scale(mc.fro_norm(X), A, B, iso_degree, sym_degree)
 
@@ -155,17 +162,18 @@ def binomial_sum(terms: np.ndarray, k) -> np.ndarray:
 
     The terms are scaled and added in index order onto a zero matrix, as a
     loop over j adds them, so every defect built on it keeps its bits.  A
-    (K + 1, batch, n, n) stack of one item's terms per column takes ``k`` as an
-    int array of the items' degrees, each at most K: an item's terms above its
-    degree are scaled by zero, and adding a zero changes no value of its sum.
+    (K + 1, batch, n, n) stack of one item's terms per column takes ``k`` as
+    the int K, every item's degree, or as an int array of the items' degrees,
+    each at most K: an item's terms above its degree are scaled by zero, and
+    adding a zero onto a sum from +0.0 changes no bit of it.
     """
-    if np.ndim(k) == 0:
-        terms *= _binomial_coefficients(k)[:, None, None]
+    if not isinstance(k, np.ndarray):
+        coeffs = _binomial_coefficients(k)
     else:
         coeffs = np.zeros(terms.shape[:2])
         for degree in set(k.tolist()):
             coeffs[: degree + 1, k == degree] = _binomial_coefficients(degree)[:, None]
-        terms *= coeffs[:, :, None, None]
+    terms *= coeffs.reshape(coeffs.shape + (1,) * (terms.ndim - coeffs.ndim))
     return mc.ordered_sum(terms)
 
 
@@ -175,14 +183,10 @@ def sigma_apply(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
 
 
 def sigma_iterates(A: OperatorTuple, B: OperatorTuple, X, j_max: int) -> list[np.ndarray]:
-    """[X, sigma(X), sigma^2(X), ..., sigma^j_max(X)]."""
-    if j_max < 0:
-        raise InvalidArgumentError("j_max must be non-negative")
+    """[X, sigma(X), sigma^2(X), ..., sigma^j_max(X)]: the engine's run of one item."""
+    _require_degree("j_max", j_max)
     X = _require_pair(A, B, X)
-    out = [X.copy()]
-    for _ in range(j_max):
-        out.append(_sigma(A, B, out[-1]))
-    return out
+    return [Y[0] for Y in _sigma_run([A], [B], X[None].copy(), j_max, refuse=True)]
 
 
 def sigma_power(
@@ -221,8 +225,8 @@ def sigma_power(
         raise BudgetExceededError(
             f"expansion word count d**j = {A.d}**{j} exceeds the 2**{EXPAND_BUDGET_LOG2:.0f} budget"
         )
-    pow_a = _component_powers(A, j)
-    pow_b = _component_powers(B, j)
+    pow_a = [mc.matrix_powers(c, j) for c in A]
+    pow_b = [mc.matrix_powers(c, j) for c in B]
     acc = np.zeros_like(X)
     for alpha in compositions(A.d, j):
         coeff = multinomial(j, alpha)
@@ -236,30 +240,10 @@ def sigma_power(
     return acc
 
 
-def _component_powers(T: OperatorTuple, k_max: int) -> list[list[np.ndarray]]:
-    pows = []
-    for c in T:
-        row = [mc.identity(T.dim), np.asarray(c)]
-        for _ in range(k_max - 1):
-            row.append(row[-1] @ row[1])
-        pows.append(row)
-    return pows
-
-
 def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
     _require_degree("m", m)
-    return triangle_of_iterates(sigma_iterates(A, B, X, m), m)
-
-
-def triangle_of_iterates(sig, m: int) -> np.ndarray:
-    """triangle^m(X) from the iterates [X, sigma(X), ..., sigma^j(X)], j >= m, as a
-    list or a stack.
-
-    The terms are summed in the order ``triangle`` sums them, so callers that
-    share one list of iterates across degrees get the same bits.
-    """
-    return binomial_sum(np.array(sig[: m + 1]), m)
+    return _group_defects([(A, B, _require_shapes(A, B, X), m, 0)])[2][0]  # a batch of one
 
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
@@ -274,11 +258,9 @@ def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.n
 def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Symmetric defect of degree n: sum_j (-1)^j C(n,j) (sum A)^(n-j) X (sum B)^j; delta^0 = X."""
     _require_degree("n", n)
-    X = _require_pair(A, B, X)
     if n == 0:
-        return X.copy()
-    # term j is (sum A)^(n-j) X (sum B)^j; each tuple keeps its powers
-    return binomial_sum(A.sum_powers(n)[::-1] @ X @ B.sum_powers(n), n)
+        return _require_pair(A, B, X).copy()
+    return _group_defects([(A, B, _require_shapes(A, B, X), 0, n)])[2][0]  # a batch of one
 
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
@@ -311,74 +293,141 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
     """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``.
 
     Each test is refused as it is read, as ``triangle`` or ``delta`` refuses
-    it; X's entries are judged once per group stack.  Tests of one kind
-    (``triangle``, ``delta`` or both) on tuples of one length and dimension
-    form a group for ``_group_defects``, which makes the products and
-    in-order sums of each test alone, so each norm has the bits it has
-    alone.  Every threshold reads the norms of one ``fill_spectral_norms``
-    call, which computes only the parts the tests read: the components' norms
-    for m > 0 and the sums' for n > 0.  A batch of several tests that meets
-    a non-finite value runs each test as a batch of one.
+    it.  Every norm comes before every threshold, so a fault raises what the
+    norms and then the thresholds raise in test order.  The thresholds read
+    the norms of one ``fill_spectral_norms`` call for the parts the tests
+    read: the components' norms for m > 0 and the sums' for n > 0.
     """
     tests = [
         (A, B, _require_shapes(A, B, X), _require_degree("m", m), _require_degree("n", n))
         for A, B, X, m, n in tests
     ]
-    fill_spectral_norms(_norm_requests(tests))
-    groups: dict[tuple, list[int]] = {}
-    for i, (A, _, _, m, n) in enumerate(tests):
-        groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
-    norms, x_norms = [0.0] * len(tests), [0.0] * len(tests)
-    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
-        for members in groups.values():
-            Xs, defects = _group_defects([tests[i] for i in members])
-            for i, norm, x_norm in zip(members, mc.fro_norms(defects), mc.fro_norms(Xs)):
-                norms[i], x_norms[i] = norm, x_norm
-    if len(tests) > 1 and not all(map(math.isfinite, norms + x_norms)):
-        return [defect_checks([test], tol)[0] for test in tests]
+    norms, x_norms = _defect_norms(tests)
+    fill_spectral_norms([(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)])
     return [
         (norm, tol.threshold(_scale(x_norm, A, B, m, n)))
         for norm, x_norm, (A, B, _, m, n) in zip(norms, x_norms, tests)
     ]
 
 
-def _norm_requests(tests) -> list[tuple]:
-    """The ``fill_spectral_norms`` requests of the zero tests ``(A, B, X, m, n)``: both
-    tuples' component norms when m > 0 and their sums' norms when n > 0."""
-    return [(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)]
+def _defect_norms(tests: list) -> tuple[list[float], list[float]]:
+    """The defect norms and ||X||_F of checked zero tests, a ``_group_defects`` call per
+    group of one kind, tuple length and dimension.  A batch of several tests that
+    meets a non-finite value runs each test as a batch of one."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (A, _, _, m, n) in enumerate(tests):
+        groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
+    norms, x_norms = [0.0] * len(tests), [0.0] * len(tests)
+    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
+        for members in groups.values():
+            Xs, sources, defects = _group_defects([tests[i] for i in members])
+            x_group = mc.fro_norm_array(Xs)[sources].tolist()
+            for i, norm, x_norm in zip(members, mc.fro_norms(defects), x_group):
+                norms[i], x_norms[i] = norm, x_norm
+    if len(tests) > 1 and not all(map(math.isfinite, norms + x_norms)):
+        alone = [_defect_norms([test]) for test in tests]
+        return [norm for (norm,), _ in alone], [x_norm for _, (x_norm,) in alone]
+    return norms, x_norms
 
 
-def _group_defects(tests: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (batch, n, n) stacks of X and of the defect of each test of one group.
+def _group_defects(tests: list) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """(Xs, sources, defects) of one group's tests: the stack of its distinct X, each
+    test's index in it, and the (batch, n, n) stack of each test's defect.
 
-    The group shares one stack of delta terms up to its largest n, one run of
-    sigma iterates up to its largest m, and one ``binomial_sum`` each, in
-    which an item's coefficients above its own degree are zero.  A group of
-    one refuses a non-finite X or sigma input (iterates 0..m-1, delta^n(X)
-    among them); in a larger group it shows as a non-finite norm.
+    The engine: the only code that forms sigma iterates, delta terms and
+    their binomial sums.  Tests on the same (A, B, X) objects share one stack
+    of left products (sum A)^i X, one delta^n(X) per n and one run of sigma
+    iterates from each, up to the largest degree any of them asks for; each
+    defect has the products and in-order sums, so the bits, of its test
+    alone.  A group of one refuses a non-finite X or sigma input (iterates
+    0..m-1, delta^n(X) among them); in a larger group it shows in the norm.
     """
-    As, Bs, Xs, ms, ns = zip(*tests)
+    keys = [(id(A), id(B), id(X)) for A, B, X, _, _ in tests]
+    heads = dict(zip(keys, tests))  # a test of each source, in order of first appearance
+    sources = _positions(heads, keys)
+    As, Bs, Xs, _, _ = zip(*heads.values())
     Y = Xs = np.array(Xs, dtype=np.complex128)
-    if len(tests) == 1:
+    ms, ns = [test[3] for test in tests], [test[4] for test in tests]
+    alone = len(tests) == 1
+    if alone:
         _require_finite(Xs)
+    runs = sources  # the row of Y that each test's sigma iterates start from
     if ns[0]:
-        # term j of item b is (sum A)^(n_b - j) X (sum B)^j, as in ``delta``
-        N, degrees = max(ns), np.array(ns)
-        left = mc.matrix_powers(component_sums(As), N)
-        right = mc.matrix_powers(component_sums(Bs), N)
-        left = left[np.maximum(degrees - np.arange(N + 1)[:, None], 0), np.arange(len(tests))]
-        Y = binomial_sum(left @ Y @ right, degrees)
-    if ms[0] or not ns[0]:
-        a = np.stack([A.stack for A in As], axis=1)
-        b = np.stack([B.stack for B in Bs], axis=1)
-        sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
-        sig[0] = Y
-        for k in range(len(sig) - 1):
-            if len(tests) == 1:
-                _require_finite(sig[k])
-            sig[k + 1] = _sigma_of_stacks(a, sig[k], b)
-        Y = binomial_sum(sig, np.array(ms))
-    return Xs, Y
+        # term j of delta^n(X) is ((sum A)^(n - j) X) (sum B)^j, as in ``delta``
+        starts = dict.fromkeys(zip(sources, ns))
+        runs = _positions(starts, list(zip(sources, ns)))
+        run_sources, run_degrees = zip(*starts)
+        left = mc.matrix_powers(component_sums(As), max(ns)) @ Xs
+        right = mc.matrix_powers(component_sums(Bs), max(ns))
+
+        def delta_terms(s: list[int] | None, ks: list[int]) -> np.ndarray:
+            j = np.arange(max(ks) + 1)[:, None]
+            if s is None:  # every source once, in order
+                return left[np.maximum(np.array(ks) - j, 0), np.arange(len(ks))] @ right[: len(j)]
+            if len(s) == 1:  # views, with no copy of the factors
+                s, k = slice(s[0], s[0] + 1), ks[0]
+                return left[k::-1, s] @ right[: k + 1, s]
+            return left[np.maximum(np.array(ks) - j, 0), s] @ right[j, s]
+
+        Y = _layered_sums(delta_terms, run_sources, run_degrees)
+        As, Bs = [As[s] for s in run_sources], [Bs[s] for s in run_sources]
+        if not ms[0]:  # each test's defect is its delta^n(X), a row of Y
+            return Xs, sources, Y if len(Y) == len(runs) else Y[runs]
+    sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
+    for k, iterate in enumerate(_sigma_run(As, Bs, Y, len(sig) - 1, refuse=alone)):
+        sig[k] = iterate
+
+    def sigma_terms(r: list[int] | None, ks: list[int]) -> np.ndarray:
+        return sig if r is None else sig[: max(ks) + 1].take(r, axis=1)
+
+    return Xs, sources, _layered_sums(sigma_terms, runs, ms)
+
+
+def _positions(distinct: dict, keys: list) -> list[int]:
+    """The position of each key among the keys of ``distinct``."""
+    if len(distinct) == len(keys):  # every key once, in order
+        return list(range(len(keys)))
+    position = {key: i for i, key in enumerate(distinct)}
+    return [position[key] for key in keys]
+
+
+def _layered_sums(terms, keys: list, degrees: list) -> np.ndarray:
+    """The (batch, n, n) stack of each item's ``binomial_sum`` of its degree.  The k-th
+    item of each run ``keys[i]`` is summed in layer k, over ``terms(layer_keys,
+    layer_degrees)``, so no stack of terms holds a run twice; when no run has two
+    items, the one layer is ``terms(None, degrees)``, which it may scale in place."""
+    if len(set(keys)) == len(keys):
+        return binomial_sum(terms(None, degrees), _degree(degrees))
+    seen: dict = {}
+    layers: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        seen[key] = seen.get(key, -1) + 1
+        layers.setdefault(seen[key], []).append(i)
+    out = None
+    for rows in layers.values():
+        ks = [degrees[i] for i in rows]
+        layer = binomial_sum(terms([keys[i] for i in rows], ks), _degree(ks))
+        if out is None:
+            out = np.empty((len(keys), *layer.shape[1:]), dtype=np.complex128)
+        out[rows] = layer
+    return out
+
+
+def _degree(ks: list[int]):
+    """``binomial_sum``'s k for items of the degrees ``ks``: one int when they share it."""
+    return ks[0] if len(set(ks)) == 1 else np.array(ks)
+
+
+def _sigma_run(As, Bs, Y: np.ndarray, steps: int, refuse: bool):
+    """Yield the (batch, n, n) stacks Y, sigma(Y), ..., sigma^steps(Y), item b under
+    (As[b], Bs[b]), each step with one item's products and in-order sums: the engine's
+    one sigma loop.  With ``refuse``, a non-finite input is refused as by ``sigma_apply``."""
+    a = np.array([A.stack for A in As]).swapaxes(0, 1)
+    b = np.array([B.stack for B in Bs]).swapaxes(0, 1)
+    yield Y
+    for _ in range(steps):
+        Y = _sigma_of_stacks(a, _require_finite(Y) if refuse else Y, b)
+        yield Y
 
 
 def superop_matrix(A: OperatorTuple, B: OperatorTuple, kind: str = "sigma") -> np.ndarray:
@@ -425,14 +474,8 @@ def cesaro_estimate(
             f"pair is not (X,{m})-isometric: defect norm {norm:.3e} "
             f"exceeds threshold {threshold:.3e}"
         )
-    sig = sigma_iterates(A, B, X, m)
-    reference = triangle_of_iterates(sig, m - 1)
-    Y = sig[m]
-    out = [(m, mc.fro_norm(Y / binomial(m, m - 1) - reference))]
-    for t in range(m + 1, t_max + 1):
-        Y = _sigma(A, B, Y)
-        out.append((t, mc.fro_norm(Y / binomial(t, m - 1) - reference)))
-    return out
+    run = _cesaro_run([A], [B], _require_shapes(A, B, X)[None], [m], t_max)
+    return [(t, mc.fro_norm(Y[0] / binomial(t, m - 1) - reference[0])) for t, Y, reference in run]
 
 
 def _require_cesaro_degrees(m, t_max) -> None:
@@ -442,51 +485,50 @@ def _require_cesaro_degrees(m, t_max) -> None:
         raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
 
 
-def cesaro_error(
-    A: OperatorTuple, B: OperatorTuple, sig: list[np.ndarray], m: int, t_max: int
-) -> float:
-    """The last error of ``cesaro_estimate``, e_(t_max), continuing the iterates ``sig`` of (A, B).
+def _cesaro_run(As, Bs, Xs: np.ndarray, ms, t_max: int):
+    """Yield (t, sigma^t(X), triangle^(m-1)(X)) as (batch, n, n) stacks of the runs
+    (As[b], Bs[b], Xs[b], ms[b]), for t = max(ms)..t_max, from one refusing
+    ``_sigma_run`` whose iterates below max(ms) are kept for the reference."""
+    M, kept = max(ms), []
+    for t, Y in enumerate(_sigma_run(As, Bs, Xs, t_max, refuse=True)):
+        if t < M:
+            kept.append(Y)
+            continue
+        if t == M:
+            reference = binomial_sum(np.array(kept), np.array(ms) - 1)
+        yield t, Y, reference
 
-    ``sig`` is [X, sigma(X), ..., sigma^j(X)] with j >= m, as ``sigma_iterates``
-    returns it; the iteration continues from sigma^m(X) without keeping the
-    later iterates, so sigma is applied t_max - m more times.  The pair is not
-    checked for being (X,m)-isometric.
-    """
-    return cesaro_errors([(A, B, sig, m, t_max)])[0]
+
+def cesaro_error(A: OperatorTuple, B: OperatorTuple, X, m: int, t_max: int) -> float:
+    """The last error of ``cesaro_estimate``, e_(t_max), without the check that the pair
+    is (X,m)-isometric: ``cesaro_errors`` of the one run."""
+    return cesaro_errors([(A, B, X, m, t_max)])[0]
 
 
 def cesaro_errors(runs) -> list[float]:
-    """``cesaro_error(A, B, sig, m, t_max)`` of each run ``(A, B, sig, m, t_max)``, with its bits.
-
-    Runs on tuples of one length and dimension that take one number of steps,
-    t_max - m, are stacked: their steps run once, on ``(d, batch, n, n)``
-    stacks through ``_sigma_of_stacks``, the products and in-order sums of
-    one run's.  An iterate with a non-finite entry anywhere in a batch sends
-    every run through alone, which raises what ``sigma_apply`` raises.
-    """
+    """``cesaro_error(A, B, X, m, t_max)`` of each run ``(A, B, X, m, t_max)``, with its bits:
+    runs on tuples of one length and dimension with one t_max step together from X.  A
+    batch that meets a refusal runs each run alone, which raises what that run raises."""
     runs = list(runs)
     for *_, m, t_max in runs:
         _require_cesaro_degrees(m, t_max)
+    runs = [(A, B, _require_shapes(A, B, X), m, t_max) for A, B, X, m, t_max in runs]
     groups: dict[tuple, list[int]] = {}
-    for i, (A, _, _, m, t_max) in enumerate(runs):
-        groups.setdefault((A.d, A.dim, t_max - m), []).append(i)
-    last: list[np.ndarray] = [None] * len(runs)
-    for (_, _, steps), members in groups.items():
-        a = np.stack([runs[i][0].stack for i in members], axis=1)
-        b = np.stack([runs[i][1].stack for i in members], axis=1)
-        Y = np.array([runs[i][2][runs[i][3]] for i in members], dtype=np.complex128)
-        for _ in range(steps):
-            if not np.isfinite(Y).all():
-                if len(runs) > 1:
-                    return [cesaro_errors([run])[0] for run in runs]
-                raise InvalidArgumentError("X contains non-finite entries")
-            Y = _sigma_of_stacks(a, Y, b)
-        for i, Y_i in zip(members, Y):
-            last[i] = Y_i
-    return [
-        mc.fro_norm(Y / binomial(t_max, m - 1) - triangle_of_iterates(sig, m - 1))
-        for Y, (_, _, sig, m, t_max) in zip(last, runs)
-    ]
+    for i, (A, _, _, _, t_max) in enumerate(runs):
+        groups.setdefault((A.d, A.dim, t_max), []).append(i)
+    errors = [0.0] * len(runs)
+    try:
+        for (_, _, t_max), members in groups.items():
+            As, Bs, Xs, ms, _ = zip(*(runs[i] for i in members))
+            for _, Y, reference in _cesaro_run(As, Bs, np.array(Xs), ms, t_max):
+                pass
+            for i, m, Y_i, reference_i in zip(members, ms, Y, reference):
+                errors[i] = mc.fro_norm(Y_i / binomial(t_max, m - 1) - reference_i)
+    except InvalidArgumentError:
+        if len(runs) == 1:
+            raise
+        return [cesaro_errors([run])[0] for run in runs]
+    return errors
 
 
 @dataclass(frozen=True)

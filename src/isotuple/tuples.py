@@ -51,9 +51,9 @@ class OperatorTuple:
     tuple built from the caller's arrays holds a copy of them.
 
     Quantities derived from the components alone are computed on first use
-    and kept for the life of the tuple: the component sum, its powers, and
-    the spectral norms behind every tolerance scale, kept as two parts, the
-    components' norms and the sum's.  A caller that holds many tuples fills
+    and kept for the life of the tuple: the component sum and the spectral
+    norms behind every tolerance scale, kept as two parts, the components'
+    norms and the sum's.  A caller that holds many tuples fills
     them together: ``component_sums`` computes the missing sums per (d, n)
     group in one batched accumulation, and ``fill_spectral_norms`` computes
     only the parts each tuple is asked for, in one batched LAPACK call per
@@ -134,18 +134,6 @@ class OperatorTuple:
         if "_sum" not in self.__dict__:
             _fill_component_sums([self])
         return self.__dict__["_sum"]
-
-    def sum_powers(self, k_max: int) -> np.ndarray:
-        """Read-only ``(k_max + 1, n, n)`` stack [I, s, s^2, ..., s^k_max] of s = ``component_sum()``.
-
-        Each power is one product from the last, and the powers are kept, so
-        every caller at any degree reads the same bits.
-        """
-        pows = self.__dict__.get("_sum_powers")
-        if pows is None or len(pows) <= k_max:
-            pows = _frozen(mc.matrix_powers(self._sum, k_max))
-            self.__dict__["_sum_powers"] = pows
-        return pows[: k_max + 1]
 
     @property
     def op_norms(self) -> tuple[float, ...]:
@@ -382,8 +370,10 @@ def conj_tuple(A: OperatorTuple) -> OperatorTuple:
 
 
 def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
-    if d < 1 or n < 1:
-        raise InvalidArgumentError("scalar_tuple needs d >= 1 and n >= 1")
+    if not all(isinstance(k, int) and k >= 1 for k in (d, n)):
+        raise InvalidArgumentError(
+            f"scalar_tuple needs integers d >= 1 and n >= 1, got {d!r}, {n!r}"
+        )
     return OperatorTuple._of_stack(np.repeat((complex(c) * mc.identity(n))[None], d, axis=0))
 
 

@@ -14,12 +14,14 @@ each batch of work it would do, and is sent back ``kernel(items, tol)``.  The
 kernels are ``tuples.commutator_checks`` for its commutators
 (``_noncommuting``), ``transforms.defect_checks`` for its zero tests
 (``_zero_tests``, ``_failed_hypothesis``, sharpness norms included),
-``tuples.nilpotency_orders`` for the orders of thm05, cor05 and cor050,
-``transforms.cesaro_errors`` for pro01's Cesaro run, and
-``tuples.fill_spectral_norms`` for the norms pro03's own threshold reads.
-The other bespoke thresholds (pro01's collapse test, pro02's limit and
-cor05's combined scale) read the spectral norms that the round's zero tests
-asked for, so no trial computes norms of its own.  ``check_*`` drives its
+``tuples.nilpotency_orders`` for the orders of thm05, cor05 and cor050, and
+``transforms.cesaro_errors`` for pro01's Cesaro run.  Zero tests on one pair
+at one X share one run of sigma iterates in the engine behind
+``defect_checks``, so pro01's lower-degree norms and thm05's, thm06's and
+cor06's sharpness tests cost no run of their own.  The bespoke thresholds
+(pro01's collapse test, pro02's limit, pro03's right-hand side and cor05's
+combined scale) read the spectral norms that the round's zero tests asked
+for, so no trial computes norms of its own.  ``check_*`` drives its
 body alone; a campaign generates a chunk of up to ``LOCKSTEP_TRIALS``
 instances together (``generators.random_instances``) and drives their
 bodies in lock-step (``_lockstep``): each round calls each kernel once, on
@@ -58,7 +60,6 @@ from .tuples import (
     adjoint_tuple,
     commutator_checks,
     conj_tuple,
-    fill_spectral_norms,
     inverse_tuple,
     nilpotency_orders,
     power_tuple,
@@ -254,19 +255,22 @@ def _product_of_one_kind(
     hypotheses = [(reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors]
     if skip := (yield from _failed_hypothesis(*hypotheses)):
         return skip
-    P, Q, Z = product
     deg = sum(k for *_, k in factors) - 1
-    tests = [(name, P, Q, Z, *_degrees(kind, deg))]
-    if sharp and deg >= 1:
-        tests.append(("below", P, Q, Z, *_degrees(kind, deg - 1)))
-    conclusion, *below = yield from _zero_tests(*tests)
-    sharpness = {key: norm for key, norm, _ in below}
-    return _verdict(
-        [conclusion],
-        {"degree": float(deg)},
-        sharpness=sharpness,
-        is_sharp=sharpness.get("below", 0.0) > SHARPNESS_FLOOR,
-    )
+    below = {"below": _degrees(kind, deg - 1)} if sharp else {}
+    test = (name, *product, *_degrees(kind, deg))
+    return (yield from _sharp_verdict(test, {"degree": float(deg)}, below))
+
+
+def _sharp_verdict(test: tuple, extra: dict, below: dict):
+    """The verdict of the conclusion zero test ``(name, P, Q, X, m, n)``, with the norms of
+    its sharpness tests on the same pair: ``below`` maps each name to its (m, n), a test
+    of a negative degree is left out, and the first name is the witness's."""
+    _, P, Q, X, *_ = test
+    sharp = [(key, P, Q, X, m, n) for key, (m, n) in below.items() if min(m, n) >= 0]
+    conclusion, *judged = yield from _zero_tests(test, *sharp)
+    sharpness = {key: norm for key, norm, _ in judged}
+    witness = sharpness.get(next(iter(below), None), 0.0)
+    return _verdict([conclusion], extra, sharpness=sharpness, is_sharp=witness > SHARPNESS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +290,19 @@ def check_pro01(
     no eigenvalue inside the unit circle -- which is the regime where its
     inverse iterates stay bounded.
 
-    The defects of degrees 0..m-1 and the Cesaro error all come from one run
-    of t_max sigma iterates, whose steps past m a campaign runs across trials
-    (``tf.cesaro_errors``).
+    The defects of degrees 0..m, and the collapse threshold, come from one
+    round of zero tests on one run of sigma iterates; the Cesaro error steps
+    from X, across trials in a campaign (``tf.cesaro_errors``).
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     m = int(bundle.params["m"])
-    (_, defect_m, threshold_m), = yield from _zero_tests(("isometry_defect", A, B, X, m, 0))
+    (_, defect_m, threshold_m), *lower = yield from _zero_tests(
+        ("isometry_defect", A, B, X, m, 0), *((f"degree {j}", A, B, X, j, 0) for j in range(m))
+    )
     if defect_m > threshold_m:
         return _skip(f"not (X,{m})-isometric", isometry_defect=defect_m)
-    sig = tf.sigma_iterates(A, B, X, m)
-    (e_final,) = yield _cesaro_errors, [(A, B, sig, m, t_max)]
-    lower = [mc.fro_norm(tf.triangle_of_iterates(sig, j)) for j in range(m)]
-    c_const = 5.0 * max(lower)
+    (e_final,) = yield _cesaro_errors, [(A, B, X, m, t_max)]
+    c_const = 5.0 * max(norm for _, norm, _ in lower)
     bound = c_const * (m - 1) / t_max + threshold_m
     extra = {"t_max": float(t_max)}
 
@@ -312,8 +316,7 @@ def check_pro01(
     extra["sigma_invertible"] = float(invertible)
     checks = []
     if unitary_like:
-        thr1 = tol.threshold(tf.defect_scale(A, B, X, m - 1))
-        checks.append(("collapse_defect", lower[m - 1], thr1))
+        checks.append(("collapse_defect", *lower[m - 1][1:]))
     checks.append(("cesaro_error", e_final, bound))
     return _verdict(checks, extra)
 
@@ -368,13 +371,6 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
     return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
 
 
-def _spectral_norms(requests: list, tol: mc.Tolerance) -> list:
-    """The lock-step kernel that gives every tuple the spectral norms each request
-    ``(T, components, sum)`` asks for, from one ``fill_spectral_norms`` call."""
-    fill_spectral_norms(requests)
-    return [None] * len(requests)
-
-
 @_checker
 def check_pro03(
     bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
@@ -385,9 +381,8 @@ def check_pro03(
     is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
     Part (b): the symmetric analogue, reducing to the last pair's delta defect.
     The scales of every one-component pair and of the full pair come from one
-    LAPACK call: part (a) reads the last pair's component norms in its
-    right-hand threshold, and no zero test carries that pair, so the body
-    asks first for those and for the parts its zero tests read.
+    LAPACK call: part (a)'s right-hand threshold reads the last components'
+    norms, which the full pair's zero test has filled.
     """
     A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
     if m is None:
@@ -403,10 +398,7 @@ def check_pro03(
     ]
     lhs = ("lhs", A, B, X, *_degrees(kind, m))
     sides = [lhs] if kind == "iso" else [lhs, ("rhs", *pairs[-1], X, 0, m)]
-    tests = [*hypotheses, *sides]
-    last = [(T, kind == "iso", False) for T in pairs[-1]]
-    yield _spectral_norms, tf._norm_requests(test[1:] for test in tests) + last
-    judged = yield from _zero_tests(*tests)
+    judged = yield from _zero_tests(*hypotheses, *sides)
     # each pair counts only once the one before it passed
     for reason, norm, threshold in judged[: d - 1]:
         if norm > threshold:
@@ -415,12 +407,13 @@ def check_pro03(
     if kind == "iso":
         (_, lhs_norm, lhs_thr), = judged[d - 1 :]
         # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
-        Ad, Bd = pairs[-1]
         coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
-        terms = np.array(coeffs)[:, None, None] * (Ad.sum_powers(m) @ X @ Bd.sum_powers(m))
+        terms = np.array(coeffs)[:, None, None] * (
+            mc.matrix_powers(A[-1], m) @ X @ mc.matrix_powers(B[-1], m)
+        )
         rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
         rhs_thr = tol.threshold(
-            tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + Ad.op_norms[0] * Bd.op_norms[0], m)
+            tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + A.op_norms[-1] * B.op_norms[-1], m)
         )
     else:
         (_, lhs_norm, lhs_thr), (_, rhs_norm, rhs_thr) = judged[d - 1 :]
@@ -502,20 +495,11 @@ def check_thm05(
     if skip := (yield from _failed_hypothesis(base)):
         return skip
     t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
-    A_p, B_p = sum_tuple(A, N1), sum_tuple(B, N2)
-    tests = [("perturbed_defect", A_p, B_p, X, t1, t2)]
-    if t1 >= 1:
-        tests.append(("below_t1", A_p, B_p, X, t1 - 1, t2))
-    if t2 >= 1:
-        tests.append(("below_t2", A_p, B_p, X, t1, t2 - 1))
-    conclusion, *below = yield from _zero_tests(*tests)
-    sharp = {name: norm for name, norm, _ in below}
-    return _verdict(
-        [conclusion],
+    return (yield from _sharp_verdict(
+        ("perturbed_defect", sum_tuple(A, N1), sum_tuple(B, N2), X, t1, t2),
         {"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
-        sharpness=sharp,
-        is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
-    )
+        {"below_t1": (t1 - 1, t2), "below_t2": (t1, t2 - 1)},
+    ))
 
 
 @_checker
@@ -602,20 +586,12 @@ def check_thm06(
         ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
     )) or (yield from _failed_hypothesis(*hypotheses)):
         return skip
-    SA = product_tuple(S, A)
-    TB = product_tuple(T, B)
     t1, t2 = m + r - 1, n + s - 1
-    tests = [("product_defect", SA, TB, X, t1, t2)]
-    if t1 >= 1:
-        tests.append(("below_t1", SA, TB, X, t1 - 1, t2))
-    conclusion, *below = yield from _zero_tests(*tests)
-    sharp = {name: norm for name, norm, _ in below}
-    return _verdict(
-        [conclusion],
+    return (yield from _sharp_verdict(
+        ("product_defect", product_tuple(S, A), product_tuple(T, B), X, t1, t2),
         {"t1": float(t1), "t2": float(t2)},
-        sharpness=sharp,
-        is_sharp=sharp.get("below_t1", 0.0) > SHARPNESS_FLOOR,
-    )
+        {"below_t1": (t1 - 1, t2)},
+    ))
 
 
 @_checker

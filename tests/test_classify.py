@@ -7,12 +7,14 @@ from conftest import random_commuting_pair
 from isotuple import classify
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
+from isotuple import verify
 from isotuple.errors import InvalidArgumentError
 from isotuple.generators import (
     jordan_isometric,
     jordan_symmetric,
     paper_example_squares,
     random_instance,
+    random_instances,
     random_unitary,
 )
 from isotuple.tuples import OperatorTuple, adjoint_tuple, inverse_tuple
@@ -177,3 +179,82 @@ def test_profile_norms_equal_per_degree_defects(seed, d, n):
     assert profile.delta_norms == tuple(
         mc.fro_norm(tf.delta(A, B, X, k)) for k in range(k_max + 1)
     )
+
+
+#: Every degree that a profile at k_max = 12 judges, in its order: degree 0, the
+#: test of X itself, serves both kinds.
+PROFILE_DEGREES = [(k, 0) for k in range(13)] + [(0, k) for k in range(1, 13)]
+
+
+def _profile_checks(pairs, monkeypatch) -> list:
+    """The profile at k_max = 12 of each pair, and the (norm, threshold) of each degree it
+    judged, from its one ``defect_checks`` call."""
+    calls = []
+    original = tf.defect_checks
+    monkeypatch.setattr(tf, "defect_checks", lambda *a: calls.append(original(*a)) or calls[-1])
+    profiles = [classify.defect_profile(A, B, X, k_max=12) for A, B, X in pairs]
+    monkeypatch.undo()
+    assert len(calls) == len(profiles)
+    return list(zip(profiles, calls))
+
+
+def _assert_profile_is_per_degree(profile, checks, alone) -> None:
+    """Norms, thresholds and verdicts of the profile's degrees equal those judged alone."""
+    assert checks == alone
+    alone = alone[:13] + alone[:1] + alone[13:]  # degrees 0..12 of each kind
+    assert list(profile.triangle_norms + profile.delta_norms) == [norm for norm, _ in alone]
+    verdicts = [profile.isometric_at(k) for k in range(13)]
+    verdicts += [profile.symmetric_at(k) for k in range(13)]
+    assert verdicts == [norm <= threshold for norm, threshold in alone]
+    assert mc.DEFAULT_TOL.threshold(profile.scale) == alone[12][1]
+
+
+def test_post_mortem_profiles_equal_each_degree_judged_alone(monkeypatch):
+    # the pair whose profile a counterexample record carries, for every id at
+    # seeds 0-59; a profile shares one run of iterates and one stack of left
+    # products over its zero tests, and per degree the tests share nothing (each
+    # reads its own copy of X), so each gets the bits of its ``defect_check``
+    # (test_batched_defect_checks_equal_one_test_at_a_time), as the first pair
+    # of each id shows
+    pairs = [
+        entry.pair(bundle)
+        for entry in verify.THEOREMS.values()
+        for bundle in random_instances(entry.profile, range(60))
+    ]
+    by_degree = [
+        tf.defect_checks([(A, B, np.array(X), *degrees) for A, B, X in pairs])
+        for degrees in PROFILE_DEGREES
+    ]
+    alone = [list(checks) for checks in zip(*by_degree)]
+    for first in range(0, len(pairs), 60):
+        assert alone[first] == [tf.defect_check(*pairs[first], *d) for d in PROFILE_DEGREES]
+    for (profile, checks), checks_alone in zip(_profile_checks(pairs, monkeypatch), alone):
+        _assert_profile_is_per_degree(profile, checks, checks_alone)
+
+
+def _jordan_pair(rng, k: int, lam: complex, n: int, d: int = 3):
+    """A_i = w_i T*, B_i = w_i T at a unit X, T = Q (lam I + N) Q* with N a direct sum of
+    index-k shifts: exact degrees 2k - 1 or none."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    N = np.diag([float((i + 1) % k != 0) for i in range(n - 1)], k=1)
+    T = Q @ (lam * np.eye(n) + N) @ Q.conj().T
+    w = rng.uniform(0.5, 1.5, d)
+    w /= np.linalg.norm(w)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (
+        OperatorTuple([wi * T.conj().T for wi in w]),
+        OperatorTuple([wi * T for wi in w]),
+        X / np.linalg.norm(X),
+    )
+
+
+@pytest.mark.parametrize(
+    "k, lam, n", [(2, -1.0, 24), (3, np.exp(2j), 28), (4, 1.7, 36), (3, 1.0, 32)]
+)
+def test_profile_of_a_jordan_type_pair_equals_each_degree_judged_alone(k, lam, n, monkeypatch):
+    A, B, X = _jordan_pair(np.random.default_rng(n), k, lam, n)
+    alone = [tf.defect_check(A, B, X, *degrees) for degrees in PROFILE_DEGREES]
+    ((profile, checks),) = _profile_checks([(A, B, X)], monkeypatch)
+    _assert_profile_is_per_degree(profile, checks, alone)
+    if abs(lam) == 1.0:
+        assert profile.min_isometry_degree == 2 * k - 1

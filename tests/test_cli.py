@@ -379,6 +379,27 @@ def test_hostile_input_prints_only_the_error(tmp_path, capsys, command, case):
     assert err.count("\n") == 1
 
 
+def test_check_refuses_a_pair_whose_component_sums_overflow(tmp_path, capsys):
+    # sum A = sum B = 2e308 I overflows, and so do the iterates and the
+    # commutators (which only warn): the profile judges every norm before any
+    # spectral norm, so the iterates' refusal comes first
+    paths = []
+    for name, payload in (
+        ("a", OperatorTuple.of(*[1e308 * np.eye(2)] * 2).to_json()),
+        ("b", OperatorTuple.of(*[1e308 * np.eye(2)] * 2).to_json()),
+        ("x", mc.matrix_to_json(np.eye(2))),
+    ):
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        paths += [f"--{'x' if name == 'x' else 'tuple-' + name}", str(tmp_path / f"{name}.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", *paths]) == 2
+    assert [str(w.message) for w in caught] == []
+    *warned, error = capsys.readouterr().err.splitlines()
+    assert error == "error: X contains non-finite entries"
+    assert warned == [f"warning: tuple {name} does not commute within tolerance" for name in "AB"]
+
+
 def _single_error_line(capsys, message: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -521,8 +542,9 @@ def test_parser_built_once_keeps_no_state_between_calls(jordan_files, capsys):
 
 
 def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeypatch):
-    # m, n <= k_max are judged from the profile, with no further defect
-    # evaluation; above k_max the per-degree classifiers still run.  T = I + N
+    # m, n <= k_max are judged from the profile, one kernel call for all its
+    # degrees, with no further defect evaluation; above k_max the per-degree
+    # classifiers still run.  T = I + N
     # (a 3 x 3 Jordan block) gives the pair (T*, T) exact degree 5 in both families.
     from isotuple import transforms as tf
 
@@ -546,7 +568,8 @@ def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeyp
         argv = ["check", "--json", "--k-max", str(k_max), "--m", str(deg), "--n", str(deg), *files]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"] == expected
-        assert calls == ([] if deg <= k_max else [[(deg, 0)], [(0, deg)]])
+        profile = [(k, 0) for k in range(k_max + 1)] + [(0, k) for k in range(1, k_max + 1)]
+        assert calls == [profile] + ([] if deg <= k_max else [[(deg, 0)], [(0, deg)]])
 
 
 def test_check_refuses_negative_degree(jordan_files, capsys):

@@ -273,6 +273,15 @@ def test_random_instance_is_deterministic(profile):
     assert a.params == b.params
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "2"])
+def test_random_instance_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # NumPy's generator takes only a non-negative integer seed
+    with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+        random_instance("pro01", seed)
+    with pytest.raises(InvalidArgumentError, match="seed must be a non-negative integer"):
+        random_instances("pro01", [0, seed])
+
+
 def test_random_instance_rejects_unknown_profile():
     with pytest.raises(InvalidArgumentError):
         random_instance("bogus", 0)

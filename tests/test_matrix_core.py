@@ -31,6 +31,10 @@ def test_is_zero_cases():
     assert mc.is_zero(mc.zero(3), mc.DEFAULT_TOL, scale=0.0)
     assert mc.is_zero(1e-12 * mc.identity(2), mc.DEFAULT_TOL, scale=1.0)
     assert not mc.is_zero(mc.identity(2), mc.DEFAULT_TOL, scale=1.0)
+    # an infinite scale would pass every matrix and a NaN one fail every matrix
+    for scale in (math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="finite and non-negative"):
+            mc.is_zero(1e300 * mc.identity(2), mc.DEFAULT_TOL, scale=scale)
 
 
 def test_is_zero_rejects_negative_scale():

@@ -81,10 +81,13 @@ def test_sigma_and_component_sum_match_the_loop(d, n):
 @pytest.mark.parametrize("n", NS)
 def test_defect_sums_match_the_loop(d, n):
     A, B, X = _pair(d, n)
-    sig = tf.sigma_iterates(A, B, X, 4)
+    sig = [X]
+    for _ in range(4):
+        sig.append(tf.sigma_apply(A, B, sig[-1]))
+    assert all(_same(a, b) for a, b in zip(tf.sigma_iterates(A, B, X, 4), sig, strict=True))
     for m in range(5):
         loop = _loop_sum([((-1) ** j * binomial(m, j)) * sig[j] for j in range(m + 1)])
-        assert _same(tf.triangle_of_iterates(sig, m), loop)
+        assert _same(tf.triangle(A, B, X, m), loop)
     sa, sb = A.component_sum(), B.component_sum()
     pow_a, pow_b = [np.eye(n, dtype=complex), sa], [np.eye(n, dtype=complex), sb]
     for _ in range(3):
@@ -95,9 +98,6 @@ def test_defect_sums_match_the_loop(d, n):
             [((-1) ** j * binomial(k, j)) * (pow_a[k - j] @ X @ pow_b[j]) for j in range(k + 1)]
         )
         assert _same(tf.delta(A, B, X, k), loop if k else X)
-    # the cached powers, read at a low degree first and then grown
-    assert _same(A.sum_powers(2), np.array(pow_a[:3]))
-    assert _same(A.sum_powers(4), np.array(pow_a))
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -107,7 +107,6 @@ def test_binomial_sum_keeps_the_sign_of_zero_that_a_loop_from_zero_gives(k):
     terms[:, 0, 1] = 1.0 - 0.5j
     loop = _loop_sum([((-1) ** j * binomial(k, j)) * terms[j] for j in range(k + 1)])
     assert _same(tf.binomial_sum(terms.copy(), k), loop)
-    assert _same(tf.triangle_of_iterates(list(terms), k), loop)
 
 
 @pytest.mark.parametrize("n", NS)
@@ -305,7 +304,7 @@ def test_stack_and_views_are_read_only_copies():
     )
     for D in derived:
         assert not D.stack.flags.writeable and D.stack.flags.c_contiguous
-    assert not T.component_sum().flags.writeable and not T.sum_powers(3).flags.writeable
+    assert not T.component_sum().flags.writeable
 
 
 def test_derived_stack_that_overflows_is_refused():
@@ -322,8 +321,9 @@ MIXED_DEGREES = ((1, 0), (4, 0), (2, 0), (0, 2), (0, 5), (0, 1), (2, 3), (1, 1),
 
 
 def _composed_check(A, B, X, m, n, tol=mc.DEFAULT_TOL):
-    """The zero test composed of ``triangle``, ``delta`` and ``isosym_defect``, which share
-    no evaluation code with the kernel, and the threshold of ``defect_scale``."""
+    """The zero test composed of the public ``triangle``, ``delta`` and ``isosym_defect``,
+    each a batch of one (``isosym_defect`` composes two), and the threshold of
+    ``defect_scale``."""
     if not n:
         defect = tf.triangle(A, B, X, m)
     elif not m:
@@ -346,6 +346,33 @@ def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
     for check in (tf.defect_check, _composed_check):
         alone = [check(*test, tol) for test in tests()]
         assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
+
+
+#: (pair seed, m, n) of a group that mixes shared and distinct (A, B, X): pair 0
+#: carries every kind, repeated degrees included, and shares each run it forms.
+SHARED_RUNS = (
+    *((0, m, n) for m, n in MIXED_DEGREES + ((4, 0), (2, 3), (2, 2), (3, 3), (0, 5), (0, 0))),
+    *((1, m, n) for m, n in MIXED_DEGREES[::2]),
+)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 4])
+def test_tests_that_share_runs_get_the_bits_each_gets_alone(d, n):
+    def tests(shared: bool) -> list:
+        pairs = {seed: _pair(d, n, seed) for seed in (0, 1)}
+        pair = (lambda seed: pairs[seed]) if shared else (lambda seed: _pair(d, n, seed))
+        return [(*pair(seed), m, k) for seed, m, k in SHARED_RUNS]
+
+    alone = [tf.defect_check(*test) for test in tests(shared=False)]
+    assert tf.defect_checks(tests(shared=True)) == alone
+    # each defect, the sign of zero included, within a group of one kind
+    for kind in ((False, False), (True, False), (False, True), (True, True)):
+        group = [test for test in tests(shared=True) if (test[3] > 0, test[4] > 0) == kind]
+        singles = [test for test in tests(shared=False) if (test[3] > 0, test[4] > 0) == kind]
+        _, _, defects = tf._group_defects(group)
+        each = [tf._group_defects([test])[2][0] for test in singles]
+        assert all(_same(a, b) for a, b in zip(defects, each, strict=True))
 
 
 def _counting_svds(monkeypatch) -> list:
@@ -473,12 +500,12 @@ def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
 
 
 def _pro01_runs(seeds, t_max=200):
-    """The Cesaro run ``(A, B, sig, m, t_max)`` of each pro01 instance, as ``check_pro01`` makes it."""
+    """The Cesaro run ``(A, B, X, m, t_max)`` of each pro01 instance, as ``check_pro01`` makes it."""
     runs = []
     for bundle in random_instances("pro01", seeds):
         A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
         m = int(bundle.params["m"])
-        runs.append((A, B, tf.sigma_iterates(A, B, X, m), m, t_max))
+        runs.append((A, B, X, m, t_max))
     return runs
 
 
@@ -489,16 +516,17 @@ def test_batched_cesaro_errors_equal_one_run_at_a_time():
     alone = [tf.cesaro_error(*run) for run in runs]
     assert [value.hex() for value in batched] == [value.hex() for value in alone]
     # the loop the kernel replaced: one sigma application per step
-    for (A, B, sig, m, t_max), value in zip(runs, batched):
-        Y = sig[m]
-        for _ in range(t_max - m):
-            Y = tf.sigma_apply(A, B, Y)
-        assert mc.fro_norm(Y / binomial(t_max, m - 1) - tf.triangle_of_iterates(sig, m - 1)) == value
+    for (A, B, X, m, t_max), value in zip(runs, batched):
+        sig = [X]
+        for _ in range(t_max):
+            sig.append(tf.sigma_apply(A, B, sig[-1]))
+        reference = _loop_sum([((-1) ** j * binomial(m - 1, j)) * sig[j] for j in range(m)])
+        assert mc.fro_norm(sig[t_max] / binomial(t_max, m - 1) - reference) == value
 
 
 def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
-    good, (A, B, sig, m, t_max) = _pro01_runs([0, 1])
-    bad = (A, B, [*sig[:m], np.full_like(sig[m], np.inf)], m, t_max)
+    good, (A, B, X, m, t_max) = _pro01_runs([0, 1])
+    bad = (A, B, np.full_like(X, np.inf), m, t_max)
     with pytest.raises(mc.InvalidArgumentError) as alone:
         tf.cesaro_error(*bad)
     with pytest.raises(mc.InvalidArgumentError) as batched:

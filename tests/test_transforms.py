@@ -263,6 +263,19 @@ def test_defect_scale_skips_factors_of_degree_zero(monkeypatch):
     assert tf.defect_scale(A, B, X, 0, 0) == mc.fro_norm(X)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5, "2"])
+def test_defect_scale_and_sigma_iterates_refuse_a_degree_that_is_not_a_non_negative_integer(bad):
+    A, _ = paper_example_squares()
+    eye = np.eye(2)
+    for call in (
+        lambda: tf.defect_scale(A, A, eye, bad),
+        lambda: tf.defect_scale(A, A, eye, 1, bad),
+        lambda: tf.sigma_iterates(A, A, eye, bad),
+    ):
+        with pytest.raises(InvalidArgumentError, match="must be a non-negative integer"):
+            call()
+
+
 def test_overflowing_scale_is_refused():
     assert tf.grown_scale(2.0, 3.0, 2) == 18.0
     with pytest.raises(InvalidArgumentError):

@@ -168,6 +168,12 @@ def test_scalar_tuple():
         assert mc.max_abs_diff(comp, np.eye(2)) == 0.0
 
 
+@pytest.mark.parametrize("d, n", [(1.5, 2), (2, "2"), (0, 2), (2, -1)])
+def test_scalar_tuple_refuses_a_size_that_is_not_a_positive_integer(d, n):
+    with pytest.raises(InvalidArgumentError, match="integers d >= 1 and n >= 1"):
+        scalar_tuple(1.0, d, n)
+
+
 def test_tensor_tuple_identity_and_count():
     eye = OperatorTuple.of(np.eye(2))
     assert mc.max_abs_diff(tensor_tuple(eye, eye)[0], np.eye(4)) == 0.0

@@ -637,13 +637,13 @@ def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         calls.clear()
         check_pro03(bundle)
         monkeypatch.undo()
-        # part (a) reads component norms: of the d one-component pairs (the last one
-        # for its right-hand side) and the d of each tuple of the full pair; part (b)
-        # reads sum norms: of the d pairs (the last one in its right-hand test) and
-        # of the full pair
+        # part (a) reads component norms: of the d - 1 one-component pairs of its
+        # hypotheses and the d of each tuple of the full pair, whose last ones its
+        # right-hand side reads; part (b) reads sum norms: of the d pairs (the last
+        # one in its right-hand test) and of the full pair
         d = bundle.tuples["A"].d
         iso = bundle.params["part"] == "a"
-        assert calls == [(4 * d if iso else 2 * d + 2, 3, 3)]
+        assert calls == [(4 * d - 2 if iso else 2 * d + 2, 3, 3)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -653,9 +653,9 @@ def test_pro01_cesaro_error_is_the_last_of_the_estimate(seed):
     m = int(bundle.params["m"])
     last = tf.cesaro_estimate(A, B, X, m, 60)[-1]
     assert last[0] == 60
-    assert tf.cesaro_error(A, B, tf.sigma_iterates(A, B, X, m), m, 60).hex() == last[1].hex()
+    assert tf.cesaro_error(A, B, X, m, 60).hex() == last[1].hex()
     with pytest.raises(InvalidArgumentError):
-        tf.cesaro_error(A, B, tf.sigma_iterates(A, B, X, m), m, m - 1)
+        tf.cesaro_error(A, B, X, m, m - 1)
 
 
 def test_golden_check_runs_the_whole_suite():
