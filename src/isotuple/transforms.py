@@ -44,9 +44,10 @@ from .multiindex import binomial, compositions, multinomial
 from .tuples import (
     OperatorTuple,
     commutes_within,
-    component_sums,
     fill_spectral_norms,
     max_commutator_within,
+    stack_spectral_norms,
+    stack_sums,
 )
 
 #: ``expand`` mode is refused once the implied word count d**j exceeds 2**20.
@@ -89,15 +90,50 @@ def grown_scale(scale: float, factor: float, degree: int) -> float:
 
     An infinite scale would pass every defect, so no zero test may use one.
     """
-    try:
-        grown = scale * factor**degree
-    except OverflowError:
-        grown = math.inf
-    if not math.isfinite(grown):
-        raise InvalidArgumentError(
-            f"tolerance scale overflows: {scale:.3e} * {factor:.3e}**{degree}"
-        )
+    (grown,), faults = _scales([scale], [factor], [1.0], [degree], [0])
+    if faults or not math.isfinite(grown):
+        raise _overflow(scale, factor, degree)
     return grown
+
+
+def _overflow(scale, factor, degree) -> InvalidArgumentError:
+    return InvalidArgumentError(
+        f"tolerance scale overflows: {scale:.3e} * {factor:.3e}**{degree}"
+    )
+
+
+def _iso_factor(a_norms, b_norms):
+    """1 + sum_i ||A_i|| ||B_i||, summed in index order: of one pair, from its tuples' norms,
+    or of each row of a stack of pairs, from the columns of two (k, d) norm arrays given
+    as their (d, k) transposes."""
+    total = a_norms[0] * b_norms[0]
+    for a, b in zip(a_norms[1:], b_norms[1:]):
+        total = total + a * b
+    return 1.0 + total
+
+
+def _scales(x_norms, iso_factors, sym_factors, ms, ns) -> tuple[list[float], dict]:
+    """The tolerance scale ||X||_F * iso**m * sym**n of each item, from lists, and the
+    refusal of each item whose isometric or then symmetric growth overflows, by index.
+
+    Each growth is ``scale * factor**degree`` in Python floats, whose power
+    rounds as C's ``pow`` (NumPy's vectorized power does not), and a factor
+    raised to the power 0 is skipped.
+    """
+    scales, faults = [], {}
+    for i, (scale, iso, sym, m, n) in enumerate(zip(x_norms, iso_factors, sym_factors, ms, ns)):
+        for factor, degree in ((iso, m), (sym, n)):
+            if degree:
+                try:
+                    grown = scale * factor**degree
+                except OverflowError:
+                    grown = math.inf
+                if not grown < math.inf:  # inf or NaN
+                    faults[i] = _overflow(scale, factor, degree)
+                    break
+                scale = grown
+        scales.append(scale)
+    return scales, faults
 
 
 def defect_scale(
@@ -113,23 +149,21 @@ def defect_scale(
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
     pair's norms come from one ``fill_spectral_norms`` call for the parts read.
     """
-    _require_degree("iso_degree", iso_degree)
-    _require_degree("sym_degree", sym_degree)
-    fill_spectral_norms((T, bool(iso_degree), bool(sym_degree)) for T in (A, B))
-    return _scale(mc.fro_norm(X), A, B, iso_degree, sym_degree)
+    test = (A, B, X, _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree))
+    return _tuple_scales([test], [mc.fro_norm(X)])[0]
 
 
-def _scale(
-    scale: float, A: OperatorTuple, B: OperatorTuple, iso_degree: int, sym_degree: int
-) -> float:
-    """``defect_scale`` from ||X||_F and the spectral norms the pair holds:
-    scale * (1 + sum_i ||A_i|| ||B_i||)^m * (1 + ||sum A|| + ||sum B||)^n."""
-    if iso_degree:
-        factor = 1.0 + sum(a * b for a, b in zip(A.op_norms, B.op_norms))
-        scale = grown_scale(scale, factor, iso_degree)
-    if sym_degree:
-        scale = grown_scale(scale, 1.0 + A.sum_op_norm + B.sum_op_norm, sym_degree)
-    return scale
+def _tuple_scales(tests: list, x_norms: list) -> list[float]:
+    """The tolerance scale of each checked test ``(A, B, X, m, n)`` from ||X||_F and the
+    spectral norms of its tuples, which one ``fill_spectral_norms`` call gives them for
+    the parts read; the first test whose scale overflows is refused."""
+    fill_spectral_norms([(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)])
+    iso = [_iso_factor(A.op_norms, B.op_norms) if m else 1.0 for A, B, _, m, _ in tests]
+    sym = [1.0 + A.sum_op_norm + B.sum_op_norm if n else 1.0 for A, B, _, _, n in tests]
+    scales, faults = _scales(x_norms, iso, sym, [test[3] for test in tests], [test[4] for test in tests])
+    if faults:
+        raise faults[min(faults)]
+    return scales
 
 
 def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
@@ -186,7 +220,7 @@ def sigma_iterates(A: OperatorTuple, B: OperatorTuple, X, j_max: int) -> list[np
     """[X, sigma(X), sigma^2(X), ..., sigma^j_max(X)]: the engine's run of one item."""
     _require_degree("j_max", j_max)
     X = _require_pair(A, B, X)
-    return [Y[0] for Y in _sigma_run([A], [B], X[None].copy(), j_max, refuse=True)]
+    return [Y[0] for Y in _sigma_run(A.stack[None], B.stack[None], X[None].copy(), j_max, refuse=True)]
 
 
 def sigma_power(
@@ -303,11 +337,7 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
         for A, B, X, m, n in tests
     ]
     norms, x_norms = _defect_norms(tests)
-    fill_spectral_norms([(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)])
-    return [
-        (norm, tol.threshold(_scale(x_norm, A, B, m, n)))
-        for norm, x_norm, (A, B, _, m, n) in zip(norms, x_norms, tests)
-    ]
+    return list(zip(norms, tol.threshold(np.array(_tuple_scales(tests, x_norms))).tolist()))
 
 
 def _defect_norms(tests: list) -> tuple[list[float], list[float]]:
@@ -332,33 +362,249 @@ def _defect_norms(tests: list) -> tuple[list[float], list[float]]:
 
 def _group_defects(tests: list) -> tuple[np.ndarray, list[int], np.ndarray]:
     """(Xs, sources, defects) of one group's tests: the stack of its distinct X, each
-    test's index in it, and the (batch, n, n) stack of each test's defect.
-
-    The engine: the only code that forms sigma iterates, delta terms and
-    their binomial sums.  Tests on the same (A, B, X) objects share one stack
-    of left products (sum A)^i X, one delta^n(X) per n and one run of sigma
-    iterates from each, up to the largest degree any of them asks for; each
-    defect has the products and in-order sums, so the bits, of its test
-    alone.  A group of one refuses a non-finite X or sigma input (iterates
-    0..m-1, delta^n(X) among them); in a larger group it shows in the norm.
-    """
+    test's index in it, and the (batch, n, n) stack of each test's defect, from one
+    ``_stacked_defects`` call whose sources are the distinct (A, B, X) objects.  A
+    group of one refuses a non-finite X or sigma input."""
     keys = [(id(A), id(B), id(X)) for A, B, X, _, _ in tests]
     heads = dict(zip(keys, tests))  # a test of each source, in order of first appearance
     sources = _positions(heads, keys)
     As, Bs, Xs, _, _ = zip(*heads.values())
-    Y = Xs = np.array(Xs, dtype=np.complex128)
-    ms, ns = [test[3] for test in tests], [test[4] for test in tests]
-    alone = len(tests) == 1
-    if alone:
-        _require_finite(Xs)
-    runs = sources  # the row of Y that each test's sigma iterates start from
+    Xs = np.array(Xs, dtype=np.complex128)
+    defects = _stacked_defects(
+        np.array([A.stack for A in As]), np.array([B.stack for B in Bs]), Xs, sources,
+        [test[3] for test in tests], [test[4] for test in tests], refuse=len(tests) == 1,
+    )
+    return Xs, sources, defects
+
+
+def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (norms, thresholds) arrays of each zero test ``(A, B, X, ms, ns)`` over stacks:
+    A and B (b, d, n, n) stacks of b pairs, X the (b, n, n) stack of their X, and ms and
+    ns the b degrees, an int array or a sequence.  Row r of a test is ``defect_check(A[r],
+    B[r], X[r], ms[r], ns[r], tol)``, bit for bit.
+
+    The engine runs once per group of one kind, tuple length and dimension;
+    the rows of tests on the same (A, B, X) stack objects share its runs, as
+    ``defect_checks``' tests on the same tuples do.  A test of ill-matched
+    shapes or a degree that is not a non-negative integer is refused, and the
+    faults of the rows are raised in row-major order (the rows, then the tests
+    of each): a non-finite value runs each row of each test alone, and then
+    the first overflowing threshold is refused.  ``norms`` keeps, by stack, the
+    spectral norms the thresholds read, which come from one batched LAPACK
+    call per dimension (``_fill_stack_norms``).
+    """
+    tests = [_checked_stack_test(*test) for test in tests]
+    if not tests:
+        return []
+    values, x_norms = _stack_norms(tests)
+    _fill_stack_norms(norms, tests)
+    out = []
+    for t, ((A, B, _, ms, ns), x_norm) in enumerate(zip(tests, x_norms)):
+        iso = _iso_factor(norms[id(A)][1].T, norms[id(B)][1].T).tolist() if any(ms) else [1.0] * len(ms)
+        sym = (1.0 + norms[id(A)][2] + norms[id(B)][2]).tolist() if any(ns) else [1.0] * len(ns)
+        scales, faults = _scales(x_norm.tolist(), iso, sym, ms, ns)
+        out.append((scales, {(row, t): fault for row, fault in faults.items()}))
+    faults = {key: fault for _, found in out for key, fault in found.items()}
+    if faults:  # the first by row, then by test
+        raise faults[min(faults)]
+    return [(value, tol.threshold(np.array(scales))) for value, (scales, _) in zip(values, out)]
+
+
+def stack_defects(A, B, X, ms, ns) -> np.ndarray:
+    """The (b, n, n) stack of each row's degree-(ms[r], ns[r]) defect of the pair of rows
+    A[r], B[r] of two (b, d, n, n) stacks at X[r]: the defect ``triangle`` (n = 0) or
+    ``delta`` (m = 0 < n) forms alone, bit for bit, from one engine call per kind.
+    When a value is non-finite, each row runs alone, in order, which refuses what
+    ``triangle`` refuses: a non-finite X or sigma input."""
+    A, B, X, ms, ns = _checked_stack_test(A, B, X, ms, ns)
+    out = np.empty_like(X)
+    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
+        for rows in _kinds(ms, ns).values():
+            parts = (A, B, X) if rows is None else (A[rows], B[rows], X[rows])
+            out[_all(rows)] = _stacked_defects(
+                *parts, list(range(len(parts[2]))), _picked(ms, rows), _picked(ns, rows),
+                refuse=len(X) == 1,
+            )
+    if len(X) > 1 and not np.isfinite(out).all():
+        for r in range(len(X)):
+            out[r] = stack_defects(A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[r : r + 1], ns[r : r + 1])[0]
+    return out
+
+
+def _checked_stack_test(A, B, X, ms, ns) -> tuple:
+    """A stack test with C-contiguous stacks and lists of int degrees, refused when its
+    shapes do not match or a degree is not a non-negative integer."""
+    X = np.ascontiguousarray(X, dtype=np.complex128)
+    if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] == 0:
+        raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape[1:]}")
+    if A.shape[1] != B.shape[1]:
+        raise InvalidArgumentError(f"tuple length mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if A.shape[2] != B.shape[2] or A.shape[2] != X.shape[1]:
+        raise InvalidArgumentError(
+            f"dimension mismatch: A is {A.shape[2]}, B is {B.shape[2]}, X is {X.shape[1]}"
+        )
+    return np.ascontiguousarray(A), np.ascontiguousarray(B), X, _degrees("m", ms), _degrees("n", ns)
+
+
+def _degrees(name: str, ks) -> list[int]:
+    """Degrees, an int array or a sequence, as a list of ints; the first that is not a
+    non-negative integer is refused as ``_require_degree`` refuses it."""
+    ks = ks.tolist() if isinstance(ks, np.ndarray) else list(ks)
+    if not set(map(type, ks)) <= {int}:  # bool and other int types are checked one by one
+        ks = [_require_degree(name, k) for k in ks]
+    if ks and min(ks) < 0:
+        _require_degree(name, next(k for k in ks if k < 0))
+    return ks
+
+
+def _kinds(ms: list, ns: list) -> dict:
+    """The rows of each kind (m > 0, n > 0) of a test, by kind: None when one kind has them all."""
+    kinds = [(m > 0, n > 0) for m, n in zip(ms, ns)]
+    if kinds.count(kinds[0]) == len(kinds):
+        return {kinds[0]: None}
+    rows: dict = {}
+    for r, kind in enumerate(kinds):
+        rows.setdefault(kind, []).append(r)
+    return {kind: np.array(found) for kind, found in rows.items()}
+
+
+def _picked(column: list, rows) -> list:
+    """The entries of a list at the rows, every entry for None."""
+    return column if rows is None else [column[r] for r in rows.tolist()]
+
+
+def _all(rows):
+    """An index of the rows, every row for None."""
+    return slice(None) if rows is None else rows
+
+
+def _stack_norms(tests: list) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The defect norms and ||X||_F of each checked stack test, as arrays over its rows,
+    from one ``_stacked_defects`` call per group of one kind, tuple length and
+    dimension.  When a value is non-finite, each row of each test runs alone, in
+    row-major order, which refuses what that row refuses alone."""
+    groups: dict[tuple, list] = {}
+    for t, (A, _, _, ms, ns) in enumerate(tests):
+        for kind, rows in _kinds(ms, ns).items():
+            groups.setdefault((*A.shape[1:3], kind), []).append((t, rows))
+    norms = [np.empty(len(test[3])) for test in tests]
+    x_norms = [np.empty(len(test[3])) for test in tests]
+    alone = sum(map(len, norms)) == 1
+    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
+        for members in groups.values():
+            a, b, x, sources = _stack_sources(tests, members)
+            ms = [m for t, rows in members for m in _picked(tests[t][3], rows)]
+            ns = [n for t, rows in members for n in _picked(tests[t][4], rows)]
+            found = mc.fro_norm_array(_stacked_defects(a, b, x, sources, ms, ns, refuse=alone))
+            x_found = mc.fro_norm_array(x)[sources]
+            start = 0
+            for t, rows in members:
+                size = len(norms[t]) if rows is None else len(rows)
+                norms[t][_all(rows)] = found[start : start + size]
+                x_norms[t][_all(rows)] = x_found[start : start + size]
+                start += size
+    if not alone and not np.isfinite(np.concatenate(norms + x_norms)).all():
+        for r in range(max(map(len, norms))):
+            for t, (A, B, X, ms, ns) in enumerate(tests):
+                if r < len(ms):
+                    one = (A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[r : r + 1], ns[r : r + 1])
+                    (norm,), (x_norm,) = _stack_norms([one])
+                    norms[t][r], x_norms[t][r] = norm[0], x_norm[0]
+    return norms, x_norms
+
+
+def _stack_sources(tests: list, members: list) -> tuple:
+    """(a, b, x, sources) of one group's rows ``(test, rows)`` (rows None for all): the
+    stacks of its distinct source rows, a row of a distinct (A, B, X) stack triple each,
+    and the list of each item's index in them, numbered in order of first appearance."""
+    if len(members) == 1 and members[0][1] is None:  # one test, every row
+        A, B, X = tests[members[0][0]][:3]
+        return A, B, X, list(range(len(X)))
+    triples: dict[tuple, list] = {}
+    for t, rows in members:
+        A, B, X = tests[t][:3]
+        triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(rows)
+    parts, offsets = [], {}
+    offset = 0
+    for key, (A, B, X, row_sets) in triples.items():
+        if any(rows is None for rows in row_sets):
+            used = None
+        elif len(row_sets) == 1:
+            used = row_sets[0]
+        else:
+            flags = np.zeros(len(X), dtype=bool)
+            for rows in row_sets:
+                flags[rows] = True
+            used = None if flags.all() else np.flatnonzero(flags)
+        parts.append((A, B, X) if used is None else (A[used], B[used], X[used]))
+        offsets[key] = (offset, used)
+        offset += len(X) if used is None else len(used)
+    sources = []
+    for t, rows in members:
+        A, B, X = tests[t][:3]
+        start, used = offsets[(id(A), id(B), id(X))]
+        index = range(len(X)) if rows is None else rows if used is None else np.searchsorted(used, rows)
+        sources += [start + i for i in (index if isinstance(index, range) else index.tolist())]
+    a, b, x = parts[0] if len(parts) == 1 else (np.concatenate(stacks) for stacks in zip(*parts))
+    order = list(dict.fromkeys(sources))
+    if order != list(range(len(order))):  # the engine numbers sources by first appearance
+        a, b, x = a[order], b[order], x[order]
+        position = {source: i for i, source in enumerate(order)}
+        sources = [position[source] for source in sources]
+    return a, b, x, sources
+
+
+def _fill_stack_norms(norms: dict, tests: list) -> None:
+    """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read:
+    ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, from one
+    ``stack_spectral_norms`` call.  A row's component norms are read by a degree m > 0
+    and its sum norm by n > 0."""
+    wanted: dict[int, list] = {}
+    for A, B, _, ms, ns in tests:
+        iso, sym = [m > 0 for m in ms], [n > 0 for n in ns]
+        for T in (A, B):
+            need = wanted.get(id(T))
+            if need is None:
+                wanted[id(T)] = [T, iso, sym]
+            else:
+                need[1] = [p or q for p, q in zip(need[1], iso)]
+                need[2] = [p or q for p, q in zip(need[2], sym)]
+    found = stack_spectral_norms([(T, _read(iso), _read(sym)) for T, iso, sym in wanted.values()])
+    for T, *_ in wanted.values():
+        norms[id(T)] = (T, *found.pop(0))
+
+
+def _read(flags: list):
+    """The rows a norm part is read in: True for all, None for none, else their index."""
+    if all(flags):
+        return True
+    return np.flatnonzero(flags) if any(flags) else None
+
+
+def _stacked_defects(a, b, x, sources: list, ms: list, ns: list, refuse: bool) -> np.ndarray:
+    """The (items, n, n) stack of each item's degree-(ms[i], ns[i]) defect of the pair of
+    rows ``sources[i]`` of the (k, d, n, n) stacks a and b at x[sources[i]], for items of
+    one kind (m > 0 alike, n > 0 alike) whose sources are numbered in order of first
+    appearance, each row of a, b and x a source of some item.
+
+    The engine: the only code that forms sigma iterates, delta terms and
+    their binomial sums.  Items on the same source share one stack of left
+    products (sum A)^i X, one delta^n(X) per n and one run of sigma iterates
+    from each, up to the largest degree any of them asks for; each defect has
+    the products and in-order sums, so the bits, of its item alone.  With
+    ``refuse`` it refuses a non-finite X or sigma input (iterates 0..m-1,
+    delta^n(X) among them); otherwise it shows in the defect.
+    """
+    if refuse:
+        _require_finite(x)
+    Y, runs = x, sources  # the row of Y that each item's sigma iterates start from
     if ns[0]:
         # term j of delta^n(X) is ((sum A)^(n - j) X) (sum B)^j, as in ``delta``
         starts = dict.fromkeys(zip(sources, ns))
         runs = _positions(starts, list(zip(sources, ns)))
-        run_sources, run_degrees = zip(*starts)
-        left = mc.matrix_powers(component_sums(As), max(ns)) @ Xs
-        right = mc.matrix_powers(component_sums(Bs), max(ns))
+        run_sources, run_degrees = (list(column) for column in zip(*starts))
+        left = mc.matrix_powers(stack_sums(a), max(ns)) @ x
+        right = mc.matrix_powers(stack_sums(b), max(ns))
 
         def delta_terms(s: list[int] | None, ks: list[int]) -> np.ndarray:
             j = np.arange(max(ks) + 1)[:, None]
@@ -370,17 +616,18 @@ def _group_defects(tests: list) -> tuple[np.ndarray, list[int], np.ndarray]:
             return left[np.maximum(np.array(ks) - j, 0), s] @ right[j, s]
 
         Y = _layered_sums(delta_terms, run_sources, run_degrees)
-        As, Bs = [As[s] for s in run_sources], [Bs[s] for s in run_sources]
-        if not ms[0]:  # each test's defect is its delta^n(X), a row of Y
-            return Xs, sources, Y if len(Y) == len(runs) else Y[runs]
+        if len(run_sources) != len(a):  # a source with several n runs once per n
+            a, b = a[run_sources], b[run_sources]
+        if not ms[0]:  # each item's defect is its delta^n(X), a row of Y
+            return Y if len(Y) == len(runs) else Y[runs]
     sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
-    for k, iterate in enumerate(_sigma_run(As, Bs, Y, len(sig) - 1, refuse=alone)):
+    for k, iterate in enumerate(_sigma_run(a, b, Y, len(sig) - 1, refuse=refuse)):
         sig[k] = iterate
 
     def sigma_terms(r: list[int] | None, ks: list[int]) -> np.ndarray:
         return sig if r is None else sig[: max(ks) + 1].take(r, axis=1)
 
-    return Xs, sources, _layered_sums(sigma_terms, runs, ms)
+    return _layered_sums(sigma_terms, runs, ms)
 
 
 def _positions(distinct: dict, keys: list) -> list[int]:
@@ -418,12 +665,12 @@ def _degree(ks: list[int]):
     return ks[0] if len(set(ks)) == 1 else np.array(ks)
 
 
-def _sigma_run(As, Bs, Y: np.ndarray, steps: int, refuse: bool):
-    """Yield the (batch, n, n) stacks Y, sigma(Y), ..., sigma^steps(Y), item b under
-    (As[b], Bs[b]), each step with one item's products and in-order sums: the engine's
-    one sigma loop.  With ``refuse``, a non-finite input is refused as by ``sigma_apply``."""
-    a = np.array([A.stack for A in As]).swapaxes(0, 1)
-    b = np.array([B.stack for B in Bs]).swapaxes(0, 1)
+def _sigma_run(a: np.ndarray, b: np.ndarray, Y: np.ndarray, steps: int, refuse: bool):
+    """Yield the (batch, n, n) stacks Y, sigma(Y), ..., sigma^steps(Y), item r under the
+    pair of rows a[r], b[r] of two C-contiguous (batch, d, n, n) stacks, each step with
+    one item's products and in-order sums: the engine's one sigma loop.  With
+    ``refuse``, a non-finite input is refused as by ``sigma_apply``."""
+    a, b = a.swapaxes(0, 1), b.swapaxes(0, 1)
     yield Y
     for _ in range(steps):
         Y = _sigma_of_stacks(a, _require_finite(Y) if refuse else Y, b)
@@ -490,7 +737,8 @@ def _cesaro_run(As, Bs, Xs: np.ndarray, ms, t_max: int):
     (As[b], Bs[b], Xs[b], ms[b]), for t = max(ms)..t_max, from one refusing
     ``_sigma_run`` whose iterates below max(ms) are kept for the reference."""
     M, kept = max(ms), []
-    for t, Y in enumerate(_sigma_run(As, Bs, Xs, t_max, refuse=True)):
+    a, b = np.array([A.stack for A in As]), np.array([B.stack for B in Bs])
+    for t, Y in enumerate(_sigma_run(a, b, Xs, t_max, refuse=True)):
         if t < M:
             kept.append(Y)
             continue

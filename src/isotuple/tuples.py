@@ -163,10 +163,13 @@ class OperatorTuple:
         except (KeyError, TypeError) as exc:
             raise InvalidArgumentError(f"malformed tuple literal: {exc}") from exc
         tup = cls(comps)
-        if "d" in data and data["d"] != tup.d:
-            raise InvalidArgumentError(f"declared d={data['d']} but found {tup.d} components")
-        if "dim" in data and data["dim"] != tup.dim:
-            raise InvalidArgumentError(f"declared dim={data['dim']} but found {tup.dim}")
+        for key, found in (("d", tup.d), ("dim", tup.dim)):
+            # a JSON true or 2.0 equals an int, but declares none
+            if key in data and (type(data[key]) is not int or data[key] != found):
+                raise InvalidArgumentError(
+                    f"declared {key}={data[key]} but found {found}"
+                    + (" components" if key == "d" else "")
+                )
         return tup
 
 
@@ -200,47 +203,102 @@ def component_sums(tuples) -> np.ndarray:
 
 
 def _fill_component_sums(tuples: list) -> None:
-    """Give each tuple that lacks it its component sum, one accumulation per tuple length."""
+    """Give each tuple that lacks it its component sum, one ``stack_sums`` call per tuple length."""
     todo: dict[int, dict[int, OperatorTuple]] = {}
     for T in tuples:
         if "_sum" not in T.__dict__:
             todo.setdefault(T.d, {})[id(T)] = T
     for group in todo.values():
         group = list(group.values())
-        # c_0 + c_1 + ... per tuple, from the first component on, not from
-        # zero: an accumulation is sequential and starts there
-        sums = np.add.accumulate(np.stack([T.stack for T in group]), axis=1)[:, -1]
-        for T, total in zip(group, _frozen(np.ascontiguousarray(sums))):
+        for T, total in zip(group, _frozen(stack_sums(np.stack([T.stack for T in group])))):
             T.__dict__["_sum"] = total
+
+
+def stack_sums(stacks: np.ndarray) -> np.ndarray:
+    """The (b, n, n) component sums of a (b, d, n, n) stack of tuples, c_0 + c_1 + ...
+    added in index order from c_0 (not from zero), as one tuple's loop adds them."""
+    total = stacks[:, 0].copy()
+    for i in range(1, stacks.shape[1]):
+        total += stacks[:, i]
+    return total
 
 
 def fill_spectral_norms(requests) -> None:
     """Give each tuple the spectral norms a request ``(T, components, sum)`` asks for:
     of its components, of its component sum, or both.
 
-    The parts a tuple does not hold yet come from one batched
-    ``op_norm_estimate`` call per matrix dimension over all the requested
-    stacks and sums, and the tuple keeps them; each norm equals the float its
-    matrix gives alone.  A part requested twice is computed once.
+    The parts a tuple does not hold yet come from one ``stack_spectral_norms``
+    call, and the tuple keeps them; each norm equals the float its matrix gives
+    alone.  A part requested twice is computed once.
     """
-    by_dim: dict[int, tuple[dict, dict]] = {}
+    wanted: dict[int, list] = {}
     for T, components, total in requests:
-        if components and "_op_norms" not in T.__dict__:
-            by_dim.setdefault(T.dim, ({}, {}))[0][id(T)] = T
-        if total and "_sum_op_norm" not in T.__dict__:
-            by_dim.setdefault(T.dim, ({}, {}))[1][id(T)] = T
-    for stacks, sums in by_dim.values():
-        stacks, sums = list(stacks.values()), list(sums.values())
-        parts = [T.stack for T in stacks]
-        if sums:
-            parts.append(component_sums(sums))
-        values = mc.op_norm_estimate(np.concatenate(parts)).tolist()
+        need = wanted.setdefault(id(T), [T, False, False])
+        need[1] |= bool(components) and "_op_norms" not in T.__dict__
+        need[2] |= bool(total) and "_sum_op_norm" not in T.__dict__
+    groups: dict[tuple, list[OperatorTuple]] = {}  # the tuples of one shape that lack the same parts
+    for T, comps, sums in wanted.values():
+        if comps or sums:
+            groups.setdefault((T.stack.shape, comps, sums), []).append(T)
+    found = stack_spectral_norms(
+        [(np.stack([T.stack for T in group]), comps or None, sums or None)
+         for (_, comps, sums), group in groups.items()]
+    )
+    for group, (norms, sum_norms) in zip(groups.values(), found):
+        if norms is not None:
+            for T, row in zip(group, norms.tolist()):
+                T.__dict__["_op_norms"] = tuple(row)
+        if sum_norms is not None:
+            for T, value in zip(group, sum_norms.tolist()):
+                T.__dict__["_sum_op_norm"] = value
+
+
+def stack_spectral_norms(requests) -> list[tuple]:
+    """``(component norms, sum norms)`` of each request ``(stack, components, sums)`` on a
+    (b, d, n, n) stack of tuples: ``components`` and ``sums`` name the rows whose part is
+    read, True for every row, None for none, or an index array.  A part is a (b, d) or
+    (b,) array, NaN in the rows not read, or None when no row is.
+
+    The parts come from one batched ``op_norm_estimate`` call per matrix
+    dimension; each norm equals the float its matrix gives alone.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for k, (stack, components, sums) in enumerate(requests):
+        if components is not None or sums is not None:
+            by_dim.setdefault(stack.shape[-1], []).append(k)
+    found: list[tuple] = [(None, None)] * len(requests)
+    for members in by_dim.values():
+        parts = []
+        for k in members:
+            stack, components, sums = requests[k]
+            if components is not None:
+                parts.append(_rows(stack, components).reshape(-1, *stack.shape[-2:]))
+            if sums is not None:
+                parts.append(stack_sums(_rows(stack, sums)))
+        values = mc.op_norm_estimate(np.concatenate(parts) if len(parts) > 1 else parts[0])
         offset = 0
-        for T in stacks:
-            T.__dict__["_op_norms"] = tuple(values[offset : offset + T.d])
-            offset += T.d
-        for T, value in zip(sums, values[offset:]):
-            T.__dict__["_sum_op_norm"] = value
+        for k in members:
+            stack, *rows = requests[k]
+            b, d = stack.shape[:2]
+            held = []
+            for index, width in zip(rows, (d, 1)):
+                if index is None:
+                    held.append(None)
+                    continue
+                size = (b if index is True else len(index)) * width
+                part = values[offset : offset + size].reshape(-1, width)
+                offset += size
+                if index is not True:
+                    part, filled = np.full((b, width), np.nan), part
+                    part[index] = filled
+                held.append(part)
+            found[k] = (held[0], None if held[1] is None else held[1][:, 0])
+    return found
+
+
+def _rows(stack: np.ndarray, index) -> np.ndarray:
+    """The rows of a stack that an index names: every row for True."""
+    return stack if index is True else stack[index]
 
 
 @lru_cache(maxsize=None)
@@ -274,13 +332,10 @@ def commutator_checks(queries, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple
     """``(commutes, max residual)`` of each query ``(S, T)``: of the commutators
     [S_i, S_j], i < j, when T is S, else of every [S_a, T_b].
 
-    A commutator vanishes when its Frobenius norm is within the threshold of
-    the product of its factors' Frobenius norms; the residual is the largest
-    norm, in row-major order of the pairs (0.0 for S of one component, which
-    has none within).  Queries of one kind, tuple lengths and dimension are
-    stacked, and each commutator is the products and difference of one
-    query's, so every norm and threshold has the bits it has alone.  A cross
-    query of two dimensions is refused as it is read.
+    Queries of one kind, tuple lengths and dimension are stacked and judged by
+    one ``commutator_stack_checks`` query, so every norm and threshold has
+    the bits it has alone.  A cross query of two dimensions is refused as it
+    is read.
     """
     queries = list(queries)
     groups: dict[tuple, list[int]] = {}
@@ -288,41 +343,79 @@ def commutator_checks(queries, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple
         if T is not S and S.dim != T.dim:
             raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
         groups.setdefault((T is S, S.d, T.d, S.dim), []).append(k)
+    stacked = [
+        (np.stack([queries[k][0].stack for k in members]),
+         None if within else np.stack([queries[k][1].stack for k in members]))
+        for (within, *_), members in groups.items()
+    ]
     checks: list[tuple[bool, float]] = [None] * len(queries)
-    for (within, *_), members in groups.items():
-        left = np.stack([queries[k][0].stack for k in members])
-        norms = mc.fro_norm_array(left)
-        if within:
-            i, j = _pair_index(left.shape[1])
-            left, right, scales = left[:, i], left[:, j], norms[:, i] * norms[:, j]
-        else:
-            right = np.stack([queries[k][1].stack for k in members])
-            scales = norms[:, :, None] * mc.fro_norm_array(right)[:, None]
-            left, right = left[:, :, None], right[:, None]
-        values = mc.fro_norm_array(left @ right - right @ left).reshape(len(members), -1)
-        passed = (values <= tol.threshold(scales.reshape(len(members), -1))).all(axis=1)
-        residuals = values.max(axis=1, initial=0.0).tolist()
-        for k, ok, residual, row in zip(members, passed.tolist(), residuals, values):
-            if residual != residual:  # a NaN norm: the first-wins maximum of the loop
-                residual = max(row.tolist())
+    for members, (passed, residuals) in zip(groups.values(), commutator_stack_checks(stacked, tol)):
+        for k, ok, residual in zip(members, passed.tolist(), residuals.tolist()):
             checks[k] = (ok, residual)
     return checks
 
 
+def commutator_stack_checks(queries, tol: mc.Tolerance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(commutes, residuals)`` arrays of each query ``(S, T)`` of (b, d, n, n) stacks:
+    of each row's commutators [S_i, S_j], i < j, when T is None, else of every
+    [S_a, T_b] against T's (b, d2, n, n) stack of the same n.
+
+    A commutator vanishes when its Frobenius norm is within the threshold of
+    the product of its factors' Frobenius norms; the residual is the largest
+    norm, in row-major order of the pairs (0.0 for S of one component, which
+    has none within).  Each commutator is the products and difference of one
+    row's, so every norm and threshold has the bits it has alone.
+    """
+    out = []
+    for left, right in queries:
+        norms = mc.fro_norm_array(left)
+        if right is None:
+            i, j = _pair_index(left.shape[1])
+            left, right, scales = left[:, i], left[:, j], norms[:, i] * norms[:, j]
+        else:
+            scales = norms[:, :, None] * mc.fro_norm_array(right)[:, None]
+            left, right = left[:, :, None], right[:, None]
+        values = mc.fro_norm_array(left @ right - right @ left).reshape(len(left), -1)
+        passed = (values <= tol.threshold(scales.reshape(len(left), -1))).all(axis=1)
+        residuals = values.max(axis=1, initial=0.0)
+        for b in np.flatnonzero(np.isnan(residuals)):  # the first-wins maximum of a loop
+            residuals[b] = max(values[b].tolist())
+        out.append((passed, residuals))
+    return out
+
+
 def sum_tuple(A: OperatorTuple, N: OperatorTuple) -> OperatorTuple:
-    if A.d != N.d:
-        raise InvalidArgumentError(f"tuple length mismatch: {A.d} vs {N.d}")
-    if A.dim != N.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {A.dim} vs {N.dim}")
-    return OperatorTuple._of_stack(A.stack + N.stack)
+    return OperatorTuple._of_stacks(sum_stacks(A.stack[None], N.stack[None]))[0]
+
+
+def sum_stacks(A: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """The (b, d, n, n) stack of each row's ``sum_tuple``, refused as ``sum_tuple`` refuses it."""
+    if A.shape[1] != N.shape[1]:
+        raise InvalidArgumentError(f"tuple length mismatch: {A.shape[1]} vs {N.shape[1]}")
+    if A.shape[-1] != N.shape[-1]:
+        raise InvalidArgumentError(f"dimension mismatch: {A.shape[-1]} vs {N.shape[-1]}")
+    return _finite_tuples(A + N)
 
 
 def product_tuple(S: OperatorTuple, A: OperatorTuple) -> OperatorTuple:
     """All products S_j A_i, ordered (S_1 A_1, ..., S_1 A_d1, S_2 A_1, ...)."""
-    if S.dim != A.dim:
-        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {A.dim}")
-    n = S.dim
-    return OperatorTuple._of_stack((S.stack[:, None] @ A.stack[None, :]).reshape(-1, n, n))
+    return OperatorTuple._of_stacks(product_stacks(S.stack[None], A.stack[None]))[0]
+
+
+def product_stacks(S: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The (b, d1*d2, n, n) stack of each row's ``product_tuple``, refused as it refuses it."""
+    b, _, n, m = S.shape
+    if n != A.shape[-1]:
+        raise InvalidArgumentError(f"dimension mismatch: {n} vs {A.shape[-1]}")
+    return _finite_tuples((S[:, :, None] @ A[:, None]).reshape(b, -1, n, m))
+
+
+def _finite_tuples(stacks: np.ndarray) -> np.ndarray:
+    """A freshly computed (b, d, n, n) stack of tuples, refused as a tuple built from it is
+    when an entry is non-finite (a derived stack can overflow)."""
+    if not np.isfinite(stacks).all():
+        raise InvalidArgumentError("operator tuple contains non-finite entries")
+    return stacks
 
 
 def power_tuple(
@@ -442,52 +535,51 @@ def nilpotency_orders(
     groups: dict[tuple, list[int]] = {}
     for i, (N, max_order) in enumerate(queries):
         groups.setdefault((N.d, N.dim, max_order), []).append(i)
+    stacked = [(np.stack([queries[i][0].stack for i in members]), max_order)
+               for (_, _, max_order), members in groups.items()]
     orders: list[int | None] = [None] * len(queries)
-    for (d, dim, max_order), members in groups.items():
-        tuples = [queries[i][0] for i in members]
-        for k, order in zip(members, _group_orders(tuples, d, dim, max_order, tol)):
-            orders[k] = order
+    for members, found in zip(groups.values(), nilpotency_stack_orders(stacked, tol)):
+        for k, order in zip(members, found.tolist()):
+            orders[k] = order or None
     return orders
 
 
-def _group_orders(
-    tuples: list[OperatorTuple], d: int, dim: int, max_order: int, tol: mc.Tolerance
-) -> list[int | None]:
-    """The nilpotency order of each tuple of one length and dimension."""
-    # powers[k - 1][b, i] = N_i**k of tuple b, each power stack one batched product from the last
-    stack = np.stack([T.stack for T in tuples])
-    norms = mc.fro_norm_array(stack).tolist()
-    powers = [stack]
-    for _ in range(max_order - 1):
-        powers.append(powers[-1] @ stack)
-    eye = mc.identity(dim)
-    orders: list[int | None] = [None] * len(tuples)
-    pending = list(range(len(tuples)))
-    for n in range(1, max_order + 1):
-        zero = pending  # the tuples whose order-n words are all zero so far
-        for alpha in compositions(d, n):
-            if not zero:
+def nilpotency_stack_orders(queries, tol: mc.Tolerance) -> list[np.ndarray]:
+    """The int array of nilpotency orders of each query ``(stack, max_order)``: of each
+    commuting tuple of a (b, d, n, n) stack up to the positive int max_order, 0 for none.
+
+    Each power of the components is one batched product from the last, and
+    each composition's word is one chain of products from the identity across
+    the rows still undecided at its order, so every word norm has the bits of
+    one tuple's; its threshold multiplies the factors' norms in index order,
+    each raised by Python's float power (NumPy's rounds differently).  A row
+    leaves the chain at its first nonzero word, as it does alone.
+    """
+    out = []
+    for stack, max_order in queries:
+        b, d, dim = stack.shape[:3]
+        # powers[k - 1][r, i] = N_i**k of row r, each power stack one batched product from the last
+        powers = [stack]
+        for _ in range(max_order - 1):
+            powers.append(powers[-1] @ stack)
+        norms = mc.fro_norm_array(stack)
+        eye = mc.identity(dim)
+        orders = np.zeros(b, dtype=np.int64)
+        pending = np.arange(b)
+        for n in range(1, max_order + 1):
+            zero = pending  # the rows whose order-n words are all zero so far
+            for alpha in compositions(d, n):
+                if not len(zero):
+                    break
+                prod, scale = eye, 1.0
+                for i, a in enumerate(alpha):
+                    if a:
+                        prod = prod @ powers[a - 1][zero, i]
+                        scale = scale * np.array([x**a for x in norms[zero, i].tolist()])
+                zero = zero[mc.fro_norm_array(prod) <= tol.threshold(scale)]
+            orders[zero] = n
+            pending = pending[orders[pending] == 0]
+            if not len(pending):
                 break
-            prod = eye
-            for i, a in enumerate(alpha):
-                if a:
-                    prod = prod @ powers[a - 1][zero, i]
-            zero = [
-                b for b, value in zip(zero, mc.fro_norms(prod))
-                if value <= tol.threshold(_word_scale(norms[b], alpha))
-            ]
-        for b in zero:
-            orders[b] = n
-        pending = [b for b in pending if orders[b] is None]
-        if not pending:
-            break
-    return orders
-
-
-def _word_scale(norms: tuple[float, ...], alpha) -> float:
-    """prod_i ||N_i||_F ** alpha_i over the nonzero alpha_i, multiplied in index order."""
-    scale = 1.0
-    for i, a in enumerate(alpha):
-        if a:
-            scale *= norms[i] ** a
-    return scale
+        out.append(orders)
+    return out

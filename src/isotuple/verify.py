@@ -54,17 +54,20 @@ from .generators import (
     paper_example_squares,
     random_instances,
 )
+from .transforms import defect_stack_checks
 from .tuples import (
     OperatorTuple,
     PowerConvention,
     adjoint_tuple,
     commutator_checks,
+    commutator_stack_checks,
     conj_tuple,
     inverse_tuple,
-    nilpotency_orders,
+    nilpotency_stack_orders,
     power_tuple,
+    product_stacks,
     product_tuple,
-    sum_tuple,
+    sum_stacks,
     tensor_tuple,
 )
 
@@ -171,12 +174,6 @@ def _zero_tests(*tests: tuple):
     through the body's driver (``_lockstep``), and return each ``(name, norm, threshold)``."""
     values = yield tf.defect_checks, [test[1:] for test in tests]
     return [(test[0], *value) for test, value in zip(tests, values)]
-
-
-def _nilpotency_orders(max_order: int, *tuples: OperatorTuple):
-    """The nilpotency order of each tuple up to ``max_order``, or None, from
-    ``tuples.nilpotency_orders`` through the body's driver."""
-    return (yield nilpotency_orders, [(N, max_order) for N in tuples])
 
 
 def _cesaro_errors(runs: list, tol: mc.Tolerance) -> list[float]:
@@ -470,6 +467,258 @@ def check_pro5(
     return _verdict((yield from _zero_tests(("odd_degree_defect", *pair, 0, m_even - 1))))
 
 
+# ---------------------------------------------------------------------------
+# column programs: a check run on a batch of trials, stage by stage
+
+
+class _Columns:
+    """The live trials of one shape class of a column program: ``rows``, their positions
+    in the batch, and each argument over them by name: a tuple's (b, d, n, n) stack,
+    X's (b, n, n) stack (each stacked on first read), or a parameter's list of values.
+    Stages add derived columns, such as a stacked ``sum_tuple``, by name."""
+
+    def __init__(self, rows: np.ndarray, raw: dict):
+        self.rows, self._raw, self._columns = rows, raw, {}
+
+    def __getitem__(self, name: str):
+        if name not in self._columns:
+            values = self._raw.pop(name)
+            if isinstance(values[0], OperatorTuple):
+                values = np.stack([T.stack for T in values])
+            elif name == "X":
+                values = np.array([np.asarray(X, dtype=np.complex128) for X in values])
+            self._columns[name] = values
+        return self._columns[name]
+
+    def __setitem__(self, name: str, column) -> None:
+        self._columns[name] = column
+
+    def keep(self, mask: np.ndarray) -> "_Columns | None":
+        """The columns of the rows where ``mask`` holds, or None when it holds nowhere."""
+        if mask.all():
+            return self
+        if not mask.any():
+            return None
+        flags = mask.tolist()
+        kept = _Columns(self.rows[mask], {
+            name: [value for value, flag in zip(values, flags) if flag]
+            for name, values in self._raw.items()
+        })
+        for name, column in self._columns.items():
+            kept[name] = column[mask] if isinstance(column, np.ndarray) else [
+                value for value, flag in zip(column, flags) if flag
+            ]
+        return kept
+
+
+def _classes(trials: list, names: str, tuples: int) -> list[_Columns]:
+    """The trials, each its arguments ``names`` with the tuples first and X next, in
+    classes of one shape of the tuples' stacks and X, in order of their first trial."""
+    names = names.split()
+    by_shape: dict[tuple, list[int]] = {}
+    for row, args in enumerate(trials):
+        X = args[tuples]
+        shape = X.shape if isinstance(X, np.ndarray) else id(X)
+        by_shape.setdefault(tuple([T.stack.shape for T in args[:tuples]] + [shape]), []).append(row)
+    return [
+        _Columns(np.array(rows), {name: [trials[r][i] for r in rows] for i, name in enumerate(names)})
+        for rows in by_shape.values()
+    ]
+
+
+def _skip_rows(classes: list, results: list, skipped: list) -> list[_Columns]:
+    """Record each class's skips ``(mask, reasons, residuals)``: the rows of ``mask``
+    skip with the reason and residual at their position, or None to keep the class
+    whole.  Return the classes of the rows still live."""
+    live = []
+    for cls, skip in zip(classes, skipped):
+        if skip is not None:
+            mask, reasons, residuals = skip
+            for row, reason, residual in zip(cls.rows[mask].tolist(), reasons, residuals):
+                results[row] = _skip(reason) if residual is None else _skip(reason, residual=residual)
+            cls = cls.keep(~mask)
+        if cls is not None:
+            live.append(cls)
+    return live
+
+
+def _first_failures(reasons: list, failed: list, residuals: list) -> tuple:
+    """``_skip_rows``' skip of the rows where any of the ordered tests ``failed`` (one bool
+    array each), each at the first that failed, or None when none did."""
+    failed = np.array(failed)
+    mask = failed.any(axis=0)
+    if not mask.any():
+        return None
+    first = failed.argmax(axis=0)[mask]
+    columns = np.flatnonzero(mask)
+    values = np.array(residuals)[first, columns].tolist()
+    return mask, [reasons[k] for k in first.tolist()], values
+
+
+def _merged(cls: _Columns, names: list) -> np.ndarray:
+    """The named stacks of a class, of one shape, one after another along the rows."""
+    return cls[names[0]] if len(names) == 1 else np.concatenate([cls[name] for name in names])
+
+
+def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
+                      tol: mc.Tolerance) -> list:
+    """Skip each row at the first pair ``(label, S, T)`` whose commutators do not vanish:
+    within S when T is None, else every [S_i, T_j], as ``_noncommuting`` skips.  The
+    commutators within each tuple named in ``kept`` are judged too, and kept for a
+    later stage as the columns ``commutes <name>`` and ``residual <name>``.  A class's
+    queries of one kind and shapes are one query, and every class's queries go to one
+    ``commutator_stack_checks`` call.  A class's first pair of two dimensions is
+    refused, once every pair before it commutes in some row."""
+    queries, layouts = [], []
+    for cls in classes:
+        cut = next((k for k, (_, S, T) in enumerate(pairs)
+                    if T is not None and cls[S].shape[-1] != cls[T].shape[-1]), len(pairs))
+        judged = [(S, T) for _, S, T in pairs[:cut]] + [(name, None) for name in kept]
+        merged: dict[tuple, list[int]] = {}
+        for k, (S, T) in enumerate(judged):
+            merged.setdefault((cls[S].shape, T and cls[T].shape), []).append(k)
+        for ks in merged.values():
+            right = [judged[k][1] for k in ks]
+            queries.append((_merged(cls, [judged[k][0] for k in ks]),
+                            None if right[0] is None else _merged(cls, right)))
+        layouts.append((cut, len(judged), list(merged.values())))
+    checks = iter(commutator_stack_checks(queries, tol))
+    skipped = []
+    for cls, (cut, count, merged) in zip(classes, layouts):
+        b, found = len(cls.rows), [None] * count
+        for ks in merged:
+            passed, residuals = next(checks)
+            for j, k in enumerate(ks):
+                found[k] = (passed[j * b : (j + 1) * b], residuals[j * b : (j + 1) * b])
+        for name, (passed, residuals) in zip(kept, found[cut:]):
+            cls[f"commutes {name}"], cls[f"residual {name}"] = passed, residuals
+        found = found[:cut]
+        skip = _first_failures(
+            [label for label, _, _ in pairs], [~ok for ok, _ in found], [res for _, res in found]
+        ) if found else None
+        if cut < len(pairs) and (skip is None or not skip[0].all()):
+            _, S, T = pairs[cut]
+            raise InvalidArgumentError(f"dimension mismatch: {cls[S].shape[-1]} vs {cls[T].shape[-1]}")
+        skipped.append(skip)
+    return _skip_rows(classes, results, skipped)
+
+
+def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, strict: bool,
+                     tol: mc.Tolerance) -> list:
+    """Give each row the nilpotency orders of the named tuples up to the dimension of
+    tuple ``dim``, as columns ``order_<name>``, from one ``nilpotency_stack_orders``
+    call; a row with a tuple that is not nilpotent skips.  With ``strict``, a tuple
+    whose commutators, kept by ``_commutator_stage``, do not vanish is first refused,
+    as ``nilpotency_orders`` refuses it, in order of the rows and then the names."""
+    if strict:
+        for cls in classes:
+            failed = ~np.array([cls[f"commutes {N}"] for N in names])
+            if failed.any():
+                row, k = divmod(int(np.argmax(failed.T.ravel())), len(names))
+                raise InvalidArgumentError(
+                    f"tuple does not commute (max residual {cls[f'residual {names[k]}'][row]:.3e})"
+                )
+    same = [len({cls[N].shape for N in names}) == 1 for cls in classes]
+    stacks = [[_merged(cls, list(names))] if one else [cls[N] for N in names]
+              for cls, one in zip(classes, same)]
+    orders = iter(nilpotency_stack_orders(
+        [(S, cls[dim].shape[-1]) for cls, group in zip(classes, stacks) for S in group], tol
+    ))
+    skipped = []
+    for cls, group in zip(classes, stacks):
+        found = np.concatenate([next(orders) for _ in group]).reshape(len(names), -1)
+        for N, order in zip(names, found):
+            cls[f"order_{N}"] = order
+        mask = (found == 0).any(axis=0)
+        reason = "perturbation tuple is not nilpotent up to the dimension"
+        skipped.append((mask, [reason] * int(mask.sum()), [None] * int(mask.sum())) if mask.any() else None)
+    return _skip_rows(classes, results, skipped)
+
+
+def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Tolerance,
+                      norms: dict) -> list:
+    """Skip each row at the first hypothesis whose zero test fails, as
+    ``_failed_hypothesis`` skips: ``hypotheses(cls)`` lists each ``(reason, A, B, X, ms,
+    ns)`` of a class, and every class's tests go to one ``defect_stack_checks`` call."""
+    tests = [hypotheses(cls) for cls in classes]
+    judged = iter(defect_stack_checks([test[1:] for group in tests for test in group], tol, norms))
+    skipped = []
+    for group in tests:
+        found = [next(judged) for _ in group]
+        skipped.append(_first_failures(
+            [test[0] for test in group], [norm > threshold for norm, threshold in found],
+            [norm for norm, _ in found],
+        ))
+    return _skip_rows(classes, results, skipped)
+
+
+def _degree_column(cls: _Columns, name: str) -> np.ndarray:
+    """A parameter column of degrees, which a zero test has accepted, as an int array."""
+    return np.array(cls[name], dtype=np.int64)
+
+
+def _kind_degrees(cls: _Columns, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, n) of each row's degree of its kind, per ``_degrees``."""
+    iso = np.array([kind == "iso" for kind in cls["kind"]])
+    return np.where(iso, degrees, 0), np.where(iso, 0, degrees)
+
+
+def _sharp_conclusions(classes: list, results: list, name: str, conclusion, below: tuple,
+                       extra, tol: mc.Tolerance, norms: dict) -> None:
+    """Each row's ``_sharp_verdict``: ``conclusion(cls)`` is a class's ``(P, Q, X, ms, ns,
+    lower)``, ``lower`` the degrees ``(ms, ns)`` of each sharpness name in ``below``, and
+    ``extra(cls)`` the columns of the result's extra entries by key.  Every class's
+    tests go to one ``defect_stack_checks`` call.  A sharpness test of a negative degree
+    is left out of its row's result, and runs at that degree clipped to 0."""
+    tests, included = [], []
+    for cls in classes:
+        P, Q, X, ms, ns, lower = conclusion(cls)
+        tests += [(P, Q, X, ms, ns)] + [(P, Q, X, np.maximum(m, 0), np.maximum(n, 0)) for m, n in lower]
+        included.append([(np.minimum(m, n) >= 0).tolist() for m, n in lower])
+    judged = iter(defect_stack_checks(tests, tol, norms))
+    for cls, keep in zip(classes, included):
+        norm, threshold = (column.tolist() for column in next(judged))
+        lower = [next(judged)[0].tolist() for _ in below]
+        columns = {key: column.tolist() for key, column in extra(cls).items()}
+        for r, row in enumerate(cls.rows.tolist()):
+            sharpness = {key: values[r] for key, values, kept in zip(below, lower, keep) if kept[r]}
+            witness = sharpness.get(below[0], 0.0) if below else 0.0
+            results[row] = _verdict(
+                [(name, norm[r], threshold[r])],
+                {key: float(values[r]) for key, values in columns.items()},
+                sharpness=sharpness, is_sharp=witness > SHARPNESS_FLOOR,
+            )
+
+
+def _thm05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    """``check_thm05`` of each trial ``(A, B, N1, N2, X, m1, m2)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(trials)
+    norms: dict = {}
+    classes = _classes(trials, "A B N1 N2 X m1 m2", 4)
+    classes = _commutator_stage(classes, results, (
+        *((f"tuple {name} does not commute", name, None) for name in ("A", "B", "N1", "N2")),
+        ("[A, N1] != 0", "A", "N1"), ("[B, N2] != 0", "B", "N2"),
+    ), (), tol)
+    # the commutators within N1 and N2 passed above, so the orders need no second check
+    classes = _nilpotent_stage(classes, results, "A", ("N1", "N2"), False, tol)
+    classes = _hypothesis_stage(classes, results, lambda cls: [
+        ("base pair violates the combined identity", cls["A"], cls["B"], cls["X"], cls["m1"], cls["m2"]),
+    ], tol, norms)
+    for cls in classes:
+        cls["P"], cls["Q"] = sum_stacks(cls["A"], cls["N1"]), sum_stacks(cls["B"], cls["N2"])
+        raised = cls["order_N1"] + cls["order_N2"] - 2
+        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
+    _sharp_conclusions(
+        classes, results, "perturbed_defect",
+        lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"],
+                     [(cls["t1"] - 1, cls["t2"]), (cls["t1"], cls["t2"] - 1)]),
+        ("below_t1", "below_t2"),
+        lambda cls: {"t1": cls["t1"], "t2": cls["t2"], "n1": cls["order_N1"], "n2": cls["order_N2"]},
+        tol, norms,
+    )
+    return results
+
+
 @_checker
 def check_thm05(
     A: OperatorTuple,
@@ -482,53 +731,97 @@ def check_thm05(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
-    names = ("A", "B", "N1", "N2")
-    within = [(f"tuple {name} does not commute", T, T) for name, T in zip(names, (A, B, N1, N2))]
-    if skip := (yield from _noncommuting(
-        *within, ("[A, N1] != 0", A, N1), ("[B, N2] != 0", B, N2)
-    )):
-        return skip
-    n1, n2 = yield from _nilpotency_orders(A.dim, N1, N2)
-    if n1 is None or n2 is None:
-        return _skip("perturbation tuple is not nilpotent up to the dimension")
-    base = ("base pair violates the combined identity", A, B, X, m1, m2)
-    if skip := (yield from _failed_hypothesis(base)):
-        return skip
-    t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
-    return (yield from _sharp_verdict(
-        ("perturbed_defect", sum_tuple(A, N1), sum_tuple(B, N2), X, t1, t2),
-        {"t1": float(t1), "t2": float(t2), "n1": float(n1), "n2": float(n2)},
-        {"below_t1": (t1 - 1, t2), "below_t2": (t1, t2 - 1)},
-    ))
+    (result,) = yield _thm05_program, [(A, B, N1, N2, X, m1, m2)]
+    return result
+
+
+def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    """``check_cor05`` of each trial ``(A1, B1, A2, B2, N1, N2, X, m1, m2)``, stage by
+    stage; the combined defect is a delta stage over every row, then a triangle stage."""
+    results: list[TrialResult] = [None] * len(trials)
+    norms: dict = {}
+    classes = _classes(trials, "A1 B1 A2 B2 N1 N2 X m1 m2", 6)
+    names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
+    classes = _commutator_stage(
+        classes, results, tuple((f"[{name}] != 0", *name.split(",")) for name in names), ("N1", "N2"), tol
+    )
+    classes = _nilpotent_stage(classes, results, "A1", ("N1", "N2"), True, tol)
+    classes = _hypothesis_stage(classes, results, lambda cls: [
+        ("first pair violates its isometric identity", cls["A1"], cls["B1"], cls["X"], cls["m1"], [0] * len(cls.rows)),
+        ("second pair violates its symmetric identity", cls["A2"], cls["B2"], cls["X"], [0] * len(cls.rows), cls["m2"]),
+    ], tol, norms)
+    tests = []
+    for cls in classes:
+        for P, (A, N) in zip(("P1", "Q1", "P2", "Q2"), (("A1", "N1"), ("B1", "N2"), ("A2", "N1"), ("B2", "N2"))):
+            cls[P] = sum_stacks(cls[A], cls[N])
+        raised = cls["order_N1"] + cls["order_N2"] - 2
+        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
+        zero = np.zeros_like(cls["t1"])
+        tests += [(cls["P1"], cls["Q1"], cls["X"], cls["t1"], zero), (cls["P2"], cls["Q2"], cls["X"], zero, cls["t2"])]
+    judged = iter(defect_stack_checks(tests, tol, norms))
+    for cls in classes:
+        cls["judged"] = [next(judged), next(judged)]
+        zero = np.zeros_like(cls["t1"])
+        # delta^t2(X) of the second pair, X itself at degree 0, as ``delta`` gives it
+        deltas = tf.stack_defects(cls["P2"], cls["Q2"], cls["X"], zero, cls["t2"])
+        cls["delta"] = np.where((cls["t2"] == 0)[:, None, None], cls["X"], deltas)
+    for cls in classes:
+        zero = np.zeros_like(cls["t1"])
+        cls["combined"] = mc.fro_norm_array(tf.stack_defects(cls["P1"], cls["Q1"], cls["delta"], cls["t1"], zero))
+    for cls in classes:
+        # the norms both scales read are the ones the two zero tests above asked for
+        t1, t2 = cls["t1"], cls["t2"]
+        iso = tf._iso_factor(norms[id(cls["P1"])][1].T, norms[id(cls["Q1"])][1].T) if t1.any() else t1 + 1.0
+        sym = 1.0 + norms[id(cls["P2"])][2] + norms[id(cls["Q2"])][2] if t2.any() else t2 + 1.0
+        scales, faults = tf._scales(
+            mc.fro_norm_array(cls["X"]).tolist(), iso.tolist(), sym.tolist(), t1.tolist(), t2.tolist()
+        )
+        if faults:
+            raise faults[min(faults)]
+        (tri, tri_thr), (dlt, dlt_thr) = ((v.tolist(), t.tolist()) for v, t in cls["judged"])
+        combined, combined_thr = cls["combined"].tolist(), tol.threshold(np.array(scales)).tolist()
+        n1, n2 = cls["order_N1"].tolist(), cls["order_N2"].tolist()
+        for r, row in enumerate(cls.rows.tolist()):
+            results[row] = _verdict([
+                ("triangle_perturbed", tri[r], tri_thr[r]),
+                ("delta_perturbed", dlt[r], dlt_thr[r]),
+                ("combined_perturbed", combined[r], combined_thr[r]),
+            ], {"n1": float(n1[r]), "n2": float(n2[r])})
+    return results
 
 
 @_checker
 def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """The three perturbation implications for two base pairs sharing the nilpotents."""
-    A1, B1, A2, B2, N1, N2, X, m1, m2 = _args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2")
-    names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
-    pairs = ((f"[{name}] != 0", *_args(bundle, name.replace(",", " "))) for name in names)
-    if skip := (yield from _noncommuting(*pairs)):
-        return skip
-    n1, n2 = yield from _nilpotency_orders(A1.dim, N1, N2)
-    if n1 is None or n2 is None:
-        return _skip("perturbation tuple is not nilpotent up to the dimension")
-    if skip := (yield from _failed_hypothesis(
-        ("first pair violates its isometric identity", A1, B1, X, m1, 0),
-        ("second pair violates its symmetric identity", A2, B2, X, 0, m2),
-    )):
-        return skip
-    P1, Q1 = sum_tuple(A1, N1), sum_tuple(B1, N2)
-    P2, Q2 = sum_tuple(A2, N1), sum_tuple(B2, N2)
-    t1, t2 = m1 + n1 + n2 - 2, m2 + n1 + n2 - 2
-    checks = yield from _zero_tests(
-        ("triangle_perturbed", P1, Q1, X, t1, 0), ("delta_perturbed", P2, Q2, X, 0, t2)
+    (result,) = yield _cor05_program, [tuple(_args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2"))]
+    return result
+
+
+def _cor050_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    """``check_cor050`` of each trial ``(T, N, X, m1, m2)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(trials)
+    norms: dict = {}
+    classes = _classes(trials, "T N X m1 m2", 2)
+    for cls in classes:
+        cls["T*"] = np.conjugate(cls["T"].swapaxes(-1, -2), order="C")
+    cross = "[T, N] != 0 or [T*, N] != 0"
+    classes = _commutator_stage(
+        classes, results, (("T does not commute", "T", None), (cross, "T", "N"), (cross, "T*", "N")), ("N",), tol
     )
-    combined = mc.fro_norm(tf.triangle(P1, Q1, tf.delta(P2, Q2, X, t2), t1))
-    # the norms both scales read are the ones the two zero tests above asked for
-    combined_scale = tf._scale(tf.defect_scale(P1, Q1, X, t1), P2, Q2, 0, t2)
-    checks.append(("combined_perturbed", combined, tol.threshold(combined_scale)))
-    return _verdict(checks, {"n1": float(n1), "n2": float(n2)})
+    classes = _nilpotent_stage(classes, results, "T", ("N",), True, tol)
+    classes = _hypothesis_stage(classes, results, lambda cls: [
+        ("base adjoint pair violates the combined identity", cls["T*"], cls["T"], cls["X"], cls["m1"], cls["m2"]),
+    ], tol, norms)
+    tests = []
+    for cls in classes:
+        P, Q = sum_stacks(cls["T*"], cls["N"]), sum_stacks(cls["T"], cls["N"])
+        raised = 2 * cls["order_N"] - 2
+        tests.append((P, Q, cls["X"], _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised))
+    for cls, (norm, threshold) in zip(classes, defect_stack_checks(tests, tol, norms)):
+        for row, *values, order in zip(cls.rows.tolist(), norm.tolist(), threshold.tolist(),
+                                       cls["order_N"].tolist()):
+            results[row] = _verdict([("perturbed_defect", *values)], {"order": float(order)})
+    return results
 
 
 @_checker
@@ -541,21 +834,34 @@ def check_cor050(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
-    T_star = adjoint_tuple(T_hilbert)
-    cross = "[T, N] != 0 or [T*, N] != 0"
-    if skip := (yield from _noncommuting(
-        ("T does not commute", T_hilbert, T_hilbert), (cross, T_hilbert, N), (cross, T_star, N)
-    )):
-        return skip
-    (order,) = yield from _nilpotency_orders(T_hilbert.dim, N)
-    if order is None:
-        return _skip("perturbation tuple is not nilpotent up to the dimension")
-    base = ("base adjoint pair violates the combined identity", T_star, T_hilbert, X, m1, m2)
-    if skip := (yield from _failed_hypothesis(base)):
-        return skip
-    P, Q = sum_tuple(T_star, N), sum_tuple(T_hilbert, N)
-    conclusion = ("perturbed_defect", P, Q, X, m1 + 2 * order - 2, m2 + 2 * order - 2)
-    return _verdict((yield from _zero_tests(conclusion)), {"order": float(order)})
+    (result,) = yield _cor050_program, [(T_hilbert, N, X, m1, m2)]
+    return result
+
+
+def _thm06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    """``check_thm06`` of each trial ``(A, B, S, T, X, m, n, r, s)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(trials)
+    norms: dict = {}
+    classes = _classes(trials, "A B S T X m n r s", 4)
+    classes = _commutator_stage(classes, results, (
+        ("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T")
+    ), (), tol)
+    classes = _hypothesis_stage(classes, results, lambda cls: [
+        (f"hypothesis {pair}_{i}{j} fails", cls[pair[0]], cls[pair[1]], cls["X"], cls[i], cls[j])
+        for pair, i, j in (("AB", "m", "n"), ("ST", "r", "s"), ("ST", "r", "n"), ("AB", "m", "s"))
+    ], tol, norms)
+    for cls in classes:
+        cls["P"], cls["Q"] = product_stacks(cls["S"], cls["A"]), product_stacks(cls["T"], cls["B"])
+        cls["t1"] = _degree_column(cls, "m") + _degree_column(cls, "r") - 1
+        cls["t2"] = _degree_column(cls, "n") + _degree_column(cls, "s") - 1
+    _sharp_conclusions(
+        classes, results, "product_defect",
+        lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"], [(cls["t1"] - 1, cls["t2"])]),
+        ("below_t1",),
+        lambda cls: {"t1": cls["t1"], "t2": cls["t2"]},
+        tol, norms,
+    )
+    return results
 
 
 @_checker
@@ -576,35 +882,52 @@ def check_thm06(
     The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     cross-assigned combined defects.
     """
-    hypotheses = (
-        ("hypothesis AB_mn fails", A, B, X, m, n),
-        ("hypothesis ST_rs fails", S, T, X, r, s),
-        ("hypothesis ST_rn fails", S, T, X, r, n),
-        ("hypothesis AB_ms fails", A, B, X, m, s),
+    (result,) = yield _thm06_program, [(A, B, S, T, X, m, n, r, s)]
+    return result
+
+
+def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[TrialResult]:
+    """``check_cor06`` (or with ``single``, ``check_cor062``) of each trial ``(A, B, S, T,
+    X, m, n, kind)``, stage by stage, as ``_product_of_one_kind`` judges one."""
+    results: list[TrialResult] = [None] * len(trials)
+    norms: dict = {}
+    classes = _classes(trials, "A B S T X m n kind", 4)
+    if single:
+        classes = _skip_rows(classes, results, [
+            None if cls["A"].shape[1] == cls["B"].shape[1] == 1 else
+            (np.ones(len(cls.rows), bool), ["A and B must be single operators"] * len(cls.rows), [None] * len(cls.rows))
+            for cls in classes
+        ])
+        cross = "[A, S] != 0 or [B, T] != 0"
+        pairs = ((cross, "A", "S"), (cross, "B", "T"))
+    else:
+        pairs = (("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T"))
+    classes = _commutator_stage(classes, results, pairs, (), tol)
+    for cls in classes:
+        cls["P"], cls["Q"] = product_stacks(cls["A"], cls["S"]), product_stacks(cls["B"], cls["T"])
+    reason = "a factor violates its identity" if single else "a factor pair violates its identity"
+    classes = _hypothesis_stage(classes, results, lambda cls: [
+        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls, np.array(cls[k], dtype=np.int64)))
+        for P, Q, k in (("A", "B", "m"), ("S", "T", "n"))
+    ], tol, norms)
+    for cls in classes:
+        cls["degree"] = _degree_column(cls, "m") + _degree_column(cls, "n") - 1
+    _sharp_conclusions(
+        classes, results, "product_defect",
+        lambda cls: (cls["P"], cls["Q"], cls["X"], *_kind_degrees(cls, cls["degree"]),
+                     [] if single else [_kind_degrees(cls, cls["degree"] - 1)]),
+        () if single else ("below",),
+        lambda cls: {"degree": cls["degree"]},
+        tol, norms,
     )
-    if skip := (yield from _noncommuting(
-        ("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T)
-    )) or (yield from _failed_hypothesis(*hypotheses)):
-        return skip
-    t1, t2 = m + r - 1, n + s - 1
-    return (yield from _sharp_verdict(
-        ("product_defect", product_tuple(S, A), product_tuple(T, B), X, t1, t2),
-        {"t1": float(t1), "t2": float(t2)},
-        {"below_t1": (t1 - 1, t2)},
-    ))
+    return results
 
 
 @_checker
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
-    A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
-    commutators = (("[A,S] != 0", A, S), ("[B,S] != 0", B, S), ("[B,T] != 0", B, T))
-    if skip := (yield from _noncommuting(*commutators)):
-        return skip
-    return (yield from _product_of_one_kind(
-        bundle.params["kind"], "a factor pair violates its identity",
-        ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X), sharp=True,
-    ))
+    (result,) = yield _cor06_program, [(*_args(bundle, "A B S T X m n"), bundle.params["kind"])]
+    return result
 
 
 @_checker
@@ -648,16 +971,16 @@ def check_cor061(
 @_checker
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single operator times tuple: the product inherits degree m+n-1."""
-    A, B, S, T, X, m, n = _args(bundle, "A B S T X m n")
-    if A.d != 1 or B.d != 1:
-        return _skip("A and B must be single operators")
-    cross = "[A, S] != 0 or [B, T] != 0"
-    if skip := (yield from _noncommuting((cross, A, S), (cross, B, T))):
-        return skip
-    return (yield from _product_of_one_kind(
-        bundle.params["kind"], "a factor violates its identity",
-        ((A, B, X, m), (S, T, X, n)), (product_tuple(A, S), product_tuple(B, T), X),
-    ))
+    (result,) = yield _cor062_program, [(*_args(bundle, "A B S T X m n"), bundle.params["kind"])]
+    return result
+
+
+def _cor06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    return _product_program(trials, tol, single=False)
+
+
+def _cor062_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
+    return _product_program(trials, tol, single=True)
 
 
 @_checker

@@ -337,6 +337,21 @@ def _write_inputs(tmp_path, a, b, x):
     return ["--tuple-a", paths[0], "--tuple-b", paths[1], "--x", paths[2]]
 
 
+@pytest.mark.parametrize(
+    "declared", [{"d": True}, {"dim": True}, {"dim": 2.0}, {"d": 1.0}, {"d": "1"}, {"dim": None}]
+)
+def test_tuple_literal_declaring_a_size_that_is_not_an_int_exits_2(tmp_path, capsys, declared):
+    # True == 1 and 2.0 == 2 in Python, so a mere comparison would accept these
+    files = _write_inputs(tmp_path, np.eye(2), np.eye(2), np.eye(2))
+    literal = {**OperatorTuple.of(np.eye(2)).to_json(), **declared}
+    (tmp_path / "a.json").write_text(json.dumps(literal))
+    assert main(["check", *files]) == 2
+    assert "error: declared" in capsys.readouterr().err
+    # the same literal declaring ints is accepted
+    (tmp_path / "a.json").write_text(json.dumps({**literal, "d": 1, "dim": 2}))
+    assert main(["check", *files]) == 0
+
+
 @pytest.mark.parametrize("command", ["check", "min-degree"])
 def test_overflowing_tolerance_scale_exits_2(tmp_path, capsys, command):
     # finite input whose scale (1 + 1e200)**2 overflows: refused, never passed as inf

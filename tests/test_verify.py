@@ -811,19 +811,26 @@ def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypat
     def per_pair(*args, **kwargs):
         raise AssertionError("per-pair commutator check")
 
-    calls = []
-    original = tuples.commutator_checks
+    calls, stack_calls = [], []
+    original, stack_original = tuples.commutator_checks, tuples.commutator_stack_checks
     monkeypatch.setattr(tuples, "commutes_within", per_pair)
     monkeypatch.setattr(tuples, "commutes_cross", per_pair)
     monkeypatch.setattr(
         verify, "commutator_checks", lambda q, tol: calls.append(len(q)) or original(q, tol)
     )
+    monkeypatch.setattr(
+        verify, "commutator_stack_checks",
+        lambda q, tol: stack_calls.append(sum(len(S) for S, _ in q)) or stack_original(q, tol),
+    )
     for theorem_id in ("thm05", "cor05", "cor050", "thm06", "cor06", "cor061", "cor062"):
         calls.clear()
+        stack_calls.clear()
         report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=40, seed=3))
         assert report.trials + report.skipped == 40
-        # one chunk: every trial's commutators in the first round's one call
-        assert len(calls) == 1 and calls[0] >= 40
+        # one chunk: every trial's commutators in one call, of the list kernel for a
+        # lock-step body and of the stack kernel for a column program
+        found, unused = (calls, stack_calls) if theorem_id == "cor061" else (stack_calls, calls)
+        assert len(found) == 1 and found[0] >= 40 and unused == []
 
 
 def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
