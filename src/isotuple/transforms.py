@@ -18,16 +18,21 @@ the components in index order, and the spectral norms behind a pair's
 tolerance scale come from one LAPACK call over both stacks.  Each stacked
 kernel gives the same bits as the loop over components it replaced.
 
-One engine, ``_group_defects`` with its sigma loop ``_sigma_run``, forms
-every sigma iterate, delta term and binomial sum, with the bits of each test
-alone; zero tests on one (A, B, X) share one run up to their largest degree.
-``defect_checks`` evaluates many zero tests through it, ``defect_check``,
-``triangle``, ``delta`` and ``sigma_iterates`` are its batch of one, and the
-Cesaro kernels step from X through its loop.  Only the cross-check paths
-``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
-Every tolerance scale comes from one helper, ``_scale``.  ``superop_matrix``
-lifts the maps to dim^2 x dim^2 matrices acting on column-stacked vec(X) —
-the second, independent evaluation route used for cross-checks.
+One engine, ``_stacked_defects`` with its sigma loop ``_sigma_run``, forms
+every sigma iterate, delta term and binomial sum from stacks of sources, with
+the bits of each test alone; zero tests on one source share one run up to
+their largest degree.  It has two front ends: ``defect_checks`` takes zero
+tests on tuples and groups them by object (``_group_defects``), and
+``defect_stack_checks`` takes zero tests over ``(b, d, n, n)`` stacks with
+per-row degrees and groups them by stack object and row (``_stack_norms``).
+``defect_check``, ``triangle``, ``delta`` and ``sigma_iterates`` are the
+batch of one, ``stack_defects`` gives each row's ``triangle`` or ``delta``,
+and the Cesaro kernels step from X through the engine's loop.  Only the
+cross-check paths ``triangle_by_iteration`` and ``delta_by_iteration``
+iterate on their own.  Every tolerance scale comes from one helper,
+``_scales``.  ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices
+acting on column-stacked vec(X) — the second, independent evaluation route
+used for cross-checks.
 """
 
 from __future__ import annotations
@@ -362,9 +367,10 @@ def _defect_norms(tests: list) -> tuple[list[float], list[float]]:
 
 def _group_defects(tests: list) -> tuple[np.ndarray, list[int], np.ndarray]:
     """(Xs, sources, defects) of one group's tests: the stack of its distinct X, each
-    test's index in it, and the (batch, n, n) stack of each test's defect, from one
-    ``_stacked_defects`` call whose sources are the distinct (A, B, X) objects.  A
-    group of one refuses a non-finite X or sigma input."""
+    test's index in it, and the (batch, n, n) stack of each test's defect.  The
+    distinct (A, B, X) objects, in order of first appearance, are stacked as the
+    sources of one ``_stacked_defects`` call.  A group of one refuses a non-finite
+    X or sigma input."""
     keys = [(id(A), id(B), id(X)) for A, B, X, _, _ in tests]
     heads = dict(zip(keys, tests))  # a test of each source, in order of first appearance
     sources = _positions(heads, keys)

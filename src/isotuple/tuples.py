@@ -6,9 +6,16 @@ constructions below are single array expressions over stacks.
 Commutativity is a checked predicate, not a constructor invariant:
 generators produce exactly-commuting tuples, while user-supplied tuples are
 validated at use sites (strict mode raises, lax mode lets the caller record
-the residual).  ``commutator_checks`` judges many tuples' commutators at
-once; ``commutes_within``, ``commutes_cross`` and the ``max_commutator_*``
-residuals are its batch of one.
+the residual).
+
+The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
+``nilpotency_stack_orders``, ``stack_spectral_norms``, ``stack_sums``,
+``sum_stacks`` and ``product_stacks``.  Each list API groups its tuples by
+shape, stacks them and calls its stack kernel, so each kernel has one
+implementation: ``commutator_checks`` (with ``commutes_within``,
+``commutes_cross`` and the ``max_commutator_*`` residuals its batch of one),
+``nilpotency_orders``, ``fill_spectral_norms``, ``sum_tuple`` and
+``product_tuple``.
 
 Orderings are pinned for reproducibility:
 
@@ -54,8 +61,8 @@ class OperatorTuple:
     and kept for the life of the tuple: the component sum and the spectral
     norms behind every tolerance scale, kept as two parts, the components'
     norms and the sum's.  A caller that holds many tuples fills
-    them together: ``component_sums`` computes the missing sums per (d, n)
-    group in one batched accumulation, and ``fill_spectral_norms`` computes
+    them together: ``component_sums`` computes the missing sums per tuple
+    length with one ``stack_sums`` call, and ``fill_spectral_norms`` computes
     only the parts each tuple is asked for, in one batched LAPACK call per
     matrix dimension.
     """
@@ -233,13 +240,15 @@ def fill_spectral_norms(requests) -> None:
     """
     wanted: dict[int, list] = {}
     for T, components, total in requests:
-        need = wanted.setdefault(id(T), [T, False, False])
-        need[1] |= bool(components) and "_op_norms" not in T.__dict__
-        need[2] |= bool(total) and "_sum_op_norm" not in T.__dict__
+        comps = bool(components) and "_op_norms" not in T.__dict__
+        sums = bool(total) and "_sum_op_norm" not in T.__dict__
+        if comps or sums:
+            need = wanted.setdefault(id(T), [T, False, False])
+            need[1] |= comps
+            need[2] |= sums
     groups: dict[tuple, list[OperatorTuple]] = {}  # the tuples of one shape that lack the same parts
     for T, comps, sums in wanted.values():
-        if comps or sums:
-            groups.setdefault((T.stack.shape, comps, sums), []).append(T)
+        groups.setdefault((T.stack.shape, comps, sums), []).append(T)
     found = stack_spectral_norms(
         [(np.stack([T.stack for T in group]), comps or None, sums or None)
          for (_, comps, sums), group in groups.items()]
@@ -512,14 +521,12 @@ def nilpotency_orders(
 ) -> list[int | None]:
     """``nilpotency_order(N, max_order, tol, strict)`` of each query ``(N, max_order)``.
 
-    Queries of one tuple length, dimension and max_order are stacked: each
-    power of the components is one batched product from the last, and each
-    composition's word is one chain of products from the identity across the
-    tuples still undecided at its order, so every word norm has the bits of
-    one tuple's.  A tuple leaves the chain at its first nonzero word, as it
-    does alone.  A query that is refused (a bad max_order, or in strict mode a
-    tuple that does not commute) raises before any word is formed; in strict
-    mode every tuple's commutators come from one ``commutator_checks`` call.
+    Queries of one tuple length, dimension and max_order are stacked and
+    judged by one ``nilpotency_stack_orders`` query, so every order is the
+    one its tuple gets alone.  A query that is refused (a bad max_order, or
+    in strict mode a tuple that does not commute) raises before any word is
+    formed; in strict mode every tuple's commutators come from one
+    ``commutator_checks`` call.
     """
     queries = list(queries)
     commuting = commutator_checks([(N, N) for N, _ in queries], tol) if strict else ()

@@ -10,23 +10,40 @@ tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
 Each checker has one body, a generator: it yields ``(kernel, items)`` for
-each batch of work it would do, and is sent back ``kernel(items, tol)``.  The
-kernels are ``tuples.commutator_checks`` for its commutators
-(``_noncommuting``), ``transforms.defect_checks`` for its zero tests
-(``_zero_tests``, ``_failed_hypothesis``, sharpness norms included),
-``tuples.nilpotency_orders`` for the orders of thm05, cor05 and cor050, and
+each batch of work it would do, and is sent back ``kernel(items, tol)``.
+``check_*`` drives its body alone; a campaign generates a chunk of up to
+``LOCKSTEP_TRIALS`` instances together (``generators.random_instances``) and
+drives their bodies in lock-step (``_lockstep``): each round calls each
+kernel once, on the items of every pending body.  Every kernel gives each
+item the bits it gets alone, so a trial's result does not depend on the
+trials run beside it.
+
+thm05, cor05, cor050, thm06, cor06 and cor062 are column programs: each
+body yields once, ``result = yield program, [args]``, so a chunk's trials
+meet in one call of the id's program, and a ``check_*`` is the program's
+batch of one.  A program splits its trials into classes of one shape
+(``_Columns``), stacks each argument over a class's rows, and runs the
+check's stages in the order the check is written: commutators
+(``tuples.commutator_stack_checks``), nilpotency orders
+(``tuples.nilpotency_stack_orders``), hypotheses and conclusions
+(``transforms.defect_stack_checks``), each stage one stack-kernel call for
+the live rows of every class.  A skip is a row mask, a derived tuple a
+stacked expression (``tuples.sum_stacks``, ``tuples.product_stacks``), and
+each result comes from ``_verdict`` or ``_skip``.  cor05's combined defect
+is a delta stage over every row, then a triangle stage
+(``transforms.stack_defects``).  With several refused trials in a chunk,
+the first refusing stage raises, for its first refusing class and row.
+
+The other seven ids keep generator bodies over the list kernels:
+``tuples.commutator_checks`` for their commutators (``_noncommuting``),
+``transforms.defect_checks`` for their zero tests (``_zero_tests``,
+``_failed_hypothesis``, sharpness norms included) and
 ``transforms.cesaro_errors`` for pro01's Cesaro run.  Zero tests on one pair
-at one X share one run of sigma iterates in the engine behind
-``defect_checks``, so pro01's lower-degree norms and thm05's, thm06's and
-cor06's sharpness tests cost no run of their own.  The bespoke thresholds
-(pro01's collapse test, pro02's limit, pro03's right-hand side and cor05's
-combined scale) read the spectral norms that the round's zero tests asked
-for, so no trial computes norms of its own.  ``check_*`` drives its
-body alone; a campaign generates a chunk of up to ``LOCKSTEP_TRIALS``
-instances together (``generators.random_instances``) and drives their
-bodies in lock-step (``_lockstep``): each round calls each kernel once, on
-the items of every pending body.  Every kernel gives each item the bits it
-gets alone, so a trial's result does not depend on the trials run beside it.
+at one X share one run of sigma iterates in the engine behind both defect
+kernels, so pro01's lower-degree norms and the sharpness tests cost no run
+of their own.  The bespoke thresholds (pro01's collapse test, pro02's limit,
+pro03's right-hand side and cor05's combined scale) read the spectral norms
+that their zero tests asked for, so no trial computes norms of its own.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -240,34 +257,6 @@ def _checker(body):
 
     check.body = body
     return check
-
-
-def _product_of_one_kind(
-    kind: str, reason: str, factors: tuple, product: tuple,
-    name: str = "product_defect", sharp: bool = False,
-):
-    """Two factor pairs (A, B, X, k) whose defects of one kind vanish at degrees
-    m and n imply that the ``product`` pair (P, Q, Z) vanishes at degree m+n-1.
-    A failing factor skips with ``reason``; ``sharp`` records the degree below."""
-    hypotheses = [(reason, A, B, X, *_degrees(kind, k)) for A, B, X, k in factors]
-    if skip := (yield from _failed_hypothesis(*hypotheses)):
-        return skip
-    deg = sum(k for *_, k in factors) - 1
-    below = {"below": _degrees(kind, deg - 1)} if sharp else {}
-    test = (name, *product, *_degrees(kind, deg))
-    return (yield from _sharp_verdict(test, {"degree": float(deg)}, below))
-
-
-def _sharp_verdict(test: tuple, extra: dict, below: dict):
-    """The verdict of the conclusion zero test ``(name, P, Q, X, m, n)``, with the norms of
-    its sharpness tests on the same pair: ``below`` maps each name to its (m, n), a test
-    of a negative degree is left out, and the first name is the witness's."""
-    _, P, Q, X, *_ = test
-    sharp = [(key, P, Q, X, m, n) for key, (m, n) in below.items() if min(m, n) >= 0]
-    conclusion, *judged = yield from _zero_tests(test, *sharp)
-    sharpness = {key: norm for key, norm, _ in judged}
-    witness = sharpness.get(next(iter(below), None), 0.0)
-    return _verdict([conclusion], extra, sharpness=sharpness, is_sharp=witness > SHARPNESS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +642,7 @@ def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Toleranc
 
 
 def _degree_column(cls: _Columns, name: str) -> np.ndarray:
-    """A parameter column of degrees, which a zero test has accepted, as an int array."""
+    """A parameter column of int degrees as an int array."""
     return np.array(cls[name], dtype=np.int64)
 
 
@@ -665,11 +654,13 @@ def _kind_degrees(cls: _Columns, degrees: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _sharp_conclusions(classes: list, results: list, name: str, conclusion, below: tuple,
                        extra, tol: mc.Tolerance, norms: dict) -> None:
-    """Each row's ``_sharp_verdict``: ``conclusion(cls)`` is a class's ``(P, Q, X, ms, ns,
-    lower)``, ``lower`` the degrees ``(ms, ns)`` of each sharpness name in ``below``, and
-    ``extra(cls)`` the columns of the result's extra entries by key.  Every class's
-    tests go to one ``defect_stack_checks`` call.  A sharpness test of a negative degree
-    is left out of its row's result, and runs at that degree clipped to 0."""
+    """Each row's verdict of its conclusion zero test ``name``, with the norms of its
+    sharpness tests on the same pair, the first of ``below`` the witness's.
+    ``conclusion(cls)`` is a class's ``(P, Q, X, ms, ns, lower)``, ``lower`` the degrees
+    ``(ms, ns)`` of each sharpness name in ``below``, and ``extra(cls)`` the columns of
+    the result's extra entries by key.  Every class's tests go to one
+    ``defect_stack_checks`` call.  A sharpness test of a negative degree is left out of
+    its row's result, and runs at that degree clipped to 0."""
     tests, included = [], []
     for cls in classes:
         P, Q, X, ms, ns, lower = conclusion(cls)
@@ -756,18 +747,17 @@ def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
             cls[P] = sum_stacks(cls[A], cls[N])
         raised = cls["order_N1"] + cls["order_N2"] - 2
         cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
-        zero = np.zeros_like(cls["t1"])
-        tests += [(cls["P1"], cls["Q1"], cls["X"], cls["t1"], zero), (cls["P2"], cls["Q2"], cls["X"], zero, cls["t2"])]
+        cls["zero"] = np.zeros_like(raised)
+        tests += [(cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"]),
+                  (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"])]
     judged = iter(defect_stack_checks(tests, tol, norms))
+    # the combined defect: delta^t2(X) of the second pair (X itself at degree 0, as
+    # ``delta`` gives it) for every row, then its triangle^t1 under the first pair
     for cls in classes:
-        cls["judged"] = [next(judged), next(judged)]
-        zero = np.zeros_like(cls["t1"])
-        # delta^t2(X) of the second pair, X itself at degree 0, as ``delta`` gives it
-        deltas = tf.stack_defects(cls["P2"], cls["Q2"], cls["X"], zero, cls["t2"])
+        deltas = tf.stack_defects(cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"])
         cls["delta"] = np.where((cls["t2"] == 0)[:, None, None], cls["X"], deltas)
     for cls in classes:
-        zero = np.zeros_like(cls["t1"])
-        cls["combined"] = mc.fro_norm_array(tf.stack_defects(cls["P1"], cls["Q1"], cls["delta"], cls["t1"], zero))
+        cls["combined"] = tf.stack_defects(cls["P1"], cls["Q1"], cls["delta"], cls["t1"], cls["zero"])
     for cls in classes:
         # the norms both scales read are the ones the two zero tests above asked for
         t1, t2 = cls["t1"], cls["t2"]
@@ -778,8 +768,9 @@ def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
         )
         if faults:
             raise faults[min(faults)]
-        (tri, tri_thr), (dlt, dlt_thr) = ((v.tolist(), t.tolist()) for v, t in cls["judged"])
-        combined, combined_thr = cls["combined"].tolist(), tol.threshold(np.array(scales)).tolist()
+        (tri, tri_thr), (dlt, dlt_thr) = ((v.tolist(), t.tolist()) for v, t in (next(judged), next(judged)))
+        combined = mc.fro_norm_array(cls["combined"]).tolist()
+        combined_thr = tol.threshold(np.array(scales)).tolist()
         n1, n2 = cls["order_N1"].tolist(), cls["order_N2"].tolist()
         for r, row in enumerate(cls.rows.tolist()):
             results[row] = _verdict([
@@ -888,7 +879,8 @@ def check_thm06(
 
 def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[TrialResult]:
     """``check_cor06`` (or with ``single``, ``check_cor062``) of each trial ``(A, B, S, T,
-    X, m, n, kind)``, stage by stage, as ``_product_of_one_kind`` judges one."""
+    X, m, n, kind)``, stage by stage: factor pairs whose defects of one kind vanish at
+    degrees m and n make the product pair's vanish at degree m+n-1."""
     results: list[TrialResult] = [None] * len(trials)
     norms: dict = {}
     classes = _classes(trials, "A B S T X m n kind", 4)
@@ -907,7 +899,7 @@ def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[Tria
         cls["P"], cls["Q"] = product_stacks(cls["A"], cls["S"]), product_stacks(cls["B"], cls["T"])
     reason = "a factor violates its identity" if single else "a factor pair violates its identity"
     classes = _hypothesis_stage(classes, results, lambda cls: [
-        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls, np.array(cls[k], dtype=np.int64)))
+        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls, _degree_column(cls, k)))
         for P, Q, k in (("A", "B", "m"), ("S", "T", "n"))
     ], tol, norms)
     for cls in classes:
@@ -975,12 +967,8 @@ def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> 
     return result
 
 
-def _cor06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    return _product_program(trials, tol, single=False)
-
-
-def _cor062_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    return _product_program(trials, tol, single=True)
+_cor06_program = functools.partial(_product_program, single=False)
+_cor062_program = functools.partial(_product_program, single=True)
 
 
 @_checker
@@ -1002,10 +990,18 @@ def check_thm07(
     X_s = mc.identity(S.dim)
     tensor = (tensor_tuple(A, S), tensor_tuple(B, T), mc.identity(A.dim * S.dim))
     if variant == "i":
-        return (yield from _product_of_one_kind(
-            kind, "a factor pair violates its identity",
-            ((A, B, X_a, m), (S, T, X_s, n)), tensor, name="tensor_defect",
-        ))
+        # factor pairs whose defects of one kind vanish at degrees m and n make the
+        # tensor pair's vanish at degree m+n-1
+        reason = "a factor pair violates its identity"
+        if skip := (yield from _failed_hypothesis(
+            (reason, A, B, X_a, *_degrees(kind, m)), (reason, S, T, X_s, *_degrees(kind, n))
+        )):
+            return skip
+        deg = m + n - 1
+        return _verdict(
+            (yield from _zero_tests(("tensor_defect", *tensor, *_degrees(kind, deg)))),
+            {"degree": float(deg)},
+        )
 
     if variant != "ii":
         raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
