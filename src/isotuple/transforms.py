@@ -523,13 +523,15 @@ def _stack_sources(tests: list, members: list) -> tuple:
     """(a, b, x, sources) of one group's rows ``(test, rows)`` (rows None for all): the
     stacks of its distinct source rows, a row of a distinct (A, B, X) stack triple each,
     and the list of each item's index in them, numbered in order of first appearance."""
-    if len(members) == 1 and members[0][1] is None:  # one test, every row
-        A, B, X = tests[members[0][0]][:3]
-        return A, B, X, list(range(len(X)))
     triples: dict[tuple, list] = {}
     for t, rows in members:
         A, B, X = tests[t][:3]
         triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(rows)
+    if len(triples) == len(members):  # each triple's rows once, in order
+        parts = [(A, B, X) if rows is None else (A[rows], B[rows], X[rows])
+                 for A, B, X, (rows,) in triples.values()]
+        a, b, x = parts[0] if len(parts) == 1 else (np.concatenate(stacks) for stacks in zip(*parts))
+        return a, b, x, list(range(len(x)))
     parts, offsets = [], {}
     offset = 0
     for key, (A, B, X, row_sets) in triples.items():

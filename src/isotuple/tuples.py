@@ -524,26 +524,29 @@ def nilpotency_orders(
     Queries of one tuple length, dimension and max_order are stacked and
     judged by one ``nilpotency_stack_orders`` query, so every order is the
     one its tuple gets alone.  A query that is refused (a bad max_order, or
-    in strict mode a tuple that does not commute) raises before any word is
-    formed; in strict mode every tuple's commutators come from one
-    ``commutator_checks`` call.
+    in strict mode a tuple that does not commute) raises, in query order,
+    before any word is formed; in strict mode every group's commutators come
+    from one ``commutator_stack_checks`` call.
     """
     queries = list(queries)
-    commuting = commutator_checks([(N, N) for N, _ in queries], tol) if strict else ()
-    for k, (N, max_order) in enumerate(queries):
-        if not isinstance(max_order, int) or max_order < 1:
-            raise InvalidArgumentError(
-                f"max_order must be a positive integer, got {max_order!r}"
-            )
-        if strict and not commuting[k][0]:
-            raise InvalidArgumentError(
-                f"tuple does not commute (max residual {commuting[k][1]:.3e})"
-            )
     groups: dict[tuple, list[int]] = {}
     for i, (N, max_order) in enumerate(queries):
         groups.setdefault((N.d, N.dim, max_order), []).append(i)
     stacked = [(np.stack([queries[i][0].stack for i in members]), max_order)
                for (_, _, max_order), members in groups.items()]
+    commuting: list = [(True, 0.0)] * len(queries)
+    if strict:
+        checks = commutator_stack_checks([(stack, None) for stack, _ in stacked], tol)
+        for members, (passed, residuals) in zip(groups.values(), checks):
+            for k, ok, residual in zip(members, passed.tolist(), residuals.tolist()):
+                commuting[k] = (ok, residual)
+    for (N, max_order), (ok, residual) in zip(queries, commuting):
+        if not isinstance(max_order, int) or max_order < 1:
+            raise InvalidArgumentError(
+                f"max_order must be a positive integer, got {max_order!r}"
+            )
+        if not ok:
+            raise InvalidArgumentError(f"tuple does not commute (max residual {residual:.3e})")
     orders: list[int | None] = [None] * len(queries)
     for members, found in zip(groups.values(), nilpotency_stack_orders(stacked, tol)):
         for k, order in zip(members, found.tolist()):
@@ -556,21 +559,21 @@ def nilpotency_stack_orders(queries, tol: mc.Tolerance) -> list[np.ndarray]:
     commuting tuple of a (b, d, n, n) stack up to the positive int max_order, 0 for none.
 
     Each power of the components is one batched product from the last, and
-    each composition's word is one chain of products from the identity across
-    the rows still undecided at its order, so every word norm has the bits of
-    one tuple's; its threshold multiplies the factors' norms in index order,
+    each composition's word is one chain of products of its parts, across the
+    rows still undecided at its order, so every word norm has the bits of one
+    tuple's (a chain from the identity would change at most the sign of a
+    zero entry); its threshold multiplies the parts' norms in index order,
     each raised by Python's float power (NumPy's rounds differently).  A row
     leaves the chain at its first nonzero word, as it does alone.
     """
     out = []
     for stack, max_order in queries:
-        b, d, dim = stack.shape[:3]
+        b, d = stack.shape[:2]
         # powers[k - 1][r, i] = N_i**k of row r, each power stack one batched product from the last
         powers = [stack]
         for _ in range(max_order - 1):
             powers.append(powers[-1] @ stack)
-        norms = mc.fro_norm_array(stack)
-        eye = mc.identity(dim)
+        norms = mc.fro_norm_array(stack).T.tolist()  # norms[i][r] = ||N_i||_F of row r
         orders = np.zeros(b, dtype=np.int64)
         pending = np.arange(b)
         for n in range(1, max_order + 1):
@@ -578,11 +581,15 @@ def nilpotency_stack_orders(queries, tol: mc.Tolerance) -> list[np.ndarray]:
             for alpha in compositions(d, n):
                 if not len(zero):
                     break
-                prod, scale = eye, 1.0
+                every = len(zero) == b
+                rows = zero.tolist()
+                prod = scale = None
                 for i, a in enumerate(alpha):
                     if a:
-                        prod = prod @ powers[a - 1][zero, i]
-                        scale = scale * np.array([x**a for x in norms[zero, i].tolist()])
+                        factor = powers[a - 1][:, i] if every else powers[a - 1][zero, i]
+                        raised = np.array([norms[i][r] ** a for r in rows])
+                        prod = factor if prod is None else prod @ factor
+                        scale = raised if scale is None else scale * raised
                 zero = zero[mc.fro_norm_array(prod) <= tol.threshold(scale)]
             orders[zero] = n
             pending = pending[orders[pending] == 0]
