@@ -122,7 +122,7 @@ def _scales(x_norms, iso_factors, sym_factors, ms, ns) -> tuple[list[float], dic
     refusal of each item whose isometric or then symmetric growth overflows, by index.
 
     Each growth is ``scale * factor**degree`` in Python floats, whose power
-    rounds as C's ``pow`` (NumPy's vectorized power does not), and a factor
+    rounds as C's ``pow`` (NumPy's vectorized power may not), and a factor
     raised to the power 0 is skipped.
     """
     scales, faults = [], {}

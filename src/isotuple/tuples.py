@@ -563,7 +563,7 @@ def nilpotency_stack_orders(queries, tol: mc.Tolerance) -> list[np.ndarray]:
     rows still undecided at its order, so every word norm has the bits of one
     tuple's (a chain from the identity would change at most the sign of a
     zero entry); its threshold multiplies the parts' norms in index order,
-    each raised by Python's float power (NumPy's rounds differently).  A row
+    each raised by Python's float power (NumPy's may round differently).  A row
     leaves the chain at its first nonzero word, as it does alone.
     """
     out = []
