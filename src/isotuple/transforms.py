@@ -566,7 +566,8 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
     """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read:
     ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, from one
     ``stack_spectral_norms`` call.  A row's component norms are read by a degree m > 0
-    and its sum norm by n > 0."""
+    and its sum norm by n > 0.  The sum of a one-component tuple is a copy of its
+    component, so its norm is read from the component's, with the same bits."""
     wanted: dict[int, list] = {}
     for A, B, _, ms, ns in tests:
         iso, sym = [m > 0 for m in ms], [n > 0 for n in ns]
@@ -577,9 +578,14 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
             else:
                 need[1] = [p or q for p, q in zip(need[1], iso)]
                 need[2] = [p or q for p, q in zip(need[2], sym)]
-    found = stack_spectral_norms([(T, _read(iso), _read(sym)) for T, iso, sym in wanted.values()])
-    for T, *_ in wanted.values():
-        norms[id(T)] = (T, *found.pop(0))
+    requests = []
+    for T, iso, sym in wanted.values():
+        own = T.shape[1] == 1 and any(sym)  # the rows whose sum is their one component
+        requests.append((T, _read([p or q for p, q in zip(iso, sym)] if own else iso), None if own else _read(sym)))
+    for (T, _, sym), (comps, sums) in zip(wanted.values(), stack_spectral_norms(requests)):
+        if T.shape[1] == 1 and any(sym):
+            sums = np.where(sym, comps[:, 0], np.nan)
+        norms[id(T)] = (T, comps, sums)
 
 
 def _read(flags: list):
