@@ -630,10 +630,10 @@ def _stacked_defects(a, b, x, sources: list, ms: list, ns: list, refuse: bool) -
             return left[np.maximum(np.array(ks) - j, 0), s] @ right[j, s]
 
         Y = _layered_sums(delta_terms, run_sources, run_degrees)
-        if len(run_sources) != len(a):  # a source with several n runs once per n
-            a, b = a[run_sources], b[run_sources]
         if not ms[0]:  # each item's defect is its delta^n(X), a row of Y
             return Y if len(Y) == len(runs) else Y[runs]
+        if len(run_sources) != len(a):  # a source with several n runs once per n
+            a, b = a[run_sources], b[run_sources]
     sig = np.empty((max(ms) + 1, *Y.shape), dtype=np.complex128)
     for k, iterate in enumerate(_sigma_run(a, b, Y, len(sig) - 1, refuse=refuse)):
         sig[k] = iterate
