@@ -531,7 +531,9 @@ def nilpotency_orders(
     queries = list(queries)
     groups: dict[tuple, list[int]] = {}
     for i, (N, max_order) in enumerate(queries):
-        groups.setdefault((N.d, N.dim, max_order), []).append(i)
+        # a bad max_order, which may not be hashable, is refused below in query order
+        valid = isinstance(max_order, int) and max_order >= 1
+        groups.setdefault((N.d, N.dim, max_order if valid else None), []).append(i)
     stacked = [(np.stack([queries[i][0].stack for i in members]), max_order)
                for (_, _, max_order), members in groups.items()]
     commuting: list = [(True, 0.0)] * len(queries)

@@ -361,6 +361,9 @@ def test_batched_nilpotency_orders_raise_the_first_error_a_loop_raises():
         [(bad, 4), (good, 1.5)],
         [(good, 0), (bad, 4)],
         [(good, 4), (bad, -1), (bad, 4)],
+        # an unhashable max_order is refused, not grouped
+        [(good, 4), (good, [2])],
+        [(good, [2]), (bad, 4)],
     ):
         with pytest.raises(InvalidArgumentError) as alone:
             for N, max_order in queries:
