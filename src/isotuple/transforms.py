@@ -21,18 +21,20 @@ kernel gives the same bits as the loop over components it replaced.
 One engine, ``_stacked_defects`` with its sigma loop ``_sigma_run``, forms
 every sigma iterate, delta term and binomial sum from stacks of sources, with
 the bits of each test alone; zero tests on one source share one run up to
-their largest degree.  It has two front ends: ``defect_checks`` takes zero
-tests on tuples and groups them by object (``_group_defects``), and
-``defect_stack_checks`` takes zero tests over ``(b, d, n, n)`` stacks with
-per-row degrees and groups them by stack object and row (``_stack_norms``).
-``defect_check``, ``triangle``, ``delta`` and ``sigma_iterates`` are the
-batch of one, ``stack_defects`` gives each row's ``triangle`` or ``delta``,
-and the Cesaro kernels step from X through the engine's loop.  Only the
-cross-check paths ``triangle_by_iteration`` and ``delta_by_iteration``
-iterate on their own.  Every tolerance scale comes from one helper,
-``_scales``.  ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices
-acting on column-stacked vec(X) — the second, independent evaluation route
-used for cross-checks.
+their largest degree.  One kernel judges zero tests: ``defect_stack_checks``
+takes them over ``(b, d, n, n)`` stacks with per-item degrees, groups them by
+stack object and row (``_stack_items``), and turns the spectral norms it
+keeps by stack into thresholds (``_thresholds``).  ``defect_checks`` is its
+list wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples
+keep their norms.  ``defect_check`` is the batch of one, ``stack_defects``
+gives each row's ``triangle`` or ``delta`` (``triangle`` and ``delta`` are
+its batch of one), ``sigma_iterates`` is one run of the engine's loop, and
+the Cesaro kernels step from X through it.  Only the cross-check paths
+``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
+Every tolerance scale comes from one helper, ``_scales``.
+``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
+column-stacked vec(X) — the second, independent evaluation route used for
+cross-checks.
 """
 
 from __future__ import annotations
@@ -154,21 +156,14 @@ def defect_scale(
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
     pair's norms come from one ``fill_spectral_norms`` call for the parts read.
     """
-    test = (A, B, X, _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree))
-    return _tuple_scales([test], [mc.fro_norm(X)])[0]
-
-
-def _tuple_scales(tests: list, x_norms: list) -> list[float]:
-    """The tolerance scale of each checked test ``(A, B, X, m, n)`` from ||X||_F and the
-    spectral norms of its tuples, which one ``fill_spectral_norms`` call gives them for
-    the parts read; the first test whose scale overflows is refused."""
-    fill_spectral_norms([(T, bool(m), bool(n)) for A, B, _, m, n in tests for T in (A, B)])
-    iso = [_iso_factor(A.op_norms, B.op_norms) if m else 1.0 for A, B, _, m, _ in tests]
-    sym = [1.0 + A.sum_op_norm + B.sum_op_norm if n else 1.0 for A, B, _, _, n in tests]
-    scales, faults = _scales(x_norms, iso, sym, [test[3] for test in tests], [test[4] for test in tests])
+    m, n = _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree)
+    fill_spectral_norms([(T, bool(m), bool(n)) for T in (A, B)])
+    iso = _iso_factor(A.op_norms, B.op_norms) if m else 1.0
+    sym = 1.0 + A.sum_op_norm + B.sum_op_norm if n else 1.0
+    (scale,), faults = _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])
     if faults:
-        raise faults[min(faults)]
-    return scales
+        raise faults[0]
+    return scale
 
 
 def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
@@ -282,7 +277,7 @@ def sigma_power(
 def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
     _require_degree("m", m)
-    return _group_defects([(A, B, _require_shapes(A, B, X), m, 0)])[2][0]  # a batch of one
+    return stack_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [m], [0])[0]
 
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
@@ -299,7 +294,7 @@ def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     _require_degree("n", n)
     if n == 0:
         return _require_pair(A, B, X).copy()
-    return _group_defects([(A, B, _require_shapes(A, B, X), 0, n)])[2][0]  # a batch of one
+    return stack_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [n])[0]
 
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
@@ -329,91 +324,100 @@ def defect_check(
 
 
 def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``.
+    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``: the
+    ``defect_stack_checks`` of the stacks of the distinct (A, B, X) of each tuple length
+    and dimension (one stack serves as A and B when A is B), its items the zero tests.
 
     Each test is refused as it is read, as ``triangle`` or ``delta`` refuses
     it.  Every norm comes before every threshold, so a fault raises what the
     norms and then the thresholds raise in test order.  The thresholds read
-    the norms of one ``fill_spectral_norms`` call for the parts the tests
-    read: the components' norms for m > 0 and the sums' for n > 0.
+    the spectral norms the tuples hold, and the parts they lack come from one
+    ``stack_spectral_norms`` call: the components' norms for m > 0 and the
+    sums' for n > 0.  The tuples keep them.
     """
+    given = list(tests)  # the caller's X, by whose identity the tests share runs
     tests = [
         (A, B, _require_shapes(A, B, X), _require_degree("m", m), _require_degree("n", n))
-        for A, B, X, m, n in tests
+        for A, B, X, m, n in given
     ]
-    norms, x_norms = _defect_norms(tests)
-    return list(zip(norms, tol.threshold(np.array(_tuple_scales(tests, x_norms))).tolist()))
+    heads: dict[tuple, dict] = {}  # by group, the row and first test of each distinct (A, B, X)
+    items: dict[tuple, list] = {}  # by group, (test, row, m, n) of each test
+    for k, ((A, B, X, m, n), (_, _, raw, _, _)) in enumerate(zip(tests, given)):
+        group = (A.d, A.dim, A is B)
+        rows = heads.setdefault(group, {})
+        row = rows.setdefault((id(A), id(B), id(raw)), (len(rows), k))[0]
+        items.setdefault(group, []).append((k, row, m, n))
+    stacked, owners = [], []
+    for group, rows in heads.items():
+        As, Bs, Xs, _, _ = zip(*(tests[k] for _, k in rows.values()))
+        same = group[2]
+        a = np.stack([A.stack for A in As])
+        b = a if same else np.stack([B.stack for B in Bs])
+        keys, index, ms, ns = zip(*items[group])
+        stacked.append((a, b, np.array(Xs), ms, ns, np.array(index), keys))
+        owners += [(a, As)] if same else [(a, As), (b, Bs)]
+    norms = {id(stack): _held_norms(stack, tuples) for stack, tuples in owners}
+    judged = defect_stack_checks(stacked, tol, norms)
+    for stack, tuples in owners:
+        _keep_norms(tuples, *norms[id(stack)][1:])
+    out: list = [None] * len(tests)
+    for test, (values, thresholds) in zip(stacked, judged):
+        for k, value, threshold in zip(test[6], values.tolist(), thresholds.tolist()):
+            out[k] = (value, threshold)
+    return out
 
 
-def _defect_norms(tests: list) -> tuple[list[float], list[float]]:
-    """The defect norms and ||X||_F of checked zero tests, a ``_group_defects`` call per
-    group of one kind, tuple length and dimension.  A batch of several tests that
-    meets a non-finite value runs each test as a batch of one."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (A, _, _, m, n) in enumerate(tests):
-        groups.setdefault((A.d, A.dim, m > 0, n > 0), []).append(i)
-    norms, x_norms = [0.0] * len(tests), [0.0] * len(tests)
-    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
-        for members in groups.values():
-            Xs, sources, defects = _group_defects([tests[i] for i in members])
-            x_group = mc.fro_norm_array(Xs)[sources].tolist()
-            for i, norm, x_norm in zip(members, mc.fro_norms(defects), x_group):
-                norms[i], x_norms[i] = norm, x_norm
-    if len(tests) > 1 and not all(map(math.isfinite, norms + x_norms)):
-        alone = [_defect_norms([test]) for test in tests]
-        return [norm for (norm,), _ in alone], [x_norm for _, (x_norm,) in alone]
-    return norms, x_norms
-
-
-def _group_defects(tests: list) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """(Xs, sources, defects) of one group's tests: the stack of its distinct X, each
-    test's index in it, and the (batch, n, n) stack of each test's defect.  The
-    distinct (A, B, X) objects, in order of first appearance, are stacked as the
-    sources of one ``_stacked_defects`` call.  A group of one refuses a non-finite
-    X or sigma input."""
-    keys = [(id(A), id(B), id(X)) for A, B, X, _, _ in tests]
-    heads = dict(zip(keys, tests))  # a test of each source, in order of first appearance
-    sources = _positions(heads, keys)
-    As, Bs, Xs, _, _ = zip(*heads.values())
-    Xs = np.array(Xs, dtype=np.complex128)
-    defects = _stacked_defects(
-        np.array([A.stack for A in As]), np.array([B.stack for B in Bs]), Xs, sources,
-        [test[3] for test in tests], [test[4] for test in tests], refuse=len(tests) == 1,
+def _held_norms(stack: np.ndarray, tuples) -> tuple:
+    """A ``defect_stack_checks`` norm entry of a stack of the tuples: the spectral norms
+    they hold, NaN in the rows of a tuple that lacks them (None when none holds any)."""
+    comps = [T.__dict__.get("_op_norms") for T in tuples]
+    sums = [T.__dict__.get("_sum_op_norm") for T in tuples]
+    missing = (math.nan,) * stack.shape[1]
+    return (
+        stack,
+        np.array([held or missing for held in comps]) if any(comps) else None,
+        np.array([math.nan if held is None else held for held in sums])
+        if any(held is not None for held in sums) else None,
     )
-    return Xs, sources, defects
+
+
+def _keep_norms(tuples, comps, sums) -> None:
+    """Give each tuple the spectral norms of its row of a norm entry that it lacks."""
+    for part, key, value in ((comps, "_op_norms", tuple), (sums, "_sum_op_norm", float)):
+        if part is None:
+            continue
+        for T, row in zip(tuples, part.tolist()):
+            held = row[0] if isinstance(row, list) else row
+            if key not in T.__dict__ and not math.isnan(held):
+                T.__dict__[key] = value(row)
 
 
 def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (norms, thresholds) arrays of each zero test ``(A, B, X, ms, ns)`` over stacks:
     A and B (b, d, n, n) stacks of b pairs, X the (b, n, n) stack of their X, and ms and
-    ns the b degrees, an int array or a sequence.  Row r of a test is ``defect_check(A[r],
-    B[r], X[r], ms[r], ns[r], tol)``, bit for bit.
+    ns the degrees of its items, an int array or a sequence each.  Item i is
+    ``defect_check(A[i], B[i], X[i], ms[i], ns[i], tol)``, bit for bit.  A test ``(A, B,
+    X, ms, ns, rows, keys)`` names the row ``rows[i]`` that item i reads instead (rows
+    may repeat), and ``keys[i]``, the item's place in the caller's order, such as its
+    trial's position in a chunk; None stands for ``i`` in either.
 
     The engine runs once per group of one kind, tuple length and dimension;
-    the rows of tests on the same (A, B, X) stack objects share its runs, as
-    ``defect_checks``' tests on the same tuples do.  A test of ill-matched
-    shapes or a degree that is not a non-negative integer is refused, and the
-    faults of the rows are raised in row-major order (the rows, then the tests
-    of each): a non-finite value runs each row of each test alone, and then
-    the first overflowing threshold is refused.  ``norms`` keeps, by stack, the
-    spectral norms the thresholds read, which come from one batched LAPACK
-    call per dimension (``_fill_stack_norms``).
+    the items on one row of the same (A, B, X) stack objects share its runs.
+    Faults are raised in the caller's order, by key and then by test, one
+    phase at a time, as ``defect_checks`` raises them in test order: a test
+    of ill-matched shapes or a degree that is not a non-negative integer, as
+    it is read; then a non-finite value, which runs each item alone; then the
+    first overflowing threshold.  ``norms`` keeps, by stack, the spectral
+    norms the thresholds read, ``id(stack) -> (stack, (b, d) component norms,
+    (b,) sum norms)``, NaN (or None) where not held; the parts read and not
+    held come from one ``stack_spectral_norms`` call (``_fill_stack_norms``).
     """
-    tests = [_checked_stack_test(*test) for test in tests]
+    tests = _checked_stack_tests(tests)
     if not tests:
         return []
-    values, x_norms = _stack_norms(tests)
+    values = _stack_items(tests, mc.fro_norm_array)
     _fill_stack_norms(norms, tests)
-    out = []
-    for t, ((A, B, _, ms, ns), x_norm) in enumerate(zip(tests, x_norms)):
-        iso = _iso_factor(norms[id(A)][1].T, norms[id(B)][1].T).tolist() if any(ms) else [1.0] * len(ms)
-        sym = (1.0 + norms[id(A)][2] + norms[id(B)][2]).tolist() if any(ns) else [1.0] * len(ns)
-        scales, faults = _scales(x_norm.tolist(), iso, sym, ms, ns)
-        out.append((scales, {(row, t): fault for row, fault in faults.items()}))
-    faults = {key: fault for _, found in out for key, fault in found.items()}
-    if faults:  # the first by row, then by test
-        raise faults[min(faults)]
-    return [(value, tol.threshold(np.array(scales))) for value, (scales, _) in zip(values, out)]
+    return list(zip(values, _thresholds(tests, norms, tol)))
 
 
 def stack_defects(A, B, X, ms, ns) -> np.ndarray:
@@ -422,24 +426,28 @@ def stack_defects(A, B, X, ms, ns) -> np.ndarray:
     ``delta`` (m = 0 < n) forms alone, bit for bit, from one engine call per kind.
     When a value is non-finite, each row runs alone, in order, which refuses what
     ``triangle`` refuses: a non-finite X or sigma input."""
-    A, B, X, ms, ns = _checked_stack_test(A, B, X, ms, ns)
-    out = np.empty_like(X)
-    with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
-        for rows in _kinds(ms, ns).values():
-            parts = (A, B, X) if rows is None else (A[rows], B[rows], X[rows])
-            out[_all(rows)] = _stacked_defects(
-                *parts, list(range(len(parts[2]))), _picked(ms, rows), _picked(ns, rows),
-                refuse=len(X) == 1,
-            )
-    if len(X) > 1 and not np.isfinite(out).all():
-        for r in range(len(X)):
-            out[r] = stack_defects(A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[r : r + 1], ns[r : r + 1])[0]
-    return out
+    (defects,) = _stack_items([_checked_stack_test(A, B, X, ms, ns)], lambda found: found)
+    return defects
 
 
-def _checked_stack_test(A, B, X, ms, ns) -> tuple:
-    """A stack test with C-contiguous stacks and lists of int degrees, refused when its
-    shapes do not match or a degree is not a non-negative integer."""
+def _checked_stack_tests(tests) -> list:
+    """The checked form of each stack test; when one is refused, the first fault of any
+    item by key and then by test, each test's shapes read before each item's m and n."""
+    checked = []
+    for test in tests:
+        try:
+            checked.append(_checked_stack_test(*test))
+        except InvalidArgumentError:
+            faults = dict(_read_fault(t, *test) for t, test in enumerate(tests))
+            faults.pop(None, None)
+            raise faults[min(faults)] from None
+    return checked
+
+
+def _checked_stack_test(A, B, X, ms, ns, rows=None, keys=None) -> tuple:
+    """A stack test with C-contiguous stacks, lists of int degrees and keys, and an index
+    array of rows, refused when its shapes do not match or a degree is not a
+    non-negative integer."""
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] == 0:
         raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape[1:]}")
@@ -449,13 +457,34 @@ def _checked_stack_test(A, B, X, ms, ns) -> tuple:
         raise InvalidArgumentError(
             f"dimension mismatch: A is {A.shape[2]}, B is {B.shape[2]}, X is {X.shape[1]}"
         )
-    return np.ascontiguousarray(A), np.ascontiguousarray(B), X, _degrees("m", ms), _degrees("n", ns)
+    return (
+        np.ascontiguousarray(A), np.ascontiguousarray(B), X, _degrees("m", ms), _degrees("n", ns),
+        None if rows is None else np.asarray(rows, dtype=np.intp),
+        None if keys is None else _listed(keys),
+    )
+
+
+def _read_fault(t: int, A, B, X, ms, ns, rows=None, keys=None) -> tuple:
+    """((key, t), error) of the first item of stack test t that is refused as it is read,
+    in the order of its keys, or (None, None) when none is."""
+    keys = list(range(len(ms))) if keys is None else _listed(keys)
+    try:
+        _checked_stack_test(A, B, X, [], [])
+    except InvalidArgumentError as exc:
+        return (min(keys, default=0), t), exc
+    ms, ns = _listed(ms), _listed(ns)
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        try:
+            _require_degree("m", ms[i]), _require_degree("n", ns[i])
+        except InvalidArgumentError as exc:
+            return (keys[i], t), exc
+    return None, None
 
 
 def _degrees(name: str, ks) -> list[int]:
     """Degrees, an int array or a sequence, as a list of ints; the first that is not a
     non-negative integer is refused as ``_require_degree`` refuses it."""
-    ks = ks.tolist() if isinstance(ks, np.ndarray) else list(ks)
+    ks = _listed(ks)
     if not set(map(type, ks)) <= {int}:  # bool and other int types are checked one by one
         ks = [_require_degree(name, k) for k in ks]
     if ks and min(ks) < 0:
@@ -463,95 +492,111 @@ def _degrees(name: str, ks) -> list[int]:
     return ks
 
 
+def _listed(column) -> list:
+    """A column of a stack test, an array or a sequence, as a list."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
+def _keys(test: tuple):
+    """The keys of a checked stack test's items: its items' positions when it names none."""
+    return range(len(test[3])) if test[6] is None else test[6]
+
+
 def _kinds(ms: list, ns: list) -> dict:
-    """The rows of each kind (m > 0, n > 0) of a test, by kind: None when one kind has them all."""
+    """The items of each kind (m > 0, n > 0) of a test, by kind: None when one kind has them all."""
     kinds = [(m > 0, n > 0) for m, n in zip(ms, ns)]
     if kinds.count(kinds[0]) == len(kinds):
         return {kinds[0]: None}
-    rows: dict = {}
-    for r, kind in enumerate(kinds):
-        rows.setdefault(kind, []).append(r)
-    return {kind: np.array(found) for kind, found in rows.items()}
+    items: dict = {}
+    for i, kind in enumerate(kinds):
+        items.setdefault(kind, []).append(i)
+    return {kind: np.array(found) for kind, found in items.items()}
 
 
-def _picked(column: list, rows) -> list:
-    """The entries of a list at the rows, every entry for None."""
-    return column if rows is None else [column[r] for r in rows.tolist()]
+def _picked(column: list, items) -> list:
+    """The entries of a list at the items, every entry for None."""
+    return column if items is None else [column[i] for i in items.tolist()]
 
 
-def _all(rows):
-    """An index of the rows, every row for None."""
-    return slice(None) if rows is None else rows
+def _all(items):
+    """An index of the items, every item for None."""
+    return slice(None) if items is None else items
 
 
-def _stack_norms(tests: list) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The defect norms and ||X||_F of each checked stack test, as arrays over its rows,
-    from one ``_stacked_defects`` call per group of one kind, tuple length and
-    dimension.  When a value is non-finite, each row of each test runs alone, in
-    row-major order, which refuses what that row refuses alone."""
+def _at(part: np.ndarray, rows):
+    """The rows of a stack test's part that its items read: every row for None."""
+    return part if rows is None else part[rows]
+
+
+def _stack_items(tests: list, reduce) -> list[np.ndarray]:
+    """``reduce`` of the (items, n, n) stack of the defects of each checked stack test's
+    items, from one ``_stacked_defects`` call per group of one kind, tuple length and
+    dimension.  When a value is non-finite, each item runs alone, by key and then by
+    test, which refuses what that item refuses alone."""
     groups: dict[tuple, list] = {}
-    for t, (A, _, _, ms, ns) in enumerate(tests):
-        for kind, rows in _kinds(ms, ns).items():
-            groups.setdefault((*A.shape[1:3], kind), []).append((t, rows))
-    norms = [np.empty(len(test[3])) for test in tests]
-    x_norms = [np.empty(len(test[3])) for test in tests]
-    alone = sum(map(len, norms)) == 1
+    for t, (A, _, _, ms, ns, _, _) in enumerate(tests):
+        if ms:
+            for kind, items in _kinds(ms, ns).items():
+                groups.setdefault((*A.shape[1:3], kind), []).append((t, items))
+    out = [np.empty(0) for _ in tests]
+    alone = sum(len(test[3]) for test in tests) == 1
     with np.errstate(all="ignore"):  # a non-finite value is refused or redone below
         for members in groups.values():
             a, b, x, sources = _stack_sources(tests, members)
-            ms = [m for t, rows in members for m in _picked(tests[t][3], rows)]
-            ns = [n for t, rows in members for n in _picked(tests[t][4], rows)]
-            found = mc.fro_norm_array(_stacked_defects(a, b, x, sources, ms, ns, refuse=alone))
-            x_found = mc.fro_norm_array(x)[sources]
+            ms = [m for t, items in members for m in _picked(tests[t][3], items)]
+            ns = [n for t, items in members for n in _picked(tests[t][4], items)]
+            found = reduce(_stacked_defects(a, b, x, sources, ms, ns, refuse=alone))
             start = 0
-            for t, rows in members:
-                size = len(norms[t]) if rows is None else len(rows)
-                norms[t][_all(rows)] = found[start : start + size]
-                x_norms[t][_all(rows)] = x_found[start : start + size]
+            for t, items in members:
+                count = len(tests[t][3])
+                if len(out[t]) != count:
+                    out[t] = np.empty((count, *found.shape[1:]), dtype=found.dtype)
+                size = count if items is None else len(items)
+                out[t][_all(items)] = found[start : start + size]
                 start += size
-    if not alone and not np.isfinite(np.concatenate(norms + x_norms)).all():
-        for r in range(max(map(len, norms))):
-            for t, (A, B, X, ms, ns) in enumerate(tests):
-                if r < len(ms):
-                    one = (A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[r : r + 1], ns[r : r + 1])
-                    (norm,), (x_norm,) = _stack_norms([one])
-                    norms[t][r], x_norms[t][r] = norm[0], x_norm[0]
-    return norms, x_norms
+    if not alone and not all(np.isfinite(values).all() for values in out):
+        for _, t, i in sorted((key, t, i) for t, test in enumerate(tests) for i, key in enumerate(_keys(test))):
+            A, B, X, ms, ns, rows, _ = tests[t]
+            r = i if rows is None else int(rows[i])
+            one = (A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[i : i + 1], ns[i : i + 1], None, None)
+            out[t][i] = _stack_items([one], reduce)[0][0]
+    return out
 
 
 def _stack_sources(tests: list, members: list) -> tuple:
-    """(a, b, x, sources) of one group's rows ``(test, rows)`` (rows None for all): the
+    """(a, b, x, sources) of one group's items ``(test, items)`` (items None for all): the
     stacks of its distinct source rows, a row of a distinct (A, B, X) stack triple each,
     and the list of each item's index in them, numbered in order of first appearance."""
     triples: dict[tuple, list] = {}
-    for t, rows in members:
-        A, B, X = tests[t][:3]
-        triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(rows)
-    if len(triples) == len(members):  # each triple's rows once, in order
-        parts = [(A, B, X) if rows is None else (A[rows], B[rows], X[rows])
-                 for A, B, X, (rows,) in triples.values()]
+    reads = []  # the stack rows each member's items read: None for every row, in order
+    for t, items in members:
+        A, B, X, _, _, rows, _ = tests[t]
+        reads.append(items if rows is None else _at(rows, items))
+        triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(reads[-1])
+    if len(triples) == len(members) and all(tests[t][5] is None for t, _ in members):
+        # each triple's rows once, in order
+        parts = [(A, B, X) if read is None else (A[read], B[read], X[read])
+                 for A, B, X, (read,) in triples.values()]
         a, b, x = parts[0] if len(parts) == 1 else (np.concatenate(stacks) for stacks in zip(*parts))
         return a, b, x, list(range(len(x)))
     parts, offsets = [], {}
     offset = 0
     for key, (A, B, X, row_sets) in triples.items():
-        if any(rows is None for rows in row_sets):
+        if any(read is None for read in row_sets):
             used = None
-        elif len(row_sets) == 1:
-            used = row_sets[0]
         else:
             flags = np.zeros(len(X), dtype=bool)
-            for rows in row_sets:
-                flags[rows] = True
+            for read in row_sets:
+                flags[read] = True
             used = None if flags.all() else np.flatnonzero(flags)
         parts.append((A, B, X) if used is None else (A[used], B[used], X[used]))
         offsets[key] = (offset, used)
         offset += len(X) if used is None else len(used)
     sources = []
-    for t, rows in members:
+    for (t, _), read in zip(members, reads):
         A, B, X = tests[t][:3]
         start, used = offsets[(id(A), id(B), id(X))]
-        index = range(len(X)) if rows is None else rows if used is None else np.searchsorted(used, rows)
+        index = range(len(X)) if read is None else read if used is None else np.searchsorted(used, read)
         sources += [start + i for i in (index if isinstance(index, range) else index.tolist())]
     a, b, x = parts[0] if len(parts) == 1 else (np.concatenate(stacks) for stacks in zip(*parts))
     order = list(dict.fromkeys(sources))
@@ -564,35 +609,68 @@ def _stack_sources(tests: list, members: list) -> tuple:
 
 def _fill_stack_norms(norms: dict, tests: list) -> None:
     """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read:
-    ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, from one
-    ``stack_spectral_norms`` call.  A row's component norms are read by a degree m > 0
-    and its sum norm by n > 0.  The sum of a one-component tuple is a copy of its
-    component, so its norm is read from the component's, with the same bits."""
+    ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, NaN (or None)
+    where not held.  A row's component norms are read by an item of degree m > 0
+    on it and its sum norm by one of n > 0; the parts read and not held come from
+    one ``stack_spectral_norms`` call."""
     wanted: dict[int, list] = {}
-    for A, B, _, ms, ns in tests:
-        iso, sym = [m > 0 for m in ms], [n > 0 for n in ns]
+    for A, B, _, ms, ns, rows, _ in tests:
+        iso, sym = _read_rows(len(A), ms, rows), _read_rows(len(A), ns, rows)
         for T in (A, B):
-            need = wanted.get(id(T))
-            if need is None:
-                wanted[id(T)] = [T, iso, sym]
-            else:
-                need[1] = [p or q for p, q in zip(need[1], iso)]
-                need[2] = [p or q for p, q in zip(need[2], sym)]
+            need = wanted.setdefault(id(T), [T, np.zeros(len(T), dtype=bool), np.zeros(len(T), dtype=bool)])
+            need[1] |= iso
+            need[2] |= sym
     requests = []
     for T, iso, sym in wanted.values():
-        own = T.shape[1] == 1 and any(sym)  # the rows whose sum is their one component
-        requests.append((T, _read([p or q for p, q in zip(iso, sym)] if own else iso), None if own else _read(sym)))
-    for (T, _, sym), (comps, sums) in zip(wanted.values(), stack_spectral_norms(requests)):
-        if T.shape[1] == 1 and any(sym):
-            sums = np.where(sym, comps[:, 0], np.nan)
-        norms[id(T)] = (T, comps, sums)
+        _, comps, sums = norms.get(id(T), (T, None, None))
+        if comps is not None:
+            iso &= np.isnan(comps[:, 0])
+        if sums is not None:
+            sym &= np.isnan(sums)
+        requests.append((T, _read(iso), _read(sym)))
+    for (T, _, _), found in zip(wanted.values(), stack_spectral_norms(requests)):
+        held = norms.get(id(T), (T, None, None))[1:]
+        norms[id(T)] = (T, *(
+            old if new is None else new if old is None else np.where(np.isnan(new), old, new)
+            for old, new in zip(held, found)
+        ))
 
 
-def _read(flags: list):
+def _read_rows(b: int, degrees: list, rows) -> np.ndarray:
+    """The flags of the b rows of a stack test's stacks that an item of degree > 0 reads."""
+    flags = np.array(degrees) > 0
+    if rows is None:
+        return flags
+    read = np.zeros(b, dtype=bool)
+    read[rows[flags]] = True
+    return read
+
+
+def _read(flags: np.ndarray):
     """The rows a norm part is read in: True for all, None for none, else their index."""
-    if all(flags):
+    if flags.all():
         return True
-    return np.flatnonzero(flags) if any(flags) else None
+    return np.flatnonzero(flags) if flags.any() else None
+
+
+def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]:
+    """The threshold array of each checked stack test's items, from ||X||_F and the
+    spectral norms kept in ``norms``; the first overflowing scale, by key and then by
+    test, is refused.  The factor sums are array expressions, with each row's
+    sum_i ||A_i|| ||B_i|| added in index order, and each growth is ``_scales``'."""
+    out, faults = [], {}
+    for t, (A, B, X, ms, ns, rows, _) in enumerate(tests):
+        (_, a_comps, a_sums), (_, b_comps, b_sums) = norms[id(A)], norms[id(B)]
+        iso = _iso_factor(_at(a_comps, rows).T, _at(b_comps, rows).T).tolist() if any(ms) else [1.0] * len(ms)
+        sym = (1.0 + _at(a_sums, rows) + _at(b_sums, rows)).tolist() if any(ns) else [1.0] * len(ns)
+        x_norms = _at(mc.fro_norm_array(X), rows).tolist()
+        scales, found = _scales(x_norms, iso, sym, ms, ns)
+        keys = _keys(tests[t])
+        faults.update(((keys[i], t), fault) for i, fault in found.items())
+        out.append(tol.threshold(np.array(scales)))
+    if faults:
+        raise faults[min(faults)]
+    return out
 
 
 def _stacked_defects(a, b, x, sources: list, ms: list, ns: list, refuse: bool) -> np.ndarray:

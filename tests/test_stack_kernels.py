@@ -366,13 +366,19 @@ def test_tests_that_share_runs_get_the_bits_each_gets_alone(d, n):
 
     alone = [tf.defect_check(*test) for test in tests(shared=False)]
     assert tf.defect_checks(tests(shared=True)) == alone
-    # each defect, the sign of zero included, within a group of one kind
+    # each defect, the sign of zero included, within a group of one kind: the items
+    # of one stack test that name the rows of the two pairs' stacks
+    pairs = [_pair(d, n, seed) for seed in (0, 1)]
+    a, b = (np.stack([pair[k].stack for pair in pairs]) for k in (0, 1))
+    x = np.stack([pair[2] for pair in pairs])
     for kind in ((False, False), (True, False), (False, True), (True, True)):
-        group = [test for test in tests(shared=True) if (test[3] > 0, test[4] > 0) == kind]
-        singles = [test for test in tests(shared=False) if (test[3] > 0, test[4] > 0) == kind]
-        _, _, defects = tf._group_defects(group)
-        each = [tf._group_defects([test])[2][0] for test in singles]
-        assert all(_same(a, b) for a, b in zip(defects, each, strict=True))
+        rows, ms, ns = zip(*(item for item in SHARED_RUNS if (item[1] > 0, item[2] > 0) == kind))
+        (defects,) = tf._stack_items([tf._checked_stack_test(a, b, x, ms, ns, rows)], lambda found: found)
+        each = [
+            tf.stack_defects(a[r : r + 1], b[r : r + 1], x[r : r + 1], [m], [k])[0]
+            for r, m, k in zip(rows, ms, ns)
+        ]
+        assert all(_same(p, q) for p, q in zip(defects, each, strict=True))
 
 
 def _counting_svds(monkeypatch) -> list:
