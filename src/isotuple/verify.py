@@ -32,7 +32,10 @@ stacked expression (``tuples.sum_stacks``, ``tuples.product_stacks``), and
 each result comes from ``_verdict`` or ``_skip``.  cor05's combined defect
 is a delta stage over every row, then a triangle stage
 (``transforms.stack_defects``).  With several refused trials in a chunk,
-the first refusing stage raises, for its first refusing class and row.
+the first refusing stage raises what its earliest refusing trial raises, as
+the lock-step raises its first refusing body's error: a zero-test stage
+keys each row by its trial's position, and any other stage that refuses
+runs again one trial at a time (``_in_trial_order``).
 
 The other seven ids keep generator bodies over the list kernels:
 ``tuples.commutator_checks`` for their commutators (``_noncommuting``),
@@ -549,6 +552,30 @@ def _merged(cls: _Columns, names: list) -> np.ndarray:
     return cls[names[0]] if len(names) == 1 else np.concatenate([cls[name] for name in names])
 
 
+def _in_trial_order(stage):
+    """A stage ``stage(classes, results, *args)`` that, when some trial refuses it, raises
+    what the first trial by position in the batch that refuses it alone raises, as
+    the lock-step's first refusing body does.  Only a refused stage runs again, each
+    trial alone, on scratch results."""
+
+    @functools.wraps(stage)
+    def run(classes: list, results: list, *args):
+        try:
+            return stage(classes, results, *args)
+        except InvalidArgumentError:
+            trials = sorted((row, k, r) for k, cls in enumerate(classes) for r, row in enumerate(cls.rows.tolist()))
+            for _, k, r in trials if len(trials) > 1 else ():
+                alone = classes[k].keep(np.arange(len(classes[k].rows)) == r)
+                try:
+                    stage([alone], [None] * len(results), *args)
+                except InvalidArgumentError as first:
+                    raise first from None
+            raise
+
+    return run
+
+
+@_in_trial_order
 def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
                       tol: mc.Tolerance) -> list:
     """Skip each row at the first pair ``(label, S, T)`` whose commutators do not vanish:
@@ -592,6 +619,7 @@ def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
     return _skip_rows(classes, results, skipped)
 
 
+@_in_trial_order
 def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, strict: bool,
                      tol: mc.Tolerance) -> list:
     """Give each row the nilpotency orders of the named tuples up to the dimension of
@@ -628,9 +656,12 @@ def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Toleranc
                       norms: dict) -> list:
     """Skip each row at the first hypothesis whose zero test fails, as
     ``_failed_hypothesis`` skips: ``hypotheses(cls)`` lists each ``(reason, A, B, X, ms,
-    ns)`` of a class, and every class's tests go to one ``defect_stack_checks`` call."""
+    ns)`` of a class, and every class's tests go to one ``defect_stack_checks`` call,
+    keyed by the rows' positions in the batch."""
     tests = [hypotheses(cls) for cls in classes]
-    judged = iter(defect_stack_checks([test[1:] for group in tests for test in group], tol, norms))
+    judged = iter(defect_stack_checks(
+        [(*test[1:], None, cls.rows) for cls, group in zip(classes, tests) for test in group], tol, norms
+    ))
     skipped = []
     for group in tests:
         found = [next(judged) for _ in group]
@@ -639,6 +670,15 @@ def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Toleranc
             [norm for norm, _ in found],
         ))
     return _skip_rows(classes, results, skipped)
+
+
+@_in_trial_order
+def _derived_stage(classes: list, results: list, derive) -> list:
+    """Give each class the columns that ``derive(cls)`` sets: its rows' derived tuples,
+    as stacked expressions, and degrees."""
+    for cls in classes:
+        derive(cls)
+    return classes
 
 
 def _degree_column(cls: _Columns, name: str) -> np.ndarray:
@@ -659,12 +699,15 @@ def _sharp_conclusions(classes: list, results: list, name: str, conclusion, belo
     ``conclusion(cls)`` is a class's ``(P, Q, X, ms, ns, lower)``, ``lower`` the degrees
     ``(ms, ns)`` of each sharpness name in ``below``, and ``extra(cls)`` the columns of
     the result's extra entries by key.  Every class's tests go to one
-    ``defect_stack_checks`` call.  A sharpness test of a negative degree is left out of
-    its row's result, and runs at that degree clipped to 0."""
+    ``defect_stack_checks`` call, keyed by the rows' positions in the batch.  A
+    sharpness test of a negative degree is left out of its row's result, and runs at
+    that degree clipped to 0."""
     tests, included = [], []
     for cls in classes:
         P, Q, X, ms, ns, lower = conclusion(cls)
-        tests += [(P, Q, X, ms, ns)] + [(P, Q, X, np.maximum(m, 0), np.maximum(n, 0)) for m, n in lower]
+        tests += [(P, Q, X, ms, ns, None, cls.rows)] + [
+            (P, Q, X, np.maximum(m, 0), np.maximum(n, 0), None, cls.rows) for m, n in lower
+        ]
         included.append([(np.minimum(m, n) >= 0).tolist() for m, n in lower])
     judged = iter(defect_stack_checks(tests, tol, norms))
     for cls, keep in zip(classes, included):
@@ -695,10 +738,13 @@ def _thm05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     classes = _hypothesis_stage(classes, results, lambda cls: [
         ("base pair violates the combined identity", cls["A"], cls["B"], cls["X"], cls["m1"], cls["m2"]),
     ], tol, norms)
-    for cls in classes:
+
+    def derive(cls):
         cls["P"], cls["Q"] = sum_stacks(cls["A"], cls["N1"]), sum_stacks(cls["B"], cls["N2"])
         raised = cls["order_N1"] + cls["order_N2"] - 2
         cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
+
+    _derived_stage(classes, results, derive)
     _sharp_conclusions(
         classes, results, "perturbed_defect",
         lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"],
@@ -741,34 +787,52 @@ def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
         ("first pair violates its isometric identity", cls["A1"], cls["B1"], cls["X"], cls["m1"], [0] * len(cls.rows)),
         ("second pair violates its symmetric identity", cls["A2"], cls["B2"], cls["X"], [0] * len(cls.rows), cls["m2"]),
     ], tol, norms)
-    tests = []
-    for cls in classes:
+
+    def derive(cls):
         for P, (A, N) in zip(("P1", "Q1", "P2", "Q2"), (("A1", "N1"), ("B1", "N2"), ("A2", "N1"), ("B2", "N2"))):
             cls[P] = sum_stacks(cls[A], cls[N])
         raised = cls["order_N1"] + cls["order_N2"] - 2
         cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
         cls["zero"] = np.zeros_like(raised)
-        tests += [(cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"]),
-                  (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"])]
-    judged = iter(defect_stack_checks(tests, tol, norms))
-    # the combined defect: delta^t2(X) of the second pair (X itself at degree 0, as
-    # ``delta`` gives it) for every row, then its triangle^t1 under the first pair
+
+    _derived_stage(classes, results, derive)
+    judged = iter(defect_stack_checks([
+        test for cls in classes for test in (
+            (cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"], None, cls.rows),
+            (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"], None, cls.rows),
+        )
+    ], tol, norms))
+    for cls in classes:
+        (cls["triangle"], cls["triangle threshold"]), (cls["delta"], cls["delta threshold"]) = next(judged), next(judged)
+        # the norms both combined scales read are the ones the two zero tests asked for
+        t1, t2 = cls["t1"], cls["t2"]
+        cls["iso"] = tf._iso_factor(norms[id(cls["P1"])][1].T, norms[id(cls["Q1"])][1].T) if t1.any() else t1 + 1.0
+        cls["sym"] = 1.0 + norms[id(cls["P2"])][2] + norms[id(cls["Q2"])][2] if t2.any() else t2 + 1.0
+    _cor05_combined(classes, results, tol)
+    return results
+
+
+@_in_trial_order
+def _cor05_combined(classes: list, results: list, tol: mc.Tolerance) -> None:
+    """Each row's cor05 verdict: its two conclusion zero tests, judged already, and the
+    combined defect, delta^t2(X) of the second pair (X itself at degree 0, as ``delta``
+    gives it) for every row, then its triangle^t1 under the first pair, with the scale
+    of both degrees."""
     for cls in classes:
         deltas = tf.stack_defects(cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"])
-        cls["delta"] = np.where((cls["t2"] == 0)[:, None, None], cls["X"], deltas)
+        cls["delta^t2"] = np.where((cls["t2"] == 0)[:, None, None], cls["X"], deltas)
     for cls in classes:
-        cls["combined"] = tf.stack_defects(cls["P1"], cls["Q1"], cls["delta"], cls["t1"], cls["zero"])
+        cls["combined"] = tf.stack_defects(cls["P1"], cls["Q1"], cls["delta^t2"], cls["t1"], cls["zero"])
     for cls in classes:
-        # the norms both scales read are the ones the two zero tests above asked for
-        t1, t2 = cls["t1"], cls["t2"]
-        iso = tf._iso_factor(norms[id(cls["P1"])][1].T, norms[id(cls["Q1"])][1].T) if t1.any() else t1 + 1.0
-        sym = 1.0 + norms[id(cls["P2"])][2] + norms[id(cls["Q2"])][2] if t2.any() else t2 + 1.0
         scales, faults = tf._scales(
-            mc.fro_norm_array(cls["X"]).tolist(), iso.tolist(), sym.tolist(), t1.tolist(), t2.tolist()
+            mc.fro_norm_array(cls["X"]).tolist(), cls["iso"].tolist(), cls["sym"].tolist(),
+            cls["t1"].tolist(), cls["t2"].tolist(),
         )
         if faults:
             raise faults[min(faults)]
-        (tri, tri_thr), (dlt, dlt_thr) = ((v.tolist(), t.tolist()) for v, t in (next(judged), next(judged)))
+        tri, tri_thr, dlt, dlt_thr = (cls[name].tolist() for name in (
+            "triangle", "triangle threshold", "delta", "delta threshold"
+        ))
         combined = mc.fro_norm_array(cls["combined"]).tolist()
         combined_thr = tol.threshold(np.array(scales)).tolist()
         n1, n2 = cls["order_N1"].tolist(), cls["order_N2"].tolist()
@@ -778,7 +842,6 @@ def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
                 ("delta_perturbed", dlt[r], dlt_thr[r]),
                 ("combined_perturbed", combined[r], combined_thr[r]),
             ], {"n1": float(n1[r]), "n2": float(n2[r])})
-    return results
 
 
 @_checker
@@ -803,11 +866,14 @@ def _cor050_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     classes = _hypothesis_stage(classes, results, lambda cls: [
         ("base adjoint pair violates the combined identity", cls["T*"], cls["T"], cls["X"], cls["m1"], cls["m2"]),
     ], tol, norms)
-    tests = []
-    for cls in classes:
-        P, Q = sum_stacks(cls["T*"], cls["N"]), sum_stacks(cls["T"], cls["N"])
+
+    def derive(cls):
+        cls["P"], cls["Q"] = sum_stacks(cls["T*"], cls["N"]), sum_stacks(cls["T"], cls["N"])
         raised = 2 * cls["order_N"] - 2
-        tests.append((P, Q, cls["X"], _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised))
+        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
+
+    _derived_stage(classes, results, derive)
+    tests = [(cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"], None, cls.rows) for cls in classes]
     for cls, (norm, threshold) in zip(classes, defect_stack_checks(tests, tol, norms)):
         for row, *values, order in zip(cls.rows.tolist(), norm.tolist(), threshold.tolist(),
                                        cls["order_N"].tolist()):
@@ -841,10 +907,13 @@ def _thm06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
         (f"hypothesis {pair}_{i}{j} fails", cls[pair[0]], cls[pair[1]], cls["X"], cls[i], cls[j])
         for pair, i, j in (("AB", "m", "n"), ("ST", "r", "s"), ("ST", "r", "n"), ("AB", "m", "s"))
     ], tol, norms)
-    for cls in classes:
+
+    def derive(cls):
         cls["P"], cls["Q"] = product_stacks(cls["S"], cls["A"]), product_stacks(cls["T"], cls["B"])
         cls["t1"] = _degree_column(cls, "m") + _degree_column(cls, "r") - 1
         cls["t2"] = _degree_column(cls, "n") + _degree_column(cls, "s") - 1
+
+    _derived_stage(classes, results, derive)
     _sharp_conclusions(
         classes, results, "product_defect",
         lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"], [(cls["t1"] - 1, cls["t2"])]),
@@ -895,8 +964,11 @@ def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[Tria
     else:
         pairs = (("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T"))
     classes = _commutator_stage(classes, results, pairs, (), tol)
-    for cls in classes:
+
+    def derive(cls):
         cls["P"], cls["Q"] = product_stacks(cls["A"], cls["S"]), product_stacks(cls["B"], cls["T"])
+
+    _derived_stage(classes, results, derive)
     reason = "a factor violates its identity" if single else "a factor pair violates its identity"
     classes = _hypothesis_stage(classes, results, lambda cls: [
         (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls, _degree_column(cls, k)))

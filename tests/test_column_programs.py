@@ -330,3 +330,71 @@ def test_a_chunk_of_planted_trials_gives_each_trial_what_it_gives_alone(theorem_
         chunk = trials[:3] + later[:1] + trials[3:] + later[1:]
         with pytest.raises(InvalidArgumentError, match=refused[-1][1] if len(later) > 1 else message):
             verify._lockstep([check.body(*args) for args in chunk], tol)
+
+
+#: Where each id's checker takes a degree that its hypothesis stage reads: the
+#: position of the argument, or the name of the bundle's parameter.
+HYPOTHESIS_DEGREE = {"thm05": 5, "cor050": 3, "thm06": 7, "cor05": "m2", "cor06": "m", "cor062": "m"}
+
+
+def _with_degree(args: tuple, where, value) -> tuple:
+    if isinstance(where, int):
+        return args[:where] + (value,) + args[where + 1 :]
+    (bundle,) = args
+    return (_rebundled(bundle, {where: value}),)
+
+
+def _shapes(args: tuple) -> tuple:
+    """The shapes of a trial's tuples and matrices, which set its class."""
+    values = [*args[0].tuples.values(), *args[0].matrices.values()] if isinstance(args[0], InstanceBundle) else args
+    return tuple(
+        (value.stack if isinstance(value, OperatorTuple) else value).shape
+        for value in values if isinstance(value, (OperatorTuple, np.ndarray))
+    )
+
+
+def _widened(T: OperatorTuple) -> OperatorTuple:
+    """T with its first component once more: what commutes with T commutes with it."""
+    return OperatorTuple(np.concatenate([T.stack, T.stack[:1]]))
+
+
+@pytest.mark.parametrize("theorem_id", sorted(PLANTED))
+def test_refusals_at_one_stage_in_two_shape_classes_come_in_trial_order(theorem_id):
+    check, passing, _, _ = PLANTED[theorem_id]()
+    first = passing[0]
+    other = next((args for args in passing if _shapes(args) != _shapes(first)), None)
+    if other is None:  # every instance of the id has one shape: widen one pair of it
+        (bundle,) = first
+        other = (_rebundled(bundle, S=_widened(bundle.tuples["S"]), T=_widened(bundle.tuples["T"])),)
+    where = HYPOTHESIS_DEGREE[theorem_id]
+    refused = {-1: _with_degree(first, where, -1), -2: _with_degree(other, where, -2)}
+    for value, args in refused.items():
+        with pytest.raises(InvalidArgumentError, match=f"got {value}$"):
+            check(*args)
+    # each chunk holds a class of two trials and one of one, both refused by the
+    # hypothesis stage; the earlier trial's refusal comes first, whatever its class
+    for chunk, value in (
+        ([first, refused[-1], refused[-2]], -1),
+        ([first, refused[-2], refused[-1]], -2),
+        ([refused[-2], first, refused[-1]], -2),
+    ):
+        with pytest.raises(InvalidArgumentError, match=f"got {value}$"):
+            verify._lockstep([check.body(*args) for args in chunk], mc.DEFAULT_TOL)
+
+
+def test_refusals_of_the_commutator_stage_in_two_classes_come_in_trial_order():
+    check, passing, _, _ = PLANTED["thm05"]()
+    first = passing[0]
+    other = next(args for args in passing if args[0].d != first[0].d)
+
+    def with_n(args, k, N2=None):
+        # N1 of dimension k: [A, N1] is refused, once every tuple commutes within
+        return args[:2] + (OperatorTuple.of(np.eye(k), np.eye(k)), N2 or args[3]) + args[4:]
+
+    # the class of `other` comes first, by a trial that skips before the refused pair
+    chunk = [with_n(other, 3, N2=NONCOMMUTING), with_n(first, 2), with_n(other, 3)]
+    assert check(*chunk[0]).reason == "tuple N2 does not commute"
+    with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 2"):
+        verify._lockstep([check.body(*args) for args in chunk], mc.DEFAULT_TOL)
+    with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 3"):
+        verify._lockstep([check.body(*args) for args in chunk[::2] + chunk[1:2]], mc.DEFAULT_TOL)
