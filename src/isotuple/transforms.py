@@ -27,9 +27,9 @@ stack object and row (``_stack_items``), and turns the spectral norms it
 keeps by stack into thresholds (``_thresholds``).  ``defect_checks`` is its
 list wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples
 keep their norms.  ``defect_check`` is the batch of one, ``stack_defects``
-gives each row's ``triangle`` or ``delta`` (``triangle`` and ``delta`` are
-its batch of one), ``sigma_iterates`` is one run of the engine's loop, and
-the Cesaro kernels step from X through it.  Only the cross-check paths
+gives each row's ``triangle`` or ``delta``, ``triangle``, ``delta`` and
+``sigma_iterates`` are the engine's batch of one, and the Cesaro kernels
+step from X through its loop.  Only the cross-check paths
 ``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
 Every tolerance scale comes from one helper, ``_scales``.
 ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
@@ -277,7 +277,7 @@ def sigma_power(
 def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
     _require_degree("m", m)
-    return stack_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [m], [0])[0]
+    return _stacked_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [m], [0], refuse=True)[0]
 
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
@@ -294,7 +294,7 @@ def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     _require_degree("n", n)
     if n == 0:
         return _require_pair(A, B, X).copy()
-    return stack_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [n])[0]
+    return _stacked_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [0], [n], refuse=True)[0]
 
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
@@ -354,7 +354,8 @@ def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float
         a = np.stack([A.stack for A in As])
         b = a if same else np.stack([B.stack for B in Bs])
         keys, index, ms, ns = zip(*items[group])
-        stacked.append((a, b, np.array(Xs), ms, ns, np.array(index), keys))
+        rows = None if index == tuple(range(len(index))) else np.array(index)  # None: row i for item i
+        stacked.append((a, b, np.array(Xs), ms, ns, rows, keys))
         owners += [(a, As)] if same else [(a, As), (b, Bs)]
     norms = {id(stack): _held_norms(stack, tuples) for stack, tuples in owners}
     judged = defect_stack_checks(stacked, tol, norms)
@@ -549,10 +550,13 @@ def _stack_items(tests: list, reduce) -> list[np.ndarray]:
             start = 0
             for t, items in members:
                 count = len(tests[t][3])
-                if len(out[t]) != count:
-                    out[t] = np.empty((count, *found.shape[1:]), dtype=found.dtype)
                 size = count if items is None else len(items)
-                out[t][_all(items)] = found[start : start + size]
+                if items is None:
+                    out[t] = found[start : start + size]
+                else:
+                    if len(out[t]) != count:
+                        out[t] = np.empty((count, *found.shape[1:]), dtype=found.dtype)
+                    out[t][items] = found[start : start + size]
                 start += size
     if not alone and not all(np.isfinite(values).all() for values in out):
         for _, t, i in sorted((key, t, i) for t, test in enumerate(tests) for i, key in enumerate(_keys(test))):
@@ -617,16 +621,19 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
     for A, B, _, ms, ns, rows, _ in tests:
         iso, sym = _read_rows(len(A), ms, rows), _read_rows(len(A), ns, rows)
         for T in (A, B):
-            need = wanted.setdefault(id(T), [T, np.zeros(len(T), dtype=bool), np.zeros(len(T), dtype=bool)])
-            need[1] |= iso
-            need[2] |= sym
+            need = wanted.get(id(T))
+            if need is None:
+                wanted[id(T)] = [T, iso, sym]
+            else:
+                need[1] = [p or q for p, q in zip(need[1], iso)]
+                need[2] = [p or q for p, q in zip(need[2], sym)]
     requests = []
     for T, iso, sym in wanted.values():
         _, comps, sums = norms.get(id(T), (T, None, None))
-        if comps is not None:
-            iso &= np.isnan(comps[:, 0])
+        if comps is not None:  # a row not held is NaN
+            iso = [flag and math.isnan(held) for flag, held in zip(iso, comps[:, 0].tolist())]
         if sums is not None:
-            sym &= np.isnan(sums)
+            sym = [flag and math.isnan(held) for flag, held in zip(sym, sums.tolist())]
         requests.append((T, _read(iso), _read(sym)))
     for (T, _, _), found in zip(wanted.values(), stack_spectral_norms(requests)):
         held = norms.get(id(T), (T, None, None))[1:]
@@ -636,21 +643,22 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
         ))
 
 
-def _read_rows(b: int, degrees: list, rows) -> np.ndarray:
+def _read_rows(b: int, degrees: list, rows) -> list[bool]:
     """The flags of the b rows of a stack test's stacks that an item of degree > 0 reads."""
-    flags = np.array(degrees) > 0
     if rows is None:
-        return flags
-    read = np.zeros(b, dtype=bool)
-    read[rows[flags]] = True
-    return read
+        return [k > 0 for k in degrees]
+    flags = [False] * b
+    for r, k in zip(rows.tolist(), degrees):
+        if k > 0:
+            flags[r] = True
+    return flags
 
 
-def _read(flags: np.ndarray):
+def _read(flags: list):
     """The rows a norm part is read in: True for all, None for none, else their index."""
-    if flags.all():
+    if all(flags):
         return True
-    return np.flatnonzero(flags) if flags.any() else None
+    return np.flatnonzero(flags) if any(flags) else None
 
 
 def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]:
