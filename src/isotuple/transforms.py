@@ -519,11 +519,6 @@ def _picked(column: list, items) -> list:
     return column if items is None else [column[i] for i in items.tolist()]
 
 
-def _all(items):
-    """An index of the items, every item for None."""
-    return slice(None) if items is None else items
-
-
 def _at(part: np.ndarray, rows):
     """The rows of a stack test's part that its items read: every row for None."""
     return part if rows is None else part[rows]
