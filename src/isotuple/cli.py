@@ -177,6 +177,9 @@ def _merge_config(args) -> dict:
             raise InvalidArgumentError(
                 f"config file must hold a JSON object, got {type(settings).__name__}"
             )
+        unknown = [key for key in settings if key not in _CAMPAIGN_DEFAULTS]
+        if unknown:
+            raise InvalidArgumentError(f"unknown config key {unknown[0]!r}; known keys: {', '.join(_CAMPAIGN_DEFAULTS)}")
     merged = {
         key: getattr(args, key) if getattr(args, key) is not None else settings.get(key, default)
         for key, default in _CAMPAIGN_DEFAULTS.items()

@@ -324,7 +324,7 @@ def _complex_normals(rngs: list, n: int) -> np.ndarray:
 
 def _normalized(G: np.ndarray) -> np.ndarray:
     """Each matrix of the stack divided by its Frobenius norm."""
-    return G / np.array(mc.fro_norms(G), dtype=np.complex128)[:, None, None]
+    return G / mc.fro_norm_array(G)[:, None, None]
 
 
 def _unitaries(G: np.ndarray) -> np.ndarray:
@@ -418,8 +418,7 @@ def _hermitian_polys(rngs: list, n: int) -> np.ndarray:
     G = _normalized_complexes(rngs, n)
     H = (G + G.conj().swapaxes(-1, -2)) / 2.0
     S = _poly_evals(H, _draw(rngs, lambda rng: rng.standard_normal(4)).astype(np.complex128))
-    scales = [max(norm, 1e-3) for norm in mc.fro_norms(S)]
-    return S / np.array(scales, dtype=np.complex128)[:, None, None]
+    return S / np.maximum(mc.fro_norm_array(S), 1e-3)[:, None, None]
 
 
 def _iso_factors(rngs: list, ks: list[int]) -> np.ndarray:

@@ -165,11 +165,6 @@ def matrix_powers(S: np.ndarray, k_max: int) -> np.ndarray:
     return powers
 
 
-def fro_norms(stack: np.ndarray) -> list[float]:
-    """``fro_norm`` of each matrix of a ``(k, n, n)`` stack, with its bits."""
-    return fro_norm_array(stack).tolist()
-
-
 def fro_norm_array(stack: np.ndarray) -> np.ndarray:
     """``fro_norm`` of each matrix of a ``(..., n, n)`` array, as an array of its leading
     shape, with its bits: the same two dot products per matrix, from two batched calls."""

@@ -24,10 +24,14 @@ the bits of each test alone; zero tests on one source share one run up to
 their largest degree.  One kernel judges zero tests: ``defect_stack_checks``
 takes them over ``(b, d, n, n)`` stacks with per-item degrees, groups them by
 stack object and row (``_stack_items``), and turns the spectral norms it
-keeps by stack into thresholds (``_thresholds``).  ``defect_checks`` is its
-list wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples
-keep their norms.  ``defect_check`` is the batch of one, ``stack_defects``
-gives each row's ``triangle`` or ``delta``, ``triangle``, ``delta`` and
+keeps by stack into thresholds (``_thresholds``).  Only this module knows
+that norm table's layout: ``_fill_stack_norms`` fills it, the one fill of
+many tuples' norms in one call (a lone tuple computes its own),
+``_growth_factors`` reads every factor from it, and ``_held_norms`` and
+``_keep_norms`` share it with the tuples.  ``defect_checks`` is its list
+wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples keep
+their norms.  ``defect_check`` is the batch of one, ``stack_defects`` gives
+each row's ``triangle`` or ``delta``, ``triangle``, ``delta`` and
 ``sigma_iterates`` are the engine's batch of one, and the Cesaro kernels
 step from X through its loop.  Only the cross-check paths
 ``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
@@ -51,7 +55,6 @@ from .multiindex import binomial, compositions, multinomial
 from .tuples import (
     OperatorTuple,
     commutes_within,
-    fill_spectral_norms,
     max_commutator_within,
     stack_spectral_norms,
     stack_sums,
@@ -154,10 +157,11 @@ def defect_scale(
     scale for every defect zero test: it tracks the defect's own worst-case
     growth without drowning genuinely nonzero defects at higher degrees.
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
-    pair's norms come from one ``fill_spectral_norms`` call for the parts read.
+    factors read the norms the tuples hold or compute (``OperatorTuple.op_norms``,
+    ``sum_op_norm``).  A pair is refused as ``defect_check`` refuses it.
     """
+    X = _require_shapes(A, B, X)
     m, n = _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree)
-    fill_spectral_norms([(T, bool(m), bool(n)) for T in (A, B)])
     iso = _iso_factor(A.op_norms, B.op_norms) if m else 1.0
     sym = 1.0 + A.sum_op_norm + B.sum_op_norm if n else 1.0
     (scale,), faults = _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])
@@ -663,9 +667,7 @@ def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]
     sum_i ||A_i|| ||B_i|| added in index order, and each growth is ``_scales``'."""
     out, faults = [], {}
     for t, (A, B, X, ms, ns, rows, _) in enumerate(tests):
-        (_, a_comps, a_sums), (_, b_comps, b_sums) = norms[id(A)], norms[id(B)]
-        iso = _iso_factor(_at(a_comps, rows).T, _at(b_comps, rows).T).tolist() if any(ms) else [1.0] * len(ms)
-        sym = (1.0 + _at(a_sums, rows) + _at(b_sums, rows)).tolist() if any(ns) else [1.0] * len(ns)
+        iso, sym = _growth_factors(norms, (A, B), (A, B), ms, ns, rows)
         x_norms = _at(mc.fro_norm_array(X), rows).tolist()
         scales, found = _scales(x_norms, iso, sym, ms, ns)
         keys = _keys(tests[t])
@@ -674,6 +676,17 @@ def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]
     if faults:
         raise faults[min(faults)]
     return out
+
+
+def _growth_factors(norms: dict, iso_pair: tuple, sym_pair: tuple, ms, ns, rows=None) -> tuple[list, list]:
+    """The growth factors of each item, 1 + sum_i ||A_i|| ||B_i|| of the stacks ``iso_pair``
+    and 1 + ||sum A|| + ||sum B|| of ``sym_pair`` at row ``rows[i]`` (i for None), from the
+    norm table; 1.0 for every item when no degree in ms (or ns) is positive."""
+    (_, a_comps, _), (_, b_comps, _) = (norms[id(T)] for T in iso_pair)
+    (_, _, a_sums), (_, _, b_sums) = (norms[id(T)] for T in sym_pair)
+    iso = _iso_factor(_at(a_comps, rows).T, _at(b_comps, rows).T).tolist() if any(ms) else [1.0] * len(ms)
+    sym = (1.0 + _at(a_sums, rows) + _at(b_sums, rows)).tolist() if any(ns) else [1.0] * len(ns)
+    return iso, sym
 
 
 def _stacked_defects(a, b, x, sources: list, ms: list, ns: list, refuse: bool) -> np.ndarray:
@@ -842,14 +855,9 @@ def _cesaro_run(As, Bs, Xs: np.ndarray, ms, t_max: int):
         yield t, Y, reference
 
 
-def cesaro_error(A: OperatorTuple, B: OperatorTuple, X, m: int, t_max: int) -> float:
-    """The last error of ``cesaro_estimate``, e_(t_max), without the check that the pair
-    is (X,m)-isometric: ``cesaro_errors`` of the one run."""
-    return cesaro_errors([(A, B, X, m, t_max)])[0]
-
-
 def cesaro_errors(runs) -> list[float]:
-    """``cesaro_error(A, B, X, m, t_max)`` of each run ``(A, B, X, m, t_max)``, with its bits:
+    """The last error of ``cesaro_estimate``, e_(t_max), of each run ``(A, B, X, m, t_max)``,
+    without the check that the pair is (X,m)-isometric, with the bits of the run alone:
     runs on tuples of one length and dimension with one t_max step together from X.  A
     batch that meets a refusal runs each run alone, which raises what that run raises."""
     runs = list(runs)

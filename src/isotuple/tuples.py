@@ -14,8 +14,8 @@ The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 shape, stacks them and calls its stack kernel, so each kernel has one
 implementation: ``commutator_checks`` (with ``commutes_within``,
 ``commutes_cross`` and the ``max_commutator_*`` residuals its batch of one),
-``nilpotency_orders``, ``fill_spectral_norms``, ``sum_tuple`` and
-``product_tuple``.
+``nilpotency_orders``, ``sum_tuple`` and ``product_tuple``.  A tuple's own
+sum and norms are ``stack_sums`` and ``stack_spectral_norms`` of its stack.
 
 Orderings are pinned for reproducibility:
 
@@ -60,11 +60,8 @@ class OperatorTuple:
     Quantities derived from the components alone are computed on first use
     and kept for the life of the tuple: the component sum and the spectral
     norms behind every tolerance scale, kept as two parts, the components'
-    norms and the sum's.  A caller that holds many tuples fills
-    them together: ``component_sums`` computes the missing sums per tuple
-    length with one ``stack_sums`` call, and ``fill_spectral_norms`` computes
-    only the parts each tuple is asked for, in one batched LAPACK call per
-    matrix dimension.
+    norms and the sum's: stack kernels run on this stack alone, unless a
+    zero-test call of ``transforms`` has given the tuple them already.
     """
 
     stack: np.ndarray
@@ -133,27 +130,25 @@ class OperatorTuple:
         return iter(self.components)
 
     def component_sum(self) -> np.ndarray:
-        """Sum of the components in index order, read-only."""
-        return self._sum
-
-    @property
-    def _sum(self) -> np.ndarray:
+        """Sum of the components in index order, read-only: ``stack_sums`` of the tuple."""
         if "_sum" not in self.__dict__:
-            _fill_component_sums([self])
+            self.__dict__["_sum"] = _frozen(stack_sums(self.stack[None])[0])
         return self.__dict__["_sum"]
 
     @property
     def op_norms(self) -> tuple[float, ...]:
         """Spectral norm of each component."""
         if "_op_norms" not in self.__dict__:
-            fill_spectral_norms([(self, True, False)])
+            ((norms, _),) = stack_spectral_norms([(self.stack[None], True, None)])
+            self.__dict__["_op_norms"] = tuple(norms[0].tolist())
         return self.__dict__["_op_norms"]
 
     @property
     def sum_op_norm(self) -> float:
         """Spectral norm of ``component_sum()``."""
         if "_sum_op_norm" not in self.__dict__:
-            fill_spectral_norms([(self, False, True)])
+            ((_, norms),) = stack_spectral_norms([(self.stack[None], None, True)])
+            self.__dict__["_sum_op_norm"] = norms[0].item()
         return self.__dict__["_sum_op_norm"]
 
     def to_json(self) -> dict:
@@ -198,29 +193,6 @@ def _check_components(components) -> None:
             )
 
 
-def component_sums(tuples) -> np.ndarray:
-    """The (b, n, n) stack of each tuple's ``component_sum()``, for tuples of one dimension.
-
-    The tuples that do not hold their sum yet get it from one batched
-    accumulation per tuple length, and keep it.
-    """
-    tuples = list(tuples)
-    _fill_component_sums(tuples)
-    return np.array([T.__dict__["_sum"] for T in tuples])
-
-
-def _fill_component_sums(tuples: list) -> None:
-    """Give each tuple that lacks it its component sum, one ``stack_sums`` call per tuple length."""
-    todo: dict[int, dict[int, OperatorTuple]] = {}
-    for T in tuples:
-        if "_sum" not in T.__dict__:
-            todo.setdefault(T.d, {})[id(T)] = T
-    for group in todo.values():
-        group = list(group.values())
-        for T, total in zip(group, _frozen(stack_sums(np.stack([T.stack for T in group])))):
-            T.__dict__["_sum"] = total
-
-
 def stack_sums(stacks: np.ndarray) -> np.ndarray:
     """The (b, n, n) component sums of a (b, d, n, n) stack of tuples, c_0 + c_1 + ...
     added in index order from c_0 (not from zero), as one tuple's loop adds them."""
@@ -228,38 +200,6 @@ def stack_sums(stacks: np.ndarray) -> np.ndarray:
     for i in range(1, stacks.shape[1]):
         total += stacks[:, i]
     return total
-
-
-def fill_spectral_norms(requests) -> None:
-    """Give each tuple the spectral norms a request ``(T, components, sum)`` asks for:
-    of its components, of its component sum, or both.
-
-    The parts a tuple does not hold yet come from one ``stack_spectral_norms``
-    call, and the tuple keeps them; each norm equals the float its matrix gives
-    alone.  A part requested twice is computed once.
-    """
-    wanted: dict[int, list] = {}
-    for T, components, total in requests:
-        comps = bool(components) and "_op_norms" not in T.__dict__
-        sums = bool(total) and "_sum_op_norm" not in T.__dict__
-        if comps or sums:
-            need = wanted.setdefault(id(T), [T, False, False])
-            need[1] |= comps
-            need[2] |= sums
-    groups: dict[tuple, list[OperatorTuple]] = {}  # the tuples of one shape that lack the same parts
-    for T, comps, sums in wanted.values():
-        groups.setdefault((T.stack.shape, comps, sums), []).append(T)
-    found = stack_spectral_norms(
-        [(np.stack([T.stack for T in group]), comps or None, sums or None)
-         for (_, comps, sums), group in groups.items()]
-    )
-    for group, (norms, sum_norms) in zip(groups.values(), found):
-        if norms is not None:
-            for T, row in zip(group, norms.tolist()):
-                T.__dict__["_op_norms"] = tuple(row)
-        if sum_norms is not None:
-            for T, value in zip(group, sum_norms.tolist()):
-                T.__dict__["_sum_op_norm"] = value
 
 
 def stack_spectral_norms(requests) -> list[tuple]:

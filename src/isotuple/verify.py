@@ -329,7 +329,7 @@ def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> T
 
     # each member's largest componentwise distance from the limit
     lim = np.concatenate([A_lim.stack, B_lim.stack])
-    conv = [max(mc.fro_norms(np.concatenate([a.stack, b.stack]) - lim)) for a, b in members]
+    conv = [max(mc.fro_norm_array(np.concatenate([a.stack, b.stack]) - lim).tolist()) for a, b in members]
     if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
         raise InvalidArgumentError("family does not converge: residuals are not decreasing")
 
@@ -805,9 +805,9 @@ def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     for cls in classes:
         (cls["triangle"], cls["triangle threshold"]), (cls["delta"], cls["delta threshold"]) = next(judged), next(judged)
         # the norms both combined scales read are the ones the two zero tests asked for
-        t1, t2 = cls["t1"], cls["t2"]
-        cls["iso"] = tf._iso_factor(norms[id(cls["P1"])][1].T, norms[id(cls["Q1"])][1].T) if t1.any() else t1 + 1.0
-        cls["sym"] = 1.0 + norms[id(cls["P2"])][2] + norms[id(cls["Q2"])][2] if t2.any() else t2 + 1.0
+        cls["iso"], cls["sym"] = tf._growth_factors(
+            norms, (cls["P1"], cls["Q1"]), (cls["P2"], cls["Q2"]), cls["t1"].tolist(), cls["t2"].tolist()
+        )
     _cor05_combined(classes, results, tol)
     return results
 
@@ -825,7 +825,7 @@ def _cor05_combined(classes: list, results: list, tol: mc.Tolerance) -> None:
         cls["combined"] = tf.stack_defects(cls["P1"], cls["Q1"], cls["delta^t2"], cls["t1"], cls["zero"])
     for cls in classes:
         scales, faults = tf._scales(
-            mc.fro_norm_array(cls["X"]).tolist(), cls["iso"].tolist(), cls["sym"].tolist(),
+            mc.fro_norm_array(cls["X"]).tolist(), cls["iso"], cls["sym"],
             cls["t1"].tolist(), cls["t2"].tolist(),
         )
         if faults:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isotuple import classify, matrix_core as mc
+from isotuple import classify, matrix_core as mc, verify
 from isotuple.cli import build_parser, main
 from isotuple.tuples import OperatorTuple
 
@@ -501,6 +501,16 @@ def test_campaign_config_path_that_is_not_a_string_exits_2(tmp_path, capsys, key
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {key} must be a file path, got {value!r}\n"
+
+
+@pytest.mark.parametrize("key", ["trails", "theorem_id", "quiet", "Seed"])
+def test_campaign_config_with_an_unknown_key_exits_2_before_any_trial(tmp_path, capsys, monkeypatch, key):
+    # a misspelt key used to be ignored: {"trails": 500} ran the default 20 trials
+    monkeypatch.setattr(verify, "run_campaign", lambda config: pytest.fail("a trial ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "thm05", key: 500, "seed": 3}))
+    assert main(["campaign", "--config", str(cfg), "--trials", "2"]) == 2
+    _single_error_line(capsys, f"unknown config key {key!r}")
 
 
 def test_campaign_refuses_a_negative_seed_flag(capsys):

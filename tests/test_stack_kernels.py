@@ -9,7 +9,6 @@ reordered sum would first show.
 
 from __future__ import annotations
 
-import functools
 import re
 
 import numpy as np
@@ -25,9 +24,7 @@ from isotuple.tuples import (
     commutator_checks,
     commutes_cross,
     commutes_within,
-    component_sums,
     conj_tuple,
-    fill_spectral_norms,
     max_commutator_cross,
     max_commutator_within,
     product_tuple,
@@ -211,7 +208,7 @@ def test_commutator_checks_equal_one_query_at_a_time_on_every_profile():
     within = [S is T for S, T in queries]
     for tol in (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)):
         batched = commutator_checks(queries, tol)
-        assert _bits(batched) == _bits(_alone_commutators(S, T, tol) for S, T in queries)
+        assert _bits(batched) == _bits(commutator_checks([(S, T)], tol)[0] for S, T in queries)
         # generated tuples commute within at the default tolerance, and the tight
         # one fails some of them
         failed = [not ok for ok, _ in batched]
@@ -263,22 +260,19 @@ def test_commutator_checks_refuse_a_cross_query_of_two_dimensions_as_it_is_read(
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_pair_norms_match_one_matrix_at_a_time(d, n, monkeypatch):
-    A, B, _ = _pair(d, n)
-    calls = []
-    original = mc.op_norm_estimate
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(mc, "op_norm_estimate", counting)
-    fill_spectral_norms([(A, True, True), (B, True, True)])
+    # a zero test reads both tuples' component and sum norms from one call, and
+    # the tuples keep them; a lone tuple computes its own, with the same bits
+    A, B, X = _pair(d, n)
+    calls = _counting_svds(monkeypatch)
+    tf.defect_checks([(A, B, X, 1, 1)])
     assert calls == [(2 * (d + 1), n, n)]
     for T in (A, B):
         single = [float(np.linalg.norm(c, 2)) for c in (*T, T.component_sum())]
         assert T.op_norms == tuple(single[:-1]) and T.sum_op_norm == single[-1]
-    fill_spectral_norms([(B, True, True), (A, True, True)])
     assert len(calls) == 1
+    fresh = _pair(d, n)[0]
+    assert (fresh.op_norms, fresh.sum_op_norm) == (A.op_norms, A.sum_op_norm)
+    assert calls[1:] == [(d, n, n), (1, n, n)]
 
 
 def test_stack_and_views_are_read_only_copies():
@@ -421,44 +415,13 @@ def test_defect_checks_compute_only_the_norm_parts_their_tests_read(d, monkeypat
     C, D, Y = _pair(d, 4, seed=1)
     tf.defect_checks([(C, D, Y, 2, 0)])
     assert calls[2:] == [(2 * d, 4, 4)] and "_sum_op_norm" not in C.__dict__
-    # every threshold equals the one from norms computed for both parts at once
+    # every threshold equals the one from norms each tuple computes alone
     fresh = _pair(d, 4)
-    fill_spectral_norms((T, True, True) for T in fresh[:2])
+    for T in fresh[:2]:  # held before the zero test reads them
+        assert len(T.op_norms) == d and T.sum_op_norm >= 0.0
     assert tf.defect_checks([(*fresh, 0, 2)])[0][1] == delta_threshold
     for T, U in ((A, fresh[0]), (B, fresh[1])):
         assert (T.op_norms, T.sum_op_norm) == (U.op_norms, U.sum_op_norm)
-
-
-def test_norm_parts_are_computed_once_per_dimension_per_call(monkeypatch):
-    calls = _counting_svds(monkeypatch)
-    tuples = [_pair(d, n, seed)[0] for d in (1, 2, 3) for n in (2, 3) for seed in range(2)]
-    requests = [(T, k % 2 == 0, k % 3 == 0) for k, T in enumerate(tuples)]
-    fill_spectral_norms(requests + requests[:5])
-    expected = {}
-    for T, components, total in requests:
-        expected[T.dim] = expected.get(T.dim, 0) + T.d * components + total
-    assert sorted(calls) == sorted((count, n, n) for n, count in expected.items() if count)
-    for T, components, total in requests:
-        single = [float(np.linalg.norm(c, 2)) for c in T]
-        assert ("_op_norms" in T.__dict__) == components
-        assert ("_sum_op_norm" in T.__dict__) == total
-        if components:
-            assert list(T.op_norms) == single
-        if total:
-            assert T.sum_op_norm == float(np.linalg.norm(T.component_sum(), 2))
-    fill_spectral_norms(requests)
-    assert len(calls) == len(expected)
-
-
-def test_component_sums_of_a_group_equal_each_tuple_alone():
-    tuples = [_pair(d, 3, seed)[0] for d in DS for seed in range(3)]
-    # c_0 + c_1 + ..., added one component at a time
-    alone = [functools.reduce(np.add, T.stack) for T in tuples]
-    # one call over mixed lengths, with one tuple listed twice and one sum already held
-    tuples[4].component_sum()
-    sums = component_sums(tuples + tuples[:1])
-    assert all(_same(a, b) for a, b in zip(sums, alone + alone[:1]))
-    assert all(not T.component_sum().flags.writeable for T in tuples)
 
 
 def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():
@@ -519,7 +482,7 @@ def test_batched_cesaro_errors_equal_one_run_at_a_time():
     # both instance shapes of pro01 and two step counts share one call
     runs = _pro01_runs(range(64)) + _pro01_runs(range(8), t_max=37)
     batched = tf.cesaro_errors(runs)
-    alone = [tf.cesaro_error(*run) for run in runs]
+    alone = [tf.cesaro_errors([run])[0] for run in runs]
     assert [value.hex() for value in batched] == [value.hex() for value in alone]
     # the loop the kernel replaced: one sigma application per step
     for (A, B, X, m, t_max), value in zip(runs, batched):
@@ -534,7 +497,7 @@ def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
     good, (A, B, X, m, t_max) = _pro01_runs([0, 1])
     bad = (A, B, np.full_like(X, np.inf), m, t_max)
     with pytest.raises(mc.InvalidArgumentError) as alone:
-        tf.cesaro_error(*bad)
+        tf.cesaro_errors([bad])
     with pytest.raises(mc.InvalidArgumentError) as batched:
         tf.cesaro_errors([good, bad])
     assert str(batched.value) == str(alone.value) == "X contains non-finite entries"

@@ -263,6 +263,30 @@ def test_defect_scale_skips_factors_of_degree_zero(monkeypatch):
     assert tf.defect_scale(A, B, X, 0, 0) == mc.fro_norm(X)
 
 
+def test_defect_scale_refuses_the_pairs_defect_check_refuses(monkeypatch):
+    # A's third component used to be dropped by the factor's zip: the scale read 5.657
+    eye = np.eye(2)
+    A, B = OperatorTuple.of(eye, 2 * eye, 3 * eye), OperatorTuple.of(eye, eye)
+    C = OperatorTuple.of(np.eye(3), np.eye(3))
+
+    def no_svds(a):
+        raise AssertionError("spectral norm read before the pair was checked")
+
+    monkeypatch.setattr(mc, "op_norm_estimate", no_svds)
+    for bad, message in (
+        ((A, B, eye), "tuple length mismatch: 3 vs 2"),
+        ((B, C, eye), "dimension mismatch: A is 2, B is 3, X is 2"),
+        ((B, B, np.ones((1, 3))), "X must be square and non-empty, got shape (1, 3)"),
+    ):
+        with pytest.raises(InvalidArgumentError) as alone:
+            tf.defect_check(*bad, 1, 1)
+        assert str(alone.value) == message
+        for m, n in ((1, 0), (0, 1), (1, 1)):
+            with pytest.raises(InvalidArgumentError) as scale:
+                tf.defect_scale(*bad, m, n)
+            assert str(scale.value) == message
+
+
 @pytest.mark.parametrize("bad", [-1, 1.5, "2"])
 def test_defect_scale_and_sigma_iterates_refuse_a_degree_that_is_not_a_non_negative_integer(bad):
     A, _ = paper_example_squares()

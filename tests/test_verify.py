@@ -653,9 +653,9 @@ def test_pro01_cesaro_error_is_the_last_of_the_estimate(seed):
     m = int(bundle.params["m"])
     last = tf.cesaro_estimate(A, B, X, m, 60)[-1]
     assert last[0] == 60
-    assert tf.cesaro_error(A, B, X, m, 60).hex() == last[1].hex()
+    assert tf.cesaro_errors([(A, B, X, m, 60)])[0].hex() == last[1].hex()
     with pytest.raises(InvalidArgumentError):
-        tf.cesaro_error(A, B, X, m, m - 1)
+        tf.cesaro_errors([(A, B, X, m, m - 1)])
 
 
 def test_golden_check_runs_the_whole_suite():
