@@ -190,6 +190,9 @@ def _merge_config(args) -> dict:
     for key in ("out", "csv"):
         if merged[key] is not None and not isinstance(merged[key], str):
             raise InvalidArgumentError(f"{key} must be a file path, got {merged[key]!r}")
+        if merged[key] and (Path(merged[key]).is_dir() or not Path(merged[key]).parent.is_dir()):
+            problem = "is a directory" if Path(merged[key]).is_dir() else "names no existing directory"
+            raise InvalidArgumentError(f"{key} path {merged[key]!r} {problem}")
     return merged
 
 

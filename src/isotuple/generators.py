@@ -966,6 +966,7 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
     for seed in seeds:
         if not isinstance(seed, (int, np.integer)) or seed < 0:
             raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    seeds = tuple(map(int, seeds))  # so that every parameter derived from a seed is an int
     rngs = [np.random.default_rng(seed) for seed in seeds]
     classes: dict = {}
     for i, seed in enumerate(seeds):

@@ -27,13 +27,14 @@ stack object and row (``_stack_items``), and turns the spectral norms it
 keeps by stack into thresholds (``_thresholds``).  Only this module knows
 that norm table's layout: ``_fill_stack_norms`` fills it, the one fill of
 many tuples' norms in one call (a lone tuple computes its own),
-``_growth_factors`` reads every factor from it, and ``_held_norms`` and
-``_keep_norms`` share it with the tuples.  ``defect_checks`` is its list
+``_growth_factors`` reads every factor from it and ``_component_norms`` the
+component norms of one stack, and ``_held_norms`` and ``_keep_norms`` share it
+with the tuples.  ``defect_checks`` is its list
 wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples keep
 their norms.  ``defect_check`` is the batch of one, ``stack_defects`` gives
 each row's ``triangle`` or ``delta``, ``triangle``, ``delta`` and
-``sigma_iterates`` are the engine's batch of one, and the Cesaro kernels
-step from X through its loop.  Only the cross-check paths
+``sigma_iterates`` are the engine's batch of one, and ``_cesaro_run`` steps
+stacks of Cesaro runs from X through its loop.  Only the cross-check paths
 ``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
 Every tolerance scale comes from one helper, ``_scales``.
 ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
@@ -671,7 +672,8 @@ def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]
         x_norms = _at(mc.fro_norm_array(X), rows).tolist()
         scales, found = _scales(x_norms, iso, sym, ms, ns)
         keys = _keys(tests[t])
-        faults.update(((keys[i], t), fault) for i, fault in found.items())
+        for i, fault in found.items():  # the first of a test's items that share a key
+            faults.setdefault((keys[i], t), fault)
         out.append(tol.threshold(np.array(scales)))
     if faults:
         raise faults[min(faults)]
@@ -687,6 +689,12 @@ def _growth_factors(norms: dict, iso_pair: tuple, sym_pair: tuple, ms, ns, rows=
     iso = _iso_factor(_at(a_comps, rows).T, _at(b_comps, rows).T).tolist() if any(ms) else [1.0] * len(ms)
     sym = (1.0 + _at(a_sums, rows) + _at(b_sums, rows)).tolist() if any(ns) else [1.0] * len(ns)
     return iso, sym
+
+
+def _component_norms(norms: dict, stack: np.ndarray) -> np.ndarray:
+    """The (b, d) spectral norms of a stack's components that the norm table holds, NaN
+    in the rows that no test of degree m > 0 read."""
+    return norms[id(stack)][1]
 
 
 def _stacked_defects(a, b, x, sources: list, ms: list, ns: list, refuse: bool) -> np.ndarray:
@@ -829,7 +837,7 @@ def cesaro_estimate(
             f"pair is not (X,{m})-isometric: defect norm {norm:.3e} "
             f"exceeds threshold {threshold:.3e}"
         )
-    run = _cesaro_run([A], [B], _require_shapes(A, B, X)[None], [m], t_max)
+    run = _cesaro_run(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [m], t_max)
     return [(t, mc.fro_norm(Y[0] / binomial(t, m - 1) - reference[0])) for t, Y, reference in run]
 
 
@@ -840,12 +848,13 @@ def _require_cesaro_degrees(m, t_max) -> None:
         raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
 
 
-def _cesaro_run(As, Bs, Xs: np.ndarray, ms, t_max: int):
-    """Yield (t, sigma^t(X), triangle^(m-1)(X)) as (batch, n, n) stacks of the runs
-    (As[b], Bs[b], Xs[b], ms[b]), for t = max(ms)..t_max, from one refusing
-    ``_sigma_run`` whose iterates below max(ms) are kept for the reference."""
+def _cesaro_run(a: np.ndarray, b: np.ndarray, Xs: np.ndarray, ms, t_max: int):
+    """Yield (t, sigma^t(X), triangle^(m-1)(X)) as (batch, n, n) stacks of the runs of the
+    pairs of rows a[r], b[r] of two C-contiguous (batch, d, n, n) stacks at Xs[r] with
+    degree ms[r], for t = max(ms)..t_max, from one refusing ``_sigma_run`` whose
+    iterates below max(ms) are kept for the reference.  Each run has the bits it has
+    alone."""
     M, kept = max(ms), []
-    a, b = np.array([A.stack for A in As]), np.array([B.stack for B in Bs])
     for t, Y in enumerate(_sigma_run(a, b, Xs, t_max, refuse=True)):
         if t < M:
             kept.append(Y)
@@ -853,33 +862,6 @@ def _cesaro_run(As, Bs, Xs: np.ndarray, ms, t_max: int):
         if t == M:
             reference = binomial_sum(np.array(kept), np.array(ms) - 1)
         yield t, Y, reference
-
-
-def cesaro_errors(runs) -> list[float]:
-    """The last error of ``cesaro_estimate``, e_(t_max), of each run ``(A, B, X, m, t_max)``,
-    without the check that the pair is (X,m)-isometric, with the bits of the run alone:
-    runs on tuples of one length and dimension with one t_max step together from X.  A
-    batch that meets a refusal runs each run alone, which raises what that run raises."""
-    runs = list(runs)
-    for *_, m, t_max in runs:
-        _require_cesaro_degrees(m, t_max)
-    runs = [(A, B, _require_shapes(A, B, X), m, t_max) for A, B, X, m, t_max in runs]
-    groups: dict[tuple, list[int]] = {}
-    for i, (A, _, _, _, t_max) in enumerate(runs):
-        groups.setdefault((A.d, A.dim, t_max), []).append(i)
-    errors = [0.0] * len(runs)
-    try:
-        for (_, _, t_max), members in groups.items():
-            As, Bs, Xs, ms, _ = zip(*(runs[i] for i in members))
-            for _, Y, reference in _cesaro_run(As, Bs, np.array(Xs), ms, t_max):
-                pass
-            for i, m, Y_i, reference_i in zip(members, ms, Y, reference):
-                errors[i] = mc.fro_norm(Y_i / binomial(t_max, m - 1) - reference_i)
-    except InvalidArgumentError:
-        if len(runs) == 1:
-            raise
-        return [cesaro_errors([run])[0] for run in runs]
-    return errors
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,11 @@ the residual).
 
 The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 ``nilpotency_stack_orders``, ``stack_spectral_norms``, ``stack_sums``,
-``sum_stacks`` and ``product_stacks``.  Each list API groups its tuples by
-shape, stacks them and calls its stack kernel, so each kernel has one
-implementation: ``commutator_checks`` (with ``commutes_within``,
+``sum_stacks``, ``product_stacks`` and ``tensor_stacks``.  Each list API groups
+its tuples by shape, stacks them and calls its stack kernel, so each kernel
+has one implementation: ``commutator_checks`` (with ``commutes_within``,
 ``commutes_cross`` and the ``max_commutator_*`` residuals its batch of one),
-``nilpotency_orders``, ``sum_tuple`` and ``product_tuple``.  A tuple's own
+``nilpotency_orders``, ``sum_tuple``, ``product_tuple`` and ``tensor_tuple``.  A tuple's own
 sum and norms are ``stack_sums`` and ``stack_spectral_norms`` of its stack.
 
 Orderings are pinned for reproducibility:
@@ -421,8 +421,14 @@ def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
 
 def tensor_tuple(A: OperatorTuple, B: OperatorTuple) -> OperatorTuple:
     """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...)."""
-    n = A.dim * B.dim
-    return OperatorTuple._of_stack(mc.kron(A.stack[:, None], B.stack).reshape(A.d * B.d, n, n))
+    return OperatorTuple._of_stacks(tensor_stacks(A.stack[None], B.stack[None]))[0]
+
+
+def tensor_stacks(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (b, d1*d2, nm, nm) stack of each row's ``tensor_tuple``, refused as it refuses it."""
+    b, d1, n, _ = A.shape
+    d2, m = B.shape[1], B.shape[-1]
+    return _finite_tuples(mc.kron(A[:, :, None], B[:, None]).reshape(b, d1 * d2, n * m, n * m))
 
 
 def mix_by_unitary(U, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> OperatorTuple:

@@ -1,52 +1,37 @@
 """Identity-level checkers and randomized campaigns.
 
-Each built-in check tests, in order, the commutators of its instance
-(``_noncommuting``), its hypothesis defects (``_failed_hypothesis``) and its
-conclusions at the derived degrees (``_verdict``); pro01-pro03 judge bespoke
-bounds in their own bodies.  A failed commutator or hypothesis skips the
-trial (an invalid instance never refutes an identity).
+Each built-in check tests, in order, the commutators of its instance, its
+hypothesis defects and its conclusions at the derived degrees (``_verdict``);
+pro01-pro03 judge bespoke bounds of their own.  A failed commutator or
+hypothesis skips the trial (an invalid instance never refutes an identity).
 Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
-Each checker has one body, a generator: it yields ``(kernel, items)`` for
-each batch of work it would do, and is sent back ``kernel(items, tol)``.
-``check_*`` drives its body alone; a campaign generates a chunk of up to
-``LOCKSTEP_TRIALS`` instances together (``generators.random_instances``) and
-drives their bodies in lock-step (``_lockstep``): each round calls each
-kernel once, on the items of every pending body.  Every kernel gives each
-item the bits it gets alone, so a trial's result does not depend on the
-trials run beside it.
-
-thm05, cor05, cor050, thm06, cor06 and cor062 are column programs: each
-body yields once, ``result = yield program, [args]``, so a chunk's trials
-meet in one call of the id's program, and a ``check_*`` is the program's
-batch of one.  A program splits its trials into classes of one shape
-(``_Columns``), stacks each argument over a class's rows, and runs the
-check's stages in the order the check is written: commutators
+Each theorem is one column program, ``program(bundles, tol, t_max)``: a
+campaign runs it on a chunk of up to ``LOCKSTEP_TRIALS`` instances generated
+together (``generators.random_instances``), and ``check_*`` and
+``Theorem.check`` are its batch of one.  A program splits its trials into
+classes of one shape (``_Columns``), stacks each argument over a class's
+rows, and runs the check's stages in the order the check is written, each
+one stack-kernel call for the live rows of every class: commutators
 (``tuples.commutator_stack_checks``), nilpotency orders
 (``tuples.nilpotency_stack_orders``), hypotheses and conclusions
-(``transforms.defect_stack_checks``), each stage one stack-kernel call for
-the live rows of every class.  A skip is a row mask, a derived tuple a
-stacked expression (``tuples.sum_stacks``, ``tuples.product_stacks``), and
-each result comes from ``_verdict`` or ``_skip``.  cor05's combined defect
-is a delta stage over every row, then a triangle stage
-(``transforms.stack_defects``).  With several refused trials in a chunk,
-the first refusing stage raises what its earliest refusing trial raises, as
-the lock-step raises its first refusing body's error: a zero-test stage
-keys each row by its trial's position, and any other stage that refuses
-runs again one trial at a time (``_in_trial_order``).
+(``transforms.defect_stack_checks``, where ragged tests such as pro01's
+degrees 0..m are items on repeated rows).  A skip is a row mask and a
+derived tuple a stacked expression.  pro01's Cesaro runs step a class's
+stacks from X (``transforms._cesaro_run``); per-trial work with no stack
+kernel, such as pro01's superoperator spectrum, runs row by row.
 
-The other seven ids keep generator bodies over the list kernels:
-``tuples.commutator_checks`` for their commutators (``_noncommuting``),
-``transforms.defect_checks`` for their zero tests (``_zero_tests``,
-``_failed_hypothesis``, sharpness norms included) and
-``transforms.cesaro_errors`` for pro01's Cesaro run.  Zero tests on one pair
-at one X share one run of sigma iterates in the engine behind both defect
-kernels, so pro01's lower-degree norms and the sharpness tests cost no run
-of their own.  The bespoke thresholds (pro01's collapse test, pro02's limit,
-pro03's right-hand side and cor05's combined scale) read the spectral norms
-that their zero tests asked for, so no trial computes norms of its own.
+Every kernel gives each item the bits it gets alone, so a trial's result
+does not depend on the trials beside it.  With several refused trials in a
+chunk, the first refusing stage raises what its earliest refusing trial
+raises: zero tests are keyed by trial position, row-by-row work runs in
+trial order, and any other refused stage runs again one trial at a time
+(``_in_trial_order``).  The bespoke thresholds (pro01's collapse test,
+pro02's limit, pro03's right-hand side and cor05's combined scale) read the
+spectral norms that their zero tests asked for, from the zero-test kernel's
+norm table.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -56,13 +41,12 @@ so two runs with the same seed are byte-identical outside that field.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import math
 import time
 from collections import Counter
-from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,16 +63,15 @@ from .tuples import (
     OperatorTuple,
     PowerConvention,
     adjoint_tuple,
-    commutator_checks,
     commutator_stack_checks,
     conj_tuple,
     inverse_tuple,
     nilpotency_stack_orders,
     power_tuple,
     product_stacks,
-    product_tuple,
+    stack_sums,
     sum_stacks,
-    tensor_tuple,
+    tensor_stacks,
 )
 
 #: Conclusion norms within this factor above the pass threshold are tolerance
@@ -159,304 +142,13 @@ def _verdict(
     )
 
 
-def _degrees(kind: str, k: int) -> tuple[int, int]:
-    """(m, n) of the degree-k defect of the given kind: isometric or symmetric."""
-    return (k, 0) if kind == "iso" else (0, k)
-
-
-def _args(bundle: InstanceBundle, names: str) -> list:
-    """The bundle's tuples, matrices and integer parameters of the given names, in order."""
-    found = {**bundle.tuples, **bundle.matrices}
-    return [found[k] if k in found else int(bundle.params[k]) for k in names.split()]
-
-
-def _noncommuting(*pairs: tuple):
-    """The skip for the first ``(label, S, T)`` whose commutators do not vanish, or
-    None: those within S when T is S, else every [S_i, T_j].  ``label`` is the reason.
-
-    The pairs go to ``commutator_checks`` through the body's driver.  A pair of
-    two dimensions, which the kernel refuses, goes in a later batch than the
-    pairs before it, so it raises only once they all commute, as in a loop.
-    """
-    cut = next((k for k, (_, S, T) in enumerate(pairs) if S.dim != T.dim), len(pairs))
-    for batch in (pairs[:cut], pairs[cut:]):
-        if not batch:
-            continue
-        checks = yield commutator_checks, [(S, T) for _, S, T in batch]
-        for (label, _, _), (commutes, residual) in zip(batch, checks):
-            if not commutes:
-                return _skip(label, residual=residual)
-    return None
-
-
-def _zero_tests(*tests: tuple):
-    """Send the degree-(m, n) zero tests ``(name, A, B, X, m, n)`` to ``tf.defect_checks``
-    through the body's driver (``_lockstep``), and return each ``(name, norm, threshold)``."""
-    values = yield tf.defect_checks, [test[1:] for test in tests]
-    return [(test[0], *value) for test, value in zip(tests, values)]
-
-
-def _cesaro_errors(runs: list, tol: mc.Tolerance) -> list[float]:
-    """The lock-step kernel of pro01's Cesaro runs, which take no tolerance."""
-    return tf.cesaro_errors(runs)
-
-
-def _failed_hypothesis(*hypotheses: tuple):
-    """The skip for the first hypothesis ``(reason, A, B, X, m, n)`` whose
-    degree-(m, n) zero test fails, or None when every one passes."""
-    for reason, norm, threshold in (yield from _zero_tests(*hypotheses)):
-        if norm > threshold:
-            return _skip(reason, residual=norm)
-    return None
-
-
-def _lockstep(bodies: list, tol: mc.Tolerance) -> list:
-    """The value each checker body returns.  A body yields ``(kernel, items)`` and is
-    sent back ``kernel(items, tol)``.  The bodies advance together: every round
-    calls each kernel once, on the items that all pending bodies yielded for it."""
-    results = [None] * len(bodies)
-    pending: dict[int, tuple] = {}
-
-    def advance(i: int, answer) -> None:
-        try:
-            pending[i] = bodies[i].send(answer)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(bodies)):
-        advance(i, None)
-    while pending:
-        waiting = list(pending.items())
-        pending.clear()
-        by_kernel: dict[Callable, list] = {}
-        for i, (kernel, items) in waiting:
-            by_kernel.setdefault(kernel, []).append((i, items))
-        answers = {}
-        for kernel, requests in by_kernel.items():
-            values = iter(kernel([item for _, items in requests for item in items], tol))
-            for i, items in requests:
-                answers[i] = [next(values) for _ in items]
-        for i, _ in waiting:
-            advance(i, answers[i])
-    return results
-
-
-def _alone(body: Generator, tol: mc.Tolerance) -> TrialResult:
-    """The result of one checker body, driven alone."""
-    return _lockstep([body], tol)[0]
-
-
-def _checker(body):
-    """The check whose one body is the generator function ``body``: the check drives
-    it alone, and ``check.body`` is what a campaign drives in lock-step with others."""
-    parameters = inspect.signature(body).parameters
-    tol_index, tol_default = list(parameters).index("tol"), parameters["tol"].default
-
-    @functools.wraps(body)
-    def check(*args, **kwargs) -> TrialResult:
-        gen = body(*args, **kwargs)  # a bad argument raises here, as the check would
-        tol = args[tol_index] if len(args) > tol_index else kwargs.get("tol", tol_default)
-        return _alone(gen, tol)
-
-    check.body = body
-    return check
-
-
-# ---------------------------------------------------------------------------
-# individual checkers
-
-
-@_checker
-def check_pro01(
-    bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
-
-    Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
-    defect norm at degrees < m) plus the tolerance floor.  The collapse
-    assertion (degree m-1 defect vanishes outright) is additionally applied
-    when the sigma superoperator is invertible and unitary-like -- normal with
-    no eigenvalue inside the unit circle -- which is the regime where its
-    inverse iterates stay bounded.
-
-    The defects of degrees 0..m, and the collapse threshold, come from one
-    round of zero tests on one run of sigma iterates; the Cesaro error steps
-    from X, across trials in a campaign (``tf.cesaro_errors``).
-    """
-    A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
-    m = int(bundle.params["m"])
-    (_, defect_m, threshold_m), *lower = yield from _zero_tests(
-        ("isometry_defect", A, B, X, m, 0), *((f"degree {j}", A, B, X, j, 0) for j in range(m))
-    )
-    if defect_m > threshold_m:
-        return _skip(f"not (X,{m})-isometric", isometry_defect=defect_m)
-    (e_final,) = yield _cesaro_errors, [(A, B, X, m, t_max)]
-    c_const = 5.0 * max(norm for _, norm, _ in lower)
-    bound = c_const * (m - 1) / t_max + threshold_m
-    extra = {"t_max": float(t_max)}
-
-    sig_hat = tf.superop_matrix(A, B, "sigma")
-    eigs = np.linalg.eigvals(sig_hat)
-    normality = mc.fro_norm(sig_hat @ sig_hat.conj().T - sig_hat.conj().T @ sig_hat)
-    invertible = bool(np.min(np.abs(eigs)) > 1e-6)
-    unitary_like = invertible and normality <= 1e-8 * max(
-        mc.fro_norm(sig_hat) ** 2, 1.0
-    ) and bool(np.min(np.abs(eigs)) >= 1.0 - 1e-8)
-    extra["sigma_invertible"] = float(invertible)
-    checks = []
-    if unitary_like:
-        checks.append(("collapse_defect", *lower[m - 1][1:]))
-    checks.append(("cesaro_error", e_final, bound))
-    return _verdict(checks, extra)
-
-
-@_checker
-def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Norm-limits of defect-annihilated families keep the combined identity.
-
-    The first family member must satisfy its declared identity (hypothesis);
-    the member sequence must converge in norm to the declared limit.  A limit
-    that decisively fails while the first member passed is a counterexample
-    (a drifting family), not a skip.  Every member's test and the limit's
-    are evaluated together, so their scales come from one LAPACK call.
-    """
-    m1, m2 = int(bundle.params["m1"]), int(bundle.params["m2"])
-    degrees = (m1, 0) if bundle.params["kind"] == "triangle" else (0, m2)
-    count = int(bundle.params["members"])
-    X = bundle.matrices["X"]
-    members = [(bundle.tuples[f"A{j}"], bundle.tuples[f"B{j}"]) for j in range(count)]
-    A_lim, B_lim = bundle.tuples["A_limit"], bundle.tuples["B_limit"]
-
-    # each member's largest componentwise distance from the limit
-    lim = np.concatenate([A_lim.stack, B_lim.stack])
-    conv = [max(mc.fro_norm_array(np.concatenate([a.stack, b.stack]) - lim).tolist()) for a, b in members]
-    if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
-        raise InvalidArgumentError("family does not converge: residuals are not decreasing")
-
-    *judged, (_, norm_lim, _) = yield from _zero_tests(
-        *((f"member {j}", A_j, B_j, X, *degrees) for j, (A_j, B_j) in enumerate(members)),
-        ("limit_defect", A_lim, B_lim, X, m1, m2),
-    )
-    (_, first_norm, first_threshold), *later = judged
-    if first_norm > first_threshold:
-        return _skip("first family member violates its identity", member_defect=first_norm)
-    # later members drifting off the identity refute the closure claim; each
-    # counts only once the one before it passed
-    for j, (_, norm_j, threshold_j) in enumerate(later, start=1):
-        verdict = _judge(norm_j, threshold_j)
-        if verdict != "pass":
-            return TrialResult(
-                status=verdict,
-                reason=f"member {j} defect drifted to {norm_j:.3e}",
-                defects={"member_index": float(j), "member_defect": norm_j},
-                conclusion=norm_j,
-            )
-
-    scale_lim = tf.defect_scale(A_lim, B_lim, X, m1, m2)
-    # convergence slack: the defect is Lipschitz in the tuple within a factor
-    # of the degree times the scale, applied to the last residual
-    slack = 10.0 * (m1 + m2) * conv[-1] * scale_lim
-    threshold = tol.threshold(scale_lim) + slack
-    return _verdict([("limit_defect", norm_lim, threshold)], {"last_residual": conv[-1]})
-
-
-@_checker
-def check_pro03(
-    bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
-
-    Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
-    is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
-    Part (b): the symmetric analogue, reducing to the last pair's delta defect.
-    The scales of every one-component pair and of the full pair come from one
-    LAPACK call: part (a)'s right-hand threshold reads the last components'
-    norms, which the full pair's zero test has filled.
-    """
-    A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
-    if m is None:
-        m = int(bundle.params["m"])
-    kind = "iso" if bundle.params.get("part", "a") == "a" else "sym"
-    d = A.d
-    if d < 2:
-        return _skip("reduction needs d >= 2")
-    pairs = [(OperatorTuple.of(a), OperatorTuple.of(b)) for a, b in zip(A, B)]
-    hypotheses = [
-        (f"pair {i} is not degree-1 annihilating", Ai, Bi, X, *_degrees(kind, 1))
-        for i, (Ai, Bi) in enumerate(pairs[:-1])
-    ]
-    lhs = ("lhs", A, B, X, *_degrees(kind, m))
-    sides = [lhs] if kind == "iso" else [lhs, ("rhs", *pairs[-1], X, 0, m)]
-    judged = yield from _zero_tests(*hypotheses, *sides)
-    # each pair counts only once the one before it passed
-    for reason, norm, threshold in judged[: d - 1]:
-        if norm > threshold:
-            return _skip(reason, residual=norm)
-
-    if kind == "iso":
-        (_, lhs_norm, lhs_thr), = judged[d - 1 :]
-        # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
-        coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
-        terms = np.array(coeffs)[:, None, None] * (
-            mc.matrix_powers(A[-1], m) @ X @ mc.matrix_powers(B[-1], m)
-        )
-        rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
-        rhs_thr = tol.threshold(
-            tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + A.op_norms[-1] * B.op_norms[-1], m)
-        )
-    else:
-        (_, lhs_norm, lhs_thr), (_, rhs_norm, rhs_thr) = judged[d - 1 :]
-
-    lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
-    defects = {
-        "lhs_defect": lhs_norm,
-        "rhs_defect": rhs_norm,
-        "lhs_threshold": lhs_thr,
-        "rhs_threshold": rhs_thr,
-    }
-    # the equivalence claims neither side is zero, so only a side that passed is a conclusion
-    sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
-    conclusion = max([norm for norm, passed in sides if passed], default=0.0)
-    if lhs_pass == rhs_pass:
-        return TrialResult(status="pass", defects=defects, conclusion=conclusion)
-    # disagreement within the gray band of either side is an anomaly
-    gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (
-        rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr
-    )
-    status = "anomaly" if gray else "counterexample"
-    return TrialResult(
-        status=status,
-        reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
-        defects=defects,
-        conclusion=conclusion,
-    )
-
-
-@_checker
-def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
-    pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
-    hypothesis = ("adjoint pair is not (I,2)-symmetric", *pair, 0, 2)
-    if skip := (yield from _failed_hypothesis(hypothesis)):
-        return skip
-    s = A_hilbert.component_sum()
-    residual = mc.fro_norm(s - s.conj().T)
-    threshold = tol.threshold(mc.fro_norm(s))
-    return _verdict([("selfadjoint_residual", residual, threshold)])
-
-
-@_checker
-def check_pro5(
-    A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
-    if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
-        raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
-    pair = (adjoint_tuple(A_hilbert), A_hilbert, mc.identity(A_hilbert.dim))
-    hypothesis = (f"adjoint pair is not (I,{m_even})-symmetric", *pair, 0, m_even)
-    if skip := (yield from _failed_hypothesis(hypothesis)):
-        return skip
-    return _verdict((yield from _zero_tests(("odd_degree_defect", *pair, 0, m_even - 1))))
+def _bundle(**args) -> InstanceBundle:
+    """A check's arguments as the bundle its program reads: its tuples, its X and its
+    parameters, by name."""
+    tuples = {name: value for name, value in args.items() if isinstance(value, OperatorTuple)}
+    matrices = {"X": args.pop("X")} if "X" in args else {}
+    params = {name: value for name, value in args.items() if name not in tuples}
+    return InstanceBundle("", 0, tuples, matrices, params)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +195,24 @@ class _Columns:
         return kept
 
 
-def _classes(trials: list, names: str, tuples: int) -> list[_Columns]:
-    """The trials, each its arguments ``names`` with the tuples first and X next, in
-    classes of one shape of the tuples' stacks and X, in order of their first trial."""
+def _classes(bundles: list, names: str, tuples: int, by: str = "") -> list[_Columns]:
+    """The bundles' arguments ``names``, the tuples first, read by name from each bundle's
+    tuples, matrices and parameters (None for a parameter it lacks), in classes of one
+    shape of the tuples' stacks and of X, and of one value of each parameter named in
+    ``by``, in order of their first trial."""
     names = names.split()
-    by_shape: dict[tuple, list[int]] = {}
-    for row, args in enumerate(trials):
-        X = args[tuples]
+    trials, by_key = [], {}
+    for row, bundle in enumerate(bundles):
+        found = {**bundle.params, **bundle.matrices, **bundle.tuples}
+        args = [found.get(name) for name in names]
+        X = found.get("X")
         shape = X.shape if isinstance(X, np.ndarray) else id(X)
-        by_shape.setdefault(tuple([T.stack.shape for T in args[:tuples]] + [shape]), []).append(row)
+        key = (*[T.stack.shape for T in args[:tuples]], shape, *[found.get(name) for name in by.split()])
+        by_key.setdefault(key, []).append(row)
+        trials.append(args)
     return [
         _Columns(np.array(rows), {name: [trials[r][i] for r in rows] for i, name in enumerate(names)})
-        for rows in by_shape.values()
+        for rows in by_key.values()
     ]
 
 
@@ -552,18 +250,22 @@ def _merged(cls: _Columns, names: list) -> np.ndarray:
     return cls[names[0]] if len(names) == 1 else np.concatenate([cls[name] for name in names])
 
 
+def _trial_order(classes: list) -> list[tuple[int, _Columns, int]]:
+    """``(row, class, r)`` of every live trial, r its index in its class, by position."""
+    return sorted(((row, k, r) for k, cls in enumerate(classes) for r, row in enumerate(cls.rows.tolist())))
+
+
 def _in_trial_order(stage):
     """A stage ``stage(classes, results, *args)`` that, when some trial refuses it, raises
-    what the first trial by position in the batch that refuses it alone raises, as
-    the lock-step's first refusing body does.  Only a refused stage runs again, each
-    trial alone, on scratch results."""
+    what the first trial by position in the batch that refuses it alone raises.  Only
+    a refused stage runs again, each trial alone, on scratch results."""
 
     @functools.wraps(stage)
     def run(classes: list, results: list, *args):
         try:
             return stage(classes, results, *args)
         except InvalidArgumentError:
-            trials = sorted((row, k, r) for k, cls in enumerate(classes) for r, row in enumerate(cls.rows.tolist()))
+            trials = _trial_order(classes)
             for _, k, r in trials if len(trials) > 1 else ():
                 alone = classes[k].keep(np.arange(len(classes[k].rows)) == r)
                 try:
@@ -579,10 +281,10 @@ def _in_trial_order(stage):
 def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
                       tol: mc.Tolerance) -> list:
     """Skip each row at the first pair ``(label, S, T)`` whose commutators do not vanish:
-    within S when T is None, else every [S_i, T_j], as ``_noncommuting`` skips.  The
-    commutators within each tuple named in ``kept`` are judged too, and kept for a
-    later stage as the columns ``commutes <name>`` and ``residual <name>``.  A class's
-    queries of one kind and shapes are one query, and every class's queries go to one
+    within S when T is None, else every [S_i, T_j].  The commutators within each tuple
+    named in ``kept`` are judged too, and kept for a later stage as the columns
+    ``commutes <name>`` and ``residual <name>``.  A class's queries of one kind and
+    shapes are one query, and every class's queries go to one
     ``commutator_stack_checks`` call.  A class's first pair of two dimensions is
     refused, once every pair before it commutes in some row."""
     queries, layouts = [], []
@@ -654,10 +356,10 @@ def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, stric
 
 def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Tolerance,
                       norms: dict) -> list:
-    """Skip each row at the first hypothesis whose zero test fails, as
-    ``_failed_hypothesis`` skips: ``hypotheses(cls)`` lists each ``(reason, A, B, X, ms,
-    ns)`` of a class, and every class's tests go to one ``defect_stack_checks`` call,
-    keyed by the rows' positions in the batch."""
+    """Skip each row at the first hypothesis whose zero test fails, with its norm as the
+    residual: ``hypotheses(cls)`` lists each ``(reason, A, B, X, ms, ns)`` of a class,
+    and every class's tests go to one ``defect_stack_checks`` call, keyed by the rows'
+    positions in the batch."""
     tests = [hypotheses(cls) for cls in classes]
     judged = iter(defect_stack_checks(
         [(*test[1:], None, cls.rows) for cls, group in zip(classes, tests) for test in group], tol, norms
@@ -686,10 +388,23 @@ def _degree_column(cls: _Columns, name: str) -> np.ndarray:
     return np.array(cls[name], dtype=np.int64)
 
 
-def _kind_degrees(cls: _Columns, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, n) of each row's degree of its kind, per ``_degrees``."""
-    iso = np.array([kind == "iso" for kind in cls["kind"]])
-    return np.where(iso, degrees, 0), np.where(iso, 0, degrees)
+def _kind_degrees(kinds: list, degrees) -> tuple[list, list]:
+    """(ms, ns) of each row's degree k of its kind: (k, 0) for "iso", else (0, k)."""
+    degrees = degrees.tolist() if isinstance(degrees, np.ndarray) else degrees
+    iso = [kind == "iso" for kind in kinds]
+    return [k if i else 0 for i, k in zip(iso, degrees)], [0 if i else k for i, k in zip(iso, degrees)]
+
+
+def _by_row(judged: tuple, counts: list) -> list[list]:
+    """Each row's ``(norm, threshold)`` of the items of a zero test, ``counts[r]`` items for
+    row r after those of the rows before it."""
+    items, ends = list(zip(*(column.tolist() for column in judged))), np.cumsum(counts).tolist()
+    return [items[end - count : end] for count, end in zip(counts, ends)]
+
+
+def _identities(cls: _Columns, name: str) -> np.ndarray:
+    """The (b, n, n) stack of identities of the dimension of the class's tuple ``name``."""
+    return np.repeat(mc.identity(cls[name].shape[-1])[None], len(cls.rows), axis=0)
 
 
 def _sharp_conclusions(classes: list, results: list, name: str, conclusion, below: tuple,
@@ -724,11 +439,282 @@ def _sharp_conclusions(classes: list, results: list, name: str, conclusion, belo
             )
 
 
-def _thm05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    """``check_thm05`` of each trial ``(A, B, N1, N2, X, m1, m2)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(trials)
+def _pro01_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_pro01`` of each bundle, stage by stage: the zero tests of degree m and of
+    degrees 0..m-1 (items on repeated rows), one Cesaro run of each class's stacks,
+    then each trial's collapse test on the spectrum of its sigma superoperator."""
+    results: list[TrialResult] = [None] * len(bundles)
+    classes, tests = _classes(bundles, "A B X m", 2), []
+    for cls in classes:
+        cls["m"] = ms = _degree_column(cls, "m").tolist()
+        own = [r for r, m in enumerate(ms) for _ in range(m)]  # the row of each lower degree
+        tests += [(cls["A"], cls["B"], cls["X"], ms, [0] * len(ms), None, cls.rows),
+                  (cls["A"], cls["B"], cls["X"], [j for m in ms for j in range(m)], [0] * len(own), own, cls.rows[own])]
+    judged, live = iter(defect_stack_checks(tests, tol, {})), []
+    for cls in classes:
+        (norm, threshold), lower = next(judged), next(judged)
+        cls["threshold"], cls["lower"] = threshold.tolist(), _by_row(lower, cls["m"])
+        failed = norm > threshold
+        for r in np.flatnonzero(failed).tolist():
+            results[cls.rows[r]] = _skip(f"not (X,{cls['m'][r]})-isometric", isometry_defect=norm[r].item())
+        if (cls := cls.keep(~failed)) is not None:
+            live.append(cls)
+    for _, k, r in _trial_order(live):  # refused before any run, in trial order
+        tf._require_cesaro_degrees(live[k]["m"][r], t_max)
+    _cesaro_stage(live, results, t_max)
+    for cls in live:
+        for r, row in enumerate(cls.rows.tolist()):
+            m, lower = cls["m"][r], cls["lower"][r]
+            e_final = mc.fro_norm(cls["sigma^t_max"][r] / tf.binomial(t_max, m - 1) - cls["reference"][r])
+            bound = 5.0 * max(norm for norm, _ in lower) * (m - 1) / t_max + cls["threshold"][r]
+            sig_hat = tf.superop_matrix(bundles[row].tuples["A"], bundles[row].tuples["B"], "sigma")
+            eigs = np.linalg.eigvals(sig_hat)
+            normality = mc.fro_norm(sig_hat @ sig_hat.conj().T - sig_hat.conj().T @ sig_hat)
+            invertible = bool(np.min(np.abs(eigs)) > 1e-6)
+            unitary_like = invertible and normality <= 1e-8 * max(
+                mc.fro_norm(sig_hat) ** 2, 1.0
+            ) and bool(np.min(np.abs(eigs)) >= 1.0 - 1e-8)
+            checks = [("collapse_defect", *lower[m - 1])] if unitary_like else []
+            results[row] = _verdict(checks + [("cesaro_error", e_final, bound)],
+                                    {"t_max": float(t_max), "sigma_invertible": float(invertible)})
+    return results
+
+
+@_in_trial_order
+def _cesaro_stage(classes: list, results: list, t_max: int) -> list:
+    """Give each class the columns ``sigma^t_max`` and ``reference`` (triangle^(m-1)(X)) of
+    its rows' Cesaro runs, from one run of its stacks from X."""
+    for cls in classes:
+        for _, last, reference in tf._cesaro_run(cls["A"], cls["B"], cls["X"], cls["m"], t_max):
+            pass
+        cls["sigma^t_max"], cls["reference"] = last, reference
+    return classes
+
+
+def check_pro01(
+    bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
+
+    Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
+    defect norm at degrees < m) plus the tolerance floor.  The collapse
+    assertion (degree m-1 defect vanishes outright) is additionally applied
+    when the sigma superoperator is invertible and unitary-like -- normal with
+    no eigenvalue inside the unit circle -- which is the regime where its
+    inverse iterates stay bounded.
+    """
+    return _pro01_program([bundle], tol, t_max)[0]
+
+
+def _pro02_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_pro02`` of each bundle, stage by stage: each trial's convergence residuals,
+    in trial order, then the zero tests of every family member (items of one stack of
+    the members of a class's rows) and of the limit, then each trial's verdict."""
+    convergence = []  # each member's largest componentwise distance from the limit
+    for bundle in bundles:
+        T = bundle.tuples
+        lim = np.concatenate([T["A_limit"].stack, T["B_limit"].stack])
+        conv = [max(mc.fro_norm_array(np.concatenate([T[f"A{j}"].stack, T[f"B{j}"].stack]) - lim).tolist())
+                for j in range(int(bundle.params["members"]))]
+        if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
+            raise InvalidArgumentError("family does not converge: residuals are not decreasing")
+        convergence.append(conv)
+    results: list[TrialResult] = [None] * len(bundles)
+    classes, tests, norms = _classes(bundles, "A_limit B_limit X m1 m2 kind members", 2), [], {}
+    for cls in classes:
+        m1, m2, counts = (_degree_column(cls, name).tolist() for name in ("m1", "m2", "members"))
+        cls["m1"], cls["m2"], cls["members"] = m1, m2, counts
+        degrees = [(m, 0) if kind == "triangle" else (0, n) for m, n, kind in zip(m1, m2, cls["kind"])]
+        own = [r for r, count in enumerate(counts) for _ in range(count)]  # the row of each member
+        A, B = (np.stack([bundles[row].tuples[f"{side}{j}"].stack
+                          for row, count in zip(cls.rows.tolist(), counts) for j in range(count)]) for side in "AB")
+        tests += [(A, B, cls["X"][own], [degrees[r][0] for r in own], [degrees[r][1] for r in own], None, cls.rows[own]),
+                  (cls["A_limit"], cls["B_limit"], cls["X"], m1, m2, None, cls.rows)]
+    judged = iter(defect_stack_checks(tests, tol, norms))
+    for cls in classes:
+        members, norm_lim = _by_row(next(judged), cls["members"]), next(judged)[0].tolist()
+        m1, m2, limit = cls["m1"], cls["m2"], (cls["A_limit"], cls["B_limit"])
+        # the limit's scale reads the norms that its zero test asked for
+        scales, _ = tf._scales(mc.fro_norm_array(cls["X"]).tolist(), *tf._growth_factors(norms, limit, limit, m1, m2),
+                               m1, m2)
+        for r, row in enumerate(cls.rows.tolist()):
+            (first_norm, first_threshold), *later = members[r]
+            # later members drifting off the identity refute the closure claim; each
+            # counts only once the one before it passed
+            drift = next(((j, norm) for j, (norm, threshold) in enumerate(later, start=1)
+                          if _judge(norm, threshold) != "pass"), None)
+            if first_norm > first_threshold:
+                results[row] = _skip("first family member violates its identity", member_defect=first_norm)
+            elif drift is not None:
+                j, norm_j = drift
+                results[row] = TrialResult(
+                    status=_judge(norm_j, later[j - 1][1]), reason=f"member {j} defect drifted to {norm_j:.3e}",
+                    defects={"member_index": float(j), "member_defect": norm_j}, conclusion=norm_j,
+                )
+            else:
+                # convergence slack: the defect is Lipschitz in the tuple within a factor
+                # of the degree times the scale, applied to the last residual
+                last = convergence[row][-1]
+                threshold = tol.threshold(scales[r]) + 10.0 * (m1[r] + m2[r]) * last * scales[r]
+                results[row] = _verdict([("limit_defect", norm_lim[r], threshold)], {"last_residual": last})
+    return results
+
+
+def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
+    """Norm-limits of defect-annihilated families keep the combined identity.
+
+    The first family member must satisfy its declared identity (hypothesis);
+    the member sequence must converge in norm to the declared limit.  A limit
+    that decisively fails while the first member passed is a counterexample
+    (a drifting family), not a skip.  Every member's test and the limit's
+    are evaluated together, so their scales come from one LAPACK call.
+    """
+    return _pro02_program([bundle], tol, 0)[0]
+
+
+def _pro03_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_pro03`` of each bundle at its degree m, stage by stage: the zero tests of
+    the first d-1 one-component pairs (items on a stack of every component pair of a
+    class's rows), of the full pair and, for part (b), of the last pair, then each
+    trial's verdict in trial order, part (a)'s right-hand side formed row by row."""
+    results: list[TrialResult] = [None] * len(bundles)
+    classes = _classes(bundles, "A B X m part", 2)
+    classes = _skip_rows(classes, results, [
+        (np.ones(len(cls.rows), bool), ["reduction needs d >= 2"] * len(cls.rows), [None] * len(cls.rows))
+        if cls["A"].shape[1] < 2 else None for cls in classes
+    ])
+    tests, norms = [], {}
+    for cls in classes:
+        b, d, n = cls["A"].shape[:3]
+        cls["kind"] = kinds = ["iso" if part in ("a", None) else "sym" for part in cls["part"]]
+        A1, B1 = (cls[name].reshape(b * d, 1, n, n) for name in "AB")  # row r * d + i: pair i of row r
+        X1 = np.repeat(cls["X"], d, axis=0)
+        own = np.repeat(np.arange(b), d - 1)  # the row of each hypothesis
+        sym = [r for r in range(b) if kinds[r] == "sym"]
+        tests += [
+            (A1, B1, X1, *_kind_degrees([kinds[r] for r in own], [1] * len(own)),
+             [r * d + i for r in range(b) for i in range(d - 1)], cls.rows[own]),
+            (cls["A"], cls["B"], cls["X"], *_kind_degrees(kinds, cls["m"]), None, cls.rows),
+            (A1, B1, X1, [0] * len(sym), [cls["m"][r] for r in sym], [r * d + d - 1 for r in sym], cls.rows[sym]),
+        ]
+    judged = iter(defect_stack_checks(tests, tol, norms))
+    for cls in classes:
+        b, d = cls["A"].shape[:2]
+        cls["hypotheses"] = _by_row(next(judged), [d - 1] * b)
+        cls["lhs"], rhs = (iter(zip(*(column.tolist() for column in next(judged)))) for _ in range(2))
+        cls["lhs"], cls["rhs"] = list(cls["lhs"]), [next(rhs) if kind == "sym" else None for kind in cls["kind"]]
+    for row, k, r in _trial_order(classes):
+        cls = classes[k]
+        d = cls["A"].shape[1]
+        # each pair counts only once the one before it passed
+        failed = next(((i, norm) for i, (norm, threshold) in enumerate(cls["hypotheses"][r]) if norm > threshold), None)
+        if failed is not None:
+            results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
+            continue
+        (lhs_norm, lhs_thr), m, X = cls["lhs"][r], cls["m"][r], cls["X"][r]
+        if cls["kind"][r] == "sym":
+            rhs_norm, rhs_thr = cls["rhs"][r]
+        else:
+            # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
+            coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
+            terms = np.array(coeffs)[:, None, None] * (
+                mc.matrix_powers(cls["A"][r, -1], m) @ X @ mc.matrix_powers(cls["B"][r, -1], m)
+            )
+            rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
+            # the last components' norms, which the full pair's zero test asked for
+            a_last, b_last = (tf._component_norms(norms, cls[name])[r, -1].item() for name in "AB")
+            rhs_thr = tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
+        lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
+        defects = {"lhs_defect": lhs_norm, "rhs_defect": rhs_norm, "lhs_threshold": lhs_thr, "rhs_threshold": rhs_thr}
+        # the equivalence claims neither side is zero, so only a side that passed is a conclusion
+        sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
+        conclusion = max([norm for norm, passed in sides if passed], default=0.0)
+        if lhs_pass == rhs_pass:
+            results[row] = TrialResult(status="pass", defects=defects, conclusion=conclusion)
+            continue
+        # disagreement within the gray band of either side is an anomaly
+        gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr)
+        results[row] = TrialResult(
+            status="anomaly" if gray else "counterexample",
+            reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
+            defects=defects, conclusion=conclusion,
+        )
+    return results
+
+
+def check_pro03(
+    bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
+
+    Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
+    is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
+    Part (b): the symmetric analogue, reducing to the last pair's delta defect.
+    The scales of every one-component pair and of the full pair come from one
+    LAPACK call: part (a)'s right-hand threshold reads the last components'
+    norms, which the full pair's zero test has filled.
+    """
+    params = {**bundle.params, "m": int(bundle.params["m"]) if m is None else m}
+    return _pro03_program([replace(bundle, params=params)], tol, 0)[0]
+
+
+def _adjoint_program(bundles: list, tol: mc.Tolerance, t_max: int, even: bool) -> list[TrialResult]:
+    """``check_pro04`` (or with ``even``, ``check_pro5``) of each trial ``(A, m_even)``,
+    stage by stage: the symmetric hypothesis of the adjoint pair (A*, A) at I, of degree
+    2 (or m_even), then its self-adjoint component sum (or its odd degree below)."""
+    if even:
+        for bundle in bundles:  # refused before any stage, in trial order
+            m_even = bundle.params["m_even"]
+            if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
+                raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
+    results: list[TrialResult] = [None] * len(bundles)
     norms: dict = {}
-    classes = _classes(trials, "A B N1 N2 X m1 m2", 4)
+    classes = _classes(bundles, "A m_even", 1, by="m_even")
+    for cls in classes:
+        cls["A*"] = np.conjugate(cls["A"].swapaxes(-1, -2), order="C")
+        cls["I"] = _identities(cls, "A")
+        cls["zero"] = [0] * len(cls.rows)
+    degree = (lambda cls: cls["m_even"]) if even else (lambda cls: [2] * len(cls.rows))
+    classes = _hypothesis_stage(classes, results, lambda cls: [(
+        f"adjoint pair is not (I,{degree(cls)[0]})-symmetric", cls["A*"], cls["A"], cls["I"], cls["zero"], degree(cls),
+    )], tol, norms)
+    if even:
+        _sharp_conclusions(
+            classes, results, "odd_degree_defect",
+            lambda cls: (cls["A*"], cls["A"], cls["I"], cls["zero"], [m - 1 for m in cls["m_even"]], []),
+            (), lambda cls: {}, tol, norms,
+        )
+        return results
+    for cls in classes:
+        s = stack_sums(cls["A"])
+        residuals = mc.fro_norm_array(s - np.conjugate(s.swapaxes(-1, -2))).tolist()
+        thresholds = tol.threshold(mc.fro_norm_array(s)).tolist()
+        for row, residual, threshold in zip(cls.rows.tolist(), residuals, thresholds):
+            results[row] = _verdict([("selfadjoint_residual", residual, threshold)])
+    return results
+
+
+_pro04_program = functools.partial(_adjoint_program, even=False)
+_pro5_program = functools.partial(_adjoint_program, even=True)
+
+
+def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
+    """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
+    return _pro04_program([_bundle(A=A_hilbert)], tol, 0)[0]
+
+
+def check_pro5(
+    A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
+    return _pro5_program([_bundle(A=A_hilbert, m_even=m_even)], tol, 0)[0]
+
+
+def _thm05_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_thm05`` of each bundle ``(A, B, N1, N2, X, m1, m2)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(bundles)
+    norms: dict = {}
+    classes = _classes(bundles, "A B N1 N2 X m1 m2", 4)
     classes = _commutator_stage(classes, results, (
         *((f"tuple {name} does not commute", name, None) for name in ("A", "B", "N1", "N2")),
         ("[A, N1] != 0", "A", "N1"), ("[B, N2] != 0", "B", "N2"),
@@ -756,7 +742,6 @@ def _thm05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     return results
 
 
-@_checker
 def check_thm05(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -768,24 +753,25 @@ def check_thm05(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
-    (result,) = yield _thm05_program, [(A, B, N1, N2, X, m1, m2)]
-    return result
+    return _thm05_program([_bundle(A=A, B=B, N1=N1, N2=N2, X=X, m1=m1, m2=m2)], tol, 0)[0]
 
 
-def _cor05_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    """``check_cor05`` of each trial ``(A1, B1, A2, B2, N1, N2, X, m1, m2)``, stage by
+def _cor05_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_cor05`` of each bundle ``(A1, B1, A2, B2, N1, N2, X, m1, m2)``, stage by
     stage; the combined defect is a delta stage over every row, then a triangle stage."""
-    results: list[TrialResult] = [None] * len(trials)
+    results: list[TrialResult] = [None] * len(bundles)
     norms: dict = {}
-    classes = _classes(trials, "A1 B1 A2 B2 N1 N2 X m1 m2", 6)
+    classes = _classes(bundles, "A1 B1 A2 B2 N1 N2 X m1 m2", 6)
     names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
     classes = _commutator_stage(
         classes, results, tuple((f"[{name}] != 0", *name.split(",")) for name in names), ("N1", "N2"), tol
     )
     classes = _nilpotent_stage(classes, results, "A1", ("N1", "N2"), True, tol)
     classes = _hypothesis_stage(classes, results, lambda cls: [
-        ("first pair violates its isometric identity", cls["A1"], cls["B1"], cls["X"], cls["m1"], [0] * len(cls.rows)),
-        ("second pair violates its symmetric identity", cls["A2"], cls["B2"], cls["X"], [0] * len(cls.rows), cls["m2"]),
+        ("first pair violates its isometric identity", cls["A1"], cls["B1"], cls["X"],
+         _degree_column(cls, "m1"), [0] * len(cls.rows)),
+        ("second pair violates its symmetric identity", cls["A2"], cls["B2"], cls["X"],
+         [0] * len(cls.rows), _degree_column(cls, "m2")),
     ], tol, norms)
 
     def derive(cls):
@@ -844,18 +830,16 @@ def _cor05_combined(classes: list, results: list, tol: mc.Tolerance) -> None:
             ], {"n1": float(n1[r]), "n2": float(n2[r])})
 
 
-@_checker
 def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """The three perturbation implications for two base pairs sharing the nilpotents."""
-    (result,) = yield _cor05_program, [tuple(_args(bundle, "A1 B1 A2 B2 N1 N2 X m1 m2"))]
-    return result
+    return _cor05_program([bundle], tol, 0)[0]
 
 
-def _cor050_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    """``check_cor050`` of each trial ``(T, N, X, m1, m2)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(trials)
+def _cor050_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_cor050`` of each bundle ``(T, N, X, m1, m2)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(bundles)
     norms: dict = {}
-    classes = _classes(trials, "T N X m1 m2", 2)
+    classes = _classes(bundles, "T N X m1 m2", 2)
     for cls in classes:
         cls["T*"] = np.conjugate(cls["T"].swapaxes(-1, -2), order="C")
     cross = "[T, N] != 0 or [T*, N] != 0"
@@ -881,7 +865,6 @@ def _cor050_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     return results
 
 
-@_checker
 def check_cor050(
     T_hilbert: OperatorTuple,
     N: OperatorTuple,
@@ -891,15 +874,14 @@ def check_cor050(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
-    (result,) = yield _cor050_program, [(T_hilbert, N, X, m1, m2)]
-    return result
+    return _cor050_program([_bundle(T=T_hilbert, N=N, X=X, m1=m1, m2=m2)], tol, 0)[0]
 
 
-def _thm06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
-    """``check_thm06`` of each trial ``(A, B, S, T, X, m, n, r, s)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(trials)
+def _thm06_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_thm06`` of each bundle ``(A, B, S, T, X, m, n, r, s)``, stage by stage."""
+    results: list[TrialResult] = [None] * len(bundles)
     norms: dict = {}
-    classes = _classes(trials, "A B S T X m n r s", 4)
+    classes = _classes(bundles, "A B S T X m n r s", 4)
     classes = _commutator_stage(classes, results, (
         ("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T")
     ), (), tol)
@@ -924,7 +906,6 @@ def _thm06_program(trials: list, tol: mc.Tolerance) -> list[TrialResult]:
     return results
 
 
-@_checker
 def check_thm06(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -942,17 +923,16 @@ def check_thm06(
     The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     cross-assigned combined defects.
     """
-    (result,) = yield _thm06_program, [(A, B, S, T, X, m, n, r, s)]
-    return result
+    return _thm06_program([_bundle(A=A, B=B, S=S, T=T, X=X, m=m, n=n, r=r, s=s)], tol, 0)[0]
 
 
-def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[TrialResult]:
-    """``check_cor06`` (or with ``single``, ``check_cor062``) of each trial ``(A, B, S, T,
+def _product_program(bundles: list, tol: mc.Tolerance, t_max: int, single: bool) -> list[TrialResult]:
+    """``check_cor06`` (or with ``single``, ``check_cor062``) of each bundle ``(A, B, S, T,
     X, m, n, kind)``, stage by stage: factor pairs whose defects of one kind vanish at
     degrees m and n make the product pair's vanish at degree m+n-1."""
-    results: list[TrialResult] = [None] * len(trials)
+    results: list[TrialResult] = [None] * len(bundles)
     norms: dict = {}
-    classes = _classes(trials, "A B S T X m n kind", 4)
+    classes = _classes(bundles, "A B S T X m n kind", 4)
     if single:
         classes = _skip_rows(classes, results, [
             None if cls["A"].shape[1] == cls["B"].shape[1] == 1 else
@@ -971,15 +951,15 @@ def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[Tria
     _derived_stage(classes, results, derive)
     reason = "a factor violates its identity" if single else "a factor pair violates its identity"
     classes = _hypothesis_stage(classes, results, lambda cls: [
-        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls, _degree_column(cls, k)))
+        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls["kind"], _degree_column(cls, k)))
         for P, Q, k in (("A", "B", "m"), ("S", "T", "n"))
     ], tol, norms)
     for cls in classes:
         cls["degree"] = _degree_column(cls, "m") + _degree_column(cls, "n") - 1
     _sharp_conclusions(
         classes, results, "product_defect",
-        lambda cls: (cls["P"], cls["Q"], cls["X"], *_kind_degrees(cls, cls["degree"]),
-                     [] if single else [_kind_degrees(cls, cls["degree"] - 1)]),
+        lambda cls: (cls["P"], cls["Q"], cls["X"], *_kind_degrees(cls["kind"], cls["degree"]),
+                     [] if single else [_kind_degrees(cls["kind"], cls["degree"] - 1)]),
         () if single else ("below",),
         lambda cls: {"degree": cls["degree"]},
         tol, norms,
@@ -987,14 +967,62 @@ def _product_program(trials: list, tol: mc.Tolerance, single: bool) -> list[Tria
     return results
 
 
-@_checker
+_cor06_program = functools.partial(_product_program, single=False)
+_cor062_program = functools.partial(_product_program, single=True)
+
+
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
-    (result,) = yield _cor06_program, [(*_args(bundle, "A B S T X m n"), bundle.params["kind"])]
-    return result
+    return _cor06_program([bundle], tol, 0)[0]
 
 
-@_checker
+def _cor061_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_cor061`` of each bundle ``(S, T, X, m, n)``, stage by stage: the hypotheses
+    of both kinds, then the conclusion of each kind whose hypotheses hold, at m+n-1."""
+    results: list[TrialResult] = [None] * len(bundles)
+    classes, norms = _classes(bundles, "S T X m n", 2), {}
+    for cls in classes:
+        for name in "ST":
+            cls[f"{name}*"] = np.conjugate(cls[name].swapaxes(-1, -2), order="C")
+            cls[f"C{name}C"] = np.conjugate(cls[name])
+    classes = _commutator_stage(
+        classes, results, (("[S, T] != 0", "S", "T"), ("[S*, CTC] != 0", "S*", "CTC")), (), tol
+    )
+
+    def derive(cls):
+        cls["P"], cls["Q"] = product_stacks(cls["S*"], cls["T*"]), np.conjugate(product_stacks(cls["S"], cls["T"]))
+        cls["degree"] = [m + n - 1 for m, n in zip(cls["m"], cls["n"])]
+
+    _derived_stage(classes, results, derive)
+    # both kinds' hypotheses, then the conclusion of each kind whose hypotheses hold
+    kinds, names = ("iso", "sym"), [f"hyp_{kind}_{side}" for kind in ("iso", "sym") for side in "ST"]
+    judged = iter(defect_stack_checks([
+        (cls[f"{side}*"], cls[f"C{side}C"], cls["X"], *_kind_degrees([kind] * len(cls.rows), cls[degree]),
+         None, cls.rows)
+        for cls in classes for kind in kinds for side, degree in (("S", "m"), ("T", "n"))
+    ], tol, norms))
+    tests = []
+    for cls in classes:
+        found = list(zip(*(zip(*(column.tolist() for column in next(judged))) for _ in names)))
+        cls["defects"] = [{name: norm for name, (norm, _) in zip(names, row)} for row in found]
+        cls["holds"] = [[all(norm <= threshold for norm, threshold in row[2 * k : 2 * k + 2]) for k in range(2)]
+                        for row in found]
+        for k, kind in enumerate(kinds):
+            own = [r for r, holds in enumerate(cls["holds"]) if holds[k]]
+            degrees = _kind_degrees([kind] * len(own), [cls["degree"][r] for r in own])
+            tests.append((cls["P"], cls["Q"], cls["X"], *degrees, own, cls.rows[own]))
+    judged = iter(defect_stack_checks(tests, tol, norms))
+    for cls in classes:
+        found = [iter(zip(*(column.tolist() for column in next(judged)))) for _ in kinds]
+        for r, row in enumerate(cls.rows.tolist()):
+            checks = [(f"product_defect_{kind}", *next(found[k]))
+                      for k, kind in enumerate(kinds) if cls["holds"][r][k]]
+            results[row] = _verdict(checks, cls["defects"][r]) if checks else _skip(
+                "neither implication has valid hypotheses", **cls["defects"][r]
+            )
+    return results
+
+
 def check_cor061(
     S: OperatorTuple,
     T: OperatorTuple,
@@ -1004,46 +1032,65 @@ def check_cor061(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
-    S_star, T_star = adjoint_tuple(S), adjoint_tuple(T)
-    CSC, CTC = conj_tuple(S), conj_tuple(T)
-    if skip := (yield from _noncommuting(("[S, T] != 0", S, T), ("[S*, CTC] != 0", S_star, CTC))):
-        return skip
-    prod_star = product_tuple(S_star, T_star)
-    prod_conj = conj_tuple(product_tuple(S, T))
-    deg = m + n - 1
-    kinds = ("iso", "sym")
-    # both kinds' hypotheses, then the conclusion of each kind whose hypotheses hold
-    hypotheses = yield from _zero_tests(*(
-        test
-        for kind in kinds
-        for test in (
-            (f"hyp_{kind}_S", S_star, CSC, X, *_degrees(kind, m)),
-            (f"hyp_{kind}_T", T_star, CTC, X, *_degrees(kind, n)),
-        )
-    ))
-    defects = {name: norm for name, norm, _ in hypotheses}
-    conclusions = [
-        (f"product_defect_{kind}", prod_star, prod_conj, X, *_degrees(kind, deg))
-        for kind, pair in zip(kinds, (hypotheses[:2], hypotheses[2:]))
-        if all(norm <= threshold for _, norm, threshold in pair)
-    ]
-    if not conclusions:
-        return _skip("neither implication has valid hypotheses", **defects)
-    return _verdict((yield from _zero_tests(*conclusions)), defects)
+    return _cor061_program([_bundle(S=S, T=T, X=X, m=m, n=n)], tol, 0)[0]
 
 
-@_checker
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single operator times tuple: the product inherits degree m+n-1."""
-    (result,) = yield _cor062_program, [(*_args(bundle, "A B S T X m n"), bundle.params["kind"])]
-    return result
+    return _cor062_program([bundle], tol, 0)[0]
 
 
-_cor06_program = functools.partial(_product_program, single=False)
-_cor062_program = functools.partial(_product_program, single=True)
+def _thm07_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """``check_thm07`` of each bundle ``(A, B, S, T, m, n, r, s, variant, kind)``, stage by
+    stage, in classes of one variant: the tensor pairs, the factor pairs' hypotheses
+    at X = I, then the tensor pair's conclusion."""
+    results: list[TrialResult] = [None] * len(bundles)
+    classes, norms = _classes(bundles, "A B S T m n r s variant kind", 4, by="variant"), {}
+    classes = _tensor_stage(classes, results)
+
+    def hypotheses(cls):
+        X_a, X_s, zero = _identities(cls, "A"), _identities(cls, "S"), [0] * len(cls.rows)
+        if cls["variant"][0] == "i":
+            # factor pairs whose defects of one kind vanish at degrees m and n make the
+            # tensor pair's vanish at degree m+n-1
+            reason = "a factor pair violates its identity"
+            return [(reason, cls["A"], cls["B"], X_a, *_kind_degrees(cls["kind"], cls["m"])),
+                    (reason, cls["S"], cls["T"], X_s, *_kind_degrees(cls["kind"], cls["n"]))]
+        return [("first pair violates the combined identity", cls["A"], cls["B"], X_a, cls["m"], cls["n"]),
+                ("second pair violates its identities", cls["S"], cls["T"], X_s, cls["r"], zero),
+                ("second pair violates its identities", cls["S"], cls["T"], X_s, zero, cls["s"])]
+
+    classes = _hypothesis_stage(classes, results, hypotheses, tol, norms)
+    for cls in classes:
+        if cls["variant"][0] == "i":
+            cls["degree"] = np.array([m + n - 1 for m, n in zip(cls["m"], cls["n"])])
+            cls["t1"], cls["t2"] = _kind_degrees(cls["kind"], cls["degree"])
+        else:
+            cls["t1"], cls["t2"] = (np.array([a + b - 1 for a, b in zip(cls[i], cls[j])]) for i, j in ("mr", "ns"))
+    _sharp_conclusions(
+        classes, results, "tensor_defect",
+        lambda cls: (cls["A(x)S"], cls["B(x)T"], _identities(cls, "A(x)S"), cls["t1"], cls["t2"], []), (),
+        lambda cls: {"degree": cls["degree"]} if cls["variant"][0] == "i" else {"t1": cls["t1"], "t2": cls["t2"]},
+        tol, norms,
+    )
+    return results
 
 
-@_checker
+@_in_trial_order
+def _tensor_stage(classes: list, results: list) -> list:
+    """Give each class its tensor pair (A (x) S, B (x) T) as columns, and refuse a variant
+    other than i, or variant ii without r and s."""
+    for cls in classes:
+        cls["A(x)S"], cls["B(x)T"] = tensor_stacks(cls["A"], cls["S"]), tensor_stacks(cls["B"], cls["T"])
+        variant = cls["variant"][0]
+        if variant != "i":
+            if variant != "ii":
+                raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
+            if any(value is None for value in (*cls["r"], *cls["s"])):
+                raise InvalidArgumentError("variant ii needs r and s")
+    return classes
+
+
 def check_thm07(
     A: OperatorTuple,
     B: OperatorTuple,
@@ -1058,38 +1105,8 @@ def check_thm07(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
-    X_a = mc.identity(A.dim)
-    X_s = mc.identity(S.dim)
-    tensor = (tensor_tuple(A, S), tensor_tuple(B, T), mc.identity(A.dim * S.dim))
-    if variant == "i":
-        # factor pairs whose defects of one kind vanish at degrees m and n make the
-        # tensor pair's vanish at degree m+n-1
-        reason = "a factor pair violates its identity"
-        if skip := (yield from _failed_hypothesis(
-            (reason, A, B, X_a, *_degrees(kind, m)), (reason, S, T, X_s, *_degrees(kind, n))
-        )):
-            return skip
-        deg = m + n - 1
-        return _verdict(
-            (yield from _zero_tests(("tensor_defect", *tensor, *_degrees(kind, deg)))),
-            {"degree": float(deg)},
-        )
-
-    if variant != "ii":
-        raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
-    if r is None or s is None:
-        raise InvalidArgumentError("variant ii needs r and s")
-    if skip := (yield from _failed_hypothesis(
-        ("first pair violates the combined identity", A, B, X_a, m, n),
-        ("second pair violates its identities", S, T, X_s, r, 0),
-        ("second pair violates its identities", S, T, X_s, 0, s),
-    )):
-        return skip
-    t1, t2 = m + r - 1, n + s - 1
-    return _verdict(
-        (yield from _zero_tests(("tensor_defect", *tensor, t1, t2))),
-        {"t1": float(t1), "t2": float(t2)},
-    )
+    bundle = _bundle(A=A, B=B, S=S, T=T, m=m, n=n, r=r, s=s, variant=variant, kind=kind)
+    return _thm07_program([bundle], tol, 0)[0]
 
 
 #: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,
@@ -1169,72 +1186,46 @@ def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One campaign id: the generator profile of its instances, ``body(bundle, tol,
-    t_max)``, the checker body that tests one instance, and ``pair(bundle)``, the
-    (A, B, X) whose defect profile a counterexample record carries."""
+    """One campaign id: the generator profile of its instances, ``program(bundles, tol,
+    t_max)``, the column program that gives each instance of a batch its result, and
+    ``pair(bundle)``, the (A, B, X) whose defect profile a counterexample record carries."""
 
     profile: str
-    body: Callable[[InstanceBundle, mc.Tolerance, int], Generator]
+    program: Callable[[list, mc.Tolerance, int], list[TrialResult]]
     pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
 
     def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
-        """The result of one instance, its body driven alone."""
-        return _alone(self.body(bundle, tol, t_max), tol)
+        """The result of one instance: the program's batch of one."""
+        return self.program([bundle], tol, t_max)[0]
 
 
-def _pair(names: str = "A B X"):
-    return lambda bundle: tuple(_args(bundle, names))
+def _pair(A: str = "A", B: str = "B"):
+    return lambda bundle: (bundle.tuples[A], bundle.tuples[B], bundle.matrices["X"])
 
 
 def _adjoint_pair(key: str):
-    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), *_args(bundle, f"{key} X"))
+    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), bundle.tuples[key], bundle.matrices["X"])
 
 
-def _thm07_body(bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> Generator:
-    p = bundle.params
-    return check_thm07.body(
-        *_args(bundle, "A B S T m n"),
-        r=int(p["r"]) if "r" in p else None,
-        s=int(p["s"]) if "s" in p else None,
-        variant=str(p["variant"]),
-        kind=str(p.get("kind", "iso")),
-        tol=tol,
-    )
-
-
-#: The registry, one entry per theorem id, in campaign order, with the body of
-#: each ``check_*`` on a generated bundle.
+#: The registry, one entry per theorem id, in campaign order.
 THEOREMS = {
-    "pro01": Theorem("pro01", lambda b, tol, t_max: check_pro01.body(b, t_max, tol), _pair()),
-    "pro02": Theorem("pro02-family", lambda b, tol, _: check_pro02.body(b, tol), _pair("A0 B0 X")),
-    "pro03": Theorem("pro03", lambda b, tol, _: check_pro03.body(b, tol=tol), _pair()),
-    "pro04": Theorem(
-        "pro04", lambda b, tol, _: check_pro04.body(*_args(b, "A"), tol), _adjoint_pair("A")
-    ),
-    "pro5": Theorem(
-        "pro5", lambda b, tol, _: check_pro5.body(*_args(b, "A m_even"), tol), _adjoint_pair("A")
-    ),
-    "thm05": Theorem(
-        "thm05", lambda b, tol, _: check_thm05.body(*_args(b, "A B N1 N2 X m1 m2"), tol), _pair()
-    ),
-    "cor05": Theorem("cor05", lambda b, tol, _: check_cor05.body(b, tol), _pair("A1 B1 X")),
-    "cor050": Theorem(
-        "cor050",
-        lambda b, tol, _: check_cor050.body(*_args(b, "T N X m1 m2"), tol),
-        _adjoint_pair("T"),
-    ),
-    "thm06": Theorem(
-        "thm06", lambda b, tol, _: check_thm06.body(*_args(b, "A B S T X m n r s"), tol), _pair()
-    ),
-    "cor06": Theorem("cor06", lambda b, tol, _: check_cor06.body(b, tol), _pair()),
+    "pro01": Theorem("pro01", _pro01_program, _pair()),
+    "pro02": Theorem("pro02-family", _pro02_program, _pair("A0", "B0")),
+    "pro03": Theorem("pro03", _pro03_program, _pair()),
+    "pro04": Theorem("pro04", _pro04_program, _adjoint_pair("A")),
+    "pro5": Theorem("pro5", _pro5_program, _adjoint_pair("A")),
+    "thm05": Theorem("thm05", _thm05_program, _pair()),
+    "cor05": Theorem("cor05", _cor05_program, _pair("A1", "B1")),
+    "cor050": Theorem("cor050", _cor050_program, _adjoint_pair("T")),
+    "thm06": Theorem("thm06", _thm06_program, _pair()),
+    "cor06": Theorem("cor06", _cor06_program, _pair()),
     "cor061": Theorem(
-        "cor061",
-        lambda b, tol, _: check_cor061.body(*_args(b, "S T X m n"), tol),
+        "cor061", _cor061_program,
         lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
     ),
-    "cor062": Theorem("cor062", lambda b, tol, _: check_cor062.body(b, tol), _pair()),
+    "cor062": Theorem("cor062", _cor062_program, _pair()),
     "thm07": Theorem(
-        "thm07", _thm07_body, lambda b: (*_args(b, "A B"), mc.identity(b.tuples["A"].dim))
+        "thm07", _thm07_program, lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim))
     ),
 }
 
@@ -1261,6 +1252,10 @@ class CampaignConfig:
             raise InvalidArgumentError(
                 f"unknown theorem id {self.theorem_id!r}; expected one of {CAMPAIGN_IDS}"
             )
+        # a bool or a float would pass the sign checks below and run a wrong number of trials
+        for name, count in (("trials", self.trials), *(("seed", seed) for seed in (self.seed, *(self.seeds or ())))):
+            if type(count) is not int:
+                raise InvalidArgumentError(f"{name} must be an integer, got {count!r}")
         if self.trials < 0:
             raise InvalidArgumentError("trials must be non-negative")
         # each trial seed seeds NumPy's generator, which refuses a negative one
@@ -1338,7 +1333,7 @@ class CampaignReport:
         )
 
 
-#: Trials a campaign without a budget runs in lock-step at a time; the cap keeps
+#: Trials a campaign without a budget checks in one program call; the cap keeps
 #: the memory of a chunk flat however many trials the campaign has.
 LOCKSTEP_TRIALS = 64
 
@@ -1347,10 +1342,10 @@ def _run_chunk(
     theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int
 ) -> list[tuple[TrialResult, InstanceBundle]]:
     """The result and the instance of each seed: the instances are generated together
-    (``random_instances``), and all their checker bodies run in lock-step."""
+    (``random_instances``) and checked together by their id's program."""
     entry = THEOREMS[theorem_id]
     bundles = random_instances(entry.profile, seeds)
-    return list(zip(_lockstep([entry.body(b, tol, t_max) for b in bundles], tol), bundles))
+    return list(zip(entry.program(bundles, tol, t_max), bundles))
 
 
 def _counterexample_record(
@@ -1376,9 +1371,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured checks; deterministic given the seeds (modulo wall time).
 
     Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds, whose instances are
-    generated together and whose checks advance in lock-step (``_lockstep``),
-    with the bits each trial gives alone.  A
-    budgeted campaign runs chunks of one trial and checks the budget before
+    generated together and checked by one call of the id's column program,
+    with the bits each trial gives alone.  A budgeted campaign runs chunks of one trial and checks the budget before
     each, so it stops within one trial of its deadline and its report covers
     a prefix of the seeds.  The golden check takes no seed, so it runs once,
     on the first trial, and its result stands for every later one.

@@ -513,6 +513,21 @@ def test_campaign_config_with_an_unknown_key_exits_2_before_any_trial(tmp_path, 
     _single_error_line(capsys, f"unknown config key {key!r}")
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_campaign_refuses_an_unwritable_report_path_before_any_trial(tmp_path, capsys, monkeypatch, flag, where):
+    # a bad path used to be refused only once every trial had run, and a bad --csv
+    # only once the --out file had been written
+    monkeypatch.setattr(verify, "run_campaign", lambda config: pytest.fail("a trial ran"))
+    bad = tmp_path / "missing" / "report" if where == "missing directory" else tmp_path
+    written = tmp_path / "written.txt"
+    other = "--csv" if flag == "--out" else "--out"
+    argv = ["campaign", "--theorem", "thm05", "--trials", "3000", other, str(written), flag, str(bad), "--quiet"]
+    assert main(argv) == 2
+    _single_error_line(capsys, f"{flag[2:]} path {str(bad)!r}")
+    assert not written.exists()
+
+
 def test_campaign_refuses_a_negative_seed_flag(capsys):
     assert main(["campaign", "--theorem", "pro04", "--trials", "2", "--seed", "-5"]) == 2
     _single_error_line(capsys, "seed must be non-negative, got -5")

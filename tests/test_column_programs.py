@@ -1,13 +1,13 @@
 """Column programs give each trial what its check gives alone.
 
-thm05, cor05, cor050, thm06, cor06 and cor062 check a campaign chunk as one
-column program: every stage runs once over the stacks of all live trials,
-through the stack kernels (``commutator_stack_checks``,
-``nilpotency_stack_orders``, ``defect_stack_checks``, ``stack_defects``).
-Here each stack kernel is compared with its list kernel, bit for bit, on
-every profile's tuples, and each program with its check driven one trial at
-a time, on chunks that mix passing trials, a trial for each skip reason and
-planted trials that are refused.
+Every theorem checks a campaign chunk as one column program: every stage
+runs once over the stacks of all live trials, through the stack kernels
+(``commutator_stack_checks``, ``nilpotency_stack_orders``,
+``defect_stack_checks``, ``stack_defects``).  Here each stack kernel is
+compared with its list kernel, bit for bit, on every profile's tuples, and
+each program with its check run one trial at a time, on chunks that mix
+passing trials, a trial for each skip reason and planted trials that are
+refused.
 """
 
 from __future__ import annotations
@@ -174,7 +174,22 @@ def _rebundled(bundle: InstanceBundle, params: dict | None = None, **tuples) -> 
 
 
 def _args(bundle: InstanceBundle, names: str) -> list:
-    return verify._args(bundle, names)
+    found = {**bundle.tuples, **bundle.matrices, **bundle.params}
+    return [found[name] for name in names.split()]
+
+
+#: The names of the arguments of each check that takes them one by one, not as a bundle.
+ARGUMENTS = {
+    "pro04": "A", "pro5": "A m_even", "thm05": "A B N1 N2 X m1 m2", "cor050": "T N X m1 m2",
+    "thm06": "A B S T X m n r s", "cor061": "S T X m n", "thm07": "A B S T m n r s variant kind",
+}
+
+
+def _chunk(theorem_id: str, trials: list, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list:
+    """The results of trials, each the arguments of the id's check, from one call of its program."""
+    names = ARGUMENTS.get(theorem_id)
+    bundles = [args[0] if names is None else verify._bundle(**dict(zip(names.split(), args))) for args in trials]
+    return verify.THEOREMS[theorem_id].program(bundles, tol, 200)
 
 
 def _thm05_trials():
@@ -295,7 +310,141 @@ def _product_trials(theorem_id: str, check, base_seed: int):
     ]
 
 
+def _embedded(bundle: InstanceBundle) -> InstanceBundle:
+    """The bundle with each matrix the direct sum of its own and [[1]]: a pair of
+    block-diagonal tuples acts on each block of X alone, so every defect keeps its norm."""
+    def grown(M):
+        out = np.eye(M.shape[-1] + 1, dtype=complex)
+        out[..., :-1, :-1] = M
+        return out
+
+    return InstanceBundle(
+        profile=bundle.profile, seed=bundle.seed, params=bundle.params,
+        tuples={name: OperatorTuple([grown(c) for c in T]) for name, T in bundle.tuples.items()},
+        matrices={name: grown(X) for name, X in bundle.matrices.items()},
+    )
+
+
+def _pro01_trials():
+    base = random_instance("pro01", 0)  # the Jordan variant, m = 3
+    skips = {"not (X,3)-isometric": _rebundled(base, A=_scaled(base.tuples["A"], 2.0))}
+    zero = InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples,
+                          matrices={"X": np.zeros((2, 2))}, params={**base.params, "m": 0})
+    refused = [
+        # X = 0 passes its degree-0 test, and the Cesaro stage refuses the degree
+        (zero, "m must be a positive integer, got 0"),
+        # refused by the zero tests, before the Cesaro stage
+        (InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples, matrices={"X": np.eye(3)},
+                        params=base.params), "dimension mismatch: A is 2, B is 2, X is 3"),
+    ]
+    passing = list(random_instances("pro01", range(8)))
+    return verify.check_pro01, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
+        ((b,), message) for b, message in refused
+    ]
+
+
+def _pro02_trials():
+    base = random_instance("pro02-family", 0)  # the triangle kind
+    skips = {"first family member violates its identity": _rebundled(base, A0=_scaled(base.tuples["A0"], 2.0))}
+    refused = [
+        (InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples, matrices={"X": np.eye(3)},
+                        params=base.params), "dimension mismatch: A is 2, B is 2, X is 3"),
+        # the limit equal to the first member: refused before any zero test
+        (_rebundled(base, A_limit=base.tuples["A0"], B_limit=base.tuples["B0"]), "family does not converge"),
+    ]
+    # a family of 3 x 3 matrices is a shape class of its own
+    passing = [*random_instances("pro02-family", range(8)), _embedded(random_instance("pro02-family", 9))]
+    return verify.check_pro02, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
+        ((b,), message) for b, message in refused
+    ]
+
+
+def _pro03_trials():
+    base = random_instance("pro03", 0)  # part (a), d = 2
+    one = OperatorTuple.of(np.eye(3))
+    skips = {
+        "reduction needs d >= 2": _rebundled(base, A=one, B=one),
+        "pair 0 is not degree-1 annihilating": _rebundled(
+            base, A=OperatorTuple(base.tuples["A"].stack * np.array([2.0, 1.0])[:, None, None])
+        ),
+    }
+    refused = [(_rebundled(base, {"m": -1}), "m must be a non-negative integer, got -1")]
+    passing = list(random_instances("pro03", range(8)))
+    return verify.check_pro03, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
+        ((b,), message) for b, message in refused
+    ]
+
+
+def _adjoint_trials(theorem_id: str):
+    rng = np.random.default_rng(0)
+    skewed = OperatorTuple.of(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    huge = OperatorTuple(1e200 * np.eye(3)[None])
+    bundles = random_instances(theorem_id, range(8))
+    if theorem_id == "pro04":
+        skips = {"adjoint pair is not (I,2)-symmetric": (skewed,)}
+        return verify.check_pro04, [(b.tuples["A"],) for b in bundles], skips, [
+            ((huge,), "tolerance scale overflows")
+        ]
+    skips = {"adjoint pair is not (I,2)-symmetric": (skewed, 2), "adjoint pair is not (I,4)-symmetric": (skewed, 4)}
+    refused = [
+        ((huge, 2), "tolerance scale overflows"),
+        # refused before any zero test
+        ((bundles[0].tuples["A"], 3), "m must be a positive even integer, got 3"),
+    ]
+    return verify.check_pro5, [tuple(_args(b, "A m_even")) for b in bundles], skips, refused
+
+
+def _cor061_trials():
+    lifted = OperatorTuple.of(np.eye(2) + np.diag([1.0], 1))  # real and not normal
+    diagonal = OperatorTuple.of(np.diag([1.0, 2.0]))
+    skips = {
+        "[S, T] != 0": (OperatorTuple.of(SHIFT), OperatorTuple.of(SHIFT.T), EYE, 1, 1),
+        # S commutes with T = S, but S* = S^T does not commute with conj(T) = S
+        "[S*, CTC] != 0": (lifted, lifted, np.eye(2), 1, 1),
+        # sigma(X) = 2X and [S, X] = -X at X = E_12: no hypothesis of either kind holds
+        "neither implication has valid hypotheses": (diagonal, diagonal, np.diag([1.0], 1), 1, 1),
+    }
+    base = tuple(_args(random_instance("cor061", 0), "S T X m n"))
+    refused = [
+        (base[:3] + (-1, 1), "m must be a non-negative integer, got -1"),
+        # refused by the commutator stage, before the refusal above
+        ((base[0], OperatorTuple.of(np.eye(2)), *base[2:]), "dimension mismatch: 3 vs 2"),
+    ]
+    passing = [tuple(_args(b, "S T X m n")) for b in random_instances("cor061", range(8))]
+    return verify.check_cor061, passing, skips, refused
+
+
+def _thm07_trials():
+    names = "A B S T m n r s variant kind"
+
+    def args(bundle, **changes):
+        found = {**bundle.tuples, **{"r": None, "s": None, "kind": "iso"}, **bundle.params, **changes}
+        return tuple(found[name] for name in names.split())
+
+    first, second = random_instance("thm07", 0), random_instance("thm07", 1)  # variants i and ii
+    skips = {
+        "a factor pair violates its identity": args(first, A=_scaled(first.tuples["A"], 2.0)),
+        "first pair violates the combined identity": args(second, A=_scaled(second.tuples["A"], 2.0)),
+        "second pair violates its identities": args(second, S=_scaled(second.tuples["S"], 2.0)),
+    }
+    refused = [
+        (args(first, m=-1), "m must be a non-negative integer, got -1"),
+        # refused before any zero test
+        (args(first, variant="iii"), "variant must be 'i' or 'ii', got 'iii'"),
+    ]
+    # seeds 16 and 18 give variant i tuples of length 2, a shape class of their own
+    passing = [args(b) for b in random_instances("thm07", [*range(8), 16, 18])]
+    return verify.check_thm07, passing, skips, refused
+
+
 PLANTED = {
+    "pro01": _pro01_trials,
+    "pro02": _pro02_trials,
+    "pro03": _pro03_trials,
+    "pro04": lambda: _adjoint_trials("pro04"),
+    "pro5": lambda: _adjoint_trials("pro5"),
+    "cor061": _cor061_trials,
+    "thm07": _thm07_trials,
     "thm05": _thm05_trials,
     "cor05": _cor05_trials,
     "cor050": _cor050_trials,
@@ -306,8 +455,7 @@ PLANTED = {
 
 
 def test_every_column_program_is_planted():
-    converted = [tid for tid, entry in verify.THEOREMS.items() if tid in PLANTED]
-    assert sorted(converted) == sorted(PLANTED)
+    assert sorted(verify.THEOREMS) == sorted(PLANTED)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(PLANTED))
@@ -320,21 +468,25 @@ def test_a_chunk_of_planted_trials_gives_each_trial_what_it_gives_alone(theorem_
     trials = [passing[0], *skips.values(), *passing[1:]]
     alone = [check(*args) for args in trials]
     assert [result.status for result in alone].count("skip") == len(skips)
-    assert verify._lockstep([check.body(*args) for args in trials], tol) == alone
+    assert _chunk(theorem_id, trials, tol) == alone
     # a refusing trial refuses the whole chunk with its own error, and the earliest
-    # stage's refusal comes first, as the lock-step raises its first round's
+    # stage's refusal comes first
     for k, (args, message) in enumerate(refused):
         with pytest.raises(InvalidArgumentError, match=message):
             check(*args)
         later = [args for args, _ in refused[k:]]
         chunk = trials[:3] + later[:1] + trials[3:] + later[1:]
         with pytest.raises(InvalidArgumentError, match=refused[-1][1] if len(later) > 1 else message):
-            verify._lockstep([check.body(*args) for args in chunk], tol)
+            _chunk(theorem_id, chunk, tol)
 
 
 #: Where each id's checker takes a degree that its hypothesis stage reads: the
-#: position of the argument, or the name of the bundle's parameter.
-HYPOTHESIS_DEGREE = {"thm05": 5, "cor050": 3, "thm06": 7, "cor05": "m2", "cor06": "m", "cor062": "m"}
+#: position of the argument, or the name of the bundle's parameter.  pro04 takes
+#: none, and pro5 refuses a bad one before any stage.
+HYPOTHESIS_DEGREE = {
+    "thm05": 5, "cor050": 3, "thm06": 7, "cor05": "m2", "cor06": "m", "cor062": "m",
+    "pro01": "m", "pro02": "m1", "pro03": "m", "pro5": 1, "cor061": 3, "thm07": 4,
+}
 
 
 def _with_degree(args: tuple, where, value) -> tuple:
@@ -358,7 +510,7 @@ def _widened(T: OperatorTuple) -> OperatorTuple:
     return OperatorTuple(np.concatenate([T.stack, T.stack[:1]]))
 
 
-@pytest.mark.parametrize("theorem_id", sorted(PLANTED))
+@pytest.mark.parametrize("theorem_id", sorted(HYPOTHESIS_DEGREE))
 def test_refusals_at_one_stage_in_two_shape_classes_come_in_trial_order(theorem_id):
     check, passing, _, _ = PLANTED[theorem_id]()
     first = passing[0]
@@ -379,7 +531,7 @@ def test_refusals_at_one_stage_in_two_shape_classes_come_in_trial_order(theorem_
         ([refused[-2], first, refused[-1]], -2),
     ):
         with pytest.raises(InvalidArgumentError, match=f"got {value}$"):
-            verify._lockstep([check.body(*args) for args in chunk], mc.DEFAULT_TOL)
+            _chunk(theorem_id, chunk)
 
 
 def test_refusals_of_the_commutator_stage_in_two_classes_come_in_trial_order():
@@ -395,6 +547,18 @@ def test_refusals_of_the_commutator_stage_in_two_classes_come_in_trial_order():
     chunk = [with_n(other, 3, N2=NONCOMMUTING), with_n(first, 2), with_n(other, 3)]
     assert check(*chunk[0]).reason == "tuple N2 does not commute"
     with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 2"):
-        verify._lockstep([check.body(*args) for args in chunk], mc.DEFAULT_TOL)
+        _chunk("thm05", chunk)
     with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 3"):
-        verify._lockstep([check.body(*args) for args in chunk[::2] + chunk[1:2]], mc.DEFAULT_TOL)
+        _chunk("thm05", chunk[::2] + chunk[1:2])
+
+
+def test_refusals_of_the_tensor_stage_in_two_classes_come_in_trial_order():
+    _, passing, _, _ = PLANTED["thm07"]()
+    first, second = passing[0], next(args for args in passing if args[8] == "ii")
+    unnamed = second[:6] + (None,) + second[7:]  # variant ii without r
+    unknown = first[:8] + ("iii",) + first[9:]
+    # the class of variant ii comes first, by a trial that is not refused
+    with pytest.raises(InvalidArgumentError, match="^variant must be 'i' or 'ii', got 'iii'$"):
+        _chunk("thm07", [second, unknown, first, unnamed])
+    with pytest.raises(InvalidArgumentError, match="^variant ii needs r and s$"):
+        _chunk("thm07", [second, unnamed, unknown])

@@ -1,12 +1,12 @@
-"""A campaign's trials run in lock-step with the bits each trial gives alone.
+"""A campaign's chunks give each trial the bits it gives alone.
 
-``run_campaign`` drives the checker bodies of up to ``LOCKSTEP_TRIALS`` trials
-together and evaluates their zero tests across trials through one batched
-kernel, ``transforms.defect_checks``.  Here every theorem's chunks are compared
-with its ``check`` driven one trial at a time, on 200 seeds at the default
-tolerance and at a tight one, where most ids skip some trials and several
-report anomalies.  Each path gets instances of its own, so that neither reads
-spectral norms or powers that the other computed.
+``run_campaign`` checks up to ``LOCKSTEP_TRIALS`` trials together, in one call
+of the id's column program, whose stages run each stack kernel once across
+the chunk.  Here every theorem's chunks are compared with its ``check`` run
+one trial at a time, on 200 seeds at the default tolerance and at a tight
+one, where most ids skip some trials and several report anomalies.  Each path
+gets instances of its own, so that neither reads spectral norms or powers
+that the other computed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ SEEDS = tuple(range(200))
 TOLERANCES = (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16))
 
 #: pro01's Cesaro steps run one trial at a time alone and across the chunk in
-#: lock-step (``transforms.cesaro_errors``); fewer of them keep the test fast.
+#: its program's Cesaro stage; fewer of them keep the test fast.
 T_MAX = 20
 
 
@@ -37,7 +37,7 @@ def test_lockstep_chunks_equal_one_trial_at_a_time(theorem_id):
         chunked = []
         for first in range(0, len(SEEDS), size):
             chunk = chunk_bundles[first : first + size]
-            chunked += verify._lockstep([entry.body(bundle, tol, T_MAX) for bundle in chunk], tol)
+            chunked += entry.program(chunk, tol, T_MAX)
         assert chunked == alone
 
 
@@ -60,7 +60,7 @@ def test_run_campaign_runs_unbudgeted_trials_in_capped_chunks(monkeypatch):
 
 
 def test_an_error_in_one_body_aborts_the_chunk():
-    # pro02 refuses a family that does not converge; lock-step does not swallow it
+    # pro02 refuses a family that does not converge; its chunk does not swallow it
     good = random_instance("pro02-family", 0)
     tuples = dict(good.tuples)
     # declare the limit equal to the first member: residuals increase
@@ -68,7 +68,5 @@ def test_an_error_in_one_body_aborts_the_chunk():
     broken = InstanceBundle(
         profile=good.profile, seed=0, tuples=tuples, matrices=good.matrices, params=good.params
     )
-    body = verify.THEOREMS["pro02"].body
     with pytest.raises(InvalidArgumentError, match="family does not converge"):
-        verify._lockstep([body(good, mc.DEFAULT_TOL, 200), body(broken, mc.DEFAULT_TOL, 200)],
-                         mc.DEFAULT_TOL)
+        verify.THEOREMS["pro02"].program([good, broken], mc.DEFAULT_TOL, 200)

@@ -53,10 +53,10 @@ def test_traced_campaigns_wrap_every_target_and_uninstall_cleanly(capsys):
     for (module, fn), wrapper in wrapped.items():
         assert wrapper is not bindings[(module, fn)], f"{module.__name__}.{fn} is not wrapped"
         assert wrapper.__wrapped__ is bindings[(module, fn)]
-    # a campaign generates its instances together (``random_instances``), its trials
-    # run their checker bodies in lock-step and take their nilpotency orders from
-    # ``nilpotency_orders``, so no traced generator or order call is made, and only
-    # the golden check calls a check_*
+    # a campaign generates its instances together (``random_instances``) and checks
+    # them in one call of its id's column program, whose nilpotency orders come from
+    # ``nilpotency_stack_orders``, so no traced generator or order call is made, and
+    # only the golden check calls a check_*
     assert tracer.stats["generators.random_instance"][0] == 0
     assert tracer.stats["tuples.nilpotency_order"][0] == 0
     assert tracer.stats["verify.check"][0] == 1

@@ -16,7 +16,8 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
-from isotuple.generators import PROFILES, random_instances
+from isotuple import verify
+from isotuple.generators import PROFILES, InstanceBundle, random_instances
 from isotuple.multiindex import binomial
 from isotuple.tuples import (
     OperatorTuple,
@@ -468,36 +469,47 @@ def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
             assert str(raised.value) == str(composed.value)
 
 
-def _pro01_runs(seeds, t_max=200):
-    """The Cesaro run ``(A, B, X, m, t_max)`` of each pro01 instance, as ``check_pro01`` makes it."""
-    runs = []
-    for bundle in random_instances("pro01", seeds):
-        A, B, X = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"]
-        m = int(bundle.params["m"])
-        runs.append((A, B, X, m, t_max))
-    return runs
+def test_items_that_share_a_key_raise_the_overflow_of_the_first():
+    # one trial's ragged items, such as pro02's family members, share its key
+    eye = np.eye(2, dtype=complex)
+    A = np.stack([1e200 * eye[None], 1e250 * eye[None]])
+    test = (A, np.stack([eye[None]] * 2), np.stack([eye] * 2), [2, 2], [0, 0], None, [0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(mc.InvalidArgumentError, match=r"^tolerance scale overflows: .* \* 1\.000e\+200\*\*2$"):
+            tf.defect_stack_checks([test], mc.DEFAULT_TOL, {})
 
 
 def test_batched_cesaro_errors_equal_one_run_at_a_time():
-    # both instance shapes of pro01 and two step counts share one call
-    runs = _pro01_runs(range(64)) + _pro01_runs(range(8), t_max=37)
-    batched = tf.cesaro_errors(runs)
-    alone = [tf.cesaro_errors([run])[0] for run in runs]
-    assert [value.hex() for value in batched] == [value.hex() for value in alone]
-    # the loop the kernel replaced: one sigma application per step
-    for (A, B, X, m, t_max), value in zip(runs, batched):
-        sig = [X]
-        for _ in range(t_max):
-            sig.append(tf.sigma_apply(A, B, sig[-1]))
-        reference = _loop_sum([((-1) ** j * binomial(m - 1, j)) * sig[j] for j in range(m)])
-        assert mc.fro_norm(sig[t_max] / binomial(t_max, m - 1) - reference) == value
+    # both instance shapes of pro01 share one program call, at two step counts
+    program = verify.THEOREMS["pro01"].program
+    for seeds, t_max in ((range(64), 200), (range(8), 37)):
+        bundles = random_instances("pro01", seeds)
+        batched = [result.defects["cesaro_error"] for result in program(bundles, mc.DEFAULT_TOL, t_max)]
+        alone = [verify.check_pro01(b, t_max).defects["cesaro_error"] for b in random_instances("pro01", seeds)]
+        assert [value.hex() for value in batched] == [value.hex() for value in alone]
+        # the loop the Cesaro stage replaced: one sigma application per step
+        for bundle, value in zip(bundles, batched):
+            A, B, X, m = bundle.tuples["A"], bundle.tuples["B"], bundle.matrices["X"], int(bundle.params["m"])
+            sig = [X]
+            for _ in range(t_max):
+                sig.append(tf.sigma_apply(A, B, sig[-1]))
+            reference = _loop_sum([((-1) ** j * binomial(m - 1, j)) * sig[j] for j in range(m)])
+            assert mc.fro_norm(sig[t_max] / binomial(t_max, m - 1) - reference) == value
 
 
 def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
-    good, (A, B, X, m, t_max) = _pro01_runs([0, 1])
-    bad = (A, B, np.full_like(X, np.inf), m, t_max)
+    # pro01's zero tests refuse a non-finite X before its Cesaro stage, so the stage runs here alone
+    good, bad = random_instances("pro01", [0, 2])  # one shape class
+    bad = InstanceBundle(bad.profile, bad.seed, bad.tuples, {"X": np.full((2, 2), np.inf)}, bad.params)
+
+    def cesaro_stage(bundles):
+        classes = verify._classes(bundles, "A B X m", 2)
+        for cls in classes:
+            cls["m"] = [int(m) for m in cls["m"]]
+        return verify._cesaro_stage(classes, [None] * len(bundles), 200)
+
     with pytest.raises(mc.InvalidArgumentError) as alone:
-        tf.cesaro_errors([bad])
+        cesaro_stage([bad])
     with pytest.raises(mc.InvalidArgumentError) as batched:
-        tf.cesaro_errors([good, bad])
+        cesaro_stage([good, bad])
     assert str(batched.value) == str(alone.value) == "X contains non-finite entries"

@@ -364,6 +364,14 @@ def test_thm07_variant_ii_bundles():
         assert result.status == "pass"
 
 
+def test_thm07_refuses_an_unknown_variant_and_variant_ii_without_its_degrees():
+    A = scalar_tuple(1.0, 1, 2)
+    with pytest.raises(InvalidArgumentError, match="^variant must be 'i' or 'ii', got 'iii'$"):
+        check_thm07(A, A, A, A, 1, 1, variant="iii")
+    with pytest.raises(InvalidArgumentError, match="^variant ii needs r and s$"):
+        check_thm07(A, A, A, A, 1, 1, r=1, variant="ii")
+
+
 def test_ex00_golden_check():
     assert check_ex00_golden().status == "pass"
 
@@ -524,6 +532,19 @@ def test_golden_campaign_checks_the_budget_before_every_trial(monkeypatch):
     assert report.trials == 3
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": 2, "seed": 1.0}, "seed must be an integer, got 1.0"),
+    ({"trials": 2, "seeds": ("a", "b")}, "seed must be an integer, got 'a'"),
+    ({"trials": 2, "seeds": (1, False)}, "seed must be an integer, got False"),
+])
+def test_campaign_config_refuses_a_count_that_is_not_an_int(counts, message):
+    # trials=True ran one trial; 2.5 and a string seed raised TypeError
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        CampaignConfig(theorem_id="pro04", **counts)
+
+
 def test_campaign_config_rejects_negative_trials():
     with pytest.raises(InvalidArgumentError):
         CampaignConfig(theorem_id="thm05", trials=-1)
@@ -582,6 +603,15 @@ def _declared_pair(theorem_id, bundle):
     if theorem_id == "thm07":
         return t["A"], t["B"], np.eye(t["A"].dim)
     return t["A"], t["B"], X
+
+
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_a_numpy_integer_seed_gives_the_instance_and_result_of_its_int(theorem_id):
+    # thm05, cor05 and cor050 refused their own nilpotency bound, a NumPy integer
+    entry = verify.THEOREMS[theorem_id]
+    bundle, same = random_instance(entry.profile, np.int64(5)), random_instance(entry.profile, 5)
+    assert bundle.to_json() == same.to_json()
+    assert entry.check(bundle, mc.DEFAULT_TOL, 50) == entry.check(same, mc.DEFAULT_TOL, 50)
 
 
 @pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
@@ -653,9 +683,9 @@ def test_pro01_cesaro_error_is_the_last_of_the_estimate(seed):
     m = int(bundle.params["m"])
     last = tf.cesaro_estimate(A, B, X, m, 60)[-1]
     assert last[0] == 60
-    assert tf.cesaro_errors([(A, B, X, m, 60)])[0].hex() == last[1].hex()
-    with pytest.raises(InvalidArgumentError):
-        tf.cesaro_errors([(A, B, X, m, m - 1)])
+    assert check_pro01(bundle, t_max=60).defects["cesaro_error"].hex() == last[1].hex()
+    with pytest.raises(InvalidArgumentError, match=f"^t_max must be an integer >= m, got {m - 1}$"):
+        check_pro01(bundle, t_max=m - 1)
 
 
 def test_golden_check_runs_the_whole_suite():
@@ -770,111 +800,24 @@ def test_counterexample_profile_is_judged_at_the_campaign_tolerance(monkeypatch)
     assert len(report.counterexamples) == 20 and differs > 0
 
 
-def test_noncommuting_skips_on_the_first_failing_pair():
-    up, down = upper_shift(2), upper_shift(2).T.copy()
-    S, T = OperatorTuple.of(up), OperatorTuple.of(down)
-    mixed = OperatorTuple.of(up, down)
-    tol = mc.DEFAULT_TOL
-
-    def noncommuting(*pairs):
-        return verify._alone(verify._noncommuting(*pairs), tol)
-
-    # a tuple paired with itself is checked within; one of length 1 always commutes
-    assert noncommuting(("S", S, S), ("T", T, T)) is None
-    within = noncommuting(("S", S, S), ("mixed", mixed, mixed), ("S, T", S, T))
-    assert within.status == "skip" and within.reason == "mixed"
-    assert within.defects == {"residual": max_commutator_within(mixed)}
-    cross = noncommuting(("S, T*", S, adjoint_tuple(T)), ("S, T", S, T), ("T, S", T, S))
-    assert cross.reason == "S, T" and cross.defects == {"residual": max_commutator_cross(S, T)}
-
-
-def test_noncommuting_refuses_a_pair_of_two_dimensions_only_where_a_loop_reaches_it():
-    up, down = upper_shift(2), upper_shift(2).T.copy()
-    S, T, wide = OperatorTuple.of(up), OperatorTuple.of(down), OperatorTuple.of(np.eye(3))
-    tol = mc.DEFAULT_TOL
-
-    def noncommuting(*pairs):
-        return verify._alone(verify._noncommuting(*pairs), tol)
-
-    # a failing pair before it skips, as a loop over the pairs stops there
-    skip = noncommuting(("S", S, S), ("S, T", S, T), ("S, wide", S, wide))
-    assert skip.reason == "S, T"
-    # once every pair before it commutes, the kernel refuses it as commutes_cross does
-    for pairs in ((("S, wide", S, wide),), (("S", S, S), ("T", T, T), ("S, wide", S, wide))):
-        with pytest.raises(InvalidArgumentError, match="^dimension mismatch: 2 vs 3$"):
-            noncommuting(*pairs)
-
-
 def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypatch):
     from isotuple import tuples
 
     def per_pair(*args, **kwargs):
         raise AssertionError("per-pair commutator check")
 
-    calls, stack_calls = [], []
-    original, stack_original = tuples.commutator_checks, tuples.commutator_stack_checks
-    monkeypatch.setattr(tuples, "commutes_within", per_pair)
-    monkeypatch.setattr(tuples, "commutes_cross", per_pair)
-    monkeypatch.setattr(
-        verify, "commutator_checks", lambda q, tol: calls.append(len(q)) or original(q, tol)
-    )
+    stack_calls = []
+    stack_original = tuples.commutator_stack_checks
+    for name in ("commutes_within", "commutes_cross", "commutator_checks"):
+        monkeypatch.setattr(tuples, name, per_pair)
     monkeypatch.setattr(
         verify, "commutator_stack_checks",
         lambda q, tol: stack_calls.append(sum(len(S) for S, _ in q)) or stack_original(q, tol),
     )
     for theorem_id in ("thm05", "cor05", "cor050", "thm06", "cor06", "cor061", "cor062"):
-        calls.clear()
         stack_calls.clear()
         report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=40, seed=3))
         assert report.trials + report.skipped == 40
-        # one chunk: every trial's commutators in one call, of the list kernel for a
-        # lock-step body and of the stack kernel for a column program
-        found, unused = (calls, stack_calls) if theorem_id == "cor061" else (stack_calls, calls)
-        assert len(found) == 1 and found[0] >= 40 and unused == []
-
-
-def test_failed_hypothesis_skips_on_the_first_failing_test(monkeypatch):
-    one, two = scalar_tuple(1.0, 1, 2), scalar_tuple(2.0, 1, 2)
-    wide = scalar_tuple(math.sqrt(0.5), 2, 3)
-    X, Y = np.eye(2), np.eye(3)
-    calls = []
-    original = mc.op_norm_estimate
-
-    def counting(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(mc, "op_norm_estimate", counting)
-    tol = mc.DEFAULT_TOL
-
-    def failed(*hypotheses):
-        return verify._lockstep([verify._failed_hypothesis(*hypotheses)], tol)[0]
-
-    skip = failed(
-        ("one", one, one, X, 1, 1),
-        ("two", two, two, X, 1, 0),
-        ("wide", wide, wide, Y, 0, 1),
-        ("two, degree 2", two, two, X, 2, 0),
-    )
-    # the norms every test reads come first, from one call per dimension: the
-    # component and sum norms of one, the component norm of two and the sum
-    # norm of wide
-    assert calls == [(3, 2, 2), (1, 3, 3)]
-    assert skip.status == "skip" and skip.reason == "two"
-    assert skip.defects == {"residual": mc.fro_norm(tf.triangle(two, two, X, 1))}
-    passing = (("one", one, one, X, 1, 1), ("wide", wide, wide, Y, 2, 0))
-    assert failed(*passing) is None
-    # one's norms are kept; wide's component norms are new, from one more call
-    assert calls == [(3, 2, 2), (1, 3, 3), (2, 3, 3)]
-
-
-def test_zero_tests_are_the_defect_checks_in_order():
-    bundle = random_instance("thm06", 0)
-    A, B, S, T = (bundle.tuples[k] for k in "ABST")
-    X = bundle.matrices["X"]
-    body = verify._zero_tests(("ab", A, B, X, 1, 2), ("st", S, T, X, 0, 1))
-    tests = verify._lockstep([body], mc.DEFAULT_TOL)[0]
-    assert tests == [
-        ("ab", *tf.defect_check(A, B, X, 1, 2)),
-        ("st", *tf.defect_check(S, T, X, 0, 1)),
-    ]
+        # one chunk: every trial's commutators in one call of the stack kernel, none
+        # through the list kernel
+        assert len(stack_calls) == 1 and stack_calls[0] >= 40
