@@ -539,18 +539,18 @@ def _pro02_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialRe
                                m1, m2)
         for r, row in enumerate(cls.rows.tolist()):
             (first_norm, first_threshold), *later = members[r]
-            # later members drifting off the identity refute the closure claim; each
-            # counts only once the one before it passed
-            drift = next(((j, norm) for j, (norm, threshold) in enumerate(later, start=1)
-                          if _judge(norm, threshold) != "pass"), None)
             if first_norm > first_threshold:
                 results[row] = _skip("first family member violates its identity", member_defect=first_norm)
-            elif drift is not None:
-                j, norm_j = drift
-                results[row] = TrialResult(
-                    status=_judge(norm_j, later[j - 1][1]), reason=f"member {j} defect drifted to {norm_j:.3e}",
-                    defects={"member_index": float(j), "member_defect": norm_j}, conclusion=norm_j,
-                )
+                continue
+            # later members drifting off the identity refute the closure claim; each
+            # counts only once the one before it passed
+            for j, (norm_j, threshold_j) in enumerate(later, start=1):
+                if (verdict := _judge(norm_j, threshold_j)) != "pass":
+                    results[row] = TrialResult(
+                        status=verdict, reason=f"member {j} defect drifted to {norm_j:.3e}",
+                        defects={"member_index": float(j), "member_defect": norm_j}, conclusion=norm_j,
+                    )
+                    break
             else:
                 # convergence slack: the defect is Lipschitz in the tuple within a factor
                 # of the degree times the scale, applied to the last residual
@@ -601,8 +601,9 @@ def _pro03_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialRe
     for cls in classes:
         b, d = cls["A"].shape[:2]
         cls["hypotheses"] = _by_row(next(judged), [d - 1] * b)
-        cls["lhs"], rhs = (iter(zip(*(column.tolist() for column in next(judged)))) for _ in range(2))
-        cls["lhs"], cls["rhs"] = list(cls["lhs"]), [next(rhs) if kind == "sym" else None for kind in cls["kind"]]
+        cls["lhs"] = list(zip(*(column.tolist() for column in next(judged))))
+        rhs = iter(zip(*(column.tolist() for column in next(judged))))  # of the rows of part (b)
+        cls["rhs"] = [next(rhs) if kind == "sym" else None for kind in cls["kind"]]
     for row, k, r in _trial_order(classes):
         cls = classes[k]
         d = cls["A"].shape[1]
@@ -995,7 +996,8 @@ def _cor061_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialR
 
     _derived_stage(classes, results, derive)
     # both kinds' hypotheses, then the conclusion of each kind whose hypotheses hold
-    kinds, names = ("iso", "sym"), [f"hyp_{kind}_{side}" for kind in ("iso", "sym") for side in "ST"]
+    kinds = ("iso", "sym")
+    names = [f"hyp_{kind}_{side}" for kind in kinds for side in "ST"]
     judged = iter(defect_stack_checks([
         (cls[f"{side}*"], cls[f"C{side}C"], cls["X"], *_kind_degrees([kind] * len(cls.rows), cls[degree]),
          None, cls.rows)
@@ -1003,7 +1005,8 @@ def _cor061_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialR
     ], tol, norms))
     tests = []
     for cls in classes:
-        found = list(zip(*(zip(*(column.tolist() for column in next(judged))) for _ in names)))
+        # each row's (norm, threshold) of each hypothesis
+        found = list(zip(*[list(zip(*(column.tolist() for column in next(judged)))) for _ in names]))
         cls["defects"] = [{name: norm for name, (norm, _) in zip(names, row)} for row in found]
         cls["holds"] = [[all(norm <= threshold for norm, threshold in row[2 * k : 2 * k + 2]) for k in range(2)]
                         for row in found]
@@ -1066,7 +1069,8 @@ def _thm07_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialRe
             cls["degree"] = np.array([m + n - 1 for m, n in zip(cls["m"], cls["n"])])
             cls["t1"], cls["t2"] = _kind_degrees(cls["kind"], cls["degree"])
         else:
-            cls["t1"], cls["t2"] = (np.array([a + b - 1 for a, b in zip(cls[i], cls[j])]) for i, j in ("mr", "ns"))
+            cls["t1"] = np.array([m + r - 1 for m, r in zip(cls["m"], cls["r"])])
+            cls["t2"] = np.array([n + s - 1 for n, s in zip(cls["n"], cls["s"])])
     _sharp_conclusions(
         classes, results, "tensor_defect",
         lambda cls: (cls["A(x)S"], cls["B(x)T"], _identities(cls, "A(x)S"), cls["t1"], cls["t2"], []), (),
