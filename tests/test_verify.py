@@ -20,8 +20,6 @@ from isotuple.tuples import (
     OperatorTuple,
     adjoint_tuple,
     conj_tuple,
-    max_commutator_cross,
-    max_commutator_within,
     scalar_tuple,
 )
 from isotuple.verify import (
