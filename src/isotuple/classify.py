@@ -1,9 +1,9 @@
 """Degree classifiers and minimal-degree searches built on the defect transforms.
 
-Every verdict here is a zero test of ``transforms.defect_checks``, the one
-engine that forms defects: the classifiers judge one degree each, and
-``defect_profile`` judges every degree up to k_max in one call.  No defect is
-formed in this module.
+Every verdict here is a zero test of ``transforms.defect_checks``, whose
+degrees of one pair go to the one engine that forms defects in one call: the
+classifiers judge one degree each, and ``defect_profile`` judges every degree
+up to k_max in one call.  No defect is formed in this module.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def defect_profile(
     """Defect norms for degrees 0..k_max plus minimal passing degrees.
 
     Every degree of both kinds is one zero test of a single ``tf.defect_checks``
-    call, whose tests on one (A, B, X) share one run of sigma iterates and one
-    stack of left products (sum A)^i X, so each norm, threshold and verdict is
+    call, whose degrees share one run of sigma iterates and one stack of left
+    products (sum A)^i X, so each norm, threshold and verdict is
     the per-degree ``defect_check``'s, bit for bit; degree 0 of both kinds is
     the one test of X itself.  The pass-set of each family must be
     upward-closed (a pair that is degree-k isometric is degree-t isometric
@@ -63,9 +63,7 @@ def defect_profile(
     X = mc.as_matrix(X, name="X")
     degrees = range(k_max + 1)
     # degree 0 of either kind is X itself: one test serves both
-    checks = tf.defect_checks(
-        [(A, B, X, k, 0) for k in degrees] + [(A, B, X, 0, k) for k in degrees[1:]], tol
-    )
+    checks = tf.defect_checks(A, B, X, [(k, 0) for k in degrees] + [(0, k) for k in degrees[1:]], tol)
 
     def scan(checks):
         passes = [norm <= threshold for norm, threshold in checks]
@@ -106,8 +104,7 @@ def spherical_reduction_check(
         raise InvalidArgumentError(
             f"gram sum of squares is numerically singular (condition {gram_cond:.3e})"
         )
-    tests = [(A_star, A_hilbert, X, k, 0) for k in (2, 1)]
-    (norm2, threshold2), (norm1, threshold1) = tf.defect_checks(tests, tol)
+    (norm2, threshold2), (norm1, threshold1) = tf.defect_checks(A_star, A_hilbert, X, [(2, 0), (1, 0)], tol)
     if not norm2 <= threshold2:
         raise InvalidArgumentError(f"adjoint pair is not (I,2)-isometric: defect norm {norm2:.3e}")
     return {

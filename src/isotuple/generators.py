@@ -8,14 +8,16 @@ Each profile's builder is written once, over a batch: the seeds of one
 variant class (the seed bits that change what it stacks or how it draws).
 Every seed draws its random numbers from its own ``default_rng(seed)``, in a
 fixed order; every later step (QR factorizations, rotations, Horner
-polynomial evaluation, Kronecker embeddings, the nilpotency validation of
-``tuples.nilpotency_orders``) is one stacked expression over the batch, made
-of the products and in-order sums of one seed's, so a bundle has the same
-bits in any batch.  ``random_instances`` groups a chunk's seeds by class and
-makes the bundles; ``random_instance`` is its batch of one.  A builder
-returns only what it built: tuples, matrices, parameters and the function
-that computes its hypothesis residuals, which the bundle calls on first read
-(checkers validate every hypothesis themselves).
+polynomial evaluation, Kronecker embeddings) is one stacked expression over
+the batch, made of the products and in-order sums of one seed's, so a bundle
+has the same bits in any batch.  A nilpotent tuple is drawn once and not
+checked: its construction fixes its order (``_nilpotent_tuples``), and only
+the public ``nilpotent_commuting`` validates its draws and draws again.
+``random_instances`` groups a chunk's seeds by class and makes the bundles;
+``random_instance`` is its batch of one.  A builder returns only what it
+built: tuples, matrices, parameters and the function that computes its
+hypothesis residuals, which the bundle calls on first read (checkers
+validate every hypothesis themselves).
 
 Instance shapes:
 
@@ -51,7 +53,7 @@ from .tuples import (
     conj_tuple,
     max_commutator_cross,
     max_commutator_within,
-    nilpotency_orders,
+    nilpotency_order,
 )
 
 _RETRY_LIMIT = 20
@@ -180,10 +182,12 @@ def jordan_isometric(lam: complex, k: int) -> np.ndarray:
 def _validate_jordan(T: np.ndarray, k: int, kind: str) -> None:
     """The adjoint pair (T*, T) at I must pass the zero test of the given kind at
     degree 2k-1 and, for k > 1, fail it at degree 2k-2."""
-    pair = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T), mc.identity(k))
     degrees = range(2 * k - 1, max(2 * k - 3, 0), -1)
-    tests = [(*pair, *((deg, 0) if kind == "isometric" else (0, deg))) for deg in degrees]
-    for deg, (norm, threshold) in zip(degrees, tf.defect_checks(tests)):
+    checks = tf.defect_checks(
+        OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T), mc.identity(k),
+        [(deg, 0) if kind == "isometric" else (0, deg) for deg in degrees],
+    )
+    for deg, (norm, threshold) in zip(degrees, checks):
         if (norm <= threshold) != (deg == 2 * k - 1):
             raise GenerationFailureError(
                 f"jordan {kind} factory: degree-{deg} defect norm {norm:.3e}, "
@@ -217,8 +221,13 @@ def nilpotent_commuting(n: int, d: int, target_order: int, rng_seed: int) -> Ope
 
     Components are zero-constant-term polynomials in a block-shift seed of
     index ``target_order``; the linear coefficient is kept away from zero so
-    every word of length target_order-1 retains a nonzero leading term.
-    Post-validated with :func:`nilpotency_order`.
+    every word of length target_order-1 retains a nonzero leading term.  Each
+    draw from the ``rng_seed`` stream is validated with :func:`nilpotency_order`
+    at the default tolerance, and a draw whose float order misses the target
+    (which happens at large orders, where the words of length target_order-1
+    fall under the threshold) is replaced by the next, up to ``_RETRY_LIMIT``
+    draws; a tuple that does not commute at that tolerance is refused as
+    :func:`nilpotency_order` refuses it.
     """
     if not isinstance(target_order, int) or target_order < 1:
         raise InvalidArgumentError(f"target_order must be a positive integer, got {target_order!r}")
@@ -228,44 +237,45 @@ def nilpotent_commuting(n: int, d: int, target_order: int, rng_seed: int) -> Ope
         raise InvalidArgumentError(
             f"order {target_order} is not achievable at dimension {n} (needs n >= order)"
         )
-    return OperatorTuple._of_stack(_nilpotent_tuples(n, d, [target_order], [rng_seed])[0])
+    if target_order == 1:
+        return OperatorTuple._of_stack(np.zeros((d, n, n), dtype=np.complex128))
+    rng, M = np.random.default_rng(rng_seed), nilpotent_seed(n, target_order)
+    for _ in range(_RETRY_LIMIT):
+        N = OperatorTuple._of_stack(_nilpotent_draws([rng], M, d, target_order)[0])
+        if nilpotency_order(N, target_order + 1) == target_order:
+            return N
+    raise GenerationFailureError(
+        f"could not draw a {d}-tuple of order {target_order} at dimension {n}"
+    )
 
 
 def _nilpotent_tuples(n: int, d: int, orders: list[int], rng_seeds: list[int]) -> np.ndarray:
-    """The (b, d, n, n) stack of ``nilpotent_commuting(n, d, order, rng_seed)`` per item.
+    """The (b, d, n, n) stack of one draw of a commuting d-tuple of nilpotents of word
+    order ``orders[i]`` per item, each from its own ``rng_seeds[i]`` stream; items of
+    one order are drawn together.
 
-    Items of one order are drawn together, each from its own ``rng_seed``
-    stream, and validated through one ``nilpotency_orders`` call; the ones
-    that fail draw again from their streams, as they would alone.
+    No order is checked, because the construction fixes it.  A component is
+    p(M) = c_1 M + c_2 M^2 + ... with M a block shift of index k = order, and
+    every linear coefficient c_1 has modulus at least 0.3 (``_nilpotent_draws``).
+    A word of length k is then 0, since it has only powers M^j with j >= k,
+    and a word of length k - 1 is (c_1 c_1' ...) M^(k-1) != 0, since its other
+    terms have powers of M of at least k.  So the order is exactly k in exact
+    arithmetic.  The column programs measure the order of every perturbation
+    tuple they read, so a float order that differed would skip its trial, not
+    pass it.
     """
 
     def build(order: int, index: list[int]) -> np.ndarray:
         if order == 1:
             return np.zeros((len(index), d, n, n), dtype=np.complex128)
         rngs = [np.random.default_rng(rng_seeds[i]) for i in index]
-        M = nilpotent_seed(n, order)
-        out = np.empty((len(index), d, n, n), dtype=np.complex128)
-        todo = list(range(len(index)))
-        for _ in range(_RETRY_LIMIT):
-            stacks = _nilpotent_draws([rngs[i] for i in todo], M, d, order)
-            found = nilpotency_orders(
-                [(N, order + 1) for N in OperatorTuple._of_stacks(stacks)]
-            )
-            for i, stack, got in zip(todo, stacks, found):
-                if got == order:
-                    out[i] = stack
-            todo = [i for i, got in zip(todo, found) if got != order]
-            if not todo:
-                return out
-        raise GenerationFailureError(
-            f"could not draw a {d}-tuple of order {order} at dimension {n}"
-        )
+        return _nilpotent_draws(rngs, nilpotent_seed(n, order), d, order)
 
     return _grouped(orders, build)
 
 
 def _nilpotent_draws(rngs: list, M: np.ndarray, d: int, order: int) -> np.ndarray:
-    """One attempt per item: the (b, d, n, n) stack of normalized polynomials in M
+    """One draw per item: the (b, d, n, n) stack of normalized polynomials in M
     with zero constant term and order - 1 random complex coefficients each."""
     # each coefficient is complex(normal, normal), drawn component by component
     draws = _draw(rngs, lambda rng: rng.standard_normal((d, order - 1, 2)))

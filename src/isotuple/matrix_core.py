@@ -11,8 +11,8 @@ Every "equals zero" judgement in the package compares a Frobenius norm with
 :meth:`Tolerance.threshold`, an absolute floor plus a caller-supplied scale:
 defect expressions multiply many matrix factors, so the meaningful
 comparison is relative to a product of input norms, never to 1.
-``transforms.defect_checks`` pairs each defect with the threshold of its own
-scale; :func:`is_zero` tests any matrix against a given scale.
+``transforms.defect_stack_checks`` pairs each defect with the threshold of its
+own scale; :func:`is_zero` tests any matrix against a given scale.
 
 The Frobenius norm is the canonical magnitude of a defect; ``fro_norm_array``
 gives those of a whole stack of matrices, with the bits of each alone.  The

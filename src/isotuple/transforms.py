@@ -25,18 +25,18 @@ their largest degree.  One kernel judges zero tests: ``defect_stack_checks``
 takes them over ``(b, d, n, n)`` stacks with per-item degrees, groups them by
 stack object and row (``_stack_items``), and turns the spectral norms it
 keeps by stack into thresholds (``_thresholds``).  Only this module knows
-that norm table's layout: ``_fill_stack_norms`` fills it, the one fill of
-many tuples' norms in one call (a lone tuple computes its own),
-``_growth_factors`` reads every factor from it and ``_component_norms`` the
-component norms of one stack, and ``_held_norms`` and ``_keep_norms`` share it
-with the tuples.  ``defect_checks`` is its list
-wrapper: it stacks the distinct (A, B, X) of its tests, and the tuples keep
-their norms.  ``defect_check`` is the batch of one, ``stack_defects`` gives
-each row's ``triangle`` or ``delta``, ``triangle``, ``delta`` and
-``sigma_iterates`` are the engine's batch of one, and ``_cesaro_run`` steps
-stacks of Cesaro runs from X through its loop.  Only the cross-check paths
-``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
-Every tolerance scale comes from one helper, ``_scales``.
+that norm table's layout: ``_fill_stack_norms`` fills the parts it lacks in
+one call, ``_growth_factors`` reads every factor from it and
+``_component_norms`` the component norms of one stack.  ``defect_checks``
+runs the kernel's phases on several degrees of one pair, as items on row 0 of
+its one-row stacks, with the norms the tuples hold or fill
+(``tuples.spectral_norms``) in place of the table's fill, and
+``defect_check`` is its batch of one.  ``stack_defects`` gives each row's
+``triangle`` or ``delta``, ``triangle``, ``delta`` and ``sigma_iterates`` are
+the engine's batch of one, and ``_cesaro_run`` steps stacks of Cesaro runs
+from X through its loop.  Only the cross-check paths ``triangle_by_iteration``
+and ``delta_by_iteration`` iterate on their own.  Every tolerance scale comes
+from one helper, ``_scales``.
 ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
 column-stacked vec(X) — the second, independent evaluation route used for
 cross-checks.
@@ -57,6 +57,7 @@ from .tuples import (
     OperatorTuple,
     commutes_within,
     max_commutator_within,
+    spectral_norms,
     stack_spectral_norms,
     stack_sums,
 )
@@ -158,13 +159,14 @@ def defect_scale(
     scale for every defect zero test: it tracks the defect's own worst-case
     growth without drowning genuinely nonzero defects at higher degrees.
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
-    factors read the norms the tuples hold or compute (``OperatorTuple.op_norms``,
-    ``sum_op_norm``).  A pair is refused as ``defect_check`` refuses it.
+    factors read the norms the tuples hold, and ``spectral_norms`` fills the
+    parts they lack in one call.  A pair is refused as ``defect_check`` refuses it.
     """
     X = _require_shapes(A, B, X)
     m, n = _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree)
-    iso = _iso_factor(A.op_norms, B.op_norms) if m else 1.0
-    sym = 1.0 + A.sum_op_norm + B.sum_op_norm if n else 1.0
+    (a_norms, a_sum), (b_norms, b_sum) = spectral_norms([(A, m, n), (B, m, n)])
+    iso = _iso_factor(a_norms, b_norms) if m else 1.0
+    sym = 1.0 + a_sum + b_sum if n else 1.0
     (scale,), faults = _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])
     if faults:
         raise faults[0]
@@ -321,81 +323,41 @@ def isosym_defect(A: OperatorTuple, B: OperatorTuple, X, m: int, n: int) -> np.n
 def defect_check(
     A: OperatorTuple, B: OperatorTuple, X, m: int, n: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> tuple[float, float]:
-    """(norm, threshold) of the degree-(m, n) zero test, ``defect_checks`` of the one test:
+    """(norm, threshold) of the degree-(m, n) zero test, ``defect_checks`` of the one degree:
     the norm of ``triangle`` (n = 0), ``delta`` (m = 0) or ``isosym_defect``, and
     ``tol.threshold(defect_scale(A, B, X, m, n))``.  The defect passes iff norm <= threshold.
     """
-    return defect_checks([(A, B, X, m, n)], tol)[0]
+    return defect_checks(A, B, X, [(m, n)], tol)[0]
 
 
-def defect_checks(tests, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each zero test ``(A, B, X, m, n)``: the
-    ``defect_stack_checks`` of the stacks of the distinct (A, B, X) of each tuple length
-    and dimension (one stack serves as A and B when A is B), its items the zero tests.
+def defect_checks(
+    A: OperatorTuple, B: OperatorTuple, X, degrees, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> list[tuple[float, float]]:
+    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: the phases of
+    ``defect_stack_checks`` on the one-row stacks of the pair and X (one stack
+    serves as A and B when A is B), its items the degrees on row 0, which share
+    the runs they form.
 
-    Each test is refused as it is read, as ``triangle`` or ``delta`` refuses
-    it.  Every norm comes before every threshold, so a fault raises what the
-    norms and then the thresholds raise in test order.  The thresholds read
-    the spectral norms the tuples hold, and the parts they lack come from one
-    ``stack_spectral_norms`` call: the components' norms for m > 0 and the
-    sums' for n > 0.  The tuples keep them.
+    The pair is refused as ``triangle`` refuses it, then each degree in order.
+    Every norm comes before every threshold, so a non-finite value is refused
+    before an overflowing spectral norm or scale.  The thresholds read the
+    tuples' spectral norms, the components' when some m > 0 and the sums' when
+    some n > 0; ``spectral_norms`` fills the parts they lack in one call.
     """
-    given = list(tests)  # the caller's X, by whose identity the tests share runs
-    tests = [
-        (A, B, _require_shapes(A, B, X), _require_degree("m", m), _require_degree("n", n))
-        for A, B, X, m, n in given
-    ]
-    heads: dict[tuple, dict] = {}  # by group, the row and first test of each distinct (A, B, X)
-    items: dict[tuple, list] = {}  # by group, (test, row, m, n) of each test
-    for k, ((A, B, X, m, n), (_, _, raw, _, _)) in enumerate(zip(tests, given)):
-        group = (A.d, A.dim, A is B)
-        rows = heads.setdefault(group, {})
-        row = rows.setdefault((id(A), id(B), id(raw)), (len(rows), k))[0]
-        items.setdefault(group, []).append((k, row, m, n))
-    stacked, owners = [], []
-    for group, rows in heads.items():
-        As, Bs, Xs, _, _ = zip(*(tests[k] for _, k in rows.values()))
-        same = group[2]
-        a = np.stack([A.stack for A in As])
-        b = a if same else np.stack([B.stack for B in Bs])
-        keys, index, ms, ns = zip(*items[group])
-        rows = None if index == tuple(range(len(index))) else np.array(index)  # None: row i for item i
-        stacked.append((a, b, np.array(Xs), ms, ns, rows, keys))
-        owners += [(a, As)] if same else [(a, As), (b, Bs)]
-    norms = {id(stack): _held_norms(stack, tuples) for stack, tuples in owners}
-    judged = defect_stack_checks(stacked, tol, norms)
-    for stack, tuples in owners:
-        _keep_norms(tuples, *norms[id(stack)][1:])
-    out: list = [None] * len(tests)
-    for test, (values, thresholds) in zip(stacked, judged):
-        for k, value, threshold in zip(test[6], values.tolist(), thresholds.tolist()):
-            out[k] = (value, threshold)
-    return out
-
-
-def _held_norms(stack: np.ndarray, tuples) -> tuple:
-    """A ``defect_stack_checks`` norm entry of a stack of the tuples: the spectral norms
-    they hold, NaN in the rows of a tuple that lacks them (None when none holds any)."""
-    comps = [T.__dict__.get("_op_norms") for T in tuples]
-    sums = [T.__dict__.get("_sum_op_norm") for T in tuples]
-    missing = (math.nan,) * stack.shape[1]
-    return (
-        stack,
-        np.array([held or missing for held in comps]) if any(comps) else None,
-        np.array([math.nan if held is None else held for held in sums])
-        if any(held is not None for held in sums) else None,
-    )
-
-
-def _keep_norms(tuples, comps, sums) -> None:
-    """Give each tuple the spectral norms of its row of a norm entry that it lacks."""
-    for part, key, value in ((comps, "_op_norms", tuple), (sums, "_sum_op_norm", float)):
-        if part is None:
-            continue
-        for T, row in zip(tuples, part.tolist()):
-            held = row[0] if isinstance(row, list) else row
-            if key not in T.__dict__ and not math.isnan(held):
-                T.__dict__[key] = value(row)
+    X = _require_shapes(A, B, X)
+    degrees = [(_require_degree("m", m), _require_degree("n", n)) for m, n in degrees]
+    ms, ns = [m for m, _ in degrees], [n for _, n in degrees]
+    a = A.stack[None]
+    b = a if A is B else B.stack[None]
+    test = _checked_stack_test(a, b, X[None], ms, ns, np.zeros(len(ms), dtype=np.intp))
+    (values,) = _stack_items([test], mc.fro_norm_array)
+    parts = (any(ms), any(ns))
+    norms = {
+        id(stack): (stack, *(None if part is None else np.array([part]) for part in held))
+        for stack, held in zip(test[:2], spectral_norms([(A, *parts), (B, *parts)]))
+    }
+    (thresholds,) = _thresholds([test], norms, tol)
+    return list(zip(values.tolist(), thresholds.tolist()))
 
 
 def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -410,13 +372,13 @@ def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.
     The engine runs once per group of one kind, tuple length and dimension;
     the items on one row of the same (A, B, X) stack objects share its runs.
     Faults are raised in the caller's order, by key and then by test, one
-    phase at a time, as ``defect_checks`` raises them in test order: a test
-    of ill-matched shapes or a degree that is not a non-negative integer, as
-    it is read; then a non-finite value, which runs each item alone; then the
-    first overflowing threshold.  ``norms`` keeps, by stack, the spectral
-    norms the thresholds read, ``id(stack) -> (stack, (b, d) component norms,
-    (b,) sum norms)``, NaN (or None) where not held; the parts read and not
-    held come from one ``stack_spectral_norms`` call (``_fill_stack_norms``).
+    phase at a time: a test of ill-matched shapes or a degree that is not a
+    non-negative integer, as it is read; then a non-finite value, which runs
+    each item alone; then the first overflowing threshold.  ``norms`` keeps,
+    by stack, the spectral norms the thresholds read, ``id(stack) -> (stack,
+    (b, d) component norms, (b,) sum norms)``, NaN (or None) where not held;
+    the parts read and not held come from one ``stack_spectral_norms`` call
+    (``_fill_stack_norms``).
     """
     tests = _checked_stack_tests(tests)
     if not tests:

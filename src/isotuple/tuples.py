@@ -10,12 +10,14 @@ the residual).
 
 The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 ``nilpotency_stack_orders``, ``stack_spectral_norms``, ``stack_sums``,
-``sum_stacks``, ``product_stacks`` and ``tensor_stacks``.  Each list API groups
-its tuples by shape, stacks them and calls its stack kernel, so each kernel
-has one implementation: ``commutator_checks`` (with ``commutes_within``,
-``commutes_cross`` and the ``max_commutator_*`` residuals its batch of one),
-``nilpotency_orders``, ``sum_tuple``, ``product_tuple`` and ``tensor_tuple``.  A tuple's own
-sum and norms are ``stack_sums`` and ``stack_spectral_norms`` of its stack.
+``sum_stacks``, ``product_stacks`` and ``tensor_stacks``.  Each API on one
+tuple or pair calls its kernel on one-row stacks, so each kernel has one
+implementation: ``commutes_within``, ``commutes_cross``, the
+``max_commutator_*`` residuals, ``nilpotency_order``, ``sum_tuple``,
+``product_tuple`` and ``tensor_tuple``.  ``spectral_norms`` fills the norms
+that several tuples lack in one ``stack_spectral_norms`` call, and the tuples
+keep them; ``op_norms`` and ``sum_op_norm`` are its batch of one.  A tuple's
+own sum is ``stack_sums`` of its stack.
 
 Orderings are pinned for reproducibility:
 
@@ -60,8 +62,8 @@ class OperatorTuple:
     Quantities derived from the components alone are computed on first use
     and kept for the life of the tuple: the component sum and the spectral
     norms behind every tolerance scale, kept as two parts, the components'
-    norms and the sum's: stack kernels run on this stack alone, unless a
-    zero-test call of ``transforms`` has given the tuple them already.
+    norms and the sum's, which ``spectral_norms`` fills, alone or together with
+    other tuples' in one call.
     """
 
     stack: np.ndarray
@@ -137,19 +139,13 @@ class OperatorTuple:
 
     @property
     def op_norms(self) -> tuple[float, ...]:
-        """Spectral norm of each component."""
-        if "_op_norms" not in self.__dict__:
-            ((norms, _),) = stack_spectral_norms([(self.stack[None], True, None)])
-            self.__dict__["_op_norms"] = tuple(norms[0].tolist())
-        return self.__dict__["_op_norms"]
+        """Spectral norm of each component: ``spectral_norms`` of this tuple's components."""
+        return spectral_norms([(self, True, False)])[0][0]
 
     @property
     def sum_op_norm(self) -> float:
-        """Spectral norm of ``component_sum()``."""
-        if "_sum_op_norm" not in self.__dict__:
-            ((_, norms),) = stack_spectral_norms([(self.stack[None], None, True)])
-            self.__dict__["_sum_op_norm"] = norms[0].item()
-        return self.__dict__["_sum_op_norm"]
+        """Spectral norm of ``component_sum()``: ``spectral_norms`` of this tuple's sum."""
+        return spectral_norms([(self, False, True)])[0][1]
 
     def to_json(self) -> dict:
         return {
@@ -245,6 +241,31 @@ def stack_spectral_norms(requests) -> list[tuple]:
     return found
 
 
+def spectral_norms(requests) -> list[tuple]:
+    """``(op_norms, sum_op_norm)`` of each request ``(T, components, sums)``, the part
+    not asked for None.  The parts that the tuples do not hold yet come from one
+    ``stack_spectral_norms`` call, each tuple's components before its sum, and the
+    tuples keep them; a tuple named twice is filled once."""
+    missing: dict[int, list] = {}
+    for T, components, sums in requests:
+        need = missing.setdefault(id(T), [T, False, False])
+        need[1] = need[1] or bool(components) and "_op_norms" not in T.__dict__
+        need[2] = need[2] or bool(sums) and "_sum_op_norm" not in T.__dict__
+    wanted = [need for need in missing.values() if need[1] or need[2]]
+    found = stack_spectral_norms(
+        [(T.stack[None], components or None, sums or None) for T, components, sums in wanted]
+    )
+    for (T, _, _), (components, sums) in zip(wanted, found):
+        if components is not None:
+            T.__dict__["_op_norms"] = tuple(components[0].tolist())
+        if sums is not None:
+            T.__dict__["_sum_op_norm"] = sums[0].item()
+    return [
+        (T.__dict__["_op_norms"] if components else None, T.__dict__["_sum_op_norm"] if sums else None)
+        for T, components, sums in requests
+    ]
+
+
 def _rows(stack: np.ndarray, index) -> np.ndarray:
     """The rows of a stack that an index names: every row for True."""
     return stack if index is True else stack[index]
@@ -258,50 +279,31 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def max_commutator_within(T: OperatorTuple) -> float:
     """Largest ||[A_i, A_j]||_F over all pairs i < j, 0.0 for one component."""
-    return commutator_checks([(T, T)])[0][1]
+    return _commutator_check(T, T, mc.DEFAULT_TOL)[1]
 
 
 def commutes_within(T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
-    """All pairwise commutators vanish, scaled by the factor norms:
-    ``commutator_checks`` of the one query (T, T)."""
-    return commutator_checks([(T, T)], tol)[0][0]
+    """All pairwise commutators vanish, scaled by the factor norms."""
+    return _commutator_check(T, T, tol)[0]
 
 
 def max_commutator_cross(S: OperatorTuple, T: OperatorTuple) -> float:
     """Largest ||[S_a, T_b]||_F over all pairs."""
-    return commutator_checks([(S, T)])[0][1]
+    return _commutator_check(S, T, mc.DEFAULT_TOL)[1]
 
 
 def commutes_cross(S: OperatorTuple, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
-    """All cross commutators [S_i, T_j] vanish: ``commutator_checks`` of the one query."""
-    return commutator_checks([(S, T)], tol)[0][0]
+    """All cross commutators [S_i, T_j] vanish."""
+    return _commutator_check(S, T, tol)[0]
 
 
-def commutator_checks(queries, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list[tuple[bool, float]]:
-    """``(commutes, max residual)`` of each query ``(S, T)``: of the commutators
-    [S_i, S_j], i < j, when T is S, else of every [S_a, T_b].
-
-    Queries of one kind, tuple lengths and dimension are stacked and judged by
-    one ``commutator_stack_checks`` query, so every norm and threshold has
-    the bits it has alone.  A cross query of two dimensions is refused as it
-    is read.
-    """
-    queries = list(queries)
-    groups: dict[tuple, list[int]] = {}
-    for k, (S, T) in enumerate(queries):
-        if T is not S and S.dim != T.dim:
-            raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
-        groups.setdefault((T is S, S.d, T.d, S.dim), []).append(k)
-    stacked = [
-        (np.stack([queries[k][0].stack for k in members]),
-         None if within else np.stack([queries[k][1].stack for k in members]))
-        for (within, *_), members in groups.items()
-    ]
-    checks: list[tuple[bool, float]] = [None] * len(queries)
-    for members, (passed, residuals) in zip(groups.values(), commutator_stack_checks(stacked, tol)):
-        for k, ok, residual in zip(members, passed.tolist(), residuals.tolist()):
-            checks[k] = (ok, residual)
-    return checks
+def _commutator_check(S: OperatorTuple, T: OperatorTuple, tol: mc.Tolerance) -> tuple[bool, float]:
+    """``(commutes, max residual)`` of ``commutator_stack_checks`` on the one-row stacks
+    of S and T: within S when T is S, else across, refused when the dimensions differ."""
+    if T is not S and S.dim != T.dim:
+        raise InvalidArgumentError(f"dimension mismatch: {S.dim} vs {T.dim}")
+    ((passed, residuals),) = commutator_stack_checks([(S.stack[None], None if T is S else T.stack[None])], tol)
+    return passed.item(), residuals.item()
 
 
 def commutator_stack_checks(queries, tol: mc.Tolerance) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -457,49 +459,18 @@ def nilpotency_order(
     """Least n <= max_order with every order-n word zero and some order-(n-1) word nonzero.
 
     Commuting components mean words collapse to compositions, which is what
-    gets enumerated.  Returns None when no such n exists up to max_order.
+    gets enumerated.  Returns None when no such n exists up to max_order.  A bad
+    max_order is refused first, then in strict mode a tuple that does not
+    commute; the order is ``nilpotency_stack_orders`` of the one-row stack.
     """
-    return nilpotency_orders([(N, max_order)], tol, strict)[0]
-
-
-def nilpotency_orders(
-    queries, tol: mc.Tolerance = mc.DEFAULT_TOL, strict: bool = True
-) -> list[int | None]:
-    """``nilpotency_order(N, max_order, tol, strict)`` of each query ``(N, max_order)``.
-
-    Queries of one tuple length, dimension and max_order are stacked and
-    judged by one ``nilpotency_stack_orders`` query, so every order is the
-    one its tuple gets alone.  A query that is refused (a bad max_order, or
-    in strict mode a tuple that does not commute) raises, in query order,
-    before any word is formed; in strict mode every group's commutators come
-    from one ``commutator_stack_checks`` call.
-    """
-    queries = list(queries)
-    groups: dict[tuple, list[int]] = {}
-    for i, (N, max_order) in enumerate(queries):
-        # a bad max_order, which may not be hashable, is refused below in query order
-        valid = isinstance(max_order, int) and max_order >= 1
-        groups.setdefault((N.d, N.dim, max_order if valid else None), []).append(i)
-    stacked = [(np.stack([queries[i][0].stack for i in members]), max_order)
-               for (_, _, max_order), members in groups.items()]
-    commuting: list = [(True, 0.0)] * len(queries)
+    if not isinstance(max_order, int) or max_order < 1:
+        raise InvalidArgumentError(f"max_order must be a positive integer, got {max_order!r}")
     if strict:
-        checks = commutator_stack_checks([(stack, None) for stack, _ in stacked], tol)
-        for members, (passed, residuals) in zip(groups.values(), checks):
-            for k, ok, residual in zip(members, passed.tolist(), residuals.tolist()):
-                commuting[k] = (ok, residual)
-    for (N, max_order), (ok, residual) in zip(queries, commuting):
-        if not isinstance(max_order, int) or max_order < 1:
-            raise InvalidArgumentError(
-                f"max_order must be a positive integer, got {max_order!r}"
-            )
-        if not ok:
+        commutes, residual = _commutator_check(N, N, tol)
+        if not commutes:
             raise InvalidArgumentError(f"tuple does not commute (max residual {residual:.3e})")
-    orders: list[int | None] = [None] * len(queries)
-    for members, found in zip(groups.values(), nilpotency_stack_orders(stacked, tol)):
-        for k, order in zip(members, found.tolist()):
-            orders[k] = order or None
-    return orders
+    ((order,),) = nilpotency_stack_orders([(N.stack[None], max_order)], tol)
+    return order.item() or None
 
 
 def nilpotency_stack_orders(queries, tol: mc.Tolerance) -> list[np.ndarray]:

@@ -328,7 +328,7 @@ def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, stric
     tuple ``dim``, as columns ``order_<name>``, from one ``nilpotency_stack_orders``
     call; a row with a tuple that is not nilpotent skips.  With ``strict``, a tuple
     whose commutators, kept by ``_commutator_stage``, do not vanish is first refused,
-    as ``nilpotency_orders`` refuses it, in order of the rows and then the names."""
+    as ``tuples.nilpotency_order`` refuses it, in order of the rows and then the names."""
     if strict:
         for cls in classes:
             failed = ~np.array([cls[f"commutes {N}"] for N in names])

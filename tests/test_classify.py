@@ -129,7 +129,7 @@ def test_spherical_reduction_judges_both_degrees_in_one_kernel_call(monkeypatch)
     original = tf.defect_checks
     monkeypatch.setattr(
         tf, "defect_checks",
-        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+        lambda A, B, X, degrees, *a: calls.append(list(degrees)) or original(A, B, X, degrees, *a),
     )
     U = OperatorTuple.of(random_unitary(np.random.default_rng(5), 3))
     report = classify.spherical_reduction_check(U)
@@ -209,23 +209,40 @@ def _assert_profile_is_per_degree(profile, checks, alone) -> None:
     assert mc.DEFAULT_TOL.threshold(profile.scale) == alone[12][1]
 
 
+def _per_degree_checks(pairs) -> list:
+    """The (norm, threshold) of each pair's PROFILE_DEGREES, each degree judged for the
+    pairs of one shape by one ``defect_stack_checks`` call, a row per pair, so no two
+    degrees of a pair share anything."""
+    by_shape: dict = {}
+    for i, (A, B, _) in enumerate(pairs):
+        by_shape.setdefault((A.stack.shape, B.stack.shape), []).append(i)
+    out = [[] for _ in pairs]
+    for members in by_shape.values():
+        a, b = (np.stack([pairs[i][k].stack for i in members]) for k in (0, 1))
+        x = np.stack([np.asarray(pairs[i][2], dtype=complex) for i in members])
+        norms: dict = {}
+        for m, n in PROFILE_DEGREES:
+            ((values, thresholds),) = tf.defect_stack_checks(
+                [(a, b, x, [m] * len(members), [n] * len(members))], mc.DEFAULT_TOL, norms
+            )
+            for i, check in zip(members, zip(values.tolist(), thresholds.tolist())):
+                out[i].append(check)
+    return out
+
+
 def test_post_mortem_profiles_equal_each_degree_judged_alone(monkeypatch):
     # the pair whose profile a counterexample record carries, for every id at
     # seeds 0-59; a profile shares one run of iterates and one stack of left
-    # products over its zero tests, and per degree the tests share nothing (each
-    # reads its own copy of X), so each gets the bits of its ``defect_check``
-    # (test_batched_defect_checks_equal_one_test_at_a_time), as the first pair
-    # of each id shows
+    # products over its zero tests, and per degree the tests share nothing, so
+    # each gets the bits of its ``defect_check``
+    # (test_defect_checks_of_one_pair_equal_one_degree_at_a_time), as the first
+    # pair of each id shows
     pairs = [
         entry.pair(bundle)
         for entry in verify.THEOREMS.values()
         for bundle in random_instances(entry.profile, range(60))
     ]
-    by_degree = [
-        tf.defect_checks([(A, B, np.array(X), *degrees) for A, B, X in pairs])
-        for degrees in PROFILE_DEGREES
-    ]
-    alone = [list(checks) for checks in zip(*by_degree)]
+    alone = _per_degree_checks(pairs)
     for first in range(0, len(pairs), 60):
         assert alone[first] == [tf.defect_check(*pairs[first], *d) for d in PROFILE_DEGREES]
     for (profile, checks), checks_alone in zip(_profile_checks(pairs, monkeypatch), alone):

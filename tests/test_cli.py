@@ -596,7 +596,7 @@ def test_check_reads_scanned_verdicts_from_the_profile(tmp_path, capsys, monkeyp
     original = tf.defect_checks
     monkeypatch.setattr(
         tf, "defect_checks",
-        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+        lambda A, B, X, degrees, *a: calls.append(list(degrees)) or original(A, B, X, degrees, *a),
     )
     for deg in range(k_max + 3):
         expected = {

@@ -4,7 +4,7 @@ Every theorem checks a campaign chunk as one column program: every stage
 runs once over the stacks of all live trials, through the stack kernels
 (``commutator_stack_checks``, ``nilpotency_stack_orders``,
 ``defect_stack_checks``, ``stack_defects``).  Here each stack kernel is
-compared with its list kernel, bit for bit, on every profile's tuples, and
+compared with its single-item API, bit for bit, on every profile's tuples, and
 each program with its check run one trial at a time, on chunks that mix
 passing trials, a trial for each skip reason and planted trials that are
 refused.
@@ -24,9 +24,12 @@ from isotuple.errors import InvalidArgumentError
 from isotuple.generators import InstanceBundle, PROFILES, random_instance, random_instances
 from isotuple.tuples import (
     OperatorTuple,
-    commutator_checks,
     commutator_stack_checks,
-    nilpotency_orders,
+    commutes_cross,
+    commutes_within,
+    max_commutator_cross,
+    max_commutator_within,
+    nilpotency_order,
     nilpotency_stack_orders,
     product_stacks,
     product_tuple,
@@ -37,6 +40,8 @@ from isotuple.tuples import (
 
 SEEDS = range(200)
 TOLERANCES = (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16))
+#: Rows of a stack compared with their single-item call: every SAMPLE-th.
+SAMPLE = 4
 
 
 def _same(a, b) -> bool:
@@ -66,24 +71,27 @@ def _tuples(profile: str) -> dict:
 
 @pytest.mark.parametrize("tol", TOLERANCES)
 @pytest.mark.parametrize("profile", PROFILES)
-def test_stack_kernels_equal_the_list_kernels_on_every_profile(profile, tol):
-    # the stack kernels read no norm or sum that the tuples keep from the list kernels
+def test_stack_kernels_equal_the_single_item_apis_on_every_profile(profile, tol):
+    # the stack kernels read no norm or sum that the tuples keep from the single-item
+    # APIs; every SAMPLE-th row of each stack is judged alone
     for (d, n, _), (found, names, stack) in _tuples(profile).items():
         (passed, residuals), (cross_passed, cross_residuals) = commutator_stack_checks(
             [(stack, None), (stack, stack[::-1].copy())], tol
         )
-        assert list(zip(passed.tolist(), residuals.tolist())) == commutator_checks(
-            [(T, T) for T in found], tol
-        )
-        assert list(zip(cross_passed.tolist(), cross_residuals.tolist())) == commutator_checks(
-            list(zip(found, found[::-1])), tol
-        )
-        nilpotent = [b for b, name in enumerate(names) if name.startswith("N")]
+        rows = range(0, len(found), SAMPLE)
+        assert list(zip(passed[::SAMPLE].tolist(), residuals[::SAMPLE].tolist())) == [
+            (commutes_within(found[b], tol), max_commutator_within(found[b])) for b in rows
+        ]
+        assert list(zip(cross_passed[::SAMPLE].tolist(), cross_residuals[::SAMPLE].tolist())) == [
+            (commutes_cross(found[b], found[-1 - b], tol), max_commutator_cross(found[b], found[-1 - b]))
+            for b in rows
+        ]
+        nilpotent = [b for b, name in enumerate(names) if name.startswith("N")][::SAMPLE]
         if nilpotent:
             orders = nilpotency_stack_orders([(stack[nilpotent], n)], tol)[0]
-            assert [k or None for k in orders.tolist()] == nilpotency_orders(
-                [(found[b], n) for b in nilpotent], tol, strict=False
-            )
+            assert [k or None for k in orders.tolist()] == [
+                nilpotency_order(found[b], n, tol, strict=False) for b in nilpotent
+            ]
     # zero tests of every kind, (0, 0) to (2, 1), on the pair each instance's check profiles
     (entry,) = [entry for entry in verify.THEOREMS.values() if entry.profile == profile]
     pairs: dict = {}
@@ -95,8 +103,23 @@ def test_stack_kernels_equal_the_list_kernels_on_every_profile(profile, tol):
         ms, ns = rows % 3, rows // 3 % 2
         A, B, X = (np.stack([getattr(T, "stack", T) for T in column]) for column in zip(*found))
         ((norms, thresholds),) = tf.defect_stack_checks([(A, B, X, ms, ns)], tol, {})
-        tests = [(*pair, int(m), int(k)) for pair, m, k in zip(found, ms, ns)]
-        assert list(zip(norms.tolist(), thresholds.tolist())) == tf.defect_checks(tests, tol)
+        assert list(zip(norms[::SAMPLE].tolist(), thresholds[::SAMPLE].tolist())) == [
+            tf.defect_check(*found[b], int(ms[b]), int(ns[b]), tol) for b in rows[::SAMPLE]
+        ]
+
+
+@pytest.mark.parametrize("tol", TOLERANCES)
+def test_generated_tuples_commute_at_the_default_tolerance_only(tol):
+    # every tuple of every profile, a stack per shape: all commute within at the
+    # default tolerance, and the tight one fails some of them
+    failed = [
+        not passed.all()
+        for profile in PROFILES
+        for passed, _ in commutator_stack_checks(
+            [(stack, None) for _, _, stack in _tuples(profile).values()], tol
+        )
+    ]
+    assert any(failed) == (tol.abs_eps == 0)
 
 
 @pytest.mark.parametrize("profile", PROFILES)

@@ -25,9 +25,11 @@ from isotuple.generators import (
 )
 from isotuple.tuples import (
     OperatorTuple,
+    commutator_stack_checks,
     commutes_within,
     max_commutator_within,
     nilpotency_order,
+    nilpotency_stack_orders,
 )
 
 
@@ -93,6 +95,34 @@ def test_nilpotent_commuting_unachievable_order():
         nilpotent_commuting(2, 1, 3, rng_seed=0)
 
 
+def test_nilpotent_commuting_refuses_an_order_its_draws_miss():
+    # at order 16 the float check misses every draw: the words of length 15 fall
+    # under the threshold, so every one of the redraws fails too
+    with pytest.raises(GenerationFailureError, match=r"^could not draw a 2-tuple of order 16 at dimension 16$"):
+        nilpotent_commuting(16, 2, 16, rng_seed=0)
+
+
+def test_generated_nilpotent_tuples_have_their_declared_orders():
+    # the builders draw each nilpotent tuple once, unchecked: its construction fixes
+    # its order, and here every declared order of seeds 0-999 is the measured one
+    declared = {"thm05": {"N1": "n1", "N2": "n2"}, "cor05": {"N1": "n1", "N2": "n2"}, "cor050": {"N": "order"}}
+    for profile, names in declared.items():
+        by_shape: dict = {}
+        for start in range(0, 1000, 64):
+            for bundle in random_instances(profile, range(start, start + 64)):
+                for name, param in names.items():
+                    N = bundle.tuples[name]
+                    found = by_shape.setdefault(N.stack.shape, ([], []))
+                    found[0].append(N.stack)
+                    found[1].append(bundle.params[param])
+        stacks = [np.stack(found) for found, _ in by_shape.values()]
+        checks = commutator_stack_checks([(stack, None) for stack in stacks], mc.DEFAULT_TOL)
+        assert all(passed.all() for passed, _ in checks)
+        orders = nilpotency_stack_orders([(stack, stack.shape[-1]) for stack in stacks], mc.DEFAULT_TOL)
+        for found, (_, wanted) in zip(orders, by_shape.values()):
+            assert found.tolist() == wanted
+
+
 def test_nilpotent_commuting_is_deterministic():
     N1 = nilpotent_commuting(4, 2, 3, rng_seed=9)
     N2 = nilpotent_commuting(4, 2, 3, rng_seed=9)
@@ -133,7 +163,7 @@ def test_jordan_validation_judges_both_degrees_in_one_kernel_call(monkeypatch, k
     original = tf.defect_checks
     monkeypatch.setattr(
         tf, "defect_checks",
-        lambda tests, *a: calls.append([test[3:] for test in tests]) or original(tests, *a),
+        lambda A, B, X, degrees, *a: calls.append(list(degrees)) or original(A, B, X, degrees, *a),
     )
     (jordan_isometric if kind == "isometric" else jordan_symmetric)(1.0, 3)
     assert calls == [[(5, 0), (4, 0)] if kind == "isometric" else [(0, 5), (0, 4)]]

@@ -17,12 +17,11 @@ import pytest
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
 from isotuple import verify
-from isotuple.generators import PROFILES, InstanceBundle, random_instances
+from isotuple.generators import InstanceBundle, random_instances
 from isotuple.multiindex import binomial
 from isotuple.tuples import (
     OperatorTuple,
     adjoint_tuple,
-    commutator_checks,
     commutes_cross,
     commutes_within,
     conj_tuple,
@@ -195,29 +194,8 @@ def _bits(checks):
     return [(ok, residual.hex()) for ok, residual in checks]
 
 
-def test_commutator_checks_equal_one_query_at_a_time_on_every_profile():
-    # every tuple of every profile within, and each pair of its first tuples of one
-    # dimension across, over 200 seeds, in one call of mixed lengths and dimensions
-    queries = []
-    for profile in PROFILES:
-        for bundle in random_instances(profile, range(200)):
-            tuples = list(bundle.tuples.values())
-            queries += [(T, T) for T in tuples]
-            queries += [
-                (S, T) for k, S in enumerate(tuples[:4]) for T in tuples[k + 1 : 4] if S.dim == T.dim
-            ]
-    within = [S is T for S, T in queries]
-    for tol in (mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)):
-        batched = commutator_checks(queries, tol)
-        assert _bits(batched) == _bits(commutator_checks([(S, T)], tol)[0] for S, T in queries)
-        # generated tuples commute within at the default tolerance, and the tight
-        # one fails some of them
-        failed = [not ok for ok, _ in batched]
-        assert any(failed) and any(f and w for f, w in zip(failed, within)) == (tol.abs_eps == 0)
-
-
 @pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)])
-def test_commutator_checks_equal_the_composed_loop_with_planted_noncommuting_pairs(tol):
+def test_commutator_predicates_equal_the_composed_loop_with_planted_noncommuting_pairs(tol):
     # random tuples do not commute unless they have one component or are 1 x 1;
     # scalar tuples commute with everything; lengths and dimensions are mixed
     queries, planted = [], []
@@ -227,35 +205,29 @@ def test_commutator_checks_equal_the_composed_loop_with_planted_noncommuting_pai
             scalar = scalar_tuple(2.0 - 1.0j, d, n)
             queries += [(A, A), (A, B), (B, A), (scalar, scalar), (scalar, A), (B, scalar)]
             planted += [d > 1 and n > 1, n > 1, n > 1, False, False, False]
-    batched = commutator_checks(queries, tol)
-    assert _bits(batched) == _bits(_composed_commutators(S, T, tol) for S, T in queries)
-    assert _bits(batched) == _bits(_alone_commutators(S, T, tol) for S, T in queries)
-    assert [not ok for ok, _ in batched] == planted
+    checks = [_alone_commutators(S, T, tol) for S, T in queries]
+    assert _bits(checks) == _bits(_composed_commutators(S, T, tol) for S, T in queries)
+    assert [not ok for ok, _ in checks] == planted
 
 
-def test_commutator_checks_of_one_component_tuples():
+def test_commutator_predicates_of_one_component_tuples():
     rng = np.random.default_rng(9)
     M = rng.standard_normal((3, 3)) + 0j
     S, T, U = OperatorTuple.of(M), OperatorTuple.of(M @ M + 2.0 * M), OperatorTuple.of(M.T)
     queries = [(S, S), (S, T), (T, S), (S, U), (U, U)]
-    checks = commutator_checks(queries)
+    checks = [_alone_commutators(*query) for query in queries]
     assert [ok for ok, _ in checks] == [True, True, True, False, True]
     assert checks[0] == checks[4] == (True, 0.0)
     assert _bits(checks) == _bits(_composed_commutators(*query) for query in queries)
 
 
-def test_commutator_checks_refuse_a_cross_query_of_two_dimensions_as_it_is_read():
-    A, B, _ = _pair(2, 3)
+def test_cross_commutators_refuse_two_dimensions():
+    A, _, _ = _pair(2, 3)
     C, _, _ = _pair(2, 4)
-    for alone, queries in (
-        (lambda: commutes_cross(A, C), [(A, C)]),
-        (lambda: commutes_cross(A, C), [(A, B), (A, A), (A, C), (C, A)]),
-        (lambda: commutes_cross(C, A), [(C, C), (C, A), (A, C)]),
-    ):
-        with pytest.raises(mc.InvalidArgumentError) as expected:
-            alone()
-        with pytest.raises(mc.InvalidArgumentError, match=f"^{expected.value}$"):
-            commutator_checks(queries)
+    for check in (commutes_cross, max_commutator_cross):
+        for S, T, message in ((A, C, "3 vs 4"), (C, A, "4 vs 3")):
+            with pytest.raises(mc.InvalidArgumentError, match=f"^dimension mismatch: {message}$"):
+                check(S, T)
 
 
 @pytest.mark.parametrize("d", DS)
@@ -265,7 +237,7 @@ def test_pair_norms_match_one_matrix_at_a_time(d, n, monkeypatch):
     # the tuples keep them; a lone tuple computes its own, with the same bits
     A, B, X = _pair(d, n)
     calls = _counting_svds(monkeypatch)
-    tf.defect_checks([(A, B, X, 1, 1)])
+    tf.defect_checks(A, B, X, [(1, 1)])
     assert calls == [(2 * (d + 1), n, n)]
     for T in (A, B):
         single = [float(np.linalg.norm(c, 2)) for c in (*T, T.component_sum())]
@@ -330,17 +302,13 @@ def _composed_check(A, B, X, m, n, tol=mc.DEFAULT_TOL):
 
 @pytest.mark.parametrize("d", DS)
 @pytest.mark.parametrize("n", NS)
-def test_batched_defect_checks_equal_one_test_at_a_time(d, n):
+def test_defect_checks_of_one_pair_equal_one_degree_at_a_time(d, n):
     tol = mc.Tolerance(abs_eps=0.0, rel_eps=1e-13)
-
-    def tests():
-        # fresh tuples for each side, so neither reads norms or powers the other computed
-        return [(*_pair(d, n, seed), m, k) for seed, (m, k) in enumerate(MIXED_DEGREES)]
-
-    batched = tf.defect_checks(tests(), tol)
+    # fresh tuples for each degree alone, so none reads norms or powers another computed
+    together = tf.defect_checks(*_pair(d, n), MIXED_DEGREES, tol)
     for check in (tf.defect_check, _composed_check):
-        alone = [check(*test, tol) for test in tests()]
-        assert [(a.hex(), b.hex()) for a, b in batched] == [(a.hex(), b.hex()) for a, b in alone]
+        alone = [check(*_pair(d, n), m, k, tol) for m, k in MIXED_DEGREES]
+        assert [(a.hex(), b.hex()) for a, b in together] == [(a.hex(), b.hex()) for a, b in alone]
 
 
 #: (pair seed, m, n) of a group that mixes shared and distinct (A, B, X): pair 0
@@ -360,7 +328,12 @@ def test_tests_that_share_runs_get_the_bits_each_gets_alone(d, n):
         return [(*pair(seed), m, k) for seed, m, k in SHARED_RUNS]
 
     alone = [tf.defect_check(*test) for test in tests(shared=False)]
-    assert tf.defect_checks(tests(shared=True)) == alone
+    pairs = {seed: _pair(d, n, seed) for seed in (0, 1)}
+    shared = [
+        check for seed, pair in pairs.items()
+        for check in tf.defect_checks(*pair, [(m, k) for s, m, k in SHARED_RUNS if s == seed])
+    ]
+    assert shared == alone
     # each defect, the sign of zero included, within a group of one kind: the items
     # of one stack test that name the rows of the two pairs' stacks
     pairs = [_pair(d, n, seed) for seed in (0, 1)]
@@ -389,13 +362,18 @@ def _counting_svds(monkeypatch) -> list:
     return calls
 
 
-def test_defect_checks_take_every_threshold_from_one_spectral_norms_call(monkeypatch):
+def test_defect_stack_checks_take_every_threshold_from_one_spectral_norms_call(monkeypatch):
     calls = _counting_svds(monkeypatch)
-    tests = [(*_pair(d, 3, seed), m, k) for d in (1, 2) for seed, (m, k) in enumerate(MIXED_DEGREES)]
-    tf.defect_checks(tests)
+    pairs = {d: [_pair(d, 3, seed) for seed in range(len(MIXED_DEGREES))] for d in (1, 2)}
+    ms, ns = zip(*MIXED_DEGREES)
+    tests = [
+        tuple(np.stack([getattr(T, "stack", T) for T in column]) for column in zip(*found)) + (ms, ns)
+        for found in pairs.values()
+    ]
+    tf.defect_stack_checks(tests, mc.DEFAULT_TOL, {})
     # one table for every test: both tuples' d component norms when m > 0 and
     # their sums' norms when n > 0, and nothing for the two of degree (0, 0)
-    parts = sum(2 * (A.d * (m > 0) + (n > 0)) for A, _, _, m, n in tests)
+    parts = sum(2 * (d * (m > 0) + (n > 0)) for d in pairs for m, n in MIXED_DEGREES)
     assert calls == [(parts, 3, 3)] and parts == 60
 
 
@@ -404,28 +382,43 @@ def test_defect_checks_compute_only_the_norm_parts_their_tests_read(d, monkeypat
     calls = _counting_svds(monkeypatch)
     A, B, X = _pair(d, 4)
     # a delta-only test reads the two sums' norms, and no component norm
-    (_, delta_threshold), = tf.defect_checks([(A, B, X, 0, 2)])
+    (_, delta_threshold), = tf.defect_checks(A, B, X, [(0, 2)])
     assert calls == [(2, 4, 4)]
     assert "_op_norms" not in A.__dict__ and "_op_norms" not in B.__dict__
     # an isometric test now adds only the components' norms, and both parts are kept
-    tf.defect_checks([(A, B, X, 3, 0), (A, B, X, 1, 1), (A, B, X, 0, 2)])
+    tf.defect_checks(A, B, X, [(3, 0), (1, 1), (0, 2)])
     assert calls == [(2, 4, 4), (2 * d, 4, 4)]
-    tf.defect_checks([(A, B, X, 2, 2), (A, B, X, 0, 2)])
+    tf.defect_checks(A, B, X, [(2, 2), (0, 2)])
     assert len(calls) == 2
     # an isometric-only test on fresh tuples reads only the components' norms
     C, D, Y = _pair(d, 4, seed=1)
-    tf.defect_checks([(C, D, Y, 2, 0)])
+    tf.defect_checks(C, D, Y, [(2, 0)])
     assert calls[2:] == [(2 * d, 4, 4)] and "_sum_op_norm" not in C.__dict__
     # every threshold equals the one from norms each tuple computes alone
     fresh = _pair(d, 4)
     for T in fresh[:2]:  # held before the zero test reads them
         assert len(T.op_norms) == d and T.sum_op_norm >= 0.0
-    assert tf.defect_checks([(*fresh, 0, 2)])[0][1] == delta_threshold
+    assert tf.defect_checks(*fresh, [(0, 2)])[0][1] == delta_threshold
     for T, U in ((A, fresh[0]), (B, fresh[1])):
         assert (T.op_norms, T.sum_op_norm) == (U.op_norms, U.sum_op_norm)
 
 
-def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():
+def test_defect_scale_of_fresh_tuples_takes_its_norms_from_one_call(monkeypatch):
+    A, B = (OperatorTuple(_stack(np.random.default_rng(seed), 3, 4)) for seed in (1, 2))
+    X = _stack(np.random.default_rng(3), 1, 4)[0]
+    calls = _counting_svds(monkeypatch)
+    scale = tf.defect_scale(A, B, X, 2, 3)
+    assert calls == [(8, 4, 4)]
+    # the documented bound, from norms of one matrix at a time, in the kernel's float order
+    a, b = ([float(np.linalg.norm(c, 2)) for c in T] for T in (A, B))
+    a_sum, b_sum = (float(np.linalg.norm(_loop_sum(list(T)), 2)) for T in (A, B))
+    iso = a[0] * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        iso += p * q
+    assert scale.hex() == (mc.fro_norm(X) * (1.0 + iso) ** 2 * (1.0 + a_sum + b_sum) ** 3).hex()
+
+
+def test_defect_checks_of_a_malformed_pair_raise_what_defect_check_raises():
     A, B, X = _pair(2, 3)
     short = OperatorTuple(A.stack[:1])
     for bad in (
@@ -434,7 +427,8 @@ def test_batched_defect_checks_of_a_malformed_pair_raise_what_defect_check_raise
     ):
         with pytest.raises(mc.InvalidArgumentError) as composed:
             _composed_check(*bad)
-        for check in (tf.defect_check, lambda *t: tf.defect_checks([(A, B, X, 1, 0), t])):
+        # the same refusal when the bad degree follows a good one
+        for check in (tf.defect_check, lambda A, B, X, m, n: tf.defect_checks(A, B, X, [(1, 0), (m, n)])):
             with pytest.raises(mc.InvalidArgumentError, match=re.escape(str(composed.value))):
                 check(*bad)
 
@@ -453,16 +447,14 @@ _PLANTED = {
 
 @pytest.mark.parametrize("planted", sorted(_PLANTED))
 def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
-    A, B, X = _pair(2, 3, seed=1)
     bad = _PLANTED[planted]
-    m, n = bad[3:]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mc.InvalidArgumentError) as composed:
             _composed_check(*bad)
         for check in (
             tf.defect_check,
-            lambda *t: tf.defect_checks([(A, B, X, m, n), t, (A, B, 2.0 * X, m, n)]),
-            lambda *t: tf.defect_checks([(*_pair(1, 2), 1, 0), t]),  # the item alone in its group
+            # after the degree-0 test of X, and before a repeat of itself
+            lambda A, B, X, m, n: tf.defect_checks(A, B, X, [(0, 0), (m, n), (m, n)]),
         ):
             with pytest.raises(type(composed.value)) as raised:
                 check(*bad)

@@ -23,7 +23,7 @@ from isotuple.tuples import (
     inverse_tuple,
     mix_by_unitary,
     nilpotency_order,
-    nilpotency_orders,
+    nilpotency_stack_orders,
     power_tuple,
     product_tuple,
     scalar_tuple,
@@ -331,54 +331,37 @@ def test_cached_spectral_norms_equal_fresh_ones(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [mc.DEFAULT_TOL, mc.Tolerance(abs_eps=0, rel_eps=1e-16)])
-def test_batched_nilpotency_orders_equal_one_tuple_at_a_time(tol):
-    # the perturbation tuples of every seed of the three nilpotent ids, in one batch
+def test_stacked_nilpotency_orders_equal_one_tuple_at_a_time(tol):
+    # the perturbation tuples of every seed of the three nilpotent ids, a stack per shape
     keys = {"thm05": ("N1", "N2"), "cor05": ("N1", "N2"), "cor050": ("N",)}
-    queries = [
-        (bundle.tuples[key], bundle.tuples[key].dim)
-        for profile, names in keys.items()
-        for bundle in random_instances(profile, range(200))
-        for key in names
-    ]
+    by_shape: dict = {}
+    for profile, names in keys.items():
+        for bundle in random_instances(profile, range(200)):
+            for key in names:
+                by_shape.setdefault(bundle.tuples[key].stack.shape, []).append(bundle.tuples[key])
     # at the tight tolerance some commutators of these tuples fail the strict check
     strict = tol == mc.DEFAULT_TOL
-    alone = [nilpotency_order(N, max_order, tol, strict) for N, max_order in queries]
+    alone = [nilpotency_order(N, N.dim, tol, strict) for found in by_shape.values() for N in found]
     assert set(alone) == {2, 3} if strict else len(set(alone)) > 2
-    assert nilpotency_orders(queries, tol, strict) == alone
+    stacked = nilpotency_stack_orders(
+        [(np.stack([N.stack for N in found]), shape[-1]) for shape, found in by_shape.items()], tol
+    )
+    assert [k or None for orders in stacked for k in orders.tolist()] == alone
 
 
-def test_batched_nilpotency_orders_of_a_non_nilpotent_tuple_are_none():
+def test_nilpotency_order_of_a_non_nilpotent_tuple_is_none():
     pair = OperatorTuple.of(upper_shift(3), upper_shift(3) @ upper_shift(3))
     invertible = OperatorTuple.of(np.eye(3), upper_shift(3))
-    assert nilpotency_orders([(pair, 5), (invertible, 5), (pair, 2)]) == [3, None, None]
+    assert [nilpotency_order(N, k) for N, k in [(pair, 5), (invertible, 5), (pair, 2)]] == [3, None, None]
 
 
-def test_batched_nilpotency_orders_raise_the_first_error_a_loop_raises():
+def test_nilpotency_order_refuses_a_bad_max_order_before_a_non_commuting_tuple():
     good = OperatorTuple.of(SHIFT_UP)
     bad = OperatorTuple.of(SHIFT_UP, SHIFT_DOWN)
-    for queries in (
-        [(good, 4), (bad, 4), (good, 0)],
-        [(bad, 4), (good, 1.5)],
-        [(good, 0), (bad, 4)],
-        [(good, 4), (bad, -1), (bad, 4)],
-        # an unhashable max_order is refused, not grouped
-        [(good, 4), (good, [2])],
-        [(good, [2]), (bad, 4)],
-    ):
-        with pytest.raises(InvalidArgumentError) as alone:
-            for N, max_order in queries:
+    for N in (good, bad):
+        for max_order in (0, -1, 1.5, [2]):
+            with pytest.raises(InvalidArgumentError, match=r"^max_order must be a positive integer, got "):
                 nilpotency_order(N, max_order)
-        with pytest.raises(InvalidArgumentError) as batched:
-            nilpotency_orders(queries)
-        assert str(batched.value) == str(alone.value)
-
-
-def test_batched_nilpotency_orders_refuse_a_non_commuting_tuple_as_alone():
-    good = OperatorTuple.of(SHIFT_UP)
-    bad = OperatorTuple.of(SHIFT_UP, SHIFT_DOWN)
-    with pytest.raises(InvalidArgumentError) as alone:
+    with pytest.raises(InvalidArgumentError, match=r"^tuple does not commute \(max residual "):
         nilpotency_order(bad, 4)
-    with pytest.raises(InvalidArgumentError) as batched:
-        nilpotency_orders([(good, 4), (bad, 4)])
-    assert str(batched.value) == str(alone.value)
-    assert "tuple does not commute" in str(alone.value)
+    assert nilpotency_order(good, 4) == 2

@@ -806,7 +806,7 @@ def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypat
 
     stack_calls = []
     stack_original = tuples.commutator_stack_checks
-    for name in ("commutes_within", "commutes_cross", "commutator_checks"):
+    for name in ("commutes_within", "commutes_cross", "_commutator_check"):
         monkeypatch.setattr(tuples, name, per_pair)
     monkeypatch.setattr(
         verify, "commutator_stack_checks",
@@ -817,5 +817,5 @@ def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypat
         report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=40, seed=3))
         assert report.trials + report.skipped == 40
         # one chunk: every trial's commutators in one call of the stack kernel, none
-        # through the list kernel
+        # through the single-pair predicates
         assert len(stack_calls) == 1 and stack_calls[0] >= 40
