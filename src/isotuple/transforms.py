@@ -28,10 +28,10 @@ keeps by stack into thresholds (``_thresholds``).  Only this module knows
 that norm table's layout: ``_fill_stack_norms`` fills the parts it lacks in
 one call, ``_growth_factors`` reads every factor from it and
 ``_component_norms`` the component norms of one stack.  ``defect_checks``
-runs the kernel's phases on several degrees of one pair, as items on row 0 of
-its one-row stacks, with the norms the tuples hold or fill
-(``tuples.spectral_norms``) in place of the table's fill, and
-``defect_check`` is its batch of one.  ``stack_defects`` gives each row's
+is one kernel call on several degrees of one pair, as items on row 0 of its
+one-row stacks, whose norm fill reads the norms the tuples hold or fill
+(``tuples.spectral_norms``) in place of the table's, and ``defect_check`` is
+its batch of one.  ``stack_defects`` gives each row's
 ``triangle`` or ``delta``, ``triangle``, ``delta`` and ``sigma_iterates`` are
 the engine's batch of one, and ``_cesaro_run`` steps stacks of Cesaro runs
 from X through its loop.  Only the cross-check paths ``triangle_by_iteration``
@@ -333,8 +333,8 @@ def defect_check(
 def defect_checks(
     A: OperatorTuple, B: OperatorTuple, X, degrees, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: the phases of
-    ``defect_stack_checks`` on the one-row stacks of the pair and X (one stack
+    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: one
+    ``defect_stack_checks`` call on the one-row stacks of the pair and X (one stack
     serves as A and B when A is B), its items the degrees on row 0, which share
     the runs they form.
 
@@ -342,25 +342,28 @@ def defect_checks(
     Every norm comes before every threshold, so a non-finite value is refused
     before an overflowing spectral norm or scale.  The thresholds read the
     tuples' spectral norms, the components' when some m > 0 and the sums' when
-    some n > 0; ``spectral_norms`` fills the parts they lack in one call.
+    some n > 0; the kernel's norm fill is ``spectral_norms``, which fills the
+    parts they lack in one call and leaves them with the tuples.
     """
     X = _require_shapes(A, B, X)
     degrees = [(_require_degree("m", m), _require_degree("n", n)) for m, n in degrees]
     ms, ns = [m for m, _ in degrees], [n for _, n in degrees]
-    a = A.stack[None]
-    b = a if A is B else B.stack[None]
-    test = _checked_stack_test(a, b, X[None], ms, ns, np.zeros(len(ms), dtype=np.intp))
-    (values,) = _stack_items([test], mc.fro_norm_array)
     parts = (any(ms), any(ns))
-    norms = {
-        id(stack): (stack, *(None if part is None else np.array([part]) for part in held))
-        for stack, held in zip(test[:2], spectral_norms([(A, *parts), (B, *parts)]))
-    }
-    (thresholds,) = _thresholds([test], norms, tol)
+
+    def fill(norms: dict, tests: list) -> None:  # the norms the tuples hold, filled as they lack them
+        ((a, b, *_),) = tests
+        for stack, held in zip((a, b), spectral_norms([(A, *parts), (B, *parts)])):
+            norms[id(stack)] = (stack, *(None if part is None else np.array([part]) for part in held))
+
+    a = A.stack[None]
+    test = (a, a if A is B else B.stack[None], X[None], ms, ns, np.zeros(len(ms), dtype=np.intp))
+    ((values, thresholds),) = defect_stack_checks([test], tol, {}, _fill=fill)
     return list(zip(values.tolist(), thresholds.tolist()))
 
 
-def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+def defect_stack_checks(
+    tests, tol: mc.Tolerance, norms: dict, _fill=None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (norms, thresholds) arrays of each zero test ``(A, B, X, ms, ns)`` over stacks:
     A and B (b, d, n, n) stacks of b pairs, X the (b, n, n) stack of their X, and ms and
     ns the degrees of its items, an int array or a sequence each.  Item i is
@@ -378,13 +381,13 @@ def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.
     by stack, the spectral norms the thresholds read, ``id(stack) -> (stack,
     (b, d) component norms, (b,) sum norms)``, NaN (or None) where not held;
     the parts read and not held come from one ``stack_spectral_norms`` call
-    (``_fill_stack_norms``).
+    (``_fill_stack_norms``, or ``_fill(norms, tests)`` when given).
     """
     tests = _checked_stack_tests(tests)
     if not tests:
         return []
     values = _stack_items(tests, mc.fro_norm_array)
-    _fill_stack_norms(norms, tests)
+    (_fill or _fill_stack_norms)(norms, tests)
     return list(zip(values, _thresholds(tests, norms, tol)))
 
 

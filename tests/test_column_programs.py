@@ -98,14 +98,19 @@ def test_stack_kernels_equal_the_single_item_apis_on_every_profile(profile, tol)
     for bundle in _instances(profile):
         A, B, X = entry.pair(bundle)
         pairs.setdefault((A.stack.shape, B.stack.shape), []).append((A, B, X))
+    judged = set()
     for found in pairs.values():
         rows = np.arange(len(found))
         ms, ns = rows % 3, rows // 3 % 2
         A, B, X = (np.stack([getattr(T, "stack", T) for T in column]) for column in zip(*found))
         ((norms, thresholds),) = tf.defect_stack_checks([(A, B, X, ms, ns)], tol, {})
-        assert list(zip(norms[::SAMPLE].tolist(), thresholds[::SAMPLE].tolist())) == [
-            tf.defect_check(*found[b], int(ms[b]), int(ns[b]), tol) for b in rows[::SAMPLE]
+        # the first row of each degree, then every SAMPLE-th
+        sample = sorted({*rows[:6].tolist(), *rows[::SAMPLE].tolist()})
+        assert list(zip(norms[sample].tolist(), thresholds[sample].tolist())) == [
+            tf.defect_check(*found[b], int(ms[b]), int(ns[b]), tol) for b in sample
         ]
+        judged |= {(int(ms[b]), int(ns[b])) for b in sample}
+    assert judged == {(m, n) for m in range(3) for n in range(2)}
 
 
 @pytest.mark.parametrize("tol", TOLERANCES)
