@@ -15,8 +15,14 @@ checked: its construction fixes its order (``_nilpotent_tuples``), and only
 the public ``nilpotent_commuting`` validates its draws and draws again.
 ``random_instances`` groups a chunk's seeds by class and makes the bundles;
 ``random_instance`` is its batch of one.  A builder returns only what it
-built: tuples, matrices, parameters and the function that computes its
-hypothesis residuals, which the bundle calls on first read (checkers
+built: tuples, matrices and parameters.
+
+Beside each builder stand its profile's hypotheses, as rows of data: each
+commutator (``_Commutes``) and defect (``_Vanishes``) that its instances
+satisfy.  ``verify.THEOREMS`` runs the same rows as its programs'
+commutator and hypothesis stages, and a bundle's residuals are the norms of
+its rows that carry a residual name, in row order, computed on first read
+by one evaluator (``_residuals``) bound to the instance as built (checkers
 validate every hypothesis themselves).
 
 Instance shapes:
@@ -41,6 +47,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +71,10 @@ class InstanceBundle:
     """A seeded input for one theorem check, built to satisfy its hypotheses.
 
     ``residuals`` maps each hypothesis defect and commutator of the instance
-    to its norm.  It is computed on first read, by ``residual_fn`` (to which a
-    builder binds the tuples and matrices it built), and then kept; a bundle
-    built without one reads ``{}``.
+    that its profile's rows name to its norm.  It is computed on first read,
+    by ``residual_fn`` (``_residuals`` bound to the rows and to the tuples,
+    matrices and parameters as built), and then kept; a bundle built without
+    one reads ``{}``.
     """
 
     profile: str
@@ -494,30 +502,97 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
 
 
 # ---------------------------------------------------------------------------
-# per-profile builders: each takes the generators and seeds of one variant
-# class and returns the per-seed (tuples, matrices, params, residual_fn)
+# hypotheses as data
 
 
-def _bundles(tuples: dict, matrices: dict, params: list[dict], residuals) -> list[tuple]:
-    """Each seed's parts: its tuples and matrices are its items of the builder's
-    (b, d, n, n) and (b, n, n) stacks, and its residual function is ``residuals``
-    called with its tuples, matrices and parameters by name.  Each tuple stack
-    is validated once for the whole class."""
-    tuples = {key: OperatorTuple._of_stacks(stacks) for key, stacks in tuples.items()}
-    out = []
-    for i, p in enumerate(params):
-        ts = {key: items[i] for key, items in tuples.items()}
-        ms = {key: stack[i] for key, stack in matrices.items()}
-        out.append((ts, ms, p, functools.partial(residuals, **ts, **ms, **p)))
+class _Commutes(NamedTuple):
+    """A commutator hypothesis: the tuple S commutes within itself (T None) or with
+    every component of T.  A program skips an instance that fails it with ``label``,
+    and ``residual`` names its largest commutator norm among a bundle's residuals.  A
+    row without a label is residual-only: no program tests it."""
+
+    label: str | None
+    S: str
+    T: str | None = None
+    residual: str | None = None
+
+
+class _Vanishes(NamedTuple):
+    """A defect hypothesis: the degree-(m, n) defect of the pair (P, Q) at X vanishes.
+    Names read an instance's tuples, matrices and parameters, ``T*`` names the adjoint
+    and ``CTC`` the conjugate of a tuple T, and the X ``I`` the identities of P's
+    dimension; a degree is an int or a parameter.  With ``kind``, the row tests (m, 0)
+    where the ``kind`` parameter equals it and (0, n) elsewhere; with ``when = (param,
+    value)``, only where that parameter has that value.  ``label`` (the skip reason)
+    and ``residual`` are formatted with the row's degrees ``{m}`` and ``{n}``.
+    ``verify`` writes conclusions as rows too, labelled with their result keys and
+    with degree expressions such as ``t1-1``."""
+
+    label: str | None
+    P: str
+    Q: str
+    X: str
+    m: int | str
+    n: int | str
+    residual: str | None = None
+    kind: str | None = None
+    when: tuple = ()
+
+
+def _residuals(rows: tuple, found: dict) -> dict[str, float]:
+    """The norm of each row of ``rows`` that names a residual and applies to an instance,
+    in row order: a commutator row's largest commutator norm, or a defect row's
+    ``triangle`` (n = 0), ``delta`` (m = 0) or ``isosym_defect`` norm.  ``found``
+    holds the instance's parameters, matrices and tuples by name, as built; the
+    adjoints and conjugates the rows name join it as they are read."""
+
+    def value(name: str):
+        if name not in found:
+            found[name] = adjoint_tuple(value(name[:-1])) if name.endswith("*") else conj_tuple(value(name[1:-1]))
+        return found[name]
+
+    out = {}
+    for row in rows:
+        if row.residual is None:
+            continue
+        if isinstance(row, _Commutes):
+            S = value(row.S)
+            out[row.residual] = max_commutator_within(S) if row.T is None else max_commutator_cross(S, value(row.T))
+            continue
+        if row.when and found.get(row.when[0]) != row.when[1]:
+            continue
+        P, Q = value(row.P), value(row.Q)
+        m, n = (found[k] if isinstance(k, str) else k for k in (row.m, row.n))
+        if row.kind is not None:
+            m, n = (m, 0) if found["kind"] == row.kind else (0, n)
+        X = mc.identity(P.dim) if row.X == "I" else value(row.X)
+        defect = tf.delta(P, Q, X, n) if not m else tf.triangle(P, Q, X, m) if not n else tf.isosym_defect(P, Q, X, m, n)
+        out[row.residual.format(m=m, n=n)] = mc.fro_norm(defect)
     return out
 
 
-def _pro01_residuals(A, B, X, m, **_) -> dict:
-    return {
-        "isometry_defect": mc.fro_norm(tf.triangle(A, B, X, m)),
-        "commutes_A": max_commutator_within(A),
-        "commutes_B": max_commutator_within(B),
-    }
+# ---------------------------------------------------------------------------
+# per-profile builders, each with its hypotheses: a builder takes the
+# generators and seeds of one variant class and returns the per-seed
+# (tuples, matrices, params)
+
+
+def _bundles(tuples: dict, matrices: dict, params: list[dict]) -> list[tuple]:
+    """Each seed's parts: its tuples and matrices are its items of the builder's
+    (b, d, n, n) and (b, n, n) stacks.  Each tuple stack is validated once for the
+    whole class."""
+    tuples = {key: OperatorTuple._of_stacks(stacks) for key, stacks in tuples.items()}
+    return [
+        ({key: items[i] for key, items in tuples.items()}, {key: stack[i] for key, stack in matrices.items()}, p)
+        for i, p in enumerate(params)
+    ]
+
+
+_PRO01_ROWS = (
+    _Vanishes("not (X,{m})-isometric", "A", "B", "X", "m", 0, "isometry_defect"),
+    _Commutes(None, "A", residual="commutes_A"),
+    _Commutes(None, "B", residual="commutes_B"),
+)
 
 
 def _build_pro01(rngs: list, seeds: list) -> list:
@@ -531,13 +606,13 @@ def _build_pro01(rngs: list, seeds: list) -> list:
         T = _scaled(_weights(rngs, 2), U)
         X, m, variant = _identities(b, 3), 2, "invertible"
     params = [{"m": m, "variant": variant} for _ in seeds]
-    return _bundles({"A": _adjoints(T), "B": T}, {"X": X}, params, _pro01_residuals)
+    return _bundles({"A": _adjoints(T), "B": T}, {"X": X}, params)
 
 
-def _pro02_residuals(A0, B0, X, kind, m1, m2, **_) -> dict:
-    if kind == "triangle":
-        return {"first_member_defect": mc.fro_norm(tf.triangle(A0, B0, X, m1))}
-    return {"first_member_defect": mc.fro_norm(tf.delta(A0, B0, X, m2))}
+_PRO02_ROWS = (
+    _Vanishes("first family member violates its identity", "A0", "B0", "X", "m1", "m2", "first_member_defect",
+              kind="triangle"),
+)
 
 
 def _build_pro02(rngs: list, seeds: list) -> list:
@@ -564,14 +639,10 @@ def _build_pro02(rngs: list, seeds: list) -> list:
         tuples[f"A{j}"], tuples[f"B{j}"] = T_star[:, j : j + 1], T[:, j : j + 1]
     tuples["A_limit"], tuples["B_limit"] = T_star[:, n_members:], T[:, n_members:]
     params = [{"kind": kind, "m1": m1, "m2": m2, "members": n_members} for _ in seeds]
-    return _bundles(tuples, {"X": _identities(len(rngs), k)}, params, _pro02_residuals)
+    return _bundles(tuples, {"X": _identities(len(rngs), k)}, params)
 
 
-def _within_residuals(A, B, **_) -> dict:
-    return {
-        "commutes_A": max_commutator_within(A),
-        "commutes_B": max_commutator_within(B),
-    }
+_PRO03_ROWS = (_Commutes(None, "A", residual="commutes_A"), _Commutes(None, "B", residual="commutes_B"))
 
 
 def _build_pro03(rngs: list, seeds: list) -> list:
@@ -619,15 +690,18 @@ def _build_pro03(rngs: list, seeds: list) -> list:
             B = np.concatenate([comps, _normalized_complexes(rngs, n)[:, None]], axis=1)
             X = _normalized_complexes(rngs, n)
     params = [{"part": part, "m": 2 + (seed // 4) % 2, "zero_side": zero_side} for seed in seeds]
-    return _bundles({"A": A, "B": B}, {"X": X}, params, _within_residuals)
+    return _bundles({"A": A, "B": B}, {"X": X}, params)
 
 
-def _symmetric_residuals(A, X, m_even=2, **_) -> dict:
-    """pro5's at its even degree, and pro04's at degree 2."""
-    return {
-        f"symmetry_defect_{m_even}": mc.fro_norm(tf.delta(adjoint_tuple(A), A, X, m_even)),
-        "commutes_A": max_commutator_within(A),
-    }
+def _adjoint_rows(degree) -> tuple:
+    """The adjoint pair (A*, A) is symmetric at I at ``degree``, and A commutes."""
+    return (
+        _Vanishes("adjoint pair is not (I,{n})-symmetric", "A*", "A", "I", 0, degree, "symmetry_defect_{n}"),
+        _Commutes(None, "A", residual="commutes_A"),
+    )
+
+
+_PRO04_ROWS = _adjoint_rows(2)
 
 
 def _build_pro04(rngs: list, seeds: list) -> list:
@@ -635,7 +709,10 @@ def _build_pro04(rngs: list, seeds: list) -> list:
     d = 2 + seeds[0] % 2
     A = _hermitian_sum_splits(rngs, _hermitian_polys(rngs, n), d)
     params = [{"d": d} for _ in seeds]
-    return _bundles({"A": A}, {"X": _identities(len(rngs), n)}, params, _symmetric_residuals)
+    return _bundles({"A": A}, {"X": _identities(len(rngs), n)}, params)
+
+
+_PRO5_ROWS = _adjoint_rows("m_even")
 
 
 def _build_pro5(rngs: list, seeds: list) -> list:
@@ -652,7 +729,7 @@ def _build_pro5(rngs: list, seeds: list) -> list:
     A = _hermitian_sum_splits(rngs, S, d)
     X = _identities(len(rngs), S.shape[-1])
     params = [{"m_even": m_even} for _ in seeds]
-    return _bundles({"A": A}, {"X": X}, params, _symmetric_residuals)
+    return _bundles({"A": A}, {"X": X}, params)
 
 
 def _stream_seeds(rngs: list) -> list[int]:
@@ -660,12 +737,12 @@ def _stream_seeds(rngs: list) -> list[int]:
     return [int(rng.integers(2**32)) for rng in rngs]
 
 
-def _thm05_residuals(A, B, N1, N2, X, m1, m2, **_) -> dict:
-    return {
-        "base_defect": mc.fro_norm(tf.isosym_defect(A, B, X, m1, m2)),
-        "cross_A_N1": max_commutator_cross(A, N1),
-        "cross_B_N2": max_commutator_cross(B, N2),
-    }
+_THM05_ROWS = (
+    _Vanishes("base pair violates the combined identity", "A", "B", "X", "m1", "m2", "base_defect"),
+    *(_Commutes(f"tuple {name} does not commute", name) for name in ("A", "B", "N1", "N2")),
+    _Commutes("[A, N1] != 0", "A", "N1", "cross_A_N1"),
+    _Commutes("[B, N2] != 0", "B", "N2", "cross_B_N2"),
+)
 
 
 def _build_thm05(rngs: list, seeds: list) -> list:
@@ -689,14 +766,15 @@ def _build_thm05(rngs: list, seeds: list) -> list:
          "adjoint_variant": adjoint_variant}
         for seed, n1, n2 in zip(seeds, n1s, n2s)
     ]
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _thm05_residuals)
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
 
 
-def _cor05_residuals(A1, B1, A2, B2, X, m1, m2, **_) -> dict:
-    return {
-        "triangle_hypothesis": mc.fro_norm(tf.triangle(A1, B1, X, m1)),
-        "delta_hypothesis": mc.fro_norm(tf.delta(A2, B2, X, m2)),
-    }
+_COR05_ROWS = (
+    _Vanishes("first pair violates its isometric identity", "A1", "B1", "X", "m1", 0, "triangle_hypothesis"),
+    _Vanishes("second pair violates its symmetric identity", "A2", "B2", "X", 0, "m2", "delta_hypothesis"),
+    *(_Commutes(f"[{S},{T}] != 0", S, T)
+      for S, T in (("A1", "N1"), ("A2", "N1"), ("B1", "N2"), ("B2", "N2"), ("A1", "A2"), ("B1", "B2"))),
+)
 
 
 def _build_cor05(rngs: list, seeds: list) -> list:
@@ -720,16 +798,18 @@ def _build_cor05(rngs: list, seeds: list) -> list:
         {"m1": 1 + (seed // 2) % 2, "m2": 1 + (seed // 4) % 2, "n1": n1, "n2": n2}
         for seed, n1, n2 in zip(seeds, n1s, n2s)
     ]
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _cor05_residuals)
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
 
 
-def _cor050_residuals(T, N, X, m1, m2, **_) -> dict:
-    T_star = adjoint_tuple(T)
-    return {
-        "base_defect": mc.fro_norm(tf.isosym_defect(T_star, T, X, m1, m2)),
-        "cross_Tstar_N": max_commutator_cross(T_star, N),
-        "cross_T_N": max_commutator_cross(T, N),
-    }
+_COR050_CROSS = "[T, N] != 0 or [T*, N] != 0"
+_COR050_ROWS = (
+    _Vanishes("base adjoint pair violates the combined identity", "T*", "T", "X", "m1", "m2", "base_defect"),
+    # [T*, N] is tested after [T, N], but its residual comes first
+    _Commutes(None, "T*", "N", "cross_Tstar_N"),
+    _Commutes("T does not commute", "T"),
+    _Commutes(_COR050_CROSS, "T", "N", "cross_T_N"),
+    _Commutes(_COR050_CROSS, "T*", "N"),
+)
 
 
 def _build_cor050(rngs: list, seeds: list) -> list:
@@ -745,16 +825,18 @@ def _build_cor050(rngs: list, seeds: list) -> list:
         for seed, order in zip(seeds, orders)
     ]
     tuples = {"T": _rotate(Q, T), "N": _rotate(Q, N)}
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params, _cor050_residuals)
+    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
 
 
-def _thm06_residuals(A, B, S, T, X, m, n, r, s, **_) -> dict:
-    return {
-        "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, X, m, n)),
-        "hyp_ST": mc.fro_norm(tf.isosym_defect(S, T, X, r, s)),
-        "cross_A_S": max_commutator_cross(A, S),
-        "cross_B_T": max_commutator_cross(B, T),
-    }
+_THM06_ROWS = (
+    _Vanishes("hypothesis AB_mn fails", "A", "B", "X", "m", "n", "hyp_AB"),
+    _Vanishes("hypothesis ST_rs fails", "S", "T", "X", "r", "s", "hyp_ST"),
+    _Vanishes("hypothesis ST_rn fails", "S", "T", "X", "r", "n"),
+    _Vanishes("hypothesis AB_ms fails", "A", "B", "X", "m", "s"),
+    _Commutes("[A,S] != 0", "A", "S", "cross_A_S"),
+    _Commutes("[B,S] != 0", "B", "S"),
+    _Commutes("[B,T] != 0", "B", "T", "cross_B_T"),
+)
 
 
 def _build_thm06(rngs: list, seeds: list) -> list:
@@ -789,20 +871,23 @@ def _build_thm06(rngs: list, seeds: list) -> list:
          "family": family_name}
         for seed, (m, r) in zip(seeds, degrees)
     ]
-    return _bundles({"A": A, "B": B, "S": S, "T": T}, {"X": X}, params, _thm06_residuals)
+    return _bundles({"A": A, "B": B, "S": S, "T": T}, {"X": X}, params)
 
 
-def _cor06_residuals(A, B, S, T, X, m, n, kind, **_) -> dict:
-    defect = tf.triangle if kind == "iso" else tf.delta
-    return {
-        "hyp_AB": mc.fro_norm(defect(A, B, X, m)),
-        "hyp_ST": mc.fro_norm(defect(S, T, X, n)),
-        "cross_A_S": max_commutator_cross(A, S),
-    }
+def _factor_rows(label: str) -> tuple:
+    """The factor pairs (A, B) and (S, T) vanish at degrees m and n of one kind."""
+    return (
+        _Vanishes(label, "A", "B", "X", "m", "m", "hyp_AB", kind="iso"),
+        _Vanishes(label, "S", "T", "X", "n", "n", "hyp_ST", kind="iso"),
+    )
 
 
-def _cor062_residuals(B, T, **parts) -> dict:
-    return {**_cor06_residuals(B=B, T=T, **parts), "cross_B_T": max_commutator_cross(B, T)}
+_COR06_ROWS = (
+    *_factor_rows("a factor pair violates its identity"),
+    _Commutes("[A,S] != 0", "A", "S", "cross_A_S"),
+    _Commutes("[B,S] != 0", "B", "S"),
+    _Commutes("[B,T] != 0", "B", "T"),
+)
 
 
 def _build_cor06(rngs: list, seeds: list) -> list:
@@ -816,20 +901,19 @@ def _build_cor06(rngs: list, seeds: list) -> list:
         {"m": 2 * k1 - 1, "n": 2 * k2 - 1, "kind": kind} for k1, k2 in zip(k1s, k2s)
     ]
     tuples = {"A": A, "B": B, "S": S, "T": T}
-    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params, _cor06_residuals)
+    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params)
 
 
-def _cor061_residuals(S, T, X, m, n, **_) -> dict:
-    S_star, CSC = adjoint_tuple(S), conj_tuple(S)
-    T_star, CTC = adjoint_tuple(T), conj_tuple(T)
-    return {
-        "cross_S_T": max_commutator_cross(S, T),
-        "cross_Sstar_CTC": max_commutator_cross(S_star, CTC),
-        "hyp_iso_S": mc.fro_norm(tf.triangle(S_star, CSC, X, m)),
-        "hyp_iso_T": mc.fro_norm(tf.triangle(T_star, CTC, X, n)),
-        "hyp_sym_S": mc.fro_norm(tf.delta(S_star, CSC, X, m)),
-        "hyp_sym_T": mc.fro_norm(tf.delta(T_star, CTC, X, n)),
-    }
+_COR061_NEITHER = "neither implication has valid hypotheses"
+_COR061_ROWS = (
+    _Commutes("[S, T] != 0", "S", "T", "cross_S_T"),
+    _Commutes("[S*, CTC] != 0", "S*", "CTC", "cross_Sstar_CTC"),
+    # both kinds' hypotheses, isometric then symmetric: a trial skips when neither kind's hold
+    _Vanishes(_COR061_NEITHER, "S*", "CSC", "X", "m", 0, "hyp_iso_S"),
+    _Vanishes(_COR061_NEITHER, "T*", "CTC", "X", "n", 0, "hyp_iso_T"),
+    _Vanishes(_COR061_NEITHER, "S*", "CSC", "X", 0, "m", "hyp_sym_S"),
+    _Vanishes(_COR061_NEITHER, "T*", "CTC", "X", 0, "n", "hyp_sym_T"),
+)
 
 
 def _build_cor061(rngs: list, seeds: list) -> list:
@@ -848,7 +932,15 @@ def _build_cor061(rngs: list, seeds: list) -> list:
         {"m": 1 + (seed // 8) % 2, "n": 1 + (seed // 16) % 2, "real_case": real}
         for seed, real in zip(seeds, real_cases)
     ]
-    return _bundles({"S": S, "T": T}, {"X": _identities(len(rngs), n)}, params, _cor061_residuals)
+    return _bundles({"S": S, "T": T}, {"X": _identities(len(rngs), n)}, params)
+
+
+_COR062_CROSS = "[A, S] != 0 or [B, T] != 0"
+_COR062_ROWS = (
+    *_factor_rows("a factor violates its identity"),
+    _Commutes(_COR062_CROSS, "A", "S", "cross_A_S"),
+    _Commutes(_COR062_CROSS, "B", "T", "cross_B_T"),
+)
 
 
 def _build_cor062(rngs: list, seeds: list) -> list:
@@ -866,22 +958,18 @@ def _build_cor062(rngs: list, seeds: list) -> list:
     T = mc.kron(eye2, Tf)
     params = [{"m": 2 * k1 - 1, "n": 1, "kind": kind} for k1 in k1s]
     tuples = {"A": A, "B": B, "S": S, "T": T}
-    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params, _cor062_residuals)
+    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params)
 
 
-def _thm07_residuals(A, B, S, T, variant, m, n, **params) -> dict:
-    if variant == "i":
-        defect = tf.triangle if params["kind"] == "iso" else tf.delta
-        return {
-            "hyp_AB": mc.fro_norm(defect(A, B, mc.identity(A.dim), m)),
-            "hyp_ST": mc.fro_norm(defect(S, T, mc.identity(S.dim), n)),
-        }
-    r, s = params["r"], params["s"]
-    return {
-        "hyp_AB": mc.fro_norm(tf.isosym_defect(A, B, mc.identity(A.dim), m, n)),
-        "hyp_S_iso": mc.fro_norm(tf.triangle(S, T, mc.identity(S.dim), r)),
-        "hyp_S_sym": mc.fro_norm(tf.delta(S, T, mc.identity(S.dim), s)),
-    }
+_I, _II = ("variant", "i"), ("variant", "ii")
+_THM07_ROWS = (
+    # variant i: factor pairs whose defects of one kind vanish at degrees m and n
+    _Vanishes("a factor pair violates its identity", "A", "B", "I", "m", "m", "hyp_AB", kind="iso", when=_I),
+    _Vanishes("a factor pair violates its identity", "S", "T", "I", "n", "n", "hyp_ST", kind="iso", when=_I),
+    _Vanishes("first pair violates the combined identity", "A", "B", "I", "m", "n", "hyp_AB", when=_II),
+    _Vanishes("second pair violates its identities", "S", "T", "I", "r", 0, "hyp_S_iso", when=_II),
+    _Vanishes("second pair violates its identities", "S", "T", "I", 0, "s", "hyp_S_sym", when=_II),
+)
 
 
 def _build_thm07(rngs: list, seeds: list) -> list:
@@ -916,7 +1004,7 @@ def _build_thm07(rngs: list, seeds: list) -> list:
              "r": 2 * k2 - 1, "s": 2 * k2 - 1}
             for seed, k1, k2 in zip(seeds, k1s, k2s)
         ]
-    return _bundles({"A": A, "B": B, "S": S, "T": T}, {}, params, _thm07_residuals)
+    return _bundles({"A": A, "B": B, "S": S, "T": T}, {}, params)
 
 
 def _thm07_variant(seed: int) -> tuple:
@@ -926,22 +1014,29 @@ def _thm07_variant(seed: int) -> tuple:
     return ("i", (seed // 2) % 2, (seed // 16) % 2)
 
 
-#: Each profile's builder, and the variant class of a seed: the seed bits that
-#: change the shapes a builder stacks or the kinds of draws it makes.
+class _Profile(NamedTuple):
+    """A profile's builder, the variant class of a seed (the seed bits that change the
+    shapes a builder stacks or the kinds of draws it makes) and its hypothesis rows."""
+
+    build: Callable
+    variant: Callable
+    rows: tuple
+
+
 _BUILDERS = {
-    "pro01": (_build_pro01, lambda seed: seed % 2),
-    "pro02-family": (_build_pro02, lambda seed: seed % 2),
-    "pro03": (_build_pro03, lambda seed: seed % 4),
-    "pro04": (_build_pro04, lambda seed: seed % 2),
-    "pro5": (_build_pro5, lambda seed: seed % 2),
-    "thm05": (_build_thm05, lambda seed: seed % 4),
-    "cor05": (_build_cor05, lambda seed: seed % 2),
-    "cor050": (_build_cor050, lambda seed: seed % 2),
-    "thm06": (_build_thm06, lambda seed: seed % 3),
-    "cor06": (_build_cor06, lambda seed: seed % 2),
-    "cor061": (_build_cor061, lambda seed: seed % 4),
-    "cor062": (_build_cor062, lambda seed: seed % 2),
-    "thm07": (_build_thm07, _thm07_variant),
+    "pro01": _Profile(_build_pro01, lambda seed: seed % 2, _PRO01_ROWS),
+    "pro02-family": _Profile(_build_pro02, lambda seed: seed % 2, _PRO02_ROWS),
+    "pro03": _Profile(_build_pro03, lambda seed: seed % 4, _PRO03_ROWS),
+    "pro04": _Profile(_build_pro04, lambda seed: seed % 2, _PRO04_ROWS),
+    "pro5": _Profile(_build_pro5, lambda seed: seed % 2, _PRO5_ROWS),
+    "thm05": _Profile(_build_thm05, lambda seed: seed % 4, _THM05_ROWS),
+    "cor05": _Profile(_build_cor05, lambda seed: seed % 2, _COR05_ROWS),
+    "cor050": _Profile(_build_cor050, lambda seed: seed % 2, _COR050_ROWS),
+    "thm06": _Profile(_build_thm06, lambda seed: seed % 3, _THM06_ROWS),
+    "cor06": _Profile(_build_cor06, lambda seed: seed % 2, _COR06_ROWS),
+    "cor061": _Profile(_build_cor061, lambda seed: seed % 4, _COR061_ROWS),
+    "cor062": _Profile(_build_cor062, lambda seed: seed % 2, _COR062_ROWS),
+    "thm07": _Profile(_build_thm07, _thm07_variant, _THM07_ROWS),
 }
 
 #: Profiles accepted by :func:`random_instance`; one per campaign family.
@@ -970,7 +1065,7 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
         raise InvalidArgumentError(
             f"unknown profile {profile!r}; expected one of {sorted(_BUILDERS)}"
         )
-    build, variant = _BUILDERS[profile]
+    build, variant, rows = _BUILDERS[profile]
     seeds = tuple(seeds)
     # each seed seeds NumPy's generator, which takes only a non-negative integer
     for seed in seeds:
@@ -984,8 +1079,9 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
     bundles: list[InstanceBundle] = [None] * len(seeds)
     for index in classes.values():
         parts = build([rngs[i] for i in index], [seeds[i] for i in index])
-        for i, (tuples, matrices, params, residual_fn) in zip(index, parts):
+        for i, (tuples, matrices, params) in zip(index, parts):
             for X in matrices.values():
                 X.setflags(write=False)
+            residual_fn = functools.partial(_residuals, rows, {**params, **matrices, **tuples})
             bundles[i] = InstanceBundle(profile, seeds[i], tuples, matrices, params, residual_fn)
     return bundles

@@ -462,6 +462,14 @@ def nilpotency_order(
     gets enumerated.  Returns None when no such n exists up to max_order.  A bad
     max_order is refused first, then in strict mode a tuple that does not
     commute; the order is ``nilpotency_stack_orders`` of the one-row stack.
+
+    A word counts as zero when its norm is under the threshold scaled by the
+    product of its factors' Frobenius norms, so a word that is nonzero in exact
+    arithmetic but small next to that product is read as zero, and the order
+    reported can be lower than the tuple's exact order.  At the default
+    tolerance, the exactly nilpotent draws of ``nilpotent_commuting(16, 2, 16,
+    s)`` measure orders 9 to 13, which is why that call is refused for every
+    seed.  Thresholds from rounding rather than from norms are ROADMAP item 2.
     """
     if not isinstance(max_order, int) or max_order < 1:
         raise InvalidArgumentError(f"max_order must be a positive integer, got {max_order!r}")

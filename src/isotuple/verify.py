@@ -8,20 +8,26 @@ Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
-Each theorem is one column program, ``program(bundles, tol, t_max)``: a
-campaign runs it on a chunk of up to ``LOCKSTEP_TRIALS`` instances generated
-together (``generators.random_instances``), and ``check_*`` and
-``Theorem.check`` are its batch of one.  A program splits its trials into
-classes of one shape (``_Columns``), stacks each argument over a class's
-rows, and runs the check's stages in the order the check is written, each
-one stack-kernel call for the live rows of every class: commutators
-(``tuples.commutator_stack_checks``), nilpotency orders
-(``tuples.nilpotency_stack_orders``), hypotheses and conclusions
-(``transforms.defect_stack_checks``, where ragged tests such as pro01's
-degrees 0..m are items on repeated rows).  A skip is a row mask and a
-derived tuple a stacked expression.  pro01's Cesaro runs step a class's
-stacks from X (``transforms._cesaro_run``); per-trial work with no stack
-kernel, such as pro01's superoperator spectrum, runs row by row.
+Each theorem is one ``THEOREMS`` entry, written as data: the names it reads
+(tuples first), its commutator and hypothesis rows (``generators._Commutes``
+and ``_Vanishes``, kept beside its profile's builder, where they also give a
+bundle its residuals), its nilpotent tuples, its derived columns (stacked
+sums, products and conjugates, and degree expressions such as
+``m1+order_N1+order_N2-2``) and its conclusion with its sharpness tests and
+extra result keys.  One interpreter, ``Theorem.program(bundles, tol,
+t_max)``, runs the entry's stages on a batch: a campaign's chunk of up to
+``LOCKSTEP_TRIALS`` instances generated together, or the batch of one of
+``check_*`` and ``Theorem.check``.  It splits the trials into classes of one
+shape (``_Columns``), and each stage is one stack-kernel call over the live
+rows of every class: ``_commutator_stage``, ``_nilpotent_stage``,
+``_hypothesis_stage`` and ``_sharp_conclusions`` (zero tests through
+``transforms.defect_stack_checks``), with ``_derived_stage`` between them.
+A skip is a row mask and a derived tuple a stacked expression.  What is not
+rows is a named hook, a stage of the same form: pro01's zero tests, Cesaro
+run and collapse test, pro02's member and limit stage, pro03's reduction and
+right-hand side, pro04's self-adjoint residual, pro5's degree refusal,
+cor05's combined defect, cor061's two kinds, cor062's single-operator skip
+and thm07's variant refusal.
 
 Every kernel gives each item the bits it gets alone, so a trial's result
 does not depend on the trials beside it.  With several refused trials in a
@@ -43,17 +49,22 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import classify, matrix_core as mc, transforms as tf
 from .errors import InvalidArgumentError
 from .generators import (
+    _BUILDERS,
     InstanceBundle,
+    _Commutes,
+    _Vanishes,
     paper_example_mixing,
     paper_example_squares,
     random_instances,
@@ -152,30 +163,48 @@ def _bundle(**args) -> InstanceBundle:
 
 
 # ---------------------------------------------------------------------------
-# column programs: a check run on a batch of trials, stage by stage
+# the interpreter's parts: classes of columns, and the stages run on them
 
 
 class _Columns:
-    """The live trials of one shape class of a column program: ``rows``, their positions
+    """The live trials of one shape class of a program call: ``rows``, their positions
     in the batch, and each argument over them by name: a tuple's (b, d, n, n) stack,
     X's (b, n, n) stack (each stacked on first read), or a parameter's list of values.
-    Stages add derived columns, such as a stacked ``sum_tuple``, by name."""
+    Stages add derived columns, such as a stacked sum of tuples, by name, and a column
+    that no bundle holds is derived on first read (``_derive``)."""
 
-    def __init__(self, rows: np.ndarray, raw: dict):
-        self.rows, self._raw, self._columns = rows, raw, {}
+    def __init__(self, rows: np.ndarray, raw: dict, degrees: dict):
+        self.rows, self._raw, self._columns, self._degrees = rows, raw, {}, degrees
 
     def __getitem__(self, name: str):
         if name not in self._columns:
-            values = self._raw.pop(name)
-            if isinstance(values[0], OperatorTuple):
-                values = np.stack([T.stack for T in values])
-            elif name == "X":
-                values = np.array([np.asarray(X, dtype=np.complex128) for X in values])
+            if name in self._raw:
+                values = self._raw.pop(name)
+                if isinstance(values[0], OperatorTuple):
+                    values = np.stack([T.stack for T in values])
+                elif name == "X":
+                    values = np.array([np.asarray(X, dtype=np.complex128) for X in values])
+            else:
+                values = self._derive(name)
             self._columns[name] = values
         return self._columns[name]
 
     def __setitem__(self, name: str, column) -> None:
         self._columns[name] = column
+
+    def _derive(self, name: str):
+        """A column that no bundle holds: one of the entry's degree expressions by name,
+        the adjoint ``T*`` or entrywise conjugate ``CTC`` of a tuple T, or ``I<n>``, the
+        n x n identities."""
+        if name in self._degrees:
+            return _degree_values(self, self._degrees[name])
+        if name.endswith("*"):
+            return np.conjugate(self[name[:-1]].swapaxes(-1, -2), order="C")
+        if len(name) > 2 and name[0] == name[-1] == "C":
+            return np.conjugate(self[name[1:-1]])
+        if name[0] == "I" and name[1:].isdigit():
+            return np.repeat(mc.identity(int(name[1:]))[None], len(self.rows), axis=0)
+        raise KeyError(name)
 
     def keep(self, mask: np.ndarray) -> "_Columns | None":
         """The columns of the rows where ``mask`` holds, or None when it holds nowhere."""
@@ -187,7 +216,7 @@ class _Columns:
         kept = _Columns(self.rows[mask], {
             name: [value for value, flag in zip(values, flags) if flag]
             for name, values in self._raw.items()
-        })
+        }, self._degrees)
         for name, column in self._columns.items():
             kept[name] = column[mask] if isinstance(column, np.ndarray) else [
                 value for value, flag in zip(column, flags) if flag
@@ -195,11 +224,12 @@ class _Columns:
         return kept
 
 
-def _classes(bundles: list, names: str, tuples: int, by: str = "") -> list[_Columns]:
+def _classes(bundles: list, names: str, tuples: int, by: str = "", degrees: dict | None = None) -> list[_Columns]:
     """The bundles' arguments ``names``, the tuples first, read by name from each bundle's
     tuples, matrices and parameters (None for a parameter it lacks), in classes of one
     shape of the tuples' stacks and of X, and of one value of each parameter named in
-    ``by``, in order of their first trial."""
+    ``by``, in order of their first trial.  ``degrees`` names the degree expressions
+    that the classes derive on first read."""
     names = names.split()
     trials, by_key = [], {}
     for row, bundle in enumerate(bundles):
@@ -211,9 +241,52 @@ def _classes(bundles: list, names: str, tuples: int, by: str = "") -> list[_Colu
         by_key.setdefault(key, []).append(row)
         trials.append(args)
     return [
-        _Columns(np.array(rows), {name: [trials[r][i] for r in rows] for i, name in enumerate(names)})
+        _Columns(np.array(rows), {name: [trials[r][i] for r in rows] for i, name in enumerate(names)}, degrees or {})
         for rows in by_key.values()
     ]
+
+
+def _degree_values(cls: _Columns, spec):
+    """A degree of each row of a class: an int for every row, the column a name reads (a
+    parameter's values as given), or the int array of the sum of a degree expression's
+    signed terms, names and ints, such as ``t1-1``."""
+    if isinstance(spec, int):
+        return [spec] * len(cls.rows)
+    if spec.isidentifier():
+        return cls[spec]
+    return sum(
+        (-1 if sign == "-" else 1) * (int(term) if term.isdigit() else np.asarray(cls[term]))
+        for sign, term in re.findall(r"([+-]?)([^+-]+)", spec)
+    )
+
+
+def _kind_degrees(iso: list, ms, ns) -> tuple[list, list]:
+    """The degrees of rows of two kinds: (m, 0) in each row flagged in ``iso``, else (0, n)."""
+    ms, ns = (values.tolist() if isinstance(values, np.ndarray) else values for values in (ms, ns))
+    return [m if i else 0 for i, m in zip(iso, ms)], [0 if i else n for i, n in zip(iso, ns)]
+
+
+def _row_degrees(cls: _Columns, row: _Vanishes, m, n) -> tuple:
+    """The degrees (m, n) of a defect row in each row of a class, with the row's ``kind``
+    (m, 0) where the ``kind`` parameter equals it and (0, n) elsewhere."""
+    ms, ns = _degree_values(cls, m), _degree_values(cls, n)
+    return (ms, ns) if row.kind is None else _kind_degrees([kind == row.kind for kind in cls["kind"]], ms, ns)
+
+
+def _x(cls: _Columns, row: _Vanishes) -> np.ndarray:
+    """The X of a defect row: the column it names, or for ``I`` the identities of P's dimension."""
+    return cls[f"I{cls[row.P].shape[-1]}"] if row.X == "I" else cls[row.X]
+
+
+def _applies(row: _Vanishes, cls: _Columns) -> bool:
+    """Whether a row applies to a class: always, or where its ``when`` parameter, which the
+    entry's classes are split by, has its value."""
+    return not row.when or cls[row.when[0]][0] == row.when[1]
+
+
+def _degree_column(cls: _Columns, name: str) -> np.ndarray:
+    """A parameter column of int degrees as an int array."""
+    return np.array(cls[name], dtype=np.int64)
 
 
 def _skip_rows(classes: list, results: list, skipped: list) -> list[_Columns]:
@@ -232,9 +305,16 @@ def _skip_rows(classes: list, results: list, skipped: list) -> list[_Columns]:
     return live
 
 
+def _every_row(cls: _Columns, reason: str) -> tuple:
+    """``_skip_rows``' skip of every row of a class."""
+    b = len(cls.rows)
+    return np.ones(b, bool), [reason] * b, [None] * b
+
+
 def _first_failures(reasons: list, failed: list, residuals: list) -> tuple:
     """``_skip_rows``' skip of the rows where any of the ordered tests ``failed`` (one bool
-    array each), each at the first that failed, or None when none did."""
+    array each), each at the first that failed, or None when none did.  A test's
+    reason is a string, or a function of the row's index in its class."""
     failed = np.array(failed)
     mask = failed.any(axis=0)
     if not mask.any():
@@ -242,7 +322,9 @@ def _first_failures(reasons: list, failed: list, residuals: list) -> tuple:
     first = failed.argmax(axis=0)[mask]
     columns = np.flatnonzero(mask)
     values = np.array(residuals)[first, columns].tolist()
-    return mask, [reasons[k] for k in first.tolist()], values
+    return mask, [
+        reasons[k](c) if callable(reasons[k]) else reasons[k] for k, c in zip(first.tolist(), columns.tolist())
+    ], values
 
 
 def _merged(cls: _Columns, names: list) -> np.ndarray:
@@ -255,43 +337,56 @@ def _trial_order(classes: list) -> list[tuple[int, _Columns, int]]:
     return sorted(((row, k, r) for k, cls in enumerate(classes) for r, row in enumerate(cls.rows.tolist())))
 
 
+@dataclass
+class _Run:
+    """One program call: its batch, each trial's result by position (None until a stage
+    gives it), the tolerance, pro01's step count, and the zero-test kernel's norm table."""
+
+    bundles: list
+    results: list
+    tol: mc.Tolerance
+    t_max: int
+    norms: dict = field(default_factory=dict)
+
+
 def _in_trial_order(stage):
-    """A stage ``stage(classes, results, *args)`` that, when some trial refuses it, raises
-    what the first trial by position in the batch that refuses it alone raises.  Only
-    a refused stage runs again, each trial alone, on scratch results."""
+    """A stage ``stage(entry, classes, run)`` that, when some trial refuses it, raises what
+    the first trial by position in the batch that refuses it alone raises.  Only a
+    refused stage runs again, each trial alone, on scratch results."""
 
     @functools.wraps(stage)
-    def run(classes: list, results: list, *args):
+    def run_stage(entry, classes: list, run: _Run):
         try:
-            return stage(classes, results, *args)
+            return stage(entry, classes, run)
         except InvalidArgumentError:
             trials = _trial_order(classes)
             for _, k, r in trials if len(trials) > 1 else ():
                 alone = classes[k].keep(np.arange(len(classes[k].rows)) == r)
                 try:
-                    stage([alone], [None] * len(results), *args)
+                    stage(entry, [alone], replace(run, results=[None] * len(run.results), norms={}))
                 except InvalidArgumentError as first:
                     raise first from None
             raise
 
-    return run
+    return run_stage
 
 
 @_in_trial_order
-def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
-                      tol: mc.Tolerance) -> list:
-    """Skip each row at the first pair ``(label, S, T)`` whose commutators do not vanish:
-    within S when T is None, else every [S_i, T_j].  The commutators within each tuple
-    named in ``kept`` are judged too, and kept for a later stage as the columns
-    ``commutes <name>`` and ``residual <name>``.  A class's queries of one kind and
-    shapes are one query, and every class's queries go to one
-    ``commutator_stack_checks`` call.  A class's first pair of two dimensions is
-    refused, once every pair before it commutes in some row."""
+def _commutator_stage(entry, classes: list, run: _Run) -> list:
+    """Skip each row at the first of the entry's commutator rows ``(label, S, T)`` whose
+    commutators do not vanish: within S when T is None, else every [S_i, T_j].  With a
+    strict nilpotent stage, the commutators within each of its tuples are judged too,
+    and kept for it as the columns ``commutes <name>`` and ``residual <name>``.  A
+    class's queries of one kind and shapes are one query, and every class's queries go
+    to one ``commutator_stack_checks`` call.  A class's first row of two dimensions is
+    refused, once every row before it commutes in some trial."""
+    pairs = entry.commutators
+    kept = entry.nilpotent[1] if entry.nilpotent and entry.nilpotent[2] else ()
     queries, layouts = [], []
     for cls in classes:
-        cut = next((k for k, (_, S, T) in enumerate(pairs)
-                    if T is not None and cls[S].shape[-1] != cls[T].shape[-1]), len(pairs))
-        judged = [(S, T) for _, S, T in pairs[:cut]] + [(name, None) for name in kept]
+        cut = next((k for k, row in enumerate(pairs)
+                    if row.T is not None and cls[row.S].shape[-1] != cls[row.T].shape[-1]), len(pairs))
+        judged = [(row.S, row.T) for row in pairs[:cut]] + [(name, None) for name in kept]
         merged: dict[tuple, list[int]] = {}
         for k, (S, T) in enumerate(judged):
             merged.setdefault((cls[S].shape, T and cls[T].shape), []).append(k)
@@ -300,7 +395,7 @@ def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
             queries.append((_merged(cls, [judged[k][0] for k in ks]),
                             None if right[0] is None else _merged(cls, right)))
         layouts.append((cut, len(judged), list(merged.values())))
-    checks = iter(commutator_stack_checks(queries, tol))
+    checks = iter(commutator_stack_checks(queries, run.tol))
     skipped = []
     for cls, (cut, count, merged) in zip(classes, layouts):
         b, found = len(cls.rows), [None] * count
@@ -312,23 +407,26 @@ def _commutator_stage(classes: list, results: list, pairs: tuple, kept: tuple,
             cls[f"commutes {name}"], cls[f"residual {name}"] = passed, residuals
         found = found[:cut]
         skip = _first_failures(
-            [label for label, _, _ in pairs], [~ok for ok, _ in found], [res for _, res in found]
+            [row.label for row in pairs], [~ok for ok, _ in found], [res for _, res in found]
         ) if found else None
         if cut < len(pairs) and (skip is None or not skip[0].all()):
-            _, S, T = pairs[cut]
-            raise InvalidArgumentError(f"dimension mismatch: {cls[S].shape[-1]} vs {cls[T].shape[-1]}")
+            row = pairs[cut]
+            raise InvalidArgumentError(f"dimension mismatch: {cls[row.S].shape[-1]} vs {cls[row.T].shape[-1]}")
         skipped.append(skip)
-    return _skip_rows(classes, results, skipped)
+    return _skip_rows(classes, run.results, skipped)
 
 
 @_in_trial_order
-def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, strict: bool,
-                     tol: mc.Tolerance) -> list:
-    """Give each row the nilpotency orders of the named tuples up to the dimension of
-    tuple ``dim``, as columns ``order_<name>``, from one ``nilpotency_stack_orders``
-    call; a row with a tuple that is not nilpotent skips.  With ``strict``, a tuple
-    whose commutators, kept by ``_commutator_stage``, do not vanish is first refused,
-    as ``tuples.nilpotency_order`` refuses it, in order of the rows and then the names."""
+def _nilpotent_stage(entry, classes: list, run: _Run) -> list:
+    """Give each row the nilpotency orders of the entry's nilpotent tuples ``(dim, names,
+    strict)`` up to the dimension of tuple ``dim``, as columns ``order_<name>``, from one
+    ``nilpotency_stack_orders`` call; a row with a tuple that is not nilpotent skips.
+    With ``strict``, a tuple whose commutators, kept by ``_commutator_stage``, do not
+    vanish is first refused, as ``tuples.nilpotency_order`` refuses it, in order of the
+    rows and then the names."""
+    if entry.nilpotent is None:
+        return classes
+    dim, names, strict = entry.nilpotent
     if strict:
         for cls in classes:
             failed = ~np.array([cls[f"commutes {N}"] for N in names])
@@ -341,7 +439,7 @@ def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, stric
     stacks = [[_merged(cls, list(names))] if one else [cls[N] for N in names]
               for cls, one in zip(classes, same)]
     orders = iter(nilpotency_stack_orders(
-        [(S, cls[dim].shape[-1]) for cls, group in zip(classes, stacks) for S in group], tol
+        [(S, cls[dim].shape[-1]) for cls, group in zip(classes, stacks) for S in group], run.tol
     ))
     skipped = []
     for cls, group in zip(classes, stacks):
@@ -351,18 +449,30 @@ def _nilpotent_stage(classes: list, results: list, dim: str, names: tuple, stric
         mask = (found == 0).any(axis=0)
         reason = "perturbation tuple is not nilpotent up to the dimension"
         skipped.append((mask, [reason] * int(mask.sum()), [None] * int(mask.sum())) if mask.any() else None)
-    return _skip_rows(classes, results, skipped)
+    return _skip_rows(classes, run.results, skipped)
 
 
-def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Tolerance,
-                      norms: dict) -> list:
-    """Skip each row at the first hypothesis whose zero test fails, with its norm as the
-    residual: ``hypotheses(cls)`` lists each ``(reason, A, B, X, ms, ns)`` of a class,
-    and every class's tests go to one ``defect_stack_checks`` call, keyed by the rows'
+def _label(label: str, ms, ns):
+    """A row's skip reason: its label, or, when it names its degrees, their formatting
+    as a function of the row's index in its class."""
+    return label if "{" not in label else lambda r: label.format(m=ms[r], n=ns[r])
+
+
+def _hypothesis_stage(entry, classes: list, run: _Run) -> list:
+    """Skip each row at the first of the entry's hypothesis rows that applies to its class
+    and whose zero test fails, with its label as the reason and its norm as the residual.
+    Every class's tests go to one ``defect_stack_checks`` call, keyed by the rows'
     positions in the batch."""
-    tests = [hypotheses(cls) for cls in classes]
+    tests = []
+    for cls in classes:
+        group = []
+        for row in entry.hypotheses:
+            if _applies(row, cls):
+                ms, ns = _row_degrees(cls, row, row.m, row.n)
+                group.append((_label(row.label, ms, ns), cls[row.P], cls[row.Q], _x(cls, row), ms, ns))
+        tests.append(group)
     judged = iter(defect_stack_checks(
-        [(*test[1:], None, cls.rows) for cls, group in zip(classes, tests) for test in group], tol, norms
+        [(*test[1:], None, cls.rows) for cls, group in zip(classes, tests) for test in group], run.tol, run.norms
     ))
     skipped = []
     for group in tests:
@@ -371,28 +481,50 @@ def _hypothesis_stage(classes: list, results: list, hypotheses, tol: mc.Toleranc
             [test[0] for test in group], [norm > threshold for norm, threshold in found],
             [norm for norm, _ in found],
         ))
-    return _skip_rows(classes, results, skipped)
+    return _skip_rows(classes, run.results, skipped)
 
 
 @_in_trial_order
-def _derived_stage(classes: list, results: list, derive) -> list:
-    """Give each class the columns that ``derive(cls)`` sets: its rows' derived tuples,
-    as stacked expressions, and degrees."""
+def _derived_stage(entry, classes: list, run: _Run) -> list:
+    """Give each class the entry's derived columns ``(name, op, *args)``, in order: ``op``
+    of the named columns, a stacked expression over the class's rows."""
     for cls in classes:
-        derive(cls)
+        for name, op, *args in entry.derived:
+            cls[name] = op(*(cls[arg] for arg in args))
     return classes
 
 
-def _degree_column(cls: _Columns, name: str) -> np.ndarray:
-    """A parameter column of int degrees as an int array."""
-    return np.array(cls[name], dtype=np.int64)
-
-
-def _kind_degrees(kinds: list, degrees) -> tuple[list, list]:
-    """(ms, ns) of each row's degree k of its kind: (k, 0) for "iso", else (0, k)."""
-    degrees = degrees.tolist() if isinstance(degrees, np.ndarray) else degrees
-    iso = [kind == "iso" for kind in kinds]
-    return [k if i else 0 for i, k in zip(iso, degrees)], [0 if i else k for i, k in zip(iso, degrees)]
+def _sharp_conclusions(entry, classes: list, run: _Run) -> list:
+    """Each row's verdict of the zero test of its class's conclusion (the first of the
+    entry's that applies), with the norms of its sharpness tests ``(name, m, n)`` on
+    the same pair, the first the witness's, and the result's extra entries ``(key,
+    degree)``.  Every class's tests go to one ``defect_stack_checks`` call, keyed by
+    the rows' positions in the batch.  A sharpness test of a negative degree is left out
+    of its row's result, and runs at that degree clipped to 0."""
+    tests, picked = [], []
+    for cls in classes:
+        test, sharp, extra = next(conclusion for conclusion in entry.conclusions if _applies(conclusion.test, cls))
+        P, Q, X = cls[test.P], cls[test.Q], _x(cls, test)
+        lower = [_row_degrees(cls, test, m, n) for _, m, n in sharp]
+        tests += [(P, Q, X, *_row_degrees(cls, test, test.m, test.n), None, cls.rows)] + [
+            (P, Q, X, np.maximum(m, 0), np.maximum(n, 0), None, cls.rows) for m, n in lower
+        ]
+        included = [(np.minimum(m, n) >= 0).tolist() for m, n in lower]
+        picked.append((test.label, [name for name, _, _ in sharp], included, extra))
+    judged = iter(defect_stack_checks(tests, run.tol, run.norms))
+    for cls, (name, below, included, extra) in zip(classes, picked):
+        norm, threshold = (column.tolist() for column in next(judged))
+        lower = [next(judged)[0].tolist() for _ in below]
+        columns = {key: np.asarray(_degree_values(cls, degree)).tolist() for key, degree in extra}
+        for r, row in enumerate(cls.rows.tolist()):
+            sharpness = {key: values[r] for key, values, kept in zip(below, lower, included) if kept[r]}
+            witness = sharpness.get(below[0], 0.0) if below else 0.0
+            run.results[row] = _verdict(
+                [(name, norm[r], threshold[r])],
+                {key: float(values[r]) for key, values in columns.items()},
+                sharpness=sharpness, is_sharp=witness > SHARPNESS_FLOOR,
+            )
+    return classes
 
 
 def _by_row(judged: tuple, counts: list) -> list[list]:
@@ -402,151 +534,117 @@ def _by_row(judged: tuple, counts: list) -> list[list]:
     return [items[end - count : end] for count, end in zip(counts, ends)]
 
 
-def _identities(cls: _Columns, name: str) -> np.ndarray:
-    """The (b, n, n) stack of identities of the dimension of the class's tuple ``name``."""
-    return np.repeat(mc.identity(cls[name].shape[-1])[None], len(cls.rows), axis=0)
+# ---------------------------------------------------------------------------
+# hooks: the stages that are not rows
 
 
-def _sharp_conclusions(classes: list, results: list, name: str, conclusion, below: tuple,
-                       extra, tol: mc.Tolerance, norms: dict) -> None:
-    """Each row's verdict of its conclusion zero test ``name``, with the norms of its
-    sharpness tests on the same pair, the first of ``below`` the witness's.
-    ``conclusion(cls)`` is a class's ``(P, Q, X, ms, ns, lower)``, ``lower`` the degrees
-    ``(ms, ns)`` of each sharpness name in ``below``, and ``extra(cls)`` the columns of
-    the result's extra entries by key.  Every class's tests go to one
-    ``defect_stack_checks`` call, keyed by the rows' positions in the batch.  A
-    sharpness test of a negative degree is left out of its row's result, and runs at
-    that degree clipped to 0."""
-    tests, included = [], []
-    for cls in classes:
-        P, Q, X, ms, ns, lower = conclusion(cls)
-        tests += [(P, Q, X, ms, ns, None, cls.rows)] + [
-            (P, Q, X, np.maximum(m, 0), np.maximum(n, 0), None, cls.rows) for m, n in lower
-        ]
-        included.append([(np.minimum(m, n) >= 0).tolist() for m, n in lower])
-    judged = iter(defect_stack_checks(tests, tol, norms))
-    for cls, keep in zip(classes, included):
-        norm, threshold = (column.tolist() for column in next(judged))
-        lower = [next(judged)[0].tolist() for _ in below]
-        columns = {key: column.tolist() for key, column in extra(cls).items()}
-        for r, row in enumerate(cls.rows.tolist()):
-            sharpness = {key: values[r] for key, values, kept in zip(below, lower, keep) if kept[r]}
-            witness = sharpness.get(below[0], 0.0) if below else 0.0
-            results[row] = _verdict(
-                [(name, norm[r], threshold[r])],
-                {key: float(values[r]) for key, values in columns.items()},
-                sharpness=sharpness, is_sharp=witness > SHARPNESS_FLOOR,
-            )
-
-
-def _pro01_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_pro01`` of each bundle, stage by stage: the zero tests of degree m and of
-    degrees 0..m-1 (items on repeated rows), one Cesaro run of each class's stacks,
-    then each trial's collapse test on the spectrum of its sigma superoperator."""
-    results: list[TrialResult] = [None] * len(bundles)
-    classes, tests = _classes(bundles, "A B X m", 2), []
+def _pro01_stage(entry, classes: list, run: _Run) -> list:
+    """pro01's tests: its hypothesis row, the zero test of degree m, whose norm a skip keeps
+    under the row's residual name, with the zero tests of degrees 0..m-1 (items on
+    repeated rows); one Cesaro run of each class's stacks; then each row's collapse test
+    on the spectrum of its sigma superoperator, lifted and decomposed once per class."""
+    (hypothesis,) = entry.hypotheses
+    tests = []
     for cls in classes:
         cls["m"] = ms = _degree_column(cls, "m").tolist()
         own = [r for r, m in enumerate(ms) for _ in range(m)]  # the row of each lower degree
         tests += [(cls["A"], cls["B"], cls["X"], ms, [0] * len(ms), None, cls.rows),
                   (cls["A"], cls["B"], cls["X"], [j for m in ms for j in range(m)], [0] * len(own), own, cls.rows[own])]
-    judged, live = iter(defect_stack_checks(tests, tol, {})), []
+    judged, live = iter(defect_stack_checks(tests, run.tol, run.norms)), []
     for cls in classes:
         (norm, threshold), lower = next(judged), next(judged)
         cls["threshold"], cls["lower"] = threshold.tolist(), _by_row(lower, cls["m"])
         failed = norm > threshold
         for r in np.flatnonzero(failed).tolist():
-            results[cls.rows[r]] = _skip(f"not (X,{cls['m'][r]})-isometric", isometry_defect=norm[r].item())
+            run.results[cls.rows[r]] = _skip(hypothesis.label.format(m=cls["m"][r], n=0),
+                                             **{hypothesis.residual: norm[r].item()})
         if (cls := cls.keep(~failed)) is not None:
             live.append(cls)
     for _, k, r in _trial_order(live):  # refused before any run, in trial order
-        tf._require_cesaro_degrees(live[k]["m"][r], t_max)
-    _cesaro_stage(live, results, t_max)
+        tf._require_cesaro_degrees(live[k]["m"][r], run.t_max)
+    _cesaro_stage(entry, live, run)
+    t_max = run.t_max
     for cls in live:
+        smallest, normality, size = _sigma_spectra(cls["A"], cls["B"])
         for r, row in enumerate(cls.rows.tolist()):
             m, lower = cls["m"][r], cls["lower"][r]
             e_final = mc.fro_norm(cls["sigma^t_max"][r] / tf.binomial(t_max, m - 1) - cls["reference"][r])
             bound = 5.0 * max(norm for norm, _ in lower) * (m - 1) / t_max + cls["threshold"][r]
-            sig_hat = tf.superop_matrix(bundles[row].tuples["A"], bundles[row].tuples["B"], "sigma")
-            eigs = np.linalg.eigvals(sig_hat)
-            normality = mc.fro_norm(sig_hat @ sig_hat.conj().T - sig_hat.conj().T @ sig_hat)
-            invertible = bool(np.min(np.abs(eigs)) > 1e-6)
-            unitary_like = invertible and normality <= 1e-8 * max(
-                mc.fro_norm(sig_hat) ** 2, 1.0
-            ) and bool(np.min(np.abs(eigs)) >= 1.0 - 1e-8)
+            invertible = smallest[r] > 1e-6
+            unitary_like = invertible and normality[r] <= 1e-8 * max(size[r] ** 2, 1.0) and smallest[r] >= 1.0 - 1e-8
             checks = [("collapse_defect", *lower[m - 1])] if unitary_like else []
-            results[row] = _verdict(checks + [("cesaro_error", e_final, bound)],
-                                    {"t_max": float(t_max), "sigma_invertible": float(invertible)})
-    return results
+            run.results[row] = _verdict(checks + [("cesaro_error", e_final, bound)],
+                                        {"t_max": float(t_max), "sigma_invertible": float(invertible)})
+    return live
+
+
+def _sigma_spectra(A: np.ndarray, B: np.ndarray) -> tuple[list, list, list]:
+    """Each row's smallest eigenvalue modulus, normality defect ||S S* - S* S||_F and
+    ||S||_F of its sigma superoperator S = sum_i B_i^T (x) A_i, for a class's (b, d, n, n)
+    stacks, each lifted as ``superop_matrix`` lifts one pair (its Kronecker products
+    added in order onto zero): one lift, one ``eigvals`` call and one product of each
+    side for the class."""
+    lifts = mc.kron(B.swapaxes(-1, -2), A)
+    S = np.zeros((len(A), *lifts.shape[-2:]), dtype=np.complex128)
+    for i in range(A.shape[1]):
+        S += lifts[:, i]
+    S_star = S.conj().swapaxes(-1, -2)
+    normality = mc.fro_norm_array(S @ S_star - S_star @ S)
+    return np.abs(np.linalg.eigvals(S)).min(axis=1).tolist(), normality.tolist(), mc.fro_norm_array(S).tolist()
 
 
 @_in_trial_order
-def _cesaro_stage(classes: list, results: list, t_max: int) -> list:
+def _cesaro_stage(entry, classes: list, run: _Run) -> list:
     """Give each class the columns ``sigma^t_max`` and ``reference`` (triangle^(m-1)(X)) of
     its rows' Cesaro runs, from one run of its stacks from X."""
     for cls in classes:
-        for _, last, reference in tf._cesaro_run(cls["A"], cls["B"], cls["X"], cls["m"], t_max):
+        for _, last, reference in tf._cesaro_run(cls["A"], cls["B"], cls["X"], cls["m"], run.t_max):
             pass
         cls["sigma^t_max"], cls["reference"] = last, reference
     return classes
 
 
-def check_pro01(
-    bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
-
-    Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
-    defect norm at degrees < m) plus the tolerance floor.  The collapse
-    assertion (degree m-1 defect vanishes outright) is additionally applied
-    when the sigma superoperator is invertible and unitary-like -- normal with
-    no eigenvalue inside the unit circle -- which is the regime where its
-    inverse iterates stay bounded.
-    """
-    return _pro01_program([bundle], tol, t_max)[0]
-
-
-def _pro02_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_pro02`` of each bundle, stage by stage: each trial's convergence residuals,
-    in trial order, then the zero tests of every family member (items of one stack of
-    the members of a class's rows) and of the limit, then each trial's verdict."""
+def _pro02_stage(entry, classes: list, run: _Run) -> list:
+    """pro02's tests: each trial's convergence residuals, in trial order; the zero tests of
+    every family member at the degrees of its hypothesis row (items of one stack of the
+    members of a class's rows) and of the limit; then each trial's verdict."""
+    (hypothesis,) = entry.hypotheses
     convergence = []  # each member's largest componentwise distance from the limit
-    for bundle in bundles:
+    for bundle in run.bundles:
         T = bundle.tuples
         lim = np.concatenate([T["A_limit"].stack, T["B_limit"].stack])
         conv = [max(mc.fro_norm_array(np.concatenate([T[f"A{j}"].stack, T[f"B{j}"].stack]) - lim).tolist())
                 for j in range(int(bundle.params["members"]))]
-        if any(conv[i + 1] > conv[i] + tol.abs_eps for i in range(len(conv) - 1)):
+        if any(conv[i + 1] > conv[i] + run.tol.abs_eps for i in range(len(conv) - 1)):
             raise InvalidArgumentError("family does not converge: residuals are not decreasing")
         convergence.append(conv)
-    results: list[TrialResult] = [None] * len(bundles)
-    classes, tests, norms = _classes(bundles, "A_limit B_limit X m1 m2 kind members", 2), [], {}
+    tests = []
     for cls in classes:
         m1, m2, counts = (_degree_column(cls, name).tolist() for name in ("m1", "m2", "members"))
         cls["m1"], cls["m2"], cls["members"] = m1, m2, counts
-        degrees = [(m, 0) if kind == "triangle" else (0, n) for m, n, kind in zip(m1, m2, cls["kind"])]
+        ms, ns = _row_degrees(cls, hypothesis, hypothesis.m, hypothesis.n)
         own = [r for r, count in enumerate(counts) for _ in range(count)]  # the row of each member
-        A, B = (np.stack([bundles[row].tuples[f"{side}{j}"].stack
+        A, B = (np.stack([run.bundles[row].tuples[f"{side}{j}"].stack
                           for row, count in zip(cls.rows.tolist(), counts) for j in range(count)]) for side in "AB")
-        tests += [(A, B, cls["X"][own], [degrees[r][0] for r in own], [degrees[r][1] for r in own], None, cls.rows[own]),
+        tests += [(A, B, cls["X"][own], [ms[r] for r in own], [ns[r] for r in own], None, cls.rows[own]),
                   (cls["A_limit"], cls["B_limit"], cls["X"], m1, m2, None, cls.rows)]
-    judged = iter(defect_stack_checks(tests, tol, norms))
+    judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         members, norm_lim = _by_row(next(judged), cls["members"]), next(judged)[0].tolist()
         m1, m2, limit = cls["m1"], cls["m2"], (cls["A_limit"], cls["B_limit"])
         # the limit's scale reads the norms that its zero test asked for
-        scales, _ = tf._scales(mc.fro_norm_array(cls["X"]).tolist(), *tf._growth_factors(norms, limit, limit, m1, m2),
-                               m1, m2)
+        scales, _ = tf._scales(mc.fro_norm_array(cls["X"]).tolist(),
+                               *tf._growth_factors(run.norms, limit, limit, m1, m2), m1, m2)
         for r, row in enumerate(cls.rows.tolist()):
             (first_norm, first_threshold), *later = members[r]
             if first_norm > first_threshold:
-                results[row] = _skip("first family member violates its identity", member_defect=first_norm)
+                run.results[row] = _skip(hypothesis.label, member_defect=first_norm)
                 continue
             # later members drifting off the identity refute the closure claim; each
             # counts only once the one before it passed
             for j, (norm_j, threshold_j) in enumerate(later, start=1):
                 if (verdict := _judge(norm_j, threshold_j)) != "pass":
-                    results[row] = TrialResult(
+                    run.results[row] = TrialResult(
                         status=verdict, reason=f"member {j} defect drifted to {norm_j:.3e}",
                         defects={"member_index": float(j), "member_defect": norm_j}, conclusion=norm_j,
                     )
@@ -555,65 +653,53 @@ def _pro02_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialRe
                 # convergence slack: the defect is Lipschitz in the tuple within a factor
                 # of the degree times the scale, applied to the last residual
                 last = convergence[row][-1]
-                threshold = tol.threshold(scales[r]) + 10.0 * (m1[r] + m2[r]) * last * scales[r]
-                results[row] = _verdict([("limit_defect", norm_lim[r], threshold)], {"last_residual": last})
-    return results
+                threshold = run.tol.threshold(scales[r]) + 10.0 * (m1[r] + m2[r]) * last * scales[r]
+                run.results[row] = _verdict([("limit_defect", norm_lim[r], threshold)], {"last_residual": last})
+    return classes
 
 
-def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Norm-limits of defect-annihilated families keep the combined identity.
-
-    The first family member must satisfy its declared identity (hypothesis);
-    the member sequence must converge in norm to the declared limit.  A limit
-    that decisively fails while the first member passed is a counterexample
-    (a drifting family), not a skip.  Every member's test and the limit's
-    are evaluated together, so their scales come from one LAPACK call.
-    """
-    return _pro02_program([bundle], tol, 0)[0]
-
-
-def _pro03_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_pro03`` of each bundle at its degree m, stage by stage: the zero tests of
-    the first d-1 one-component pairs (items on a stack of every component pair of a
-    class's rows), of the full pair and, for part (b), of the last pair, then each
-    trial's verdict in trial order, part (a)'s right-hand side formed row by row."""
-    results: list[TrialResult] = [None] * len(bundles)
-    classes = _classes(bundles, "A B X m part", 2)
-    classes = _skip_rows(classes, results, [
-        (np.ones(len(cls.rows), bool), ["reduction needs d >= 2"] * len(cls.rows), [None] * len(cls.rows))
-        if cls["A"].shape[1] < 2 else None for cls in classes
+def _pro03_stage(entry, classes: list, run: _Run) -> list:
+    """pro03's reduction at each trial's degree m: the zero tests of the first d-1
+    one-component pairs (items on a stack of every component pair of a class's rows), of
+    the full pair and, for part (b), of the last pair, then each trial's verdict in trial
+    order, part (a)'s right-hand side formed row by row."""
+    classes = _skip_rows(classes, run.results, [
+        _every_row(cls, "reduction needs d >= 2") if cls["A"].shape[1] < 2 else None for cls in classes
     ])
-    tests, norms = [], {}
+    tests = []
     for cls in classes:
         b, d, n = cls["A"].shape[:3]
-        cls["kind"] = kinds = ["iso" if part in ("a", None) else "sym" for part in cls["part"]]
+        cls["sym"] = sym = [part not in ("a", None) for part in cls["part"]]
+        iso = [not flag for flag in sym]
         A1, B1 = (cls[name].reshape(b * d, 1, n, n) for name in "AB")  # row r * d + i: pair i of row r
         X1 = np.repeat(cls["X"], d, axis=0)
         own = np.repeat(np.arange(b), d - 1)  # the row of each hypothesis
-        sym = [r for r in range(b) if kinds[r] == "sym"]
+        ones = [1] * len(own)
+        on_sym = [r for r in range(b) if sym[r]]
         tests += [
-            (A1, B1, X1, *_kind_degrees([kinds[r] for r in own], [1] * len(own)),
+            (A1, B1, X1, *_kind_degrees([iso[r] for r in own], ones, ones),
              [r * d + i for r in range(b) for i in range(d - 1)], cls.rows[own]),
-            (cls["A"], cls["B"], cls["X"], *_kind_degrees(kinds, cls["m"]), None, cls.rows),
-            (A1, B1, X1, [0] * len(sym), [cls["m"][r] for r in sym], [r * d + d - 1 for r in sym], cls.rows[sym]),
+            (cls["A"], cls["B"], cls["X"], *_kind_degrees(iso, cls["m"], cls["m"]), None, cls.rows),
+            (A1, B1, X1, [0] * len(on_sym), [cls["m"][r] for r in on_sym], [r * d + d - 1 for r in on_sym],
+             cls.rows[on_sym]),
         ]
-    judged = iter(defect_stack_checks(tests, tol, norms))
+    judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         b, d = cls["A"].shape[:2]
         cls["hypotheses"] = _by_row(next(judged), [d - 1] * b)
         cls["lhs"] = list(zip(*(column.tolist() for column in next(judged))))
         rhs = iter(zip(*(column.tolist() for column in next(judged))))  # of the rows of part (b)
-        cls["rhs"] = [next(rhs) if kind == "sym" else None for kind in cls["kind"]]
+        cls["rhs"] = [next(rhs) if flag else None for flag in cls["sym"]]
     for row, k, r in _trial_order(classes):
         cls = classes[k]
         d = cls["A"].shape[1]
         # each pair counts only once the one before it passed
         failed = next(((i, norm) for i, (norm, threshold) in enumerate(cls["hypotheses"][r]) if norm > threshold), None)
         if failed is not None:
-            results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
+            run.results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
             continue
         (lhs_norm, lhs_thr), m, X = cls["lhs"][r], cls["m"][r], cls["X"][r]
-        if cls["kind"][r] == "sym":
+        if cls["sym"][r]:
             rhs_norm, rhs_thr = cls["rhs"][r]
         else:
             # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
@@ -623,184 +709,69 @@ def _pro03_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialRe
             )
             rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
             # the last components' norms, which the full pair's zero test asked for
-            a_last, b_last = (tf._component_norms(norms, cls[name])[r, -1].item() for name in "AB")
-            rhs_thr = tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
+            a_last, b_last = (tf._component_norms(run.norms, cls[name])[r, -1].item() for name in "AB")
+            rhs_thr = run.tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
         lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
         defects = {"lhs_defect": lhs_norm, "rhs_defect": rhs_norm, "lhs_threshold": lhs_thr, "rhs_threshold": rhs_thr}
         # the equivalence claims neither side is zero, so only a side that passed is a conclusion
         sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
         conclusion = max([norm for norm, passed in sides if passed], default=0.0)
         if lhs_pass == rhs_pass:
-            results[row] = TrialResult(status="pass", defects=defects, conclusion=conclusion)
+            run.results[row] = TrialResult(status="pass", defects=defects, conclusion=conclusion)
             continue
         # disagreement within the gray band of either side is an anomaly
         gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr)
-        results[row] = TrialResult(
+        run.results[row] = TrialResult(
             status="anomaly" if gray else "counterexample",
             reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
             defects=defects, conclusion=conclusion,
         )
-    return results
+    return classes
 
 
-def check_pro03(
-    bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
-
-    Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
-    is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
-    Part (b): the symmetric analogue, reducing to the last pair's delta defect.
-    The scales of every one-component pair and of the full pair come from one
-    LAPACK call: part (a)'s right-hand threshold reads the last components'
-    norms, which the full pair's zero test has filled.
-    """
-    params = {**bundle.params, "m": int(bundle.params["m"]) if m is None else m}
-    return _pro03_program([replace(bundle, params=params)], tol, 0)[0]
-
-
-def _adjoint_program(bundles: list, tol: mc.Tolerance, t_max: int, even: bool) -> list[TrialResult]:
-    """``check_pro04`` (or with ``even``, ``check_pro5``) of each trial ``(A, m_even)``,
-    stage by stage: the symmetric hypothesis of the adjoint pair (A*, A) at I, of degree
-    2 (or m_even), then its self-adjoint component sum (or its odd degree below)."""
-    if even:
-        for bundle in bundles:  # refused before any stage, in trial order
-            m_even = bundle.params["m_even"]
-            if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
-                raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "A m_even", 1, by="m_even")
-    for cls in classes:
-        cls["A*"] = np.conjugate(cls["A"].swapaxes(-1, -2), order="C")
-        cls["I"] = _identities(cls, "A")
-        cls["zero"] = [0] * len(cls.rows)
-    degree = (lambda cls: cls["m_even"]) if even else (lambda cls: [2] * len(cls.rows))
-    classes = _hypothesis_stage(classes, results, lambda cls: [(
-        f"adjoint pair is not (I,{degree(cls)[0]})-symmetric", cls["A*"], cls["A"], cls["I"], cls["zero"], degree(cls),
-    )], tol, norms)
-    if even:
-        _sharp_conclusions(
-            classes, results, "odd_degree_defect",
-            lambda cls: (cls["A*"], cls["A"], cls["I"], cls["zero"], [m - 1 for m in cls["m_even"]], []),
-            (), lambda cls: {}, tol, norms,
-        )
-        return results
+def _selfadjoint_stage(entry, classes: list, run: _Run) -> list:
+    """pro04's conclusion: each row's component sum is self-adjoint."""
     for cls in classes:
         s = stack_sums(cls["A"])
         residuals = mc.fro_norm_array(s - np.conjugate(s.swapaxes(-1, -2))).tolist()
-        thresholds = tol.threshold(mc.fro_norm_array(s)).tolist()
+        thresholds = run.tol.threshold(mc.fro_norm_array(s)).tolist()
         for row, residual, threshold in zip(cls.rows.tolist(), residuals, thresholds):
-            results[row] = _verdict([("selfadjoint_residual", residual, threshold)])
-    return results
+            run.results[row] = _verdict([("selfadjoint_residual", residual, threshold)])
+    return classes
 
 
-_pro04_program = functools.partial(_adjoint_program, even=False)
-_pro5_program = functools.partial(_adjoint_program, even=True)
+def _even_degree_stage(entry, classes: list, run: _Run) -> list:
+    """pro5's refusal, before any zero test and in trial order, of a degree that is not a
+    positive even integer."""
+    for bundle in run.bundles:
+        m_even = bundle.params["m_even"]
+        if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
+            raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
+    return classes
 
 
-def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
-    return _pro04_program([_bundle(A=A_hilbert)], tol, 0)[0]
-
-
-def check_pro5(
-    A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
-    return _pro5_program([_bundle(A=A_hilbert, m_even=m_even)], tol, 0)[0]
-
-
-def _thm05_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_thm05`` of each bundle ``(A, B, N1, N2, X, m1, m2)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "A B N1 N2 X m1 m2", 4)
-    classes = _commutator_stage(classes, results, (
-        *((f"tuple {name} does not commute", name, None) for name in ("A", "B", "N1", "N2")),
-        ("[A, N1] != 0", "A", "N1"), ("[B, N2] != 0", "B", "N2"),
-    ), (), tol)
-    # the commutators within N1 and N2 passed above, so the orders need no second check
-    classes = _nilpotent_stage(classes, results, "A", ("N1", "N2"), False, tol)
-    classes = _hypothesis_stage(classes, results, lambda cls: [
-        ("base pair violates the combined identity", cls["A"], cls["B"], cls["X"], cls["m1"], cls["m2"]),
-    ], tol, norms)
-
-    def derive(cls):
-        cls["P"], cls["Q"] = sum_stacks(cls["A"], cls["N1"]), sum_stacks(cls["B"], cls["N2"])
-        raised = cls["order_N1"] + cls["order_N2"] - 2
-        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
-
-    _derived_stage(classes, results, derive)
-    _sharp_conclusions(
-        classes, results, "perturbed_defect",
-        lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"],
-                     [(cls["t1"] - 1, cls["t2"]), (cls["t1"], cls["t2"] - 1)]),
-        ("below_t1", "below_t2"),
-        lambda cls: {"t1": cls["t1"], "t2": cls["t2"], "n1": cls["order_N1"], "n2": cls["order_N2"]},
-        tol, norms,
-    )
-    return results
-
-
-def check_thm05(
-    A: OperatorTuple,
-    B: OperatorTuple,
-    N1: OperatorTuple,
-    N2: OperatorTuple,
-    X,
-    m1: int,
-    m2: int,
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
-    return _thm05_program([_bundle(A=A, B=B, N1=N1, N2=N2, X=X, m1=m1, m2=m2)], tol, 0)[0]
-
-
-def _cor05_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_cor05`` of each bundle ``(A1, B1, A2, B2, N1, N2, X, m1, m2)``, stage by
-    stage; the combined defect is a delta stage over every row, then a triangle stage."""
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "A1 B1 A2 B2 N1 N2 X m1 m2", 6)
-    names = ("A1,N1", "A2,N1", "B1,N2", "B2,N2", "A1,A2", "B1,B2")
-    classes = _commutator_stage(
-        classes, results, tuple((f"[{name}] != 0", *name.split(",")) for name in names), ("N1", "N2"), tol
-    )
-    classes = _nilpotent_stage(classes, results, "A1", ("N1", "N2"), True, tol)
-    classes = _hypothesis_stage(classes, results, lambda cls: [
-        ("first pair violates its isometric identity", cls["A1"], cls["B1"], cls["X"],
-         _degree_column(cls, "m1"), [0] * len(cls.rows)),
-        ("second pair violates its symmetric identity", cls["A2"], cls["B2"], cls["X"],
-         [0] * len(cls.rows), _degree_column(cls, "m2")),
-    ], tol, norms)
-
-    def derive(cls):
-        for P, (A, N) in zip(("P1", "Q1", "P2", "Q2"), (("A1", "N1"), ("B1", "N2"), ("A2", "N1"), ("B2", "N2"))):
-            cls[P] = sum_stacks(cls[A], cls[N])
-        raised = cls["order_N1"] + cls["order_N2"] - 2
-        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
-        cls["zero"] = np.zeros_like(raised)
-
-    _derived_stage(classes, results, derive)
+def _cor05_stage(entry, classes: list, run: _Run) -> list:
+    """cor05's conclusions: the zero tests of triangle^t1 of the first perturbed pair and of
+    delta^t2 of the second, then the combined defect (``_cor05_combined``)."""
+    for cls in classes:
+        cls["zero"] = np.zeros_like(cls["t1"])
     judged = iter(defect_stack_checks([
         test for cls in classes for test in (
             (cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"], None, cls.rows),
             (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"], None, cls.rows),
         )
-    ], tol, norms))
+    ], run.tol, run.norms))
     for cls in classes:
         (cls["triangle"], cls["triangle threshold"]), (cls["delta"], cls["delta threshold"]) = next(judged), next(judged)
         # the norms both combined scales read are the ones the two zero tests asked for
         cls["iso"], cls["sym"] = tf._growth_factors(
-            norms, (cls["P1"], cls["Q1"]), (cls["P2"], cls["Q2"]), cls["t1"].tolist(), cls["t2"].tolist()
+            run.norms, (cls["P1"], cls["Q1"]), (cls["P2"], cls["Q2"]), cls["t1"].tolist(), cls["t2"].tolist()
         )
-    _cor05_combined(classes, results, tol)
-    return results
+    return _cor05_combined(entry, classes, run)
 
 
 @_in_trial_order
-def _cor05_combined(classes: list, results: list, tol: mc.Tolerance) -> None:
+def _cor05_combined(entry, classes: list, run: _Run) -> list:
     """Each row's cor05 verdict: its two conclusion zero tests, judged already, and the
     combined defect, delta^t2(X) of the second pair (X itself at degree 0, as ``delta``
     gives it) for every row, then its triangle^t1 under the first pair, with the scale
@@ -821,49 +792,314 @@ def _cor05_combined(classes: list, results: list, tol: mc.Tolerance) -> None:
             "triangle", "triangle threshold", "delta", "delta threshold"
         ))
         combined = mc.fro_norm_array(cls["combined"]).tolist()
-        combined_thr = tol.threshold(np.array(scales)).tolist()
+        combined_thr = run.tol.threshold(np.array(scales)).tolist()
         n1, n2 = cls["order_N1"].tolist(), cls["order_N2"].tolist()
         for r, row in enumerate(cls.rows.tolist()):
-            results[row] = _verdict([
+            run.results[row] = _verdict([
                 ("triangle_perturbed", tri[r], tri_thr[r]),
                 ("delta_perturbed", dlt[r], dlt_thr[r]),
                 ("combined_perturbed", combined[r], combined_thr[r]),
             ], {"n1": float(n1[r]), "n2": float(n2[r])})
+    return classes
+
+
+def _cor061_stage(entry, classes: list, run: _Run) -> list:
+    """cor061's two kinds: its hypothesis rows, isometric then symmetric, then the
+    conclusion of each kind whose hypotheses all hold, at degree m+n-1; a trial where
+    neither kind's hold skips with the rows' label and every hypothesis norm, by its
+    residual name."""
+    rows, kinds = entry.hypotheses, ("iso", "sym")
+    judged = iter(defect_stack_checks([
+        (cls[row.P], cls[row.Q], _x(cls, row), *_row_degrees(cls, row, row.m, row.n), None, cls.rows)
+        for cls in classes for row in rows
+    ], run.tol, run.norms))
+    tests = []
+    for cls in classes:
+        # each row's (norm, threshold) of each hypothesis
+        found = list(zip(*[list(zip(*(column.tolist() for column in next(judged)))) for _ in rows]))
+        cls["defects"] = [{row.residual: norm for row, (norm, _) in zip(rows, trial)} for trial in found]
+        cls["holds"] = [[all(norm <= threshold for norm, threshold in trial[2 * k : 2 * k + 2]) for k in range(2)]
+                        for trial in found]
+        degree = cls["degree"].tolist()
+        for k, kind in enumerate(kinds):
+            own = [r for r, holds in enumerate(cls["holds"]) if holds[k]]
+            degrees = [degree[r] for r in own]
+            tests.append((cls["P"], cls["Q"], cls["X"], *_kind_degrees([kind == "iso"] * len(own), degrees, degrees),
+                          own, cls.rows[own]))
+    judged = iter(defect_stack_checks(tests, run.tol, run.norms))
+    for cls in classes:
+        found = [iter(zip(*(column.tolist() for column in next(judged)))) for _ in kinds]
+        for r, row in enumerate(cls.rows.tolist()):
+            checks = [(f"product_defect_{kind}", *next(found[k]))
+                      for k, kind in enumerate(kinds) if cls["holds"][r][k]]
+            run.results[row] = _verdict(checks, cls["defects"][r]) if checks else _skip(
+                rows[0].label, **cls["defects"][r]
+            )
+    return classes
+
+
+def _single_operator_stage(entry, classes: list, run: _Run) -> list:
+    """cor062's skip of the trials whose A or B is not a single operator."""
+    return _skip_rows(classes, run.results, [
+        None if cls["A"].shape[1] == cls["B"].shape[1] == 1 else _every_row(cls, "A and B must be single operators")
+        for cls in classes
+    ])
+
+
+@_in_trial_order
+def _variant_stage(entry, classes: list, run: _Run) -> list:
+    """thm07's refusal, after its tensor pair and before any zero test, of a variant other
+    than i, or variant ii without r and s."""
+    for cls in classes:
+        variant = cls["variant"][0]
+        if variant != "i":
+            if variant != "ii":
+                raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
+            if any(value is None for value in (*cls["r"], *cls["s"])):
+                raise InvalidArgumentError("variant ii needs r and s")
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# the theorem registry
+
+
+class _Conclusion(NamedTuple):
+    """What a theorem concludes: the zero test ``test``, a ``_Vanishes`` row labelled with
+    its result key, the sharpness tests ``(name, m, n)`` on the same pair, the first the
+    witness's, and the result's extra entries ``(key, degree)``."""
+
+    test: _Vanishes
+    sharp: tuple = ()
+    extra: tuple = ()
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One campaign id, as data.
+
+    ``profile`` names the generator profile of its instances, whose rows are its
+    commutator and hypothesis rows (``rows``).  The entry reads ``reads`` from each
+    bundle, its first ``tuples`` names tuples, in classes split by the parameters
+    ``by``; ``nilpotent`` is ``(dim, names, strict)`` of its nilpotent tuples, ``derived``
+    its derived columns ``(name, op, *args)``, ``degrees`` its degree expressions by
+    name, and ``conclusions`` what it concludes.  ``program(bundles, tol, t_max)`` runs
+    its ``stages`` in order and gives each instance of a batch its result; ``pair(bundle)``
+    is the (A, B, X) whose defect profile a counterexample record carries.
+    """
+
+    profile: str
+    reads: str
+    tuples: int
+    pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
+    by: str = ""
+    nilpotent: tuple | None = None
+    derived: tuple = ()
+    degrees: tuple = ()
+    conclusions: tuple = ()
+    stages: tuple = (_commutator_stage, _nilpotent_stage, _hypothesis_stage, _derived_stage, _sharp_conclusions)
+
+    @functools.cached_property
+    def rows(self) -> tuple:
+        """Its profile's hypothesis rows, which also give the profile's bundles their residuals."""
+        return _BUILDERS[self.profile].rows
+
+    @functools.cached_property
+    def commutators(self) -> tuple:
+        """The commutator rows that its program tests."""
+        return tuple(row for row in self.rows if isinstance(row, _Commutes) and row.label)
+
+    @functools.cached_property
+    def hypotheses(self) -> tuple:
+        """The defect rows that its program tests."""
+        return tuple(row for row in self.rows if isinstance(row, _Vanishes) and row.label)
+
+    def program(self, bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+        """The result of each instance of a batch: the entry's stages, in order, on the
+        classes of its instances."""
+        run = _Run(bundles, [None] * len(bundles), tol, t_max)
+        classes = _classes(bundles, self.reads, self.tuples, self.by, dict(self.degrees))
+        for stage in self.stages:
+            classes = stage(self, classes, run)
+        return run.results
+
+    def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
+        """The result of one instance: the program's batch of one."""
+        return self.program([bundle], tol, t_max)[0]
+
+
+def _pair(A: str = "A", B: str = "B"):
+    return lambda bundle: (bundle.tuples[A], bundle.tuples[B], bundle.matrices["X"])
+
+
+def _adjoint_pair(key: str):
+    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), bundle.tuples[key], bundle.matrices["X"])
+
+
+#: The nilpotent perturbations raise both degrees by n1 + n2 - 2.
+_RAISED = (("t1", "m1+order_N1+order_N2-2"), ("t2", "m2+order_N1+order_N2-2"))
+_SUMS = (("P", sum_stacks, "A", "N1"), ("Q", sum_stacks, "B", "N2"))
+_PRODUCTS = (("P", product_stacks, "A", "S"), ("Q", product_stacks, "B", "T"))
+_PRODUCT_STAGES = (_commutator_stage, _derived_stage, _hypothesis_stage, _sharp_conclusions)
+
+
+def _product(*sharp) -> tuple:
+    """cor06's and cor062's conclusion: the product pair's defect of the factors' kind
+    vanishes at degree m+n-1."""
+    return (_Conclusion(_Vanishes("product_defect", "P", "Q", "X", "degree", "degree", kind="iso"), sharp,
+                        (("degree", "degree"),)),)
+
+
+#: The registry, one entry per theorem id, in campaign order.
+THEOREMS = {
+    "pro01": Theorem("pro01", "A B X m", 2, _pair(), stages=(_pro01_stage,)),
+    "pro02": Theorem("pro02-family", "A_limit B_limit X m1 m2 kind members", 2, _pair("A0", "B0"),
+                     stages=(_pro02_stage,)),
+    "pro03": Theorem("pro03", "A B X m part", 2, _pair(), stages=(_pro03_stage,)),
+    "pro04": Theorem("pro04", "A", 1, _adjoint_pair("A"), stages=(_hypothesis_stage, _selfadjoint_stage)),
+    "pro5": Theorem(
+        "pro5", "A m_even", 1, _adjoint_pair("A"),
+        conclusions=(_Conclusion(_Vanishes("odd_degree_defect", "A*", "A", "I", 0, "m_even-1")),),
+        stages=(_even_degree_stage, _hypothesis_stage, _sharp_conclusions),
+    ),
+    "thm05": Theorem(
+        "thm05", "A B N1 N2 X m1 m2", 4, _pair(),
+        nilpotent=("A", ("N1", "N2"), False), derived=_SUMS, degrees=_RAISED,
+        conclusions=(_Conclusion(
+            _Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"),
+            (("below_t1", "t1-1", "t2"), ("below_t2", "t1", "t2-1")),
+            (("t1", "t1"), ("t2", "t2"), ("n1", "order_N1"), ("n2", "order_N2")),
+        ),),
+    ),
+    "cor05": Theorem(
+        "cor05", "A1 B1 A2 B2 N1 N2 X m1 m2", 6, _pair("A1", "B1"),
+        nilpotent=("A1", ("N1", "N2"), True), degrees=_RAISED,
+        derived=(("P1", sum_stacks, "A1", "N1"), ("Q1", sum_stacks, "B1", "N2"),
+                 ("P2", sum_stacks, "A2", "N1"), ("Q2", sum_stacks, "B2", "N2")),
+        stages=(_commutator_stage, _nilpotent_stage, _hypothesis_stage, _derived_stage, _cor05_stage),
+    ),
+    "cor050": Theorem(
+        "cor050", "T N X m1 m2", 2, _adjoint_pair("T"),
+        nilpotent=("T", ("N",), True),
+        derived=(("P", sum_stacks, "T*", "N"), ("Q", sum_stacks, "T", "N")),
+        degrees=(("t1", "m1+order_N+order_N-2"), ("t2", "m2+order_N+order_N-2")),
+        conclusions=(_Conclusion(_Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"), (), (("order", "order_N"),)),),
+    ),
+    "thm06": Theorem(
+        "thm06", "A B S T X m n r s", 4, _pair(),
+        derived=(("P", product_stacks, "S", "A"), ("Q", product_stacks, "T", "B")),
+        degrees=(("t1", "m+r-1"), ("t2", "n+s-1")),
+        conclusions=(_Conclusion(
+            _Vanishes("product_defect", "P", "Q", "X", "t1", "t2"), (("below_t1", "t1-1", "t2"),), (("t1", "t1"), ("t2", "t2")),
+        ),),
+    ),
+    "cor06": Theorem(
+        "cor06", "A B S T X m n kind", 4, _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        conclusions=_product(("below", "degree-1", "degree-1")), stages=_PRODUCT_STAGES,
+    ),
+    "cor061": Theorem(
+        "cor061", "S T X m n", 2, lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
+        derived=(("P", product_stacks, "S*", "T*"), ("ST", product_stacks, "S", "T"), ("Q", np.conjugate, "ST")),
+        degrees=(("degree", "m+n-1"),), stages=(_commutator_stage, _derived_stage, _cor061_stage),
+    ),
+    "cor062": Theorem(
+        "cor062", "A B S T X m n kind", 4, _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        conclusions=_product(), stages=(_single_operator_stage, *_PRODUCT_STAGES),
+    ),
+    "thm07": Theorem(
+        "thm07", "A B S T m n r s variant kind", 4,
+        lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim)), by="variant",
+        derived=(("A(x)S", tensor_stacks, "A", "S"), ("B(x)T", tensor_stacks, "B", "T")),
+        degrees=(("degree", "m+n-1"), ("t1", "m+r-1"), ("t2", "n+s-1")),
+        conclusions=(
+            _Conclusion(_Vanishes("tensor_defect", "A(x)S", "B(x)T", "I", "degree", "degree", kind="iso",
+                                  when=("variant", "i")), (), (("degree", "degree"),)),
+            _Conclusion(_Vanishes("tensor_defect", "A(x)S", "B(x)T", "I", "t1", "t2", when=("variant", "ii")), (),
+                        (("t1", "t1"), ("t2", "t2"))),
+        ),
+        stages=(_derived_stage, _variant_stage, _hypothesis_stage, _sharp_conclusions),
+    ),
+}
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+# ---------------------------------------------------------------------------
+# the single-instance checks: each its entry's batch of one
+
+
+def check_pro01(
+    bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
+
+    Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
+    defect norm at degrees < m) plus the tolerance floor.  The collapse
+    assertion (degree m-1 defect vanishes outright) is additionally applied
+    when the sigma superoperator is invertible and unitary-like -- normal with
+    no eigenvalue inside the unit circle -- which is the regime where its
+    inverse iterates stay bounded.
+    """
+    return THEOREMS["pro01"].check(bundle, tol, t_max)
+
+
+def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
+    """Norm-limits of defect-annihilated families keep the combined identity.
+
+    The first family member must satisfy its declared identity (hypothesis);
+    the member sequence must converge in norm to the declared limit.  A limit
+    that decisively fails while the first member passed is a counterexample
+    (a drifting family), not a skip.  Every member's test and the limit's
+    are evaluated together, so their scales come from one LAPACK call.
+    """
+    return THEOREMS["pro02"].check(bundle, tol, 0)
+
+
+def check_pro03(
+    bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
+
+    Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
+    is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
+    Part (b): the symmetric analogue, reducing to the last pair's delta defect.
+    The scales of every one-component pair and of the full pair come from one
+    LAPACK call: part (a)'s right-hand threshold reads the last components'
+    norms, which the full pair's zero test has filled.
+    """
+    params = {**bundle.params, "m": int(bundle.params["m"]) if m is None else m}
+    return THEOREMS["pro03"].check(replace(bundle, params=params), tol, 0)
+
+
+def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
+    """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
+    return THEOREMS["pro04"].check(_bundle(A=A_hilbert), tol, 0)
+
+
+def check_pro5(
+    A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
+) -> TrialResult:
+    """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
+    return THEOREMS["pro5"].check(_bundle(A=A_hilbert, m_even=m_even), tol, 0)
+
+
+def check_thm05(
+    A: OperatorTuple,
+    B: OperatorTuple,
+    N1: OperatorTuple,
+    N2: OperatorTuple,
+    X,
+    m1: int,
+    m2: int,
+    tol: mc.Tolerance = mc.DEFAULT_TOL,
+) -> TrialResult:
+    """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
+    return THEOREMS["thm05"].check(_bundle(A=A, B=B, N1=N1, N2=N2, X=X, m1=m1, m2=m2), tol, 0)
 
 
 def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """The three perturbation implications for two base pairs sharing the nilpotents."""
-    return _cor05_program([bundle], tol, 0)[0]
-
-
-def _cor050_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_cor050`` of each bundle ``(T, N, X, m1, m2)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "T N X m1 m2", 2)
-    for cls in classes:
-        cls["T*"] = np.conjugate(cls["T"].swapaxes(-1, -2), order="C")
-    cross = "[T, N] != 0 or [T*, N] != 0"
-    classes = _commutator_stage(
-        classes, results, (("T does not commute", "T", None), (cross, "T", "N"), (cross, "T*", "N")), ("N",), tol
-    )
-    classes = _nilpotent_stage(classes, results, "T", ("N",), True, tol)
-    classes = _hypothesis_stage(classes, results, lambda cls: [
-        ("base adjoint pair violates the combined identity", cls["T*"], cls["T"], cls["X"], cls["m1"], cls["m2"]),
-    ], tol, norms)
-
-    def derive(cls):
-        cls["P"], cls["Q"] = sum_stacks(cls["T*"], cls["N"]), sum_stacks(cls["T"], cls["N"])
-        raised = 2 * cls["order_N"] - 2
-        cls["t1"], cls["t2"] = _degree_column(cls, "m1") + raised, _degree_column(cls, "m2") + raised
-
-    _derived_stage(classes, results, derive)
-    tests = [(cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"], None, cls.rows) for cls in classes]
-    for cls, (norm, threshold) in zip(classes, defect_stack_checks(tests, tol, norms)):
-        for row, *values, order in zip(cls.rows.tolist(), norm.tolist(), threshold.tolist(),
-                                       cls["order_N"].tolist()):
-            results[row] = _verdict([("perturbed_defect", *values)], {"order": float(order)})
-    return results
+    return THEOREMS["cor05"].check(bundle, tol, 0)
 
 
 def check_cor050(
@@ -875,36 +1111,7 @@ def check_cor050(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
-    return _cor050_program([_bundle(T=T_hilbert, N=N, X=X, m1=m1, m2=m2)], tol, 0)[0]
-
-
-def _thm06_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_thm06`` of each bundle ``(A, B, S, T, X, m, n, r, s)``, stage by stage."""
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "A B S T X m n r s", 4)
-    classes = _commutator_stage(classes, results, (
-        ("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T")
-    ), (), tol)
-    classes = _hypothesis_stage(classes, results, lambda cls: [
-        (f"hypothesis {pair}_{i}{j} fails", cls[pair[0]], cls[pair[1]], cls["X"], cls[i], cls[j])
-        for pair, i, j in (("AB", "m", "n"), ("ST", "r", "s"), ("ST", "r", "n"), ("AB", "m", "s"))
-    ], tol, norms)
-
-    def derive(cls):
-        cls["P"], cls["Q"] = product_stacks(cls["S"], cls["A"]), product_stacks(cls["T"], cls["B"])
-        cls["t1"] = _degree_column(cls, "m") + _degree_column(cls, "r") - 1
-        cls["t2"] = _degree_column(cls, "n") + _degree_column(cls, "s") - 1
-
-    _derived_stage(classes, results, derive)
-    _sharp_conclusions(
-        classes, results, "product_defect",
-        lambda cls: (cls["P"], cls["Q"], cls["X"], cls["t1"], cls["t2"], [(cls["t1"] - 1, cls["t2"])]),
-        ("below_t1",),
-        lambda cls: {"t1": cls["t1"], "t2": cls["t2"]},
-        tol, norms,
-    )
-    return results
+    return THEOREMS["cor050"].check(_bundle(T=T_hilbert, N=N, X=X, m1=m1, m2=m2), tol, 0)
 
 
 def check_thm06(
@@ -924,106 +1131,12 @@ def check_thm06(
     The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     cross-assigned combined defects.
     """
-    return _thm06_program([_bundle(A=A, B=B, S=S, T=T, X=X, m=m, n=n, r=r, s=s)], tol, 0)[0]
-
-
-def _product_program(bundles: list, tol: mc.Tolerance, t_max: int, single: bool) -> list[TrialResult]:
-    """``check_cor06`` (or with ``single``, ``check_cor062``) of each bundle ``(A, B, S, T,
-    X, m, n, kind)``, stage by stage: factor pairs whose defects of one kind vanish at
-    degrees m and n make the product pair's vanish at degree m+n-1."""
-    results: list[TrialResult] = [None] * len(bundles)
-    norms: dict = {}
-    classes = _classes(bundles, "A B S T X m n kind", 4)
-    if single:
-        classes = _skip_rows(classes, results, [
-            None if cls["A"].shape[1] == cls["B"].shape[1] == 1 else
-            (np.ones(len(cls.rows), bool), ["A and B must be single operators"] * len(cls.rows), [None] * len(cls.rows))
-            for cls in classes
-        ])
-        cross = "[A, S] != 0 or [B, T] != 0"
-        pairs = ((cross, "A", "S"), (cross, "B", "T"))
-    else:
-        pairs = (("[A,S] != 0", "A", "S"), ("[B,S] != 0", "B", "S"), ("[B,T] != 0", "B", "T"))
-    classes = _commutator_stage(classes, results, pairs, (), tol)
-
-    def derive(cls):
-        cls["P"], cls["Q"] = product_stacks(cls["A"], cls["S"]), product_stacks(cls["B"], cls["T"])
-
-    _derived_stage(classes, results, derive)
-    reason = "a factor violates its identity" if single else "a factor pair violates its identity"
-    classes = _hypothesis_stage(classes, results, lambda cls: [
-        (reason, cls[P], cls[Q], cls["X"], *_kind_degrees(cls["kind"], _degree_column(cls, k)))
-        for P, Q, k in (("A", "B", "m"), ("S", "T", "n"))
-    ], tol, norms)
-    for cls in classes:
-        cls["degree"] = _degree_column(cls, "m") + _degree_column(cls, "n") - 1
-    _sharp_conclusions(
-        classes, results, "product_defect",
-        lambda cls: (cls["P"], cls["Q"], cls["X"], *_kind_degrees(cls["kind"], cls["degree"]),
-                     [] if single else [_kind_degrees(cls["kind"], cls["degree"] - 1)]),
-        () if single else ("below",),
-        lambda cls: {"degree": cls["degree"]},
-        tol, norms,
-    )
-    return results
-
-
-_cor06_program = functools.partial(_product_program, single=False)
-_cor062_program = functools.partial(_product_program, single=True)
+    return THEOREMS["thm06"].check(_bundle(A=A, B=B, S=S, T=T, X=X, m=m, n=n, r=r, s=s), tol, 0)
 
 
 def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single-kind product implication: both pairs isometric (or both symmetric)."""
-    return _cor06_program([bundle], tol, 0)[0]
-
-
-def _cor061_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_cor061`` of each bundle ``(S, T, X, m, n)``, stage by stage: the hypotheses
-    of both kinds, then the conclusion of each kind whose hypotheses hold, at m+n-1."""
-    results: list[TrialResult] = [None] * len(bundles)
-    classes, norms = _classes(bundles, "S T X m n", 2), {}
-    for cls in classes:
-        for name in "ST":
-            cls[f"{name}*"] = np.conjugate(cls[name].swapaxes(-1, -2), order="C")
-            cls[f"C{name}C"] = np.conjugate(cls[name])
-    classes = _commutator_stage(
-        classes, results, (("[S, T] != 0", "S", "T"), ("[S*, CTC] != 0", "S*", "CTC")), (), tol
-    )
-
-    def derive(cls):
-        cls["P"], cls["Q"] = product_stacks(cls["S*"], cls["T*"]), np.conjugate(product_stacks(cls["S"], cls["T"]))
-        cls["degree"] = [m + n - 1 for m, n in zip(cls["m"], cls["n"])]
-
-    _derived_stage(classes, results, derive)
-    # both kinds' hypotheses, then the conclusion of each kind whose hypotheses hold
-    kinds = ("iso", "sym")
-    names = [f"hyp_{kind}_{side}" for kind in kinds for side in "ST"]
-    judged = iter(defect_stack_checks([
-        (cls[f"{side}*"], cls[f"C{side}C"], cls["X"], *_kind_degrees([kind] * len(cls.rows), cls[degree]),
-         None, cls.rows)
-        for cls in classes for kind in kinds for side, degree in (("S", "m"), ("T", "n"))
-    ], tol, norms))
-    tests = []
-    for cls in classes:
-        # each row's (norm, threshold) of each hypothesis
-        found = list(zip(*[list(zip(*(column.tolist() for column in next(judged)))) for _ in names]))
-        cls["defects"] = [{name: norm for name, (norm, _) in zip(names, row)} for row in found]
-        cls["holds"] = [[all(norm <= threshold for norm, threshold in row[2 * k : 2 * k + 2]) for k in range(2)]
-                        for row in found]
-        for k, kind in enumerate(kinds):
-            own = [r for r, holds in enumerate(cls["holds"]) if holds[k]]
-            degrees = _kind_degrees([kind] * len(own), [cls["degree"][r] for r in own])
-            tests.append((cls["P"], cls["Q"], cls["X"], *degrees, own, cls.rows[own]))
-    judged = iter(defect_stack_checks(tests, tol, norms))
-    for cls in classes:
-        found = [iter(zip(*(column.tolist() for column in next(judged)))) for _ in kinds]
-        for r, row in enumerate(cls.rows.tolist()):
-            checks = [(f"product_defect_{kind}", *next(found[k]))
-                      for k, kind in enumerate(kinds) if cls["holds"][r][k]]
-            results[row] = _verdict(checks, cls["defects"][r]) if checks else _skip(
-                "neither implication has valid hypotheses", **cls["defects"][r]
-            )
-    return results
+    return THEOREMS["cor06"].check(bundle, tol, 0)
 
 
 def check_cor061(
@@ -1035,64 +1148,12 @@ def check_cor061(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
-    return _cor061_program([_bundle(S=S, T=T, X=X, m=m, n=n)], tol, 0)[0]
+    return THEOREMS["cor061"].check(_bundle(S=S, T=T, X=X, m=m, n=n), tol, 0)
 
 
 def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Single operator times tuple: the product inherits degree m+n-1."""
-    return _cor062_program([bundle], tol, 0)[0]
-
-
-def _thm07_program(bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-    """``check_thm07`` of each bundle ``(A, B, S, T, m, n, r, s, variant, kind)``, stage by
-    stage, in classes of one variant: the tensor pairs, the factor pairs' hypotheses
-    at X = I, then the tensor pair's conclusion."""
-    results: list[TrialResult] = [None] * len(bundles)
-    classes, norms = _classes(bundles, "A B S T m n r s variant kind", 4, by="variant"), {}
-    classes = _tensor_stage(classes, results)
-
-    def hypotheses(cls):
-        X_a, X_s, zero = _identities(cls, "A"), _identities(cls, "S"), [0] * len(cls.rows)
-        if cls["variant"][0] == "i":
-            # factor pairs whose defects of one kind vanish at degrees m and n make the
-            # tensor pair's vanish at degree m+n-1
-            reason = "a factor pair violates its identity"
-            return [(reason, cls["A"], cls["B"], X_a, *_kind_degrees(cls["kind"], cls["m"])),
-                    (reason, cls["S"], cls["T"], X_s, *_kind_degrees(cls["kind"], cls["n"]))]
-        return [("first pair violates the combined identity", cls["A"], cls["B"], X_a, cls["m"], cls["n"]),
-                ("second pair violates its identities", cls["S"], cls["T"], X_s, cls["r"], zero),
-                ("second pair violates its identities", cls["S"], cls["T"], X_s, zero, cls["s"])]
-
-    classes = _hypothesis_stage(classes, results, hypotheses, tol, norms)
-    for cls in classes:
-        if cls["variant"][0] == "i":
-            cls["degree"] = np.array([m + n - 1 for m, n in zip(cls["m"], cls["n"])])
-            cls["t1"], cls["t2"] = _kind_degrees(cls["kind"], cls["degree"])
-        else:
-            cls["t1"] = np.array([m + r - 1 for m, r in zip(cls["m"], cls["r"])])
-            cls["t2"] = np.array([n + s - 1 for n, s in zip(cls["n"], cls["s"])])
-    _sharp_conclusions(
-        classes, results, "tensor_defect",
-        lambda cls: (cls["A(x)S"], cls["B(x)T"], _identities(cls, "A(x)S"), cls["t1"], cls["t2"], []), (),
-        lambda cls: {"degree": cls["degree"]} if cls["variant"][0] == "i" else {"t1": cls["t1"], "t2": cls["t2"]},
-        tol, norms,
-    )
-    return results
-
-
-@_in_trial_order
-def _tensor_stage(classes: list, results: list) -> list:
-    """Give each class its tensor pair (A (x) S, B (x) T) as columns, and refuse a variant
-    other than i, or variant ii without r and s."""
-    for cls in classes:
-        cls["A(x)S"], cls["B(x)T"] = tensor_stacks(cls["A"], cls["S"]), tensor_stacks(cls["B"], cls["T"])
-        variant = cls["variant"][0]
-        if variant != "i":
-            if variant != "ii":
-                raise InvalidArgumentError(f"variant must be 'i' or 'ii', got {variant!r}")
-            if any(value is None for value in (*cls["r"], *cls["s"])):
-                raise InvalidArgumentError("variant ii needs r and s")
-    return classes
+    return THEOREMS["cor062"].check(bundle, tol, 0)
 
 
 def check_thm07(
@@ -1110,7 +1171,7 @@ def check_thm07(
 ) -> TrialResult:
     """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
     bundle = _bundle(A=A, B=B, S=S, T=T, m=m, n=n, r=r, s=s, variant=variant, kind=kind)
-    return _thm07_program([bundle], tol, 0)[0]
+    return THEOREMS["thm07"].check(bundle, tol, 0)
 
 
 #: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,
@@ -1184,56 +1245,6 @@ def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# the theorem registry
-
-
-@dataclass(frozen=True)
-class Theorem:
-    """One campaign id: the generator profile of its instances, ``program(bundles, tol,
-    t_max)``, the column program that gives each instance of a batch its result, and
-    ``pair(bundle)``, the (A, B, X) whose defect profile a counterexample record carries."""
-
-    profile: str
-    program: Callable[[list, mc.Tolerance, int], list[TrialResult]]
-    pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
-
-    def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
-        """The result of one instance: the program's batch of one."""
-        return self.program([bundle], tol, t_max)[0]
-
-
-def _pair(A: str = "A", B: str = "B"):
-    return lambda bundle: (bundle.tuples[A], bundle.tuples[B], bundle.matrices["X"])
-
-
-def _adjoint_pair(key: str):
-    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), bundle.tuples[key], bundle.matrices["X"])
-
-
-#: The registry, one entry per theorem id, in campaign order.
-THEOREMS = {
-    "pro01": Theorem("pro01", _pro01_program, _pair()),
-    "pro02": Theorem("pro02-family", _pro02_program, _pair("A0", "B0")),
-    "pro03": Theorem("pro03", _pro03_program, _pair()),
-    "pro04": Theorem("pro04", _pro04_program, _adjoint_pair("A")),
-    "pro5": Theorem("pro5", _pro5_program, _adjoint_pair("A")),
-    "thm05": Theorem("thm05", _thm05_program, _pair()),
-    "cor05": Theorem("cor05", _cor05_program, _pair("A1", "B1")),
-    "cor050": Theorem("cor050", _cor050_program, _adjoint_pair("T")),
-    "thm06": Theorem("thm06", _thm06_program, _pair()),
-    "cor06": Theorem("cor06", _cor06_program, _pair()),
-    "cor061": Theorem(
-        "cor061", _cor061_program,
-        lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
-    ),
-    "cor062": Theorem("cor062", _cor062_program, _pair()),
-    "thm07": Theorem(
-        "thm07", _thm07_program, lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim))
-    ),
-}
-
-THEOREM_IDS = tuple(THEOREMS)
 CAMPAIGN_IDS = THEOREM_IDS + ("ex00-golden",)
 
 

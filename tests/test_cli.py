@@ -444,6 +444,25 @@ def test_matrix_entry_that_is_not_a_pair_exits_2(tmp_path, capsys, entry):
     _single_error_line(capsys, "malformed matrix literal")
 
 
+#: A matrix literal whose first entry is [true, false], which complex() reads as 1 + 0j.
+_BOOLEAN = [[[True, False], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("command", ["check", "min-degree"])
+def test_matrix_literal_with_a_boolean_part_exits_2(tmp_path, capsys, command):
+    files = _write_inputs(tmp_path, np.eye(2), np.eye(2), np.eye(2))
+    (tmp_path / "a.json").write_text(json.dumps({"dim": 2, "d": 1, "components": [_BOOLEAN]}))
+    assert main([command, *files]) == 2
+    _single_error_line(capsys, "malformed matrix literal: an entry part is a boolean")
+
+
+def test_golden_matrix_with_a_boolean_part_exits_2(tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"S_A0_S": _BOOLEAN}))
+    assert main(["repro-paper", "--golden", str(golden)]) == 2
+    _single_error_line(capsys, "malformed matrix literal: an entry part is a boolean")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_check_refuses_bad_tolerance(jordan_files, capsys, value):
     argv = ["check", "--tuple-a", jordan_files["tuple_a"], "--tuple-b", jordan_files["tuple_b"],

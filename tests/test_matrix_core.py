@@ -134,6 +134,8 @@ def test_matrix_json_rejects_garbage():
         [[[None, 0]]],
         [[["1", "0"]]],
         [[[10**400, 0]]],
+        [[[True, False]]],  # complex() would read it as 1 + 0j
+        [[[0.5, True]]],
         [[1, 0]],
         5,
     ],
@@ -146,7 +148,7 @@ def test_matrix_json_refuses_malformed_literals(literal):
 def test_matrix_json_parses_valid_literals_to_the_same_bits():
     literal = [
         [[1, 0], [-0.0, 2.5], [1e-300, -3]],
-        [[0.1, 0.2], [True, False], [-7, 1e300]],
+        [[0.1, 0.2], [1, 0], [-7, 1e300]],
         [[2**60 + 1, 0], [0.0, -0.0], [math.pi, -math.e]],
     ]
     expected = np.array([[complex(e[0], e[1]) for e in row] for row in literal])

@@ -498,7 +498,8 @@ def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
         classes = verify._classes(bundles, "A B X m", 2)
         for cls in classes:
             cls["m"] = [int(m) for m in cls["m"]]
-        return verify._cesaro_stage(classes, [None] * len(bundles), 200)
+        run = verify._Run(bundles, [None] * len(bundles), mc.DEFAULT_TOL, 200)
+        return verify._cesaro_stage(verify.THEOREMS["pro01"], classes, run)
 
     with pytest.raises(mc.InvalidArgumentError) as alone:
         cesaro_stage([bad])

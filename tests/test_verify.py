@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ from isotuple import verify
 from isotuple.errors import InvalidArgumentError
 from isotuple.generators import (
     InstanceBundle,
+    _Commutes,
+    _Vanishes,
     jordan_block,
     random_instance,
     upper_shift,
@@ -819,3 +822,85 @@ def test_campaigns_check_commutators_through_one_kernel_call_per_round(monkeypat
         # one chunk: every trial's commutators in one call of the stack kernel, none
         # through the single-pair predicates
         assert len(stack_calls) == 1 and stack_calls[0] >= 40
+
+
+#: The bundle seeds of ``tests/data/output_identity.json``, which set every variant bit.
+REGISTRY_SEEDS = (0, 7, 29)
+
+
+def _names_read(entry, applies) -> set:
+    """Every name an entry reads: in its rows, nilpotent tuples, derived columns and the
+    conclusions that ``applies`` admits, each degree expression by its terms."""
+    degrees, names = dict(entry.degrees), set(entry.by.split())
+
+    def degree(spec):
+        for term in re.split("[+-]", spec) if isinstance(spec, str) else ():
+            if not term.isdigit() and term not in names:
+                names.add(term)
+                degree(degrees.get(term))
+
+    def row(found):
+        if isinstance(found, _Commutes):
+            names.update({found.S, found.T} - {None})
+        elif applies(found):
+            names.update({found.P, found.Q, found.X} - {"I"} | ({"kind"} if found.kind else set()))
+            degree(found.m), degree(found.n)
+
+    for found in entry.rows:
+        row(found)
+    for test, sharp, extra in entry.conclusions:
+        if applies(test):
+            row(test)
+            for _, *specs in (*sharp, *extra):
+                for spec in specs:
+                    degree(spec)
+    for _, _, *args in entry.derived:
+        names.update(args)
+    if entry.nilpotent:
+        names.update({entry.nilpotent[0], *entry.nilpotent[1]})
+    return names
+
+
+@pytest.mark.parametrize("seed", REGISTRY_SEEDS)
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_the_registry_reads_only_what_its_profile_builds(theorem_id, seed):
+    entry = verify.THEOREMS[theorem_id]
+    bundle = random_instance(entry.profile, seed)
+    built = {**bundle.params, **bundle.matrices, **bundle.tuples}
+
+    def applies(row):
+        return not row.when or built.get(row.when[0]) == row.when[1]
+
+    formed = {name for name, *_ in entry.derived} | set(dict(entry.degrees))
+    formed |= {f"order_{name}" for name in (entry.nilpotent or ("", ()))[1]}
+
+    def resolves(name: str) -> bool:
+        if name.endswith("*"):  # an adjoint
+            return resolves(name[:-1])
+        if len(name) > 2 and name[0] == name[-1] == "C":  # a conjugate
+            return resolves(name[1:-1])
+        return name in formed or name in built
+
+    unknown = sorted(name for name in _names_read(entry, applies) if not resolves(name))
+    # a name the program reads by name and the bundle lacks is one only another variant's rows read
+    unknown += sorted(set(entry.reads.split()) - set(built) - _names_read(entry, lambda row: True))
+    assert not unknown, f"{theorem_id} reads {unknown}, which seed {seed} of {entry.profile} does not build"
+    named = []
+    for found in entry.rows:
+        if found.residual is None or isinstance(found, _Vanishes) and not applies(found):
+            continue
+        m, n = (built[k] if isinstance(k, str) else k for k in (found.m, found.n)) if isinstance(found, _Vanishes) else (0, 0)
+        if isinstance(found, _Vanishes) and found.kind:
+            m, n = (m, 0) if built["kind"] == found.kind else (0, n)
+        named.append(found.residual.format(m=m, n=n))
+    assert named == list(bundle.residuals), f"{theorem_id}'s residual rows do not name seed {seed}'s residuals"
+
+
+@pytest.mark.parametrize("theorem_id,name", [("cor05", "m1"), ("cor06", "m"), ("cor062", "n")])
+def test_a_degree_parameter_that_is_not_an_integer_is_refused(theorem_id, name):
+    # every hypothesis row reads its degrees as given, so 1.5 is refused, not run as 1
+    entry = verify.THEOREMS[theorem_id]
+    bundle = random_instance(entry.profile, 0)
+    bundle = InstanceBundle(bundle.profile, 0, bundle.tuples, bundle.matrices, {**bundle.params, name: 1.5})
+    with pytest.raises(InvalidArgumentError, match="must be a non-negative integer, got 1.5$"):
+        entry.check(bundle, mc.DEFAULT_TOL, 0)
