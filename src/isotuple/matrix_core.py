@@ -234,17 +234,20 @@ def matrix_to_json(a) -> list:
     return [[[z.real, z.imag] for z in row] for row in as_matrix(a).tolist()]
 
 
+def _boolean_part():
+    raise InvalidArgumentError("malformed matrix literal: an entry part is a boolean")
+
+
 def matrix_from_json(data) -> np.ndarray:
     """Parse an array of rows of ``[re, im]`` pairs of numbers; anything else, a boolean
     part included, is a malformed literal."""
     try:
-        # unpacking refuses an entry that is not exactly a pair
-        rows = [[complex(re, im) for re, im in row] for row in data]
+        # unpacking refuses an entry that is not exactly a pair, and complex() would read a
+        # JSON true or false as 1 or 0 (the test is on both parts, one chained comparison)
+        rows = [[complex(re, im) if type(re) is not bool is not type(im) else _boolean_part() for re, im in row]
+                for row in data]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed matrix literal: {exc}") from exc
-    # complex() reads a JSON true or false as 1 or 0
-    if bool in {type(part) for row in data for pair in row for part in pair}:
-        raise InvalidArgumentError("malformed matrix literal: an entry part is a boolean")
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise InvalidArgumentError(
