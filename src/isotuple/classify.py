@@ -58,7 +58,7 @@ def defect_profile(
     for every t >= k); degrees violating this are reported as tolerance
     anomalies.
     """
-    if not isinstance(k_max, int) or k_max < 1:
+    if type(k_max) is not int or k_max < 1:  # a bool is an int, but not a degree
         raise InvalidArgumentError(f"k_max must be a positive integer, got {k_max!r}")
     X = mc.as_matrix(X, name="X")
     degrees = range(k_max + 1)

@@ -23,8 +23,9 @@ every sigma iterate, delta term and binomial sum from stacks of sources, with
 the bits of each test alone; zero tests on one source share one run up to
 their largest degree.  One kernel judges zero tests: ``defect_stack_checks``
 takes them over ``(b, d, n, n)`` stacks with per-item degrees, groups them by
-stack object and row (``_stack_items``), and turns the spectral norms it
-keeps by stack into thresholds (``_thresholds``).  Only this module knows
+stack object and row (``_stack_items``), turns the spectral norms it keeps
+by stack into thresholds (``_thresholds``), and raises the first fault by
+test and then by item; it knows nothing of trials.  Only this module knows
 that norm table's layout: ``_fill_stack_norms`` fills the parts it lacks in
 one call, ``_growth_factors`` reads every factor from it and
 ``_component_norms`` the component norms of one stack.  ``defect_checks``
@@ -92,7 +93,7 @@ def _require_finite(Y: np.ndarray) -> np.ndarray:
 
 
 def _require_degree(name: str, k) -> int:
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:  # a bool is an int, but not a degree
         raise InvalidArgumentError(f"{name} must be a non-negative integer, got {k!r}")
     return k
 
@@ -368,22 +369,23 @@ def defect_stack_checks(
     A and B (b, d, n, n) stacks of b pairs, X the (b, n, n) stack of their X, and ms and
     ns the degrees of its items, an int array or a sequence each.  Item i is
     ``defect_check(A[i], B[i], X[i], ms[i], ns[i], tol)``, bit for bit.  A test ``(A, B,
-    X, ms, ns, rows, keys)`` names the row ``rows[i]`` that item i reads instead (rows
-    may repeat), and ``keys[i]``, the item's place in the caller's order, such as its
-    trial's position in a chunk; None stands for ``i`` in either.
+    X, ms, ns, rows)`` names the row ``rows[i]`` that item i reads instead (rows may
+    repeat); None stands for ``i``.
 
     The engine runs once per group of one kind, tuple length and dimension;
     the items on one row of the same (A, B, X) stack objects share its runs.
-    Faults are raised in the caller's order, by key and then by test, one
-    phase at a time: a test of ill-matched shapes or a degree that is not a
-    non-negative integer, as it is read; then a non-finite value, which runs
-    each item alone; then the first overflowing threshold.  ``norms`` keeps,
+    Faults are raised by test and then by item, one phase at a time: a test
+    of ill-matched shapes or a degree that is not a non-negative integer, as
+    it is read; then a non-finite value, which runs each item alone; then the
+    first overflowing threshold.  The kernel knows nothing of trials: a
+    caller with several in one call orders their refusals itself
+    (``verify.Theorem.program``).  ``norms`` keeps,
     by stack, the spectral norms the thresholds read, ``id(stack) -> (stack,
     (b, d) component norms, (b,) sum norms)``, NaN (or None) where not held;
     the parts read and not held come from one ``stack_spectral_norms`` call
     (``_fill_stack_norms``, or ``_fill(norms, tests)`` when given).
     """
-    tests = _checked_stack_tests(tests)
+    tests = [_checked_stack_test(*test) for test in tests]
     if not tests:
         return []
     values = _stack_items(tests, mc.fro_norm_array)
@@ -401,24 +403,10 @@ def stack_defects(A, B, X, ms, ns) -> np.ndarray:
     return defects
 
 
-def _checked_stack_tests(tests) -> list:
-    """The checked form of each stack test; when one is refused, the first fault of any
-    item by key and then by test, each test's shapes read before each item's m and n."""
-    checked = []
-    for test in tests:
-        try:
-            checked.append(_checked_stack_test(*test))
-        except InvalidArgumentError:
-            faults = dict(_read_fault(t, *test) for t, test in enumerate(tests))
-            faults.pop(None, None)
-            raise faults[min(faults)] from None
-    return checked
-
-
-def _checked_stack_test(A, B, X, ms, ns, rows=None, keys=None) -> tuple:
-    """A stack test with C-contiguous stacks, lists of int degrees and keys, and an index
-    array of rows, refused when its shapes do not match or a degree is not a
-    non-negative integer."""
+def _checked_stack_test(A, B, X, ms, ns, rows=None) -> tuple:
+    """A stack test with C-contiguous stacks, lists of int degrees and an index array of
+    rows, refused when its shapes do not match, then at its first m and then its first
+    n that is not a non-negative integer."""
     X = np.ascontiguousarray(X, dtype=np.complex128)
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] == 0:
         raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape[1:]}")
@@ -431,25 +419,7 @@ def _checked_stack_test(A, B, X, ms, ns, rows=None, keys=None) -> tuple:
     return (
         np.ascontiguousarray(A), np.ascontiguousarray(B), X, _degrees("m", ms), _degrees("n", ns),
         None if rows is None else np.asarray(rows, dtype=np.intp),
-        None if keys is None else _listed(keys),
     )
-
-
-def _read_fault(t: int, A, B, X, ms, ns, rows=None, keys=None) -> tuple:
-    """((key, t), error) of the first item of stack test t that is refused as it is read,
-    in the order of its keys, or (None, None) when none is."""
-    keys = list(range(len(ms))) if keys is None else _listed(keys)
-    try:
-        _checked_stack_test(A, B, X, [], [])
-    except InvalidArgumentError as exc:
-        return (min(keys, default=0), t), exc
-    ms, ns = _listed(ms), _listed(ns)
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        try:
-            _require_degree("m", ms[i]), _require_degree("n", ns[i])
-        except InvalidArgumentError as exc:
-            return (keys[i], t), exc
-    return None, None
 
 
 def _degrees(name: str, ks) -> list[int]:
@@ -466,11 +436,6 @@ def _degrees(name: str, ks) -> list[int]:
 def _listed(column) -> list:
     """A column of a stack test, an array or a sequence, as a list."""
     return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
-def _keys(test: tuple):
-    """The keys of a checked stack test's items: its items' positions when it names none."""
-    return range(len(test[3])) if test[6] is None else test[6]
 
 
 def _kinds(ms: list, ns: list) -> dict:
@@ -497,10 +462,10 @@ def _at(part: np.ndarray, rows):
 def _stack_items(tests: list, reduce) -> list[np.ndarray]:
     """``reduce`` of the (items, n, n) stack of the defects of each checked stack test's
     items, from one ``_stacked_defects`` call per group of one kind, tuple length and
-    dimension.  When a value is non-finite, each item runs alone, by key and then by
-    test, which refuses what that item refuses alone."""
+    dimension.  When a value is non-finite, each item runs alone, by test and then by
+    item, which refuses what that item refuses alone."""
     groups: dict[tuple, list] = {}
-    for t, (A, _, _, ms, ns, _, _) in enumerate(tests):
+    for t, (A, _, _, ms, ns, _) in enumerate(tests):
         if ms:
             for kind, items in _kinds(ms, ns).items():
                 groups.setdefault((*A.shape[1:3], kind), []).append((t, items))
@@ -524,11 +489,11 @@ def _stack_items(tests: list, reduce) -> list[np.ndarray]:
                     out[t][items] = found[start : start + size]
                 start += size
     if not alone and not all(np.isfinite(values).all() for values in out):
-        for _, t, i in sorted((key, t, i) for t, test in enumerate(tests) for i, key in enumerate(_keys(test))):
-            A, B, X, ms, ns, rows, _ = tests[t]
-            r = i if rows is None else int(rows[i])
-            one = (A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[i : i + 1], ns[i : i + 1], None, None)
-            out[t][i] = _stack_items([one], reduce)[0][0]
+        for values, (A, B, X, ms, ns, rows) in zip(out, tests):
+            for i in range(len(ms)):
+                r = i if rows is None else int(rows[i])
+                one = (A[r : r + 1], B[r : r + 1], X[r : r + 1], ms[i : i + 1], ns[i : i + 1], None)
+                values[i] = _stack_items([one], reduce)[0][0]
     return out
 
 
@@ -539,7 +504,7 @@ def _stack_sources(tests: list, members: list) -> tuple:
     triples: dict[tuple, list] = {}
     reads = []  # the stack rows each member's items read: None for every row, in order
     for t, items in members:
-        A, B, X, _, _, rows, _ = tests[t]
+        A, B, X, _, _, rows = tests[t]
         reads.append(items if rows is None else _at(rows, items))
         triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(reads[-1])
     if len(triples) == len(members) and all(tests[t][5] is None for t, _ in members):
@@ -583,7 +548,7 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
     on it and its sum norm by one of n > 0; the parts read and not held come from
     one ``stack_spectral_norms`` call."""
     wanted: dict[int, list] = {}
-    for A, B, _, ms, ns, rows, _ in tests:
+    for A, B, _, ms, ns, rows in tests:
         iso, sym = _read_rows(len(A), ms, rows), _read_rows(len(A), ns, rows)
         for T in (A, B):
             need = wanted.get(id(T))
@@ -628,20 +593,16 @@ def _read(flags: list):
 
 def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]:
     """The threshold array of each checked stack test's items, from ||X||_F and the
-    spectral norms kept in ``norms``; the first overflowing scale, by key and then by
-    test, is refused.  The factor sums are array expressions, with each row's
+    spectral norms kept in ``norms``; the first overflowing scale, by test and then by
+    item, is refused.  The factor sums are array expressions, with each row's
     sum_i ||A_i|| ||B_i|| added in index order, and each growth is ``_scales``'."""
-    out, faults = [], {}
-    for t, (A, B, X, ms, ns, rows, _) in enumerate(tests):
+    out = []
+    for A, B, X, ms, ns, rows in tests:
         iso, sym = _growth_factors(norms, (A, B), (A, B), ms, ns, rows)
-        x_norms = _at(mc.fro_norm_array(X), rows).tolist()
-        scales, found = _scales(x_norms, iso, sym, ms, ns)
-        keys = _keys(tests[t])
-        for i, fault in found.items():  # the first of a test's items that share a key
-            faults.setdefault((keys[i], t), fault)
+        scales, faults = _scales(_at(mc.fro_norm_array(X), rows).tolist(), iso, sym, ms, ns)
+        if faults:
+            raise faults[min(faults)]
         out.append(tol.threshold(np.array(scales)))
-    if faults:
-        raise faults[min(faults)]
     return out
 
 
@@ -807,9 +768,9 @@ def cesaro_estimate(
 
 
 def _require_cesaro_degrees(m, t_max) -> None:
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:  # a bool is an int, but not a degree
         raise InvalidArgumentError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(t_max, int) or t_max < m:
+    if type(t_max) is not int or t_max < m:
         raise InvalidArgumentError(f"t_max must be an integer >= m, got {t_max!r}")
 
 

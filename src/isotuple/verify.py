@@ -30,14 +30,13 @@ cor05's combined defect, cor061's two kinds, cor062's single-operator skip
 and thm07's variant refusal.
 
 Every kernel gives each item the bits it gets alone, so a trial's result
-does not depend on the trials beside it.  With several refused trials in a
-chunk, the first refusing stage raises what its earliest refusing trial
-raises: zero tests are keyed by trial position, row-by-row work runs in
-trial order, and any other refused stage runs again one trial at a time
-(``_in_trial_order``).  The bespoke thresholds (pro01's collapse test,
-pro02's limit, pro03's right-hand side and cor05's combined scale) read the
-spectral norms that their zero tests asked for, from the zero-test kernel's
-norm table.
+does not depend on the trials beside it, and neither does a refusal: when
+a stage refuses a batch of several trials, ``Theorem.program`` runs each
+trial alone, in order, and raises what the first refusing trial raises
+alone, so a chunk refuses as its trials checked one at a time would.  The
+bespoke thresholds (pro01's collapse test, pro02's limit, pro03's right-hand
+side and cor05's combined scale) read the spectral norms that their zero
+tests asked for, from the zero-test kernel's norm table.
 
 Campaign reports are deterministic functions of (theorem_id, seeds,
 tolerance); wall-clock data lives in the ``timestamp`` envelope of the JSON
@@ -284,11 +283,6 @@ def _applies(row: _Vanishes, cls: _Columns) -> bool:
     return not row.when or cls[row.when[0]][0] == row.when[1]
 
 
-def _degree_column(cls: _Columns, name: str) -> np.ndarray:
-    """A parameter column of int degrees as an int array."""
-    return np.array(cls[name], dtype=np.int64)
-
-
 def _skip_rows(classes: list, results: list, skipped: list) -> list[_Columns]:
     """Record each class's skips ``(mask, reasons, residuals)``: the rows of ``mask``
     skip with the reason and residual at their position, or None to keep the class
@@ -332,11 +326,6 @@ def _merged(cls: _Columns, names: list) -> np.ndarray:
     return cls[names[0]] if len(names) == 1 else np.concatenate([cls[name] for name in names])
 
 
-def _trial_order(classes: list) -> list[tuple[int, _Columns, int]]:
-    """``(row, class, r)`` of every live trial, r its index in its class, by position."""
-    return sorted(((row, k, r) for k, cls in enumerate(classes) for r, row in enumerate(cls.rows.tolist())))
-
-
 @dataclass
 class _Run:
     """One program call: its batch, each trial's result by position (None until a stage
@@ -349,29 +338,6 @@ class _Run:
     norms: dict = field(default_factory=dict)
 
 
-def _in_trial_order(stage):
-    """A stage ``stage(entry, classes, run)`` that, when some trial refuses it, raises what
-    the first trial by position in the batch that refuses it alone raises.  Only a
-    refused stage runs again, each trial alone, on scratch results."""
-
-    @functools.wraps(stage)
-    def run_stage(entry, classes: list, run: _Run):
-        try:
-            return stage(entry, classes, run)
-        except InvalidArgumentError:
-            trials = _trial_order(classes)
-            for _, k, r in trials if len(trials) > 1 else ():
-                alone = classes[k].keep(np.arange(len(classes[k].rows)) == r)
-                try:
-                    stage(entry, [alone], replace(run, results=[None] * len(run.results), norms={}))
-                except InvalidArgumentError as first:
-                    raise first from None
-            raise
-
-    return run_stage
-
-
-@_in_trial_order
 def _commutator_stage(entry, classes: list, run: _Run) -> list:
     """Skip each row at the first of the entry's commutator rows ``(label, S, T)`` whose
     commutators do not vanish: within S when T is None, else every [S_i, T_j].  With a
@@ -416,7 +382,6 @@ def _commutator_stage(entry, classes: list, run: _Run) -> list:
     return _skip_rows(classes, run.results, skipped)
 
 
-@_in_trial_order
 def _nilpotent_stage(entry, classes: list, run: _Run) -> list:
     """Give each row the nilpotency orders of the entry's nilpotent tuples ``(dim, names,
     strict)`` up to the dimension of tuple ``dim``, as columns ``order_<name>``, from one
@@ -461,8 +426,7 @@ def _label(label: str, ms, ns):
 def _hypothesis_stage(entry, classes: list, run: _Run) -> list:
     """Skip each row at the first of the entry's hypothesis rows that applies to its class
     and whose zero test fails, with its label as the reason and its norm as the residual.
-    Every class's tests go to one ``defect_stack_checks`` call, keyed by the rows'
-    positions in the batch."""
+    Every class's tests go to one ``defect_stack_checks`` call."""
     tests = []
     for cls in classes:
         group = []
@@ -472,7 +436,7 @@ def _hypothesis_stage(entry, classes: list, run: _Run) -> list:
                 group.append((_label(row.label, ms, ns), cls[row.P], cls[row.Q], _x(cls, row), ms, ns))
         tests.append(group)
     judged = iter(defect_stack_checks(
-        [(*test[1:], None, cls.rows) for cls, group in zip(classes, tests) for test in group], run.tol, run.norms
+        [test[1:] for group in tests for test in group], run.tol, run.norms
     ))
     skipped = []
     for group in tests:
@@ -484,7 +448,6 @@ def _hypothesis_stage(entry, classes: list, run: _Run) -> list:
     return _skip_rows(classes, run.results, skipped)
 
 
-@_in_trial_order
 def _derived_stage(entry, classes: list, run: _Run) -> list:
     """Give each class the entry's derived columns ``(name, op, *args)``, in order: ``op``
     of the named columns, a stacked expression over the class's rows."""
@@ -498,16 +461,16 @@ def _sharp_conclusions(entry, classes: list, run: _Run) -> list:
     """Each row's verdict of the zero test of its class's conclusion (the first of the
     entry's that applies), with the norms of its sharpness tests ``(name, m, n)`` on
     the same pair, the first the witness's, and the result's extra entries ``(key,
-    degree)``.  Every class's tests go to one ``defect_stack_checks`` call, keyed by
-    the rows' positions in the batch.  A sharpness test of a negative degree is left out
-    of its row's result, and runs at that degree clipped to 0."""
+    degree)``.  Every class's tests go to one ``defect_stack_checks`` call.  A sharpness
+    test of a negative degree is left out of its row's result, and runs at that degree
+    clipped to 0."""
     tests, picked = [], []
     for cls in classes:
         test, sharp, extra = next(conclusion for conclusion in entry.conclusions if _applies(conclusion.test, cls))
         P, Q, X = cls[test.P], cls[test.Q], _x(cls, test)
         lower = [_row_degrees(cls, test, m, n) for _, m, n in sharp]
-        tests += [(P, Q, X, *_row_degrees(cls, test, test.m, test.n), None, cls.rows)] + [
-            (P, Q, X, np.maximum(m, 0), np.maximum(n, 0), None, cls.rows) for m, n in lower
+        tests += [(P, Q, X, *_row_degrees(cls, test, test.m, test.n))] + [
+            (P, Q, X, np.maximum(m, 0), np.maximum(n, 0)) for m, n in lower
         ]
         included = [(np.minimum(m, n) >= 0).tolist() for m, n in lower]
         picked.append((test.label, [name for name, _, _ in sharp], included, extra))
@@ -546,10 +509,11 @@ def _pro01_stage(entry, classes: list, run: _Run) -> list:
     (hypothesis,) = entry.hypotheses
     tests = []
     for cls in classes:
-        cls["m"] = ms = _degree_column(cls, "m").tolist()
+        # the hypothesis test, checked as the kernel reads it before any range(m)
+        test = tf._checked_stack_test(cls["A"], cls["B"], cls["X"], cls["m"], [0] * len(cls.rows))
+        cls["m"] = ms = test[3]
         own = [r for r, m in enumerate(ms) for _ in range(m)]  # the row of each lower degree
-        tests += [(cls["A"], cls["B"], cls["X"], ms, [0] * len(ms), None, cls.rows),
-                  (cls["A"], cls["B"], cls["X"], [j for m in ms for j in range(m)], [0] * len(own), own, cls.rows[own])]
+        tests += [test, (*test[:3], [j for m in ms for j in range(m)], [0] * len(own), own)]
     judged, live = iter(defect_stack_checks(tests, run.tol, run.norms)), []
     for cls in classes:
         (norm, threshold), lower = next(judged), next(judged)
@@ -560,8 +524,9 @@ def _pro01_stage(entry, classes: list, run: _Run) -> list:
                                              **{hypothesis.residual: norm[r].item()})
         if (cls := cls.keep(~failed)) is not None:
             live.append(cls)
-    for _, k, r in _trial_order(live):  # refused before any run, in trial order
-        tf._require_cesaro_degrees(live[k]["m"][r], run.t_max)
+    for cls in live:  # refused before any run
+        for m in cls["m"]:
+            tf._require_cesaro_degrees(m, run.t_max)
     _cesaro_stage(entry, live, run)
     t_max = run.t_max
     for cls in live:
@@ -593,7 +558,6 @@ def _sigma_spectra(A: np.ndarray, B: np.ndarray) -> tuple[list, list, list]:
     return np.abs(np.linalg.eigvals(S)).min(axis=1).tolist(), normality.tolist(), mc.fro_norm_array(S).tolist()
 
 
-@_in_trial_order
 def _cesaro_stage(entry, classes: list, run: _Run) -> list:
     """Give each class the columns ``sigma^t_max`` and ``reference`` (triangle^(m-1)(X)) of
     its rows' Cesaro runs, from one run of its stacks from X."""
@@ -605,29 +569,30 @@ def _cesaro_stage(entry, classes: list, run: _Run) -> list:
 
 
 def _pro02_stage(entry, classes: list, run: _Run) -> list:
-    """pro02's tests: each trial's convergence residuals, in trial order; the zero tests of
+    """pro02's tests: each trial's convergence residuals over its members; the zero tests of
     every family member at the degrees of its hypothesis row (items of one stack of the
     members of a class's rows) and of the limit; then each trial's verdict."""
     (hypothesis,) = entry.hypotheses
     convergence = []  # each member's largest componentwise distance from the limit
     for bundle in run.bundles:
-        T = bundle.tuples
+        T, members = bundle.tuples, bundle.params["members"]
+        if type(members) is not int or members < 1:
+            raise InvalidArgumentError(f"members must be a positive integer, got {members!r}")
         lim = np.concatenate([T["A_limit"].stack, T["B_limit"].stack])
         conv = [max(mc.fro_norm_array(np.concatenate([T[f"A{j}"].stack, T[f"B{j}"].stack]) - lim).tolist())
-                for j in range(int(bundle.params["members"]))]
+                for j in range(members)]
         if any(conv[i + 1] > conv[i] + run.tol.abs_eps for i in range(len(conv) - 1)):
             raise InvalidArgumentError("family does not converge: residuals are not decreasing")
         convergence.append(conv)
     tests = []
     for cls in classes:
-        m1, m2, counts = (_degree_column(cls, name).tolist() for name in ("m1", "m2", "members"))
-        cls["m1"], cls["m2"], cls["members"] = m1, m2, counts
+        m1, m2, counts = cls["m1"], cls["m2"], cls["members"]
         ms, ns = _row_degrees(cls, hypothesis, hypothesis.m, hypothesis.n)
         own = [r for r, count in enumerate(counts) for _ in range(count)]  # the row of each member
         A, B = (np.stack([run.bundles[row].tuples[f"{side}{j}"].stack
                           for row, count in zip(cls.rows.tolist(), counts) for j in range(count)]) for side in "AB")
-        tests += [(A, B, cls["X"][own], [ms[r] for r in own], [ns[r] for r in own], None, cls.rows[own]),
-                  (cls["A_limit"], cls["B_limit"], cls["X"], m1, m2, None, cls.rows)]
+        tests += [(A, B, cls["X"][own], [ms[r] for r in own], [ns[r] for r in own]),
+                  (cls["A_limit"], cls["B_limit"], cls["X"], m1, m2)]
     judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         members, norm_lim = _by_row(next(judged), cls["members"]), next(judged)[0].tolist()
@@ -661,8 +626,8 @@ def _pro02_stage(entry, classes: list, run: _Run) -> list:
 def _pro03_stage(entry, classes: list, run: _Run) -> list:
     """pro03's reduction at each trial's degree m: the zero tests of the first d-1
     one-component pairs (items on a stack of every component pair of a class's rows), of
-    the full pair and, for part (b), of the last pair, then each trial's verdict in trial
-    order, part (a)'s right-hand side formed row by row."""
+    the full pair and, for part (b), of the last pair, then each trial's verdict, part
+    (a)'s right-hand side formed row by row."""
     classes = _skip_rows(classes, run.results, [
         _every_row(cls, "reduction needs d >= 2") if cls["A"].shape[1] < 2 else None for cls in classes
     ])
@@ -678,10 +643,9 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
         on_sym = [r for r in range(b) if sym[r]]
         tests += [
             (A1, B1, X1, *_kind_degrees([iso[r] for r in own], ones, ones),
-             [r * d + i for r in range(b) for i in range(d - 1)], cls.rows[own]),
-            (cls["A"], cls["B"], cls["X"], *_kind_degrees(iso, cls["m"], cls["m"]), None, cls.rows),
-            (A1, B1, X1, [0] * len(on_sym), [cls["m"][r] for r in on_sym], [r * d + d - 1 for r in on_sym],
-             cls.rows[on_sym]),
+             [r * d + i for r in range(b) for i in range(d - 1)]),
+            (cls["A"], cls["B"], cls["X"], *_kind_degrees(iso, cls["m"], cls["m"])),
+            (A1, B1, X1, [0] * len(on_sym), [cls["m"][r] for r in on_sym], [r * d + d - 1 for r in on_sym]),
         ]
     judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
@@ -690,42 +654,44 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
         cls["lhs"] = list(zip(*(column.tolist() for column in next(judged))))
         rhs = iter(zip(*(column.tolist() for column in next(judged))))  # of the rows of part (b)
         cls["rhs"] = [next(rhs) if flag else None for flag in cls["sym"]]
-    for row, k, r in _trial_order(classes):
-        cls = classes[k]
+    for cls in classes:
         d = cls["A"].shape[1]
-        # each pair counts only once the one before it passed
-        failed = next(((i, norm) for i, (norm, threshold) in enumerate(cls["hypotheses"][r]) if norm > threshold), None)
-        if failed is not None:
-            run.results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
-            continue
-        (lhs_norm, lhs_thr), m, X = cls["lhs"][r], cls["m"][r], cls["X"][r]
-        if cls["sym"][r]:
-            rhs_norm, rhs_thr = cls["rhs"][r]
-        else:
-            # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
-            coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
-            terms = np.array(coeffs)[:, None, None] * (
-                mc.matrix_powers(cls["A"][r, -1], m) @ X @ mc.matrix_powers(cls["B"][r, -1], m)
+        for r, row in enumerate(cls.rows.tolist()):
+            # each pair counts only once the one before it passed
+            failed = next(((i, norm) for i, (norm, threshold) in enumerate(cls["hypotheses"][r])
+                           if norm > threshold), None)
+            if failed is not None:
+                run.results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
+                continue
+            (lhs_norm, lhs_thr), m, X = cls["lhs"][r], cls["m"][r], cls["X"][r]
+            if cls["sym"][r]:
+                rhs_norm, rhs_thr = cls["rhs"][r]
+            else:
+                # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
+                coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
+                terms = np.array(coeffs)[:, None, None] * (
+                    mc.matrix_powers(cls["A"][r, -1], m) @ X @ mc.matrix_powers(cls["B"][r, -1], m)
+                )
+                rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
+                # the last components' norms, which the full pair's zero test asked for
+                a_last, b_last = (tf._component_norms(run.norms, cls[name])[r, -1].item() for name in "AB")
+                rhs_thr = run.tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
+            lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
+            defects = {"lhs_defect": lhs_norm, "rhs_defect": rhs_norm,
+                       "lhs_threshold": lhs_thr, "rhs_threshold": rhs_thr}
+            # the equivalence claims neither side is zero, so only a side that passed is a conclusion
+            sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
+            conclusion = max([norm for norm, passed in sides if passed], default=0.0)
+            if lhs_pass == rhs_pass:
+                run.results[row] = TrialResult(status="pass", defects=defects, conclusion=conclusion)
+                continue
+            # disagreement within the gray band of either side is an anomaly
+            gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr)
+            run.results[row] = TrialResult(
+                status="anomaly" if gray else "counterexample",
+                reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
+                defects=defects, conclusion=conclusion,
             )
-            rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
-            # the last components' norms, which the full pair's zero test asked for
-            a_last, b_last = (tf._component_norms(run.norms, cls[name])[r, -1].item() for name in "AB")
-            rhs_thr = run.tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
-        lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
-        defects = {"lhs_defect": lhs_norm, "rhs_defect": rhs_norm, "lhs_threshold": lhs_thr, "rhs_threshold": rhs_thr}
-        # the equivalence claims neither side is zero, so only a side that passed is a conclusion
-        sides = ((lhs_norm, lhs_pass), (rhs_norm, rhs_pass))
-        conclusion = max([norm for norm, passed in sides if passed], default=0.0)
-        if lhs_pass == rhs_pass:
-            run.results[row] = TrialResult(status="pass", defects=defects, conclusion=conclusion)
-            continue
-        # disagreement within the gray band of either side is an anomaly
-        gray = (lhs_thr <= lhs_norm <= ANOMALY_BAND * lhs_thr) or (rhs_thr <= rhs_norm <= ANOMALY_BAND * rhs_thr)
-        run.results[row] = TrialResult(
-            status="anomaly" if gray else "counterexample",
-            reason=f"equivalence broken: lhs_pass={lhs_pass}, rhs_pass={rhs_pass}",
-            defects=defects, conclusion=conclusion,
-        )
     return classes
 
 
@@ -741,8 +707,8 @@ def _selfadjoint_stage(entry, classes: list, run: _Run) -> list:
 
 
 def _even_degree_stage(entry, classes: list, run: _Run) -> list:
-    """pro5's refusal, before any zero test and in trial order, of a degree that is not a
-    positive even integer."""
+    """pro5's refusal, before any zero test, of a degree that is not a positive even
+    integer."""
     for bundle in run.bundles:
         m_even = bundle.params["m_even"]
         if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
@@ -752,13 +718,15 @@ def _even_degree_stage(entry, classes: list, run: _Run) -> list:
 
 def _cor05_stage(entry, classes: list, run: _Run) -> list:
     """cor05's conclusions: the zero tests of triangle^t1 of the first perturbed pair and of
-    delta^t2 of the second, then the combined defect (``_cor05_combined``)."""
+    delta^t2 of the second, then each row's combined defect, delta^t2(X) of the second
+    pair (X itself at degree 0, as ``delta`` gives it) for every row, then its triangle^t1
+    under the first pair, with the scale of both degrees."""
     for cls in classes:
         cls["zero"] = np.zeros_like(cls["t1"])
     judged = iter(defect_stack_checks([
         test for cls in classes for test in (
-            (cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"], None, cls.rows),
-            (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"], None, cls.rows),
+            (cls["P1"], cls["Q1"], cls["X"], cls["t1"], cls["zero"]),
+            (cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"]),
         )
     ], run.tol, run.norms))
     for cls in classes:
@@ -767,15 +735,6 @@ def _cor05_stage(entry, classes: list, run: _Run) -> list:
         cls["iso"], cls["sym"] = tf._growth_factors(
             run.norms, (cls["P1"], cls["Q1"]), (cls["P2"], cls["Q2"]), cls["t1"].tolist(), cls["t2"].tolist()
         )
-    return _cor05_combined(entry, classes, run)
-
-
-@_in_trial_order
-def _cor05_combined(entry, classes: list, run: _Run) -> list:
-    """Each row's cor05 verdict: its two conclusion zero tests, judged already, and the
-    combined defect, delta^t2(X) of the second pair (X itself at degree 0, as ``delta``
-    gives it) for every row, then its triangle^t1 under the first pair, with the scale
-    of both degrees."""
     for cls in classes:
         deltas = tf.stack_defects(cls["P2"], cls["Q2"], cls["X"], cls["zero"], cls["t2"])
         cls["delta^t2"] = np.where((cls["t2"] == 0)[:, None, None], cls["X"], deltas)
@@ -810,7 +769,7 @@ def _cor061_stage(entry, classes: list, run: _Run) -> list:
     residual name."""
     rows, kinds = entry.hypotheses, ("iso", "sym")
     judged = iter(defect_stack_checks([
-        (cls[row.P], cls[row.Q], _x(cls, row), *_row_degrees(cls, row, row.m, row.n), None, cls.rows)
+        (cls[row.P], cls[row.Q], _x(cls, row), *_row_degrees(cls, row, row.m, row.n))
         for cls in classes for row in rows
     ], run.tol, run.norms))
     tests = []
@@ -825,7 +784,7 @@ def _cor061_stage(entry, classes: list, run: _Run) -> list:
             own = [r for r, holds in enumerate(cls["holds"]) if holds[k]]
             degrees = [degree[r] for r in own]
             tests.append((cls["P"], cls["Q"], cls["X"], *_kind_degrees([kind == "iso"] * len(own), degrees, degrees),
-                          own, cls.rows[own]))
+                          own))
     judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         found = [iter(zip(*(column.tolist() for column in next(judged)))) for _ in kinds]
@@ -846,7 +805,6 @@ def _single_operator_stage(entry, classes: list, run: _Run) -> list:
     ])
 
 
-@_in_trial_order
 def _variant_stage(entry, classes: list, run: _Run) -> list:
     """thm07's refusal, after its tensor pair and before any zero test, of a variant other
     than i, or variant ii without r and s."""
@@ -916,11 +874,20 @@ class Theorem:
 
     def program(self, bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
         """The result of each instance of a batch: the entry's stages, in order, on the
-        classes of its instances."""
+        classes of its instances.  A refused batch of several instances raises what its
+        first instance that is refused alone raises, as a batch of one each would."""
         run = _Run(bundles, [None] * len(bundles), tol, t_max)
-        classes = _classes(bundles, self.reads, self.tuples, self.by, dict(self.degrees))
-        for stage in self.stages:
-            classes = stage(self, classes, run)
+        try:
+            classes = _classes(bundles, self.reads, self.tuples, self.by, dict(self.degrees))
+            for stage in self.stages:
+                classes = stage(self, classes, run)
+        except InvalidArgumentError:
+            for bundle in bundles if len(bundles) > 1 else ():
+                try:
+                    self.program([bundle], tol, t_max)
+                except InvalidArgumentError as first:
+                    raise first from None
+            raise
         return run.results
 
     def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
@@ -1067,8 +1034,9 @@ def check_pro03(
     LAPACK call: part (a)'s right-hand threshold reads the last components'
     norms, which the full pair's zero test has filled.
     """
-    params = {**bundle.params, "m": int(bundle.params["m"]) if m is None else m}
-    return THEOREMS["pro03"].check(replace(bundle, params=params), tol, 0)
+    if m is not None:
+        bundle = replace(bundle, params={**bundle.params, "m": m})
+    return THEOREMS["pro03"].check(bundle, tol, 0)
 
 
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
@@ -1387,10 +1355,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds, whose instances are
     generated together and checked by one call of the id's column program,
-    with the bits each trial gives alone.  A budgeted campaign runs chunks of one trial and checks the budget before
-    each, so it stops within one trial of its deadline and its report covers
-    a prefix of the seeds.  The golden check takes no seed, so it runs once,
-    on the first trial, and its result stands for every later one.
+    with the bits each trial gives alone; a refused chunk raises what its first
+    refusing trial raises alone.  A budgeted campaign runs chunks of one trial
+    and checks the budget before each, so it stops within one trial of its
+    deadline and its report covers a prefix of the seeds.  The golden check
+    takes no seed, so it runs once, on the first trial, and its result stands
+    for every later one.
     """
     start = time.monotonic()
     deadline = None if config.budget_s is None else start + config.budget_s

@@ -240,7 +240,7 @@ def _thm05_trials():
     refused = [
         (with_(X=np.eye(3)), "dimension mismatch: A is 4, B is 4, X is 3"),
         (with_(m1=1.5), "m must be a non-negative integer, got 1.5"),
-        # refused by the commutator stage, before either refusal above
+        # refused by the commutator stage, an earlier stage than either refusal above
         (with_(N1=OperatorTuple.of(np.eye(3), np.eye(3))), "dimension mismatch: 4 vs 3"),
     ]
     passing = [tuple(_args(b, "A B N1 N2 X m1 m2")) for b in random_instances("thm05", range(8))]
@@ -262,7 +262,7 @@ def _cor05_trials():
     }
     refused = [
         (_rebundled(base, {"m2": -1}), "n must be a non-negative integer, got -1"),
-        # the nilpotency stage refuses it, before the refusal above
+        # refused by the nilpotency stage, an earlier stage than the refusal above
         (_rebundled(base, N1=NONCOMMUTING), "tuple does not commute"),
     ]
     passing = list(random_instances("cor05", range(8)))
@@ -361,7 +361,7 @@ def _pro01_trials():
     refused = [
         # X = 0 passes its degree-0 test, and the Cesaro stage refuses the degree
         (zero, "m must be a positive integer, got 0"),
-        # refused by the zero tests, before the Cesaro stage
+        # refused by the zero tests, an earlier stage than the Cesaro stage
         (InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples, matrices={"X": np.eye(3)},
                         params=base.params), "dimension mismatch: A is 2, B is 2, X is 3"),
     ]
@@ -435,7 +435,7 @@ def _cor061_trials():
     base = tuple(_args(random_instance("cor061", 0), "S T X m n"))
     refused = [
         (base[:3] + (-1, 1), "m must be a non-negative integer, got -1"),
-        # refused by the commutator stage, before the refusal above
+        # refused by the commutator stage, an earlier stage than the refusal above
         ((base[0], OperatorTuple.of(np.eye(2)), *base[2:]), "dimension mismatch: 3 vs 2"),
     ]
     passing = [tuple(_args(b, "S T X m n")) for b in random_instances("cor061", range(8))]
@@ -497,14 +497,14 @@ def test_a_chunk_of_planted_trials_gives_each_trial_what_it_gives_alone(theorem_
     alone = [check(*args) for args in trials]
     assert [result.status for result in alone].count("skip") == len(skips)
     assert _chunk(theorem_id, trials, tol) == alone
-    # a refusing trial refuses the whole chunk with its own error, and the earliest
-    # stage's refusal comes first
+    # a refusing trial refuses the whole chunk with its own error, and the first
+    # refusing trial's error comes first, whatever stage refuses the later ones
     for k, (args, message) in enumerate(refused):
         with pytest.raises(InvalidArgumentError, match=message):
             check(*args)
         later = [args for args, _ in refused[k:]]
         chunk = trials[:3] + later[:1] + trials[3:] + later[1:]
-        with pytest.raises(InvalidArgumentError, match=refused[-1][1] if len(later) > 1 else message):
+        with pytest.raises(InvalidArgumentError, match=message):
             _chunk(theorem_id, chunk, tol)
 
 

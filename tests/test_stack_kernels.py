@@ -462,10 +462,11 @@ def test_a_group_with_a_planted_item_raises_what_the_item_raises_alone(planted):
 
 
 def test_items_that_share_a_key_raise_the_overflow_of_the_first():
-    # one trial's ragged items, such as pro02's family members, share its key
+    # one trial's ragged items, such as pro02's family members, in one test: the
+    # first item's overflow is raised, not the larger one after it
     eye = np.eye(2, dtype=complex)
     A = np.stack([1e200 * eye[None], 1e250 * eye[None]])
-    test = (A, np.stack([eye[None]] * 2), np.stack([eye] * 2), [2, 2], [0, 0], None, [0, 0])
+    test = (A, np.stack([eye[None]] * 2), np.stack([eye] * 2), [2, 2], [0, 0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(mc.InvalidArgumentError, match=r"^tolerance scale overflows: .* \* 1\.000e\+200\*\*2$"):
             tf.defect_stack_checks([test], mc.DEFAULT_TOL, {})

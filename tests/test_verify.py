@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from isotuple import classify
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
 from isotuple import verify
@@ -896,11 +897,54 @@ def test_the_registry_reads_only_what_its_profile_builds(theorem_id, seed):
     assert named == list(bundle.residuals), f"{theorem_id}'s residual rows do not name seed {seed}'s residuals"
 
 
-@pytest.mark.parametrize("theorem_id,name", [("cor05", "m1"), ("cor06", "m"), ("cor062", "n")])
+@pytest.mark.parametrize("theorem_id,name", [
+    ("cor05", "m1"), ("cor06", "m"), ("cor062", "n"),
+    ("pro01", "m"), ("pro02", "m1"), ("pro02", "members"), ("pro03", "m"),
+])
 def test_a_degree_parameter_that_is_not_an_integer_is_refused(theorem_id, name):
-    # every hypothesis row reads its degrees as given, so 1.5 is refused, not run as 1
-    entry = verify.THEOREMS[theorem_id]
-    bundle = random_instance(entry.profile, 0)
+    # every check reads its degrees, and pro02 its member count, as given, so 1.5 is
+    # refused, not run as 1
+    bundle = random_instance(verify.THEOREMS[theorem_id].profile, 0)
     bundle = InstanceBundle(bundle.profile, 0, bundle.tuples, bundle.matrices, {**bundle.params, name: 1.5})
-    with pytest.raises(InvalidArgumentError, match="must be a non-negative integer, got 1.5$"):
-        entry.check(bundle, mc.DEFAULT_TOL, 0)
+    kind = "positive" if name == "members" else "non-negative"
+    with pytest.raises(InvalidArgumentError, match=f"must be a {kind} integer, got 1.5$"):
+        getattr(verify, f"check_{theorem_id}")(bundle)
+
+
+def test_a_bool_is_not_a_degree():
+    A = B = OperatorTuple.of(np.eye(2))
+    X = np.eye(2)
+    bundle = random_instance("pro01", 1)
+    refusals = [
+        (lambda: tf.triangle(A, B, X, True), "m must be a non-negative integer, got True"),
+        (lambda: tf.delta(A, B, X, True), "n must be a non-negative integer, got True"),
+        (lambda: tf.defect_check(A, B, X, 0, True), "n must be a non-negative integer, got True"),
+        (lambda: tf.cesaro_estimate(A, B, X, True, 10), "m must be a positive integer, got True"),
+        (lambda: tf.cesaro_estimate(A, B, X, 1, True), "t_max must be an integer >= m, got True"),
+        (lambda: classify.defect_profile(A, B, X, k_max=True), "k_max must be a positive integer, got True"),
+        (lambda: check_pro01(InstanceBundle(bundle.profile, 1, bundle.tuples, bundle.matrices,
+                                            {**bundle.params, "m": True})),
+         "m must be a non-negative integer, got True"),
+    ]
+    for refused, message in refusals:
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            refused()
+
+
+def test_a_chunk_refuses_as_its_trials_checked_one_at_a_time(monkeypatch):
+    # the third trial is refused by an earlier stage than the second, yet a campaign
+    # without a budget (one chunk) raises the second's error, as a budgeted one (chunks
+    # of one trial) does
+    base = random_instance("thm05", 2)  # A, B, N1 and N2 of dimension 4
+    planted = [
+        base,
+        InstanceBundle(base.profile, 1, base.tuples, {"X": np.eye(3)}, base.params),
+        InstanceBundle(base.profile, 2, {**base.tuples, "N1": OperatorTuple.of(np.eye(3), np.eye(3))},
+                       base.matrices, base.params),
+    ]
+    monkeypatch.setattr(verify, "random_instances", lambda profile, seeds: [planted[seed] for seed in seeds])
+    with pytest.raises(InvalidArgumentError, match="^dimension mismatch: 4 vs 3$"):
+        verify.THEOREMS["thm05"].check(planted[2], mc.DEFAULT_TOL, 0)
+    for budget in (None, 1e6):
+        with pytest.raises(InvalidArgumentError, match="^dimension mismatch: A is 4, B is 4, X is 3$"):
+            run_campaign(CampaignConfig(theorem_id="thm05", trials=3, budget_s=budget))
