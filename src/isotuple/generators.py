@@ -9,13 +9,14 @@ variant class (the seed bits that change what it stacks or how it draws).
 Every seed draws its random numbers from its own ``default_rng(seed)``, in a
 fixed order; every later step (QR factorizations, rotations, Horner
 polynomial evaluation, Kronecker embeddings) is one stacked expression over
-the batch, made of the products and in-order sums of one seed's, so a bundle
-has the same bits in any batch.  A nilpotent tuple is drawn once and not
-checked: its construction fixes its order (``_nilpotent_tuples``), and only
-the public ``nilpotent_commuting`` validates its draws and draws again.
-``random_instances`` groups a chunk's seeds by class and makes the bundles;
-``random_instance`` is its batch of one.  A builder returns only what it
-built: tuples, matrices and parameters.
+the batch, made of the products and in-order sums of one seed's, so an
+instance has the same bits in any batch.  A nilpotent tuple is drawn once and
+not checked: its construction fixes its order (``_nilpotent_tuples``), and
+only the public ``nilpotent_commuting`` validates its draws and draws again.
+A builder returns only its stacks and each seed's parameters.  ``_chunk``
+groups a chunk's seeds by class and returns each class as its builder's
+stacks, which a campaign's programs read as columns; ``random_instances``
+splits them into bundles, and ``random_instance`` is its batch of one.
 
 Beside each builder stand its profile's hypotheses, as rows of data: each
 commutator (``_Commutes``) and defect (``_Vanishes``) that its instances
@@ -57,6 +58,7 @@ from .errors import GenerationFailureError, InvalidArgumentError
 from .tuples import (
     OperatorTuple,
     adjoint_tuple,
+    checked_stacks,
     conj_tuple,
     max_commutator_cross,
     max_commutator_within,
@@ -521,10 +523,11 @@ class _Vanishes(NamedTuple):
     """A defect hypothesis: the degree-(m, n) defect of the pair (P, Q) at X vanishes.
     Names read an instance's tuples, matrices and parameters, ``T*`` names the adjoint
     and ``CTC`` the conjugate of a tuple T, and the X ``I`` the identities of P's
-    dimension; a degree is an int or a parameter.  With ``kind``, the row tests (m, 0)
-    where the ``kind`` parameter equals it and (0, n) elsewhere; with ``when = (param,
-    value)``, only where that parameter has that value.  ``label`` (the skip reason)
-    and ``residual`` are formatted with the row's degrees ``{m}`` and ``{n}``.
+    dimension; a degree is an int or a parameter.  With ``kind``, a pair of values of
+    the ``kind`` parameter, the row tests (m, 0) where it has the first and (0, n)
+    where it has the second; with ``when = (param, value)``, only where that parameter
+    has that value.  ``label`` (the skip reason) and ``residual`` are formatted with
+    the row's degrees ``{m}`` and ``{n}``.
     ``verify`` writes conclusions as rows too, labelled with their result keys and
     with degree expressions such as ``t1-1``."""
 
@@ -535,7 +538,7 @@ class _Vanishes(NamedTuple):
     m: int | str
     n: int | str
     residual: str | None = None
-    kind: str | None = None
+    kind: tuple | None = None
     when: tuple = ()
 
 
@@ -564,7 +567,7 @@ def _residuals(rows: tuple, found: dict) -> dict[str, float]:
         P, Q = value(row.P), value(row.Q)
         m, n = (found[k] if isinstance(k, str) else k for k in (row.m, row.n))
         if row.kind is not None:
-            m, n = (m, 0) if found["kind"] == row.kind else (0, n)
+            m, n = (m, 0) if found["kind"] == row.kind[0] else (0, n)
         X = mc.identity(P.dim) if row.X == "I" else value(row.X)
         defect = tf.delta(P, Q, X, n) if not m else tf.triangle(P, Q, X, m) if not n else tf.isosym_defect(P, Q, X, m, n)
         out[row.residual.format(m=m, n=n)] = mc.fro_norm(defect)
@@ -573,19 +576,8 @@ def _residuals(rows: tuple, found: dict) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # per-profile builders, each with its hypotheses: a builder takes the
-# generators and seeds of one variant class and returns the per-seed
-# (tuples, matrices, params)
-
-
-def _bundles(tuples: dict, matrices: dict, params: list[dict]) -> list[tuple]:
-    """Each seed's parts: its tuples and matrices are its items of the builder's
-    (b, d, n, n) and (b, n, n) stacks.  Each tuple stack is validated once for the
-    whole class."""
-    tuples = {key: OperatorTuple._of_stacks(stacks) for key, stacks in tuples.items()}
-    return [
-        ({key: items[i] for key, items in tuples.items()}, {key: stack[i] for key, stack in matrices.items()}, p)
-        for i, p in enumerate(params)
-    ]
+# generators and seeds of one variant class and returns its (b, d, n, n)
+# tuple stacks and (b, n, n) matrix stacks by name, and each seed's parameters
 
 
 _PRO01_ROWS = (
@@ -595,7 +587,7 @@ _PRO01_ROWS = (
 )
 
 
-def _build_pro01(rngs: list, seeds: list) -> list:
+def _build_pro01(rngs: list, seeds: list) -> tuple:
     b = len(seeds)
     if seeds[0] % 2 == 0:
         lams = _phases(rngs)
@@ -606,16 +598,16 @@ def _build_pro01(rngs: list, seeds: list) -> list:
         T = _scaled(_weights(rngs, 2), U)
         X, m, variant = _identities(b, 3), 2, "invertible"
     params = [{"m": m, "variant": variant} for _ in seeds]
-    return _bundles({"A": _adjoints(T), "B": T}, {"X": X}, params)
+    return {"A": _adjoints(T), "B": T}, {"X": X}, params
 
 
 _PRO02_ROWS = (
     _Vanishes("first family member violates its identity", "A0", "B0", "X", "m1", "m2", "first_member_defect",
-              kind="triangle"),
+              kind=("triangle", "delta")),
 )
 
 
-def _build_pro02(rngs: list, seeds: list) -> list:
+def _build_pro02(rngs: list, seeds: list) -> tuple:
     kind = "triangle" if seeds[0] % 2 == 0 else "delta"
     k = 2
     if kind == "triangle":
@@ -639,13 +631,13 @@ def _build_pro02(rngs: list, seeds: list) -> list:
         tuples[f"A{j}"], tuples[f"B{j}"] = T_star[:, j : j + 1], T[:, j : j + 1]
     tuples["A_limit"], tuples["B_limit"] = T_star[:, n_members:], T[:, n_members:]
     params = [{"kind": kind, "m1": m1, "m2": m2, "members": n_members} for _ in seeds]
-    return _bundles(tuples, {"X": _identities(len(rngs), k)}, params)
+    return tuples, {"X": _identities(len(rngs), k)}, params
 
 
 _PRO03_ROWS = (_Commutes(None, "A", residual="commutes_A"), _Commutes(None, "B", residual="commutes_B"))
 
 
-def _build_pro03(rngs: list, seeds: list) -> list:
+def _build_pro03(rngs: list, seeds: list) -> tuple:
     part = "a" if seeds[0] % 2 == 0 else "b"
     zero_side = (seeds[0] // 2) % 2 == 0
     n = 3
@@ -690,7 +682,7 @@ def _build_pro03(rngs: list, seeds: list) -> list:
             B = np.concatenate([comps, _normalized_complexes(rngs, n)[:, None]], axis=1)
             X = _normalized_complexes(rngs, n)
     params = [{"part": part, "m": 2 + (seed // 4) % 2, "zero_side": zero_side} for seed in seeds]
-    return _bundles({"A": A, "B": B}, {"X": X}, params)
+    return {"A": A, "B": B}, {"X": X}, params
 
 
 def _adjoint_rows(degree) -> tuple:
@@ -704,18 +696,18 @@ def _adjoint_rows(degree) -> tuple:
 _PRO04_ROWS = _adjoint_rows(2)
 
 
-def _build_pro04(rngs: list, seeds: list) -> list:
+def _build_pro04(rngs: list, seeds: list) -> tuple:
     n = 3 + seeds[0] % 2
     d = 2 + seeds[0] % 2
     A = _hermitian_sum_splits(rngs, _hermitian_polys(rngs, n), d)
     params = [{"d": d} for _ in seeds]
-    return _bundles({"A": A}, {"X": _identities(len(rngs), n)}, params)
+    return {"A": A}, {"X": _identities(len(rngs), n)}, params
 
 
 _PRO5_ROWS = _adjoint_rows("m_even")
 
 
-def _build_pro5(rngs: list, seeds: list) -> list:
+def _build_pro5(rngs: list, seeds: list) -> tuple:
     m_even = 2 if seeds[0] % 2 == 0 else 4
     d = 2
     if m_even == 2:
@@ -729,7 +721,7 @@ def _build_pro5(rngs: list, seeds: list) -> list:
     A = _hermitian_sum_splits(rngs, S, d)
     X = _identities(len(rngs), S.shape[-1])
     params = [{"m_even": m_even} for _ in seeds]
-    return _bundles({"A": A}, {"X": X}, params)
+    return {"A": A}, {"X": X}, params
 
 
 def _stream_seeds(rngs: list) -> list[int]:
@@ -745,7 +737,7 @@ _THM05_ROWS = (
 )
 
 
-def _build_thm05(rngs: list, seeds: list) -> list:
+def _build_thm05(rngs: list, seeds: list) -> tuple:
     adjoint_variant = seeds[0] % 2 == 0
     d = 1 + (seeds[0] // 2) % 2
     dim = 4
@@ -766,7 +758,7 @@ def _build_thm05(rngs: list, seeds: list) -> list:
          "adjoint_variant": adjoint_variant}
         for seed, n1, n2 in zip(seeds, n1s, n2s)
     ]
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
+    return tuples, {"X": _rotate(Q, X)}, params
 
 
 _COR05_ROWS = (
@@ -777,7 +769,7 @@ _COR05_ROWS = (
 )
 
 
-def _build_cor05(rngs: list, seeds: list) -> list:
+def _build_cor05(rngs: list, seeds: list) -> tuple:
     d = 1 + seeds[0] % 2
     dim = 4
     n1s = [2 + (seed // 8) % 2 for seed in seeds]
@@ -798,7 +790,7 @@ def _build_cor05(rngs: list, seeds: list) -> list:
         {"m1": 1 + (seed // 2) % 2, "m2": 1 + (seed // 4) % 2, "n1": n1, "n2": n2}
         for seed, n1, n2 in zip(seeds, n1s, n2s)
     ]
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
+    return tuples, {"X": _rotate(Q, X)}, params
 
 
 _COR050_CROSS = "[T, N] != 0 or [T*, N] != 0"
@@ -812,7 +804,7 @@ _COR050_ROWS = (
 )
 
 
-def _build_cor050(rngs: list, seeds: list) -> list:
+def _build_cor050(rngs: list, seeds: list) -> tuple:
     d = 1 + seeds[0] % 2
     dim = 4
     orders = [2 + (seed // 8) % 2 for seed in seeds]
@@ -825,7 +817,7 @@ def _build_cor050(rngs: list, seeds: list) -> list:
         for seed, order in zip(seeds, orders)
     ]
     tuples = {"T": _rotate(Q, T), "N": _rotate(Q, N)}
-    return _bundles(tuples, {"X": _rotate(Q, X)}, params)
+    return tuples, {"X": _rotate(Q, X)}, params
 
 
 _THM06_ROWS = (
@@ -839,7 +831,7 @@ _THM06_ROWS = (
 )
 
 
-def _build_thm06(rngs: list, seeds: list) -> list:
+def _build_thm06(rngs: list, seeds: list) -> tuple:
     family = seeds[0] % 3
     b = len(rngs)
     if family == 0:
@@ -871,14 +863,14 @@ def _build_thm06(rngs: list, seeds: list) -> list:
          "family": family_name}
         for seed, (m, r) in zip(seeds, degrees)
     ]
-    return _bundles({"A": A, "B": B, "S": S, "T": T}, {"X": X}, params)
+    return {"A": A, "B": B, "S": S, "T": T}, {"X": X}, params
 
 
 def _factor_rows(label: str) -> tuple:
     """The factor pairs (A, B) and (S, T) vanish at degrees m and n of one kind."""
     return (
-        _Vanishes(label, "A", "B", "X", "m", "m", "hyp_AB", kind="iso"),
-        _Vanishes(label, "S", "T", "X", "n", "n", "hyp_ST", kind="iso"),
+        _Vanishes(label, "A", "B", "X", "m", "m", "hyp_AB", kind=("iso", "sym")),
+        _Vanishes(label, "S", "T", "X", "n", "n", "hyp_ST", kind=("iso", "sym")),
     )
 
 
@@ -890,7 +882,7 @@ _COR06_ROWS = (
 )
 
 
-def _build_cor06(rngs: list, seeds: list) -> list:
+def _build_cor06(rngs: list, seeds: list) -> tuple:
     kind = "iso" if seeds[0] % 2 == 0 else "sym"
     factors = _iso_factors if kind == "iso" else _sym_factors
     k1s = [1 + (seed // 2) % 2 for seed in seeds]
@@ -901,7 +893,7 @@ def _build_cor06(rngs: list, seeds: list) -> list:
         {"m": 2 * k1 - 1, "n": 2 * k2 - 1, "kind": kind} for k1, k2 in zip(k1s, k2s)
     ]
     tuples = {"A": A, "B": B, "S": S, "T": T}
-    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params)
+    return tuples, {"X": _identities(len(rngs), 4)}, params
 
 
 _COR061_NEITHER = "neither implication has valid hypotheses"
@@ -916,7 +908,7 @@ _COR061_ROWS = (
 )
 
 
-def _build_cor061(rngs: list, seeds: list) -> list:
+def _build_cor061(rngs: list, seeds: list) -> tuple:
     d = 1 + seeds[0] % 2
     n = 3 + (seeds[0] // 2) % 2
     real_cases = [(seed // 4) % 2 == 0 for seed in seeds]
@@ -932,7 +924,7 @@ def _build_cor061(rngs: list, seeds: list) -> list:
         {"m": 1 + (seed // 8) % 2, "n": 1 + (seed // 16) % 2, "real_case": real}
         for seed, real in zip(seeds, real_cases)
     ]
-    return _bundles({"S": S, "T": T}, {"X": _identities(len(rngs), n)}, params)
+    return {"S": S, "T": T}, {"X": _identities(len(rngs), n)}, params
 
 
 _COR062_CROSS = "[A, S] != 0 or [B, T] != 0"
@@ -943,7 +935,7 @@ _COR062_ROWS = (
 )
 
 
-def _build_cor062(rngs: list, seeds: list) -> list:
+def _build_cor062(rngs: list, seeds: list) -> tuple:
     kind = "iso" if seeds[0] % 2 == 0 else "sym"
     k1s = [1 + (seed // 2) % 2 for seed in seeds]
     d = 2
@@ -958,21 +950,21 @@ def _build_cor062(rngs: list, seeds: list) -> list:
     T = mc.kron(eye2, Tf)
     params = [{"m": 2 * k1 - 1, "n": 1, "kind": kind} for k1 in k1s]
     tuples = {"A": A, "B": B, "S": S, "T": T}
-    return _bundles(tuples, {"X": _identities(len(rngs), 4)}, params)
+    return tuples, {"X": _identities(len(rngs), 4)}, params
 
 
 _I, _II = ("variant", "i"), ("variant", "ii")
 _THM07_ROWS = (
     # variant i: factor pairs whose defects of one kind vanish at degrees m and n
-    _Vanishes("a factor pair violates its identity", "A", "B", "I", "m", "m", "hyp_AB", kind="iso", when=_I),
-    _Vanishes("a factor pair violates its identity", "S", "T", "I", "n", "n", "hyp_ST", kind="iso", when=_I),
+    _Vanishes("a factor pair violates its identity", "A", "B", "I", "m", "m", "hyp_AB", kind=("iso", "sym"), when=_I),
+    _Vanishes("a factor pair violates its identity", "S", "T", "I", "n", "n", "hyp_ST", kind=("iso", "sym"), when=_I),
     _Vanishes("first pair violates the combined identity", "A", "B", "I", "m", "n", "hyp_AB", when=_II),
     _Vanishes("second pair violates its identities", "S", "T", "I", "r", 0, "hyp_S_iso", when=_II),
     _Vanishes("second pair violates its identities", "S", "T", "I", 0, "s", "hyp_S_sym", when=_II),
 )
 
 
-def _build_thm07(rngs: list, seeds: list) -> list:
+def _build_thm07(rngs: list, seeds: list) -> tuple:
     variant = "i" if seeds[0] % 2 == 0 else "ii"
     if variant == "i":
         kind = "iso" if (seeds[0] // 2) % 2 == 0 else "sym"
@@ -1004,7 +996,7 @@ def _build_thm07(rngs: list, seeds: list) -> list:
              "r": 2 * k2 - 1, "s": 2 * k2 - 1}
             for seed, k1, k2 in zip(seeds, k1s, k2s)
         ]
-    return _bundles({"A": A, "B": B, "S": S, "T": T}, {}, params)
+    return {"A": A, "B": B, "S": S, "T": T}, {}, params
 
 
 def _thm07_variant(seed: int) -> tuple:
@@ -1053,19 +1045,30 @@ def random_instance(profile: str, rng_seed: int) -> InstanceBundle:
 
 
 def random_instances(profile: str, seeds) -> list[InstanceBundle]:
-    """``random_instance(profile, seed)`` for each seed, built together.
+    """``random_instance(profile, seed)`` for each seed, built together: the classes of
+    ``_chunk``, split into one bundle per seed, each with the bits it gets alone."""
+    seeds = tuple(seeds)
+    bundles = [None] * len(seeds)
+    for positions, tuples, matrices, params in _chunk(profile, seeds):
+        tuples = {key: OperatorTuple._of_checked(stacks) for key, stacks in tuples.items()}
+        for r, (i, p) in enumerate(zip(positions.tolist(), params)):
+            own_tuples = {key: items[r] for key, items in tuples.items()}
+            own_matrices = {key: X[r] for key, X in matrices.items()}
+            residual_fn = functools.partial(_residuals, _BUILDERS[profile].rows, {**p, **own_matrices, **own_tuples})
+            bundles[i] = InstanceBundle(profile, int(seeds[i]), own_tuples, own_matrices, p, residual_fn)
+    return bundles
 
-    Each seed draws from its own ``default_rng(seed)`` in a fixed order; the
-    seeds of one variant class are then built by one call of the profile's
-    builder, whose steps are stacked expressions over the class with the
-    products and in-order sums of one seed's, so every bundle has the bits
-    it gets alone.
-    """
+
+def _chunk(profile: str, seeds) -> list[tuple]:
+    """The instances of ``seeds`` as the variant classes that built them, each one
+    builder call: ``(positions, tuples, matrices, params)``, the positions of its
+    seeds, each tuple's (b, d, n, n) stack and each matrix's (b, n, n) stack by name,
+    validated once for the class (``checked_stacks``), and each seed's parameters."""
     if profile not in _BUILDERS:
         raise InvalidArgumentError(
             f"unknown profile {profile!r}; expected one of {sorted(_BUILDERS)}"
         )
-    build, variant, rows = _BUILDERS[profile]
+    build, variant, _ = _BUILDERS[profile]
     seeds = tuple(seeds)
     # each seed seeds NumPy's generator, which takes only a non-negative integer
     for seed in seeds:
@@ -1076,12 +1079,9 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
     classes: dict = {}
     for i, seed in enumerate(seeds):
         classes.setdefault(variant(seed), []).append(i)
-    bundles: list[InstanceBundle] = [None] * len(seeds)
+    chunk = []
     for index in classes.values():
-        parts = build([rngs[i] for i in index], [seeds[i] for i in index])
-        for i, (tuples, matrices, params) in zip(index, parts):
-            for X in matrices.values():
-                X.setflags(write=False)
-            residual_fn = functools.partial(_residuals, rows, {**params, **matrices, **tuples})
-            bundles[i] = InstanceBundle(profile, seeds[i], tuples, matrices, params, residual_fn)
-    return bundles
+        tuples, matrices, params = build([rngs[i] for i in index], [seeds[i] for i in index])
+        tuples, matrices = ({key: checked_stacks(S) for key, S in part.items()} for part in (tuples, matrices))
+        chunk.append((np.array(index), tuples, matrices, params))
+    return chunk

@@ -103,8 +103,8 @@ def grown_scale(scale: float, factor: float, degree: int) -> float:
 
     An infinite scale would pass every defect, so no zero test may use one.
     """
-    (grown,), faults = _scales([scale], [factor], [1.0], [degree], [0])
-    if faults or not math.isfinite(grown):
+    (grown,) = _scales([scale], [factor], [1.0], [degree], [0])
+    if not math.isfinite(grown):
         raise _overflow(scale, factor, degree)
     return grown
 
@@ -125,16 +125,16 @@ def _iso_factor(a_norms, b_norms):
     return 1.0 + total
 
 
-def _scales(x_norms, iso_factors, sym_factors, ms, ns) -> tuple[list[float], dict]:
-    """The tolerance scale ||X||_F * iso**m * sym**n of each item, from lists, and the
-    refusal of each item whose isometric or then symmetric growth overflows, by index.
+def _scales(x_norms, iso_factors, sym_factors, ms, ns) -> list[float]:
+    """The tolerance scale ||X||_F * iso**m * sym**n of each item, from lists; the first
+    item whose isometric or then symmetric growth overflows is refused.
 
     Each growth is ``scale * factor**degree`` in Python floats, whose power
     rounds as C's ``pow`` (NumPy's vectorized power may not), and a factor
     raised to the power 0 is skipped.
     """
-    scales, faults = [], {}
-    for i, (scale, iso, sym, m, n) in enumerate(zip(x_norms, iso_factors, sym_factors, ms, ns)):
+    scales = []
+    for scale, iso, sym, m, n in zip(x_norms, iso_factors, sym_factors, ms, ns):
         for factor, degree in ((iso, m), (sym, n)):
             if degree:
                 try:
@@ -142,11 +142,10 @@ def _scales(x_norms, iso_factors, sym_factors, ms, ns) -> tuple[list[float], dic
                 except OverflowError:
                     grown = math.inf
                 if not grown < math.inf:  # inf or NaN
-                    faults[i] = _overflow(scale, factor, degree)
-                    break
+                    raise _overflow(scale, factor, degree)
                 scale = grown
         scales.append(scale)
-    return scales, faults
+    return scales
 
 
 def defect_scale(
@@ -168,10 +167,7 @@ def defect_scale(
     (a_norms, a_sum), (b_norms, b_sum) = spectral_norms([(A, m, n), (B, m, n)])
     iso = _iso_factor(a_norms, b_norms) if m else 1.0
     sym = 1.0 + a_sum + b_sum if n else 1.0
-    (scale,), faults = _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])
-    if faults:
-        raise faults[0]
-    return scale
+    return _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])[0]
 
 
 def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
@@ -599,9 +595,7 @@ def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]
     out = []
     for A, B, X, ms, ns, rows in tests:
         iso, sym = _growth_factors(norms, (A, B), (A, B), ms, ns, rows)
-        scales, faults = _scales(_at(mc.fro_norm_array(X), rows).tolist(), iso, sym, ms, ns)
-        if faults:
-            raise faults[min(faults)]
+        scales = _scales(_at(mc.fro_norm_array(X), rows).tolist(), iso, sym, ms, ns)
         out.append(tol.threshold(np.array(scales)))
     return out
 

@@ -81,19 +81,14 @@ class OperatorTuple:
     @classmethod
     def _of_stack(cls, stack: np.ndarray) -> "OperatorTuple":
         """A tuple that takes ownership of ``stack``, a freshly computed (d, n, n) array."""
-        return cls._of_stacks(stack[None])[0]
+        return cls._of_checked(checked_stacks(stack[None]))[0]
 
     @classmethod
-    def _of_stacks(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
-        """Tuples that take ownership of the items of ``stacks``, a freshly computed
-        (b, d, n, n) array, validated once for all of them."""
-        d, n = stacks.shape[-3:-1]
-        flat = _frozen(mc.as_stack(stacks.reshape(-1, n, n), name="operator tuple"))
-        tuples = []
-        for start in range(0, len(flat), d):
-            self = object.__new__(cls)
-            self.__dict__["stack"] = flat[start : start + d]
-            tuples.append(self)
+    def _of_checked(cls, stacks: np.ndarray) -> list["OperatorTuple"]:
+        """Tuples that share the items of a (b, d, n, n) stack that ``checked_stacks`` made."""
+        tuples = [object.__new__(cls) for _ in stacks]
+        for self, stack in zip(tuples, stacks):
+            self.__dict__["stack"] = stack
         return tuples
 
     @classmethod
@@ -174,6 +169,14 @@ class OperatorTuple:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def checked_stacks(stacks: np.ndarray) -> np.ndarray:
+    """A stack of square matrices, such as the (b, d, n, n) stack of b tuples, as one
+    C-contiguous read-only complex array, validated once for all of them as
+    ``OperatorTuple`` validates one tuple."""
+    n = stacks.shape[-1]
+    return _frozen(mc.as_stack(stacks.reshape(-1, n, n), name="operator tuple")).reshape(stacks.shape)
 
 
 def _check_components(components) -> None:
@@ -336,7 +339,7 @@ def commutator_stack_checks(queries, tol: mc.Tolerance) -> list[tuple[np.ndarray
 
 
 def sum_tuple(A: OperatorTuple, N: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple._of_stacks(sum_stacks(A.stack[None], N.stack[None]))[0]
+    return OperatorTuple._of_stack(sum_stacks(A.stack[None], N.stack[None])[0])
 
 
 def sum_stacks(A: np.ndarray, N: np.ndarray) -> np.ndarray:
@@ -350,7 +353,7 @@ def sum_stacks(A: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 def product_tuple(S: OperatorTuple, A: OperatorTuple) -> OperatorTuple:
     """All products S_j A_i, ordered (S_1 A_1, ..., S_1 A_d1, S_2 A_1, ...)."""
-    return OperatorTuple._of_stacks(product_stacks(S.stack[None], A.stack[None]))[0]
+    return OperatorTuple._of_stack(product_stacks(S.stack[None], A.stack[None])[0])
 
 
 def product_stacks(S: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -423,7 +426,7 @@ def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
 
 def tensor_tuple(A: OperatorTuple, B: OperatorTuple) -> OperatorTuple:
     """All Kronecker products A_i (x) B_j, ordered (A_1xB_1, ..., A_1xB_d2, A_2xB_1, ...)."""
-    return OperatorTuple._of_stacks(tensor_stacks(A.stack[None], B.stack[None]))[0]
+    return OperatorTuple._of_stack(tensor_stacks(A.stack[None], B.stack[None])[0])
 
 
 def tensor_stacks(A: np.ndarray, B: np.ndarray) -> np.ndarray:

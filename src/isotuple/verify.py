@@ -8,32 +8,32 @@ Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
-Each theorem is one ``THEOREMS`` entry, written as data: the names it reads
-(tuples first), its commutator and hypothesis rows (``generators._Commutes``
-and ``_Vanishes``, kept beside its profile's builder, where they also give a
-bundle its residuals), its nilpotent tuples, its derived columns (stacked
-sums, products and conjugates, and degree expressions such as
-``m1+order_N1+order_N2-2``) and its conclusion with its sharpness tests and
-extra result keys.  One interpreter, ``Theorem.program(bundles, tol,
-t_max)``, runs the entry's stages on a batch: a campaign's chunk of up to
-``LOCKSTEP_TRIALS`` instances generated together, or the batch of one of
-``check_*`` and ``Theorem.check``.  It splits the trials into classes of one
-shape (``_Columns``), and each stage is one stack-kernel call over the live
-rows of every class: ``_commutator_stage``, ``_nilpotent_stage``,
-``_hypothesis_stage`` and ``_sharp_conclusions`` (zero tests through
-``transforms.defect_stack_checks``), with ``_derived_stage`` between them.
-A skip is a row mask and a derived tuple a stacked expression.  What is not
-rows is a named hook, a stage of the same form: pro01's zero tests, Cesaro
-run and collapse test, pro02's member and limit stage, pro03's reduction and
-right-hand side, pro04's self-adjoint residual, pro5's degree refusal,
-cor05's combined defect, cor061's two kinds, cor062's single-operator skip
-and thm07's variant refusal.
+Each theorem is one ``THEOREMS`` entry, written as data: its profile, whose
+commutator and hypothesis rows (``generators._Commutes`` and ``_Vanishes``,
+kept beside the builder, where they also give a bundle its residuals) it
+tests, its nilpotent tuples, its derived columns (stacked sums, products and
+conjugates, and degree expressions such as ``m1+order_N1+order_N2-2``) and
+its conclusion with its sharpness tests and extra result keys.  One
+interpreter runs the entry's stages on classes of columns (``_Columns``), a
+trial being one row of its class's stacks: a campaign chunk's classes are
+the builder's own (``generators._chunk``), so a chunk builds no per-trial
+tuple or bundle, and ``Theorem.program(bundles, tol, t_max)``, the path of
+``check_*``, makes each bundle a class of one row.  Each stage is one
+stack-kernel call over the live rows of every class: ``_commutator_stage``,
+``_nilpotent_stage``, ``_hypothesis_stage`` and ``_sharp_conclusions`` (zero
+tests through ``transforms.defect_stack_checks``), with ``_derived_stage``
+between them.  A skip is a row mask and a derived tuple a stacked
+expression.  What is not rows is a named hook, a stage of the same form:
+pro01's zero tests, Cesaro run and collapse test, pro02's member and limit
+stage, pro03's reduction and right-hand side, pro04's self-adjoint residual,
+pro5's degree refusal, cor05's combined defect, cor061's two kinds, cor062's
+single-operator skip and thm07's variant refusal.
 
 Every kernel gives each item the bits it gets alone, so a trial's result
-does not depend on the trials beside it, and neither does a refusal: when
-a stage refuses a batch of several trials, ``Theorem.program`` runs each
-trial alone, in order, and raises what the first refusing trial raises
-alone, so a chunk refuses as its trials checked one at a time would.  The
+does not depend on the trials beside it, and neither does a refusal: a
+refused chunk is checked again as its bundles, and ``Theorem.program`` runs
+each trial of a refused batch alone, in order, and raises what the first
+refusing trial raises alone, as trials checked one at a time would.  The
 bespoke thresholds (pro01's collapse test, pro02's limit, pro03's right-hand
 side and cor05's combined scale) read the spectral norms that their zero
 tests asked for, from the zero-test kernel's norm table.
@@ -62,10 +62,12 @@ from .errors import InvalidArgumentError
 from .generators import (
     _BUILDERS,
     InstanceBundle,
+    _chunk,
     _Commutes,
     _Vanishes,
     paper_example_mixing,
     paper_example_squares,
+    random_instance,
     random_instances,
 )
 from .transforms import defect_stack_checks
@@ -166,35 +168,28 @@ def _bundle(**args) -> InstanceBundle:
 
 
 class _Columns:
-    """The live trials of one shape class of a program call: ``rows``, their positions
-    in the batch, and each argument over them by name: a tuple's (b, d, n, n) stack,
-    X's (b, n, n) stack (each stacked on first read), or a parameter's list of values.
-    Stages add derived columns, such as a stacked sum of tuples, by name, and a column
-    that no bundle holds is derived on first read (``_derive``)."""
+    """The live trials of one class of a program call: ``rows``, their positions in the
+    batch, and each argument over them by name: a tuple's (b, d, n, n) stack, X's
+    (b, n, n) stack, or a parameter's list of values.  A campaign chunk's classes are
+    its builder's (``_run_chunk``), and a bundle is a class of one row
+    (``_bundle_class``).  Stages add derived columns, such as a stacked sum of tuples,
+    by name, and a column that the instances lack is derived on first read (``_derive``)."""
 
-    def __init__(self, rows: np.ndarray, raw: dict, degrees: dict):
-        self.rows, self._raw, self._columns, self._degrees = rows, raw, {}, degrees
+    def __init__(self, rows: np.ndarray, columns: dict, degrees):
+        self.rows, self._columns, self._degrees = rows, columns, dict(degrees)
 
     def __getitem__(self, name: str):
         if name not in self._columns:
-            if name in self._raw:
-                values = self._raw.pop(name)
-                if isinstance(values[0], OperatorTuple):
-                    values = np.stack([T.stack for T in values])
-                elif name == "X":
-                    values = np.array([np.asarray(X, dtype=np.complex128) for X in values])
-            else:
-                values = self._derive(name)
-            self._columns[name] = values
+            self._columns[name] = self._derive(name)
         return self._columns[name]
 
     def __setitem__(self, name: str, column) -> None:
         self._columns[name] = column
 
     def _derive(self, name: str):
-        """A column that no bundle holds: one of the entry's degree expressions by name,
+        """A column that the instances lack: one of the entry's degree expressions by name,
         the adjoint ``T*`` or entrywise conjugate ``CTC`` of a tuple T, or ``I<n>``, the
-        n x n identities."""
+        n x n identities; any other name is refused."""
         if name in self._degrees:
             return _degree_values(self, self._degrees[name])
         if name.endswith("*"):
@@ -203,7 +198,7 @@ class _Columns:
             return np.conjugate(self[name[1:-1]])
         if name[0] == "I" and name[1:].isdigit():
             return np.repeat(mc.identity(int(name[1:]))[None], len(self.rows), axis=0)
-        raise KeyError(name)
+        raise InvalidArgumentError(f"the instance has no {name!r}")
 
     def keep(self, mask: np.ndarray) -> "_Columns | None":
         """The columns of the rows where ``mask`` holds, or None when it holds nowhere."""
@@ -212,37 +207,19 @@ class _Columns:
         if not mask.any():
             return None
         flags = mask.tolist()
-        kept = _Columns(self.rows[mask], {
-            name: [value for value, flag in zip(values, flags) if flag]
-            for name, values in self._raw.items()
+        return _Columns(self.rows[mask], {
+            name: column[mask] if isinstance(column, np.ndarray) else [value for value, flag in zip(column, flags) if flag]
+            for name, column in self._columns.items()
         }, self._degrees)
-        for name, column in self._columns.items():
-            kept[name] = column[mask] if isinstance(column, np.ndarray) else [
-                value for value, flag in zip(column, flags) if flag
-            ]
-        return kept
 
 
-def _classes(bundles: list, names: str, tuples: int, by: str = "", degrees: dict | None = None) -> list[_Columns]:
-    """The bundles' arguments ``names``, the tuples first, read by name from each bundle's
-    tuples, matrices and parameters (None for a parameter it lacks), in classes of one
-    shape of the tuples' stacks and of X, and of one value of each parameter named in
-    ``by``, in order of their first trial.  ``degrees`` names the degree expressions
-    that the classes derive on first read."""
-    names = names.split()
-    trials, by_key = [], {}
-    for row, bundle in enumerate(bundles):
-        found = {**bundle.params, **bundle.matrices, **bundle.tuples}
-        args = [found.get(name) for name in names]
-        X = found.get("X")
-        shape = X.shape if isinstance(X, np.ndarray) else id(X)
-        key = (*[T.stack.shape for T in args[:tuples]], shape, *[found.get(name) for name in by.split()])
-        by_key.setdefault(key, []).append(row)
-        trials.append(args)
-    return [
-        _Columns(np.array(rows), {name: [trials[r][i] for r in rows] for i, name in enumerate(names)}, degrees or {})
-        for rows in by_key.values()
-    ]
+def _bundle_class(row: int, bundle: InstanceBundle, degrees: tuple) -> _Columns:
+    """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks."""
+    return _Columns(np.array([row]), {
+        **{name: [value] for name, value in bundle.params.items()},
+        **{name: np.array(X, dtype=np.complex128)[None] for name, X in bundle.matrices.items()},
+        **{name: T.stack[None] for name, T in bundle.tuples.items()},
+    }, degrees)
 
 
 def _degree_values(cls: _Columns, spec):
@@ -265,11 +242,20 @@ def _kind_degrees(iso: list, ms, ns) -> tuple[list, list]:
     return [m if i else 0 for i, m in zip(iso, ms)], [0 if i else n for i, n in zip(iso, ns)]
 
 
+def _first_of(cls: _Columns, name: str, pair: tuple) -> list[bool]:
+    """Whether the parameter ``name`` of each row of a class has the first of the two
+    values ``pair``; the first other value is refused."""
+    if refused := [value for value in cls[name] if value not in pair]:
+        raise InvalidArgumentError(f"{name} must be {pair[0]!r} or {pair[1]!r}, got {refused[0]!r}")
+    return [value == pair[0] for value in cls[name]]
+
+
 def _row_degrees(cls: _Columns, row: _Vanishes, m, n) -> tuple:
     """The degrees (m, n) of a defect row in each row of a class, with the row's ``kind``
-    (m, 0) where the ``kind`` parameter equals it and (0, n) elsewhere."""
+    (m, 0) where the ``kind`` parameter has the first of its values and (0, n) where
+    it has the second."""
     ms, ns = _degree_values(cls, m), _degree_values(cls, n)
-    return (ms, ns) if row.kind is None else _kind_degrees([kind == row.kind for kind in cls["kind"]], ms, ns)
+    return (ms, ns) if row.kind is None else _kind_degrees(_first_of(cls, "kind", row.kind), ms, ns)
 
 
 def _x(cls: _Columns, row: _Vanishes) -> np.ndarray:
@@ -278,8 +264,8 @@ def _x(cls: _Columns, row: _Vanishes) -> np.ndarray:
 
 
 def _applies(row: _Vanishes, cls: _Columns) -> bool:
-    """Whether a row applies to a class: always, or where its ``when`` parameter, which the
-    entry's classes are split by, has its value."""
+    """Whether a row applies to a class: always, or where its ``when`` parameter, which has
+    one value over a class (a builder's variant class, or one bundle), has its value."""
     return not row.when or cls[row.when[0]][0] == row.when[1]
 
 
@@ -328,10 +314,9 @@ def _merged(cls: _Columns, names: list) -> np.ndarray:
 
 @dataclass
 class _Run:
-    """One program call: its batch, each trial's result by position (None until a stage
-    gives it), the tolerance, pro01's step count, and the zero-test kernel's norm table."""
+    """One program call: each trial's result by position (None until a stage gives it),
+    the tolerance, pro01's step count, and the zero-test kernel's norm table."""
 
-    bundles: list
     results: list
     tol: mc.Tolerance
     t_max: int
@@ -573,33 +558,30 @@ def _pro02_stage(entry, classes: list, run: _Run) -> list:
     every family member at the degrees of its hypothesis row (items of one stack of the
     members of a class's rows) and of the limit; then each trial's verdict."""
     (hypothesis,) = entry.hypotheses
-    convergence = []  # each member's largest componentwise distance from the limit
-    for bundle in run.bundles:
-        T, members = bundle.tuples, bundle.params["members"]
-        if type(members) is not int or members < 1:
-            raise InvalidArgumentError(f"members must be a positive integer, got {members!r}")
-        lim = np.concatenate([T["A_limit"].stack, T["B_limit"].stack])
-        conv = [max(mc.fro_norm_array(np.concatenate([T[f"A{j}"].stack, T[f"B{j}"].stack]) - lim).tolist())
-                for j in range(members)]
-        if any(conv[i + 1] > conv[i] + run.tol.abs_eps for i in range(len(conv) - 1)):
-            raise InvalidArgumentError("family does not converge: residuals are not decreasing")
-        convergence.append(conv)
     tests = []
     for cls in classes:
-        m1, m2, counts = cls["m1"], cls["m2"], cls["members"]
-        ms, ns = _row_degrees(cls, hypothesis, hypothesis.m, hypothesis.n)
+        counts = cls["members"]
+        if refused := [count for count in counts if type(count) is not int or count < 1]:
+            raise InvalidArgumentError(f"members must be a positive integer, got {refused[0]!r}")
         own = [r for r, count in enumerate(counts) for _ in range(count)]  # the row of each member
-        A, B = (np.stack([run.bundles[row].tuples[f"{side}{j}"].stack
-                          for row, count in zip(cls.rows.tolist(), counts) for j in range(count)]) for side in "AB")
+        A, B = (np.stack([cls[f"{side}{j}"][r] for r, count in enumerate(counts) for j in range(count)])
+                for side in "AB")
+        # each member's largest componentwise distance from the limit
+        limit = np.concatenate([cls["A_limit"], cls["B_limit"]], axis=1)
+        distances = mc.fro_norm_array(np.concatenate([A, B], axis=1) - limit[own]).max(axis=1).tolist()
+        cls["convergence"] = [distances[end - count : end] for count, end in zip(counts, np.cumsum(counts).tolist())]
+        if any(r1 > r0 + run.tol.abs_eps for conv in cls["convergence"] for r0, r1 in zip(conv, conv[1:])):
+            raise InvalidArgumentError("family does not converge: residuals are not decreasing")
+        ms, ns = _row_degrees(cls, hypothesis, hypothesis.m, hypothesis.n)
         tests += [(A, B, cls["X"][own], [ms[r] for r in own], [ns[r] for r in own]),
-                  (cls["A_limit"], cls["B_limit"], cls["X"], m1, m2)]
+                  (cls["A_limit"], cls["B_limit"], cls["X"], cls["m1"], cls["m2"])]
     judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         members, norm_lim = _by_row(next(judged), cls["members"]), next(judged)[0].tolist()
         m1, m2, limit = cls["m1"], cls["m2"], (cls["A_limit"], cls["B_limit"])
         # the limit's scale reads the norms that its zero test asked for
-        scales, _ = tf._scales(mc.fro_norm_array(cls["X"]).tolist(),
-                               *tf._growth_factors(run.norms, limit, limit, m1, m2), m1, m2)
+        scales = tf._scales(mc.fro_norm_array(cls["X"]).tolist(),
+                            *tf._growth_factors(run.norms, limit, limit, m1, m2), m1, m2)
         for r, row in enumerate(cls.rows.tolist()):
             (first_norm, first_threshold), *later = members[r]
             if first_norm > first_threshold:
@@ -617,7 +599,7 @@ def _pro02_stage(entry, classes: list, run: _Run) -> list:
             else:
                 # convergence slack: the defect is Lipschitz in the tuple within a factor
                 # of the degree times the scale, applied to the last residual
-                last = convergence[row][-1]
+                last = cls["convergence"][r][-1]
                 threshold = run.tol.threshold(scales[r]) + 10.0 * (m1[r] + m2[r]) * last * scales[r]
                 run.results[row] = _verdict([("limit_defect", norm_lim[r], threshold)], {"last_residual": last})
     return classes
@@ -634,13 +616,12 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
     tests = []
     for cls in classes:
         b, d, n = cls["A"].shape[:3]
-        cls["sym"] = sym = [part not in ("a", None) for part in cls["part"]]
-        iso = [not flag for flag in sym]
+        cls["iso"] = iso = _first_of(cls, "part", ("a", "b"))
         A1, B1 = (cls[name].reshape(b * d, 1, n, n) for name in "AB")  # row r * d + i: pair i of row r
         X1 = np.repeat(cls["X"], d, axis=0)
         own = np.repeat(np.arange(b), d - 1)  # the row of each hypothesis
         ones = [1] * len(own)
-        on_sym = [r for r in range(b) if sym[r]]
+        on_sym = [r for r in range(b) if not iso[r]]
         tests += [
             (A1, B1, X1, *_kind_degrees([iso[r] for r in own], ones, ones),
              [r * d + i for r in range(b) for i in range(d - 1)]),
@@ -653,7 +634,7 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
         cls["hypotheses"] = _by_row(next(judged), [d - 1] * b)
         cls["lhs"] = list(zip(*(column.tolist() for column in next(judged))))
         rhs = iter(zip(*(column.tolist() for column in next(judged))))  # of the rows of part (b)
-        cls["rhs"] = [next(rhs) if flag else None for flag in cls["sym"]]
+        cls["rhs"] = [None if flag else next(rhs) for flag in cls["iso"]]
     for cls in classes:
         d = cls["A"].shape[1]
         for r, row in enumerate(cls.rows.tolist()):
@@ -664,9 +645,7 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
                 run.results[row] = _skip(f"pair {failed[0]} is not degree-1 annihilating", residual=failed[1])
                 continue
             (lhs_norm, lhs_thr), m, X = cls["lhs"][r], cls["m"][r], cls["X"][r]
-            if cls["sym"][r]:
-                rhs_norm, rhs_thr = cls["rhs"][r]
-            else:
+            if cls["iso"][r]:
                 # sum_j C(m, j) (d-2)^(m-j) A_d^j X B_d^j, the terms added in order onto zero
                 coeffs = [tf.binomial(m, j) * float((d - 2) ** (m - j)) for j in range(m + 1)]
                 terms = np.array(coeffs)[:, None, None] * (
@@ -676,6 +655,8 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
                 # the last components' norms, which the full pair's zero test asked for
                 a_last, b_last = (tf._component_norms(run.norms, cls[name])[r, -1].item() for name in "AB")
                 rhs_thr = run.tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
+            else:
+                rhs_norm, rhs_thr = cls["rhs"][r]
             lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
             defects = {"lhs_defect": lhs_norm, "rhs_defect": rhs_norm,
                        "lhs_threshold": lhs_thr, "rhs_threshold": rhs_thr}
@@ -709,10 +690,9 @@ def _selfadjoint_stage(entry, classes: list, run: _Run) -> list:
 def _even_degree_stage(entry, classes: list, run: _Run) -> list:
     """pro5's refusal, before any zero test, of a degree that is not a positive even
     integer."""
-    for bundle in run.bundles:
-        m_even = bundle.params["m_even"]
-        if not isinstance(m_even, int) or m_even < 2 or m_even % 2 != 0:
-            raise InvalidArgumentError(f"m must be a positive even integer, got {m_even!r}")
+    for cls in classes:
+        if refused := [m for m in cls["m_even"] if not isinstance(m, int) or m < 2 or m % 2 != 0]:
+            raise InvalidArgumentError(f"m must be a positive even integer, got {refused[0]!r}")
     return classes
 
 
@@ -741,12 +721,10 @@ def _cor05_stage(entry, classes: list, run: _Run) -> list:
     for cls in classes:
         cls["combined"] = tf.stack_defects(cls["P1"], cls["Q1"], cls["delta^t2"], cls["t1"], cls["zero"])
     for cls in classes:
-        scales, faults = tf._scales(
+        scales = tf._scales(
             mc.fro_norm_array(cls["X"]).tolist(), cls["iso"], cls["sym"],
             cls["t1"].tolist(), cls["t2"].tolist(),
         )
-        if faults:
-            raise faults[min(faults)]
         tri, tri_thr, dlt, dlt_thr = (cls[name].tolist() for name in (
             "triangle", "triangle threshold", "delta", "delta threshold"
         ))
@@ -837,20 +815,17 @@ class Theorem:
     """One campaign id, as data.
 
     ``profile`` names the generator profile of its instances, whose rows are its
-    commutator and hypothesis rows (``rows``).  The entry reads ``reads`` from each
-    bundle, its first ``tuples`` names tuples, in classes split by the parameters
-    ``by``; ``nilpotent`` is ``(dim, names, strict)`` of its nilpotent tuples, ``derived``
-    its derived columns ``(name, op, *args)``, ``degrees`` its degree expressions by
-    name, and ``conclusions`` what it concludes.  ``program(bundles, tol, t_max)`` runs
-    its ``stages`` in order and gives each instance of a batch its result; ``pair(bundle)``
-    is the (A, B, X) whose defect profile a counterexample record carries.
+    commutator and hypothesis rows (``rows``); ``nilpotent`` is ``(dim, names,
+    strict)`` of its nilpotent tuples, ``derived`` its derived columns ``(name, op,
+    *args)``, ``degrees`` its degree expressions by name, and ``conclusions`` what it
+    concludes.  Its ``stages`` run in order on classes of columns: a campaign chunk's
+    builder classes (``_run_chunk``), or a batch of bundles, one class each
+    (``program(bundles, tol, t_max)``).  ``pair(bundle)`` is the (A, B, X) whose
+    defect profile a counterexample record carries.
     """
 
     profile: str
-    reads: str
-    tuples: int
     pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
-    by: str = ""
     nilpotent: tuple | None = None
     derived: tuple = ()
     degrees: tuple = ()
@@ -873,14 +848,12 @@ class Theorem:
         return tuple(row for row in self.rows if isinstance(row, _Vanishes) and row.label)
 
     def program(self, bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
-        """The result of each instance of a batch: the entry's stages, in order, on the
-        classes of its instances.  A refused batch of several instances raises what its
+        """The result of each instance of a batch: the entry's stages, in order, on a class
+        of one row per instance.  A refused batch of several instances raises what its
         first instance that is refused alone raises, as a batch of one each would."""
-        run = _Run(bundles, [None] * len(bundles), tol, t_max)
         try:
-            classes = _classes(bundles, self.reads, self.tuples, self.by, dict(self.degrees))
-            for stage in self.stages:
-                classes = stage(self, classes, run)
+            return self._results([_bundle_class(r, bundle, self.degrees) for r, bundle in enumerate(bundles)],
+                                 len(bundles), tol, t_max)
         except InvalidArgumentError:
             for bundle in bundles if len(bundles) > 1 else ():
                 try:
@@ -888,6 +861,13 @@ class Theorem:
                 except InvalidArgumentError as first:
                     raise first from None
             raise
+
+    def _results(self, classes: list, trials: int, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+        """The result of each of ``trials`` trials: the entry's stages, in order, on the
+        classes of their columns."""
+        run = _Run([None] * trials, tol, t_max)
+        for stage in self.stages:
+            classes = stage(self, classes, run)
         return run.results
 
     def check(self, bundle: InstanceBundle, tol: mc.Tolerance, t_max: int) -> TrialResult:
@@ -913,24 +893,23 @@ _PRODUCT_STAGES = (_commutator_stage, _derived_stage, _hypothesis_stage, _sharp_
 def _product(*sharp) -> tuple:
     """cor06's and cor062's conclusion: the product pair's defect of the factors' kind
     vanishes at degree m+n-1."""
-    return (_Conclusion(_Vanishes("product_defect", "P", "Q", "X", "degree", "degree", kind="iso"), sharp,
+    return (_Conclusion(_Vanishes("product_defect", "P", "Q", "X", "degree", "degree", kind=("iso", "sym")), sharp,
                         (("degree", "degree"),)),)
 
 
 #: The registry, one entry per theorem id, in campaign order.
 THEOREMS = {
-    "pro01": Theorem("pro01", "A B X m", 2, _pair(), stages=(_pro01_stage,)),
-    "pro02": Theorem("pro02-family", "A_limit B_limit X m1 m2 kind members", 2, _pair("A0", "B0"),
-                     stages=(_pro02_stage,)),
-    "pro03": Theorem("pro03", "A B X m part", 2, _pair(), stages=(_pro03_stage,)),
-    "pro04": Theorem("pro04", "A", 1, _adjoint_pair("A"), stages=(_hypothesis_stage, _selfadjoint_stage)),
+    "pro01": Theorem("pro01", _pair(), stages=(_pro01_stage,)),
+    "pro02": Theorem("pro02-family", _pair("A0", "B0"), stages=(_pro02_stage,)),
+    "pro03": Theorem("pro03", _pair(), stages=(_pro03_stage,)),
+    "pro04": Theorem("pro04", _adjoint_pair("A"), stages=(_hypothesis_stage, _selfadjoint_stage)),
     "pro5": Theorem(
-        "pro5", "A m_even", 1, _adjoint_pair("A"),
+        "pro5", _adjoint_pair("A"),
         conclusions=(_Conclusion(_Vanishes("odd_degree_defect", "A*", "A", "I", 0, "m_even-1")),),
         stages=(_even_degree_stage, _hypothesis_stage, _sharp_conclusions),
     ),
     "thm05": Theorem(
-        "thm05", "A B N1 N2 X m1 m2", 4, _pair(),
+        "thm05", _pair(),
         nilpotent=("A", ("N1", "N2"), False), derived=_SUMS, degrees=_RAISED,
         conclusions=(_Conclusion(
             _Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"),
@@ -939,21 +918,21 @@ THEOREMS = {
         ),),
     ),
     "cor05": Theorem(
-        "cor05", "A1 B1 A2 B2 N1 N2 X m1 m2", 6, _pair("A1", "B1"),
+        "cor05", _pair("A1", "B1"),
         nilpotent=("A1", ("N1", "N2"), True), degrees=_RAISED,
         derived=(("P1", sum_stacks, "A1", "N1"), ("Q1", sum_stacks, "B1", "N2"),
                  ("P2", sum_stacks, "A2", "N1"), ("Q2", sum_stacks, "B2", "N2")),
         stages=(_commutator_stage, _nilpotent_stage, _hypothesis_stage, _derived_stage, _cor05_stage),
     ),
     "cor050": Theorem(
-        "cor050", "T N X m1 m2", 2, _adjoint_pair("T"),
+        "cor050", _adjoint_pair("T"),
         nilpotent=("T", ("N",), True),
         derived=(("P", sum_stacks, "T*", "N"), ("Q", sum_stacks, "T", "N")),
         degrees=(("t1", "m1+order_N+order_N-2"), ("t2", "m2+order_N+order_N-2")),
         conclusions=(_Conclusion(_Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"), (), (("order", "order_N"),)),),
     ),
     "thm06": Theorem(
-        "thm06", "A B S T X m n r s", 4, _pair(),
+        "thm06", _pair(),
         derived=(("P", product_stacks, "S", "A"), ("Q", product_stacks, "T", "B")),
         degrees=(("t1", "m+r-1"), ("t2", "n+s-1")),
         conclusions=(_Conclusion(
@@ -961,25 +940,24 @@ THEOREMS = {
         ),),
     ),
     "cor06": Theorem(
-        "cor06", "A B S T X m n kind", 4, _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        "cor06", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(("below", "degree-1", "degree-1")), stages=_PRODUCT_STAGES,
     ),
     "cor061": Theorem(
-        "cor061", "S T X m n", 2, lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
+        "cor061", lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
         derived=(("P", product_stacks, "S*", "T*"), ("ST", product_stacks, "S", "T"), ("Q", np.conjugate, "ST")),
         degrees=(("degree", "m+n-1"),), stages=(_commutator_stage, _derived_stage, _cor061_stage),
     ),
     "cor062": Theorem(
-        "cor062", "A B S T X m n kind", 4, _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        "cor062", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(), stages=(_single_operator_stage, *_PRODUCT_STAGES),
     ),
     "thm07": Theorem(
-        "thm07", "A B S T m n r s variant kind", 4,
-        lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim)), by="variant",
+        "thm07", lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim)),
         derived=(("A(x)S", tensor_stacks, "A", "S"), ("B(x)T", tensor_stacks, "B", "T")),
         degrees=(("degree", "m+n-1"), ("t1", "m+r-1"), ("t2", "n+s-1")),
         conclusions=(
-            _Conclusion(_Vanishes("tensor_defect", "A(x)S", "B(x)T", "I", "degree", "degree", kind="iso",
+            _Conclusion(_Vanishes("tensor_defect", "A(x)S", "B(x)T", "I", "degree", "degree", kind=("iso", "sym"),
                                   when=("variant", "i")), (), (("degree", "degree"),)),
             _Conclusion(_Vanishes("tensor_defect", "A(x)S", "B(x)T", "I", "t1", "t2", when=("variant", "ii")), (),
                         (("t1", "t1"), ("t2", "t2"))),
@@ -1321,29 +1299,36 @@ class CampaignReport:
 LOCKSTEP_TRIALS = 64
 
 
-def _run_chunk(
-    theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int
-) -> list[tuple[TrialResult, InstanceBundle]]:
-    """The result and the instance of each seed: the instances are generated together
-    (``random_instances``) and checked together by their id's program."""
+def _run_chunk(theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+    """The result of each seed: its id's stages on the builder's classes of the chunk's
+    instances (``generators._chunk``).  A refused chunk is checked again as bundles,
+    so that it raises what its first refusing trial raises alone (``Theorem.program``)."""
     entry = THEOREMS[theorem_id]
-    bundles = random_instances(entry.profile, seeds)
-    return list(zip(entry.program(bundles, tol, t_max), bundles))
+    classes = [  # the builder's stacks, and each parameter's values over its class
+        _Columns(positions, {**{name: [p[name] for p in params] for name in params[0]}, **matrices, **tuples},
+                 entry.degrees)
+        for positions, tuples, matrices, params in _chunk(entry.profile, seeds)
+    ]
+    try:
+        return entry._results(classes, len(seeds), tol, t_max)
+    except InvalidArgumentError:
+        return entry.program(random_instances(entry.profile, seeds), tol, t_max)
 
 
 def _counterexample_record(
-    trial: int, seed: int, result: TrialResult, bundle: InstanceBundle | None,
-    entry: Theorem | None, tol: mc.Tolerance,
+    trial: int, seed: int, result: TrialResult, entry: Theorem | None, tol: mc.Tolerance
 ) -> dict:
-    """A counterexample's inputs and defects; a generated one also carries the
-    defect profile, judged at the campaign's tolerance, of the pair ``entry`` tests."""
+    """A counterexample's inputs and defects; a generated one also carries its instance,
+    built again from its seed with the same bits, and the defect profile, judged at the
+    campaign's tolerance, of the pair ``entry`` tests."""
     record = {
         "trial": trial,
         "seed": seed,
         "reason": result.reason,
         "defects": {k: float(v) for k, v in result.defects.items()},
     }
-    if bundle is not None:
+    if entry is not None:
+        bundle = random_instance(entry.profile, seed)
         record["bundle"] = bundle.to_json()
         profile = classify.defect_profile(*entry.pair(bundle), k_max=12, tol=tol)
         record["defect_profile"] = profile.to_json()
@@ -1354,8 +1339,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured checks; deterministic given the seeds (modulo wall time).
 
     Trials run in chunks of up to ``LOCKSTEP_TRIALS`` seeds, whose instances are
-    generated together and checked by one call of the id's column program,
-    with the bits each trial gives alone; a refused chunk raises what its first
+    generated together and checked on their builders' stacks by one call of the
+    id's column program, with the bits each trial gives alone; a refused chunk raises what its first
     refusing trial raises alone.  A budgeted campaign runs chunks of one trial
     and checks the budget before each, so it stops within one trial of its
     deadline and its report covers a prefix of the seeds.  The golden check
@@ -1366,7 +1351,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     deadline = None if config.budget_s is None else start + config.budget_s
     seeds = config.trial_seeds()
     size = LOCKSTEP_TRIALS if deadline is None else 1
-    results: list[tuple[TrialResult, InstanceBundle | None]] = []
+    results: list[TrialResult] = []
     budget_exceeded = False
     golden: TrialResult | None = None
     for first in range(0, len(seeds), size):
@@ -1377,24 +1362,24 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         if config.theorem_id == "ex00-golden":
             if golden is None:
                 golden = check_ex00_golden()
-            results += [(golden, None)] * len(chunk)
+            results += [golden] * len(chunk)
         else:
             results += _run_chunk(config.theorem_id, chunk, config.tol, config.t_max)
 
-    counts = Counter(result.status for result, _ in results)
+    counts = Counter(result.status for result in results)
     entry = THEOREMS.get(config.theorem_id)
     counterexamples = tuple(
-        _counterexample_record(i, seeds[i], result, bundle, entry, config.tol)
-        for i, (result, bundle) in enumerate(results)
+        _counterexample_record(i, seeds[i], result, entry, config.tol)
+        for i, result in enumerate(results)
         if result.status == "counterexample"
     )
     witnesses = tuple(
         {"trial": i, "seed": seeds[i], "sharpness": dict(result.sharpness)}
-        for i, (result, _) in enumerate(results)
+        for i, result in enumerate(results)
         if result.is_sharp
     )
     # a skipped trial judged no conclusion
-    concluded = [result.conclusion for result, _ in results if result.status != "skip"]
+    concluded = [result.conclusion for result in results if result.status != "skip"]
     return CampaignReport(
         theorem_id=config.theorem_id,
         requested_trials=config.trials,

@@ -496,10 +496,12 @@ def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
     bad = InstanceBundle(bad.profile, bad.seed, bad.tuples, {"X": np.full((2, 2), np.inf)}, bad.params)
 
     def cesaro_stage(bundles):
-        classes = verify._classes(bundles, "A B X m", 2)
-        for cls in classes:
-            cls["m"] = [int(m) for m in cls["m"]]
-        run = verify._Run(bundles, [None] * len(bundles), mc.DEFAULT_TOL, 200)
+        # the bundles as one class, whose columns stack their tuples and X
+        columns = {name: np.stack([b.tuples[name].stack for b in bundles]) for name in "AB"}
+        columns["X"] = np.stack([b.matrices["X"] for b in bundles]).astype(complex)
+        columns["m"] = [b.params["m"] for b in bundles]
+        classes = [verify._Columns(np.arange(len(bundles)), columns, {})]
+        run = verify._Run([None] * len(bundles), mc.DEFAULT_TOL, 200)
         return verify._cesaro_stage(verify.THEOREMS["pro01"], classes, run)
 
     with pytest.raises(mc.InvalidArgumentError) as alone:

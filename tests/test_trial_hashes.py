@@ -43,7 +43,7 @@ def trial_hash(theorem_id: str, tolerance: str) -> str:
     digest = hashlib.sha256()
     size = verify.LOCKSTEP_TRIALS
     for first in range(0, len(SEEDS), size):
-        for result, _ in verify._run_chunk(theorem_id, SEEDS[first : first + size], TOLERANCES[tolerance], 200):
+        for result in verify._run_chunk(theorem_id, SEEDS[first : first + size], TOLERANCES[tolerance], 200):
             digest.update(json.dumps(_record(result)).encode())
     return digest.hexdigest()
 

@@ -445,7 +445,8 @@ def test_counterexample_record_carries_bundle_and_profile():
     bundle = random_instance("thm05", 7)
     result = TrialResult(status="counterexample", reason="synthetic", defects={"x": 1.0})
     entry = verify.THEOREMS["thm05"]
-    record = verify._counterexample_record(0, 7, result, bundle, entry, mc.DEFAULT_TOL)
+    record = verify._counterexample_record(0, 7, result, entry, mc.DEFAULT_TOL)
+    assert record["bundle"] == bundle.to_json()
     assert record["reason"] == "synthetic"
     assert record["bundle"]["profile"] == "thm05"
     norms = record["defect_profile"]["triangle_norms"]
@@ -455,8 +456,7 @@ def test_counterexample_record_carries_bundle_and_profile():
 def test_campaign_counterexamples_serialized_on_forced_failure(monkeypatch):
     # force the checker to fail so the serialization path is exercised end to end
     def failing_chunk(theorem_id, seeds, tol, t_max):
-        forced = TrialResult(status="counterexample", reason="forced", defects={"d": 1.0})
-        return [(forced, random_instance("thm05", seed)) for seed in seeds]
+        return [TrialResult(status="counterexample", reason="forced", defects={"d": 1.0}) for _ in seeds]
 
     monkeypatch.setattr(verify, "_run_chunk", failing_chunk)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=2, seed=0))
@@ -464,6 +464,9 @@ def test_campaign_counterexamples_serialized_on_forced_failure(monkeypatch):
     assert report.passes == 0
     payload = json.loads(verify.report_to_json_str(report))
     assert payload["counterexamples"][0]["bundle"]["profile"] == "thm05"
+    # a counterexample's instance is its seed's, built again
+    for record, seed in zip(report.counterexamples, (0, 1)):
+        assert record["bundle"] == random_instance("thm05", seed).to_json()
 
 
 def test_threads_env_is_ignored(monkeypatch):
@@ -486,7 +489,7 @@ def test_serial_budget_partial(monkeypatch):
     def slow_chunk(theorem_id, seeds, tol, t_max):
         seen.extend(seeds)
         time.sleep(0.05 * len(seeds))
-        return [(TrialResult(status="pass"), None) for _ in seeds]
+        return [TrialResult(status="pass") for _ in seeds]
 
     monkeypatch.setattr(verify, "_run_chunk", slow_chunk)
     config = CampaignConfig(theorem_id="pro04", trials=1000, seed=3, budget_s=0.2)
@@ -499,7 +502,7 @@ def test_serial_budget_partial(monkeypatch):
 
 def test_max_defect_ignores_skipped_trials(monkeypatch):
     def skipped_chunk(theorem_id, seeds, tol, t_max):
-        return [(verify._skip("synthetic", base_defect=5.0), None) for _ in seeds]
+        return [verify._skip("synthetic", base_defect=5.0) for _ in seeds]
 
     monkeypatch.setattr(verify, "_run_chunk", skipped_chunk)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=3, seed=0))
@@ -622,11 +625,8 @@ def test_planted_counterexample_profiles_the_declared_pair(theorem_id):
 
     profile = "pro02-family" if theorem_id == "pro02" else theorem_id
     for seed in range(4):
-        bundle = random_instance(profile, seed)
         planted = TrialResult(status="counterexample", reason="planted", defects={"d": 1.0})
-        record = verify._counterexample_record(
-            0, seed, planted, bundle, verify.THEOREMS[theorem_id], mc.DEFAULT_TOL
-        )
+        record = verify._counterexample_record(0, seed, planted, verify.THEOREMS[theorem_id], mc.DEFAULT_TOL)
         A, B, X = _declared_pair(theorem_id, random_instance(profile, seed))
         assert record["defect_profile"] == classify.defect_profile(A, B, X, k_max=12).to_json()
 
@@ -756,7 +756,7 @@ def _recorded_campaign(monkeypatch, theorem_id, trials=50):
 
     def recording(*args):
         chunk = original(*args)
-        results.extend(result for result, _ in chunk)
+        results.extend(chunk)
         return chunk
 
     monkeypatch.setattr(verify, "_run_chunk", recording)
@@ -789,8 +789,7 @@ def test_counterexample_profile_is_judged_at_the_campaign_tolerance(monkeypatch)
     tol = mc.Tolerance(abs_eps=0.0, rel_eps=1e-16)
 
     def planted(theorem_id, seeds, tol, t_max):
-        result = TrialResult(status="counterexample", reason="planted")
-        return [(result, random_instance("thm05", seed)) for seed in seeds]
+        return [TrialResult(status="counterexample", reason="planted") for _ in seeds]
 
     monkeypatch.setattr(verify, "_run_chunk", planted)
     report = run_campaign(CampaignConfig(theorem_id="thm05", trials=20, seed=0, tol=tol))
@@ -831,8 +830,9 @@ REGISTRY_SEEDS = (0, 7, 29)
 
 def _names_read(entry, applies) -> set:
     """Every name an entry reads: in its rows, nilpotent tuples, derived columns and the
-    conclusions that ``applies`` admits, each degree expression by its terms."""
-    degrees, names = dict(entry.degrees), set(entry.by.split())
+    conclusions that ``applies`` admits, each degree expression by its terms, and the
+    parameters that decide which rows apply."""
+    degrees, names = dict(entry.degrees), set()
 
     def degree(spec):
         for term in re.split("[+-]", spec) if isinstance(spec, str) else ():
@@ -846,6 +846,8 @@ def _names_read(entry, applies) -> set:
         elif applies(found):
             names.update({found.P, found.Q, found.X} - {"I"} | ({"kind"} if found.kind else set()))
             degree(found.m), degree(found.n)
+        if isinstance(found, _Vanishes):
+            names.update(found.when[:1])
 
     for found in entry.rows:
         row(found)
@@ -883,8 +885,6 @@ def test_the_registry_reads_only_what_its_profile_builds(theorem_id, seed):
         return name in formed or name in built
 
     unknown = sorted(name for name in _names_read(entry, applies) if not resolves(name))
-    # a name the program reads by name and the bundle lacks is one only another variant's rows read
-    unknown += sorted(set(entry.reads.split()) - set(built) - _names_read(entry, lambda row: True))
     assert not unknown, f"{theorem_id} reads {unknown}, which seed {seed} of {entry.profile} does not build"
     named = []
     for found in entry.rows:
@@ -892,9 +892,12 @@ def test_the_registry_reads_only_what_its_profile_builds(theorem_id, seed):
             continue
         m, n = (built[k] if isinstance(k, str) else k for k in (found.m, found.n)) if isinstance(found, _Vanishes) else (0, 0)
         if isinstance(found, _Vanishes) and found.kind:
-            m, n = (m, 0) if built["kind"] == found.kind else (0, n)
+            m, n = (m, 0) if built["kind"] == found.kind[0] else (0, n)
         named.append(found.residual.format(m=m, n=n))
     assert named == list(bundle.residuals), f"{theorem_id}'s residual rows do not name seed {seed}'s residuals"
+    # the stages read the other names, such as pro02's members, by name, and a name the
+    # bundle lacks is refused
+    entry.check(bundle, mc.DEFAULT_TOL, 20)
 
 
 @pytest.mark.parametrize("theorem_id,name", [
@@ -931,10 +934,19 @@ def test_a_bool_is_not_a_degree():
             refused()
 
 
+def _as_chunk(bundles: list) -> list[tuple]:
+    """Bundles as ``generators._chunk`` gives a chunk's classes: here one class each."""
+    return [
+        (np.array([i]), {name: T.stack[None] for name, T in bundle.tuples.items()},
+         {name: np.array(X, dtype=complex)[None] for name, X in bundle.matrices.items()}, [bundle.params])
+        for i, bundle in enumerate(bundles)
+    ]
+
+
 def test_a_chunk_refuses_as_its_trials_checked_one_at_a_time(monkeypatch):
     # the third trial is refused by an earlier stage than the second, yet a campaign
-    # without a budget (one chunk) raises the second's error, as a budgeted one (chunks
-    # of one trial) does
+    # without a budget (one chunk, whose classes refuse first, then its bundles) raises
+    # the second's error, as a budgeted one (chunks of one trial) does
     base = random_instance("thm05", 2)  # A, B, N1 and N2 of dimension 4
     planted = [
         base,
@@ -943,8 +955,73 @@ def test_a_chunk_refuses_as_its_trials_checked_one_at_a_time(monkeypatch):
                        base.matrices, base.params),
     ]
     monkeypatch.setattr(verify, "random_instances", lambda profile, seeds: [planted[seed] for seed in seeds])
+    monkeypatch.setattr(verify, "_chunk", lambda profile, seeds: _as_chunk([planted[seed] for seed in seeds]))
     with pytest.raises(InvalidArgumentError, match="^dimension mismatch: 4 vs 3$"):
         verify.THEOREMS["thm05"].check(planted[2], mc.DEFAULT_TOL, 0)
     for budget in (None, 1e6):
         with pytest.raises(InvalidArgumentError, match="^dimension mismatch: A is 4, B is 4, X is 3$"):
             run_campaign(CampaignConfig(theorem_id="thm05", trials=3, budget_s=budget))
+
+
+def _with_params(bundle: InstanceBundle, **params) -> InstanceBundle:
+    return InstanceBundle(bundle.profile, bundle.seed, bundle.tuples, bundle.matrices, {**bundle.params, **params})
+
+
+def _thm07_with_kind(kind: str) -> TrialResult:
+    bundle = random_instance("thm07", 0)  # variant i, whose factor rows split by kind
+    T, p = bundle.tuples, bundle.params
+    return check_thm07(T["A"], T["B"], T["S"], T["T"], p["m"], p["n"], kind=kind)
+
+
+@pytest.mark.parametrize("refused,message", [
+    pytest.param(lambda: check_pro02(_with_params(random_instance("pro02-family", 0), kind="zebra")),
+                 "kind must be 'triangle' or 'delta', got 'zebra'", id="pro02"),
+    pytest.param(lambda: verify.check_cor06(_with_params(random_instance("cor06", 1), kind="zebra")),
+                 "kind must be 'iso' or 'sym', got 'zebra'", id="cor06"),
+    pytest.param(lambda: check_cor062(_with_params(random_instance("cor062", 1), kind="zebra")),
+                 "kind must be 'iso' or 'sym', got 'zebra'", id="cor062"),
+    pytest.param(lambda: _thm07_with_kind("zebra"), "kind must be 'iso' or 'sym', got 'zebra'", id="thm07"),
+    pytest.param(lambda: check_pro03(_with_params(random_instance("pro03", 1), part="zebra")),
+                 "part must be 'a' or 'b', got 'zebra'", id="pro03"),
+])
+def test_a_kind_or_part_outside_a_rows_two_values_is_refused(refused, message):
+    # each kind-split row names both of its kinds, and pro03 both of its parts; any
+    # other value is refused, where it ran as the second
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+        refused()
+
+
+def test_a_name_the_bundle_lacks_is_refused():
+    # pro02 reads members A0..A{members-1}, and pro03 its part, by name
+    family = _with_params(random_instance("pro02-family", 0), members=7)  # a six-member family
+    with pytest.raises(InvalidArgumentError, match="^the instance has no 'A6'$"):
+        check_pro02(family)
+    bundle = random_instance("pro03", 1)  # part (b)
+    partless = InstanceBundle(bundle.profile, 1, bundle.tuples, bundle.matrices,
+                              {key: value for key, value in bundle.params.items() if key != "part"})
+    with pytest.raises(InvalidArgumentError, match="^the instance has no 'part'$"):
+        check_pro03(partless)
+
+
+def test_an_unbudgeted_campaign_builds_no_bundle_or_tuple_per_trial(monkeypatch):
+    # a chunk runs on its builder's stacks; only a counterexample builds its bundle
+    built = []
+
+    def spy(cls, name):
+        original = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            built.append(f"{cls.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    for cls, name in ((InstanceBundle, "__init__"), (OperatorTuple, "__init__"), (OperatorTuple, "_of_checked")):
+        spy(cls, name)
+    for theorem_id in verify.THEOREM_IDS:
+        report = run_campaign(CampaignConfig(theorem_id=theorem_id, trials=12, seed=0))
+        assert not report.counterexamples and report.trials + report.skipped == 12
+    assert built == []
+    # the spies see what they spy on
+    random_instance("pro04", 0)
+    assert built == ["OperatorTuple._of_checked", "InstanceBundle.__init__"]
