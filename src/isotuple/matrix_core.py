@@ -2,10 +2,12 @@
 
 Matrices are plain numpy ``complex128`` arrays; ``as_matrix`` validates a
 matrix and ``as_stack`` a ``(k, n, n)`` stack of them (square, non-empty,
-finite entries).  An operator tuple stores its components as one such stack,
-so a map applied componentwise is one batched array expression; a sum over a
-stack runs in index order through ``ordered_sum``, so a stacked kernel gives
-the same bits as the loop over components it replaces.
+finite entries), and both refuse, through ``complex_array``, a value that
+NumPy cannot read as complex numbers.  An operator tuple stores its
+components as one such stack, so a map applied componentwise is one batched
+array expression; a sum over a stack runs in index order through
+``ordered_sum``, so a stacked kernel gives the same bits as the loop over
+components it replaces.
 
 Every "equals zero" judgement in the package compares a Frobenius norm with
 :meth:`Tolerance.threshold`, an absolute floor plus a caller-supplied scale:
@@ -69,9 +71,19 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def complex_array(value, name: str = "matrix") -> np.ndarray:
+    """``value`` as a complex128 array, as ``np.asarray`` reads it; a value that NumPy
+    cannot read as complex numbers (a string, an object, a ragged list, an int too
+    large for a float) is refused with InvalidArgumentError."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{name} is not an array of complex numbers: {exc}") from exc
+
+
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
-    arr = np.asarray(value, dtype=np.complex128)
+    arr = complex_array(value, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -82,7 +94,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 def as_stack(value, name: str = "stack") -> np.ndarray:
     """Coerce to a C-contiguous complex128 ``(k, n, n)`` stack of square matrices, k, n >= 1,
     with finite entries: one shape check and one finiteness check for the whole stack."""
-    arr = np.ascontiguousarray(value, dtype=np.complex128)
+    arr = np.ascontiguousarray(complex_array(value, name))
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or 0 in arr.shape:
         raise InvalidArgumentError(
             f"{name} must hold square non-empty matrices, got shape {arr.shape}"

@@ -25,14 +25,20 @@ their largest degree.  One kernel judges zero tests: ``defect_stack_checks``
 takes them over ``(b, d, n, n)`` stacks with per-item degrees, groups them by
 stack object and row (``_stack_items``), turns the spectral norms it keeps
 by stack into thresholds (``_thresholds``), and raises the first fault by
-test and then by item; it knows nothing of trials.  Only this module knows
-that norm table's layout: ``_fill_stack_norms`` fills the parts it lacks in
-one call, ``_growth_factors`` reads every factor from it and
-``_component_norms`` the component norms of one stack.  ``defect_checks``
-is one kernel call on several degrees of one pair, as items on row 0 of its
-one-row stacks, whose norm fill reads the norms the tuples hold or fill
-(``tuples.spectral_norms``) in place of the table's, and ``defect_check`` is
-its batch of one.  ``stack_defects`` gives each row's
+test and then by item; it knows nothing of trials.
+
+The norm table holds whole stacks, per part: ``id(stack) -> (stack, (b, d)
+component norms, (b,) sum norms)``, a part None until a test reads it.  A
+stack's component norms are read when an item on it has m > 0 and its sum
+norms when one has n > 0, whichever rows the items name, so the table has
+no row flags.  Only this module knows its layout: ``_fill_stack_norms``
+asks one ``tuples.stack_spectral_norms`` call for the parts it lacks,
+``_growth_factors`` reads every factor from it and ``_component_norms`` the
+component norms of one stack.  ``defect_checks`` runs the kernel's two
+phases on several degrees of one pair, as items on row 0 of its one-row
+stacks, with a table seeded from the norms the tuples hold or fill
+(``tuples.spectral_norms``), and ``defect_check`` is its batch of one.
+``stack_defects`` gives each row's
 ``triangle`` or ``delta``, ``triangle``, ``delta`` and ``sigma_iterates`` are
 the engine's batch of one, and ``_cesaro_run`` steps stacks of Cesaro runs
 from X through its loop.  Only the cross-check paths ``triangle_by_iteration``
@@ -73,7 +79,7 @@ def _require_pair(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
 
 def _require_shapes(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
     """X as a complex array, its shape and the pair's checked as ``_require_pair`` checks them."""
-    X = np.asarray(X, dtype=np.complex128)
+    X = mc.complex_array(X, name="X")
     if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] == 0:
         raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape}")
     if A.d != B.d:
@@ -330,37 +336,33 @@ def defect_check(
 def defect_checks(
     A: OperatorTuple, B: OperatorTuple, X, degrees, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: one
-    ``defect_stack_checks`` call on the one-row stacks of the pair and X (one stack
-    serves as A and B when A is B), its items the degrees on row 0, which share
-    the runs they form.
+    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: the phases of
+    ``defect_stack_checks``, norms then thresholds, on the one-row stacks of the pair
+    and X (one stack serves as A and B when A is B), its items the degrees on row 0,
+    which share the runs they form.
 
     The pair is refused as ``triangle`` refuses it, then each degree in order.
-    Every norm comes before every threshold, so a non-finite value is refused
-    before an overflowing spectral norm or scale.  The thresholds read the
-    tuples' spectral norms, the components' when some m > 0 and the sums' when
-    some n > 0; the kernel's norm fill is ``spectral_norms``, which fills the
-    parts they lack in one call and leaves them with the tuples.
+    Every norm comes before every threshold, as in the kernel, so a non-finite
+    value is refused before an overflowing spectral norm or scale.  The
+    thresholds read a norm table seeded from the tuples' own spectral norms,
+    the components' when some m > 0 and the sums' when some n > 0:
+    ``spectral_norms`` fills the parts they lack in one call and leaves them
+    with the tuples.
     """
     X = _require_shapes(A, B, X)
     degrees = [(_require_degree("m", m), _require_degree("n", n)) for m, n in degrees]
     ms, ns = [m for m, _ in degrees], [n for _, n in degrees]
-    parts = (any(ms), any(ns))
-
-    def fill(norms: dict, tests: list) -> None:  # the norms the tuples hold, filled as they lack them
-        ((a, b, *_),) = tests
-        for stack, held in zip((a, b), spectral_norms([(A, *parts), (B, *parts)])):
-            norms[id(stack)] = (stack, *(None if part is None else np.array([part]) for part in held))
-
     a = A.stack[None]
-    test = (a, a if A is B else B.stack[None], X[None], ms, ns, np.zeros(len(ms), dtype=np.intp))
-    ((values, thresholds),) = defect_stack_checks([test], tol, {}, _fill=fill)
+    test = _checked_stack_test(a, a if A is B else B.stack[None], X[None], ms, ns, [0] * len(ms))
+    (values,) = _stack_items([test], mc.fro_norm_array)
+    held = spectral_norms([(A, any(ms), any(ns)), (B, any(ms), any(ns))])
+    norms = {id(stack): (stack, *(None if part is None else np.array([part]) for part in parts))
+             for stack, parts in zip(test[:2], held)}
+    (thresholds,) = _thresholds([test], norms, tol)
     return list(zip(values.tolist(), thresholds.tolist()))
 
 
-def defect_stack_checks(
-    tests, tol: mc.Tolerance, norms: dict, _fill=None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.ndarray, np.ndarray]]:
     """The (norms, thresholds) arrays of each zero test ``(A, B, X, ms, ns)`` over stacks:
     A and B (b, d, n, n) stacks of b pairs, X the (b, n, n) stack of their X, and ms and
     ns the degrees of its items, an int array or a sequence each.  Item i is
@@ -375,17 +377,16 @@ def defect_stack_checks(
     it is read; then a non-finite value, which runs each item alone; then the
     first overflowing threshold.  The kernel knows nothing of trials: a
     caller with several in one call orders their refusals itself
-    (``verify.Theorem.program``).  ``norms`` keeps,
-    by stack, the spectral norms the thresholds read, ``id(stack) -> (stack,
-    (b, d) component norms, (b,) sum norms)``, NaN (or None) where not held;
-    the parts read and not held come from one ``stack_spectral_norms`` call
-    (``_fill_stack_norms``, or ``_fill(norms, tests)`` when given).
+    (``verify.Theorem.program``).  ``norms`` is the norm table that the
+    thresholds read, kept by the caller across calls (``_fill_stack_norms``).
+    It holds whole stacks, so a stack whose norms a test reads is refused when
+    any row of it is non-finite, whether an item reads that row or not.
     """
     tests = [_checked_stack_test(*test) for test in tests]
     if not tests:
         return []
     values = _stack_items(tests, mc.fro_norm_array)
-    (_fill or _fill_stack_norms)(norms, tests)
+    _fill_stack_norms(norms, tests)
     return list(zip(values, _thresholds(tests, norms, tol)))
 
 
@@ -403,7 +404,7 @@ def _checked_stack_test(A, B, X, ms, ns, rows=None) -> tuple:
     """A stack test with C-contiguous stacks, lists of int degrees and an index array of
     rows, refused when its shapes do not match, then at its first m and then its first
     n that is not a non-negative integer."""
-    X = np.ascontiguousarray(X, dtype=np.complex128)
+    X = np.ascontiguousarray(mc.complex_array(X, name="X"))
     if X.ndim != 3 or X.shape[1] != X.shape[2] or X.shape[1] == 0:
         raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape[1:]}")
     if A.shape[1] != B.shape[1]:
@@ -503,12 +504,6 @@ def _stack_sources(tests: list, members: list) -> tuple:
         A, B, X, _, _, rows = tests[t]
         reads.append(items if rows is None else _at(rows, items))
         triples.setdefault((id(A), id(B), id(X)), [A, B, X, []])[3].append(reads[-1])
-    if len(triples) == len(members) and all(tests[t][5] is None for t, _ in members):
-        # each triple's rows once, in order
-        parts = [(A, B, X) if read is None else (A[read], B[read], X[read])
-                 for A, B, X, (read,) in triples.values()]
-        a, b, x = parts[0] if len(parts) == 1 else (np.concatenate(stacks) for stacks in zip(*parts))
-        return a, b, x, list(range(len(x)))
     parts, offsets = [], {}
     offset = 0
     for key, (A, B, X, row_sets) in triples.items():
@@ -538,53 +533,25 @@ def _stack_sources(tests: list, members: list) -> tuple:
 
 
 def _fill_stack_norms(norms: dict, tests: list) -> None:
-    """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read:
-    ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, NaN (or None)
-    where not held.  A row's component norms are read by an item of degree m > 0
-    on it and its sum norm by one of n > 0; the parts read and not held come from
-    one ``stack_spectral_norms`` call."""
+    """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read, whole
+    stacks per part: ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, a
+    part None until some test reads it.  A stack's component norms are read when an
+    item on it has m > 0 and its sum norms when one has n > 0; the parts read and not
+    held come from one ``stack_spectral_norms`` call."""
     wanted: dict[int, list] = {}
-    for A, B, _, ms, ns, rows in tests:
-        iso, sym = _read_rows(len(A), ms, rows), _read_rows(len(A), ns, rows)
+    for A, B, _, ms, ns, _ in tests:
+        iso, sym = any(ms), any(ns)
         for T in (A, B):
-            need = wanted.get(id(T))
-            if need is None:
-                wanted[id(T)] = [T, iso, sym]
-            else:
-                need[1] = [p or q for p, q in zip(need[1], iso)]
-                need[2] = [p or q for p, q in zip(need[2], sym)]
+            need = wanted.setdefault(id(T), [T, False, False])
+            need[1], need[2] = need[1] or iso, need[2] or sym
     requests = []
     for T, iso, sym in wanted.values():
-        _, comps, sums = norms.get(id(T), (T, None, None))
-        if comps is not None:  # a row not held is NaN
-            iso = [flag and math.isnan(held) for flag, held in zip(iso, comps[:, 0].tolist())]
-        if sums is not None:
-            sym = [flag and math.isnan(held) for flag, held in zip(sym, sums.tolist())]
-        requests.append((T, _read(iso), _read(sym)))
-    for (T, _, _), found in zip(wanted.values(), stack_spectral_norms(requests)):
-        held = norms.get(id(T), (T, None, None))[1:]
-        norms[id(T)] = (T, *(
-            old if new is None else new if old is None else np.where(np.isnan(new), old, new)
-            for old, new in zip(held, found)
-        ))
-
-
-def _read_rows(b: int, degrees: list, rows) -> list[bool]:
-    """The flags of the b rows of a stack test's stacks that an item of degree > 0 reads."""
-    if rows is None:
-        return [k > 0 for k in degrees]
-    flags = [False] * b
-    for r, k in zip(rows.tolist(), degrees):
-        if k > 0:
-            flags[r] = True
-    return flags
-
-
-def _read(flags: list):
-    """The rows a norm part is read in: True for all, None for none, else their index."""
-    if all(flags):
-        return True
-    return np.flatnonzero(flags) if any(flags) else None
+        _, comps, sums = norms.setdefault(id(T), (T, None, None))
+        need = (T, iso and comps is None, sym and sums is None)
+        if need[1] or need[2]:
+            requests.append(need)
+    for (T, _, _), found in zip(requests, stack_spectral_norms(requests)):
+        norms[id(T)] = (T, *(new if old is None else old for old, new in zip(norms[id(T)][1:], found)))
 
 
 def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]:
@@ -612,8 +579,8 @@ def _growth_factors(norms: dict, iso_pair: tuple, sym_pair: tuple, ms, ns, rows=
 
 
 def _component_norms(norms: dict, stack: np.ndarray) -> np.ndarray:
-    """The (b, d) spectral norms of a stack's components that the norm table holds, NaN
-    in the rows that no test of degree m > 0 read."""
+    """The (b, d) spectral norms of a stack's components that the norm table holds, once
+    a zero test of degree m > 0 has read them."""
     return norms[id(stack)][1]
 
 

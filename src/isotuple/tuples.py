@@ -14,10 +14,15 @@ The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 tuple or pair calls its kernel on one-row stacks, so each kernel has one
 implementation: ``commutes_within``, ``commutes_cross``, the
 ``max_commutator_*`` residuals, ``nilpotency_order``, ``sum_tuple``,
-``product_tuple`` and ``tensor_tuple``.  ``spectral_norms`` fills the norms
-that several tuples lack in one ``stack_spectral_norms`` call, and the tuples
-keep them; ``op_norms`` and ``sum_op_norm`` are its batch of one.  A tuple's
-own sum is ``stack_sums`` of its stack.
+``product_tuple`` and ``tensor_tuple``.
+
+Spectral norms come in two parts, a stack's component norms and its sums'
+norms.  A ``stack_spectral_norms`` request ``(stack, components, sums)`` names
+a whole stack and, by two booleans, the parts to compute for every row of
+it; the parts of every request come from one SVD batch per dimension.
+``spectral_norms`` fills the parts that several tuples lack in one such call,
+and the tuples keep them; ``op_norms`` and ``sum_op_norm`` are its batch of
+one.  A tuple's own sum is ``stack_sums`` of its stack.
 
 Orderings are pinned for reproducibility:
 
@@ -203,45 +208,30 @@ def stack_sums(stacks: np.ndarray) -> np.ndarray:
 
 def stack_spectral_norms(requests) -> list[tuple]:
     """``(component norms, sum norms)`` of each request ``(stack, components, sums)`` on a
-    (b, d, n, n) stack of tuples: ``components`` and ``sums`` name the rows whose part is
-    read, True for every row, None for none, or an index array.  A part is a (b, d) or
-    (b,) array, NaN in the rows not read, or None when no row is.
+    (b, d, n, n) stack of tuples: the (b, d) spectral norms of its components when
+    ``components`` and the (b,) norms of its component sums when ``sums``, each part
+    not asked for None.
 
     The parts come from one batched ``op_norm_estimate`` call per matrix
     dimension; each norm equals the float its matrix gives alone.
     """
-    by_dim: dict[int, list[int]] = {}
-    for k, (stack, components, sums) in enumerate(requests):
-        if components is not None or sums is not None:
-            by_dim.setdefault(stack.shape[-1], []).append(k)
-    found: list[tuple] = [(None, None)] * len(requests)
-    for members in by_dim.values():
-        parts = []
-        for k in members:
-            stack, components, sums = requests[k]
-            if components is not None:
-                parts.append(_rows(stack, components).reshape(-1, *stack.shape[-2:]))
-            if sums is not None:
-                parts.append(stack_sums(_rows(stack, sums)))
-        values = mc.op_norm_estimate(np.concatenate(parts) if len(parts) > 1 else parts[0])
-        offset = 0
-        for k in members:
-            stack, *rows = requests[k]
-            b, d = stack.shape[:2]
-            held = []
-            for index, width in zip(rows, (d, 1)):
-                if index is None:
-                    held.append(None)
-                    continue
-                size = (b if index is True else len(index)) * width
-                part = values[offset : offset + size].reshape(-1, width)
-                offset += size
-                if index is not True:
-                    part, filled = np.full((b, width), np.nan), part
-                    part[index] = filled
-                held.append(part)
-            found[k] = (held[0], None if held[1] is None else held[1][:, 0])
-    return found
+    parts: dict[int, list] = {}
+    for stack, components, sums in requests:
+        n = stack.shape[-1]
+        if components:
+            parts.setdefault(n, []).append(stack.reshape(-1, n, n))
+        if sums:
+            parts.setdefault(n, []).append(stack_sums(stack))
+    values = {
+        n: iter(np.split(mc.op_norm_estimate(np.concatenate(p) if len(p) > 1 else p[0]),
+                         np.cumsum([len(q) for q in p[:-1]])))
+        for n, p in parts.items()
+    }
+    return [
+        (next(values[stack.shape[-1]]).reshape(stack.shape[:2]) if components else None,
+         next(values[stack.shape[-1]]) if sums else None)
+        for stack, components, sums in requests
+    ]
 
 
 def spectral_norms(requests) -> list[tuple]:
@@ -255,9 +245,7 @@ def spectral_norms(requests) -> list[tuple]:
         need[1] = need[1] or bool(components) and "_op_norms" not in T.__dict__
         need[2] = need[2] or bool(sums) and "_sum_op_norm" not in T.__dict__
     wanted = [need for need in missing.values() if need[1] or need[2]]
-    found = stack_spectral_norms(
-        [(T.stack[None], components or None, sums or None) for T, components, sums in wanted]
-    )
+    found = stack_spectral_norms([(T.stack[None], components, sums) for T, components, sums in wanted])
     for (T, _, _), (components, sums) in zip(wanted, found):
         if components is not None:
             T.__dict__["_op_norms"] = tuple(components[0].tolist())
@@ -267,11 +255,6 @@ def spectral_norms(requests) -> list[tuple]:
         (T.__dict__["_op_norms"] if components else None, T.__dict__["_sum_op_norm"] if sums else None)
         for T, components, sums in requests
     ]
-
-
-def _rows(stack: np.ndarray, index) -> np.ndarray:
-    """The rows of a stack that an index names: every row for True."""
-    return stack if index is True else stack[index]
 
 
 @lru_cache(maxsize=None)

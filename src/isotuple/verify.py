@@ -163,6 +163,13 @@ def _bundle(**args) -> InstanceBundle:
     return InstanceBundle("", 0, tuples, matrices, params)
 
 
+def _require_tuples(**args) -> None:
+    """Refuse a check's tuple argument that is not an ``OperatorTuple``, by its name."""
+    for name, value in args.items():
+        if not isinstance(value, OperatorTuple):
+            raise InvalidArgumentError(f"{name} must be an OperatorTuple, got {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # the interpreter's parts: classes of columns, and the stages run on them
 
@@ -217,7 +224,7 @@ def _bundle_class(row: int, bundle: InstanceBundle, degrees: tuple) -> _Columns:
     """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks."""
     return _Columns(np.array([row]), {
         **{name: [value] for name, value in bundle.params.items()},
-        **{name: np.array(X, dtype=np.complex128)[None] for name, X in bundle.matrices.items()},
+        **{name: mc.complex_array(X, name)[None] for name, X in bundle.matrices.items()},
         **{name: T.stack[None] for name, T in bundle.tuples.items()},
     }, degrees)
 
@@ -1019,6 +1026,7 @@ def check_pro03(
 
 def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
     """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
+    _require_tuples(A_hilbert=A_hilbert)
     return THEOREMS["pro04"].check(_bundle(A=A_hilbert), tol, 0)
 
 
@@ -1026,6 +1034,7 @@ def check_pro5(
     A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> TrialResult:
     """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
+    _require_tuples(A_hilbert=A_hilbert)
     return THEOREMS["pro5"].check(_bundle(A=A_hilbert, m_even=m_even), tol, 0)
 
 
@@ -1040,6 +1049,7 @@ def check_thm05(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
+    _require_tuples(A=A, B=B, N1=N1, N2=N2)
     return THEOREMS["thm05"].check(_bundle(A=A, B=B, N1=N1, N2=N2, X=X, m1=m1, m2=m2), tol, 0)
 
 
@@ -1057,6 +1067,7 @@ def check_cor050(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
+    _require_tuples(T_hilbert=T_hilbert, N=N)
     return THEOREMS["cor050"].check(_bundle(T=T_hilbert, N=N, X=X, m1=m1, m2=m2), tol, 0)
 
 
@@ -1077,6 +1088,7 @@ def check_thm06(
     The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     cross-assigned combined defects.
     """
+    _require_tuples(A=A, B=B, S=S, T=T)
     return THEOREMS["thm06"].check(_bundle(A=A, B=B, S=S, T=T, X=X, m=m, n=n, r=r, s=s), tol, 0)
 
 
@@ -1094,6 +1106,7 @@ def check_cor061(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
+    _require_tuples(S=S, T=T)
     return THEOREMS["cor061"].check(_bundle(S=S, T=T, X=X, m=m, n=n), tol, 0)
 
 
@@ -1116,6 +1129,7 @@ def check_thm07(
     tol: mc.Tolerance = mc.DEFAULT_TOL,
 ) -> TrialResult:
     """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
+    _require_tuples(A=A, B=B, S=S, T=T)
     bundle = _bundle(A=A, B=B, S=S, T=T, m=m, n=n, r=r, s=s, variant=variant, kind=kind)
     return THEOREMS["thm07"].check(bundle, tol, 0)
 

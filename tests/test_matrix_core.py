@@ -210,3 +210,20 @@ def test_op_norm_estimate_on_stack_is_one_norm_per_matrix():
     stack[1, 0, 0] = np.nan
     with pytest.raises(InvalidArgumentError):
         mc.op_norm_estimate(stack)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param("abc", id="string"), pytest.param(object(), id="object"), pytest.param({"a": 1}, id="dict"),
+    pytest.param([[1, "x"], [2, 3]], id="string-entry"), pytest.param([[1, 2], [3]], id="ragged"),
+    pytest.param(10**400, id="int-past-float"),
+])
+def test_values_numpy_cannot_read_as_complex_are_refused(bad):
+    for convert in (mc.as_matrix, mc.as_stack):
+        with pytest.raises(InvalidArgumentError, match="is not an array of complex numbers"):
+            convert(bad)
+
+
+def test_values_numpy_reads_as_complex_are_still_accepted():
+    for value in ([[1, 2], [3, 4]], [[1 + 2j, "3"], [4.5, "1j"]], np.eye(3, dtype=int), [[True]]):
+        assert np.array_equal(mc.as_matrix(value), np.asarray(value, dtype=np.complex128))
+        assert np.array_equal(mc.as_stack([value])[0], np.asarray(value, dtype=np.complex128))

@@ -16,6 +16,7 @@ import pytest
 
 from isotuple import matrix_core as mc
 from isotuple import transforms as tf
+from isotuple import tuples
 from isotuple import verify
 from isotuple.generators import InstanceBundle, random_instances
 from isotuple.multiindex import binomial
@@ -371,10 +372,11 @@ def test_defect_stack_checks_take_every_threshold_from_one_spectral_norms_call(m
         for found in pairs.values()
     ]
     tf.defect_stack_checks(tests, mc.DEFAULT_TOL, {})
-    # one table for every test: both tuples' d component norms when m > 0 and
-    # their sums' norms when n > 0, and nothing for the two of degree (0, 0)
-    parts = sum(2 * (d * (m > 0) + (n > 0)) for d in pairs for m, n in MIXED_DEGREES)
-    assert calls == [(parts, 3, 3)] and parts == 60
+    # one table for every test, by whole stacks: both tuples' d component norms
+    # in every row, since some m > 0, and their sums' norms in every row, since
+    # some n > 0, the rows of degree (0, 0) included
+    parts = sum(2 * len(MIXED_DEGREES) * (d + 1) for d in pairs)
+    assert calls == [(parts, 3, 3)] and parts == 100
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -509,3 +511,36 @@ def test_batched_cesaro_errors_refuse_a_non_finite_iterate_as_alone():
     with pytest.raises(mc.InvalidArgumentError) as batched:
         cesaro_stage([good, bad])
     assert str(batched.value) == str(alone.value) == "X contains non-finite entries"
+
+
+def test_every_spectral_norm_request_names_whole_stacks_by_part(monkeypatch):
+    # each request is (stack, components, sums) with two booleans, and each part
+    # holds every row of its stack, also where a test's items read only some rows
+    # (pro03's one-component pairs, cor061's kinds) or rows of two kinds (cor06, thm07)
+    requests = []
+    original = tuples.stack_spectral_norms
+
+    def spy(asked):
+        found = original(asked)
+        requests.extend(zip(asked, found))
+        return found
+
+    monkeypatch.setattr(tuples, "stack_spectral_norms", spy)
+    monkeypatch.setattr(tf, "stack_spectral_norms", spy)
+    for theorem_id in ("cor06", "thm07", "pro03", "cor061", "thm05"):
+        requests.clear()
+        verify.run_campaign(verify.CampaignConfig(theorem_id=theorem_id, trials=24, seed=0))
+        assert requests
+        for (stack, components, sums), (component_norms, sum_norms) in requests:
+            assert type(components) is bool and type(sums) is bool and (components or sums)
+            assert (component_norms is None) != components and (sum_norms is None) != sums
+            for part, shape in ((component_norms, stack.shape[:2]), (sum_norms, stack.shape[:1])):
+                assert part is None or part.shape == shape and np.isfinite(part).all()
+    # a test that reads two rows of four, the first of one kind and the second of the other
+    A, B, X = (np.stack(column) for column in zip(*(
+        (T.stack if isinstance(T, OperatorTuple) else T for T in _pair(2, 3, seed)) for seed in range(4)
+    )))
+    requests.clear()
+    tf.defect_stack_checks([(A, B, X, [1, 0], [0, 1], [2, 0])], mc.DEFAULT_TOL, {})
+    assert [(stack is T, c, s) for T, ((stack, c, s), _) in zip((A, B), requests)] == [(True, True, True)] * 2
+    assert [found[0].shape for _, found in requests] == [(4, 2)] * 2

@@ -327,3 +327,17 @@ def test_defect_check_equals_the_expression_it_replaces(theorem_id, tol):
             norm, threshold = tf.defect_check(A, B, X, m, n, tol)
             assert norm.hex() == mc.fro_norm(defect).hex()
             assert threshold.hex() == tol.threshold(scale).hex()
+
+
+@pytest.mark.parametrize("bad", ["abc", object(), [[1, 2], [3]]])
+def test_an_x_numpy_cannot_read_as_complex_is_refused(bad):
+    A, B = JORDAN_PAIR
+    for call in (
+        lambda: tf.triangle(A, B, bad, 1),
+        lambda: tf.delta(A, B, bad, 1),
+        lambda: tf.defect_check(A, B, bad, 1, 1),
+        lambda: tf.defect_scale(A, B, bad, 1),
+        lambda: tf.defect_stack_checks([(A.stack[None], B.stack[None], [bad], [1], [0])], mc.DEFAULT_TOL, {}),
+    ):
+        with pytest.raises(InvalidArgumentError, match="^X is not an array of complex numbers"):
+            call()

@@ -365,3 +365,9 @@ def test_nilpotency_order_refuses_a_bad_max_order_before_a_non_commuting_tuple()
     with pytest.raises(InvalidArgumentError, match=r"^tuple does not commute \(max residual "):
         nilpotency_order(bad, 4)
     assert nilpotency_order(good, 4) == 2
+
+
+@pytest.mark.parametrize("components", [["abc"], [object()], [np.eye(2), "abc"], [[[1, 2], [3]]]])
+def test_components_numpy_cannot_read_as_complex_are_refused(components):
+    with pytest.raises(InvalidArgumentError, match="^component [01] is not an array of complex numbers"):
+        OperatorTuple(components)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -669,13 +670,14 @@ def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         calls.clear()
         check_pro03(bundle)
         monkeypatch.undo()
-        # part (a) reads component norms: of the d - 1 one-component pairs of its
-        # hypotheses and the d of each tuple of the full pair, whose last ones its
-        # right-hand side reads; part (b) reads sum norms: of the d pairs (the last
-        # one in its right-hand test) and of the full pair
+        # part (a) reads component norms: of the whole stacks of the d one-component
+        # pairs, whose first d - 1 its hypotheses read, and the d of each tuple of
+        # the full pair, whose last ones its right-hand side reads; part (b) reads
+        # sum norms: of the d pairs (the last one in its right-hand test) and of the
+        # full pair
         d = bundle.tuples["A"].d
         iso = bundle.params["part"] == "a"
-        assert calls == [(4 * d - 2 if iso else 2 * d + 2, 3, 3)]
+        assert calls == [(4 * d if iso else 2 * d + 2, 3, 3)]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -1001,6 +1003,26 @@ def test_a_name_the_bundle_lacks_is_refused():
                               {key: value for key, value in bundle.params.items() if key != "part"})
     with pytest.raises(InvalidArgumentError, match="^the instance has no 'part'$"):
         check_pro03(partless)
+
+
+@pytest.mark.parametrize("check,profile", [
+    (check_thm05, "thm05"), (check_cor050, "cor050"), (check_thm06, "thm06"), (check_cor061, "cor061"),
+    (check_thm07, "thm07"), (check_pro04, "pro04"), (check_pro5, "pro5"),
+])
+def test_a_check_refuses_an_array_in_place_of_a_tuple_naming_the_argument(check, profile):
+    bundle = random_instance(profile, 0)
+    args = {}  # the check's arguments from its instance, A_hilbert being the bundle's A
+    for name in inspect.signature(check).parameters:
+        key = name.removesuffix("_hilbert")
+        for found in (bundle.tuples, bundle.matrices, bundle.params):
+            if key in found:
+                args[name] = found[key]
+    assert check(**args).status in ("pass", "skip")
+    tuples = [name for name, value in args.items() if isinstance(value, OperatorTuple)]
+    assert tuples
+    for name in tuples:
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an OperatorTuple, got ndarray$"):
+            check(**{**args, name: args[name].stack})
 
 
 def test_an_unbudgeted_campaign_builds_no_bundle_or_tuple_per_trial(monkeypatch):
