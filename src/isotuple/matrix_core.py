@@ -3,7 +3,8 @@
 Matrices are plain numpy ``complex128`` arrays; ``as_matrix`` validates a
 matrix and ``as_stack`` a ``(k, n, n)`` stack of them (square, non-empty,
 finite entries), and both refuse, through ``complex_array``, a value that
-NumPy cannot read as complex numbers.  An operator tuple stores its
+NumPy cannot read as complex numbers, as ``fro_norm``, ``is_zero``,
+``max_abs_diff``, ``vec`` and ``unvec`` do.  An operator tuple stores its
 components as one such stack, so a map applied componentwise is one batched
 array expression; a sum over a stack runs in index order through
 ``ordered_sum``, so a stacked kernel gives the same bits as the loop over
@@ -160,7 +161,7 @@ def fro_norm(a) -> float:
     """Frobenius norm, computed as ``np.linalg.norm(a, "fro")`` computes it for a
     complex matrix (two BLAS dot products over the entries in memory order),
     so it gives the same bits, without that function's dispatch."""
-    x = np.asarray(a, dtype=np.complex128).ravel(order="K")
+    x = complex_array(a).ravel(order="K")
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
@@ -224,19 +225,18 @@ def is_zero(m, tol: Tolerance = DEFAULT_TOL, scale: float = 1.0) -> bool:
 
 def max_abs_diff(a, b) -> float:
     """Largest entrywise absolute difference; used by golden comparisons."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a, b = complex_array(a, "a"), complex_array(b, "b")
     _require_same_shape(a, b)
     return float(np.max(np.abs(a - b)))
 
 
 def vec(x) -> np.ndarray:
     """Column-stacked vectorization."""
-    return np.asarray(x, dtype=np.complex128).flatten(order="F")
+    return complex_array(x).flatten(order="F")
 
 
 def unvec(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
+    v = complex_array(v, "vector")
     if v.size != n * n:
         raise InvalidArgumentError(f"vector of size {v.size} cannot unvec to {n}x{n}")
     return v.reshape((n, n), order="F")

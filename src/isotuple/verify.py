@@ -8,26 +8,28 @@ Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
 with full inputs and a defect profile for post-mortem.
 
-Each theorem is one ``THEOREMS`` entry, written as data: its profile, whose
-commutator and hypothesis rows (``generators._Commutes`` and ``_Vanishes``,
-kept beside the builder, where they also give a bundle its residuals) it
-tests, its nilpotent tuples, its derived columns (stacked sums, products and
-conjugates, and degree expressions such as ``m1+order_N1+order_N2-2``) and
-its conclusion with its sharpness tests and extra result keys.  One
-interpreter runs the entry's stages on classes of columns (``_Columns``), a
-trial being one row of its class's stacks: a campaign chunk's classes are
-the builder's own (``generators._chunk``), so a chunk builds no per-trial
-tuple or bundle, and ``Theorem.program(bundles, tol, t_max)``, the path of
-``check_*``, makes each bundle a class of one row.  Each stage is one
-stack-kernel call over the live rows of every class: ``_commutator_stage``,
-``_nilpotent_stage``, ``_hypothesis_stage`` and ``_sharp_conclusions`` (zero
-tests through ``transforms.defect_stack_checks``), with ``_derived_stage``
-between them.  A skip is a row mask and a derived tuple a stacked
-expression.  What is not rows is a named hook, a stage of the same form:
-pro01's zero tests, Cesaro run and collapse test, pro02's member and limit
-stage, pro03's reduction and right-hand side, pro04's self-adjoint residual,
-pro5's degree refusal, cor05's combined defect, cor061's two kinds, cor062's
-single-operator skip and thm07's variant refusal.
+Each theorem is one ``THEOREMS`` entry, written as data under a comment that
+states its claim: its profile, whose commutator and hypothesis rows
+(``generators._Commutes`` and ``_Vanishes``, kept beside the builder, where
+they also give a bundle its residuals) it tests, its nilpotent tuples, its
+derived columns (stacked sums, products and conjugates, and degree
+expressions such as ``m1+order_N1+order_N2-2``) and its conclusion with its
+sharpness tests and extra result keys.  One interpreter runs the entry's
+stages on classes of columns (``_Columns``), a trial being one row of its
+class's stacks: a campaign chunk's classes are the builder's own
+(``generators._chunk``), so a chunk builds no per-trial tuple or bundle, and
+``Theorem.program(bundles, tol, t_max)`` makes each bundle a class of one
+row; ``Theorem.check(bundle, tol, t_max)``, its batch of one, is the one way
+to check a single instance.  Each stage is one stack-kernel call over the
+live rows of every class: ``_commutator_stage``, ``_nilpotent_stage``,
+``_hypothesis_stage`` and ``_sharp_conclusions`` (zero tests through
+``transforms.defect_stack_checks``), with ``_derived_stage`` between them.  A
+skip is a row mask and a derived tuple a stacked expression.  What is not
+rows is a named hook, a stage of the same form: pro01's zero tests, Cesaro
+run and collapse test, pro02's member and limit stage, pro03's reduction and
+right-hand side, pro04's self-adjoint residual, pro5's degree refusal,
+cor05's combined defect, cor061's two kinds, cor062's single-operator skip
+and thm07's variant refusal.
 
 Every kernel gives each item the bits it gets alone, so a trial's result
 does not depend on the trials beside it, and neither does a refusal: a
@@ -52,7 +54,7 @@ import re
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -154,22 +156,6 @@ def _verdict(
     )
 
 
-def _bundle(**args) -> InstanceBundle:
-    """A check's arguments as the bundle its program reads: its tuples, its X and its
-    parameters, by name."""
-    tuples = {name: value for name, value in args.items() if isinstance(value, OperatorTuple)}
-    matrices = {"X": args.pop("X")} if "X" in args else {}
-    params = {name: value for name, value in args.items() if name not in tuples}
-    return InstanceBundle("", 0, tuples, matrices, params)
-
-
-def _require_tuples(**args) -> None:
-    """Refuse a check's tuple argument that is not an ``OperatorTuple``, by its name."""
-    for name, value in args.items():
-        if not isinstance(value, OperatorTuple):
-            raise InvalidArgumentError(f"{name} must be an OperatorTuple, got {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # the interpreter's parts: classes of columns, and the stages run on them
 
@@ -221,7 +207,11 @@ class _Columns:
 
 
 def _bundle_class(row: int, bundle: InstanceBundle, degrees: tuple) -> _Columns:
-    """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks."""
+    """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks.
+    A value under a tuple key that is not an ``OperatorTuple`` is refused, by its key."""
+    for name, T in bundle.tuples.items():
+        if not isinstance(T, OperatorTuple):
+            raise InvalidArgumentError(f"{name} must be an OperatorTuple, got {type(T).__name__}")
     return _Columns(np.array([row]), {
         **{name: [value] for name, value in bundle.params.items()},
         **{name: mc.complex_array(X, name)[None] for name, X in bundle.matrices.items()},
@@ -827,8 +817,10 @@ class Theorem:
     *args)``, ``degrees`` its degree expressions by name, and ``conclusions`` what it
     concludes.  Its ``stages`` run in order on classes of columns: a campaign chunk's
     builder classes (``_run_chunk``), or a batch of bundles, one class each
-    (``program(bundles, tol, t_max)``).  ``pair(bundle)`` is the (A, B, X) whose
-    defect profile a counterexample record carries.
+    (``program(bundles, tol, t_max)``, or ``check(bundle, tol, t_max)`` for one);
+    a bundle with a value that is not an ``OperatorTuple`` under a tuple key is
+    refused, naming the key.  ``pair(bundle)`` is the (A, B, X) whose defect
+    profile a counterexample record carries.
     """
 
     profile: str
@@ -857,14 +849,14 @@ class Theorem:
     def program(self, bundles: list, tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
         """The result of each instance of a batch: the entry's stages, in order, on a class
         of one row per instance.  A refused batch of several instances raises what its
-        first instance that is refused alone raises, as a batch of one each would."""
+        first instance that is refused alone raises, as ``check`` of each would."""
         try:
             return self._results([_bundle_class(r, bundle, self.degrees) for r, bundle in enumerate(bundles)],
                                  len(bundles), tol, t_max)
         except InvalidArgumentError:
             for bundle in bundles if len(bundles) > 1 else ():
                 try:
-                    self.program([bundle], tol, t_max)
+                    self.check(bundle, tol, t_max)
                 except InvalidArgumentError as first:
                     raise first from None
             raise
@@ -904,17 +896,44 @@ def _product(*sharp) -> tuple:
                         (("degree", "degree"),)),)
 
 
-#: The registry, one entry per theorem id, in campaign order.
+#: The registry, one entry per theorem id, in campaign order, each under the
+#: statement of its claim.
 THEOREMS = {
+    # Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
+    #
+    # Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
+    # defect norm at degrees < m) plus the tolerance floor.  The collapse
+    # assertion (degree m-1 defect vanishes outright) is additionally applied
+    # when the sigma superoperator is invertible and unitary-like -- normal with
+    # no eigenvalue inside the unit circle -- which is the regime where its
+    # inverse iterates stay bounded.
     "pro01": Theorem("pro01", _pair(), stages=(_pro01_stage,)),
+    # Norm-limits of defect-annihilated families keep the combined identity.
+    #
+    # The first family member must satisfy its declared identity (hypothesis);
+    # the member sequence must converge in norm to the declared limit.  A limit
+    # that decisively fails while the first member passed is a counterexample
+    # (a drifting family), not a skip.  Every member's test and the limit's
+    # are evaluated together, so their scales come from one LAPACK call.
     "pro02": Theorem("pro02-family", _pair("A0", "B0"), stages=(_pro02_stage,)),
+    # Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
+    #
+    # Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
+    # is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
+    # Part (b): the symmetric analogue, reducing to the last pair's delta defect.
+    # The scales of every one-component pair and of the full pair come from one
+    # LAPACK call: part (a)'s right-hand threshold reads the last components'
+    # norms, which the full pair's zero test has filled.
     "pro03": Theorem("pro03", _pair(), stages=(_pro03_stage,)),
+    # Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum.
     "pro04": Theorem("pro04", _adjoint_pair("A"), stages=(_hypothesis_stage, _selfadjoint_stage)),
+    # Even symmetric degree of the adjoint pair at I collapses to the odd degree below.
     "pro5": Theorem(
         "pro5", _adjoint_pair("A"),
         conclusions=(_Conclusion(_Vanishes("odd_degree_defect", "A*", "A", "I", 0, "m_even-1")),),
         stages=(_even_degree_stage, _hypothesis_stage, _sharp_conclusions),
     ),
+    # Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2.
     "thm05": Theorem(
         "thm05", _pair(),
         nilpotent=("A", ("N1", "N2"), False), derived=_SUMS, degrees=_RAISED,
@@ -924,6 +943,7 @@ THEOREMS = {
             (("t1", "t1"), ("t2", "t2"), ("n1", "order_N1"), ("n2", "order_N2")),
         ),),
     ),
+    # The three perturbation implications for two base pairs sharing the nilpotents.
     "cor05": Theorem(
         "cor05", _pair("A1", "B1"),
         nilpotent=("A1", ("N1", "N2"), True), degrees=_RAISED,
@@ -931,6 +951,7 @@ THEOREMS = {
                  ("P2", sum_stacks, "A2", "N1"), ("Q2", sum_stacks, "B2", "N2")),
         stages=(_commutator_stage, _nilpotent_stage, _hypothesis_stage, _derived_stage, _cor05_stage),
     ),
+    # Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2.
     "cor050": Theorem(
         "cor050", _adjoint_pair("T"),
         nilpotent=("T", ("N",), True),
@@ -938,6 +959,10 @@ THEOREMS = {
         degrees=(("t1", "m1+order_N+order_N-2"), ("t2", "m2+order_N+order_N-2")),
         conclusions=(_Conclusion(_Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"), (), (("order", "order_N"),)),),
     ),
+    # Products of cross-commuting defect-annihilated pairs vanish at (m+r-1, n+s-1).
+    #
+    # The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
+    # cross-assigned combined defects.
     "thm06": Theorem(
         "thm06", _pair(),
         derived=(("P", product_stacks, "S", "A"), ("Q", product_stacks, "T", "B")),
@@ -946,19 +971,23 @@ THEOREMS = {
             _Vanishes("product_defect", "P", "Q", "X", "t1", "t2"), (("below_t1", "t1-1", "t2"),), (("t1", "t1"), ("t2", "t2")),
         ),),
     ),
+    # Single-kind product implication: both pairs isometric (or both symmetric).
     "cor06": Theorem(
         "cor06", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(("below", "degree-1", "degree-1")), stages=_PRODUCT_STAGES,
     ),
+    # Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC).
     "cor061": Theorem(
         "cor061", lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
         derived=(("P", product_stacks, "S*", "T*"), ("ST", product_stacks, "S", "T"), ("Q", np.conjugate, "ST")),
         degrees=(("degree", "m+n-1"),), stages=(_commutator_stage, _derived_stage, _cor061_stage),
     ),
+    # Single operator times tuple: the product inherits degree m+n-1.
     "cor062": Theorem(
         "cor062", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(), stages=(_single_operator_stage, *_PRODUCT_STAGES),
     ),
+    # Tensor products of defect-annihilated pairs vanish at the combined degrees.
     "thm07": Theorem(
         "thm07", lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim)),
         derived=(("A(x)S", tensor_stacks, "A", "S"), ("B(x)T", tensor_stacks, "B", "T")),
@@ -975,163 +1004,11 @@ THEOREMS = {
 
 THEOREM_IDS = tuple(THEOREMS)
 
-
-# ---------------------------------------------------------------------------
-# the single-instance checks: each its entry's batch of one
-
-
-def check_pro01(
-    bundle: InstanceBundle, t_max: int = 200, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Cesaro convergence of normalized sigma powers for an (X,m)-isometric pair.
-
-    Passes iff the error at t_max sits under C*(m-1)/t_max (C = 5 * the largest
-    defect norm at degrees < m) plus the tolerance floor.  The collapse
-    assertion (degree m-1 defect vanishes outright) is additionally applied
-    when the sigma superoperator is invertible and unitary-like -- normal with
-    no eigenvalue inside the unit circle -- which is the regime where its
-    inverse iterates stay bounded.
-    """
-    return THEOREMS["pro01"].check(bundle, tol, t_max)
-
-
-def check_pro02(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Norm-limits of defect-annihilated families keep the combined identity.
-
-    The first family member must satisfy its declared identity (hypothesis);
-    the member sequence must converge in norm to the declared limit.  A limit
-    that decisively fails while the first member passed is a counterexample
-    (a drifting family), not a skip.  Every member's test and the limit's
-    are evaluated together, so their scales come from one LAPACK call.
-    """
-    return THEOREMS["pro02"].check(bundle, tol, 0)
-
-
-def check_pro03(
-    bundle: InstanceBundle, m: int | None = None, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
-
-    Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
-    is (X,m)-isometric iff ((d-2) I + L_{A_d} R_{B_d})^m (X) = 0.
-    Part (b): the symmetric analogue, reducing to the last pair's delta defect.
-    The scales of every one-component pair and of the full pair come from one
-    LAPACK call: part (a)'s right-hand threshold reads the last components'
-    norms, which the full pair's zero test has filled.
-    """
-    if m is not None:
-        bundle = replace(bundle, params={**bundle.params, "m": m})
-    return THEOREMS["pro03"].check(bundle, tol, 0)
-
-
-def check_pro04(A_hilbert: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum."""
-    _require_tuples(A_hilbert=A_hilbert)
-    return THEOREMS["pro04"].check(_bundle(A=A_hilbert), tol, 0)
-
-
-def check_pro5(
-    A_hilbert: OperatorTuple, m_even: int, tol: mc.Tolerance = mc.DEFAULT_TOL
-) -> TrialResult:
-    """Even symmetric degree of the adjoint pair at I collapses to the odd degree below."""
-    _require_tuples(A_hilbert=A_hilbert)
-    return THEOREMS["pro5"].check(_bundle(A=A_hilbert, m_even=m_even), tol, 0)
-
-
-def check_thm05(
-    A: OperatorTuple,
-    B: OperatorTuple,
-    N1: OperatorTuple,
-    N2: OperatorTuple,
-    X,
-    m1: int,
-    m2: int,
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2."""
-    _require_tuples(A=A, B=B, N1=N1, N2=N2)
-    return THEOREMS["thm05"].check(_bundle(A=A, B=B, N1=N1, N2=N2, X=X, m1=m1, m2=m2), tol, 0)
-
-
-def check_cor05(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """The three perturbation implications for two base pairs sharing the nilpotents."""
-    return THEOREMS["cor05"].check(bundle, tol, 0)
-
-
-def check_cor050(
-    T_hilbert: OperatorTuple,
-    N: OperatorTuple,
-    X,
-    m1: int,
-    m2: int,
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2."""
-    _require_tuples(T_hilbert=T_hilbert, N=N)
-    return THEOREMS["cor050"].check(_bundle(T=T_hilbert, N=N, X=X, m1=m1, m2=m2), tol, 0)
-
-
-def check_thm06(
-    A: OperatorTuple,
-    B: OperatorTuple,
-    S: OperatorTuple,
-    T: OperatorTuple,
-    X,
-    m: int,
-    n: int,
-    r: int,
-    s: int,
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Products of cross-commuting defect-annihilated pairs vanish at (m+r-1, n+s-1).
-
-    The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
-    cross-assigned combined defects.
-    """
-    _require_tuples(A=A, B=B, S=S, T=T)
-    return THEOREMS["thm06"].check(_bundle(A=A, B=B, S=S, T=T, X=X, m=m, n=n, r=r, s=s), tol, 0)
-
-
-def check_cor06(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Single-kind product implication: both pairs isometric (or both symmetric)."""
-    return THEOREMS["cor06"].check(bundle, tol, 0)
-
-
-def check_cor061(
-    S: OperatorTuple,
-    T: OperatorTuple,
-    X,
-    m: int,
-    n: int,
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC)."""
-    _require_tuples(S=S, T=T)
-    return THEOREMS["cor061"].check(_bundle(S=S, T=T, X=X, m=m, n=n), tol, 0)
-
-
-def check_cor062(bundle: InstanceBundle, tol: mc.Tolerance = mc.DEFAULT_TOL) -> TrialResult:
-    """Single operator times tuple: the product inherits degree m+n-1."""
-    return THEOREMS["cor062"].check(bundle, tol, 0)
-
-
-def check_thm07(
-    A: OperatorTuple,
-    B: OperatorTuple,
-    S: OperatorTuple,
-    T: OperatorTuple,
-    m: int,
-    n: int,
-    r: int | None = None,
-    s: int | None = None,
-    variant: str = "i",
-    kind: str = "iso",
-    tol: mc.Tolerance = mc.DEFAULT_TOL,
-) -> TrialResult:
-    """Tensor products of defect-annihilated pairs vanish at the combined degrees."""
-    _require_tuples(A=A, B=B, S=S, T=T)
-    bundle = _bundle(A=A, B=B, S=S, T=T, m=m, n=n, r=r, s=s, variant=variant, kind=kind)
-    return THEOREMS["thm07"].check(bundle, tol, 0)
+#: Each entry's ``check`` under the name ``check_<id>``, in campaign order: the
+#: benchmark's tracer (``perfbench/tracing.py``) wraps these names, and nothing in
+#: the package calls them.
+(check_pro01, check_pro02, check_pro03, check_pro04, check_pro5, check_thm05, check_cor05, check_cor050,
+ check_thm06, check_cor06, check_cor061, check_cor062, check_thm07) = (entry.check for entry in THEOREMS.values())
 
 
 #: The frozen matrices of the mixing example, as JSON matrix literals: S* A0 S,

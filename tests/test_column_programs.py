@@ -194,57 +194,44 @@ def _scaled(T: OperatorTuple, c: float) -> OperatorTuple:
     return OperatorTuple(c * T.stack)
 
 
-def _rebundled(bundle: InstanceBundle, params: dict | None = None, **tuples) -> InstanceBundle:
+def _rebundled(bundle: InstanceBundle, params: dict | None = None, X=None, **tuples) -> InstanceBundle:
+    """The bundle with the named tuples, its X and the parameters ``params`` replaced."""
     return InstanceBundle(
         profile=bundle.profile, seed=bundle.seed, tuples={**bundle.tuples, **tuples},
-        matrices=bundle.matrices, params={**bundle.params, **(params or {})},
+        matrices=bundle.matrices if X is None else {**bundle.matrices, "X": X},
+        params={**bundle.params, **(params or {})},
     )
 
 
-def _args(bundle: InstanceBundle, names: str) -> list:
-    found = {**bundle.tuples, **bundle.matrices, **bundle.params}
-    return [found[name] for name in names.split()]
-
-
-#: The names of the arguments of each check that takes them one by one, not as a bundle.
-ARGUMENTS = {
-    "pro04": "A", "pro5": "A m_even", "thm05": "A B N1 N2 X m1 m2", "cor050": "T N X m1 m2",
-    "thm06": "A B S T X m n r s", "cor061": "S T X m n", "thm07": "A B S T m n r s variant kind",
-}
+def _alone(theorem_id: str, bundle: InstanceBundle) -> verify.TrialResult:
+    """The result of one trial, from the id's ``check``."""
+    return verify.THEOREMS[theorem_id].check(bundle, mc.DEFAULT_TOL, 200)
 
 
 def _chunk(theorem_id: str, trials: list, tol: mc.Tolerance = mc.DEFAULT_TOL) -> list:
-    """The results of trials, each the arguments of the id's check, from one call of its program."""
-    names = ARGUMENTS.get(theorem_id)
-    bundles = [args[0] if names is None else verify._bundle(**dict(zip(names.split(), args))) for args in trials]
-    return verify.THEOREMS[theorem_id].program(bundles, tol, 200)
+    """The results of trials, each a bundle, from one call of the id's program."""
+    return verify.THEOREMS[theorem_id].program(trials, tol, 200)
 
 
 def _thm05_trials():
     base = random_instance("thm05", 2)  # d = 2
-    args = dict(zip("A B N1 N2 X m1 m2".split(), _args(base, "A B N1 N2 X m1 m2")))
-
-    def with_(**changes):
-        return tuple({**args, **changes}.values())
-
     skips = {
-        "tuple A does not commute": with_(A=NONCOMMUTING),
-        "tuple B does not commute": with_(B=NONCOMMUTING),
-        "tuple N1 does not commute": with_(N1=NONCOMMUTING),
-        "tuple N2 does not commute": with_(N2=NONCOMMUTING),
-        "[A, N1] != 0": with_(A=DIAGONAL, N1=FULL),
-        "[B, N2] != 0": with_(B=DIAGONAL, N2=FULL),
-        "perturbation tuple is not nilpotent up to the dimension": with_(N1=SCALAR),
-        "base pair violates the combined identity": with_(A=_scaled(args["A"], 2.0)),
+        "tuple A does not commute": _rebundled(base, A=NONCOMMUTING),
+        "tuple B does not commute": _rebundled(base, B=NONCOMMUTING),
+        "tuple N1 does not commute": _rebundled(base, N1=NONCOMMUTING),
+        "tuple N2 does not commute": _rebundled(base, N2=NONCOMMUTING),
+        "[A, N1] != 0": _rebundled(base, A=DIAGONAL, N1=FULL),
+        "[B, N2] != 0": _rebundled(base, B=DIAGONAL, N2=FULL),
+        "perturbation tuple is not nilpotent up to the dimension": _rebundled(base, N1=SCALAR),
+        "base pair violates the combined identity": _rebundled(base, A=_scaled(base.tuples["A"], 2.0)),
     }
     refused = [
-        (with_(X=np.eye(3)), "dimension mismatch: A is 4, B is 4, X is 3"),
-        (with_(m1=1.5), "m must be a non-negative integer, got 1.5"),
+        (_rebundled(base, X=np.eye(3)), "dimension mismatch: A is 4, B is 4, X is 3"),
+        (_rebundled(base, {"m1": 1.5}), "m must be a non-negative integer, got 1.5"),
         # refused by the commutator stage, an earlier stage than either refusal above
-        (with_(N1=OperatorTuple.of(np.eye(3), np.eye(3))), "dimension mismatch: 4 vs 3"),
+        (_rebundled(base, N1=OperatorTuple.of(np.eye(3), np.eye(3))), "dimension mismatch: 4 vs 3"),
     ]
-    passing = [tuple(_args(b, "A B N1 N2 X m1 m2")) for b in random_instances("thm05", range(8))]
-    return verify.check_thm05, passing, skips, refused
+    return list(random_instances("thm05", range(8))), skips, refused
 
 
 def _cor05_trials():
@@ -265,58 +252,51 @@ def _cor05_trials():
         # refused by the nilpotency stage, an earlier stage than the refusal above
         (_rebundled(base, N1=NONCOMMUTING), "tuple does not commute"),
     ]
-    passing = list(random_instances("cor05", range(8)))
-    return verify.check_cor05, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
-        ((b,), message) for b, message in refused
-    ]
+    return list(random_instances("cor05", range(8))), skips, refused
 
 
 def _cor050_trials():
     base = random_instance("cor050", 1)  # d = 2
-    T, N, X, m1, m2 = _args(base, "T N X m1 m2")
-    cross = "[T, N] != 0 or [T*, N] != 0"
     skips = {
-        "T does not commute": (NONCOMMUTING, N, X, m1, m2),
-        cross: (DIAGONAL, N, X, m1, m2),
-        "perturbation tuple is not nilpotent up to the dimension": (T, SCALAR, X, m1, m2),
-        "base adjoint pair violates the combined identity": (_scaled(T, 2.0), N, X, m1, m2),
+        "T does not commute": _rebundled(base, T=NONCOMMUTING),
+        "[T, N] != 0 or [T*, N] != 0": _rebundled(base, T=DIAGONAL),
+        "perturbation tuple is not nilpotent up to the dimension": _rebundled(base, N=SCALAR),
+        "base adjoint pair violates the combined identity": _rebundled(base, T=_scaled(base.tuples["T"], 2.0)),
     }
     refused = [
-        ((T, N, np.eye(3), m1, m2), "dimension mismatch: A is 4, B is 4, X is 3"),
-        ((T, NONCOMMUTING, X, m1, m2), "tuple does not commute"),
+        (_rebundled(base, X=np.eye(3)), "dimension mismatch: A is 4, B is 4, X is 3"),
+        (_rebundled(base, N=NONCOMMUTING), "tuple does not commute"),
     ]
-    passing = [tuple(_args(b, "T N X m1 m2")) for b in random_instances("cor050", range(8))]
-    return verify.check_cor050, passing, skips, refused
+    return list(random_instances("cor050", range(8))), skips, refused
 
 
 def _thm06_trials():
     base = random_instance("thm06", 1)  # diag-unitary, d = 2, n = 3
-    args = dict(zip("A B S T X m n r s".split(), _args(base, "A B S T X m n r s")))
-
-    def with_(**changes):
-        return tuple({**args, **changes}.values())
-
     full = OperatorTuple.of(*[np.arange(9.0).reshape(3, 3) + np.eye(3)] * 2)
     eye, nil = OperatorTuple.of(np.eye(2)), OperatorTuple.of(np.eye(2) + np.diag([1.0], 1))
+
+    def on_eye(A, B, S, T, m, n, r, s):
+        return InstanceBundle("thm06", 0, {"A": A, "B": B, "S": S, "T": T}, {"X": np.eye(2)},
+                              {"m": m, "n": n, "r": r, "s": s})
+
     skips = {
-        "[A,S] != 0": with_(A=full),
-        "[B,S] != 0": with_(B=full),
-        "[B,T] != 0": with_(T=full),
-        "hypothesis AB_mn fails": with_(A=_scaled(args["A"], 2.0)),
-        "hypothesis ST_rs fails": with_(S=_scaled(args["S"], 2.0)),
+        "[A,S] != 0": _rebundled(base, A=full),
+        "[B,S] != 0": _rebundled(base, B=full),
+        "[B,T] != 0": _rebundled(base, T=full),
+        "hypothesis AB_mn fails": _rebundled(base, A=_scaled(base.tuples["A"], 2.0)),
+        "hypothesis ST_rs fails": _rebundled(base, S=_scaled(base.tuples["S"], 2.0)),
         # (I + N, I) with N**2 = 0 at X = I vanishes at degrees (r, s) with r + s >= 2 only
-        "hypothesis ST_rn fails": (eye, eye, nil, eye, np.eye(2), 1, 0, 1, 1),
-        "hypothesis AB_ms fails": (nil, eye, eye, eye, np.eye(2), 1, 1, 1, 0),
+        "hypothesis ST_rn fails": on_eye(eye, eye, nil, eye, 1, 0, 1, 1),
+        "hypothesis AB_ms fails": on_eye(nil, eye, eye, eye, 1, 1, 1, 0),
     }
     refused = [
-        (with_(r=-2), "m must be a non-negative integer, got -2"),
-        (with_(S=OperatorTuple.of(np.eye(2))), "dimension mismatch: 3 vs 2"),
+        (_rebundled(base, {"r": -2}), "m must be a non-negative integer, got -2"),
+        (_rebundled(base, S=OperatorTuple.of(np.eye(2))), "dimension mismatch: 3 vs 2"),
     ]
-    passing = [tuple(_args(b, "A B S T X m n r s")) for b in random_instances("thm06", range(9))]
-    return verify.check_thm06, passing, skips, refused
+    return list(random_instances("thm06", range(9))), skips, refused
 
 
-def _product_trials(theorem_id: str, check, base_seed: int):
+def _product_trials(theorem_id: str, base_seed: int):
     base = random_instance(theorem_id, base_seed)
     if theorem_id == "cor06":
         skips = {
@@ -332,10 +312,7 @@ def _product_trials(theorem_id: str, check, base_seed: int):
             "a factor violates its identity": _rebundled(base, A=_scaled(base.tuples["A"], 2.0)),
         }
     refused = [(_rebundled(base, {"m": -1}), "must be a non-negative integer, got -1")]
-    passing = list(random_instances(theorem_id, range(8)))
-    return check, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
-        ((b,), message) for b, message in refused
-    ]
+    return list(random_instances(theorem_id, range(8))), skips, refused
 
 
 def _embedded(bundle: InstanceBundle) -> InstanceBundle:
@@ -356,35 +333,26 @@ def _embedded(bundle: InstanceBundle) -> InstanceBundle:
 def _pro01_trials():
     base = random_instance("pro01", 0)  # the Jordan variant, m = 3
     skips = {"not (X,3)-isometric": _rebundled(base, A=_scaled(base.tuples["A"], 2.0))}
-    zero = InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples,
-                          matrices={"X": np.zeros((2, 2))}, params={**base.params, "m": 0})
     refused = [
         # X = 0 passes its degree-0 test, and the Cesaro stage refuses the degree
-        (zero, "m must be a positive integer, got 0"),
+        (_rebundled(base, {"m": 0}, X=np.zeros((2, 2))), "m must be a positive integer, got 0"),
         # refused by the zero tests, an earlier stage than the Cesaro stage
-        (InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples, matrices={"X": np.eye(3)},
-                        params=base.params), "dimension mismatch: A is 2, B is 2, X is 3"),
+        (_rebundled(base, X=np.eye(3)), "dimension mismatch: A is 2, B is 2, X is 3"),
     ]
-    passing = list(random_instances("pro01", range(8)))
-    return verify.check_pro01, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
-        ((b,), message) for b, message in refused
-    ]
+    return list(random_instances("pro01", range(8))), skips, refused
 
 
 def _pro02_trials():
     base = random_instance("pro02-family", 0)  # the triangle kind
     skips = {"first family member violates its identity": _rebundled(base, A0=_scaled(base.tuples["A0"], 2.0))}
     refused = [
-        (InstanceBundle(profile=base.profile, seed=0, tuples=base.tuples, matrices={"X": np.eye(3)},
-                        params=base.params), "dimension mismatch: A is 2, B is 2, X is 3"),
+        (_rebundled(base, X=np.eye(3)), "dimension mismatch: A is 2, B is 2, X is 3"),
         # the limit equal to the first member: refused before any zero test
         (_rebundled(base, A_limit=base.tuples["A0"], B_limit=base.tuples["B0"]), "family does not converge"),
     ]
     # a family of 3 x 3 matrices is a shape class of its own
     passing = [*random_instances("pro02-family", range(8)), _embedded(random_instance("pro02-family", 9))]
-    return verify.check_pro02, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
-        ((b,), message) for b, message in refused
-    ]
+    return passing, skips, refused
 
 
 def _pro03_trials():
@@ -397,72 +365,69 @@ def _pro03_trials():
         ),
     }
     refused = [(_rebundled(base, {"m": -1}), "m must be a non-negative integer, got -1")]
-    passing = list(random_instances("pro03", range(8)))
-    return verify.check_pro03, [(b,) for b in passing], {k: (b,) for k, b in skips.items()}, [
-        ((b,), message) for b, message in refused
-    ]
+    return list(random_instances("pro03", range(8))), skips, refused
 
 
 def _adjoint_trials(theorem_id: str):
     rng = np.random.default_rng(0)
     skewed = OperatorTuple.of(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     huge = OperatorTuple(1e200 * np.eye(3)[None])
-    bundles = random_instances(theorem_id, range(8))
+    bundles = list(random_instances(theorem_id, range(8)))
+
+    def of(A, **params):
+        return InstanceBundle(theorem_id, 0, {"A": A}, {}, params)
+
     if theorem_id == "pro04":
-        skips = {"adjoint pair is not (I,2)-symmetric": (skewed,)}
-        return verify.check_pro04, [(b.tuples["A"],) for b in bundles], skips, [
-            ((huge,), "tolerance scale overflows")
-        ]
-    skips = {"adjoint pair is not (I,2)-symmetric": (skewed, 2), "adjoint pair is not (I,4)-symmetric": (skewed, 4)}
+        return bundles, {"adjoint pair is not (I,2)-symmetric": of(skewed)}, [(of(huge), "tolerance scale overflows")]
+    skips = {
+        "adjoint pair is not (I,2)-symmetric": of(skewed, m_even=2),
+        "adjoint pair is not (I,4)-symmetric": of(skewed, m_even=4),
+    }
     refused = [
-        ((huge, 2), "tolerance scale overflows"),
+        (of(huge, m_even=2), "tolerance scale overflows"),
         # refused before any zero test
-        ((bundles[0].tuples["A"], 3), "m must be a positive even integer, got 3"),
+        (_rebundled(bundles[0], {"m_even": 3}), "m must be a positive even integer, got 3"),
     ]
-    return verify.check_pro5, [tuple(_args(b, "A m_even")) for b in bundles], skips, refused
+    return bundles, skips, refused
 
 
 def _cor061_trials():
     lifted = OperatorTuple.of(np.eye(2) + np.diag([1.0], 1))  # real and not normal
     diagonal = OperatorTuple.of(np.diag([1.0, 2.0]))
+
+    def of(S, T, X):
+        return InstanceBundle("cor061", 0, {"S": S, "T": T}, {"X": X}, {"m": 1, "n": 1})
+
     skips = {
-        "[S, T] != 0": (OperatorTuple.of(SHIFT), OperatorTuple.of(SHIFT.T), EYE, 1, 1),
+        "[S, T] != 0": of(OperatorTuple.of(SHIFT), OperatorTuple.of(SHIFT.T), EYE),
         # S commutes with T = S, but S* = S^T does not commute with conj(T) = S
-        "[S*, CTC] != 0": (lifted, lifted, np.eye(2), 1, 1),
+        "[S*, CTC] != 0": of(lifted, lifted, np.eye(2)),
         # sigma(X) = 2X and [S, X] = -X at X = E_12: no hypothesis of either kind holds
-        "neither implication has valid hypotheses": (diagonal, diagonal, np.diag([1.0], 1), 1, 1),
+        "neither implication has valid hypotheses": of(diagonal, diagonal, np.diag([1.0], 1)),
     }
-    base = tuple(_args(random_instance("cor061", 0), "S T X m n"))
+    base = random_instance("cor061", 0)
     refused = [
-        (base[:3] + (-1, 1), "m must be a non-negative integer, got -1"),
+        (_rebundled(base, {"m": -1, "n": 1}), "m must be a non-negative integer, got -1"),
         # refused by the commutator stage, an earlier stage than the refusal above
-        ((base[0], OperatorTuple.of(np.eye(2)), *base[2:]), "dimension mismatch: 3 vs 2"),
+        (_rebundled(base, T=OperatorTuple.of(np.eye(2))), "dimension mismatch: 3 vs 2"),
     ]
-    passing = [tuple(_args(b, "S T X m n")) for b in random_instances("cor061", range(8))]
-    return verify.check_cor061, passing, skips, refused
+    return list(random_instances("cor061", range(8))), skips, refused
 
 
 def _thm07_trials():
-    names = "A B S T m n r s variant kind"
-
-    def args(bundle, **changes):
-        found = {**bundle.tuples, **{"r": None, "s": None, "kind": "iso"}, **bundle.params, **changes}
-        return tuple(found[name] for name in names.split())
-
     first, second = random_instance("thm07", 0), random_instance("thm07", 1)  # variants i and ii
     skips = {
-        "a factor pair violates its identity": args(first, A=_scaled(first.tuples["A"], 2.0)),
-        "first pair violates the combined identity": args(second, A=_scaled(second.tuples["A"], 2.0)),
-        "second pair violates its identities": args(second, S=_scaled(second.tuples["S"], 2.0)),
+        "a factor pair violates its identity": _rebundled(first, A=_scaled(first.tuples["A"], 2.0)),
+        "first pair violates the combined identity": _rebundled(second, A=_scaled(second.tuples["A"], 2.0)),
+        "second pair violates its identities": _rebundled(second, S=_scaled(second.tuples["S"], 2.0)),
     }
     refused = [
-        (args(first, m=-1), "m must be a non-negative integer, got -1"),
+        (_rebundled(first, {"m": -1}), "m must be a non-negative integer, got -1"),
         # refused before any zero test
-        (args(first, variant="iii"), "variant must be 'i' or 'ii', got 'iii'"),
+        (_rebundled(first, {"variant": "iii"}), "variant must be 'i' or 'ii', got 'iii'"),
     ]
     # seeds 16 and 18 give variant i tuples of length 2, a shape class of their own
-    passing = [args(b) for b in random_instances("thm07", [*range(8), 16, 18])]
-    return verify.check_thm07, passing, skips, refused
+    return list(random_instances("thm07", [*range(8), 16, 18])), skips, refused
 
 
 PLANTED = {
@@ -477,8 +442,8 @@ PLANTED = {
     "cor05": _cor05_trials,
     "cor050": _cor050_trials,
     "thm06": _thm06_trials,
-    "cor06": lambda: _product_trials("cor06", verify.check_cor06, 0),
-    "cor062": lambda: _product_trials("cor062", verify.check_cor062, 0),
+    "cor06": lambda: _product_trials("cor06", 0),
+    "cor062": lambda: _product_trials("cor062", 0),
 }
 
 
@@ -488,49 +453,38 @@ def test_every_column_program_is_planted():
 
 @pytest.mark.parametrize("theorem_id", sorted(PLANTED))
 def test_a_chunk_of_planted_trials_gives_each_trial_what_it_gives_alone(theorem_id):
-    check, passing, skips, refused = PLANTED[theorem_id]()
+    passing, skips, refused = PLANTED[theorem_id]()
     tol = mc.DEFAULT_TOL
-    for reason, args in skips.items():
-        result = check(*args)
+    for reason, bundle in skips.items():
+        result = _alone(theorem_id, bundle)
         assert (result.status, result.reason) == ("skip", reason)
     trials = [passing[0], *skips.values(), *passing[1:]]
-    alone = [check(*args) for args in trials]
+    alone = [_alone(theorem_id, bundle) for bundle in trials]
     assert [result.status for result in alone].count("skip") == len(skips)
     assert _chunk(theorem_id, trials, tol) == alone
     # a refusing trial refuses the whole chunk with its own error, and the first
     # refusing trial's error comes first, whatever stage refuses the later ones
-    for k, (args, message) in enumerate(refused):
+    for k, (bundle, message) in enumerate(refused):
         with pytest.raises(InvalidArgumentError, match=message):
-            check(*args)
-        later = [args for args, _ in refused[k:]]
+            _alone(theorem_id, bundle)
+        later = [bundle for bundle, _ in refused[k:]]
         chunk = trials[:3] + later[:1] + trials[3:] + later[1:]
         with pytest.raises(InvalidArgumentError, match=message):
             _chunk(theorem_id, chunk, tol)
 
 
-#: Where each id's checker takes a degree that its hypothesis stage reads: the
-#: position of the argument, or the name of the bundle's parameter.  pro04 takes
-#: none, and pro5 refuses a bad one before any stage.
+#: The parameter of each id's instance that is a degree its hypothesis stage reads.
+#: pro04 has none, and pro5 refuses a bad one before any stage.
 HYPOTHESIS_DEGREE = {
-    "thm05": 5, "cor050": 3, "thm06": 7, "cor05": "m2", "cor06": "m", "cor062": "m",
-    "pro01": "m", "pro02": "m1", "pro03": "m", "pro5": 1, "cor061": 3, "thm07": 4,
+    "thm05": "m1", "cor050": "m1", "thm06": "r", "cor05": "m2", "cor06": "m", "cor062": "m",
+    "pro01": "m", "pro02": "m1", "pro03": "m", "pro5": "m_even", "cor061": "m", "thm07": "m",
 }
 
 
-def _with_degree(args: tuple, where, value) -> tuple:
-    if isinstance(where, int):
-        return args[:where] + (value,) + args[where + 1 :]
-    (bundle,) = args
-    return (_rebundled(bundle, {where: value}),)
-
-
-def _shapes(args: tuple) -> tuple:
+def _shapes(bundle: InstanceBundle) -> tuple:
     """The shapes of a trial's tuples and matrices, which set its class."""
-    values = [*args[0].tuples.values(), *args[0].matrices.values()] if isinstance(args[0], InstanceBundle) else args
-    return tuple(
-        (value.stack if isinstance(value, OperatorTuple) else value).shape
-        for value in values if isinstance(value, (OperatorTuple, np.ndarray))
-    )
+    return tuple(np.shape(value.stack if isinstance(value, OperatorTuple) else value)
+                 for value in [*bundle.tuples.values(), *bundle.matrices.values()])
 
 
 def _widened(T: OperatorTuple) -> OperatorTuple:
@@ -540,17 +494,16 @@ def _widened(T: OperatorTuple) -> OperatorTuple:
 
 @pytest.mark.parametrize("theorem_id", sorted(HYPOTHESIS_DEGREE))
 def test_refusals_at_one_stage_in_two_shape_classes_come_in_trial_order(theorem_id):
-    check, passing, _, _ = PLANTED[theorem_id]()
+    passing, _, _ = PLANTED[theorem_id]()
     first = passing[0]
-    other = next((args for args in passing if _shapes(args) != _shapes(first)), None)
+    other = next((bundle for bundle in passing if _shapes(bundle) != _shapes(first)), None)
     if other is None:  # every instance of the id has one shape: widen one pair of it
-        (bundle,) = first
-        other = (_rebundled(bundle, S=_widened(bundle.tuples["S"]), T=_widened(bundle.tuples["T"])),)
-    where = HYPOTHESIS_DEGREE[theorem_id]
-    refused = {-1: _with_degree(first, where, -1), -2: _with_degree(other, where, -2)}
-    for value, args in refused.items():
+        other = _rebundled(first, S=_widened(first.tuples["S"]), T=_widened(first.tuples["T"]))
+    name = HYPOTHESIS_DEGREE[theorem_id]
+    refused = {-1: _rebundled(first, {name: -1}), -2: _rebundled(other, {name: -2})}
+    for value, bundle in refused.items():
         with pytest.raises(InvalidArgumentError, match=f"got {value}$"):
-            check(*args)
+            _alone(theorem_id, bundle)
     # each chunk holds a class of two trials and one of one, both refused by the
     # hypothesis stage; the earlier trial's refusal comes first, whatever its class
     for chunk, value in (
@@ -563,17 +516,17 @@ def test_refusals_at_one_stage_in_two_shape_classes_come_in_trial_order(theorem_
 
 
 def test_refusals_of_the_commutator_stage_in_two_classes_come_in_trial_order():
-    check, passing, _, _ = PLANTED["thm05"]()
+    passing, _, _ = PLANTED["thm05"]()
     first = passing[0]
-    other = next(args for args in passing if args[0].d != first[0].d)
+    other = next(bundle for bundle in passing if bundle.tuples["A"].d != first.tuples["A"].d)
 
-    def with_n(args, k, N2=None):
+    def with_n(bundle, k, **N2):
         # N1 of dimension k: [A, N1] is refused, once every tuple commutes within
-        return args[:2] + (OperatorTuple.of(np.eye(k), np.eye(k)), N2 or args[3]) + args[4:]
+        return _rebundled(bundle, N1=OperatorTuple.of(np.eye(k), np.eye(k)), **N2)
 
     # the class of `other` comes first, by a trial that skips before the refused pair
     chunk = [with_n(other, 3, N2=NONCOMMUTING), with_n(first, 2), with_n(other, 3)]
-    assert check(*chunk[0]).reason == "tuple N2 does not commute"
+    assert _alone("thm05", chunk[0]).reason == "tuple N2 does not commute"
     with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 2"):
         _chunk("thm05", chunk)
     with pytest.raises(InvalidArgumentError, match="dimension mismatch: 4 vs 3"):
@@ -581,10 +534,10 @@ def test_refusals_of_the_commutator_stage_in_two_classes_come_in_trial_order():
 
 
 def test_refusals_of_the_tensor_stage_in_two_classes_come_in_trial_order():
-    _, passing, _, _ = PLANTED["thm07"]()
-    first, second = passing[0], next(args for args in passing if args[8] == "ii")
-    unnamed = second[:6] + (None,) + second[7:]  # variant ii without r
-    unknown = first[:8] + ("iii",) + first[9:]
+    passing, _, _ = PLANTED["thm07"]()
+    first, second = passing[0], next(bundle for bundle in passing if bundle.params["variant"] == "ii")
+    unnamed = _rebundled(second, {"r": None})  # variant ii without r
+    unknown = _rebundled(first, {"variant": "iii"})
     # the class of variant ii comes first, by a trial that is not refused
     with pytest.raises(InvalidArgumentError, match="^variant must be 'i' or 'ii', got 'iii'$"):
         _chunk("thm07", [second, unknown, first, unnamed])

@@ -227,3 +227,30 @@ def test_values_numpy_reads_as_complex_are_still_accepted():
     for value in ([[1, 2], [3, 4]], [[1 + 2j, "3"], [4.5, "1j"]], np.eye(3, dtype=int), [[True]]):
         assert np.array_equal(mc.as_matrix(value), np.asarray(value, dtype=np.complex128))
         assert np.array_equal(mc.as_stack([value])[0], np.asarray(value, dtype=np.complex128))
+
+
+#: vec, unvec, fro_norm, is_zero and max_abs_diff (each side), each on one argument.
+HELPERS = {
+    "vec": mc.vec, "unvec": lambda v: mc.unvec(v, 2), "fro_norm": mc.fro_norm, "is_zero": mc.is_zero,
+    "max_abs_diff-a": lambda a: mc.max_abs_diff(a, np.eye(2)), "max_abs_diff-b": lambda b: mc.max_abs_diff(np.eye(2), b),
+}
+
+
+@pytest.mark.parametrize("name", HELPERS)
+@pytest.mark.parametrize("bad", [
+    pytest.param("abc", id="string"), pytest.param(object(), id="object"), pytest.param([[1, 2], [3]], id="ragged"),
+])
+def test_the_vec_norm_and_diff_helpers_refuse_values_numpy_cannot_read_as_complex(name, bad):
+    # NumPy's own ValueError or TypeError escaped each of them
+    with pytest.raises(InvalidArgumentError, match="is not an array of complex numbers"):
+        HELPERS[name](bad)
+
+
+def test_the_vec_norm_and_diff_helpers_keep_their_values():
+    for value in ([[1, 2], [3, 4]], [[1 + 2j, "3"], [4.5, "1j"]], np.eye(2, dtype=int), [1, 2j, 3, 4]):
+        M = np.asarray(value, dtype=np.complex128)
+        assert np.array_equal(mc.vec(value), M.flatten(order="F"))
+        assert np.array_equal(mc.unvec(value, 2), M.reshape((2, 2), order="F"))
+        assert mc.fro_norm(value) == float(np.linalg.norm(M.ravel()))
+        assert mc.is_zero(value) is False
+        assert mc.max_abs_diff(value, M) == 0.0

@@ -480,7 +480,8 @@ def test_batched_cesaro_errors_equal_one_run_at_a_time():
     for seeds, t_max in ((range(64), 200), (range(8), 37)):
         bundles = random_instances("pro01", seeds)
         batched = [result.defects["cesaro_error"] for result in program(bundles, mc.DEFAULT_TOL, t_max)]
-        alone = [verify.check_pro01(b, t_max).defects["cesaro_error"] for b in random_instances("pro01", seeds)]
+        alone = [verify.THEOREMS["pro01"].check(b, mc.DEFAULT_TOL, t_max).defects["cesaro_error"]
+                 for b in random_instances("pro01", seeds)]
         assert [value.hex() for value in batched] == [value.hex() for value in alone]
         # the loop the Cesaro stage replaced: one sigma application per step
         for bundle, value in zip(bundles, batched):

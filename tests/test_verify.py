@@ -1,8 +1,8 @@
-import inspect
 import json
 import math
 import re
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,32 +31,26 @@ from isotuple.verify import (
     CampaignConfig,
     CampaignReport,
     TrialResult,
-    check_cor050,
-    check_cor061,
-    check_cor062,
     check_ex00_golden,
-    check_pro01,
-    check_pro02,
-    check_pro03,
-    check_pro04,
-    check_pro5,
-    check_thm05,
-    check_thm06,
-    check_thm07,
     run_campaign,
 )
 
 
+def _check(theorem_id: str, bundle: InstanceBundle, t_max: int = 0) -> TrialResult:
+    """The result of one instance at the default tolerance: its entry's ``check``."""
+    return verify.THEOREMS[theorem_id].check(bundle, mc.DEFAULT_TOL, t_max)
+
+
 def test_pro01_jordan_instance_passes_decay_band():
     bundle = random_instance("pro01", 0)  # jordan variant
-    result = check_pro01(bundle, t_max=500)
+    result = _check("pro01", bundle, 500)
     assert result.status == "pass"
     assert result.defects["cesaro_error"] <= result.defects["cesaro_error_threshold"]
 
 
 def test_pro01_invertible_instance_confirms_collapse():
     bundle = random_instance("pro01", 1)  # invertible unitary variant
-    result = check_pro01(bundle, t_max=200)
+    result = _check("pro01", bundle, 200)
     assert result.status == "pass"
     assert result.defects["sigma_invertible"] == 1.0
     assert result.defects["collapse_defect"] < 1e-9
@@ -71,7 +65,7 @@ def test_pro01_skips_non_isometric_input():
         matrices={"X": np.eye(2)},
         params={"m": 2},
     )
-    result = check_pro01(bundle, t_max=50)
+    result = _check("pro01", bundle, 50)
     assert result.status == "skip"
 
 
@@ -89,14 +83,14 @@ def test_pro01_applies_sigma_t_max_times(monkeypatch, seed, t_max):
 
     bundle = random_instance("pro01", seed)
     monkeypatch.setattr(tf, "_sigma_of_stacks", counting)
-    assert check_pro01(bundle, t_max=t_max).status == "pass"
+    assert _check("pro01", bundle, t_max).status == "pass"
     assert len(applied) == t_max + int(bundle.params["m"])
 
 
 def test_pro02_exact_family_passes():
     for seed in range(4):
         bundle = random_instance("pro02-family", seed)
-        assert check_pro02(bundle).status == "pass"
+        assert _check("pro02", bundle).status == "pass"
 
 
 def _drifting_family(defect_size: float):
@@ -124,7 +118,7 @@ def _drifting_family(defect_size: float):
 
 
 def test_pro02_drifting_family_is_a_counterexample():
-    result = check_pro02(_drifting_family(0.4))
+    result = _check("pro02", _drifting_family(0.4))
     assert result.status == "counterexample"
     assert "drift" in result.reason
 
@@ -144,7 +138,7 @@ def test_pro02_constant_family_reduces_to_single_check():
         matrices={"X": np.eye(2)},
         params={"kind": "triangle", "m1": 3, "m2": 1, "members": 4},
     )
-    result = check_pro02(bundle)
+    result = _check("pro02", bundle)
     assert result.status == "pass"
     assert result.defects["last_residual"] == 0.0
 
@@ -163,20 +157,20 @@ def test_pro02_rejects_non_convergent_family():
         params=bundle.params,
     )
     with pytest.raises(InvalidArgumentError):
-        check_pro02(broken)
+        _check("pro02", broken)
 
 
 def test_pro03_both_parts_pass():
     for seed in range(8):
         bundle = random_instance("pro03", seed)
-        assert check_pro03(bundle).status == "pass"
+        assert _check("pro03", bundle).status == "pass"
 
 
 @pytest.mark.parametrize("m", ["3", -1, 1.5])
 def test_pro03_refuses_a_degree_that_is_not_a_non_negative_integer(m):
     bundle = random_instance("pro03", 0)
     with pytest.raises(InvalidArgumentError, match="m must be a non-negative integer"):
-        check_pro03(bundle, m=m)
+        _check("pro03", replace(bundle, params={**bundle.params, "m": m}))
 
 
 def test_pro03_needs_two_components():
@@ -187,7 +181,7 @@ def test_pro03_needs_two_components():
         matrices={"X": np.eye(2)},
         params={"m": 2, "part": "a"},
     )
-    assert check_pro03(bundle).status == "skip"
+    assert _check("pro03", bundle).status == "skip"
 
 
 def test_pro03_d2_reduces_to_last_pair_power():
@@ -204,16 +198,16 @@ def test_pro03_d2_reduces_to_last_pair_power():
 
 def test_pro04_passes_and_skips():
     bundle = random_instance("pro04", 2)
-    assert check_pro04(bundle.tuples["A"]).status == "pass"
+    assert _check("pro04", bundle).status == "pass"
     # a tuple whose adjoint pair is not (I,2)-symmetric is skipped
     rng = np.random.default_rng(0)
     M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert check_pro04(OperatorTuple.of(M)).status == "skip"
+    assert _check("pro04", InstanceBundle("pro04", 0, {"A": OperatorTuple.of(M)}, {}, {})).status == "skip"
 
 
 def test_pro04_self_adjoint_tuple_trivially_passes():
     H = np.array([[1.0, 2.0], [2.0, -3.0]], dtype=complex)
-    result = check_pro04(OperatorTuple.of(H, H @ H))
+    result = _check("pro04", InstanceBundle("pro04", 0, {"A": OperatorTuple.of(H, H @ H)}, {}, {}))
     assert result.status == "pass"
     assert result.defects["selfadjoint_residual"] < 1e-12
 
@@ -221,20 +215,21 @@ def test_pro04_self_adjoint_tuple_trivially_passes():
 def test_pro5_even_degrees():
     for seed in range(6):
         bundle = random_instance("pro5", seed)
-        result = check_pro5(bundle.tuples["A"], int(bundle.params["m_even"]))
+        result = _check("pro5", bundle)
         assert result.status == "pass"
 
 
 def test_pro5_rejects_odd_degree():
     bundle = random_instance("pro5", 0)
     with pytest.raises(InvalidArgumentError):
-        check_pro5(bundle.tuples["A"], 3)
+        _check("pro5", replace(bundle, params={**bundle.params, "m_even": 3}))
 
 
 def test_thm05_zero_nilpotents_reduce_to_hypothesis():
     A = scalar_tuple(1.0, 1, 3)
     zero = OperatorTuple.of(mc.zero(3))
-    result = check_thm05(A, A, zero, zero, np.eye(3), 1, 1)
+    result = _check("thm05", InstanceBundle("thm05", 0, {"A": A, "B": A, "N1": zero, "N2": zero}, {"X": np.eye(3)},
+                                            {"m1": 1, "m2": 1}))
     assert result.status == "pass"
     assert result.defects["t1"] == 1.0 and result.defects["t2"] == 1.0
 
@@ -245,7 +240,8 @@ def test_thm05_identity_plus_single_nilpotent():
     A = scalar_tuple(1.0, 1, 2)
     N1 = OperatorTuple.of(N.conj().T)
     N2 = OperatorTuple.of(N)
-    result = check_thm05(A, A, N1, N2, np.eye(2), 1, 1)
+    result = _check("thm05", InstanceBundle("thm05", 0, {"A": A, "B": A, "N1": N1, "N2": N2}, {"X": np.eye(2)},
+                                            {"m1": 1, "m2": 1}))
     assert result.status == "pass"
     assert result.defects["t1"] == 3.0
     # the bound is attained in the pure isometric direction: degree 2 fails
@@ -259,13 +255,15 @@ def test_thm05_skips_non_commuting_perturbation():
     A = scalar_tuple(1.0, 1, 2)
     up, down = upper_shift(2), upper_shift(2).T.copy()
     bad = OperatorTuple.of(up + down)  # not nilpotent
-    result = check_thm05(A, A, bad, bad, np.eye(2), 1, 1)
+    result = _check("thm05", InstanceBundle("thm05", 0, {"A": A, "B": A, "N1": bad, "N2": bad}, {"X": np.eye(2)},
+                                            {"m1": 1, "m2": 1}))
     assert result.status == "skip"
 
 
 def test_thm06_identity_factors_collapse():
     A = scalar_tuple(1.0, 1, 2)
-    result = check_thm06(A, A, A, A, np.eye(2), 1, 1, 1, 1)
+    result = _check("thm06", InstanceBundle("thm06", 0, {"A": A, "B": A, "S": A, "T": A}, {"X": np.eye(2)},
+                                            {"m": 1, "n": 1, "r": 1, "s": 1}))
     assert result.status == "pass"
     assert result.defects["t1"] == 1.0
 
@@ -277,7 +275,8 @@ def test_thm06_jordan_tensor_bundle_is_sharp_at_degree_five():
     B = OperatorTuple.of(np.kron(a, eye2))
     S = OperatorTuple.of(np.kron(eye2, mc.adjoint(a)))
     T = OperatorTuple.of(np.kron(eye2, a))
-    result = check_thm06(A, B, S, T, np.eye(4), 3, 1, 3, 1)
+    result = _check("thm06", InstanceBundle("thm06", 0, {"A": A, "B": B, "S": S, "T": T}, {"X": np.eye(4)},
+                                            {"m": 3, "n": 1, "r": 3, "s": 1}))
     assert result.status == "pass"
     assert result.defects["t1"] == 5.0
     # pure isometric sharpness of the product pair: degree 4 fails decisively
@@ -290,13 +289,7 @@ def test_thm06_jordan_tensor_bundle_is_sharp_at_degree_five():
 
 def test_cor050_scalar_base():
     bundle = random_instance("cor050", 4)
-    result = check_cor050(
-        bundle.tuples["T"],
-        bundle.tuples["N"],
-        bundle.matrices["X"],
-        int(bundle.params["m1"]),
-        int(bundle.params["m2"]),
-    )
+    result = _check("cor050", bundle)
     assert result.status == "pass"
 
 
@@ -304,7 +297,7 @@ def test_cor050_zero_nilpotent_reduces_to_hypothesis():
     bundle = random_instance("cor050", 4)
     T = bundle.tuples["T"]
     zero = OperatorTuple(tuple(mc.zero(T.dim) for _ in range(T.d)))
-    result = check_cor050(T, zero, bundle.matrices["X"], 2, 2)
+    result = _check("cor050", InstanceBundle("cor050", 0, {"T": T, "N": zero}, bundle.matrices, {"m1": 2, "m2": 2}))
     assert result.status == "pass"
     assert result.defects["order"] == 1.0  # degrees stay at m1, m2
 
@@ -312,20 +305,22 @@ def test_cor050_zero_nilpotent_reduces_to_hypothesis():
 def test_cor061_real_diagonal_involutions_trivially_pass():
     S = OperatorTuple.of(np.diag([1.0, -1.0]).astype(complex))
     T = OperatorTuple.of(np.diag([-1.0, 1.0]).astype(complex))
-    result = check_cor061(S, T, np.eye(2), 1, 1)
+    result = _check("cor061", InstanceBundle("cor061", 0, {"S": S, "T": T}, {"X": np.eye(2)}, {"m": 1, "n": 1}))
     assert result.status == "pass"
 
 
 def test_cor061_skips_non_commuting():
     up, down = upper_shift(2), upper_shift(2).T.copy()
-    result = check_cor061(OperatorTuple.of(up), OperatorTuple.of(down), np.eye(2), 1, 1)
+    S, T = OperatorTuple.of(up), OperatorTuple.of(down)
+    result = _check("cor061", InstanceBundle("cor061", 0, {"S": S, "T": T}, {"X": np.eye(2)}, {"m": 1, "n": 1}))
     assert result.status == "skip"
 
 
 def test_cor062_requires_single_operators():
     bundle = random_instance("cor062", 0)
     two = bundle.tuples["S"]
-    result = check_cor062(
+    result = _check(
+        "cor062",
         InstanceBundle(
             profile="cor062",
             seed=0,
@@ -344,7 +339,8 @@ def test_thm07_unitary_tensor_unitary_stays_degree_one():
     U, V = random_unitary(rng, 2), random_unitary(rng, 3)
     A, B = OperatorTuple.of(mc.adjoint(U)), OperatorTuple.of(U)
     S, T = OperatorTuple.of(mc.adjoint(V)), OperatorTuple.of(V)
-    result = check_thm07(A, B, S, T, 1, 1, variant="i", kind="iso")
+    result = _check("thm07", InstanceBundle("thm07", 0, {"A": A, "B": B, "S": S, "T": T}, {},
+                                            {"m": 1, "n": 1, "variant": "i", "kind": "iso"}))
     assert result.status == "pass"
     assert result.defects["degree"] == 1.0
 
@@ -353,26 +349,18 @@ def test_thm07_variant_ii_bundles():
     for seed in (1, 3, 5, 7):
         bundle = random_instance("thm07", seed)
         assert bundle.params["variant"] == "ii"
-        result = check_thm07(
-            bundle.tuples["A"],
-            bundle.tuples["B"],
-            bundle.tuples["S"],
-            bundle.tuples["T"],
-            int(bundle.params["m"]),
-            int(bundle.params["n"]),
-            r=int(bundle.params["r"]),
-            s=int(bundle.params["s"]),
-            variant="ii",
-        )
+        result = _check("thm07", bundle)
         assert result.status == "pass"
 
 
 def test_thm07_refuses_an_unknown_variant_and_variant_ii_without_its_degrees():
     A = scalar_tuple(1.0, 1, 2)
+    tuples = {"A": A, "B": A, "S": A, "T": A}
     with pytest.raises(InvalidArgumentError, match="^variant must be 'i' or 'ii', got 'iii'$"):
-        check_thm07(A, A, A, A, 1, 1, variant="iii")
+        _check("thm07", InstanceBundle("thm07", 0, tuples, {}, {"m": 1, "n": 1, "variant": "iii", "kind": "iso"}))
     with pytest.raises(InvalidArgumentError, match="^variant ii needs r and s$"):
-        check_thm07(A, A, A, A, 1, 1, r=1, variant="ii")
+        _check("thm07", InstanceBundle("thm07", 0, tuples, {},
+                                       {"m": 1, "n": 1, "r": 1, "s": None, "variant": "ii", "kind": "iso"}))
 
 
 def test_ex00_golden_check():
@@ -560,7 +548,8 @@ def test_cor05_skips_on_broken_cross_commutation():
     bundle = random_instance("cor05", 0)
     up = upper_shift(bundle.tuples["A1"].dim)
     bad = OperatorTuple(tuple(up + up.T for _ in range(bundle.tuples["N1"].d)))
-    result = verify.check_cor05(
+    result = _check(
+        "cor05",
         InstanceBundle(
             profile="cor05",
             seed=0,
@@ -576,7 +565,8 @@ def test_thm06_skips_on_invalid_hypothesis():
     # with A != B both defect parts survive: the combined hypothesis fails
     two = scalar_tuple(2.0, 1, 2)
     one = scalar_tuple(1.0, 1, 2)
-    result = check_thm06(two, one, two, one, np.eye(2), 1, 1, 1, 1)
+    result = _check("thm06", InstanceBundle("thm06", 0, {"A": two, "B": one, "S": two, "T": one}, {"X": np.eye(2)},
+                                            {"m": 1, "n": 1, "r": 1, "s": 1}))
     assert result.status == "skip"
     assert "hypothesis" in result.reason
 
@@ -591,6 +581,12 @@ def test_registry_has_one_entry_per_theorem_in_campaign_order():
     profiles = [entry.profile for entry in verify.THEOREMS.values()]
     assert all(profile in PROFILES for profile in profiles)
     assert len(set(profiles)) == len(profiles)
+
+
+def test_each_check_name_is_its_entrys_check():
+    # the benchmark's tracer wraps verify.check_<id> by name
+    for theorem_id, entry in verify.THEOREMS.items():
+        assert getattr(verify, f"check_{theorem_id}") == entry.check
 
 
 def _declared_pair(theorem_id, bundle):
@@ -645,7 +641,7 @@ def test_pro02_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         bundle = random_instance("pro02-family", seed)
         monkeypatch.setattr(mc, "op_norm_estimate", counting)
         calls.clear()
-        check_pro02(bundle)
+        _check("pro02", bundle)
         monkeypatch.undo()
         # the members and the limit: two one-component tuples each, whose component
         # norm a test of degree m > 0 reads and whose sum norm one of n > 0 reads
@@ -668,7 +664,7 @@ def test_pro03_takes_all_its_spectral_norms_in_one_call(monkeypatch):
         bundle = random_instance("pro03", seed)
         monkeypatch.setattr(mc, "op_norm_estimate", counting)
         calls.clear()
-        check_pro03(bundle)
+        _check("pro03", bundle)
         monkeypatch.undo()
         # part (a) reads component norms: of the whole stacks of the d one-component
         # pairs, whose first d - 1 its hypotheses read, and the d of each tuple of
@@ -687,9 +683,9 @@ def test_pro01_cesaro_error_is_the_last_of_the_estimate(seed):
     m = int(bundle.params["m"])
     last = tf.cesaro_estimate(A, B, X, m, 60)[-1]
     assert last[0] == 60
-    assert check_pro01(bundle, t_max=60).defects["cesaro_error"].hex() == last[1].hex()
+    assert _check("pro01", bundle, 60).defects["cesaro_error"].hex() == last[1].hex()
     with pytest.raises(InvalidArgumentError, match=f"^t_max must be an integer >= m, got {m - 1}$"):
-        check_pro01(bundle, t_max=m - 1)
+        _check("pro01", bundle, m - 1)
 
 
 def test_golden_check_runs_the_whole_suite():
@@ -913,7 +909,7 @@ def test_a_degree_parameter_that_is_not_an_integer_is_refused(theorem_id, name):
     bundle = InstanceBundle(bundle.profile, 0, bundle.tuples, bundle.matrices, {**bundle.params, name: 1.5})
     kind = "positive" if name == "members" else "non-negative"
     with pytest.raises(InvalidArgumentError, match=f"must be a {kind} integer, got 1.5$"):
-        getattr(verify, f"check_{theorem_id}")(bundle)
+        _check(theorem_id, bundle, 200)
 
 
 def test_a_bool_is_not_a_degree():
@@ -927,8 +923,8 @@ def test_a_bool_is_not_a_degree():
         (lambda: tf.cesaro_estimate(A, B, X, True, 10), "m must be a positive integer, got True"),
         (lambda: tf.cesaro_estimate(A, B, X, 1, True), "t_max must be an integer >= m, got True"),
         (lambda: classify.defect_profile(A, B, X, k_max=True), "k_max must be a positive integer, got True"),
-        (lambda: check_pro01(InstanceBundle(bundle.profile, 1, bundle.tuples, bundle.matrices,
-                                            {**bundle.params, "m": True})),
+        (lambda: _check("pro01", InstanceBundle(bundle.profile, 1, bundle.tuples, bundle.matrices,
+                                                {**bundle.params, "m": True}), 200),
          "m must be a non-negative integer, got True"),
     ]
     for refused, message in refusals:
@@ -971,19 +967,18 @@ def _with_params(bundle: InstanceBundle, **params) -> InstanceBundle:
 
 def _thm07_with_kind(kind: str) -> TrialResult:
     bundle = random_instance("thm07", 0)  # variant i, whose factor rows split by kind
-    T, p = bundle.tuples, bundle.params
-    return check_thm07(T["A"], T["B"], T["S"], T["T"], p["m"], p["n"], kind=kind)
+    return _check("thm07", _with_params(bundle, kind=kind))
 
 
 @pytest.mark.parametrize("refused,message", [
-    pytest.param(lambda: check_pro02(_with_params(random_instance("pro02-family", 0), kind="zebra")),
+    pytest.param(lambda: _check("pro02", _with_params(random_instance("pro02-family", 0), kind="zebra")),
                  "kind must be 'triangle' or 'delta', got 'zebra'", id="pro02"),
-    pytest.param(lambda: verify.check_cor06(_with_params(random_instance("cor06", 1), kind="zebra")),
+    pytest.param(lambda: _check("cor06", _with_params(random_instance("cor06", 1), kind="zebra")),
                  "kind must be 'iso' or 'sym', got 'zebra'", id="cor06"),
-    pytest.param(lambda: check_cor062(_with_params(random_instance("cor062", 1), kind="zebra")),
+    pytest.param(lambda: _check("cor062", _with_params(random_instance("cor062", 1), kind="zebra")),
                  "kind must be 'iso' or 'sym', got 'zebra'", id="cor062"),
     pytest.param(lambda: _thm07_with_kind("zebra"), "kind must be 'iso' or 'sym', got 'zebra'", id="thm07"),
-    pytest.param(lambda: check_pro03(_with_params(random_instance("pro03", 1), part="zebra")),
+    pytest.param(lambda: _check("pro03", _with_params(random_instance("pro03", 1), part="zebra")),
                  "part must be 'a' or 'b', got 'zebra'", id="pro03"),
 ])
 def test_a_kind_or_part_outside_a_rows_two_values_is_refused(refused, message):
@@ -997,32 +992,25 @@ def test_a_name_the_bundle_lacks_is_refused():
     # pro02 reads members A0..A{members-1}, and pro03 its part, by name
     family = _with_params(random_instance("pro02-family", 0), members=7)  # a six-member family
     with pytest.raises(InvalidArgumentError, match="^the instance has no 'A6'$"):
-        check_pro02(family)
+        _check("pro02", family)
     bundle = random_instance("pro03", 1)  # part (b)
     partless = InstanceBundle(bundle.profile, 1, bundle.tuples, bundle.matrices,
                               {key: value for key, value in bundle.params.items() if key != "part"})
     with pytest.raises(InvalidArgumentError, match="^the instance has no 'part'$"):
-        check_pro03(partless)
+        _check("pro03", partless)
 
 
-@pytest.mark.parametrize("check,profile", [
-    (check_thm05, "thm05"), (check_cor050, "cor050"), (check_thm06, "thm06"), (check_cor061, "cor061"),
-    (check_thm07, "thm07"), (check_pro04, "pro04"), (check_pro5, "pro5"),
-])
-def test_a_check_refuses_an_array_in_place_of_a_tuple_naming_the_argument(check, profile):
-    bundle = random_instance(profile, 0)
-    args = {}  # the check's arguments from its instance, A_hilbert being the bundle's A
-    for name in inspect.signature(check).parameters:
-        key = name.removesuffix("_hilbert")
-        for found in (bundle.tuples, bundle.matrices, bundle.params):
-            if key in found:
-                args[name] = found[key]
-    assert check(**args).status in ("pass", "skip")
-    tuples = [name for name, value in args.items() if isinstance(value, OperatorTuple)]
-    assert tuples
-    for name in tuples:
-        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an OperatorTuple, got ndarray$"):
-            check(**{**args, name: args[name].stack})
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_a_check_refuses_an_array_in_place_of_a_tuple_naming_the_argument(theorem_id):
+    # an array under any tuple key is refused by its key, where it raised AttributeError
+    entry = verify.THEOREMS[theorem_id]
+    bundle = random_instance(entry.profile, 0)
+    assert entry.check(bundle, mc.DEFAULT_TOL, 50).status in ("pass", "skip")
+    assert bundle.tuples
+    for key, T in bundle.tuples.items():
+        planted = replace(bundle, tuples={**bundle.tuples, key: T.stack})
+        with pytest.raises(InvalidArgumentError, match=f"^{key} must be an OperatorTuple, got ndarray$"):
+            entry.check(planted, mc.DEFAULT_TOL, 50)
 
 
 def test_an_unbudgeted_campaign_builds_no_bundle_or_tuple_per_trial(monkeypatch):
