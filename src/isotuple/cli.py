@@ -198,8 +198,8 @@ def _merge_config(args) -> dict:
 
 def _number(merged: dict, key: str, kind: type):
     """``kind(merged[key])``; a value that is not a number (true in a config file,
-    which ``float`` reads as 1.0), or for ``int`` not an integer (2.7 or true),
-    is a usage error."""
+    which ``float`` reads as 1.0, or a string such as "1e-8", which it parses), or
+    for ``int`` not an integer (2.7 or true), is a usage error."""
     value = merged[key]
     try:
         number = kind(value)
@@ -207,7 +207,7 @@ def _number(merged: dict, key: str, kind: type):
         raise InvalidArgumentError(f"{key} must be a number, got {value!r}") from exc
     if kind is int and type(value) is not int:
         raise InvalidArgumentError(f"{key} must be an integer, got {value!r}")
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise InvalidArgumentError(f"{key} must be a number, got {value!r}")
     return number
 

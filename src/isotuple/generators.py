@@ -20,11 +20,20 @@ splits them into bundles, and ``random_instance`` is its batch of one.
 
 Beside each builder stand its profile's hypotheses, as rows of data: each
 commutator (``_Commutes``) and defect (``_Vanishes``) that its instances
-satisfy.  ``verify.THEOREMS`` runs the same rows as its programs'
-commutator and hypothesis stages, and a bundle's residuals are the norms of
-its rows that carry a residual name, in row order, computed on first read
-by one evaluator (``_residuals``) bound to the instance as built (checkers
-validate every hypothesis themselves).
+satisfy.  One reader reads every row: ``_Columns`` holds a class of trials
+by name (a tuple's stack, X's stack, a parameter's values) and derives the
+names a row may use (``T*``, ``CTC``, the identities ``I``) on first read,
+``_bundle_class`` makes a bundle a class of one row, and ``_row_degrees``,
+``_x`` and ``_applies`` read a defect row's degrees (with its ``kind``), X
+and ``when``.  ``verify.THEOREMS`` runs the same rows, through the same
+reader, as its programs' commutator and hypothesis stages, and reads from
+them the pair a counterexample record profiles (``Theorem.pair``).  A
+bundle's residuals are the norms of its rows that carry a residual name, in
+row order, computed on first read by ``_residuals`` on the instance's
+one-row class as built, a commutator row through
+``tuples.commutator_stack_checks`` and a defect row through
+``transforms.stack_defects`` (checkers validate every hypothesis
+themselves).
 
 Instance shapes:
 
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,15 +65,7 @@ import numpy as np
 from . import matrix_core as mc
 from . import transforms as tf
 from .errors import GenerationFailureError, InvalidArgumentError
-from .tuples import (
-    OperatorTuple,
-    adjoint_tuple,
-    checked_stacks,
-    conj_tuple,
-    max_commutator_cross,
-    max_commutator_within,
-    nilpotency_order,
-)
+from .tuples import OperatorTuple, checked_stacks, commutator_stack_checks, nilpotency_order
 
 _RETRY_LIMIT = 20
 
@@ -74,9 +76,9 @@ class InstanceBundle:
 
     ``residuals`` maps each hypothesis defect and commutator of the instance
     that its profile's rows name to its norm.  It is computed on first read,
-    by ``residual_fn`` (``_residuals`` bound to the rows and to the tuples,
-    matrices and parameters as built), and then kept; a bundle built without
-    one reads ``{}``.
+    by ``residual_fn`` (``_residuals`` bound to the rows and to the instance's
+    class of one row, as built), and then kept; a bundle built without one
+    reads ``{}``.
     """
 
     profile: str
@@ -504,7 +506,7 @@ def _bilinear_involutions(rng: np.random.Generator, n: int, count: int, real: bo
 
 
 # ---------------------------------------------------------------------------
-# hypotheses as data
+# hypotheses as data, and the one reader of their rows
 
 
 class _Commutes(NamedTuple):
@@ -523,7 +525,8 @@ class _Vanishes(NamedTuple):
     """A defect hypothesis: the degree-(m, n) defect of the pair (P, Q) at X vanishes.
     Names read an instance's tuples, matrices and parameters, ``T*`` names the adjoint
     and ``CTC`` the conjugate of a tuple T, and the X ``I`` the identities of P's
-    dimension; a degree is an int or a parameter.  With ``kind``, a pair of values of
+    dimension, all through the one reader of rows below (``_Columns``); a degree is an
+    int or a parameter.  With ``kind``, a pair of values of
     the ``kind`` parameter, the row tests (m, 0) where it has the first and (0, n)
     where it has the second; with ``when = (param, value)``, only where that parameter
     has that value.  ``label`` (the skip reason) and ``residual`` are formatted with
@@ -542,35 +545,130 @@ class _Vanishes(NamedTuple):
     when: tuple = ()
 
 
-def _residuals(rows: tuple, found: dict) -> dict[str, float]:
-    """The norm of each row of ``rows`` that names a residual and applies to an instance,
-    in row order: a commutator row's largest commutator norm, or a defect row's
-    ``triangle`` (n = 0), ``delta`` (m = 0) or ``isosym_defect`` norm.  ``found``
-    holds the instance's parameters, matrices and tuples by name, as built; the
-    adjoints and conjugates the rows name join it as they are read."""
+class _Columns:
+    """The live trials of one class of a program call: ``rows``, their positions in the
+    batch, and each argument over them by name: a tuple's (b, d, n, n) stack, X's
+    (b, n, n) stack, or a parameter's list of values.  A campaign chunk's classes are
+    its builder's (``verify._run_chunk``), and a bundle is a class of one row
+    (``_bundle_class``).  Stages add derived columns, such as a stacked sum of tuples,
+    by name, and a column that the instances lack is derived on first read (``_derive``)."""
 
-    def value(name: str):
-        if name not in found:
-            found[name] = adjoint_tuple(value(name[:-1])) if name.endswith("*") else conj_tuple(value(name[1:-1]))
-        return found[name]
+    def __init__(self, rows: np.ndarray, columns: dict, degrees):
+        self.rows, self._columns, self._degrees = rows, columns, dict(degrees)
 
+    def __getitem__(self, name: str):
+        if name not in self._columns:
+            self._columns[name] = self._derive(name)
+        return self._columns[name]
+
+    def __setitem__(self, name: str, column) -> None:
+        self._columns[name] = column
+
+    def _derive(self, name: str):
+        """A column that the instances lack: one of the entry's degree expressions by name,
+        the adjoint ``T*`` or entrywise conjugate ``CTC`` of a tuple T, or ``I<n>``, the
+        n x n identities; any other name is refused."""
+        if name in self._degrees:
+            return _degree_values(self, self._degrees[name])
+        if name.endswith("*"):
+            return np.conjugate(self[name[:-1]].swapaxes(-1, -2), order="C")
+        if len(name) > 2 and name[0] == name[-1] == "C":
+            return np.conjugate(self[name[1:-1]])
+        if name[0] == "I" and name[1:].isdigit():
+            return np.repeat(mc.identity(int(name[1:]))[None], len(self.rows), axis=0)
+        raise InvalidArgumentError(f"the instance has no {name!r}")
+
+    def keep(self, mask: np.ndarray) -> "_Columns | None":
+        """The columns of the rows where ``mask`` holds, or None when it holds nowhere."""
+        if mask.all():
+            return self
+        if not mask.any():
+            return None
+        flags = mask.tolist()
+        return _Columns(self.rows[mask], {
+            name: column[mask] if isinstance(column, np.ndarray) else [value for value, flag in zip(column, flags) if flag]
+            for name, column in self._columns.items()
+        }, self._degrees)
+
+
+def _bundle_class(row: int, bundle: InstanceBundle, degrees: tuple) -> _Columns:
+    """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks.
+    A value under a tuple key that is not an ``OperatorTuple`` is refused, by its key."""
+    for name, T in bundle.tuples.items():
+        if not isinstance(T, OperatorTuple):
+            raise InvalidArgumentError(f"{name} must be an OperatorTuple, got {type(T).__name__}")
+    return _Columns(np.array([row]), {
+        **{name: [value] for name, value in bundle.params.items()},
+        **{name: mc.complex_array(X, name)[None] for name, X in bundle.matrices.items()},
+        **{name: T.stack[None] for name, T in bundle.tuples.items()},
+    }, degrees)
+
+
+def _degree_values(cls: _Columns, spec):
+    """A degree of each row of a class: an int for every row, the column a name reads (a
+    parameter's values as given), or the int array of the sum of a degree expression's
+    signed terms, names and ints, such as ``t1-1``."""
+    if isinstance(spec, int):
+        return [spec] * len(cls.rows)
+    if spec.isidentifier():
+        return cls[spec]
+    return sum(
+        (-1 if sign == "-" else 1) * (int(term) if term.isdigit() else np.asarray(cls[term]))
+        for sign, term in re.findall(r"([+-]?)([^+-]+)", spec)
+    )
+
+
+def _kind_degrees(iso: list, ms, ns) -> tuple[list, list]:
+    """The degrees of rows of two kinds: (m, 0) in each row flagged in ``iso``, else (0, n)."""
+    ms, ns = (values.tolist() if isinstance(values, np.ndarray) else values for values in (ms, ns))
+    return [m if i else 0 for i, m in zip(iso, ms)], [0 if i else n for i, n in zip(iso, ns)]
+
+
+def _first_of(cls: _Columns, name: str, pair: tuple) -> list[bool]:
+    """Whether the parameter ``name`` of each row of a class has the first of the two
+    values ``pair``; the first other value is refused."""
+    if refused := [value for value in cls[name] if value not in pair]:
+        raise InvalidArgumentError(f"{name} must be {pair[0]!r} or {pair[1]!r}, got {refused[0]!r}")
+    return [value == pair[0] for value in cls[name]]
+
+
+def _row_degrees(cls: _Columns, row: _Vanishes, m, n) -> tuple:
+    """The degrees (m, n) of a defect row in each row of a class, with the row's ``kind``
+    (m, 0) where the ``kind`` parameter has the first of its values and (0, n) where
+    it has the second."""
+    ms, ns = _degree_values(cls, m), _degree_values(cls, n)
+    return (ms, ns) if row.kind is None else _kind_degrees(_first_of(cls, "kind", row.kind), ms, ns)
+
+
+def _x(cls: _Columns, row: _Vanishes) -> np.ndarray:
+    """The X of a defect row: the column it names, or for ``I`` the identities of P's dimension."""
+    return cls[f"I{cls[row.P].shape[-1]}"] if row.X == "I" else cls[row.X]
+
+
+def _applies(row: _Vanishes, cls: _Columns) -> bool:
+    """Whether a row applies to a class: always, or where its ``when`` parameter, which has
+    one value over a class (a builder's variant class, or one bundle), has its value."""
+    return not row.when or cls[row.when[0]][0] == row.when[1]
+
+
+def _residuals(rows: tuple, cls: _Columns) -> dict[str, float]:
+    """The norm of each row of ``rows`` that names a residual and applies to a bundle's
+    one-row class, in row order: a commutator row's largest commutator norm
+    (``commutator_stack_checks``), or the Frobenius norm of a defect row's defect
+    (``transforms.stack_defects``)."""
     out = {}
     for row in rows:
         if row.residual is None:
             continue
         if isinstance(row, _Commutes):
-            S = value(row.S)
-            out[row.residual] = max_commutator_within(S) if row.T is None else max_commutator_cross(S, value(row.T))
-            continue
-        if row.when and found.get(row.when[0]) != row.when[1]:
-            continue
-        P, Q = value(row.P), value(row.Q)
-        m, n = (found[k] if isinstance(k, str) else k for k in (row.m, row.n))
-        if row.kind is not None:
-            m, n = (m, 0) if found["kind"] == row.kind[0] else (0, n)
-        X = mc.identity(P.dim) if row.X == "I" else value(row.X)
-        defect = tf.delta(P, Q, X, n) if not m else tf.triangle(P, Q, X, m) if not n else tf.isosym_defect(P, Q, X, m, n)
-        out[row.residual.format(m=m, n=n)] = mc.fro_norm(defect)
+            ((_, residual),) = commutator_stack_checks(
+                [(cls[row.S], None if row.T is None else cls[row.T])], mc.DEFAULT_TOL
+            )
+            out[row.residual] = residual.item()
+        elif _applies(row, cls):
+            ms, ns = _row_degrees(cls, row, row.m, row.n)
+            defect = tf.stack_defects(cls[row.P], cls[row.Q], _x(cls, row), ms, ns)
+            out[row.residual.format(m=ms[0], n=ns[0])] = mc.fro_norm_array(defect).item()
     return out
 
 
@@ -1049,13 +1147,16 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
     ``_chunk``, split into one bundle per seed, each with the bits it gets alone."""
     seeds = tuple(seeds)
     bundles = [None] * len(seeds)
-    for positions, tuples, matrices, params in _chunk(profile, seeds):
-        tuples = {key: OperatorTuple._of_checked(stacks) for key, stacks in tuples.items()}
+    for positions, stacks, matrices, params in _chunk(profile, seeds):
+        tuples = {key: OperatorTuple._of_checked(items) for key, items in stacks.items()}
         for r, (i, p) in enumerate(zip(positions.tolist(), params)):
-            own_tuples = {key: items[r] for key, items in tuples.items()}
-            own_matrices = {key: X[r] for key, X in matrices.items()}
-            residual_fn = functools.partial(_residuals, _BUILDERS[profile].rows, {**p, **own_matrices, **own_tuples})
-            bundles[i] = InstanceBundle(profile, int(seeds[i]), own_tuples, own_matrices, p, residual_fn)
+            # the residuals read the instance as built: its row of the class, as a class of one row
+            own = {key: column[r : r + 1] for key, column in {**matrices, **stacks}.items()}
+            residual_fn = functools.partial(
+                _residuals, _BUILDERS[profile].rows, _Columns(np.array([0]), {**{k: [v] for k, v in p.items()}, **own}, ())
+            )
+            bundles[i] = InstanceBundle(profile, int(seeds[i]), {key: items[r] for key, items in tuples.items()},
+                                        {key: X[r] for key, X in matrices.items()}, p, residual_fn)
     return bundles
 
 

@@ -35,11 +35,6 @@ def _validate_entries(alpha) -> MultiIndex:
     return entries
 
 
-def order(alpha) -> int:
-    """Sum of the entries of a multi-index."""
-    return sum(_validate_entries(alpha))
-
-
 def index_factorial(alpha) -> int:
     """Product of the factorials of the entries."""
     result = 1

@@ -39,11 +39,13 @@ phases on several degrees of one pair, as items on row 0 of its one-row
 stacks, with a table seeded from the norms the tuples hold or fill
 (``tuples.spectral_norms``), and ``defect_check`` is its batch of one.
 ``stack_defects`` gives each row's
-``triangle`` or ``delta``, ``triangle``, ``delta`` and ``sigma_iterates`` are
-the engine's batch of one, and ``_cesaro_run`` steps stacks of Cesaro runs
+``triangle``, ``delta`` or ``isosym_defect`` (the defects behind a bundle's
+residuals), ``triangle``, ``delta`` and ``sigma_iterates`` are the engine's batch
+of one, and ``_cesaro_run`` steps stacks of Cesaro runs
 from X through its loop.  Only the cross-check paths ``triangle_by_iteration``
 and ``delta_by_iteration`` iterate on their own.  Every tolerance scale comes
-from one helper, ``_scales``.
+from one helper, ``_scales``, which refuses the first that overflows; pro03's
+right-hand side calls it on one item.
 ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
 column-stacked vec(X) — the second, independent evaluation route used for
 cross-checks.
@@ -62,8 +64,7 @@ from .errors import BudgetExceededError, InvalidArgumentError
 from .multiindex import binomial, compositions, multinomial
 from .tuples import (
     OperatorTuple,
-    commutes_within,
-    max_commutator_within,
+    _commutator_check,
     spectral_norms,
     stack_spectral_norms,
     stack_sums,
@@ -102,17 +103,6 @@ def _require_degree(name: str, k) -> int:
     if type(k) is not int or k < 0:  # a bool is an int, but not a degree
         raise InvalidArgumentError(f"{name} must be a non-negative integer, got {k!r}")
     return k
-
-
-def grown_scale(scale: float, factor: float, degree: int) -> float:
-    """scale * factor**degree, refused with InvalidArgumentError when it overflows.
-
-    An infinite scale would pass every defect, so no zero test may use one.
-    """
-    (grown,) = _scales([scale], [factor], [1.0], [degree], [0])
-    if not math.isfinite(grown):
-        raise _overflow(scale, factor, degree)
-    return grown
 
 
 def _overflow(scale, factor, degree) -> InvalidArgumentError:
@@ -257,11 +247,9 @@ def sigma_power(
         strict = mode == "expand"
     if strict:
         for name, T in (("A", A), ("B", B)):
-            if not commutes_within(T, tol):
-                raise InvalidArgumentError(
-                    f"tuple {name} does not commute (max residual "
-                    f"{max_commutator_within(T):.3e})"
-                )
+            commutes, residual = _commutator_check(T, T, tol)
+            if not commutes:
+                raise InvalidArgumentError(f"tuple {name} does not commute (max residual {residual:.3e})")
     if mode == "iterate":
         return sigma_iterates(A, B, X, j)[j]
 
@@ -392,8 +380,9 @@ def defect_stack_checks(tests, tol: mc.Tolerance, norms: dict) -> list[tuple[np.
 
 def stack_defects(A, B, X, ms, ns) -> np.ndarray:
     """The (b, n, n) stack of each row's degree-(ms[r], ns[r]) defect of the pair of rows
-    A[r], B[r] of two (b, d, n, n) stacks at X[r]: the defect ``triangle`` (n = 0) or
-    ``delta`` (m = 0 < n) forms alone, bit for bit, from one engine call per kind.
+    A[r], B[r] of two (b, d, n, n) stacks at X[r]: the defect ``triangle`` (n = 0),
+    ``delta`` (m = 0 < n) or ``isosym_defect`` (both > 0) forms alone, bit for bit,
+    from one engine call per kind.
     When a value is non-finite, each row runs alone, in order, which refuses what
     ``triangle`` refuses: a non-finite X or sigma input."""
     (defects,) = _stack_items([_checked_stack_test(A, B, X, ms, ns)], lambda found: found)

@@ -12,9 +12,10 @@ The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 ``nilpotency_stack_orders``, ``stack_spectral_norms``, ``stack_sums``,
 ``sum_stacks``, ``product_stacks`` and ``tensor_stacks``.  Each API on one
 tuple or pair calls its kernel on one-row stacks, so each kernel has one
-implementation: ``commutes_within``, ``commutes_cross``, the
-``max_commutator_*`` residuals, ``nilpotency_order``, ``sum_tuple``,
-``product_tuple`` and ``tensor_tuple``.
+implementation: ``commutes_within`` and ``commutes_cross`` (through
+``_commutator_check``, which also gives the largest residual, as
+``nilpotency_order`` and ``transforms.sigma_power`` report it),
+``nilpotency_order``, ``sum_tuple``, ``product_tuple`` and ``tensor_tuple``.
 
 Spectral norms come in two parts, a stack's component norms and its sums'
 norms.  A ``stack_spectral_norms`` request ``(stack, components, sums)`` names
@@ -263,19 +264,9 @@ def _pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(index) for index in np.triu_indices(d, 1))
 
 
-def max_commutator_within(T: OperatorTuple) -> float:
-    """Largest ||[A_i, A_j]||_F over all pairs i < j, 0.0 for one component."""
-    return _commutator_check(T, T, mc.DEFAULT_TOL)[1]
-
-
 def commutes_within(T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:
     """All pairwise commutators vanish, scaled by the factor norms."""
     return _commutator_check(T, T, tol)[0]
-
-
-def max_commutator_cross(S: OperatorTuple, T: OperatorTuple) -> float:
-    """Largest ||[S_a, T_b]||_F over all pairs."""
-    return _commutator_check(S, T, mc.DEFAULT_TOL)[1]
 
 
 def commutes_cross(S: OperatorTuple, T: OperatorTuple, tol: mc.Tolerance = mc.DEFAULT_TOL) -> bool:

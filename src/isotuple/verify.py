@@ -6,7 +6,8 @@ pro01-pro03 judge bespoke bounds of their own.  A failed commutator or
 hypothesis skips the trial (an invalid instance never refutes an identity).
 Conclusion failures inside a small gray band above the threshold count as
 tolerance anomalies; decisive failures are serialized as counterexamples
-with full inputs and a defect profile for post-mortem.
+with full inputs and a defect profile for post-mortem, of the pair that
+``Theorem.pair`` reads from the entry's rows.
 
 Each theorem is one ``THEOREMS`` entry, written as data under a comment that
 states its claim: its profile, whose commutator and hypothesis rows
@@ -15,12 +16,14 @@ they also give a bundle its residuals) it tests, its nilpotent tuples, its
 derived columns (stacked sums, products and conjugates, and degree
 expressions such as ``m1+order_N1+order_N2-2``) and its conclusion with its
 sharpness tests and extra result keys.  One interpreter runs the entry's
-stages on classes of columns (``_Columns``), a trial being one row of its
-class's stacks: a campaign chunk's classes are the builder's own
-(``generators._chunk``), so a chunk builds no per-trial tuple or bundle, and
-``Theorem.program(bundles, tol, t_max)`` makes each bundle a class of one
-row; ``Theorem.check(bundle, tol, t_max)``, its batch of one, is the one way
-to check a single instance.  Each stage is one stack-kernel call over the
+stages on classes of columns (``generators._Columns``, part of the one
+reader of rows, which resolves every row name and reads every row's
+``kind`` and ``when``), a trial being one row of its class's stacks: a
+campaign chunk's classes are the builder's own (``generators._chunk``), so
+a chunk builds no per-trial tuple or bundle, and ``Theorem.program(bundles,
+tol, t_max)`` makes each bundle a class of one row; ``Theorem.check(bundle,
+tol, t_max)``, its batch of one, is the one way to check a single instance.
+Each stage is one stack-kernel call over the
 live rows of every class: ``_commutator_stage``, ``_nilpotent_stage``,
 ``_hypothesis_stage`` and ``_sharp_conclusions`` (zero tests through
 ``transforms.defect_stack_checks``), with ``_derived_stage`` between them.  A
@@ -50,10 +53,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-import re
 import time
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,9 +65,17 @@ from .errors import InvalidArgumentError
 from .generators import (
     _BUILDERS,
     InstanceBundle,
+    _applies,
+    _bundle_class,
     _chunk,
+    _Columns,
     _Commutes,
+    _degree_values,
+    _first_of,
+    _kind_degrees,
+    _row_degrees,
     _Vanishes,
+    _x,
     paper_example_mixing,
     paper_example_squares,
     random_instance,
@@ -76,9 +85,7 @@ from .transforms import defect_stack_checks
 from .tuples import (
     OperatorTuple,
     PowerConvention,
-    adjoint_tuple,
     commutator_stack_checks,
-    conj_tuple,
     inverse_tuple,
     nilpotency_stack_orders,
     power_tuple,
@@ -157,113 +164,7 @@ def _verdict(
 
 
 # ---------------------------------------------------------------------------
-# the interpreter's parts: classes of columns, and the stages run on them
-
-
-class _Columns:
-    """The live trials of one class of a program call: ``rows``, their positions in the
-    batch, and each argument over them by name: a tuple's (b, d, n, n) stack, X's
-    (b, n, n) stack, or a parameter's list of values.  A campaign chunk's classes are
-    its builder's (``_run_chunk``), and a bundle is a class of one row
-    (``_bundle_class``).  Stages add derived columns, such as a stacked sum of tuples,
-    by name, and a column that the instances lack is derived on first read (``_derive``)."""
-
-    def __init__(self, rows: np.ndarray, columns: dict, degrees):
-        self.rows, self._columns, self._degrees = rows, columns, dict(degrees)
-
-    def __getitem__(self, name: str):
-        if name not in self._columns:
-            self._columns[name] = self._derive(name)
-        return self._columns[name]
-
-    def __setitem__(self, name: str, column) -> None:
-        self._columns[name] = column
-
-    def _derive(self, name: str):
-        """A column that the instances lack: one of the entry's degree expressions by name,
-        the adjoint ``T*`` or entrywise conjugate ``CTC`` of a tuple T, or ``I<n>``, the
-        n x n identities; any other name is refused."""
-        if name in self._degrees:
-            return _degree_values(self, self._degrees[name])
-        if name.endswith("*"):
-            return np.conjugate(self[name[:-1]].swapaxes(-1, -2), order="C")
-        if len(name) > 2 and name[0] == name[-1] == "C":
-            return np.conjugate(self[name[1:-1]])
-        if name[0] == "I" and name[1:].isdigit():
-            return np.repeat(mc.identity(int(name[1:]))[None], len(self.rows), axis=0)
-        raise InvalidArgumentError(f"the instance has no {name!r}")
-
-    def keep(self, mask: np.ndarray) -> "_Columns | None":
-        """The columns of the rows where ``mask`` holds, or None when it holds nowhere."""
-        if mask.all():
-            return self
-        if not mask.any():
-            return None
-        flags = mask.tolist()
-        return _Columns(self.rows[mask], {
-            name: column[mask] if isinstance(column, np.ndarray) else [value for value, flag in zip(column, flags) if flag]
-            for name, column in self._columns.items()
-        }, self._degrees)
-
-
-def _bundle_class(row: int, bundle: InstanceBundle, degrees: tuple) -> _Columns:
-    """A bundle as a class of one row: its parameters, its matrices and its tuples' stacks.
-    A value under a tuple key that is not an ``OperatorTuple`` is refused, by its key."""
-    for name, T in bundle.tuples.items():
-        if not isinstance(T, OperatorTuple):
-            raise InvalidArgumentError(f"{name} must be an OperatorTuple, got {type(T).__name__}")
-    return _Columns(np.array([row]), {
-        **{name: [value] for name, value in bundle.params.items()},
-        **{name: mc.complex_array(X, name)[None] for name, X in bundle.matrices.items()},
-        **{name: T.stack[None] for name, T in bundle.tuples.items()},
-    }, degrees)
-
-
-def _degree_values(cls: _Columns, spec):
-    """A degree of each row of a class: an int for every row, the column a name reads (a
-    parameter's values as given), or the int array of the sum of a degree expression's
-    signed terms, names and ints, such as ``t1-1``."""
-    if isinstance(spec, int):
-        return [spec] * len(cls.rows)
-    if spec.isidentifier():
-        return cls[spec]
-    return sum(
-        (-1 if sign == "-" else 1) * (int(term) if term.isdigit() else np.asarray(cls[term]))
-        for sign, term in re.findall(r"([+-]?)([^+-]+)", spec)
-    )
-
-
-def _kind_degrees(iso: list, ms, ns) -> tuple[list, list]:
-    """The degrees of rows of two kinds: (m, 0) in each row flagged in ``iso``, else (0, n)."""
-    ms, ns = (values.tolist() if isinstance(values, np.ndarray) else values for values in (ms, ns))
-    return [m if i else 0 for i, m in zip(iso, ms)], [0 if i else n for i, n in zip(iso, ns)]
-
-
-def _first_of(cls: _Columns, name: str, pair: tuple) -> list[bool]:
-    """Whether the parameter ``name`` of each row of a class has the first of the two
-    values ``pair``; the first other value is refused."""
-    if refused := [value for value in cls[name] if value not in pair]:
-        raise InvalidArgumentError(f"{name} must be {pair[0]!r} or {pair[1]!r}, got {refused[0]!r}")
-    return [value == pair[0] for value in cls[name]]
-
-
-def _row_degrees(cls: _Columns, row: _Vanishes, m, n) -> tuple:
-    """The degrees (m, n) of a defect row in each row of a class, with the row's ``kind``
-    (m, 0) where the ``kind`` parameter has the first of its values and (0, n) where
-    it has the second."""
-    ms, ns = _degree_values(cls, m), _degree_values(cls, n)
-    return (ms, ns) if row.kind is None else _kind_degrees(_first_of(cls, "kind", row.kind), ms, ns)
-
-
-def _x(cls: _Columns, row: _Vanishes) -> np.ndarray:
-    """The X of a defect row: the column it names, or for ``I`` the identities of P's dimension."""
-    return cls[f"I{cls[row.P].shape[-1]}"] if row.X == "I" else cls[row.X]
-
-
-def _applies(row: _Vanishes, cls: _Columns) -> bool:
-    """Whether a row applies to a class: always, or where its ``when`` parameter, which has
-    one value over a class (a builder's variant class, or one bundle), has its value."""
-    return not row.when or cls[row.when[0]][0] == row.when[1]
+# the interpreter's stages, run on classes of columns (``generators._Columns``)
 
 
 def _skip_rows(classes: list, results: list, skipped: list) -> list[_Columns]:
@@ -651,7 +552,8 @@ def _pro03_stage(entry, classes: list, run: _Run) -> list:
                 rhs_norm = mc.fro_norm(mc.ordered_sum(terms))
                 # the last components' norms, which the full pair's zero test asked for
                 a_last, b_last = (tf._component_norms(run.norms, cls[name])[r, -1].item() for name in "AB")
-                rhs_thr = run.tol.threshold(tf.grown_scale(mc.fro_norm(X), 1.0 + abs(d - 2) + a_last * b_last, m))
+                (scale,) = tf._scales([mc.fro_norm(X)], [1.0 + abs(d - 2) + a_last * b_last], [1.0], [m], [0])
+                rhs_thr = run.tol.threshold(scale)
             else:
                 rhs_norm, rhs_thr = cls["rhs"][r]
             lhs_pass, rhs_pass = lhs_norm <= lhs_thr, rhs_norm <= rhs_thr
@@ -819,12 +721,11 @@ class Theorem:
     builder classes (``_run_chunk``), or a batch of bundles, one class each
     (``program(bundles, tol, t_max)``, or ``check(bundle, tol, t_max)`` for one);
     a bundle with a value that is not an ``OperatorTuple`` under a tuple key is
-    refused, naming the key.  ``pair(bundle)`` is the (A, B, X) whose defect
-    profile a counterexample record carries.
+    refused, naming the key.  ``pair(bundle)`` is the pair and X whose defect
+    profile a counterexample record carries, read from its rows.
     """
 
     profile: str
-    pair: Callable[[InstanceBundle], tuple[OperatorTuple, OperatorTuple, np.ndarray]]
     nilpotent: tuple | None = None
     derived: tuple = ()
     degrees: tuple = ()
@@ -873,13 +774,13 @@ class Theorem:
         """The result of one instance: the program's batch of one."""
         return self.program([bundle], tol, t_max)[0]
 
-
-def _pair(A: str = "A", B: str = "B"):
-    return lambda bundle: (bundle.tuples[A], bundle.tuples[B], bundle.matrices["X"])
-
-
-def _adjoint_pair(key: str):
-    return lambda bundle: (adjoint_tuple(bundle.tuples[key]), bundle.tuples[key], bundle.matrices["X"])
+    def pair(self, bundle: InstanceBundle) -> tuple[OperatorTuple, OperatorTuple, np.ndarray]:
+        """The (P, Q, X) of its profile's first defect row on the bundle, or (A, B, X) for a
+        profile without one (pro03): the pair whose defect profile a counterexample
+        record carries."""
+        row = next((row for row in self.rows if isinstance(row, _Vanishes)), _Vanishes(None, "A", "B", "X", 0, 0))
+        cls = _bundle_class(0, bundle, self.degrees)
+        return OperatorTuple._of_stack(cls[row.P][0]), OperatorTuple._of_stack(cls[row.Q][0]), _x(cls, row)[0]
 
 
 #: The nilpotent perturbations raise both degrees by n1 + n2 - 2.
@@ -907,7 +808,7 @@ THEOREMS = {
     # when the sigma superoperator is invertible and unitary-like -- normal with
     # no eigenvalue inside the unit circle -- which is the regime where its
     # inverse iterates stay bounded.
-    "pro01": Theorem("pro01", _pair(), stages=(_pro01_stage,)),
+    "pro01": Theorem("pro01", stages=(_pro01_stage,)),
     # Norm-limits of defect-annihilated families keep the combined identity.
     #
     # The first family member must satisfy its declared identity (hypothesis);
@@ -915,7 +816,7 @@ THEOREMS = {
     # that decisively fails while the first member passed is a counterexample
     # (a drifting family), not a skip.  Every member's test and the limit's
     # are evaluated together, so their scales come from one LAPACK call.
-    "pro02": Theorem("pro02-family", _pair("A0", "B0"), stages=(_pro02_stage,)),
+    "pro02": Theorem("pro02-family", stages=(_pro02_stage,)),
     # Reduction to the last pair when the first d-1 pairs are degree-1 annihilators.
     #
     # Part (a): with (A_i, B_i) degree-1 isometric on X for i < d, the full pair
@@ -924,18 +825,18 @@ THEOREMS = {
     # The scales of every one-component pair and of the full pair come from one
     # LAPACK call: part (a)'s right-hand threshold reads the last components'
     # norms, which the full pair's zero test has filled.
-    "pro03": Theorem("pro03", _pair(), stages=(_pro03_stage,)),
+    "pro03": Theorem("pro03", stages=(_pro03_stage,)),
     # Degree-2 symmetry of the adjoint pair at I forces a self-adjoint component sum.
-    "pro04": Theorem("pro04", _adjoint_pair("A"), stages=(_hypothesis_stage, _selfadjoint_stage)),
+    "pro04": Theorem("pro04", stages=(_hypothesis_stage, _selfadjoint_stage)),
     # Even symmetric degree of the adjoint pair at I collapses to the odd degree below.
     "pro5": Theorem(
-        "pro5", _adjoint_pair("A"),
+        "pro5",
         conclusions=(_Conclusion(_Vanishes("odd_degree_defect", "A*", "A", "I", 0, "m_even-1")),),
         stages=(_even_degree_stage, _hypothesis_stage, _sharp_conclusions),
     ),
     # Commuting nilpotent perturbations raise both vanishing degrees by n1+n2-2.
     "thm05": Theorem(
-        "thm05", _pair(),
+        "thm05",
         nilpotent=("A", ("N1", "N2"), False), derived=_SUMS, degrees=_RAISED,
         conclusions=(_Conclusion(
             _Vanishes("perturbed_defect", "P", "Q", "X", "t1", "t2"),
@@ -945,7 +846,7 @@ THEOREMS = {
     ),
     # The three perturbation implications for two base pairs sharing the nilpotents.
     "cor05": Theorem(
-        "cor05", _pair("A1", "B1"),
+        "cor05",
         nilpotent=("A1", ("N1", "N2"), True), degrees=_RAISED,
         derived=(("P1", sum_stacks, "A1", "N1"), ("Q1", sum_stacks, "B1", "N2"),
                  ("P2", sum_stacks, "A2", "N1"), ("Q2", sum_stacks, "B2", "N2")),
@@ -953,7 +854,7 @@ THEOREMS = {
     ),
     # Adjoint specialization: one nilpotent perturbs both sides, degrees rise by 2n-2.
     "cor050": Theorem(
-        "cor050", _adjoint_pair("T"),
+        "cor050",
         nilpotent=("T", ("N",), True),
         derived=(("P", sum_stacks, "T*", "N"), ("Q", sum_stacks, "T", "N")),
         degrees=(("t1", "m1+order_N+order_N-2"), ("t2", "m2+order_N+order_N-2")),
@@ -964,7 +865,7 @@ THEOREMS = {
     # The hypotheses are the commutation of (A, S), (B, S), (B, T) and the four
     # cross-assigned combined defects.
     "thm06": Theorem(
-        "thm06", _pair(),
+        "thm06",
         derived=(("P", product_stacks, "S", "A"), ("Q", product_stacks, "T", "B")),
         degrees=(("t1", "m+r-1"), ("t2", "n+s-1")),
         conclusions=(_Conclusion(
@@ -973,23 +874,23 @@ THEOREMS = {
     ),
     # Single-kind product implication: both pairs isometric (or both symmetric).
     "cor06": Theorem(
-        "cor06", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        "cor06", derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(("below", "degree-1", "degree-1")), stages=_PRODUCT_STAGES,
     ),
     # Conjugation-twisted product implications for pairs (S*, CSC) and (T*, CTC).
     "cor061": Theorem(
-        "cor061", lambda b: (adjoint_tuple(b.tuples["S"]), conj_tuple(b.tuples["S"]), b.matrices["X"]),
+        "cor061",
         derived=(("P", product_stacks, "S*", "T*"), ("ST", product_stacks, "S", "T"), ("Q", np.conjugate, "ST")),
         degrees=(("degree", "m+n-1"),), stages=(_commutator_stage, _derived_stage, _cor061_stage),
     ),
     # Single operator times tuple: the product inherits degree m+n-1.
     "cor062": Theorem(
-        "cor062", _pair(), derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
+        "cor062", derived=_PRODUCTS, degrees=(("degree", "m+n-1"),),
         conclusions=_product(), stages=(_single_operator_stage, *_PRODUCT_STAGES),
     ),
     # Tensor products of defect-annihilated pairs vanish at the combined degrees.
     "thm07": Theorem(
-        "thm07", lambda b: (b.tuples["A"], b.tuples["B"], mc.identity(b.tuples["A"].dim)),
+        "thm07",
         derived=(("A(x)S", tensor_stacks, "A", "S"), ("B(x)T", tensor_stacks, "B", "T")),
         degrees=(("degree", "m+n-1"), ("t1", "m+r-1"), ("t2", "n+s-1")),
         conclusions=(
@@ -1025,8 +926,11 @@ def golden_suite(golden: dict | None = None, tol_abs: float = 1e-12) -> list[dic
 
     Each check is ``{"name", "max_abs_diff", "passed"}``; it passes when the
     difference is at most ``tol_abs``, or 1e-9 for the two relative checks
-    over degrees 1..6.  ``golden`` overrides entries of ``GOLDEN_MATRICES``.
+    over degrees 1..6.  ``golden`` overrides entries of ``GOLDEN_MATRICES``; a key
+    that is not one of them is refused.
     """
+    if unknown := [key for key in golden or {} if key not in GOLDEN_MATRICES]:
+        raise InvalidArgumentError(f"unknown golden key {unknown[0]!r}; known keys: {', '.join(GOLDEN_MATRICES)}")
     golden = {**GOLDEN_MATRICES, **(golden or {})}
     T, A0, U, S = paper_example_mixing()
     pair_t = (OperatorTuple.of(mc.adjoint(T)), OperatorTuple.of(T))

@@ -485,7 +485,7 @@ def test_campaign_config_holding_a_list_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["trials", "tol", "budget", "seed"])
-@pytest.mark.parametrize("value", ["many", None, [3], True, False])
+@pytest.mark.parametrize("value", ["many", "1e-8", None, [3], True, False])
 def test_campaign_config_non_numeric_value_exits_2(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"theorem": "pro04", "trials": 3, key: value}))
@@ -705,6 +705,16 @@ def test_campaign_with_an_infinite_budget_runs_every_trial(tmp_path):
     report = json.loads(out_file.read_text())
     assert report["trials"] == 3
     assert report["budget_exceeded"] is False
+
+
+def test_repro_paper_golden_file_with_an_unknown_key_exits_2(tmp_path, capsys):
+    # a misspelt key overrode nothing, and every check passed
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"S_A0_Sx": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]}))
+    assert main(["repro-paper", "--golden", str(golden)]) == 2
+    _single_error_line(capsys, "unknown golden key 'S_A0_Sx'")
+    assert main(["repro-paper", "--golden", str(golden), "--json"]) == 2
+    _single_error_line(capsys, "unknown golden key 'S_A0_Sx'")
 
 
 def test_repro_paper_golden_file_holding_a_list_exits_2(tmp_path, capsys):

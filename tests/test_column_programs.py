@@ -24,11 +24,10 @@ from isotuple.errors import InvalidArgumentError
 from isotuple.generators import InstanceBundle, PROFILES, random_instance, random_instances
 from isotuple.tuples import (
     OperatorTuple,
+    _commutator_check,
     commutator_stack_checks,
     commutes_cross,
     commutes_within,
-    max_commutator_cross,
-    max_commutator_within,
     nilpotency_order,
     nilpotency_stack_orders,
     product_stacks,
@@ -80,10 +79,11 @@ def test_stack_kernels_equal_the_single_item_apis_on_every_profile(profile, tol)
         )
         rows = range(0, len(found), SAMPLE)
         assert list(zip(passed[::SAMPLE].tolist(), residuals[::SAMPLE].tolist())) == [
-            (commutes_within(found[b], tol), max_commutator_within(found[b])) for b in rows
+            (commutes_within(found[b], tol), _commutator_check(found[b], found[b], mc.DEFAULT_TOL)[1]) for b in rows
         ]
         assert list(zip(cross_passed[::SAMPLE].tolist(), cross_residuals[::SAMPLE].tolist())) == [
-            (commutes_cross(found[b], found[-1 - b], tol), max_commutator_cross(found[b], found[-1 - b]))
+            (commutes_cross(found[b], found[-1 - b], tol),
+             _commutator_check(found[b], found[-1 - b], mc.DEFAULT_TOL)[1])
             for b in rows
         ]
         nilpotent = [b for b, name in enumerate(names) if name.startswith("N")][::SAMPLE]

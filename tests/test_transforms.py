@@ -301,11 +301,11 @@ def test_defect_scale_and_sigma_iterates_refuse_a_degree_that_is_not_a_non_negat
 
 
 def test_overflowing_scale_is_refused():
-    assert tf.grown_scale(2.0, 3.0, 2) == 18.0
+    assert tf._scales([2.0], [3.0], [1.0], [2], [0]) == [18.0]
     with pytest.raises(InvalidArgumentError):
-        tf.grown_scale(1.0, 1e200, 2)  # float ** overflows
+        tf._scales([1.0], [1e200], [1.0], [2], [0])  # float ** overflows
     with pytest.raises(InvalidArgumentError):
-        tf.grown_scale(1e200, 1e200, 1)  # the product overflows to inf
+        tf._scales([1e200], [1e200], [1.0], [1], [0])  # the product overflows to inf
 
 
 @pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)

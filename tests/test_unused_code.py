@@ -1,7 +1,13 @@
 """No dead code in the package: every top-level function and class of
-``src/isotuple``, and every method, is referenced by name from some module
-of the package or listed in its ``__all__``, unless the allowlist below says
-why it stays."""
+``src/isotuple`` is used, unless the allowlist below says why it stays.
+
+A top-level definition counts as used only where the package reads it as that
+module's: its own module names it, another module imports it by name from that
+module, or another module reads it as an attribute of that module's alias
+(``mc.fro_norm``, ``tf.triangle``).  A name that merely matches some other
+variable does not count.  A method (other than a dunder) counts as used when
+some module reads an attribute of its name, since the type of an instance is not
+known statically."""
 
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import isotuple
 
 PACKAGE = Path(isotuple.__file__).parent
 
-#: Definitions that nothing in the package references, each with why it stays.
+#: Definitions that nothing in the package uses, each with why it stays.
 ALLOWED = {
     "vec": "the vec convention helper; the module docstring states vec(A X B) = (B^T kron A) vec(X)",
     "unvec": "the inverse of vec under the same convention",
@@ -25,7 +31,8 @@ ALLOWED = {
 
 
 def _trees() -> dict[str, ast.Module]:
-    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    """Each module of the package by name (``__init__`` for the package itself)."""
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _definitions(tree: ast.Module):
@@ -42,35 +49,64 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{method.name}"
 
 
-def _referenced(trees: dict) -> set[str]:
-    """Every name the package reads: bare names, attributes and imported names."""
-    names = set()
-    for tree in trees.values():
+def _source(node: ast.ImportFrom) -> str | None:
+    """The package module an import reads from, ``__init__`` for the package itself, or
+    None for a module outside the package."""
+    if node.level == 1:
+        return node.module or "__init__"
+    if node.level == 0 and node.module == "isotuple":
+        return "__init__"
+    if node.level == 0 and node.module and node.module.startswith("isotuple."):
+        return node.module.removeprefix("isotuple.")
+    return None
+
+
+def _used(trees: dict) -> tuple[set[tuple[str, str]], set[str]]:
+    """The ``(module, name)`` of every top-level name the package reads as that module's,
+    and every attribute name read anywhere (for methods)."""
+    used, attributes = set(), set()
+    for module, tree in trees.items():
+        aliases = {}  # a name bound to a package module in this module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (source := _source(node)) is not None:
+                for alias in node.names:
+                    if source == "__init__" and alias.name in trees:
+                        aliases[alias.asname or alias.name] = alias.name
+                    else:
+                        used.add((source, alias.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names.add(node.id)
+                used.add((module, node.id))
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rsplit(".", 1)[-1])
-    return names
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    used.add((aliases[node.value.id], node.attr))
+    return used, attributes
+
+
+def _is_used(module: str, name: str, used: set, attributes: set) -> bool:
+    if "." in name:
+        return name.rsplit(".", 1)[-1] in attributes
+    return (module, name) in used
 
 
 def test_every_definition_is_referenced_exported_or_allowed():
     trees = _trees()
-    referenced, exported = _referenced(trees), set(isotuple.__all__)
+    used, attributes = _used(trees)
     unused = [
         f"{module}: {name}"
         for module, tree in trees.items()
         for name in _definitions(tree)
-        if name.rsplit(".", 1)[-1] not in referenced and name not in exported and name not in ALLOWED
+        if not _is_used(module, name, used, attributes) and name not in ALLOWED
     ]
     assert unused == []
 
 
 def test_every_allowed_name_is_still_defined_and_unreferenced():
-    # an entry that has gone, or that the package now reads, leaves the allowlist
+    # an entry that has gone, or that the package now uses, leaves the allowlist
     trees = _trees()
-    referenced = _referenced(trees)
-    defined = {name for tree in trees.values() for name in _definitions(tree)}
-    assert sorted(name for name in ALLOWED if name not in defined or name.rsplit(".", 1)[-1] in referenced) == []
+    used, attributes = _used(trees)
+    defined = {name: module for module, tree in trees.items() for name in _definitions(tree)}
+    assert sorted(
+        name for name in ALLOWED if name not in defined or _is_used(defined[name], name, used, attributes)
+    ) == []

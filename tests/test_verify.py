@@ -19,6 +19,7 @@ from isotuple.generators import (
     _Vanishes,
     jordan_block,
     random_instance,
+    random_instances,
     upper_shift,
 )
 from isotuple.tuples import (
@@ -605,6 +606,21 @@ def _declared_pair(theorem_id, bundle):
     if theorem_id == "thm07":
         return t["A"], t["B"], np.eye(t["A"].dim)
     return t["A"], t["B"], X
+
+
+@pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
+def test_each_pair_read_from_the_rows_is_the_declared_pair_bit_for_bit(theorem_id):
+    # the first defect row's pair and X, or (A, B, X) for pro03, which has none; an X
+    # of I reads the identities, as the bundle's own X (pro04, pro5) or thm07's declared
+    # identity, in complex
+    entry = verify.THEOREMS[theorem_id]
+    for bundle in random_instances(entry.profile, range(16)):
+        (A, B, X), (A0, B0, X0) = entry.pair(bundle), _declared_pair(theorem_id, bundle)
+        for got, declared in ((A, A0), (B, B0)):
+            assert isinstance(got, OperatorTuple)
+            assert (got.stack.shape, got.stack.tobytes()) == (declared.stack.shape, declared.stack.tobytes())
+        declared = np.asarray(X0, dtype=np.complex128)
+        assert (X.dtype, X.shape, X.tobytes()) == (declared.dtype, declared.shape, declared.tobytes())
 
 
 @pytest.mark.parametrize("theorem_id", verify.THEOREM_IDS)
