@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -65,7 +66,7 @@ import numpy as np
 from . import matrix_core as mc
 from . import transforms as tf
 from .errors import GenerationFailureError, InvalidArgumentError
-from .tuples import OperatorTuple, checked_stacks, commutator_stack_checks, nilpotency_order
+from .tuples import OperatorTuple, adjoint_stacks, checked_stacks, commutator_stack_checks, nilpotency_order
 
 _RETRY_LIMIT = 20
 
@@ -111,7 +112,7 @@ class InstanceBundle:
 
 def poly_eval(M, coeffs) -> np.ndarray:
     """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    return _poly_evals(mc.as_matrix(M), np.array([list(coeffs)], dtype=np.complex128))[0]
+    return _poly_evals(mc.as_matrix(M), mc.complex_array([list(coeffs)], name="coefficients"))[0]
 
 
 def _poly_evals(M: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -161,9 +162,19 @@ def nilpotent_seed(n: int, index: int) -> np.ndarray:
 
 
 def jordan_block(lam: complex, k: int) -> np.ndarray:
+    lam = _number(lam)
+    if type(k) is not int:
+        raise InvalidArgumentError(f"block size k must be an integer, got {k!r}")
     if k < 1:
         raise InvalidArgumentError("block size must be positive")
-    return _jordan_blocks(np.array([complex(lam)]), k)[0]
+    return _jordan_blocks(np.array([lam]), k)[0]
+
+
+def _number(lam) -> complex:
+    """lambda as a complex number, refused when it is not a number."""
+    if not isinstance(lam, numbers.Number):
+        raise InvalidArgumentError(f"lambda must be a number, got {lam!r}")
+    return complex(lam)
 
 
 def _jordan_blocks(lams: np.ndarray, k: int) -> np.ndarray:
@@ -173,7 +184,7 @@ def _jordan_blocks(lams: np.ndarray, k: int) -> np.ndarray:
 
 def jordan_symmetric(lam: float, k: int) -> np.ndarray:
     """lambda*I + N with real lambda; its adjoint pair has minimal symmetric degree 2k-1."""
-    lam = complex(lam)
+    lam = _number(lam)
     if abs(lam.imag) > 1e-12:
         raise InvalidArgumentError(f"lambda must be real, got {lam}")
     T = jordan_block(lam.real, k)
@@ -183,7 +194,7 @@ def jordan_symmetric(lam: float, k: int) -> np.ndarray:
 
 def jordan_isometric(lam: complex, k: int) -> np.ndarray:
     """lambda*I + N with |lambda| = 1; its adjoint pair has minimal isometric degree 2k-1."""
-    lam = complex(lam)
+    lam = _number(lam)
     if abs(abs(lam) - 1.0) > 1e-12:
         raise InvalidArgumentError(f"lambda must have unit modulus, got |{lam}| = {abs(lam)}")
     T = jordan_block(lam, k)
@@ -241,10 +252,14 @@ def nilpotent_commuting(n: int, d: int, target_order: int, rng_seed: int) -> Ope
     draws; a tuple that does not commute at that tolerance is refused as
     :func:`nilpotency_order` refuses it.
     """
-    if not isinstance(target_order, int) or target_order < 1:
+    if type(target_order) is not int or target_order < 1:  # a bool is an int, but not a count
         raise InvalidArgumentError(f"target_order must be a positive integer, got {target_order!r}")
+    for name, count in (("d", d), ("n", n)):
+        if type(count) is not int:
+            raise InvalidArgumentError(f"{name} must be an integer, got {count!r}")
     if d < 1:
         raise InvalidArgumentError("d must be positive")
+    _require_seed("rng_seed", rng_seed)
     if target_order > n:
         raise InvalidArgumentError(
             f"order {target_order} is not achievable at dimension {n} (needs n >= order)"
@@ -333,11 +348,6 @@ def _diagonal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adjoints(M: np.ndarray) -> np.ndarray:
-    """The C-contiguous conjugate transposes of a stack's matrices."""
-    return np.conjugate(M.swapaxes(-1, -2), order="C")
-
-
 def _complex_normals(rngs: list, n: int) -> np.ndarray:
     """Per seed, normal((n, n)) + 1j * normal((n, n))."""
     g = _draw(rngs, lambda rng: rng.standard_normal((2, n, n)))
@@ -396,7 +406,7 @@ def _rotate(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
 def _embedded_pairs(a: np.ndarray, first: bool) -> tuple[np.ndarray, np.ndarray]:
     """(a* (x) I, a (x) I) for a (b, 2, 2) stack of factors, or (I (x) a*, I (x) a) when
     it is not first: two (b, 1, 4, 4) stacks of one-component tuples."""
-    pair, eye = np.stack([_adjoints(a), a], axis=1), mc.identity(2)[None]
+    pair, eye = np.stack([adjoint_stacks(a), a], axis=1), mc.identity(2)[None]
     stack = mc.kron(pair, eye) if first else mc.kron(eye, pair)
     return stack[:, :1], stack[:, 1:]
 
@@ -571,11 +581,11 @@ class _Columns:
         if name in self._degrees:
             return _degree_values(self, self._degrees[name])
         if name.endswith("*"):
-            return np.conjugate(self[name[:-1]].swapaxes(-1, -2), order="C")
+            return adjoint_stacks(self[name[:-1]])
         if len(name) > 2 and name[0] == name[-1] == "C":
             return np.conjugate(self[name[1:-1]])
         if name[0] == "I" and name[1:].isdigit():
-            return np.repeat(mc.identity(int(name[1:]))[None], len(self.rows), axis=0)
+            return _identities(len(self.rows), int(name[1:]))
         raise InvalidArgumentError(f"the instance has no {name!r}")
 
     def keep(self, mask: np.ndarray) -> "_Columns | None":
@@ -696,7 +706,7 @@ def _build_pro01(rngs: list, seeds: list) -> tuple:
         T = _scaled(_weights(rngs, 2), U)
         X, m, variant = _identities(b, 3), 2, "invertible"
     params = [{"m": m, "variant": variant} for _ in seeds]
-    return {"A": _adjoints(T), "B": T}, {"X": X}, params
+    return {"A": adjoint_stacks(T), "B": T}, {"X": X}, params
 
 
 _PRO02_ROWS = (
@@ -723,7 +733,7 @@ def _build_pro02(rngs: list, seeds: list) -> tuple:
     factors = np.concatenate([factors, cs.astype(np.complex128)[:, None]], axis=1)
     lam_eye = lams[:, None, None] * mc.identity(k)
     T = _rotate(Q, lam_eye[:, None] + factors[:, :, None, None] * upper_shift(k))
-    T_star = _adjoints(T)
+    T_star = adjoint_stacks(T)
     tuples = {}
     for j in range(n_members):
         tuples[f"A{j}"], tuples[f"B{j}"] = T_star[:, j : j + 1], T[:, j : j + 1]
@@ -844,7 +854,7 @@ def _build_thm05(rngs: list, seeds: list) -> tuple:
     A_base, B_base = _scalar_isometric_pairs(rngs, d, dim)
     N2 = _nilpotent_tuples(dim, d, n2s, _stream_seeds(rngs))
     if adjoint_variant:
-        N1 = _adjoints(N2)
+        N1 = adjoint_stacks(N2)
         X = _identities(len(rngs), dim)
     else:
         N1 = _nilpotent_tuples(dim, d, n1s, _stream_seeds(rngs))
@@ -1087,8 +1097,8 @@ def _build_thm07(rngs: list, seeds: list) -> tuple:
         a = _iso_factors(rngs, k1s)
         k2s = [1 + (seed // 8) % 2 for seed in seeds]
         g = np.array([jordan_block(1.0, 2) if k2 == 2 else mc.identity(2) for k2 in k2s])
-        A, B = _adjoints(a)[:, None], a[:, None]
-        S, T = _adjoints(g)[:, None], g[:, None]
+        A, B = adjoint_stacks(a)[:, None], a[:, None]
+        S, T = adjoint_stacks(g)[:, None], g[:, None]
         params = [
             {"variant": variant, "m": 2 * k1 - 1, "n": 1 + (seed // 4) % 2,
              "r": 2 * k2 - 1, "s": 2 * k2 - 1}
@@ -1160,6 +1170,13 @@ def random_instances(profile: str, seeds) -> list[InstanceBundle]:
     return bundles
 
 
+def _require_seed(name: str, seed) -> None:
+    """Refuse a seed that is not a non-negative integer, which is all NumPy's generator
+    takes, or that is a bool, which it takes as 0 or 1."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgumentError(f"{name} must be a non-negative integer, got {seed!r}")
+
+
 def _chunk(profile: str, seeds) -> list[tuple]:
     """The instances of ``seeds`` as the variant classes that built them, each one
     builder call: ``(positions, tuples, matrices, params)``, the positions of its
@@ -1171,10 +1188,8 @@ def _chunk(profile: str, seeds) -> list[tuple]:
         )
     build, variant, _ = _BUILDERS[profile]
     seeds = tuple(seeds)
-    # each seed seeds NumPy's generator, which takes only a non-negative integer
     for seed in seeds:
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+        _require_seed("seed", seed)
     seeds = tuple(map(int, seeds))  # so that every parameter derived from a seed is an int
     rngs = [np.random.default_rng(seed) for seed in seeds]
     classes: dict = {}

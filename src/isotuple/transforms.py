@@ -27,25 +27,30 @@ stack object and row (``_stack_items``), turns the spectral norms it keeps
 by stack into thresholds (``_thresholds``), and raises the first fault by
 test and then by item; it knows nothing of trials.
 
-The norm table holds whole stacks, per part: ``id(stack) -> (stack, (b, d)
-component norms, (b,) sum norms)``, a part None until a test reads it.  A
+The norm table holds whole stacks, per part: ``id(stack) -> [stack, (b, d)
+component norms, (b,) sum norms]``, a part None until a test reads it.  A
 stack's component norms are read when an item on it has m > 0 and its sum
 norms when one has n > 0, whichever rows the items name, so the table has
-no row flags.  Only this module knows its layout: ``_fill_stack_norms``
-asks one ``tuples.stack_spectral_norms`` call for the parts it lacks,
-``_growth_factors`` reads every factor from it and ``_component_norms`` the
-component norms of one stack.  ``defect_checks`` runs the kernel's two
-phases on several degrees of one pair, as items on row 0 of its one-row
-stacks, with a table seeded from the norms the tuples hold or fill
-(``tuples.spectral_norms``), and ``defect_check`` is its batch of one.
-``stack_defects`` gives each row's
-``triangle``, ``delta`` or ``isosym_defect`` (the defects behind a bundle's
-residuals), ``triangle``, ``delta`` and ``sigma_iterates`` are the engine's batch
-of one, and ``_cesaro_run`` steps stacks of Cesaro runs
-from X through its loop.  Only the cross-check paths ``triangle_by_iteration``
-and ``delta_by_iteration`` iterate on their own.  Every tolerance scale comes
-from one helper, ``_scales``, which refuses the first that overflows; pro03's
-right-hand side calls it on one item.
+no row flags.  Only this module and a tuple's own entry
+(``OperatorTuple._norm_entry``) know its layout: ``_fill_stack_norms``
+asks one ``tuples.stack_spectral_norms`` call for the parts it lacks and
+fills them into the entries in place, ``_growth_factors`` reads every factor
+from it and ``_component_norms`` the component norms of one stack.
+
+Every function on one pair is the kernel or the engine on the pair's one-row
+stacks, checked once by ``_pair`` as ``_checked_stack_test`` checks every
+stack test; the table of a pair's test is seeded with the tuples' own entries
+(``_pair_norms``), so the parts the kernel fills stay with the tuples.
+``defect_checks`` is ``defect_stack_checks`` of several degrees of one pair,
+as items on row 0, ``defect_check`` its batch of one, and ``defect_scale`` the
+kernel's scale of one item (``_test_scales``).  ``stack_defects`` gives each
+row's ``triangle``, ``delta`` or ``isosym_defect`` (the defects behind a
+bundle's residuals); ``triangle``, ``delta``, ``sigma_iterates`` and
+``sigma_apply`` are the engine's batch of one, and ``_cesaro_run`` steps stacks
+of Cesaro runs from X through its loop.  Only the cross-check paths
+``triangle_by_iteration`` and ``delta_by_iteration`` iterate on their own.
+Every tolerance scale comes from one helper, ``_scales``, which refuses the
+first that overflows; pro03's right-hand side calls it on one item.
 ``superop_matrix`` lifts the maps to dim^2 x dim^2 matrices acting on
 column-stacked vec(X) — the second, independent evaluation route used for
 cross-checks.
@@ -62,34 +67,17 @@ import numpy as np
 from . import matrix_core as mc
 from .errors import BudgetExceededError, InvalidArgumentError
 from .multiindex import binomial, compositions, multinomial
-from .tuples import (
-    OperatorTuple,
-    _commutator_check,
-    spectral_norms,
-    stack_spectral_norms,
-    stack_sums,
-)
+from .tuples import OperatorTuple, _commutator_check, stack_spectral_norms, stack_sums
 
 #: ``expand`` mode is refused once the implied word count d**j exceeds 2**20.
 EXPAND_BUDGET_LOG2 = 20.0
 
 
-def _require_pair(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
-    return _require_finite(_require_shapes(A, B, X))
-
-
-def _require_shapes(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
-    """X as a complex array, its shape and the pair's checked as ``_require_pair`` checks them."""
-    X = mc.complex_array(X, name="X")
-    if X.ndim != 2 or X.shape[0] != X.shape[1] or X.shape[0] == 0:
-        raise InvalidArgumentError(f"X must be square and non-empty, got shape {X.shape}")
-    if A.d != B.d:
-        raise InvalidArgumentError(f"tuple length mismatch: {A.d} vs {B.d}")
-    if A.dim != B.dim or A.dim != X.shape[0]:
-        raise InvalidArgumentError(
-            f"dimension mismatch: A is {A.dim}, B is {B.dim}, X is {X.shape[0]}"
-        )
-    return X
+def _pair(A: OperatorTuple, B: OperatorTuple, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one-row stacks (a, b, x) of a pair and X, refused as ``_checked_stack_test``
+    refuses them; a and b are the keys of the tuples' norm entries."""
+    x = mc.complex_array(X, name="X")[None]
+    return _checked_stack_test(A._norm_entry()[0], B._norm_entry()[0], x, (), ())[:3]
 
 
 def _require_finite(Y: np.ndarray) -> np.ndarray:
@@ -112,9 +100,8 @@ def _overflow(scale, factor, degree) -> InvalidArgumentError:
 
 
 def _iso_factor(a_norms, b_norms):
-    """1 + sum_i ||A_i|| ||B_i||, summed in index order: of one pair, from its tuples' norms,
-    or of each row of a stack of pairs, from the columns of two (k, d) norm arrays given
-    as their (d, k) transposes."""
+    """1 + sum_i ||A_i|| ||B_i|| of each row of a stack of pairs, summed in index order,
+    from the columns of two (k, d) norm arrays given as their (d, k) transposes."""
     total = a_norms[0] * b_norms[0]
     for a, b in zip(a_norms[1:], b_norms[1:]):
         total = total + a * b
@@ -155,21 +142,21 @@ def defect_scale(
     scale for every defect zero test: it tracks the defect's own worst-case
     growth without drowning genuinely nonzero defects at higher degrees.
     A factor raised to the power 0 is 1.0 and is skipped, norms and all: the
-    factors read the norms the tuples hold, and ``spectral_norms`` fills the
-    parts they lack in one call.  A pair is refused as ``defect_check`` refuses it.
+    scale is the kernel's, from the norm table seeded with the tuples' entries
+    (``_pair_norms``).  A pair is refused as ``defect_check`` refuses it.
     """
-    X = _require_shapes(A, B, X)
+    a, b, x = _pair(A, B, X)
     m, n = _require_degree("iso_degree", iso_degree), _require_degree("sym_degree", sym_degree)
-    (a_norms, a_sum), (b_norms, b_sum) = spectral_norms([(A, m, n), (B, m, n)])
-    iso = _iso_factor(a_norms, b_norms) if m else 1.0
-    sym = 1.0 + a_sum + b_sum if n else 1.0
-    return _scales([mc.fro_norm(X)], [iso], [sym], [m], [n])[0]
+    test = (a, b, x, [m], [n], None)
+    norms = _pair_norms(A, B)
+    _fill_stack_norms(norms, [test])
+    return _test_scales(test, norms)[0]
 
 
-def _sigma(A: OperatorTuple, B: OperatorTuple, Y: np.ndarray) -> np.ndarray:
-    """sigma(Y) for a pair already checked against Y's shape, so that iterates are
-    not checked again; a non-finite Y is refused as ``sigma_apply`` refuses it."""
-    return _sigma_of_stacks(A.stack, _require_finite(Y), B.stack)
+def _pair_norms(A: OperatorTuple, B: OperatorTuple) -> dict:
+    """The norm table of a pair's one-row stacks, seeded with the entries the tuples keep,
+    so that the tuples keep the parts the kernel fills in it."""
+    return {id(entry[0]): entry for entry in (A._norm_entry(), B._norm_entry())}
 
 
 def _sigma_of_stacks(a: np.ndarray, Y: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,15 +199,15 @@ def binomial_sum(terms: np.ndarray, k) -> np.ndarray:
 
 
 def sigma_apply(A: OperatorTuple, B: OperatorTuple, X) -> np.ndarray:
-    """sum_i A_i X B_i."""
-    return _sigma(A, B, _require_pair(A, B, X))
+    """sum_i A_i X B_i: the engine's one sigma step."""
+    return sigma_iterates(A, B, X, 1)[1]
 
 
 def sigma_iterates(A: OperatorTuple, B: OperatorTuple, X, j_max: int) -> list[np.ndarray]:
     """[X, sigma(X), sigma^2(X), ..., sigma^j_max(X)]: the engine's run of one item."""
     _require_degree("j_max", j_max)
-    X = _require_pair(A, B, X)
-    return [Y[0] for Y in _sigma_run(A.stack[None], B.stack[None], X[None].copy(), j_max, refuse=True)]
+    a, b, x = _pair(A, B, X)
+    return [Y[0] for Y in _sigma_run(a, b, _require_finite(x).copy(), j_max, refuse=True)]
 
 
 def sigma_power(
@@ -240,7 +227,7 @@ def sigma_power(
     expand, False for iterate).
     """
     _require_degree("j", j)
-    X = _require_pair(A, B, X)
+    X = _require_finite(_pair(A, B, X)[2])[0]
     if mode not in ("iterate", "expand"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     if strict is None:
@@ -275,30 +262,31 @@ def sigma_power(
 def triangle(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Isometric defect of degree m: sum_j (-1)^j C(m,j) sigma^j(X); triangle^0 = X."""
     _require_degree("m", m)
-    return _stacked_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [m], [0], refuse=True)[0]
+    return _stacked_defects(*_pair(A, B, X), [0], [m], [0], refuse=True)[0]
 
 
 def triangle_by_iteration(A: OperatorTuple, B: OperatorTuple, X, m: int) -> np.ndarray:
     """Same defect by m applications of X -> X - sigma(X); cross-check path."""
     _require_degree("m", m)
-    Y = _require_pair(A, B, X).copy()
+    Y = _require_finite(_pair(A, B, X)[2])[0].copy()
     for _ in range(m):
-        Y = Y - _sigma(A, B, Y)
+        Y = Y - _sigma_of_stacks(A.stack, _require_finite(Y), B.stack)
     return Y
 
 
 def delta(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Symmetric defect of degree n: sum_j (-1)^j C(n,j) (sum A)^(n-j) X (sum B)^j; delta^0 = X."""
     _require_degree("n", n)
+    a, b, x = _pair(A, B, X)
     if n == 0:
-        return _require_pair(A, B, X).copy()
-    return _stacked_defects(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [0], [0], [n], refuse=True)[0]
+        return _require_finite(x)[0].copy()
+    return _stacked_defects(a, b, x, [0], [0], [n], refuse=True)[0]
 
 
 def delta_by_iteration(A: OperatorTuple, B: OperatorTuple, X, n: int) -> np.ndarray:
     """Same defect by n applications of X -> (sum A) X - X (sum B); cross-check path."""
     _require_degree("n", n)
-    Y = _require_pair(A, B, X).copy()
+    Y = _require_finite(_pair(A, B, X)[2])[0].copy()
     sa = A.component_sum()
     sb = B.component_sum()
     for _ in range(n):
@@ -324,29 +312,19 @@ def defect_check(
 def defect_checks(
     A: OperatorTuple, B: OperatorTuple, X, degrees, tol: mc.Tolerance = mc.DEFAULT_TOL
 ) -> list[tuple[float, float]]:
-    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: the phases of
-    ``defect_stack_checks``, norms then thresholds, on the one-row stacks of the pair
-    and X (one stack serves as A and B when A is B), its items the degrees on row 0,
-    which share the runs they form.
+    """``defect_check(A, B, X, m, n, tol)`` of each degree ``(m, n)``: ``defect_stack_checks``
+    of one test on the one-row stacks of the pair and X (one stack serves as A and B when
+    A is B), its items the degrees on row 0, which share the runs they form.
 
     The pair is refused as ``triangle`` refuses it, then each degree in order.
-    Every norm comes before every threshold, as in the kernel, so a non-finite
-    value is refused before an overflowing spectral norm or scale.  The
-    thresholds read a norm table seeded from the tuples' own spectral norms,
-    the components' when some m > 0 and the sums' when some n > 0:
-    ``spectral_norms`` fills the parts they lack in one call and leaves them
-    with the tuples.
+    The thresholds read a norm table seeded with the tuples' entries
+    (``_pair_norms``): the kernel fills the parts they lack, the components'
+    when some m > 0 and the sums' when some n > 0, and the tuples keep them.
     """
-    X = _require_shapes(A, B, X)
+    a, b, x = _pair(A, B, X)
     degrees = [(_require_degree("m", m), _require_degree("n", n)) for m, n in degrees]
     ms, ns = [m for m, _ in degrees], [n for _, n in degrees]
-    a = A.stack[None]
-    test = _checked_stack_test(a, a if A is B else B.stack[None], X[None], ms, ns, [0] * len(ms))
-    (values,) = _stack_items([test], mc.fro_norm_array)
-    held = spectral_norms([(A, any(ms), any(ns)), (B, any(ms), any(ns))])
-    norms = {id(stack): (stack, *(None if part is None else np.array([part]) for part in parts))
-             for stack, parts in zip(test[:2], held)}
-    (thresholds,) = _thresholds([test], norms, tol)
+    ((values, thresholds),) = defect_stack_checks([(a, b, x, ms, ns, [0] * len(ms))], tol, _pair_norms(A, B))
     return list(zip(values.tolist(), thresholds.tolist()))
 
 
@@ -523,10 +501,10 @@ def _stack_sources(tests: list, members: list) -> tuple:
 
 def _fill_stack_norms(norms: dict, tests: list) -> None:
     """Keep in ``norms``, by stack, the spectral norms the tests' thresholds read, whole
-    stacks per part: ``id(stack) -> (stack, (b, d) component norms, (b,) sum norms)``, a
+    stacks per part: ``id(stack) -> [stack, (b, d) component norms, (b,) sum norms]``, a
     part None until some test reads it.  A stack's component norms are read when an
     item on it has m > 0 and its sum norms when one has n > 0; the parts read and not
-    held come from one ``stack_spectral_norms`` call."""
+    held come from one ``stack_spectral_norms`` call, filled into the entries in place."""
     wanted: dict[int, list] = {}
     for A, B, _, ms, ns, _ in tests:
         iso, sym = any(ms), any(ns)
@@ -535,25 +513,28 @@ def _fill_stack_norms(norms: dict, tests: list) -> None:
             need[1], need[2] = need[1] or iso, need[2] or sym
     requests = []
     for T, iso, sym in wanted.values():
-        _, comps, sums = norms.setdefault(id(T), (T, None, None))
+        _, comps, sums = norms.setdefault(id(T), [T, None, None])
         need = (T, iso and comps is None, sym and sums is None)
         if need[1] or need[2]:
             requests.append(need)
     for (T, _, _), found in zip(requests, stack_spectral_norms(requests)):
-        norms[id(T)] = (T, *(new if old is None else old for old, new in zip(norms[id(T)][1:], found)))
+        entry = norms[id(T)]
+        entry[1:] = [new if old is None else old for old, new in zip(entry[1:], found)]
 
 
 def _thresholds(tests: list, norms: dict, tol: mc.Tolerance) -> list[np.ndarray]:
-    """The threshold array of each checked stack test's items, from ||X||_F and the
-    spectral norms kept in ``norms``; the first overflowing scale, by test and then by
-    item, is refused.  The factor sums are array expressions, with each row's
-    sum_i ||A_i|| ||B_i|| added in index order, and each growth is ``_scales``'."""
-    out = []
-    for A, B, X, ms, ns, rows in tests:
-        iso, sym = _growth_factors(norms, (A, B), (A, B), ms, ns, rows)
-        scales = _scales(_at(mc.fro_norm_array(X), rows).tolist(), iso, sym, ms, ns)
-        out.append(tol.threshold(np.array(scales)))
-    return out
+    """The threshold array of each checked stack test's items, from their scales; the
+    first overflowing scale, by test and then by item, is refused."""
+    return [tol.threshold(np.array(_test_scales(test, norms))) for test in tests]
+
+
+def _test_scales(test: tuple, norms: dict) -> list[float]:
+    """The tolerance scale of each item of a checked stack test, from ||X||_F and the
+    spectral norms kept in ``norms``.  The factor sums are array expressions, with each
+    row's sum_i ||A_i|| ||B_i|| added in index order, and each growth is ``_scales``'."""
+    A, B, X, ms, ns, rows = test
+    iso, sym = _growth_factors(norms, (A, B), (A, B), ms, ns, rows)
+    return _scales(_at(mc.fro_norm_array(X), rows).tolist(), iso, sym, ms, ns)
 
 
 def _growth_factors(norms: dict, iso_pair: tuple, sym_pair: tuple, ms, ns, rows=None) -> tuple[list, list]:
@@ -713,7 +694,7 @@ def cesaro_estimate(
             f"pair is not (X,{m})-isometric: defect norm {norm:.3e} "
             f"exceeds threshold {threshold:.3e}"
         )
-    run = _cesaro_run(A.stack[None], B.stack[None], _require_shapes(A, B, X)[None], [m], t_max)
+    run = _cesaro_run(*_pair(A, B, X), [m], t_max)
     return [(t, mc.fro_norm(Y[0] / binomial(t, m - 1) - reference[0])) for t, Y, reference in run]
 
 

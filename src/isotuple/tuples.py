@@ -10,20 +10,21 @@ the residual).
 
 The kernels take ``(b, d, n, n)`` stacks of tuples: ``commutator_stack_checks``,
 ``nilpotency_stack_orders``, ``stack_spectral_norms``, ``stack_sums``,
-``sum_stacks``, ``product_stacks`` and ``tensor_stacks``.  Each API on one
-tuple or pair calls its kernel on one-row stacks, so each kernel has one
-implementation: ``commutes_within`` and ``commutes_cross`` (through
-``_commutator_check``, which also gives the largest residual, as
+``sum_stacks``, ``product_stacks``, ``tensor_stacks`` and ``adjoint_stacks``.
+Each API on one tuple or pair calls its kernel on one-row stacks, so each
+kernel has one implementation: ``commutes_within`` and ``commutes_cross``
+(through ``_commutator_check``, which also gives the largest residual, as
 ``nilpotency_order`` and ``transforms.sigma_power`` report it),
-``nilpotency_order``, ``sum_tuple``, ``product_tuple`` and ``tensor_tuple``.
+``nilpotency_order``, ``sum_tuple``, ``product_tuple``, ``tensor_tuple`` and
+``adjoint_tuple``.  ``transforms`` keeps the same rule for pairs.
 
 Spectral norms come in two parts, a stack's component norms and its sums'
 norms.  A ``stack_spectral_norms`` request ``(stack, components, sums)`` names
 a whole stack and, by two booleans, the parts to compute for every row of
-it; the parts of every request come from one SVD batch per dimension.
-``spectral_norms`` fills the parts that several tuples lack in one such call,
-and the tuples keep them; ``op_norms`` and ``sum_op_norm`` are its batch of
-one.  A tuple's own sum is ``stack_sums`` of its stack.
+it; the parts of every request come from one SVD batch per dimension.  A
+tuple keeps its own entry of a zero test's norm table (``transforms``), the
+parts of its one-row stack that the kernel or ``op_norms`` and
+``sum_op_norm`` have filled.  A tuple's own sum is ``stack_sums`` of its stack.
 
 Orderings are pinned for reproducibility:
 
@@ -67,9 +68,8 @@ class OperatorTuple:
 
     Quantities derived from the components alone are computed on first use
     and kept for the life of the tuple: the component sum and the spectral
-    norms behind every tolerance scale, kept as two parts, the components'
-    norms and the sum's, which ``spectral_norms`` fills, alone or together with
-    other tuples' in one call.
+    norms behind every tolerance scale, kept as the tuple's entry of a zero
+    test's norm table (``_norm_entry``).
     """
 
     stack: np.ndarray
@@ -140,13 +140,28 @@ class OperatorTuple:
 
     @property
     def op_norms(self) -> tuple[float, ...]:
-        """Spectral norm of each component: ``spectral_norms`` of this tuple's components."""
-        return spectral_norms([(self, True, False)])[0][0]
+        """Spectral norm of each component, read from the tuple's norm entry."""
+        return tuple(self._norm_part(1)[0].tolist())
 
     @property
     def sum_op_norm(self) -> float:
-        """Spectral norm of ``component_sum()``: ``spectral_norms`` of this tuple's sum."""
-        return spectral_norms([(self, False, True)])[0][1]
+        """Spectral norm of ``component_sum()``, read from the tuple's norm entry."""
+        return self._norm_part(2)[0].item()
+
+    def _norm_entry(self) -> list:
+        """The tuple's entry of a zero test's norm table, ``[stack[None], (1, d) component
+        norms, (1,) sum norms]``, a part None until read: one object for the tuple's life,
+        keyed by its one-row stack, which the kernel fills in place."""
+        if "_norms" not in self.__dict__:
+            self.__dict__["_norms"] = [self.stack[None], None, None]
+        return self.__dict__["_norms"]
+
+    def _norm_part(self, part: int) -> np.ndarray:
+        """Part 1 (component norms) or 2 (sum norms) of the norm entry, filled alone if unread."""
+        entry = self._norm_entry()
+        if entry[part] is None:
+            entry[part] = stack_spectral_norms([(entry[0], part == 1, part == 2)])[0][part - 1]
+        return entry[part]
 
     def to_json(self) -> dict:
         return {
@@ -232,29 +247,6 @@ def stack_spectral_norms(requests) -> list[tuple]:
         (next(values[stack.shape[-1]]).reshape(stack.shape[:2]) if components else None,
          next(values[stack.shape[-1]]) if sums else None)
         for stack, components, sums in requests
-    ]
-
-
-def spectral_norms(requests) -> list[tuple]:
-    """``(op_norms, sum_op_norm)`` of each request ``(T, components, sums)``, the part
-    not asked for None.  The parts that the tuples do not hold yet come from one
-    ``stack_spectral_norms`` call, each tuple's components before its sum, and the
-    tuples keep them; a tuple named twice is filled once."""
-    missing: dict[int, list] = {}
-    for T, components, sums in requests:
-        need = missing.setdefault(id(T), [T, False, False])
-        need[1] = need[1] or bool(components) and "_op_norms" not in T.__dict__
-        need[2] = need[2] or bool(sums) and "_sum_op_norm" not in T.__dict__
-    wanted = [need for need in missing.values() if need[1] or need[2]]
-    found = stack_spectral_norms([(T.stack[None], components, sums) for T, components, sums in wanted])
-    for (T, _, _), (components, sums) in zip(wanted, found):
-        if components is not None:
-            T.__dict__["_op_norms"] = tuple(components[0].tolist())
-        if sums is not None:
-            T.__dict__["_sum_op_norm"] = sums[0].item()
-    return [
-        (T.__dict__["_op_norms"] if components else None, T.__dict__["_sum_op_norm"] if sums else None)
-        for T, components, sums in requests
     ]
 
 
@@ -350,7 +342,7 @@ def power_tuple(
     A: OperatorTuple, t: int, conv: PowerConvention | str = PowerConvention.WORD
 ) -> OperatorTuple:
     """Tuple power: all d**t ordered words of length t, or componentwise powers."""
-    if not isinstance(t, int) or t < 1:
+    if type(t) is not int or t < 1:  # a bool is an int, but not a count
         raise InvalidArgumentError(f"power must be a positive integer, got {t!r}")
     conv = PowerConvention(conv)
     if conv is PowerConvention.COMPONENTWISE:
@@ -382,7 +374,13 @@ def inverse_tuple(A: OperatorTuple) -> OperatorTuple:
 
 
 def adjoint_tuple(A: OperatorTuple) -> OperatorTuple:
-    return OperatorTuple._of_stack(np.conjugate(A.stack.transpose(0, 2, 1), order="C"))
+    return OperatorTuple._of_stack(adjoint_stacks(A.stack[None])[0])
+
+
+def adjoint_stacks(stacks: np.ndarray) -> np.ndarray:
+    """The C-contiguous conjugate transposes of a stack's matrices, such as each row's
+    ``adjoint_tuple`` of a (b, d, n, n) stack of tuples."""
+    return np.conjugate(stacks.swapaxes(-1, -2), order="C")
 
 
 def conj_tuple(A: OperatorTuple) -> OperatorTuple:
@@ -391,7 +389,7 @@ def conj_tuple(A: OperatorTuple) -> OperatorTuple:
 
 
 def scalar_tuple(c: complex, d: int, n: int) -> OperatorTuple:
-    if not all(isinstance(k, int) and k >= 1 for k in (d, n)):
+    if not all(type(k) is int and k >= 1 for k in (d, n)):
         raise InvalidArgumentError(
             f"scalar_tuple needs integers d >= 1 and n >= 1, got {d!r}, {n!r}"
         )
@@ -448,7 +446,7 @@ def nilpotency_order(
     s)`` measure orders 9 to 13, which is why that call is refused for every
     seed.  Thresholds from rounding rather than from norms are ROADMAP item 2.
     """
-    if not isinstance(max_order, int) or max_order < 1:
+    if type(max_order) is not int or max_order < 1:
         raise InvalidArgumentError(f"max_order must be a positive integer, got {max_order!r}")
     if strict:
         commutes, residual = _commutator_check(N, N, tol)

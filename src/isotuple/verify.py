@@ -55,6 +55,7 @@ import json
 import math
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -476,10 +477,9 @@ def _pro02_stage(entry, classes: list, run: _Run) -> list:
     judged = iter(defect_stack_checks(tests, run.tol, run.norms))
     for cls in classes:
         members, norm_lim = _by_row(next(judged), cls["members"]), next(judged)[0].tolist()
-        m1, m2, limit = cls["m1"], cls["m2"], (cls["A_limit"], cls["B_limit"])
-        # the limit's scale reads the norms that its zero test asked for
-        scales = tf._scales(mc.fro_norm_array(cls["X"]).tolist(),
-                            *tf._growth_factors(run.norms, limit, limit, m1, m2), m1, m2)
+        m1, m2 = cls["m1"], cls["m2"]
+        # the limit's scale is its zero test's, from the norms that test asked for
+        scales = tf._test_scales((cls["A_limit"], cls["B_limit"], cls["X"], m1, m2, None), run.norms)
         for r, row in enumerate(cls.rows.tolist()):
             (first_norm, first_threshold), *later = members[r]
             if first_norm > first_threshold:
@@ -920,12 +920,15 @@ GOLDEN_MATRICES = {
     "triangle2_S": [[[-1, 0], [-1, -1]], [[-1, 1], [1, 0]]],
 }
 
+#: The largest difference a golden check passes with, but for the two relative checks.
+GOLDEN_TOL_ABS = 1e-12
 
-def golden_suite(golden: dict | None = None, tol_abs: float = 1e-12) -> list[dict]:
+
+def golden_suite(golden: dict | None = None) -> list[dict]:
     """Every frozen value of the built-in 2x2 examples, as named checks.
 
     Each check is ``{"name", "max_abs_diff", "passed"}``; it passes when the
-    difference is at most ``tol_abs``, or 1e-9 for the two relative checks
+    difference is at most ``GOLDEN_TOL_ABS``, or 1e-9 for the two relative checks
     over degrees 1..6.  ``golden`` overrides entries of ``GOLDEN_MATRICES``; a key
     that is not one of them is refused.
     """
@@ -939,7 +942,7 @@ def golden_suite(golden: dict | None = None, tol_abs: float = 1e-12) -> list[dic
     eye = mc.identity(2)
     checks = []
 
-    def add(name, diff, limit=tol_abs):
+    def add(name, diff, limit=GOLDEN_TOL_ABS):
         checks.append({"name": name, "max_abs_diff": float(diff), "passed": bool(diff <= limit)})
 
     def expected(key):
@@ -972,12 +975,12 @@ def golden_suite(golden: dict | None = None, tol_abs: float = 1e-12) -> list[dic
     return checks
 
 
-def check_ex00_golden(tol_abs: float = 1e-12) -> TrialResult:
+def check_ex00_golden() -> TrialResult:
     """Reproduce every frozen value of the built-in 2x2 examples (``golden_suite``).
 
     Passes only if every check passes; ``defects`` maps each check to its difference.
     """
-    checks = golden_suite(tol_abs=tol_abs)
+    checks = golden_suite()
     failed = [c for c in checks if not c["passed"]]
     return TrialResult(
         status="counterexample" if failed else "pass",
@@ -1024,10 +1027,12 @@ class CampaignConfig:
             what = "a number of seconds" if math.isnan(self.budget_s) else "non-negative"
             raise InvalidArgumentError(f"budget must be {what}, got {self.budget_s:g}")
 
-    def trial_seeds(self) -> tuple[int, ...]:
+    def trial_seeds(self) -> Sequence[int]:
+        """The seed of each requested trial: a range for the ``seed``/``trials`` form, so
+        that a budgeted campaign builds no seed it does not reach."""
         if self.seeds is not None:
             return tuple(self.seeds)[: self.trials]
-        return tuple(self.seed + i for i in range(self.trials))
+        return range(self.seed, self.seed + self.trials)
 
 
 @dataclass(frozen=True)
@@ -1094,7 +1099,7 @@ class CampaignReport:
 LOCKSTEP_TRIALS = 64
 
 
-def _run_chunk(theorem_id: str, seeds: tuple[int, ...], tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
+def _run_chunk(theorem_id: str, seeds: Sequence[int], tol: mc.Tolerance, t_max: int) -> list[TrialResult]:
     """The result of each seed: its id's stages on the builder's classes of the chunk's
     instances (``generators._chunk``).  A refused chunk is checked again as bundles,
     so that it raises what its first refusing trial raises alone (``Theorem.program``)."""
@@ -1138,9 +1143,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     id's column program, with the bits each trial gives alone; a refused chunk raises what its first
     refusing trial raises alone.  A budgeted campaign runs chunks of one trial
     and checks the budget before each, so it stops within one trial of its
-    deadline and its report covers a prefix of the seeds.  The golden check
-    takes no seed, so it runs once, on the first trial, and its result stands
-    for every later one.
+    deadline and its report covers, and lists, a prefix of the seeds.  The
+    golden check takes no seed, so it runs once, on the first trial, and its
+    result stands for every later one.
     """
     start = time.monotonic()
     deadline = None if config.budget_s is None else start + config.budget_s
@@ -1185,7 +1190,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         counterexamples=counterexamples,
         sharpness_witnesses=witnesses,
         max_defect=max([0.0, *concluded]),
-        seeds=seeds,
+        seeds=tuple(seeds[: len(results)]),
         budget_exceeded=budget_exceeded,
         wall_time=time.monotonic() - start,
     )

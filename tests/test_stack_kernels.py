@@ -390,7 +390,10 @@ def test_defect_checks_compute_only_the_norm_parts_their_tests_read(d, monkeypat
     # a delta-only test reads the two sums' norms, and no component norm
     (_, delta_threshold), = tf.defect_checks(A, B, X, [(0, 2)])
     assert calls == [(2, 4, 4)]
-    assert "_op_norms" not in A.__dict__ and "_op_norms" not in B.__dict__
+    # each tuple keeps its one-row entry of the table: the sum's norm, no component norm
+    for T in (A, B):
+        stack, components, sums = T._norm_entry()
+        assert np.shares_memory(stack, T.stack) and components is None and sums.shape == (1,)
     # an isometric test now adds only the components' norms, and both parts are kept
     tf.defect_checks(A, B, X, [(3, 0), (1, 1), (0, 2)])
     assert calls == [(2, 4, 4), (2 * d, 4, 4)]
@@ -399,7 +402,8 @@ def test_defect_checks_compute_only_the_norm_parts_their_tests_read(d, monkeypat
     # an isometric-only test on fresh tuples reads only the components' norms
     C, D, Y = _pair(d, 4, seed=1)
     tf.defect_checks(C, D, Y, [(2, 0)])
-    assert calls[2:] == [(2 * d, 4, 4)] and "_sum_op_norm" not in C.__dict__
+    assert calls[2:] == [(2 * d, 4, 4)]
+    assert C._norm_entry()[1].shape == (1, d) and C._norm_entry()[2] is None
     # every threshold equals the one from norms each tuple computes alone
     fresh = _pair(d, 4)
     for T in fresh[:2]:  # held before the zero test reads them

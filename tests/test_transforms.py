@@ -263,8 +263,28 @@ def test_defect_scale_skips_factors_of_degree_zero(monkeypatch):
     assert tf.defect_scale(A, B, X, 0, 0) == mc.fro_norm(X)
 
 
-def test_defect_scale_refuses_the_pairs_defect_check_refuses(monkeypatch):
-    # A's third component used to be dropped by the factor's zip: the scale read 5.657
+#: Every single-pair function, called on a pair and X with valid degrees.
+SINGLE_PAIR_CALLS = [
+    lambda A, B, X: tf.defect_check(A, B, X, 1, 1),
+    lambda A, B, X: tf.defect_checks(A, B, X, [(2, 0), (0, 1)]),
+    *(lambda A, B, X, m=m, n=n: tf.defect_scale(A, B, X, m, n) for m, n in ((1, 0), (0, 1), (1, 1))),
+    tf.sigma_apply,
+    lambda A, B, X: tf.sigma_iterates(A, B, X, 2),
+    lambda A, B, X: tf.sigma_power(A, B, X, 2),
+    lambda A, B, X: tf.sigma_power(A, B, X, 2, mode="expand", strict=False),
+    lambda A, B, X: tf.triangle(A, B, X, 2),
+    lambda A, B, X: tf.triangle_by_iteration(A, B, X, 2),
+    *(lambda A, B, X, n=n: tf.delta(A, B, X, n) for n in (0, 2)),
+    lambda A, B, X: tf.delta_by_iteration(A, B, X, 2),
+    lambda A, B, X: tf.isosym_defect(A, B, X, 1, 1),
+    lambda A, B, X: tf.cesaro_estimate(A, B, X, 1, 3),
+]
+
+
+@pytest.mark.parametrize("call", SINGLE_PAIR_CALLS)
+def test_every_single_pair_function_refuses_the_pair_defect_check_refuses(call, monkeypatch):
+    # one shape check, in one order: X's shape, then tuple length, then dimensions;
+    # A's third component used to be dropped by defect_scale's zip: the scale read 5.657
     eye = np.eye(2)
     A, B = OperatorTuple.of(eye, 2 * eye, 3 * eye), OperatorTuple.of(eye, eye)
     C = OperatorTuple.of(np.eye(3), np.eye(3))
@@ -277,14 +297,12 @@ def test_defect_scale_refuses_the_pairs_defect_check_refuses(monkeypatch):
         ((A, B, eye), "tuple length mismatch: 3 vs 2"),
         ((B, C, eye), "dimension mismatch: A is 2, B is 3, X is 2"),
         ((B, B, np.ones((1, 3))), "X must be square and non-empty, got shape (1, 3)"),
+        ((A, C, np.ones((1, 3))), "X must be square and non-empty, got shape (1, 3)"),
+        ((A, C, eye), "tuple length mismatch: 3 vs 2"),
     ):
-        with pytest.raises(InvalidArgumentError) as alone:
-            tf.defect_check(*bad, 1, 1)
-        assert str(alone.value) == message
-        for m, n in ((1, 0), (0, 1), (1, 1)):
-            with pytest.raises(InvalidArgumentError) as scale:
-                tf.defect_scale(*bad, m, n)
-            assert str(scale.value) == message
+        with pytest.raises(InvalidArgumentError) as refused:
+            call(*bad)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, "2"])

@@ -490,6 +490,17 @@ def test_serial_budget_partial(monkeypatch):
     assert seen == list(config.trial_seeds()[: report.trials])
 
 
+def test_budgeted_campaign_builds_and_lists_only_the_seeds_it_covers():
+    # the seeds are lazy, so a large request is not built before the first
+    # deadline check, and the report lists the seeds of the trials it covers
+    start = time.monotonic()
+    report = run_campaign(CampaignConfig(theorem_id="pro04", trials=2_000_000, seed=0, budget_s=0.2))
+    assert time.monotonic() - start < 0.2 + 1.0
+    assert report.budget_exceeded and report.requested_trials == 2_000_000
+    assert len(report.seeds) == report.trials + report.skipped
+    assert report.seeds == tuple(range(len(report.seeds)))
+
+
 def test_max_defect_ignores_skipped_trials(monkeypatch):
     def skipped_chunk(theorem_id, seeds, tol, t_max):
         return [verify._skip("synthetic", base_defect=5.0) for _ in seeds]
